@@ -100,9 +100,9 @@ def main(argv=None):
         print(f"    {cir.delays[i] * 1e9:8.2f} ns   {power[i]:.3e}")
 
     # background single-hop channel and the combined set
-    bg = synthesize_background_cir(tx, rx, scen, grid, lam,
-                                   streams.scoped(HOP_BACKGROUND),
-                                   tx.elements, rx.elements)
+    bg, _ = synthesize_background_cir(tx, rx, scen, grid, lam,
+                                      streams.scoped(HOP_BACKGROUND),
+                                      tx.elements, rx.elements)
     both = combine_channels(cir, bg, CouplingConfig(o_isac=0.5, mode="added"))
     bg_pow = float(np.mean(np.sum(np.abs(bg.gains) ** 2, axis=2)))
     print(f"\nbackground: {bg.gains.shape[2]} paths, mean per-antenna power "

@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 
 from .concatenation import (
     ConcatCase,
+    HopTable,
     PairType,
     RECOMMENDED_CASES,
     TargetPathSet,
@@ -20,7 +21,6 @@ from .coefficients import (
     TargetChannelCir,
     combine_channels,
     doppler_frequency,
-    polarization_matrix,
     synthesize_background_cir,
     synthesize_target_cir,
 )

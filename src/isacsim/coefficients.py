@@ -33,11 +33,11 @@ from .geometry import (
     field_components,
     spherical_unit_vector,
 )
-from .largescale import CouplingConfig, ScenarioParams, build_hop
-from .concatenation import PairType, TargetPathSet
+from .largescale import CouplingConfig, HopLink, ScenarioParams, build_hop
+from .concatenation import HopTable, PairType, TargetPathSet, condition_weights
 from .rcs import PolarizationScattering, RcsModel, scattering_matrix, small_scale_sigma
 from .seeds import RandomStreams
-from .smallscale import SubLinkClusters, generate_sublink
+from .smallscale import generate_sublink
 
 
 @dataclass
@@ -79,59 +79,6 @@ class TargetChannelCir:
         return float(np.sum(np.abs(self.gains[u, s, mask, t]) ** 2))
 
 
-def _los_diag(phase: float) -> np.ndarray:
-    e = complex(math.cos(phase), math.sin(phase))
-    return np.array([[e, 0.0], [0.0, -e]], dtype=complex)
-
-
-def _xpr_matrix(xpr: float, phases) -> np.ndarray:
-    inv = math.sqrt(1.0 / xpr)
-    p = np.asarray(phases, dtype=float)
-    if p.shape != (4,):
-        raise ConfigError("XPR matrix needs four initial phases")
-    return np.array(
-        [
-            [np.exp(1j * p[0]), inv * np.exp(1j * p[1])],
-            [inv * np.exp(1j * p[2]), np.exp(1j * p[3])],
-        ],
-        dtype=complex,
-    )
-
-
-def polarization_matrix(
-    pair_type: int,
-    s_matrix=None,
-    tx_xpr: float | None = None,
-    tx_phases=None,
-    rx_xpr: float | None = None,
-    rx_phases=None,
-    tx_los_phase: float = 0.0,
-    rx_los_phase: float = 0.0,
-) -> np.ndarray:
-    """2x2 polarization transfer of one path: rx side @ S @ tx side.
-
-    The LOS side is the diagonal [[e^{j phi}, 0], [0, -e^{j phi}]]; the
-    NLOS side is the XPR matrix with sqrt(1/kappa) off-diagonal scaling.
-    """
-    pt = PairType(pair_type)
-    s = np.eye(2, dtype=complex) if s_matrix is None else np.asarray(s_matrix, complex)
-    if s.shape != (2, 2):
-        raise ConfigError("scattering matrix must be 2x2")
-    if pt in (PairType.LL, PairType.LN):
-        tx_side = _los_diag(tx_los_phase)
-    else:
-        if tx_xpr is None or tx_phases is None:
-            raise ConfigError("missing ray data on the NLOS transmit side")
-        tx_side = _xpr_matrix(tx_xpr, tx_phases)
-    if pt in (PairType.LL, PairType.NL):
-        rx_side = _los_diag(rx_los_phase)
-    else:
-        if rx_xpr is None or rx_phases is None:
-            raise ConfigError("missing ray data on the NLOS receive side")
-        rx_side = _xpr_matrix(rx_xpr, rx_phases)
-    return rx_side @ s @ tx_side
-
-
 def doppler_frequency(
     tx_dir: DirectionAngles,
     rx_dir: DirectionAngles,
@@ -163,48 +110,55 @@ def doppler_frequency(
     return total / wavelength_m
 
 
-def _side_matrices(
-    sub: SubLinkClusters, cluster_idx, ray_idx, wavelength_m: float
-) -> np.ndarray:
-    """(L, 2, 2) per-path transfer of one hop: LOS diagonal or XPR matrix."""
-    n_paths = cluster_idx.shape[0]
-    out = np.zeros((n_paths, 2, 2), dtype=complex)
-    los = cluster_idx < 0
-    if np.any(los):
+def _side_matrices(table: HopTable, wavelength_m: float) -> np.ndarray:
+    """(R, 2, 2) transfer of every hop-table row: XPR matrix or LOS diagonal."""
+    sub = table.sub
+    n_diffuse = table.num_diffuse
+    out = np.zeros((len(table.weight), 2, 2), dtype=complex)
+    inv = np.sqrt(1.0 / sub.xpr).ravel()
+    # theta-theta, theta-phi, phi-theta, phi-phi
+    ph = sub.phases.reshape(n_diffuse, 4)
+    out[:n_diffuse, 0, 0] = np.exp(1j * ph[:, 0])
+    out[:n_diffuse, 0, 1] = inv * np.exp(1j * ph[:, 1])
+    out[:n_diffuse, 1, 0] = inv * np.exp(1j * ph[:, 2])
+    out[:n_diffuse, 1, 1] = np.exp(1j * ph[:, 3])
+    if sub.has_los:
         phase = -2.0 * np.pi * sub.hop.d3d_m / wavelength_m
         e = np.exp(1j * phase)
-        out[los, 0, 0] = e
-        out[los, 1, 1] = -e
-    nl = ~los
-    if np.any(nl):
-        ci = cluster_idx[nl]
-        ri = ray_idx[nl]
-        inv = np.sqrt(1.0 / sub.xpr[ci, ri])
-        ph = sub.phases[ci, ri]  # (n, 4): theta-theta, theta-phi, phi-theta, phi-phi
-        out[nl, 0, 0] = np.exp(1j * ph[:, 0])
-        out[nl, 0, 1] = inv * np.exp(1j * ph[:, 1])
-        out[nl, 1, 0] = inv * np.exp(1j * ph[:, 2])
-        out[nl, 1, 1] = np.exp(1j * ph[:, 3])
+        out[n_diffuse, 0, 0] = e
+        out[n_diffuse, 1, 1] = -e
     return out
 
 
-def _field_matrix(elements, zenith, azimuth):
-    """Field components of each element toward per-path directions: (E, L, 2)."""
-    dirs = DirectionAngles(zenith=zenith, azimuth=azimuth)
-    rows = []
+def _array_response(elements, dirs: DirectionAngles, wavelength_m: float):
+    """Field components (E, L, 2) and array phases exp(j 2 pi r_hat . d_e /
+    lambda) (E, L) of each element toward per-path directions."""
+    fields = []
     for el in elements:
         f_t, f_p = field_components(el, dirs)
-        rows.append(np.stack([np.broadcast_to(f_t, zenith.shape),
-                              np.broadcast_to(f_p, zenith.shape)], axis=-1))
-    return np.stack(rows, axis=0)
-
-
-def _array_phases(elements, zenith, azimuth, wavelength_m):
-    """exp(j 2 pi r_hat . d_e / lambda) per element and path: (E, L)."""
-    units = spherical_unit_vector(DirectionAngles(zenith=zenith, azimuth=azimuth))
+        fields.append(np.stack([np.broadcast_to(f_t, dirs.zenith.shape),
+                                np.broadcast_to(f_p, dirs.zenith.shape)], axis=-1))
     offs = np.stack([el.offset_m for el in elements], axis=0)  # (E, 3)
-    proj = offs @ units.T  # (E, L)
-    return np.exp(2j * np.pi * proj / wavelength_m)
+    proj = offs @ spherical_unit_vector(dirs).T  # (E, L)
+    return np.stack(fields, axis=0), np.exp(2j * np.pi * proj / wavelength_m)
+
+
+def _array_gains(tx_elements, rx_elements, dep: DirectionAngles,
+                 arr: DirectionAngles, pmat, amp, f_d, grid: SnapshotGrid,
+                 wavelength_m: float) -> np.ndarray:
+    """(U, S, L, T) gains of L paths leaving the transmit array along dep and
+    reaching the receive array along arr, with (L, 2, 2) polarization
+    transfers pmat, amplitudes amp and Doppler shifts f_d."""
+    doppler = np.exp(2j * np.pi * np.outer(f_d, grid.times()))  # (L, T)
+    time_block = amp[:, None] * doppler
+
+    f_rx, ph_rx = _array_response(rx_elements, arr, wavelength_m)  # U elements
+    f_tx, ph_tx = _array_response(tx_elements, dep, wavelength_m)  # S elements
+
+    # scalar(u, s, l) = f_rx(u, l) . P(l) . f_tx(s, l)
+    scalar = np.einsum("ula,lab,slb->usl", f_rx, pmat, f_tx)
+    scalar = scalar * ph_rx[:, None, :] * ph_tx[None, :, :]
+    return scalar[..., None] * time_block[None, None, ...]
 
 
 def synthesize_target_cir(
@@ -228,15 +182,14 @@ def synthesize_target_cir(
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
     if not tx_elements or not rx_elements:
         raise ConfigError("both arrays need at least one element")
-    tx_sub = paths.tx_link
-    rx_sub = paths.rx_link
+    tx_sub = paths.tx.sub
+    rx_sub = paths.rx.sub
     if not np.allclose(
         tx_sub.hop.to_node.position_m, rx_sub.hop.from_node.position_m
     ):
         raise ConfigError("hops do not share the scattering point")
 
     n_paths = len(paths)
-    n_u, n_s, n_t = len(rx_elements), len(tx_elements), grid.count
     pol = polarization or PolarizationScattering()
 
     # Per-path small-scale cross section; aspect is the incidence azimuth
@@ -254,42 +207,29 @@ def synthesize_target_cir(
     else:
         smat = scattering_matrix(pol, streams.stream("scatter_phases"), size=n_paths)
 
-    tx_side = _side_matrices(tx_sub, paths.tx_cluster, paths.tx_ray, wavelength_m)
-    rx_side = _side_matrices(rx_sub, paths.rx_cluster, paths.rx_ray, wavelength_m)
+    tx_side = _side_matrices(paths.tx, wavelength_m)[paths.tx_idx]
+    rx_side = _side_matrices(paths.rx, wavelength_m)[paths.rx_idx]
     pmat = np.einsum("lij,ljk,lkm->lim", rx_side, smat, tx_side)
 
-    tx_node = tx_sub.hop.from_node
-    target = tx_sub.hop.to_node
-    rx_node = rx_sub.hop.to_node
+    tx_dir = DirectionAngles(paths.tx_zenith, paths.tx_azimuth)
+    rx_dir = DirectionAngles(paths.rx_zenith, paths.rx_azimuth)
     f_d = doppler_frequency(
-        DirectionAngles(paths.tx_zenith, paths.tx_azimuth),
-        DirectionAngles(paths.rx_zenith, paths.rx_azimuth),
+        tx_dir,
+        rx_dir,
         DirectionAngles(paths.spin_zenith, paths.spin_azimuth),
         DirectionAngles(paths.spout_zenith, paths.spout_azimuth),
-        tx_node.velocity_mps,
-        rx_node.velocity_mps,
-        target.total_velocity_mps,
+        tx_sub.hop.from_node.velocity_mps,
+        rx_sub.hop.to_node.velocity_mps,
+        tx_sub.hop.to_node.total_velocity_mps,
         wavelength_m,
     )
     f_d = np.broadcast_to(np.asarray(f_d, float), (n_paths,))
 
     amp = paths.k_weights[paths.pair_type] * paths.weight * np.sqrt(sigma)
-    doppler = np.exp(2j * np.pi * np.outer(f_d, grid.times()))  # (L, T)
-    time_block = amp[:, None] * doppler
-
-    f_rx = _field_matrix(rx_elements, paths.rx_zenith, paths.rx_azimuth)  # (U, L, 2)
-    f_tx = _field_matrix(tx_elements, paths.tx_zenith, paths.tx_azimuth)  # (S, L, 2)
-    ph_rx = _array_phases(rx_elements, paths.rx_zenith, paths.rx_azimuth, wavelength_m)
-    ph_tx = _array_phases(tx_elements, paths.tx_zenith, paths.tx_azimuth, wavelength_m)
-
-    # scalar(u, s, l) = f_rx(u, l) . P(l) . f_tx(s, l)
-    scalar = np.einsum("ula,lab,slb->usl", f_rx, pmat, f_tx)
-    scalar = scalar * ph_rx[:, None, :] * ph_tx[None, :, :]
-    gains = scalar[..., None] * time_block[None, None, ...]
-
     return TargetChannelCir(
-        delays=paths.joint_delay.copy(),
-        gains=gains,
+        delays=paths.joint_delay,
+        gains=_array_gains(tx_elements, rx_elements, tx_dir, rx_dir, pmat,
+                           amp, f_d, grid, wavelength_m),
         pair_type=paths.pair_type.copy(),
         grid=grid,
         case=paths.case.value,
@@ -308,14 +248,15 @@ def synthesize_background_cir(
     rx_elements: list | None = None,
     sensing_mode: str = "bistatic",
     force_condition: str | None = None,
-) -> TargetChannelCir:
+) -> tuple[TargetChannelCir, HopLink]:
     """Single-hop environment channel between transmitter and receiver.
 
-    Standard one-hop cluster channel: diffuse rays weighted by the Rician
-    diffuse share, plus the specular ray under LOS. Path loss and shadow
-    fading are folded into the gains as 10^(-(PL+SF)/20). Only the
-    bi-static arrangement has a defined environment hop; mono-static
-    background generation is intentionally refused.
+    Standard one-hop cluster channel: the specular ray under LOS, then the
+    diffuse rays, weighted by the Rician specular and diffuse shares. Path
+    loss and shadow fading are folded into the gains as 10^(-(PL+SF)/20).
+    Returns the channel and the hop it drew. Only the bi-static
+    arrangement has a defined environment hop; mono-static background
+    generation is intentionally refused.
     """
     if sensing_mode != "bistatic":
         raise UnsupportedFeatureError(
@@ -330,63 +271,36 @@ def synthesize_background_cir(
 
     hop = build_hop(tx_node, rx_node, scenario, streams, force_condition)
     params = scenario.condition_params(hop.condition)
-    sub = generate_sublink(hop, params, streams)
+    table = HopTable.from_sublink(generate_sublink(hop, params, streams))
 
-    n, m = sub.aod.shape
-    total = sub.cluster_powers.sum()
-    k = hop.k_factor if sub.has_los else 0.0
-    diffuse_share = math.sqrt(1.0 / (1.0 + k))
-    ray_w = np.sqrt(
-        np.broadcast_to(sub.cluster_powers[:, None] / m / total, (n, m))
-    ).ravel() * diffuse_share
-
-    delays = sub.ray_delays.ravel()
-    dep_zen, dep_azi = sub.zod.ravel(), sub.aod.ravel()
-    arr_zen, arr_azi = sub.zoa.ravel(), sub.aoa.ravel()
-    cl = np.repeat(np.arange(n, dtype=np.int32), m)
-    ray = np.tile(np.arange(m, dtype=np.int32), n)
-    weights = ray_w
-    if sub.has_los:
-        delays = np.concatenate([[sub.los_delay], delays])
-        dep_zen = np.concatenate([[sub.los_departure.zenith], dep_zen])
-        dep_azi = np.concatenate([[sub.los_departure.azimuth], dep_azi])
-        arr_zen = np.concatenate([[sub.los_arrival.zenith], arr_zen])
-        arr_azi = np.concatenate([[sub.los_arrival.azimuth], arr_azi])
-        cl = np.concatenate([[-1], cl]).astype(np.int32)
-        ray = np.concatenate([[-1], ray]).astype(np.int32)
-        weights = np.concatenate([[math.sqrt(k / (1.0 + k))], weights])
-
-    n_paths = delays.shape[0]
-    pmat = _side_matrices(sub, cl, ray, wavelength_m)
-
-    # One-hop Doppler: arrival and departure couplings only.
-    units_arr = spherical_unit_vector(DirectionAngles(arr_zen, arr_azi))
-    units_dep = spherical_unit_vector(DirectionAngles(dep_zen, dep_azi))
-    f_d = (
-        units_arr @ rx_node.velocity_mps + units_dep @ tx_node.velocity_mps
-    ) / wavelength_m
-
+    rows = np.arange(table.num_diffuse)
+    if table.sub.has_los:
+        rows = np.concatenate([[table.num_diffuse], rows])  # specular first
+    k = hop.k_factor if table.sub.has_los else 0.0
+    spec_share, diffuse_share = condition_weights(k, 0.0)[[1, 3]]
+    share = np.where(table.cluster[rows] < 0, spec_share, diffuse_share)
     scale = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 20.0)
-    amp = weights * scale
-    doppler = np.exp(2j * np.pi * np.outer(f_d, grid.times()))
-    time_block = amp[:, None] * doppler
+    amp = share * table.weight[rows] * scale
 
-    f_rx = _field_matrix(rx_elements, arr_zen, arr_azi)
-    f_tx = _field_matrix(tx_elements, dep_zen, dep_azi)
-    ph_rx = _array_phases(rx_elements, arr_zen, arr_azi, wavelength_m)
-    ph_tx = _array_phases(tx_elements, dep_zen, dep_azi, wavelength_m)
-    scalar = np.einsum("ula,lab,slb->usl", f_rx, pmat, f_tx)
-    scalar = scalar * ph_rx[:, None, :] * ph_tx[None, :, :]
-    gains = scalar[..., None] * time_block[None, None, ...]
+    dep = DirectionAngles(table.dep_zenith[rows], table.dep_azimuth[rows])
+    arr = DirectionAngles(table.arr_zenith[rows], table.arr_azimuth[rows])
+    # One-hop Doppler: arrival and departure couplings only.
+    f_d = (
+        spherical_unit_vector(arr) @ rx_node.velocity_mps
+        + spherical_unit_vector(dep) @ tx_node.velocity_mps
+    ) / wavelength_m
+    pmat = _side_matrices(table, wavelength_m)[rows]
 
-    return TargetChannelCir(
-        delays=delays.astype(float),
-        gains=gains,
-        pair_type=np.full(n_paths, int(PairType.BACKGROUND), np.int8),
+    cir = TargetChannelCir(
+        delays=table.delay[rows],
+        gains=_array_gains(tx_elements, rx_elements, dep, arr, pmat, amp, f_d,
+                           grid, wavelength_m),
+        pair_type=np.full(rows.shape[0], int(PairType.BACKGROUND), np.int8),
         grid=grid,
         case=None,
         condition_pair=hop.condition,
     )
+    return cir, hop
 
 
 def combine_channels(

@@ -98,71 +98,115 @@ def condition_weights(k_p: float, k_q: float) -> np.ndarray:
 
 
 @dataclass
-class TargetPathSet:
-    """Joint two-hop paths as flat parallel arrays (one entry per path).
+class HopTable:
+    """One hop's rays as flat table rows.
 
-    weight holds the stored amplitude weight of each path (condition
-    prefactors NOT included; see k_weights). Angle arrays are radians:
-    tx_* is the departure at the transmit node, rx_* the arrival at the
-    receive node, spin_* the arrival at the target on the first hop,
-    spout_* the departure from the target on the second hop. Cluster/ray
-    index -1 marks a specular (LOS) hop side.
+    Row cluster*M + ray is diffuse ray `ray` of cluster `cluster`, weighted
+    sqrt(P_cluster / M) by the normalized cluster powers; under LOS one more
+    row, N*M, holds the specular ray (weight 1, cluster and ray -1). Angles
+    are radians: dep_* at the hop's from-node, arr_* at its to-node.
+    """
+
+    sub: SubLinkClusters
+    weight: np.ndarray
+    delay: np.ndarray
+    dep_zenith: np.ndarray
+    dep_azimuth: np.ndarray
+    arr_zenith: np.ndarray
+    arr_azimuth: np.ndarray
+    cluster: np.ndarray
+    ray: np.ndarray
+
+    @classmethod
+    def from_sublink(cls, sub: SubLinkClusters) -> "HopTable":
+        n, m = sub.aod.shape
+        total = sub.cluster_powers.sum()
+        ray_power = sub.cluster_powers[:, None] / m / total
+        cols = [
+            np.sqrt(np.broadcast_to(ray_power, (n, m))).ravel(),
+            sub.ray_delays.ravel(),
+            sub.zod.ravel(), sub.aod.ravel(),
+            sub.zoa.ravel(), sub.aoa.ravel(),
+            np.repeat(np.arange(n, dtype=np.int32), m),
+            np.tile(np.arange(m, dtype=np.int32), n),
+        ]
+        if sub.has_los:
+            dep, arr = sub.los_departure, sub.los_arrival
+            los = (1.0, sub.los_delay, dep.zenith, dep.azimuth,
+                   arr.zenith, arr.azimuth, -1, -1)
+            cols = [np.append(c, np.asarray(v, c.dtype)) for c, v in zip(cols, los)]
+        return cls(sub, *cols)
+
+    @property
+    def num_diffuse(self) -> int:
+        """Number of diffuse rows, which is also the specular row's index."""
+        return self.sub.aod.size
+
+
+def _gather(side: str, column: str):
+    """Read-only per-path column: one hop table's column at that hop's rows."""
+
+    def get(paths):
+        return getattr(getattr(paths, side), column)[getattr(paths, side + "_idx")]
+
+    return property(get)
+
+
+@dataclass
+class TargetPathSet:
+    """Joint two-hop paths as pairs of hop-table rows (one pair per path).
+
+    Path i joins row tx_idx[i] of the transmitter-to-target table `tx` with
+    row rx_idx[i] of the target-to-receiver table `rx`. weight holds the
+    stored amplitude weight of each path (condition prefactors NOT
+    included; see k_weights). The per-path columns are gathers from the
+    tables, angles in radians: tx_* is the departure at the transmit node,
+    rx_* the arrival at the receive node, spin_* the arrival at the target
+    on the first hop, spout_* the departure from the target on the second
+    hop. Cluster/ray index -1 marks a specular (LOS) hop side.
     """
 
     case: ConcatCase
-    tx_link: SubLinkClusters
-    rx_link: SubLinkClusters
+    tx: HopTable
+    rx: HopTable
+    tx_idx: np.ndarray
+    rx_idx: np.ndarray
     pair_type: np.ndarray
-    joint_delay: np.ndarray
     weight: np.ndarray
-    tx_zenith: np.ndarray
-    tx_azimuth: np.ndarray
-    spin_zenith: np.ndarray
-    spin_azimuth: np.ndarray
-    spout_zenith: np.ndarray
-    spout_azimuth: np.ndarray
-    rx_zenith: np.ndarray
-    rx_azimuth: np.ndarray
-    tx_cluster: np.ndarray
-    tx_ray: np.ndarray
-    rx_cluster: np.ndarray
-    rx_ray: np.ndarray
     k_weights: np.ndarray
     nn_normalized: bool = False
+
+    tx_zenith = _gather("tx", "dep_zenith")
+    tx_azimuth = _gather("tx", "dep_azimuth")
+    spin_zenith = _gather("tx", "arr_zenith")
+    spin_azimuth = _gather("tx", "arr_azimuth")
+    spout_zenith = _gather("rx", "dep_zenith")
+    spout_azimuth = _gather("rx", "dep_azimuth")
+    rx_zenith = _gather("rx", "arr_zenith")
+    rx_azimuth = _gather("rx", "arr_azimuth")
+    tx_cluster = _gather("tx", "cluster")
+    tx_ray = _gather("tx", "ray")
+    rx_cluster = _gather("rx", "cluster")
+    rx_ray = _gather("rx", "ray")
 
     def __len__(self):
         return int(self.pair_type.shape[0])
 
     @property
+    def joint_delay(self) -> np.ndarray:
+        return self.tx.delay[self.tx_idx] + self.rx.delay[self.rx_idx]
+
+    @property
     def condition_pair(self) -> str:
         """Hop condition labels, e.g. 'LL' when both hops are LOS."""
-        t = "L" if self.tx_link.has_los else "N"
-        r = "L" if self.rx_link.has_los else "N"
+        t = "L" if self.tx.sub.has_los else "N"
+        r = "L" if self.rx.sub.has_los else "N"
         return t + r
 
 
-class _FlatRays:
-    """One hop's diffuse rays flattened to parallel (N*M,) arrays."""
-
-    def __init__(self, sub: SubLinkClusters):
-        n, m = sub.aod.shape
-        self.n, self.m = n, m
-        total = sub.cluster_powers.sum()
-        ray_power = sub.cluster_powers[:, None] / m / total
-        self.weight = np.sqrt(np.broadcast_to(ray_power, (n, m))).ravel()
-        self.delay = sub.ray_delays.ravel()
-        self.dep_zen = sub.zod.ravel()
-        self.dep_azi = sub.aod.ravel()
-        self.arr_zen = sub.zoa.ravel()
-        self.arr_azi = sub.aoa.ravel()
-        self.cluster = np.repeat(np.arange(n, dtype=np.int32), m)
-        self.ray = np.tile(np.arange(m, dtype=np.int32), n)
-
-
 def _nn_indices(case, tx, rx, streams):
-    """Index pairs (into the flat tx/rx ray arrays) for the NN component."""
-    p, m = tx.n, tx.m
-    q, m2 = rx.n, rx.m
+    """Index pairs (into the tx/rx hop-table rows) for the NN component."""
+    (p, m), (q, m2) = tx.sub.aod.shape, rx.sub.aod.shape
     mm = min(m, m2)
     pq = min(p, q)
     base = case.base
@@ -215,124 +259,47 @@ def concatenate(
     case = ConcatCase(case)
     if case.uses_randomness and streams is None:
         raise ConfigError(f"{case.value} needs random streams for its pairing")
-    tx = _FlatRays(tx_link)
-    rx = _FlatRays(rx_link)
-    if tx.n < 1 or rx.n < 1:
+    if tx_link.num_clusters < 1 or rx_link.num_clusters < 1:
         raise ConfigError("both hops need at least one cluster")
+    tx = HopTable.from_sublink(tx_link)
+    rx = HopTable.from_sublink(rx_link)
 
     k_w = condition_weights(
         tx_link.hop.k_factor if tx_link.has_los else 0.0,
         rx_link.hop.k_factor if rx_link.has_los else 0.0,
     )
 
-    parts = []  # (pair_type, delay, weight, 8 angle cols, 4 index cols)
-
-    def los_scalars(sub):
-        dep = sub.los_departure
-        arr = sub.los_arrival
-        return dep.zenith, dep.azimuth, arr.zenith, arr.azimuth
-
+    # (pair type, tx rows, rx rows) per component, in output order; the
+    # specular row of a table sits right after its diffuse rows.
+    nt, nr = tx.num_diffuse, rx.num_diffuse
+    blocks = []
     if tx_link.has_los and rx_link.has_los:
-        tdz, tda, taz, taa = los_scalars(tx_link)
-        rdz, rda, raz, raa = los_scalars(rx_link)
-        parts.append((
-            PairType.LL,
-            np.array([tx_link.los_delay + rx_link.los_delay]),
-            np.array([1.0]),
-            np.array([tdz]), np.array([tda]),
-            np.array([taz]), np.array([taa]),
-            np.array([rdz]), np.array([rda]),
-            np.array([raz]), np.array([raa]),
-            np.array([-1], np.int32), np.array([-1], np.int32),
-            np.array([-1], np.int32), np.array([-1], np.int32),
-        ))
+        blocks.append((PairType.LL, [nt], [nr]))
     if tx_link.has_los:
-        tdz, tda, taz, taa = los_scalars(tx_link)
-        nr = rx.weight.shape[0]
-        parts.append((
-            PairType.LN,
-            tx_link.los_delay + rx.delay,
-            rx.weight.copy(),
-            np.full(nr, tdz), np.full(nr, tda),
-            np.full(nr, taz), np.full(nr, taa),
-            rx.dep_zen, rx.dep_azi,
-            rx.arr_zen, rx.arr_azi,
-            np.full(nr, -1, np.int32), np.full(nr, -1, np.int32),
-            rx.cluster, rx.ray,
-        ))
+        blocks.append((PairType.LN, np.full(nr, nt), np.arange(nr)))
     if rx_link.has_los:
-        rdz, rda, raz, raa = los_scalars(rx_link)
-        nt = tx.weight.shape[0]
-        parts.append((
-            PairType.NL,
-            tx.delay + rx_link.los_delay,
-            tx.weight.copy(),
-            tx.dep_zen, tx.dep_azi,
-            tx.arr_zen, tx.arr_azi,
-            np.full(nt, rdz), np.full(nt, rda),
-            np.full(nt, raz), np.full(nt, raa),
-            tx.cluster, tx.ray,
-            np.full(nt, -1, np.int32), np.full(nt, -1, np.int32),
-        ))
+        blocks.append((PairType.NL, np.arange(nt), np.full(nt, nr)))
     if case is not ConcatCase.CASE_A:
-        it, ir = _nn_indices(case, tx, rx, streams)
-        w = tx.weight[it] * rx.weight[ir]
-        if case.normalizes_nn:
-            total = float(np.sum(w ** 2))
-            if total <= 0:
-                raise ConfigError("cannot normalize an empty diffuse component")
-            w = w / math.sqrt(total)
-        parts.append((
-            PairType.NN,
-            tx.delay[it] + rx.delay[ir],
-            w,
-            tx.dep_zen[it], tx.dep_azi[it],
-            tx.arr_zen[it], tx.arr_azi[it],
-            rx.dep_zen[ir], rx.dep_azi[ir],
-            rx.arr_zen[ir], rx.arr_azi[ir],
-            tx.cluster[it], tx.ray[it],
-            rx.cluster[ir], rx.ray[ir],
-        ))
+        blocks.append((PairType.NN, *_nn_indices(case, tx, rx, streams)))
 
-    if not parts:
-        # CaseA with both hops NLOS leaves nothing to keep.
-        empty_f = np.empty(0)
-        empty_i = np.empty(0, np.int32)
-        return TargetPathSet(
-            case=case, tx_link=tx_link, rx_link=rx_link,
-            pair_type=np.empty(0, np.int8),
-            joint_delay=empty_f, weight=empty_f,
-            tx_zenith=empty_f, tx_azimuth=empty_f,
-            spin_zenith=empty_f, spin_azimuth=empty_f,
-            spout_zenith=empty_f, spout_azimuth=empty_f,
-            rx_zenith=empty_f, rx_azimuth=empty_f,
-            tx_cluster=empty_i, tx_ray=empty_i,
-            rx_cluster=empty_i, rx_ray=empty_i,
-            k_weights=k_w, nn_normalized=case.normalizes_nn,
-        )
-
-    def cat(idx):
-        return np.concatenate([np.asarray(p[idx], dtype=float) for p in parts])
-
-    pair_type = np.concatenate(
-        [np.full(p[1].shape[0], int(p[0]), np.int8) for p in parts]
+    # CaseA with both hops NLOS leaves nothing to keep.
+    tx_idx = np.concatenate([np.empty(0, np.intp), *(b[1] for b in blocks)])
+    rx_idx = np.concatenate([np.empty(0, np.intp), *(b[2] for b in blocks)])
+    pair_type = np.repeat(
+        np.array([b[0] for b in blocks], np.int8),
+        np.array([len(b[1]) for b in blocks], np.intp),
     )
+    weight = tx.weight[tx_idx] * rx.weight[rx_idx]
+    if case.normalizes_nn:
+        nn = pair_type == int(PairType.NN)
+        w = weight[nn]
+        total = float(np.sum(w ** 2))
+        if total <= 0:
+            raise ConfigError("cannot normalize an empty diffuse component")
+        weight[nn] = w / math.sqrt(total)
     return TargetPathSet(
-        case=case,
-        tx_link=tx_link,
-        rx_link=rx_link,
-        pair_type=pair_type,
-        joint_delay=cat(1),
-        weight=cat(2),
-        tx_zenith=cat(3), tx_azimuth=cat(4),
-        spin_zenith=cat(5), spin_azimuth=cat(6),
-        spout_zenith=cat(7), spout_azimuth=cat(8),
-        rx_zenith=cat(9), rx_azimuth=cat(10),
-        tx_cluster=np.concatenate([p[11] for p in parts]),
-        tx_ray=np.concatenate([p[12] for p in parts]),
-        rx_cluster=np.concatenate([p[13] for p in parts]),
-        rx_ray=np.concatenate([p[14] for p in parts]),
-        k_weights=k_w,
+        case=case, tx=tx, rx=rx, tx_idx=tx_idx, rx_idx=rx_idx,
+        pair_type=pair_type, weight=weight, k_weights=k_w,
         nn_normalized=case.normalizes_nn,
     )
 
@@ -350,13 +317,13 @@ def ray_marginal_power(paths: TargetPathSet, side: str = "tx") -> np.ndarray:
     and its power-normalized one-by-one variant produce identical marginals.
     """
     if side == "tx":
-        sub, cl, ray = paths.tx_link, paths.tx_cluster, paths.tx_ray
+        table, rows = paths.tx, paths.tx_idx
     elif side == "rx":
-        sub, cl, ray = paths.rx_link, paths.rx_cluster, paths.rx_ray
+        table, rows = paths.rx, paths.rx_idx
     else:
         raise ConfigError(f"side must be 'tx' or 'rx', got {side!r}")
-    n, m = sub.aod.shape
     mask = paths.pair_type == int(PairType.NN)
-    flat = cl[mask].astype(np.int64) * m + ray[mask]
-    acc = np.bincount(flat, weights=paths.weight[mask] ** 2, minlength=n * m)
-    return acc.reshape(n, m)
+    acc = np.bincount(
+        rows[mask], weights=paths.weight[mask] ** 2, minlength=table.num_diffuse
+    )
+    return acc.reshape(table.sub.aod.shape)

@@ -43,9 +43,6 @@ class DirectionAngles:
         self.zenith = np.asarray(self.zenith, dtype=float)
         self.azimuth = np.asarray(self.azimuth, dtype=float)
 
-    def as_degrees(self):
-        return np.degrees(self.zenith), np.degrees(self.azimuth)
-
 
 def spherical_unit_vector(angles: DirectionAngles) -> np.ndarray:
     """Unit vector(s) [sin(th)cos(ph), sin(th)sin(ph), cos(th)], shape (..., 3)."""

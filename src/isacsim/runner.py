@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .concatenation import (
+    ALL_CASES,
     ConcatCase,
     TargetPathSet,
     concatenate,
@@ -53,8 +54,6 @@ from .seeds import (
 )
 from .smallscale import generate_sublink, mono_static_reciprocal
 from .stats import DropStatistics, drop_statistics, empirical_cdf
-
-ALL_CASES = tuple(ConcatCase)
 
 STAT_COLUMNS = (
     "total_power", "nn_power", "ds_ns", "asa_deg", "asd_deg", "zsa_deg", "zsd_deg"
@@ -141,19 +140,16 @@ def _stats_row(drop: int, case: str, paths: TargetPathSet) -> tuple:
     )
 
 
-def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int) -> list:
-    """Worker body: simulate one drop for every requested concatenation case."""
+def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
+              scenario: ScenarioParams, tx: NodeState, rx: NodeState,
+              target: NodeState, rcs_model: RcsModel,
+              polarization: PolarizationScattering | None, grid: SnapshotGrid,
+              coupling: CouplingConfig) -> list:
+    """Worker body: simulate one drop for every requested concatenation case.
+
+    The keyword arguments are the per-run objects, built once by _execute.
+    """
     wavelength = cfg.wavelength_m
-    scenario = ScenarioParams.from_table(
-        cfg.scenario, cfg.frequency_hz, path=cfg.scenario_table
-    )
-    tx = build_node(cfg.tx, wavelength)
-    rx_node_cfg = cfg.tx if cfg.sensing_mode == "monostatic" else cfg.rx
-    rx = build_node(rx_node_cfg, wavelength)
-    target = build_node(cfg.target, wavelength)
-    rcs_model = build_rcs_model(cfg)
-    polarization = build_polarization(cfg)
-    grid = SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count)
 
     streams = RandomStreams(cfg.master_seed, drop=drop)
     hop1 = build_hop(
@@ -198,21 +194,11 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int) -> list:
                 coeff_streams, polarization=polarization,
             )
             if cfg.background_enabled:
-                bg = synthesize_background_cir(
+                bg, bg_hop = synthesize_background_cir(
                     tx, rx, scenario, grid, wavelength,
                     streams.scoped(HOP_BACKGROUND),
                     tx_elements=tx.elements, rx_elements=rx.elements,
                     sensing_mode=cfg.sensing_mode,
-                    force_condition=_force(cfg.cond_background),
-                )
-                coupling = CouplingConfig(
-                    o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,
-                    removal_fraction=cfg.coupling_removal_fraction,
-                )
-                # Scoped streams replay identically, so rebuilding the hop
-                # here reproduces the exact large-scale draws used above.
-                bg_hop = build_hop(
-                    tx, rx, scenario, streams.scoped(HOP_BACKGROUND),
                     force_condition=_force(cfg.cond_background),
                 )
                 rec.pl_background_db = bg_hop.path_loss_db
@@ -261,6 +247,14 @@ def _write_statistics(out_dir: str, records: list, with_ratio: bool,
     return path
 
 
+def _write_cdf(path: str, values: np.ndarray) -> str:
+    cdf = empirical_cdf(values)
+    lines = ["# value probability"]
+    lines += ["%.12e %.12e" % (v, p) for v, p in zip(cdf.values, cdf.probabilities)]
+    _write_text(path, lines)
+    return path
+
+
 def _write_cdfs(out_dir: str, records: list, case0_nn: dict | None) -> list:
     """One value-probability file per metric per case."""
     by_case: dict = {}
@@ -276,17 +270,10 @@ def _write_cdfs(out_dir: str, records: list, case0_nn: dict | None) -> list:
         for metric in sorted(metric_fields):
             values = np.array([getattr(r, metric_fields[metric]) for r in recs])
             values = values[np.isfinite(values)]
-            if values.size == 0:
-                continue
-            cdf = empirical_cdf(values)
-            lines = ["# value probability"]
-            lines += [
-                "%.12e %.12e" % (v, p)
-                for v, p in zip(cdf.values, cdf.probabilities)
-            ]
-            path = os.path.join(out_dir, f"cdf_{metric}_{case}.txt")
-            _write_text(path, lines)
-            paths.append(path)
+            if values.size:
+                paths.append(_write_cdf(
+                    os.path.join(out_dir, f"cdf_{metric}_{case}.txt"), values
+                ))
         if case0_nn is not None:
             ratios = np.array([
                 r.nn_power / case0_nn[r.drop]
@@ -294,15 +281,9 @@ def _write_cdfs(out_dir: str, records: list, case0_nn: dict | None) -> list:
                 if np.isfinite(case0_nn.get(r.drop, np.nan)) and case0_nn[r.drop] > 0
             ])
             if ratios.size:
-                cdf = empirical_cdf(ratios)
-                lines = ["# value probability"]
-                lines += [
-                    "%.12e %.12e" % (v, p)
-                    for v, p in zip(cdf.values, cdf.probabilities)
-                ]
-                path = os.path.join(out_dir, f"cdf_power_ratio_{case}.txt")
-                _write_text(path, lines)
-                paths.append(path)
+                paths.append(_write_cdf(
+                    os.path.join(out_dir, f"cdf_power_ratio_{case}.txt"), ratios
+                ))
     return paths
 
 
@@ -348,6 +329,24 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
              emit_cir: bool, study: bool) -> RunManifest:
     t0 = time.perf_counter()
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    wavelength = cfg.wavelength_m
+    rx_node_cfg = cfg.tx if cfg.sensing_mode == "monostatic" else cfg.rx
+    worker = partial(
+        _run_drop, cfg, cases, emit_cir,
+        scenario=ScenarioParams.from_table(
+            cfg.scenario, cfg.frequency_hz, path=cfg.scenario_table
+        ),
+        tx=build_node(cfg.tx, wavelength),
+        rx=build_node(rx_node_cfg, wavelength),
+        target=build_node(cfg.target, wavelength),
+        rcs_model=build_rcs_model(cfg),
+        polarization=build_polarization(cfg),
+        grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count),
+        coupling=CouplingConfig(
+            o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,
+            removal_fraction=cfg.coupling_removal_fraction,
+        ),
+    )
     if out_dir is None:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
         out_dir = os.path.join(
@@ -355,7 +354,6 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         )
     os.makedirs(out_dir, exist_ok=True)
 
-    worker = partial(_run_drop, cfg, cases, emit_cir)
     if workers <= 1:
         per_drop = [worker(d) for d in range(cfg.drops)]
     else:

@@ -1,17 +1,25 @@
 """Impulse-response synthesis: polarization, Doppler, arrays, power bookkeeping."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from isacsim.coefficients import (
     SnapshotGrid,
     TargetChannelCir,
+    _side_matrices,
     combine_channels,
     doppler_frequency,
-    polarization_matrix,
     synthesize_background_cir,
     synthesize_target_cir,
 )
-from isacsim.concatenation import ConcatCase, PairType, concatenate, nn_total_power
+from isacsim.concatenation import (
+    ConcatCase,
+    HopTable,
+    PairType,
+    concatenate,
+    nn_total_power,
+)
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.errors import ConfigError, UnsupportedFeatureError
 from isacsim.geometry import (
@@ -79,28 +87,51 @@ def test_snapshot_grid_times():
 
 # --------------------------------------------------- polarization matrix
 
+def side_table(xpr=1.0, phases=(0.0, 0.0, 0.0, 0.0), los_d3d_m=None):
+    """Hop table of one diffuse ray, plus the specular row when los_d3d_m is set."""
+    sub = SimpleNamespace(
+        aod=np.zeros((1, 1)),
+        xpr=np.array([[xpr]]),
+        phases=np.asarray(phases, float).reshape(1, 1, 4),
+        has_los=los_d3d_m is not None,
+        hop=SimpleNamespace(d3d_m=los_d3d_m),
+    )
+    rows = 2 if sub.has_los else 1
+    index = np.array([0, -1][:rows], np.int32)  # cluster and ray; -1 is specular
+    return HopTable(sub, *[np.zeros(rows)] * 6, index, index)
+
+
+def sandwich(rx_side, s, tx_side):
+    return np.einsum("lij,ljk,lkm->lim", rx_side, s, tx_side)
+
+
 def test_los_both_sides_collapses_to_common_phase():
-    m = polarization_matrix(PairType.LL, tx_los_phase=0.3, rx_los_phase=-0.7)
-    e = np.exp(1j * (0.3 - 0.7))
-    np.testing.assert_allclose(m, [[e, 0.0], [0.0, e]], atol=1e-15)
+    tx = _side_matrices(side_table(los_d3d_m=5.0), LAM)[1:]
+    rx = _side_matrices(side_table(los_d3d_m=7.0), LAM)[1:]
+    m = sandwich(rx, np.eye(2, dtype=complex)[None], tx)[0]
+    e = np.exp(-2j * np.pi * (5.0 + 7.0) / LAM)
+    np.testing.assert_allclose(m, [[e, 0.0], [0.0, e]], atol=1e-12)
 
 
 def test_xpr_side_entries():
     phases = [0.1, 0.2, 0.3, 0.4]
-    m = polarization_matrix(PairType.NL, tx_xpr=4.0, tx_phases=phases)
-    tx = np.array([
+    tx = _side_matrices(side_table(xpr=4.0, phases=phases), LAM)
+    rx = _side_matrices(side_table(los_d3d_m=LAM), LAM)[1:]
+    expect_tx = np.array([
         [np.exp(0.1j), 0.5 * np.exp(0.2j)],
         [0.5 * np.exp(0.3j), np.exp(0.4j)],
     ])
-    expect = np.diag([1.0, -1.0]) @ tx
-    np.testing.assert_allclose(m, expect, atol=1e-15)
+    np.testing.assert_allclose(tx[0], expect_tx, atol=1e-15)
+    m = sandwich(rx, np.eye(2, dtype=complex)[None], tx)[0]
+    np.testing.assert_allclose(m, np.diag([1.0, -1.0]) @ expect_tx, atol=1e-12)
 
 
 def test_sandwich_order_rx_s_tx():
     s = np.array([[0.0, 1.0], [2.0, 0.0]], complex)
     tp, rp = [0.5, 1.0, 1.5, 2.0], [0.2, 0.4, 0.6, 0.8]
-    m = polarization_matrix(PairType.NN, s_matrix=s,
-                            tx_xpr=2.0, tx_phases=tp, rx_xpr=8.0, rx_phases=rp)
+    tx = _side_matrices(side_table(xpr=2.0, phases=tp), LAM)
+    rx = _side_matrices(side_table(xpr=8.0, phases=rp), LAM)
+    m = sandwich(rx, s[None], tx)[0]
 
     def xpr_mat(kappa, p):
         inv = np.sqrt(1.0 / kappa)
@@ -110,17 +141,6 @@ def test_sandwich_order_rx_s_tx():
         ])
 
     np.testing.assert_allclose(m, xpr_mat(8.0, rp) @ s @ xpr_mat(2.0, tp), atol=1e-14)
-
-
-def test_missing_ray_data_is_an_error():
-    with pytest.raises(ConfigError, match="transmit side"):
-        polarization_matrix(PairType.NL)
-    with pytest.raises(ConfigError, match="receive side"):
-        polarization_matrix(PairType.LN)
-    with pytest.raises(ConfigError, match="2x2"):
-        polarization_matrix(PairType.LL, s_matrix=np.eye(3))
-    with pytest.raises(ConfigError, match="four initial phases"):
-        polarization_matrix(PairType.LN, rx_xpr=2.0, rx_phases=[0.1, 0.2])
 
 
 # ----------------------------------------------------------- Doppler law
@@ -310,7 +330,7 @@ def test_background_structure_and_power_budget(cond, count):
     scen = ScenarioParams.from_table("UMi", F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     rx = NodeState([60.0, -5.0, 10.0])
-    bg = synthesize_background_cir(
+    bg, bg_hop = synthesize_background_cir(
         tx, rx, scen, SnapshotGrid(), LAM,
         RandomStreams(5).scoped(HOP_BACKGROUND), force_condition=cond,
     )
@@ -320,6 +340,8 @@ def test_background_structure_and_power_budget(cond, count):
     assert np.all(bg.pair_type == int(PairType.BACKGROUND))
     # replaying the scoped streams reproduces the large-scale draws
     hop = build_hop(tx, rx, scen, RandomStreams(5).scoped(HOP_BACKGROUND), cond)
+    draws = ("condition", "path_loss_db", "k_factor", "shadow_fading_db")
+    assert [getattr(bg_hop, f) for f in draws] == [getattr(hop, f) for f in draws]
     expect = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 10.0)
     power = float(np.sum(np.abs(bg.gains[0, 0, :, 0]) ** 2))
     assert power == pytest.approx(expect, rel=1e-12)
@@ -329,7 +351,7 @@ def test_background_static_nodes_give_constant_gains():
     scen = ScenarioParams.from_table("UMi", F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     rx = NodeState([60.0, -5.0, 10.0])
-    bg = synthesize_background_cir(
+    bg, _ = synthesize_background_cir(
         tx, rx, scen, SnapshotGrid(count=3), LAM,
         RandomStreams(6).scoped(HOP_BACKGROUND), force_condition="NLOS",
     )

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from isacsim.cli import main
-from isacsim.concatenation import ConcatCase
+from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
-from isacsim.runner import ALL_CASES, concat_study, run
+from isacsim.runner import concat_study, run
 
 BASE = (
     "frequency_hz = 6e9\n"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from isacsim.concatenation import ConcatCase, TargetPathSet, concatenate
+from isacsim.concatenation import ConcatCase, HopTable, TargetPathSet, concatenate
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
@@ -26,24 +26,31 @@ from isacsim.stats import (
 def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
                rx_azi=None, rx_zen=None, tx_azi=None, tx_zen=None,
                los_tx=True, los_rx=True):
+    """Path i joins row i of two hop tables; the tx table holds the delays
+    and departure angles, the rx table zero delays and arrival angles."""
     n = len(delays)
     z = np.zeros(n)
+    rows = np.arange(n)
+    idx = np.zeros(n, np.int32)
 
     def arr(x, default):
         return np.asarray(x, float) if x is not None else default
 
+    tx = HopTable(
+        sub=SimpleNamespace(has_los=los_tx), weight=z, delay=np.asarray(delays, float),
+        dep_zenith=arr(tx_zen, z + np.pi / 2), dep_azimuth=arr(tx_azi, z),
+        arr_zenith=z, arr_azimuth=z, cluster=idx, ray=idx,
+    )
+    rx = HopTable(
+        sub=SimpleNamespace(has_los=los_rx), weight=z, delay=z,
+        dep_zenith=z, dep_azimuth=z,
+        arr_zenith=arr(rx_zen, z + np.pi / 2), arr_azimuth=arr(rx_azi, z),
+        cluster=idx, ray=idx,
+    )
     return TargetPathSet(
-        case=ConcatCase.CASE_0,
-        tx_link=SimpleNamespace(has_los=los_tx),
-        rx_link=SimpleNamespace(has_los=los_rx),
+        case=ConcatCase.CASE_0, tx=tx, rx=rx, tx_idx=rows, rx_idx=rows,
         pair_type=np.asarray(pair_types, np.int8),
-        joint_delay=np.asarray(delays, float),
         weight=np.asarray(weights, float),
-        tx_zenith=arr(tx_zen, z + np.pi / 2), tx_azimuth=arr(tx_azi, z),
-        spin_zenith=z, spin_azimuth=z, spout_zenith=z, spout_azimuth=z,
-        rx_zenith=arr(rx_zen, z + np.pi / 2), rx_azimuth=arr(rx_azi, z),
-        tx_cluster=np.zeros(n, np.int32), tx_ray=np.zeros(n, np.int32),
-        rx_cluster=np.zeros(n, np.int32), rx_ray=np.zeros(n, np.int32),
         k_weights=np.asarray(k_weights, float),
     )
 
