@@ -9,6 +9,7 @@ from .concatenation import (
     ConcatCase,
     HopTable,
     PairType,
+    PathBlock,
     RECOMMENDED_CASES,
     TargetPathSet,
     concatenate,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -152,27 +153,63 @@ def _gather(side: str, column: str):
     return property(get)
 
 
+@dataclass(frozen=True)
+class PathBlock:
+    """The joint paths of one component, as rows of the two hop tables.
+
+    An outer block (weight None) joins each of the distinct tx_rows with
+    each rx row, tx-major, at amplitude tx.weight[i] * rx.weight[j]; a
+    paired block joins tx_rows[k] with rx_rows[k] at amplitude weight[k].
+    """
+
+    pair_type: PairType
+    tx_rows: np.ndarray
+    rx_rows: np.ndarray
+    weight: np.ndarray | None = None
+
+    def __len__(self):
+        return self.tx_rows.size * (self.rx_rows.size if self.weight is None else 1)
+
+    def materialize(self, tx: HopTable, rx: HopTable) -> tuple:
+        """(tx row, rx row, amplitude) of every path, in path order."""
+        if self.weight is not None:
+            return self.tx_rows, self.rx_rows, self.weight
+        it = np.repeat(self.tx_rows, self.rx_rows.size)
+        ir = np.tile(self.rx_rows, self.tx_rows.size)
+        return it, ir, tx.weight[it] * rx.weight[ir]
+
+    def powers(self, tx: HopTable, rx: HopTable) -> tuple[float, np.ndarray, np.ndarray]:
+        """Summed squared amplitude of the block's paths in total and at each
+        row of the tx table and of the rx table; closed form if outer."""
+        if self.weight is None:
+            ptx, prx = np.zeros(tx.weight.size), np.zeros(rx.weight.size)
+            ptx[self.tx_rows] = tx.weight[self.tx_rows] ** 2
+            prx[self.rx_rows] = rx.weight[self.rx_rows] ** 2
+            return float(ptx.sum() * prx.sum()), ptx * prx.sum(), prx * ptx.sum()
+        w2 = self.weight ** 2
+        return (float(w2.sum()),
+                np.bincount(self.tx_rows, w2, minlength=tx.weight.size),
+                np.bincount(self.rx_rows, w2, minlength=rx.weight.size))
+
+
 @dataclass
 class TargetPathSet:
-    """Joint two-hop paths as pairs of hop-table rows (one pair per path).
+    """Joint two-hop paths, one block of hop-table row pairs per component.
 
-    Path i joins row tx_idx[i] of the transmitter-to-target table `tx` with
-    row rx_idx[i] of the target-to-receiver table `rx`. weight holds the
-    stored amplitude weight of each path (condition prefactors NOT
-    included; see k_weights). The per-path columns are gathers from the
-    tables, angles in radians: tx_* is the departure at the transmit node,
-    rx_* the arrival at the receive node, spin_* the arrival at the target
-    on the first hop, spout_* the departure from the target on the second
-    hop. Cluster/ray index -1 marks a specular (LOS) hop side.
+    Path i, in block order, joins row tx_idx[i] of the transmitter-to-target
+    table `tx` with row rx_idx[i] of the target-to-receiver table `rx`, at
+    stored amplitude weight[i] (condition prefactors NOT included; see
+    k_weights); these are assembled on first access. The per-path columns
+    are gathers from the tables, angles in radians: tx_*/rx_* the departure
+    at the transmit node and the arrival at the receive node, spin_*/spout_*
+    the arrival at and the departure from the target. Cluster/ray index -1
+    marks a specular (LOS) hop side.
     """
 
     case: ConcatCase
     tx: HopTable
     rx: HopTable
-    tx_idx: np.ndarray
-    rx_idx: np.ndarray
-    pair_type: np.ndarray
-    weight: np.ndarray
+    blocks: tuple
     k_weights: np.ndarray
     nn_normalized: bool = False
 
@@ -190,7 +227,22 @@ class TargetPathSet:
     rx_ray = _gather("rx", "ray")
 
     def __len__(self):
-        return int(self.pair_type.shape[0])
+        return sum(len(b) for b in self.blocks)
+
+    @cached_property
+    def _materialized(self) -> tuple:
+        parts = [b.materialize(self.tx, self.rx) for b in self.blocks]
+        return tuple(np.concatenate([np.empty(0, dtype), *(p[col] for p in parts)])
+                     for col, dtype in enumerate((np.intp, np.intp, float)))
+
+    tx_idx = property(lambda self: self._materialized[0])
+    rx_idx = property(lambda self: self._materialized[1])
+    weight = property(lambda self: self._materialized[2])
+
+    @cached_property
+    def pair_type(self) -> np.ndarray:
+        types = np.array([b.pair_type for b in self.blocks], np.int8)
+        return np.repeat(types, [len(b) for b in self.blocks])
 
     @property
     def joint_delay(self) -> np.ndarray:
@@ -203,17 +255,20 @@ class TargetPathSet:
         r = "L" if self.rx.sub.has_los else "N"
         return t + r
 
+    @property
+    def nn_block(self) -> PathBlock:
+        """The diffuse-diffuse block; an empty one when the case drops it."""
+        empty = np.empty(0, np.intp)
+        return next((b for b in self.blocks if b.pair_type == PairType.NN),
+                    PathBlock(PairType.NN, empty, empty, np.empty(0)))
+
 
 def _nn_indices(case, tx, rx, streams):
-    """Index pairs (into the tx/rx hop-table rows) for the NN component."""
+    """Index pairs (into the tx/rx hop-table rows) of a paired NN component."""
     (p, m), (q, m2) = tx.sub.aod.shape, rx.sub.aod.shape
     mm = min(m, m2)
     pq = min(p, q)
     base = case.base
-    if base is ConcatCase.CASE_0:
-        it = np.repeat(np.arange(p * m), q * m2)
-        ir = np.tile(np.arange(q * m2), p * m)
-        return it, ir
     if base is ConcatCase.CASE_1:
         pp = np.repeat(np.arange(p), q)  # all P x Q cluster pairs
         qq = np.tile(np.arange(q), p)
@@ -245,69 +300,59 @@ def _nn_indices(case, tx, rx, streams):
 
 
 def concatenate(
-    tx_link: SubLinkClusters,
-    rx_link: SubLinkClusters,
+    tx_link: HopTable | SubLinkClusters,
+    rx_link: HopTable | SubLinkClusters,
     case: ConcatCase,
     streams: RandomStreams | None = None,
 ) -> TargetPathSet:
     """Build the joint path set of the two hops for one down-selection case.
 
-    Deterministic cases work with streams=None; the randomized pairings
-    (Case2R, Case3 and their normalized variants) require a stream factory
-    scoped to the concatenation stage.
+    Each hop is its HopTable or its clusters. Deterministic cases work with
+    streams=None; the randomized pairings (Case2R, Case3 and their
+    normalized variants) require a stream factory scoped to the
+    concatenation stage.
     """
     case = ConcatCase(case)
     if case.uses_randomness and streams is None:
         raise ConfigError(f"{case.value} needs random streams for its pairing")
-    if tx_link.num_clusters < 1 or rx_link.num_clusters < 1:
-        raise ConfigError("both hops need at least one cluster")
-    tx = HopTable.from_sublink(tx_link)
-    rx = HopTable.from_sublink(rx_link)
+    tx, rx = (h if isinstance(h, HopTable) else HopTable.from_sublink(h)
+              for h in (tx_link, rx_link))
 
     k_w = condition_weights(
-        tx_link.hop.k_factor if tx_link.has_los else 0.0,
-        rx_link.hop.k_factor if rx_link.has_los else 0.0,
+        tx.sub.hop.k_factor if tx.sub.has_los else 0.0,
+        rx.sub.hop.k_factor if rx.sub.has_los else 0.0,
     )
 
-    # (pair type, tx rows, rx rows) per component, in output order; the
-    # specular row of a table sits right after its diffuse rows.
+    # One block per component, in output order (none for CaseA with both
+    # hops NLOS); a table's specular row sits right after its diffuse rows.
     nt, nr = tx.num_diffuse, rx.num_diffuse
     blocks = []
-    if tx_link.has_los and rx_link.has_los:
-        blocks.append((PairType.LL, [nt], [nr]))
-    if tx_link.has_los:
-        blocks.append((PairType.LN, np.full(nr, nt), np.arange(nr)))
-    if rx_link.has_los:
-        blocks.append((PairType.NL, np.arange(nt), np.full(nt, nr)))
-    if case is not ConcatCase.CASE_A:
-        blocks.append((PairType.NN, *_nn_indices(case, tx, rx, streams)))
-
-    # CaseA with both hops NLOS leaves nothing to keep.
-    tx_idx = np.concatenate([np.empty(0, np.intp), *(b[1] for b in blocks)])
-    rx_idx = np.concatenate([np.empty(0, np.intp), *(b[2] for b in blocks)])
-    pair_type = np.repeat(
-        np.array([b[0] for b in blocks], np.int8),
-        np.array([len(b[1]) for b in blocks], np.intp),
-    )
-    weight = tx.weight[tx_idx] * rx.weight[rx_idx]
-    if case.normalizes_nn:
-        nn = pair_type == int(PairType.NN)
-        w = weight[nn]
-        total = float(np.sum(w ** 2))
-        if total <= 0:
-            raise ConfigError("cannot normalize an empty diffuse component")
-        weight[nn] = w / math.sqrt(total)
+    if tx.sub.has_los and rx.sub.has_los:
+        blocks.append(PathBlock(PairType.LL, np.array([nt]), np.array([nr])))
+    if tx.sub.has_los:
+        blocks.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
+    if rx.sub.has_los:
+        blocks.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
+    if case is ConcatCase.CASE_0:
+        blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
+    elif case is not ConcatCase.CASE_A:
+        it, ir = _nn_indices(case, tx, rx, streams)
+        w = tx.weight[it] * rx.weight[ir]
+        if case.normalizes_nn:
+            total = float(np.sum(w ** 2))
+            if total <= 0:
+                raise ConfigError("cannot normalize an empty diffuse component")
+            w = w / math.sqrt(total)
+        blocks.append(PathBlock(PairType.NN, it, ir, w))
     return TargetPathSet(
-        case=case, tx=tx, rx=rx, tx_idx=tx_idx, rx_idx=rx_idx,
-        pair_type=pair_type, weight=weight, k_weights=k_w,
+        case=case, tx=tx, rx=rx, blocks=tuple(blocks), k_weights=k_w,
         nn_normalized=case.normalizes_nn,
     )
 
 
 def nn_total_power(paths: TargetPathSet) -> float:
     """Sum of squared stored weights over the diffuse-diffuse component."""
-    mask = paths.pair_type == int(PairType.NN)
-    return float(np.sum(paths.weight[mask] ** 2))
+    return paths.nn_block.powers(paths.tx, paths.rx)[0]
 
 
 def ray_marginal_power(paths: TargetPathSet, side: str = "tx") -> np.ndarray:
@@ -316,14 +361,8 @@ def ray_marginal_power(paths: TargetPathSet, side: str = "tx") -> np.ndarray:
     Returns an (N, M) array of summed squared weights. The full convolution
     and its power-normalized one-by-one variant produce identical marginals.
     """
-    if side == "tx":
-        table, rows = paths.tx, paths.tx_idx
-    elif side == "rx":
-        table, rows = paths.rx, paths.rx_idx
-    else:
+    if side not in ("tx", "rx"):
         raise ConfigError(f"side must be 'tx' or 'rx', got {side!r}")
-    mask = paths.pair_type == int(PairType.NN)
-    acc = np.bincount(
-        rows[mask], weights=paths.weight[mask] ** 2, minlength=table.num_diffuse
-    )
-    return acc.reshape(table.sub.aod.shape)
+    table = getattr(paths, side)
+    acc = paths.nn_block.powers(paths.tx, paths.rx)[1 if side == "tx" else 2]
+    return acc[: table.num_diffuse].reshape(table.sub.aod.shape)

@@ -23,6 +23,7 @@ from . import __version__
 from .concatenation import (
     ALL_CASES,
     ConcatCase,
+    HopTable,
     TargetPathSet,
     concatenate,
     nn_total_power,
@@ -34,7 +35,7 @@ from .coefficients import (
     synthesize_background_cir,
     synthesize_target_cir,
 )
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedFeatureError
 from .geometry import NodeState, uniform_linear_array
 from .largescale import (
     CouplingConfig,
@@ -179,10 +180,11 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
         hop1.path_loss_db, hop2.path_loss_db, cfg.frequency_hz, cfg.rcs_mean_m2
     )
 
+    table1, table2 = HopTable.from_sublink(sub1), HopTable.from_sublink(sub2)
     results = []
     for case in cases:
         concat_streams = streams.scoped(SCOPE_CONCAT)
-        paths = concatenate(sub1, sub2, case, streams=concat_streams)
+        paths = concatenate(table1, table2, case, streams=concat_streams)
         row = _stats_row(drop, case.value, paths)
         rec = DropResult(*row)
         rec.pl_target_db = pl_target
@@ -328,6 +330,10 @@ def _sha256(path: str) -> str:
 def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
              emit_cir: bool, study: bool) -> RunManifest:
     t0 = time.perf_counter()
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
+        raise UnsupportedFeatureError("mono-static runs have no background channel")
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     wavelength = cfg.wavelength_m
     rx_node_cfg = cfg.tx if cfg.sensing_mode == "monostatic" else cfg.rx
@@ -354,7 +360,7 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         )
     os.makedirs(out_dir, exist_ok=True)
 
-    if workers <= 1:
+    if workers == 1:
         per_drop = [worker(d) for d in range(cfg.drops)]
     else:
         ctx = get_context("fork")

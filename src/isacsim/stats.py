@@ -1,12 +1,18 @@
 """Per-drop channel statistics and cross-drop distribution comparison.
 
-Spread statistics are computed on *effective* path weights: within each
+Spread statistics are computed on *effective* path powers: within each
 component (specular/diffuse combination) the stored weights are normalized
 to unit total power and then scaled by that component's condition
 prefactor. This is exactly the power split the synthesized channel
 realizes, and it makes the trailing-N power rescale of the concatenation
 cases a provable no-op for spreads while leaving the raw power bookkeeping
 visible through total_power and the diffuse-block power helpers.
+
+No statistic reads per-path arrays. A path pairs a tx row with an rx row,
+so a departure (arrival) spread over paths equals the spread over tx (rx)
+table rows weighted by their paths' summed effective power. Delay spreads
+pool per-block moments; an outer block's are sums of the two hops' moments,
+so the full convolution's P*M x Q*M' paths are never built.
 """
 from __future__ import annotations
 
@@ -17,7 +23,10 @@ import numpy as np
 from .concatenation import ConcatCase, TargetPathSet
 from .errors import ConfigError
 
-SPREAD_METRICS = ("ASA", "ASD", "ZSA", "ZSD")
+# the (hop table, column) each angle spread reads
+_SPREAD_ANGLES = {"ASA": ("rx", "arr_azimuth"), "ASD": ("tx", "dep_azimuth"),
+                  "ZSA": ("rx", "arr_zenith"), "ZSD": ("tx", "dep_zenith")}
+SPREAD_METRICS = tuple(_SPREAD_ANGLES)
 
 
 @dataclass
@@ -34,23 +43,48 @@ class DropStatistics:
     condition_pair: str
 
 
-def effective_weights(paths: TargetPathSet) -> np.ndarray:
-    """Per-path amplitude weights normalized per component and K-weighted.
+def _moments(values: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """Power-weighted mean and centered variance (two-pass, for digit stability)."""
+    total = p.sum()
+    mean = float((p * values).sum() / total)
+    return mean, float((p * (values - mean) ** 2).sum() / total)
 
-    Each pair-type block is scaled to unit total power, then multiplied by
-    its condition prefactor, so sum(effective^2) equals the summed squared
-    prefactors of the components present.
-    """
+
+def _marginals(paths: TargetPathSet) -> tuple:
+    """The statistics kernel. Returns the total power, the delay spread, and
+    for "tx" and "rx" the effective power through each table row and the
+    mask of rows that some path goes through."""
     if len(paths) == 0:
-        raise ConfigError("empty path set has no weights")
-    w = paths.weight.astype(float).copy()
-    for pt in np.unique(paths.pair_type):
-        mask = paths.pair_type == pt
-        power = float(np.sum(w[mask] ** 2))
-        if power <= 0:
+        raise ConfigError("an empty path set has no statistics")
+    tx, rx = paths.tx, paths.rx
+    k = paths.k_weights[[int(b.pair_type) for b in paths.blocks]]
+    stored, mean, var, lo, hi = (np.empty(k.size) for _ in range(5))
+    rows = {side: (np.zeros(t.weight.size), np.zeros(t.weight.size, bool))
+            for side, t in (("tx", tx), ("rx", rx))}
+    for i, b in enumerate(paths.blocks):
+        stored[i], ptx, prx = b.powers(tx, rx)
+        if stored[i] <= 0:
             raise ConfigError("a path component has zero total power")
-        w[mask] *= paths.k_weights[int(pt)] / np.sqrt(power)
-    return w
+        for (power, used), p, r in zip(rows.values(), (ptx, prx), (b.tx_rows, b.rx_rows)):
+            power += (k[i] ** 2 / stored[i]) * p
+            used[r] = True
+        if b.weight is None:  # every tx row's delay plus every rx row's
+            (mt, vt), (mr, vr) = _moments(tx.delay, ptx), _moments(rx.delay, prx)
+            dtx, drx = tx.delay[b.tx_rows], rx.delay[b.rx_rows]
+            mean[i], var[i] = mt + mr, vt + vr
+            lo[i], hi[i] = dtx.min() + drx.min(), dtx.max() + drx.max()
+        else:
+            tau = tx.delay[b.tx_rows] + rx.delay[b.rx_rows]
+            mean[i], var[i] = _moments(tau, b.weight ** 2)
+            lo[i], hi[i] = tau.min(), tau.max()
+    ds = 0.0
+    if lo.min() != hi.max():
+        p = k ** 2  # each block's effective power
+        if p.sum() <= 0:
+            raise ConfigError("delay spread needs positive total weight")
+        between = _moments(mean, p)[1]
+        ds = float(np.sqrt(max(between + (p * var).sum() / p.sum(), 0.0)))
+    return float(np.sum(k ** 2 * stored)), ds, rows
 
 
 def total_power(paths: TargetPathSet) -> float:
@@ -59,32 +93,17 @@ def total_power(paths: TargetPathSet) -> float:
     Equals 1 for the full convolution and the power-normalized cases, and
     drops below 1 when a down-selection discards diffuse power.
     """
-    if len(paths) == 0:
-        raise ConfigError("empty path set has no power")
-    amp = paths.k_weights[paths.pair_type] * paths.weight
-    return float(np.sum(amp ** 2))
+    return _marginals(paths)[0]
 
 
-def delay_spread(paths: TargetPathSet, weights: np.ndarray | None = None) -> float:
+def delay_spread(paths: TargetPathSet) -> float:
     """Power-weighted RMS delay spread in seconds."""
-    if len(paths) == 0:
-        raise ConfigError("cannot compute delay spread of an empty path set")
-    tau = paths.joint_delay
-    if tau.max() == tau.min():
-        return 0.0
-    w = effective_weights(paths) if weights is None else np.asarray(weights, float)
-    p = w ** 2
-    if p.sum() <= 0:
-        raise ConfigError("delay spread needs positive total weight")
-    return _weighted_rms(tau, p)
+    return _marginals(paths)[1]
 
 
 def _weighted_rms(values: np.ndarray, p: np.ndarray) -> float:
-    """Centered power-weighted RMS deviation (two-pass, for digit stability)."""
-    total = p.sum()
-    mean = float(np.sum(p * values) / total)
-    var = float(np.sum(p * (values - mean) ** 2) / total)
-    return float(np.sqrt(max(var, 0.0)))
+    """Centered power-weighted RMS deviation."""
+    return float(np.sqrt(max(_moments(values, p)[1], 0.0)))
 
 
 def _circular_spread_deg(angles_deg: np.ndarray, p: np.ndarray) -> float:
@@ -100,8 +119,8 @@ def _circular_spread_deg(angles_deg: np.ndarray, p: np.ndarray) -> float:
     a = angles_deg[order]
     pw = p[order]
     total = pw.sum()
-    s1 = float(np.sum(pw * a))
-    s2 = float(np.sum(pw * a ** 2))
+    s1 = float((pw * a).sum())
+    s2 = float((pw * a ** 2).sum())
     # Cut after index k (k = 0: no shift): angles below index k move up 360.
     cw = np.concatenate([[0.0], np.cumsum(pw)[:-1]])
     cwa = np.concatenate([[0.0], np.cumsum(pw * a)[:-1]])
@@ -114,7 +133,21 @@ def _circular_spread_deg(angles_deg: np.ndarray, p: np.ndarray) -> float:
     return _weighted_rms(shifted, pw)
 
 
-def angle_spread(paths: TargetPathSet, which: str, weights: np.ndarray | None = None) -> float:
+def _angle_spread(paths: TargetPathSet, rows: dict, which: str) -> float:
+    side, column = _SPREAD_ANGLES[which]
+    power, used = rows[side]
+    angles_deg = np.degrees(getattr(getattr(paths, side), column)[used])
+    if angles_deg.max() == angles_deg.min():
+        return 0.0
+    p = power[used]
+    if p.sum() <= 0:
+        raise ConfigError("angle spread needs positive total weight")
+    if which in ("ASA", "ASD"):
+        return _circular_spread_deg(angles_deg, p)
+    return _weighted_rms(angles_deg, p)
+
+
+def angle_spread(paths: TargetPathSet, which: str) -> float:
     """Power-weighted angle spread in degrees.
 
     which selects the angle population: 'ASA'/'ZSA' use the arrival azimuth
@@ -124,38 +157,19 @@ def angle_spread(paths: TargetPathSet, which: str, weights: np.ndarray | None = 
     """
     if which not in SPREAD_METRICS:
         raise ConfigError(f"unknown spread metric {which!r}; one of {SPREAD_METRICS}")
-    if len(paths) == 0:
-        raise ConfigError("cannot compute angle spread of an empty path set")
-    if which == "ASA":
-        angles = paths.rx_azimuth
-    elif which == "ASD":
-        angles = paths.tx_azimuth
-    elif which == "ZSA":
-        angles = paths.rx_zenith
-    else:
-        angles = paths.tx_zenith
-    angles_deg = np.degrees(angles)
-    if angles_deg.max() == angles_deg.min():
-        return 0.0
-    w = effective_weights(paths) if weights is None else np.asarray(weights, float)
-    p = w ** 2
-    if p.sum() <= 0:
-        raise ConfigError("angle spread needs positive total weight")
-    if which in ("ASA", "ASD"):
-        return _circular_spread_deg(angles_deg, p)
-    return _weighted_rms(angles_deg, p)
+    return _angle_spread(paths, _marginals(paths)[2], which)
 
 
 def drop_statistics(paths: TargetPathSet) -> DropStatistics:
     """All per-drop statistics of one concatenated path set."""
-    w = effective_weights(paths)
+    power, ds, rows = _marginals(paths)
     return DropStatistics(
-        total_power=total_power(paths),
-        ds=delay_spread(paths, weights=w),
-        asa=angle_spread(paths, "ASA", weights=w),
-        asd=angle_spread(paths, "ASD", weights=w),
-        zsa=angle_spread(paths, "ZSA", weights=w),
-        zsd=angle_spread(paths, "ZSD", weights=w),
+        total_power=power,
+        ds=ds,
+        asa=_angle_spread(paths, rows, "ASA"),
+        asd=_angle_spread(paths, rows, "ASD"),
+        zsa=_angle_spread(paths, rows, "ZSA"),
+        zsd=_angle_spread(paths, rows, "ZSD"),
         case=paths.case,
         condition_pair=paths.condition_pair,
     )

@@ -1,0 +1,123 @@
+"""Property tests of physical invariants over generated inputs."""
+import dataclasses
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isacsim.concatenation import (
+    ConcatCase,
+    HopTable,
+    PairType,
+    PathBlock,
+    TargetPathSet,
+    condition_weights,
+)
+from isacsim.geometry import NodeState
+from isacsim.largescale import ScenarioParams, build_hop
+from isacsim.metrics import DetectionParams, pd, pfa
+from isacsim.seeds import HOP_TX_TARGET, RandomStreams
+from isacsim.smallscale import generate_sublink, mono_static_reciprocal
+from isacsim.stats import drop_statistics
+
+# A fixed example sequence and no example database keep the suite
+# reproducible from run to run.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+k_factors = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300), st.just(math.inf)
+)
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+weights = st.floats(min_value=0.05, max_value=10.0)
+
+
+@st.composite
+def path_sets(draw):
+    """Two small hop tables (the last row specular), an outer LN block and a
+    paired NN block of drawn row pairs."""
+    n_tx = draw(st.integers(2, 6))
+    n_rx = draw(st.integers(2, 6))
+
+    def table(n, los):
+        def col(values):
+            return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+        zenith = st.floats(min_value=0.0, max_value=math.pi)
+        return HopTable(
+            sub=SimpleNamespace(has_los=los), weight=col(weights),
+            delay=col(st.floats(min_value=0.0, max_value=1e-6)),
+            dep_zenith=col(zenith), dep_azimuth=col(angles),
+            arr_zenith=col(zenith), arr_azimuth=col(angles),
+            cluster=np.zeros(n, np.int32), ray=np.zeros(n, np.int32),
+        )
+
+    tx, rx = table(n_tx, True), table(n_rx, False)
+    n_nn = draw(st.integers(1, 8))
+    it = np.array(draw(st.lists(st.integers(0, n_tx - 2), min_size=n_nn, max_size=n_nn)))
+    ir = np.array(draw(st.lists(st.integers(0, n_rx - 1), min_size=n_nn, max_size=n_nn)))
+    blocks = (
+        PathBlock(PairType.LN, np.array([n_tx - 1]), np.arange(n_rx)),
+        PathBlock(PairType.NN, it, ir, tx.weight[it] * rx.weight[ir]),
+    )
+    k = condition_weights(draw(k_factors), 0.0)
+    return TargetPathSet(ConcatCase.CASE_1, tx, rx, blocks, k)
+
+
+@PROPERTY
+@given(k_factors, k_factors)
+def test_condition_weights_carry_unit_power(kp, kq):
+    assert abs(np.sum(condition_weights(kp, kq) ** 2) - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(path_sets(), angles)
+def test_azimuth_spreads_ignore_a_common_rotation(paths, theta):
+    def wrap(a):
+        return np.mod(a + theta + math.pi, 2 * math.pi) - math.pi
+
+    rotated = dataclasses.replace(
+        paths,
+        tx=dataclasses.replace(paths.tx, dep_azimuth=wrap(paths.tx.dep_azimuth)),
+        rx=dataclasses.replace(paths.rx, arr_azimuth=wrap(paths.rx.arr_azimuth)),
+    )
+    before, after = drop_statistics(paths), drop_statistics(rotated)
+    assert after.asa == pytest.approx(before.asa, rel=1e-9, abs=1e-6)
+    assert after.asd == pytest.approx(before.asd, rel=1e-9, abs=1e-6)
+
+
+@PROPERTY
+@given(path_sets(), st.randoms(use_true_random=False))
+def test_statistics_ignore_the_order_of_paired_rows(paths, rnd):
+    ln, nn = paths.blocks
+    perm = np.array(rnd.sample(range(len(nn)), len(nn)))
+    shuffled = dataclasses.replace(paths, blocks=(ln, PathBlock(
+        PairType.NN, nn.tx_rows[perm], nn.rx_rows[perm], nn.weight[perm]
+    )))
+    a, b = drop_statistics(paths), drop_statistics(shuffled)
+    for field in ("total_power", "ds", "asa", "asd", "zsa", "zsd"):
+        assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12, abs=1e-18)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["LOS", "NLOS"]))
+def test_mono_static_reciprocal_is_an_involution(seed, condition):
+    scen = ScenarioParams.from_table("UMi", 6e9)
+    streams = RandomStreams(seed).scoped(HOP_TX_TARGET)
+    hop = build_hop(NodeState([0.0, 0.0, 10.0]), NodeState([25.0, 10.0, 1.5]),
+                    scen, streams, condition)
+    sub = generate_sublink(hop, scen.condition_params(condition), streams)
+    twice = mono_static_reciprocal(mono_static_reciprocal(sub))
+    for obj, ref in ((twice, sub), (twice.hop, sub.hop)):
+        for f in dataclasses.fields(ref):
+            if f.name != "hop":
+                assert getattr(obj, f.name) is getattr(ref, f.name), f.name
+
+
+@PROPERTY
+@given(st.floats(0.01, 100.0), st.floats(0.0, 8.0))
+def test_detection_without_signal_is_the_false_alarm_rate(sigma, threshold_in_sigma):
+    p = DetectionParams(noise_std=sigma, threshold=threshold_in_sigma * sigma)
+    assert pd(p) == pytest.approx(pfa(p), rel=1e-9, abs=1e-12)

@@ -205,6 +205,21 @@ def test_cli_unsupported_feature_exit_code(tmp_path, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
+    out = tmp_path / "refused"
+    for workers in ("0", "-3"):
+        assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out),
+                     "--workers", workers]) == 2
+        assert not out.exists()
+    assert "workers must be >= 1" in capsys.readouterr().err
+    mono_bg = write_cfg(tmp_path, "sensing_mode = monostatic\nbackground.enabled = true\n")
+    assert main(["run", "--config", mono_bg, "--out", str(out)]) == 4
+    assert not out.exists()
+    # a study never synthesizes the background, so it still runs
+    assert main(["concat-study", "--config", mono_bg, "--drops", "1",
+                 "--out", str(out)]) == 0
+
+
 def test_cli_detect_stdout(capsys):
     code = main(["detect", "--pfa", "1e-2,1e-3", "--snr-min", "0",
                  "--snr-max", "2", "--snr-step", "1"])

@@ -1,14 +1,27 @@
 """Drop statistics: weighted spreads, effective weights, CDF comparison."""
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from isacsim.concatenation import ConcatCase, HopTable, TargetPathSet, concatenate
+from isacsim.concatenation import (
+    ALL_CASES,
+    ConcatCase,
+    HopTable,
+    PairType,
+    PathBlock,
+    TargetPathSet,
+    concatenate,
+    nn_total_power,
+    ray_marginal_power,
+)
+from isacsim.config import validate_config
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
+from isacsim.runner import build_node
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
 from isacsim.smallscale import generate_sublink
 from isacsim.stats import (
@@ -16,7 +29,6 @@ from isacsim.stats import (
     angle_spread,
     delay_spread,
     drop_statistics,
-    effective_weights,
     empirical_cdf,
     ks_statistic,
     total_power,
@@ -27,11 +39,14 @@ def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
                rx_azi=None, rx_zen=None, tx_azi=None, tx_zen=None,
                los_tx=True, los_rx=True):
     """Path i joins row i of two hop tables; the tx table holds the delays
-    and departure angles, the rx table zero delays and arrival angles."""
+    and departure angles, the rx table zero delays and arrival angles. The
+    paths of each pair type form one paired block."""
     n = len(delays)
     z = np.zeros(n)
     rows = np.arange(n)
     idx = np.zeros(n, np.int32)
+    pair_types = np.asarray(pair_types, np.int8)
+    weights = np.asarray(weights, float)
 
     def arr(x, default):
         return np.asarray(x, float) if x is not None else default
@@ -47,12 +62,30 @@ def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
         arr_zenith=arr(rx_zen, z + np.pi / 2), arr_azimuth=arr(rx_azi, z),
         cluster=idx, ray=idx,
     )
+    blocks = tuple(
+        PathBlock(PairType(pt), rows[pair_types == pt], rows[pair_types == pt],
+                  weights[pair_types == pt])
+        for pt in dict.fromkeys(pair_types.tolist())
+    )
     return TargetPathSet(
-        case=ConcatCase.CASE_0, tx=tx, rx=rx, tx_idx=rows, rx_idx=rows,
-        pair_type=np.asarray(pair_types, np.int8),
-        weight=np.asarray(weights, float),
+        case=ConcatCase.CASE_0, tx=tx, rx=rx, blocks=blocks,
         k_weights=np.asarray(k_weights, float),
     )
+
+
+def effective_weights(paths):
+    """Per-path oracle of the effective weights: each pair-type component
+    scaled to unit power, then by its condition prefactor."""
+    if len(paths) == 0:
+        raise ConfigError("empty path set has no weights")
+    w = paths.weight.astype(float).copy()
+    for pt in np.unique(paths.pair_type):
+        mask = paths.pair_type == pt
+        power = float(np.sum(w[mask] ** 2))
+        if power <= 0:
+            raise ConfigError("a path component has zero total power")
+        w[mask] *= paths.k_weights[int(pt)] / np.sqrt(power)
+    return w
 
 
 # ----------------------------------------------------------- delay spread
@@ -147,6 +180,10 @@ def test_effective_weights_reject_degenerate_blocks():
         effective_weights(make_paths([], [], []))
     with pytest.raises(ConfigError, match="zero total power"):
         effective_weights(make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0]))
+    with pytest.raises(ConfigError, match="no statistics"):
+        drop_statistics(make_paths([], [], []))
+    with pytest.raises(ConfigError, match="zero total power"):
+        drop_statistics(make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0]))
 
 
 def test_total_power_uses_raw_weights():
@@ -218,3 +255,143 @@ def test_ks_statistic_matches_scipy():
     y = rng.standard_normal(200) + 0.3
     got = ks_statistic(empirical_cdf(x), empirical_cdf(y))
     assert got == pytest.approx(ks_2samp(x, y).statistic, rel=1e-12)
+
+
+# ------------------------------- per-path oracle of the marginal kernel
+
+def oracle_rms(values, p):
+    mean = np.sum(p * values) / p.sum()
+    return float(np.sqrt(np.sum(p * (values - mean) ** 2) / p.sum()))
+
+
+def oracle_circular(angles_deg, p):
+    """Prefix-sum search of the best cut over every path, then centered RMS."""
+    order = np.argsort(angles_deg)
+    a, pw = angles_deg[order], p[order]
+    cw = np.concatenate([[0.0], np.cumsum(pw)[:-1]])
+    cwa = np.concatenate([[0.0], np.cumsum(pw * a)[:-1]])
+    s1 = np.sum(pw * a) + 360.0 * cw
+    s2 = np.sum(pw * a ** 2) + 720.0 * cwa + 360.0 ** 2 * cw
+    k = int(np.argmin(s2 / pw.sum() - (s1 / pw.sum()) ** 2))
+    a = a.copy()
+    a[:k] += 360.0
+    return oracle_rms(a, pw)
+
+
+def oracle_statistics(paths):
+    p = effective_weights(paths) ** 2
+
+    def spread(values, circular=False):
+        if values.max() == values.min():
+            return 0.0
+        return oracle_circular(values, p) if circular else oracle_rms(values, p)
+
+    return {
+        "total_power": float(np.sum((paths.k_weights[paths.pair_type] * paths.weight) ** 2)),
+        "ds": spread(paths.joint_delay),
+        "asa": spread(np.degrees(paths.rx_azimuth), circular=True),
+        "asd": spread(np.degrees(paths.tx_azimuth), circular=True),
+        "zsa": spread(np.degrees(paths.rx_zenith)),
+        "zsd": spread(np.degrees(paths.tx_zenith)),
+    }
+
+
+def default_config_drops(count, condition=None, seed=3):
+    """(tx table, rx table, concatenation streams) of drops of the default
+    configuration, built the way the runner builds them."""
+    cfg = validate_config("frequency_hz = 6e9\n")
+    scen = ScenarioParams.from_table(cfg.scenario, cfg.frequency_hz)
+    tx, tgt, rx = (build_node(n, cfg.wavelength_m) for n in (cfg.tx, cfg.target, cfg.rx))
+    drops = []
+    for d in range(count):
+        streams = RandomStreams(seed, drop=d)
+        tables = []
+        for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
+            hop = build_hop(a, b, scen, streams.scoped(scope), force_condition=condition)
+            sub = generate_sublink(hop, scen.condition_params(hop.condition),
+                                   streams.scoped(scope))
+            tables.append(HopTable.from_sublink(sub))
+        drops.append((*tables, streams.scoped(SCOPE_CONCAT)))
+    return drops
+
+
+@pytest.fixture(scope="module")
+def oracle_drops():
+    """40 drops with auto conditions, then forced LOS/LOS and NLOS/NLOS
+    drops, then LOS/LOS drops whose table weights are scaled row by row, so
+    no hop's powers sum to one."""
+    rng = np.random.default_rng(6)
+
+    def rescaled(table):
+        return replace(table, weight=table.weight * rng.uniform(0.5, 1.5, table.weight.size))
+
+    return (default_config_drops(40) + default_config_drops(6, "LOS", seed=4)
+            + default_config_drops(6, "NLOS", seed=5)
+            + [(rescaled(t1), rescaled(t2), s)
+               for t1, t2, s in default_config_drops(6, "LOS", seed=7)])
+
+
+def test_marginal_statistics_match_per_path_oracle(oracle_drops):
+    pairs = set()
+    worst = 0.0
+    for t1, t2, streams in oracle_drops:
+        for case in ALL_CASES:
+            paths = concatenate(t1, t2, case, streams=streams)
+            if len(paths) == 0:
+                continue
+            pairs.add(paths.condition_pair)
+            st = drop_statistics(paths)
+            for field, want in oracle_statistics(paths).items():
+                got = getattr(st, field)
+                if want == 0.0:
+                    assert got == 0.0, (case, field)
+                else:
+                    worst = max(worst, abs(got - want) / abs(want))
+    assert pairs == {"LL", "LN", "NL", "NN"}
+    assert worst <= 1e-12
+
+
+def test_case0_nn_block_matches_materialized_paths(oracle_drops):
+    for t1, t2, _ in oracle_drops[40:]:
+        p0 = concatenate(t1, t2, ConcatCase.CASE_0)
+        nn = p0.pair_type == PairType.NN
+        assert nn_total_power(p0) == pytest.approx(np.sum(p0.weight[nn] ** 2), rel=1e-12)
+        for side, table, rows in (("tx", t1, p0.tx_idx), ("rx", t2, p0.rx_idx)):
+            want = np.bincount(rows[nn], weights=p0.weight[nn] ** 2,
+                               minlength=table.num_diffuse)
+            np.testing.assert_allclose(
+                ray_marginal_power(p0, side).ravel(), want, rtol=1e-12, atol=0
+            )
+
+
+def test_case0_assembles_todays_row_pairs(oracle_drops):
+    for t1, t2, _ in oracle_drops[40:]:
+        p0 = concatenate(t1, t2, ConcatCase.CASE_0)
+        nt, nr = t1.num_diffuse, t2.num_diffuse
+        los_t, los_r = t1.sub.has_los, t2.sub.has_los
+        tx_parts, rx_parts = [], []
+        if los_t and los_r:
+            tx_parts.append([nt])
+            rx_parts.append([nr])
+        if los_t:
+            tx_parts.append(np.full(nr, nt))
+            rx_parts.append(np.arange(nr))
+        if los_r:
+            tx_parts.append(np.arange(nt))
+            rx_parts.append(np.full(nt, nr))
+        tx_parts.append(np.repeat(np.arange(nt), nr))
+        rx_parts.append(np.tile(np.arange(nr), nt))
+        np.testing.assert_array_equal(p0.tx_idx, np.concatenate(tx_parts))
+        np.testing.assert_array_equal(p0.rx_idx, np.concatenate(rx_parts))
+        assert len(p0) == (los_t and los_r) + los_t * nr + los_r * nt + nt * nr
+        np.testing.assert_array_equal(p0.weight, t1.weight[p0.tx_idx] * t2.weight[p0.rx_idx])
+
+
+def test_concatenate_takes_tables_or_clusters(oracle_drops):
+    t1, t2, streams = oracle_drops[0]
+    for case in (ConcatCase.CASE_0, ConcatCase.CASE_2RN):
+        a = concatenate(t1, t2, case, streams=streams)
+        b = concatenate(t1.sub, t2.sub, case, streams=streams)
+        np.testing.assert_array_equal(a.tx_idx, b.tx_idx)
+        np.testing.assert_array_equal(a.rx_idx, b.rx_idx)
+        np.testing.assert_array_equal(a.weight, b.weight)
