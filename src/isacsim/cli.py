@@ -76,20 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args):
-    from .config import load_config
+    from .config import load_config, set_value
 
     try:
         cfg = load_config(args.config)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.config}: {exc}") from None
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        cfg.master_seed = args.seed
-    if args.drops is not None:
-        if args.drops < 1:
-            raise ConfigError(f"--drops must be >= 1, got {args.drops}")
-        cfg.drops = args.drops
+    for key, flag, value in (("master_seed", "--seed", args.seed),
+                             ("drops", "--drops", args.drops)):
+        if value is not None:
+            set_value(cfg, key, str(value), flag)
     return cfg
 
 

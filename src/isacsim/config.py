@@ -5,21 +5,24 @@ blank lines ignored. Keys are dotted paths (``nodes.target.velocity_mps``);
 values are scalars, names, or comma-separated vectors. Unknown keys are
 rejected with their line number so typos fail loudly instead of silently
 running defaults.
+
+Every key is declared once, in ``KEYS``: the ``RunConfig`` attribute it
+sets (``target.velocity_mps`` for a node key), its parser and its range
+check. ``set_value`` parses, checks and stores one value; parsing a file,
+the command line's ``--seed``/``--drops`` overrides and the canonical echo
+all run off that table. Choice lists come from the modules that own them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .concatenation import ConcatCase
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import ISOTROPIC, PATTERNS
-
-SENSING_MODES = ("bistatic", "monostatic")
-CONDITION_CHOICES = ("auto", "LOS", "NLOS")
-POLARIZATION_CHOICES = ("identity", "full", "partial")
-COUPLING_MODES = ("added", "embedded")
+from .largescale import CONDITIONS, COUPLING_MODES
+from .rcs import POLARIZATION_MODES, TargetClass
 
 
 @dataclass
@@ -78,50 +81,135 @@ class RunConfig:
         return SPEED_OF_LIGHT / self.frequency_hz
 
 
-def _parse_bool(text: str, key: str, line: int) -> bool:
+# Parsers take the value text and the name used in error messages.
+
+def _text(text: str, name: str) -> str:
+    return text
+
+
+def _bool(text: str, name: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "on", "1"):
         return True
     if t in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"line {line}: {key} expects true/false, got {text!r}")
+    raise ConfigError(f"{name} expects true/false, got {text!r}")
 
 
-def _parse_float(text: str, key: str, line: int) -> float:
+def _float(text: str, name: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise ConfigError(f"line {line}: {key} expects a number, got {text!r}") from None
+        raise ConfigError(f"{name} expects a number, got {text!r}") from None
     if not math.isfinite(v):
-        raise ConfigError(f"line {line}: {key} must be finite")
+        raise ConfigError(f"{name} must be finite")
     return v
 
 
-def _parse_int(text: str, key: str, line: int) -> int:
+def _int(text: str, name: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(
-            f"line {line}: {key} expects an integer, got {text!r}"
-        ) from None
+        raise ConfigError(f"{name} expects an integer, got {text!r}") from None
 
 
-def _parse_vec(text: str, key: str, line: int, n: int = 3) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise ConfigError(
-            f"line {line}: {key} expects {n} comma-separated numbers, got {text!r}"
-        )
-    return tuple(_parse_float(p, key, line) for p in parts)
+def _vec(n: int):
+    def parse(text: str, name: str) -> tuple:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != n:
+            raise ConfigError(
+                f"{name} expects {n} comma-separated numbers, got {text!r}"
+            )
+        return tuple(_float(p, name) for p in parts)
+    return parse
 
 
-def _parse_choice(text: str, key: str, line: int, choices) -> str:
-    t = text.strip()
-    if t not in choices:
-        raise ConfigError(
-            f"line {line}: {key} must be one of {tuple(choices)}, got {t!r}"
-        )
-    return t
+def _choice(choices, convert=str):
+    names = tuple(getattr(c, "value", c) for c in choices)
+
+    def parse(text: str, name: str):
+        t = text.strip()
+        if t not in names:
+            raise ConfigError(f"{name} must be one of {names}, got {t!r}")
+        return convert(t)
+    return parse
+
+
+# Range checks: (predicate, what the value must be).
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_CONDITION = _choice(("auto",) + CONDITIONS)
+
+_NODE_KEYS = {
+    "position_m": (_vec(3), None),
+    "velocity_mps": (_vec(3), None),
+    "micro_velocity_mps": (_vec(3), None),
+    "elements": (_int, _AT_LEAST_ONE),
+    "element_spacing_m": (_float, _POSITIVE),
+    "pattern": (_choice(PATTERNS), None),
+    "slant_deg": (_float, None),
+}
+
+# key -> (RunConfig attribute path, parser, range check or None)
+KEYS = {
+    "frequency_hz": ("frequency_hz", _float, _POSITIVE),
+    "scenario": ("scenario", _text, None),
+    "scenario_table": ("scenario_table", _text, None),
+    "sensing_mode": ("sensing_mode", _choice(("bistatic", "monostatic")), None),
+    "concat_case": ("concat_case", _choice(ConcatCase, ConcatCase), None),
+    "drops": ("drops", _int, _AT_LEAST_ONE),
+    "master_seed": ("master_seed", _int, _NON_NEGATIVE),
+    "absolute_delay": ("absolute_delay", _bool, None),
+    "split_strongest": ("split_strongest", _bool, None),
+    "rcs.mean_m2": ("rcs_mean_m2", _float, _POSITIVE),
+    "rcs.b2_mean_db": ("rcs_b2_mean_db", _float, None),
+    "rcs.b2_std_db": ("rcs_b2_std_db", _float, _NON_NEGATIVE),
+    "rcs.b1_table": ("rcs_b1_table", _text, None),
+    "rcs.target_class": ("rcs_target_class", _choice(TargetClass), None),
+    "polarization.mode": ("pol_mode", _choice(POLARIZATION_MODES), None),
+    "polarization.alphas": ("pol_alphas", _vec(4), None),
+    "snapshots.start_s": ("snap_start_s", _float, None),
+    "snapshots.step_s": ("snap_step_s", _float, _POSITIVE),
+    "snapshots.count": ("snap_count", _int, _AT_LEAST_ONE),
+    "coupling.o_isac": ("coupling_o_isac", _float, _NON_NEGATIVE),
+    "coupling.mode": ("coupling_mode", _choice(COUPLING_MODES), None),
+    "coupling.removal_fraction": (
+        "coupling_removal_fraction", _float, (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    ),
+    "background.enabled": ("background_enabled", _bool, None),
+    "conditions.tx_target": ("cond_tx_target", _CONDITION, None),
+    "conditions.target_rx": ("cond_target_rx", _CONDITION, None),
+    "conditions.background": ("cond_background", _CONDITION, None),
+    "output.dir": ("out_dir", _text, None),
+    "output.cir": ("emit_cir", _bool, None),
+    **{
+        f"nodes.{node}.{name}": (f"{node}.{name}", parse, check)
+        for node in ("tx", "rx", "target")
+        for name, (parse, check) in _NODE_KEYS.items()
+    },
+}
+
+
+def _owner(cfg: RunConfig, attr: str):
+    """The object holding a dotted attribute path, and the last name."""
+    *path, name = attr.split(".")
+    for part in path:
+        cfg = getattr(cfg, part)
+    return cfg, name
+
+
+def set_value(cfg: RunConfig, key: str, text: str, name: str | None = None) -> None:
+    """Parse ``text`` as the value of ``key``, range-check it and store it.
+
+    ``name`` labels the value in error messages (default: the key).
+    """
+    attr, parse, check = KEYS[key]
+    name = name or key
+    value = parse(text, name)
+    if check is not None and not check[0](value):
+        raise ConfigError(f"{name} must be {check[1]}, got {value}")
+    setattr(*_owner(cfg, attr), value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -144,150 +232,17 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def _node_keys(prefix: str):
-    return {
-        f"nodes.{prefix}.position_m": ("vec", "position_m"),
-        f"nodes.{prefix}.velocity_mps": ("vec", "velocity_mps"),
-        f"nodes.{prefix}.micro_velocity_mps": ("vec", "micro_velocity_mps"),
-        f"nodes.{prefix}.elements": ("int", "elements"),
-        f"nodes.{prefix}.element_spacing_m": ("float", "element_spacing_m"),
-        f"nodes.{prefix}.pattern": ("pattern", "pattern"),
-        f"nodes.{prefix}.slant_deg": ("float", "slant_deg"),
-    }
-
-
-_NODE_SECTIONS = {"tx": _node_keys("tx"), "rx": _node_keys("rx"), "target": _node_keys("target")}
-
-_SCALAR_KEYS = {
-    "scenario": "scenario",
-    "frequency_hz": "frequency_hz",
-    "sensing_mode": "sensing_mode",
-    "concat_case": "concat_case",
-    "drops": "drops",
-    "master_seed": "master_seed",
-    "scenario_table": "scenario_table",
-    "absolute_delay": "absolute_delay",
-    "split_strongest": "split_strongest",
-    "rcs.mean_m2": "rcs_mean_m2",
-    "rcs.b2_mean_db": "rcs_b2_mean_db",
-    "rcs.b2_std_db": "rcs_b2_std_db",
-    "rcs.b1_table": "rcs_b1_table",
-    "rcs.target_class": "rcs_target_class",
-    "polarization.mode": "pol_mode",
-    "polarization.alphas": "pol_alphas",
-    "snapshots.start_s": "snap_start_s",
-    "snapshots.step_s": "snap_step_s",
-    "snapshots.count": "snap_count",
-    "coupling.o_isac": "coupling_o_isac",
-    "coupling.mode": "coupling_mode",
-    "coupling.removal_fraction": "coupling_removal_fraction",
-    "background.enabled": "background_enabled",
-    "conditions.tx_target": "cond_tx_target",
-    "conditions.target_rx": "cond_target_rx",
-    "conditions.background": "cond_background",
-    "output.dir": "out_dir",
-    "output.cir": "emit_cir",
-}
-
-
 def validate_config(raw: str) -> RunConfig:
     """Parse and range-check a configuration text; unknown keys are errors."""
     entries = parse_config_text(raw)
     if "frequency_hz" not in entries:
         raise ConfigError("missing required key 'frequency_hz' (carrier frequency)")
-
     cfg = RunConfig(frequency_hz=1.0)
-    node_cfgs = {"tx": {}, "rx": {}, "target": {}}
-
     for key, (value, ln) in entries.items():
-        handled = False
-        for section, keys in _NODE_SECTIONS.items():
-            if key in keys:
-                kind, attr = keys[key]
-                if kind == "vec":
-                    node_cfgs[section][attr] = _parse_vec(value, key, ln)
-                elif kind == "int":
-                    node_cfgs[section][attr] = _parse_int(value, key, ln)
-                elif kind == "float":
-                    node_cfgs[section][attr] = _parse_float(value, key, ln)
-                elif kind == "pattern":
-                    node_cfgs[section][attr] = _parse_choice(value, key, ln, PATTERNS)
-                handled = True
-                break
-        if handled:
-            continue
-        if key not in _SCALAR_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
-        attr = _SCALAR_KEYS[key]
-        if attr in ("drops", "master_seed", "snap_count"):
-            setattr(cfg, attr, _parse_int(value, key, ln))
-        elif attr in (
-            "frequency_hz", "rcs_mean_m2", "rcs_b2_mean_db", "rcs_b2_std_db",
-            "snap_start_s", "snap_step_s", "coupling_o_isac",
-            "coupling_removal_fraction",
-        ):
-            setattr(cfg, attr, _parse_float(value, key, ln))
-        elif attr in ("absolute_delay", "split_strongest", "background_enabled", "emit_cir"):
-            setattr(cfg, attr, _parse_bool(value, key, ln))
-        elif attr == "sensing_mode":
-            setattr(cfg, attr, _parse_choice(value, key, ln, SENSING_MODES))
-        elif attr == "concat_case":
-            try:
-                cfg.concat_case = ConcatCase(value)
-            except ValueError:
-                valid = ", ".join(c.value for c in ConcatCase)
-                raise ConfigError(
-                    f"line {ln}: concat_case must be one of {valid}, got {value!r}"
-                ) from None
-        elif attr == "pol_mode":
-            setattr(cfg, attr, _parse_choice(value, key, ln, POLARIZATION_CHOICES))
-        elif attr == "pol_alphas":
-            cfg.pol_alphas = _parse_vec(value, key, ln, n=4)
-        elif attr == "coupling_mode":
-            setattr(cfg, attr, _parse_choice(value, key, ln, COUPLING_MODES))
-        elif attr in ("cond_tx_target", "cond_target_rx", "cond_background"):
-            setattr(cfg, attr, _parse_choice(value, key, ln, CONDITION_CHOICES))
-        elif attr == "rcs_target_class":
-            setattr(cfg, attr, _parse_choice(
-                value, key, ln, ("human", "uav", "vehicle", "agv")
-            ))
-        else:
-            setattr(cfg, attr, value)
-
-    for section, overrides in node_cfgs.items():
-        node = getattr(cfg, section)
-        for attr, v in overrides.items():
-            setattr(node, attr, v)
-
-    _range_check(cfg)
+        set_value(cfg, key, value, f"line {ln}: {key}")
     return cfg
-
-
-def _range_check(cfg: RunConfig):
-    if cfg.frequency_hz <= 0:
-        raise ConfigError(f"frequency_hz must be positive, got {cfg.frequency_hz}")
-    if cfg.drops < 1:
-        raise ConfigError(f"drops must be >= 1, got {cfg.drops}")
-    if cfg.master_seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
-    if cfg.snap_count < 1:
-        raise ConfigError(f"snapshots.count must be >= 1, got {cfg.snap_count}")
-    if cfg.snap_step_s <= 0:
-        raise ConfigError(f"snapshots.step_s must be positive, got {cfg.snap_step_s}")
-    if cfg.rcs_mean_m2 <= 0:
-        raise ConfigError(f"rcs.mean_m2 must be positive, got {cfg.rcs_mean_m2}")
-    if cfg.rcs_b2_std_db < 0:
-        raise ConfigError("rcs.b2_std_db must be >= 0")
-    if cfg.coupling_o_isac < 0:
-        raise ConfigError("coupling.o_isac must be >= 0")
-    if not (0.0 <= cfg.coupling_removal_fraction < 1.0):
-        raise ConfigError("coupling.removal_fraction must be in [0, 1)")
-    for name in ("tx", "rx", "target"):
-        node = getattr(cfg, name)
-        if node.elements < 1:
-            raise ConfigError(f"nodes.{name}.elements must be >= 1")
-        if node.element_spacing_m is not None and node.element_spacing_m <= 0:
-            raise ConfigError(f"nodes.{name}.element_spacing_m must be positive")
 
 
 def load_config(path) -> RunConfig:
@@ -295,29 +250,17 @@ def load_config(path) -> RunConfig:
         return validate_config(fh.read())
 
 
+def _format(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return ", ".join(repr(float(x)) for x in v)
+    if isinstance(v, ConcatCase):
+        return v.value
+    return str(v)
+
+
 def config_echo(cfg: RunConfig) -> list:
     """Canonical key = value lines reproducing the validated configuration."""
-    lines = []
-
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, tuple):
-            return ", ".join(repr(float(x)) for x in v)
-        if isinstance(v, ConcatCase):
-            return v.value
-        return str(v)
-
-    for key, attr in sorted(_SCALAR_KEYS.items()):
-        v = getattr(cfg, attr)
-        if v is None:
-            continue
-        lines.append(f"{key} = {fmt(v)}")
-    for section in ("tx", "rx", "target"):
-        node = getattr(cfg, section)
-        for f in fields(node):
-            v = getattr(node, f.name)
-            if v is None:
-                continue
-            lines.append(f"nodes.{section}.{f.name} = {fmt(v)}")
-    return sorted(lines)
+    values = {key: getattr(*_owner(cfg, attr)) for key, (attr, _, _) in KEYS.items()}
+    return sorted(f"{k} = {_format(v)}" for k, v in values.items() if v is not None)

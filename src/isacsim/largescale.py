@@ -9,7 +9,7 @@ the mean radar cross section, Rician K-factor, and log-normal shadowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -24,29 +24,9 @@ NLOS = "NLOS"
 CONDITIONS = (LOS, NLOS)
 
 SUPPORTED_SCENARIOS = ("UMi",)
+COUPLING_MODES = ("added", "embedded")
 
 _DEFAULT_TABLE = "umi_38901.tbl"
-
-# Keys whose values are integers after evaluation.
-_INT_KEYS = {"num_clusters", "rays_per_cluster"}
-# Keys that may be absent (no Rician component defined for NLOS rows).
-_OPTIONAL_KEYS = {"k_mean_db", "k_std_db"}
-
-_REQUIRED_KEYS = (
-    "lg_ds_mean", "lg_ds_std",
-    "lg_asd_mean", "lg_asd_std",
-    "lg_asa_mean", "lg_asa_std",
-    "lg_zsa_mean", "lg_zsa_std",
-    "lg_zsd_mean", "lg_zsd_std",
-    "zod_offset_deg",
-    "sf_std_db",
-    "delay_scaling",
-    "xpr_mean_db", "xpr_std_db",
-    "num_clusters", "rays_per_cluster",
-    "cluster_shadowing_std_db",
-    "c_ds_ns", "c_asd_deg", "c_asa_deg", "c_zsa_deg",
-    "azimuth_scale", "zenith_scale",
-)
 
 
 @dataclass
@@ -87,6 +67,14 @@ class ConditionParams:
     k_std_db: float | None = None
 
 
+# Table keys are the ConditionParams fields other than the condition: a field
+# without a default is required, and an int field is rounded after evaluation.
+_TABLE_FIELDS = [f for f in fields(ConditionParams) if f.name != "condition"]
+_REQUIRED_KEYS = tuple(f.name for f in _TABLE_FIELDS if f.default is MISSING)
+_OPTIONAL_KEYS = {f.name for f in _TABLE_FIELDS if f.default is not MISSING}
+_INT_KEYS = {f.name for f in _TABLE_FIELDS if f.type == "int"}
+
+
 @dataclass
 class ScenarioParams:
     """All condition tables of one scenario at one carrier frequency."""
@@ -104,8 +92,11 @@ class ScenarioParams:
             ref = resources.files("isacsim.data").joinpath(_DEFAULT_TABLE)
             text = ref.read_text(encoding="utf-8")
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"cannot read {path}: {exc}") from None
         sections = _parse_table(text)
         conditions = {}
         for (scen, cond), entries in sections.items():
@@ -304,9 +295,9 @@ class CouplingConfig:
     def __post_init__(self):
         if self.o_isac < 0 or not math.isfinite(self.o_isac):
             raise ConfigError(f"coupling factor must be >= 0, got {self.o_isac}")
-        if self.mode not in ("added", "embedded"):
+        if self.mode not in COUPLING_MODES:
             raise ConfigError(
-                f"coupling mode must be 'added' or 'embedded', got {self.mode!r}"
+                f"coupling mode must be one of {COUPLING_MODES}, got {self.mode!r}"
             )
         if not (0.0 <= self.removal_fraction < 1.0):
             raise ConfigError(

@@ -57,21 +57,23 @@ class B1Table:
     def from_file(cls, path) -> "B1Table":
         """Load a two-column text table: aspect angle in degrees, linear gain."""
         angles, gains = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cols = line.split()
-                if len(cols) != 2:
-                    raise ConfigError(
-                        f"{path}:{ln}: expected 'angle_deg gain', got {line!r}"
-                    )
-                try:
-                    angles.append(float(cols[0]))
-                    gains.append(float(cols[1]))
-                except ValueError:
-                    raise ConfigError(f"{path}:{ln}: non-numeric entry") from None
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+        for ln, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split()
+            if len(cols) != 2:
+                raise ConfigError(f"{path}:{ln}: expected 'angle_deg gain', got {line!r}")
+            try:
+                angles.append(float(cols[0]))
+                gains.append(float(cols[1]))
+            except ValueError:
+                raise ConfigError(f"{path}:{ln}: non-numeric entry") from None
         return cls(angles, gains)
 
     def lookup(self, aspect_deg):

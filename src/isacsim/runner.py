@@ -334,6 +334,13 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
         raise UnsupportedFeatureError("mono-static runs have no background channel")
+    rcs_model = build_rcs_model(cfg)
+    if emit_cir and rcs_model.b1 is not None:
+        lo, hi = rcs_model.b1.angles_deg[[0, -1]]
+        if lo > -180.0 or hi < 180.0:
+            raise ConfigError(
+                f"rcs.b1_table spans [{lo}, {hi}] deg; aspect azimuths need [-180, 180]"
+            )
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     wavelength = cfg.wavelength_m
     rx_node_cfg = cfg.tx if cfg.sensing_mode == "monostatic" else cfg.rx
@@ -345,7 +352,7 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         tx=build_node(cfg.tx, wavelength),
         rx=build_node(rx_node_cfg, wavelength),
         target=build_node(cfg.target, wavelength),
-        rcs_model=build_rcs_model(cfg),
+        rcs_model=rcs_model,
         polarization=build_polarization(cfg),
         grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count),
         coupling=CouplingConfig(

@@ -1,8 +1,12 @@
 """Configuration text format: parsing, validation, canonical echo."""
+import re
+from pathlib import Path
+
 import pytest
 
 from isacsim.concatenation import ConcatCase
 from isacsim.config import (
+    KEYS,
     RunConfig,
     config_echo,
     load_config,
@@ -12,6 +16,59 @@ from isacsim.config import (
 from isacsim.errors import ConfigError
 
 MINIMAL = "frequency_hz = 6e9\n"
+
+# Every key of the table, each set to a value other than its default.
+EVERY_KEY = """\
+frequency_hz = 28e9
+scenario = UMa
+scenario_table = tables/uma.tbl
+sensing_mode = monostatic
+concat_case = Case3N
+drops = 7
+master_seed = 42
+absolute_delay = true
+split_strongest = yes
+rcs.mean_m2 = 2.5
+rcs.b2_mean_db = -1.5
+rcs.b2_std_db = 3
+rcs.b1_table = tables/b1.tbl
+rcs.target_class = human
+polarization.mode = partial
+polarization.alphas = 1, 0.25, 0.5, 1
+snapshots.start_s = 0.5
+snapshots.step_s = 0.002
+snapshots.count = 8
+coupling.o_isac = 0.5
+coupling.mode = embedded
+coupling.removal_fraction = 0.3
+background.enabled = on
+conditions.tx_target = LOS
+conditions.target_rx = NLOS
+conditions.background = LOS
+output.dir = out/runs
+output.cir = false
+nodes.tx.position_m = 5, -5, 12
+nodes.tx.velocity_mps = 0.5, 0, 0
+nodes.tx.micro_velocity_mps = 0, 0.1, 0
+nodes.tx.elements = 2
+nodes.tx.element_spacing_m = 0.02
+nodes.tx.pattern = sectorized-38901
+nodes.tx.slant_deg = 45
+nodes.rx.position_m = 80, 10, 8
+nodes.rx.velocity_mps = 0, -0.5, 0
+nodes.rx.micro_velocity_mps = 0.1, 0, 0
+nodes.rx.elements = 3
+nodes.rx.element_spacing_m = 0.03
+nodes.rx.pattern = sectorized-38901
+nodes.rx.slant_deg = -45
+nodes.target.position_m = 30, 20, 2
+nodes.target.velocity_mps = 1, 2, 3
+nodes.target.micro_velocity_mps = 0, 0, 0.2
+nodes.target.elements = 4
+nodes.target.element_spacing_m = 0.04
+nodes.target.pattern = sectorized-38901
+nodes.target.slant_deg = 90
+"""
 
 
 def test_minimal_config_gets_defaults():
@@ -151,16 +208,38 @@ def test_load_config_reads_files(tmp_path):
 
 
 def test_config_echo_is_canonical_and_reparseable():
-    cfg = validate_config(
-        "frequency_hz = 6e9\ndrops = 7\nnodes.target.velocity_mps = 1, 2, 3\n"
-    )
-    lines = config_echo(cfg)
-    assert lines == sorted(lines)
-    # echoing, reparsing, and echoing again is a fixed point
-    cfg2 = validate_config("\n".join(lines) + "\n")
-    assert config_echo(cfg2) == lines
-    assert cfg2.drops == 7
-    assert cfg2.target.velocity_mps == (1.0, 2.0, 3.0)
+    for text in (
+        "frequency_hz = 6e9\ndrops = 7\nnodes.target.velocity_mps = 1, 2, 3\n",
+        EVERY_KEY,
+    ):
+        cfg = validate_config(text)
+        lines = config_echo(cfg)
+        assert lines == sorted(lines)
+        # echoing, reparsing, and echoing again is a fixed point
+        cfg2 = validate_config("\n".join(lines) + "\n")
+        assert config_echo(cfg2) == lines
+        assert cfg2.drops == 7
+        assert cfg2.target.velocity_mps == (1.0, 2.0, 3.0)
+    # EVERY_KEY sets, and the echo reproduces, every key off its default
+    assert set(parse_config_text(EVERY_KEY)) == set(KEYS)
+    assert len(lines) == len(KEYS)
+    assert not set(lines) & set(config_echo(validate_config(MINIMAL)))
+
+
+def test_documented_keys_match_the_key_table():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
+    documented, section = set(), None
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if line.startswith("### "):
+            section = line[4:].strip()
+        row = re.match(r"\| `([\w.]+)` \|", line)
+        if row is None:
+            continue
+        if section == "Nodes":
+            documented |= {f"nodes.{n}.{row[1]}" for n in ("tx", "rx", "target")}
+        else:
+            documented.add(row[1])
+    assert documented == set(KEYS)
 
 
 def test_echo_skips_unset_optionals():

@@ -151,6 +151,9 @@ def test_scenario_table_materializes_frequency_laws():
     assert los.num_clusters == 12
     assert nlos.num_clusters == 19
     assert los.rays_per_cluster == 20
+    # int-annotated ConditionParams fields are rounded to int, the rest stay float
+    assert type(los.num_clusters) is int and type(los.rays_per_cluster) is int
+    assert type(los.c_ds_ns) is float and type(los.k_mean_db) is float
     assert los.k_mean_db is not None
     assert nlos.k_mean_db is None
     with pytest.raises(ConfigError):

@@ -215,9 +215,30 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
     mono_bg = write_cfg(tmp_path, "sensing_mode = monostatic\nbackground.enabled = true\n")
     assert main(["run", "--config", mono_bg, "--out", str(out)]) == 4
     assert not out.exists()
-    # a study never synthesizes the background, so it still runs
+    # a B1 table must cover every aspect azimuth, [-180, 180] deg
+    narrow = tmp_path / "b1.tbl"
+    narrow.write_text("0.0 1.0\n90.0 0.2\n180.0 0.6\n270.0 0.2\n")
+    b1_cfg = str(tmp_path / "b1.cfg")
+    with open(b1_cfg, "w") as fh:
+        fh.write(cfg_text(f"rcs.b1_table = {narrow}\n"))
+    assert main(["run", "--config", b1_cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "rcs.b1_table spans [0.0, 270.0] deg" in capsys.readouterr().err
+    # a study never synthesizes the background or looks up B1, so it still runs
     assert main(["concat-study", "--config", mono_bg, "--drops", "1",
                  "--out", str(out)]) == 0
+    assert main(["concat-study", "--config", b1_cfg, "--drops", "1",
+                 "--out", str(tmp_path / "study_b1")]) == 0
+
+
+def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "never"
+    missing = str(tmp_path / "nope.tbl")
+    for command, key in (("run", "rcs.b1_table"), ("concat-study", "scenario_table")):
+        cfg = write_cfg(tmp_path, f"{key} = {missing}\n")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+    assert capsys.readouterr().err.count(f"cannot read {missing}") == 2
 
 
 def test_cli_detect_stdout(capsys):
