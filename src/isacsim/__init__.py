@@ -77,11 +77,10 @@ from .stats import (
     DropStatistics,
     EmpiricalCdf,
     angle_spread,
-    delay_spread,
     drop_statistics,
     empirical_cdf,
     ks_statistic,
-    total_power,
+    statistics_table,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

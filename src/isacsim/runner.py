@@ -24,9 +24,7 @@ from .concatenation import (
     ALL_CASES,
     ConcatCase,
     HopTable,
-    TargetPathSet,
     concatenate,
-    nn_total_power,
 )
 from .config import RunConfig, config_echo
 from .coefficients import (
@@ -54,11 +52,16 @@ from .seeds import (
     RandomStreams,
 )
 from .smallscale import generate_sublink, mono_static_reciprocal
-from .stats import DropStatistics, drop_statistics, empirical_cdf
+from .stats import empirical_cdf, statistics_table
 
 STAT_COLUMNS = (
     "total_power", "nn_power", "ds_ns", "asa_deg", "asd_deg", "zsa_deg", "zsd_deg"
 )
+# cdf_<metric>_<case>.txt reads this statistics column
+CDF_METRICS = {
+    "power": "total_power", "ds_ns": "ds_ns", "asa_deg": "asa_deg", "asd_deg": "asd_deg",
+    "zsa_deg": "zsa_deg", "zsd_deg": "zsd_deg", "power_ratio": "nn_power_ratio",
+}
 
 
 @dataclass
@@ -66,13 +69,7 @@ class DropResult:
     drop: int
     case: str
     condition_pair: str
-    total_power: float
-    nn_power: float
-    ds_ns: float
-    asa_deg: float
-    asd_deg: float
-    zsa_deg: float
-    zsd_deg: float
+    stats: np.ndarray  # one value per STAT_COLUMNS
     pl_target_db: float = np.nan
     pl_background_db: float = np.nan
     pl_isac_db: float = np.nan
@@ -129,21 +126,9 @@ def _force(condition: str):
     return None if condition == "auto" else condition
 
 
-def _stats_row(drop: int, case: str, paths: TargetPathSet) -> tuple:
-    """DropStatistics fields for one concatenated path set; empty sets allowed."""
-    if len(paths) == 0:
-        return (drop, case, "none", 0.0, 0.0) + (np.nan,) * 5
-    st = drop_statistics(paths)
-    return (
-        drop, case, st.condition_pair,
-        st.total_power, nn_total_power(paths),
-        st.ds * 1e9, st.asa, st.asd, st.zsa, st.zsd,
-    )
-
-
 def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
               scenario: ScenarioParams, tx: NodeState, rx: NodeState,
-              target: NodeState, rcs_model: RcsModel,
+              target: NodeState, rcs_model: RcsModel | None,
               polarization: PolarizationScattering | None, grid: SnapshotGrid,
               coupling: CouplingConfig) -> list:
     """Worker body: simulate one drop for every requested concatenation case.
@@ -181,13 +166,14 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
     )
 
     table1, table2 = HopTable.from_sublink(sub1), HopTable.from_sublink(sub2)
+    sets = [concatenate(table1, table2, case, streams=streams.scoped(SCOPE_CONCAT))
+            for case in cases]
+    stats = statistics_table(sets)
+    stats[:, STAT_COLUMNS.index("ds_ns")] *= 1e9
     results = []
-    for case in cases:
-        concat_streams = streams.scoped(SCOPE_CONCAT)
-        paths = concatenate(table1, table2, case, streams=concat_streams)
-        row = _stats_row(drop, case.value, paths)
-        rec = DropResult(*row)
-        rec.pl_target_db = pl_target
+    for case, paths, row in zip(cases, sets, stats):
+        pair = paths.condition_pair if len(paths) else "none"
+        rec = DropResult(drop, case.value, pair, row, pl_target_db=pl_target)
 
         if emit_cir and case == cfg.concat_case and len(paths) > 0:
             coeff_streams = streams.scoped(SCOPE_COEFF)
@@ -214,36 +200,18 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
     return results
 
 
-def _format_stat_line(rec: DropResult, with_ratio: bool, ratio: float | None) -> str:
-    nums = (
-        rec.total_power, rec.nn_power, rec.ds_ns,
-        rec.asa_deg, rec.asd_deg, rec.zsa_deg, rec.zsd_deg,
-    )
-    body = " ".join("%.12e" % v for v in nums)
-    line = f"{rec.drop} {rec.case} {rec.condition_pair} {body}"
-    if with_ratio:
-        line += " %.12e" % (ratio if ratio is not None else np.nan)
-    return line
-
-
 def _write_text(path: str, lines: list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
 
 
-def _write_statistics(out_dir: str, records: list, with_ratio: bool,
-                      case0_nn: dict | None) -> str:
-    header = "# drop case condition_pair " + " ".join(STAT_COLUMNS)
-    if with_ratio:
-        header += " nn_power_ratio"
-    lines = [header]
-    for rec in records:
-        ratio = None
-        if with_ratio and case0_nn is not None:
-            ref = case0_nn.get(rec.drop, np.nan)
-            ratio = rec.nn_power / ref if ref and np.isfinite(ref) else np.nan
-        lines.append(_format_stat_line(rec, with_ratio, ratio))
+def _write_statistics(out_dir: str, records: list, table: np.ndarray,
+                      columns: tuple) -> str:
+    lines = ["# drop case condition_pair " + " ".join(columns)]
+    for rec, row in zip(records, table):
+        body = " ".join("%.12e" % v for v in row)
+        lines.append(f"{rec.drop} {rec.case} {rec.condition_pair} {body}")
     path = os.path.join(out_dir, "statistics.txt")
     _write_text(path, lines)
     return path
@@ -257,35 +225,19 @@ def _write_cdf(path: str, values: np.ndarray) -> str:
     return path
 
 
-def _write_cdfs(out_dir: str, records: list, case0_nn: dict | None) -> list:
-    """One value-probability file per metric per case."""
-    by_case: dict = {}
-    for rec in records:
-        by_case.setdefault(rec.case, []).append(rec)
-    metric_fields = {
-        "power": "total_power", "ds_ns": "ds_ns", "asa_deg": "asa_deg",
-        "asd_deg": "asd_deg", "zsa_deg": "zsa_deg", "zsd_deg": "zsd_deg",
-    }
+def _write_cdfs(out_dir: str, records: list, table: np.ndarray, columns: tuple) -> list:
+    """One value-probability file per metric per case, of its finite values."""
+    cases = np.array([rec.case for rec in records])
     paths = []
-    for case in sorted(by_case):
-        recs = by_case[case]
-        for metric in sorted(metric_fields):
-            values = np.array([getattr(r, metric_fields[metric]) for r in recs])
-            values = values[np.isfinite(values)]
-            if values.size:
-                paths.append(_write_cdf(
-                    os.path.join(out_dir, f"cdf_{metric}_{case}.txt"), values
-                ))
-        if case0_nn is not None:
-            ratios = np.array([
-                r.nn_power / case0_nn[r.drop]
-                for r in recs
-                if np.isfinite(case0_nn.get(r.drop, np.nan)) and case0_nn[r.drop] > 0
-            ])
-            if ratios.size:
-                paths.append(_write_cdf(
-                    os.path.join(out_dir, f"cdf_power_ratio_{case}.txt"), ratios
-                ))
+    for case in sorted(set(cases)):
+        for metric, column in CDF_METRICS.items():
+            if column in columns:
+                values = table[cases == case, columns.index(column)]
+                values = values[np.isfinite(values)]
+                if values.size:
+                    paths.append(_write_cdf(
+                        os.path.join(out_dir, f"cdf_{metric}_{case}.txt"), values
+                    ))
     return paths
 
 
@@ -334,8 +286,8 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
         raise UnsupportedFeatureError("mono-static runs have no background channel")
-    rcs_model = build_rcs_model(cfg)
-    if emit_cir and rcs_model.b1 is not None:
+    rcs_model = build_rcs_model(cfg) if emit_cir else None  # only CIRs look aspects up
+    if rcs_model is not None and rcs_model.b1 is not None:
         lo, hi = rcs_model.b1.angles_deg[[0, -1]]
         if lo > -180.0 or hi < 180.0:
             raise ConfigError(
@@ -374,18 +326,17 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         with ctx.Pool(processes=workers) as pool:
             per_drop = pool.map(worker, range(cfg.drops))
 
-    records: list = []
-    for drop_records in per_drop:  # already ordered by drop index
-        records.extend(drop_records)
+    records = [r for drop_records in per_drop for r in drop_records]  # in drop order
+    table, columns = np.array([r.stats for r in records]), STAT_COLUMNS
+    if study:  # each row's NN power against its drop's full convolution
+        nn = table[:, columns.index("nn_power")]
+        ref = {r.drop: v for r, v in zip(records, nn) if r.case == ConcatCase.CASE_0.value}
+        ratio = [v / ref[r.drop] if ref.get(r.drop, 0) > 0 else np.nan
+                 for r, v in zip(records, nn)]
+        table, columns = np.column_stack([table, ratio]), columns + ("nn_power_ratio",)
 
-    case0_nn = None
-    if study:
-        case0_nn = {
-            r.drop: r.nn_power for r in records if r.case == ConcatCase.CASE_0.value
-        }
-
-    written = [_write_statistics(out_dir, records, study, case0_nn)]
-    written += _write_cdfs(out_dir, records, case0_nn)
+    written = [_write_statistics(out_dir, records, table, columns)]
+    written += _write_cdfs(out_dir, records, table, columns)
     cir_path = _write_cir(out_dir, records)
     if cir_path:
         written.append(cir_path)

@@ -6,13 +6,16 @@ to unit total power and then scaled by that component's condition
 prefactor. This is exactly the power split the synthesized channel
 realizes, and it makes the trailing-N power rescale of the concatenation
 cases a provable no-op for spreads while leaving the raw power bookkeeping
-visible through total_power and the diffuse-block power helpers.
+visible through total_power and nn_power.
 
 No statistic reads per-path arrays. A path pairs a tx row with an rx row,
 so a departure (arrival) spread over paths equals the spread over tx (rx)
 table rows weighted by their paths' summed effective power. Delay spreads
 pool per-block moments; an outer block's are sums of the two hops' moments,
-so the full convolution's P*M x Q*M' paths are never built.
+so the full convolution's P*M x Q*M' paths are never built. All cases of a
+drop share its two hop tables, so statistics_table computes them in one
+pass over (cases x table rows) power matrices; the zero-power rows of other
+cases can move the last printed digit of a spread.
 """
 from __future__ import annotations
 
@@ -20,20 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concatenation import ConcatCase, TargetPathSet
+from .concatenation import ConcatCase, HopTable, PairType, PathBlock, TargetPathSet
 from .errors import ConfigError
 
-# the (hop table, column) each angle spread reads
-_SPREAD_ANGLES = {"ASA": ("rx", "arr_azimuth"), "ASD": ("tx", "dep_azimuth"),
-                  "ZSA": ("rx", "arr_zenith"), "ZSD": ("tx", "dep_zenith")}
-SPREAD_METRICS = tuple(_SPREAD_ANGLES)
+STAT_FIELDS = ("total_power", "nn_power", "ds", "asa", "asd", "zsa", "zsd")
+# the (hop table, column, circular) each angle spread reads, in STAT_FIELDS order
+_SPREAD_ANGLES = (("rx", "arr_azimuth", True), ("tx", "dep_azimuth", True),
+                  ("rx", "arr_zenith", False), ("tx", "dep_zenith", False))
+SPREAD_METRICS = ("ASA", "ASD", "ZSA", "ZSD")
 
 
 @dataclass
 class DropStatistics:
-    """One drop's summary: realized total power, delay spread, angle spreads."""
+    """One path set's summary: realized total and NN power, spreads."""
 
     total_power: float
+    nn_power: float
     ds: float
     asa: float
     asd: float
@@ -50,101 +55,106 @@ def _moments(values: np.ndarray, p: np.ndarray) -> tuple[float, float]:
     return mean, float((p * (values - mean) ** 2).sum() / total)
 
 
-def _marginals(paths: TargetPathSet) -> tuple:
-    """The statistics kernel. Returns the total power, the delay spread, and
-    for "tx" and "rx" the effective power through each table row and the
-    mask of rows that some path goes through."""
-    if len(paths) == 0:
-        raise ConfigError("an empty path set has no statistics")
-    tx, rx = paths.tx, paths.rx
-    k = paths.k_weights[[int(b.pair_type) for b in paths.blocks]]
-    stored, mean, var, lo, hi = (np.empty(k.size) for _ in range(5))
-    rows = {side: (np.zeros(t.weight.size), np.zeros(t.weight.size, bool))
-            for side, t in (("tx", tx), ("rx", rx))}
-    for i, b in enumerate(paths.blocks):
-        stored[i], ptx, prx = b.powers(tx, rx)
-        if stored[i] <= 0:
-            raise ConfigError("a path component has zero total power")
-        for (power, used), p, r in zip(rows.values(), (ptx, prx), (b.tx_rows, b.rx_rows)):
-            power += (k[i] ** 2 / stored[i]) * p
-            used[r] = True
-        if b.weight is None:  # every tx row's delay plus every rx row's
-            (mt, vt), (mr, vr) = _moments(tx.delay, ptx), _moments(rx.delay, prx)
-            dtx, drx = tx.delay[b.tx_rows], rx.delay[b.rx_rows]
-            mean[i], var[i] = mt + mr, vt + vr
-            lo[i], hi[i] = dtx.min() + drx.min(), dtx.max() + drx.max()
-        else:
-            tau = tx.delay[b.tx_rows] + rx.delay[b.rx_rows]
-            mean[i], var[i] = _moments(tau, b.weight ** 2)
-            lo[i], hi[i] = tau.min(), tau.max()
-    ds = 0.0
-    if lo.min() != hi.max():
+def _block_terms(b: PathBlock, tx: HopTable, rx: HopTable) -> tuple:
+    """Tx- and rx-row powers, and (stored power, delay mean, variance, min, max)."""
+    stored, ptx, prx = b.powers(tx, rx)
+    if stored <= 0:
+        raise ConfigError("a path component has zero total power")
+    if b.weight is None:  # every tx row's delay plus every rx row's
+        (mt, vt), (mr, vr) = _moments(tx.delay, ptx), _moments(rx.delay, prx)
+        dtx, drx = tx.delay[b.tx_rows], rx.delay[b.rx_rows]
+        return ptx, prx, (stored, mt + mr, vt + vr,
+                          dtx.min() + drx.min(), dtx.max() + drx.max())
+    tau = tx.delay[b.tx_rows] + rx.delay[b.rx_rows]
+    return ptx, prx, (stored, *_moments(tau, b.weight ** 2), tau.min(), tau.max())
+
+
+def _spreads(angles_deg: np.ndarray, p: np.ndarray, used: np.ndarray,
+             circular: bool) -> np.ndarray:
+    """Power-weighted RMS spread of one angle column under each row of p.
+
+    A circular spread is minimized over origin shifts. The optimal cut of
+    the circle falls in a gap between sorted angles, so a prefix-sum scan
+    over the n cut positions finds it; the spread at that cut is then
+    recomputed in centered form so the result keeps full precision. A row
+    whose used angles are all equal has spread 0.
+    """
+    a = angles_deg
+    if circular:
+        order = np.argsort(a)
+        a, p, used = a[order], p[:, order], used[:, order]
+    flat = np.where(used, a, np.inf).min(1) == np.where(used, a, -np.inf).max(1)
+    total = p.sum(1)[:, None]
+    shifted = a
+    if circular:  # cut before column k: the angles left of it move up 360
+        cw, cwa = np.zeros_like(p), np.zeros_like(p)
+        np.cumsum(p[:, :-1], 1, out=cw[:, 1:])
+        np.cumsum((p * a)[:, :-1], 1, out=cwa[:, 1:])
+        sum1 = (p * a).sum(1)[:, None] + 360.0 * cw
+        sum2 = (p * a ** 2).sum(1)[:, None] + 720.0 * cwa + 360.0 ** 2 * cw
+        k = np.argmin(sum2 / total - (sum1 / total) ** 2, 1)
+        shifted = a + 360.0 * (np.arange(a.size) < k[:, None])
+    mean = (p * shifted).sum(1)[:, None] / total
+    var = (p * (shifted - mean) ** 2).sum(1) / total[:, 0]
+    return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
+
+
+def statistics_table(sets) -> np.ndarray:
+    """One row of STAT_FIELDS per path set; an empty set's row is 0, 0, NaN...
+
+    The sets share one tx and one rx table, as the cases of one drop do.
+    Each side gets a (sets x rows) matrix of the effective power through
+    each table row and a mask of the rows some path goes through.
+    """
+    tables = {"tx": sets[0].tx, "rx": sets[0].rx}
+    tx, rx = tables.values()
+    if any(p.tx is not tx or p.rx is not rx for p in sets):
+        raise ConfigError("the path sets of one statistics pass must share their hop tables")
+    out = np.full((len(sets), len(STAT_FIELDS)), np.nan)
+    out[:, :2] = 0.0
+    live = [s for s, p in enumerate(sets) if len(p)]
+    power = {side: np.zeros((len(live), t.weight.size)) for side, t in tables.items()}
+    used = {side: np.zeros(pw.shape, bool) for side, pw in power.items()}
+    shared = {}  # outer blocks recur: LL, LN and NL read the same rows in every case
+
+    def terms(b):
+        if b.weight is not None:
+            return _block_terms(b, tx, rx)
+        key = (b.pair_type, b.tx_rows.tobytes(), b.rx_rows.tobytes())
+        if key not in shared:
+            shared[key] = _block_terms(b, tx, rx)
+        return shared[key]
+
+    for i, s in enumerate(live):
+        blocks = sets[s].blocks
+        k = sets[s].k_weights[[int(b.pair_type) for b in blocks]]
+        t = [terms(b) for b in blocks]
+        stored, mean, var, lo, hi = np.array([x[2] for x in t]).T
         p = k ** 2  # each block's effective power
         if p.sum() <= 0:
-            raise ConfigError("delay spread needs positive total weight")
-        between = _moments(mean, p)[1]
-        ds = float(np.sqrt(max(between + (p * var).sum() / p.sum(), 0.0)))
-    return float(np.sum(k ** 2 * stored)), ds, rows
+            raise ConfigError("spreads need positive total weight")
+        for b, pb, st, (ptx, prx, _) in zip(blocks, p, stored, t):
+            for side, pw, r in (("tx", ptx, b.tx_rows), ("rx", prx, b.rx_rows)):
+                power[side][i] += (pb / st) * pw
+                used[side][i, r] = True
+        ds = 0.0
+        if lo.min() != hi.max():
+            ds = np.sqrt(max(_moments(mean, p)[1] + (p * var).sum() / p.sum(), 0.0))
+        nn = sum(st for b, st in zip(blocks, stored) if b.pair_type == PairType.NN)
+        out[s, :3] = np.sum(p * stored), nn, ds
+    for col, (side, column, circular) in enumerate(_SPREAD_ANGLES, 3):
+        angles = np.degrees(getattr(tables[side], column))
+        out[live, col] = _spreads(angles, power[side], used[side], circular)
+    return out
 
 
-def total_power(paths: TargetPathSet) -> float:
-    """Realized channel power: squared stored weights under the K prefactors.
-
-    Equals 1 for the full convolution and the power-normalized cases, and
-    drops below 1 when a down-selection discards diffuse power.
-    """
-    return _marginals(paths)[0]
-
-
-def delay_spread(paths: TargetPathSet) -> float:
-    """Power-weighted RMS delay spread in seconds."""
-    return _marginals(paths)[1]
-
-
-def _weighted_rms(values: np.ndarray, p: np.ndarray) -> float:
-    """Centered power-weighted RMS deviation."""
-    return float(np.sqrt(max(_moments(values, p)[1], 0.0)))
-
-
-def _circular_spread_deg(angles_deg: np.ndarray, p: np.ndarray) -> float:
-    """Exact power-weighted circular RMS spread, minimized over origin shifts.
-
-    The optimal cut of the circle always falls in a gap between sorted
-    angles, so the minimum over continuous shifts equals the minimum over n
-    discrete cut positions. A prefix-sum scan locates the best cut in O(n);
-    the spread at that cut is then recomputed in centered form so the
-    returned value keeps full precision.
-    """
-    order = np.argsort(angles_deg)
-    a = angles_deg[order]
-    pw = p[order]
-    total = pw.sum()
-    s1 = float((pw * a).sum())
-    s2 = float((pw * a ** 2).sum())
-    # Cut after index k (k = 0: no shift): angles below index k move up 360.
-    cw = np.concatenate([[0.0], np.cumsum(pw)[:-1]])
-    cwa = np.concatenate([[0.0], np.cumsum(pw * a)[:-1]])
-    sum1 = s1 + 360.0 * cw
-    sum2 = s2 + 720.0 * cwa + 360.0 ** 2 * cw
-    variance = sum2 / total - (sum1 / total) ** 2
-    k_best = int(np.argmin(variance))
-    shifted = a.copy()
-    shifted[:k_best] += 360.0
-    return _weighted_rms(shifted, pw)
-
-
-def _angle_spread(paths: TargetPathSet, rows: dict, which: str) -> float:
-    side, column = _SPREAD_ANGLES[which]
-    power, used = rows[side]
-    angles_deg = np.degrees(getattr(getattr(paths, side), column)[used])
-    if angles_deg.max() == angles_deg.min():
-        return 0.0
-    p = power[used]
-    if p.sum() <= 0:
-        raise ConfigError("angle spread needs positive total weight")
-    if which in ("ASA", "ASD"):
-        return _circular_spread_deg(angles_deg, p)
-    return _weighted_rms(angles_deg, p)
+def drop_statistics(paths: TargetPathSet) -> DropStatistics:
+    """All statistics of one concatenated path set."""
+    if len(paths) == 0:
+        raise ConfigError("an empty path set has no statistics")
+    row = statistics_table([paths])[0]
+    return DropStatistics(*map(float, row), case=paths.case,
+                          condition_pair=paths.condition_pair)
 
 
 def angle_spread(paths: TargetPathSet, which: str) -> float:
@@ -157,22 +167,7 @@ def angle_spread(paths: TargetPathSet, which: str) -> float:
     """
     if which not in SPREAD_METRICS:
         raise ConfigError(f"unknown spread metric {which!r}; one of {SPREAD_METRICS}")
-    return _angle_spread(paths, _marginals(paths)[2], which)
-
-
-def drop_statistics(paths: TargetPathSet) -> DropStatistics:
-    """All per-drop statistics of one concatenated path set."""
-    power, ds, rows = _marginals(paths)
-    return DropStatistics(
-        total_power=power,
-        ds=ds,
-        asa=_angle_spread(paths, rows, "ASA"),
-        asd=_angle_spread(paths, rows, "ASD"),
-        zsa=_angle_spread(paths, rows, "ZSA"),
-        zsd=_angle_spread(paths, rows, "ZSD"),
-        case=paths.case,
-        condition_pair=paths.condition_pair,
-    )
+    return getattr(drop_statistics(paths), which.lower())
 
 
 @dataclass

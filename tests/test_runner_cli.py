@@ -229,6 +229,14 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert main(["concat-study", "--config", b1_cfg, "--drops", "1",
                  "--out", str(tmp_path / "study_b1")]) == 0
+    # nor reads the B1 file at all, while a run with that file is refused
+    no_b1 = write_cfg(tmp_path, f"rcs.b1_table = {tmp_path / 'nope.tbl'}\n")
+    study_out = tmp_path / "study_no_b1"
+    assert main(["concat-study", "--config", no_b1, "--drops", "1",
+                 "--out", str(study_out)]) == 0
+    assert {"statistics.txt", "manifest.txt"} <= set(os.listdir(study_out))
+    assert main(["run", "--config", no_b1, "--out", str(tmp_path / "run_no_b1")]) == 2
+    assert not (tmp_path / "run_no_b1").exists()
 
 
 def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):

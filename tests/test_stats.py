@@ -26,12 +26,12 @@ from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStre
 from isacsim.smallscale import generate_sublink
 from isacsim.stats import (
     DropStatistics,
+    STAT_FIELDS,
     angle_spread,
-    delay_spread,
     drop_statistics,
     empirical_cdf,
     ks_statistic,
-    total_power,
+    statistics_table,
 )
 
 
@@ -92,28 +92,28 @@ def effective_weights(paths):
 
 def test_delay_spread_two_path_oracles():
     p = make_paths([0.0, 100e-9], [1.0, 1.0], [0, 0])
-    assert delay_spread(p) == pytest.approx(50e-9, rel=1e-12)
+    assert drop_statistics(p).ds == pytest.approx(50e-9, rel=1e-12)
     p = make_paths([0.0, 100e-9], [1.0, 2.0], [0, 0])
     # powers 1/5 and 4/5: mean 80 ns, rms 40 ns
-    assert delay_spread(p) == pytest.approx(40e-9, rel=1e-12)
+    assert drop_statistics(p).ds == pytest.approx(40e-9, rel=1e-12)
 
 
 def test_delay_spread_degenerate_cases():
     p = make_paths([42e-9], [1.0], [0])
-    assert delay_spread(p) == 0.0
+    assert drop_statistics(p).ds == 0.0
     p = make_paths([1e-9, 1e-9], [1.0, 3.0], [0, 0])
-    assert delay_spread(p) == 0.0
+    assert drop_statistics(p).ds == 0.0
     with pytest.raises(ConfigError):
-        delay_spread(make_paths([], [], []))
+        drop_statistics(make_paths([], [], [])).ds
 
 
 def test_spread_invariances():
     delays = [0.0, 30e-9, 90e-9]
     weights = [1.0, 0.5, 0.25]
-    base = delay_spread(make_paths(delays, weights, [0, 0, 0]))
-    scaled_w = delay_spread(make_paths(delays, [7 * w for w in weights], [0, 0, 0]))
+    base = drop_statistics(make_paths(delays, weights, [0, 0, 0])).ds
+    scaled_w = drop_statistics(make_paths(delays, [7 * w for w in weights], [0, 0, 0])).ds
     assert scaled_w == pytest.approx(base, rel=1e-12)
-    scaled_t = delay_spread(make_paths([2 * d for d in delays], weights, [0, 0, 0]))
+    scaled_t = drop_statistics(make_paths([2 * d for d in delays], weights, [0, 0, 0])).ds
     assert scaled_t == pytest.approx(2 * base, rel=1e-12)
 
 
@@ -190,9 +190,9 @@ def test_total_power_uses_raw_weights():
     p = make_paths([0.0, 1e-9, 2e-9], [3.0, 4.0, 5.0], [0, 0, 3],
                    k_weights=(0.8, 0.0, 0.0, 0.6))
     expect = 0.8 ** 2 * (9 + 16) + 0.6 ** 2 * 25
-    assert total_power(p) == pytest.approx(expect, rel=1e-12)
+    assert drop_statistics(p).total_power == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ConfigError):
-        total_power(make_paths([], [], []))
+        drop_statistics(make_paths([], [], [])).total_power
 
 
 def test_drop_statistics_bundle():
@@ -288,6 +288,7 @@ def oracle_statistics(paths):
 
     return {
         "total_power": float(np.sum((paths.k_weights[paths.pair_type] * paths.weight) ** 2)),
+        "nn_power": float(np.sum(paths.weight[paths.pair_type == PairType.NN] ** 2)),
         "ds": spread(paths.joint_delay),
         "asa": spread(np.degrees(paths.rx_azimuth), circular=True),
         "asd": spread(np.degrees(paths.tx_azimuth), circular=True),
@@ -332,22 +333,31 @@ def oracle_drops():
 
 
 def test_marginal_statistics_match_per_path_oracle(oracle_drops):
+    """Each set on its own, and every case of a drop in one statistics pass,
+    where the other cases' rows share the power matrices."""
     pairs = set()
+    empty = 0
     worst = 0.0
     for t1, t2, streams in oracle_drops:
-        for case in ALL_CASES:
-            paths = concatenate(t1, t2, case, streams=streams)
-            if len(paths) == 0:
+        sets = [concatenate(t1, t2, case, streams=streams) for case in ALL_CASES]
+        table = statistics_table(sets)
+        for paths, row in zip(sets, table):
+            if len(paths) == 0:  # the row the runner writes for an empty set
+                assert paths.case is ConcatCase.CASE_A
+                np.testing.assert_array_equal(row, [0.0, 0.0] + [np.nan] * 5)
+                empty += 1
                 continue
             pairs.add(paths.condition_pair)
             st = drop_statistics(paths)
-            for field, want in oracle_statistics(paths).items():
-                got = getattr(st, field)
-                if want == 0.0:
-                    assert got == 0.0, (case, field)
-                else:
-                    worst = max(worst, abs(got - want) / abs(want))
+            want = oracle_statistics(paths)
+            for field, in_table in zip(STAT_FIELDS, row):
+                for got in (getattr(st, field), in_table):
+                    if want[field] == 0.0:
+                        assert got == 0.0, (paths.case, field)
+                    else:
+                        worst = max(worst, abs(got - want[field]) / abs(want[field]))
     assert pairs == {"LL", "LN", "NL", "NN"}
+    assert empty > 0
     assert worst <= 1e-12
 
 
