@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -19,6 +20,10 @@ from . import __version__
 from .errors import ConfigError, NumericError, UnsupportedFeatureError
 from .metrics import detection_table
 from .rcs import fit_lognormal_db
+
+# A detect grid with more rows is refused before anything is allocated: its
+# row tuples and text alone would take hundreds of megabytes.
+MAX_DETECT_ROWS = 1_000_000
 
 
 def _add_common(parser: argparse.ArgumentParser, need_config: bool) -> None:
@@ -125,11 +130,22 @@ def _parse_pfa_list(text: str):
 
 def _cmd_detect(args) -> int:
     pfa_values = _parse_pfa_list(args.pfa)
+    for flag in ("snr_min", "snr_max", "snr_step", "sigma"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ConfigError(
+                f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}"
+            )
     if args.snr_step <= 0:
         raise ConfigError(f"--snr-step must be positive, got {args.snr_step}")
     if args.snr_max < args.snr_min:
         raise ConfigError("--snr-max must be >= --snr-min")
-    n = int(round((args.snr_max - args.snr_min) / args.snr_step)) + 1
+    steps = (args.snr_max - args.snr_min) / args.snr_step
+    if (steps + 1) * len(pfa_values) > MAX_DETECT_ROWS:
+        raise ConfigError(
+            f"the detection grid would have {(steps + 1) * len(pfa_values):.4g} rows, "
+            f"more than {MAX_DETECT_ROWS}; raise --snr-step or narrow the sweep"
+        )
+    n = int(round(steps)) + 1
     snr_values = [args.snr_min + i * args.snr_step for i in range(n)]
     rows = detection_table(pfa_values, snr_values, noise_std=args.sigma)
     lines = ["# snr_db pfa pd"]

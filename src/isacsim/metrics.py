@@ -3,8 +3,19 @@ bounds of a pulsed waveform, and envelope detection statistics.
 
 Detection model: after matched filtering, the sample magnitude is Rayleigh
 distributed under noise only and Rician under signal plus noise, with
-per-quadrature noise standard deviation sigma and signal envelope A. The
-SNR convention used by the table helper is SNR = A^2 / (2 sigma^2).
+noise standard deviation sigma in each of the I and Q channels and signal
+envelope A. The SNR convention used by the table helper is
+SNR = A^2 / (2 sigma^2).
+
+The detection probability is the Marcum function Q1(A/sigma, V_T/sigma),
+evaluated as a Poisson mixture of Poisson CDFs (D. A. Shnidman, IEEE Trans.
+Inf. Theory 35(2), 1989): with lam = A^2/(2 sigma^2) and x = V_T^2/(2 sigma^2),
+
+    Pd = sum_j P_lam(j) F_x(j),    1 - Pd = sum_j P_lam(j) (1 - F_x(j)),
+
+where P_mu is the Poisson(mu) pmf and F_x the Poisson(x) CDF. Every term
+is positive, so the sums need numpy only and keep their relative accuracy
+in both tails.
 """
 from __future__ import annotations
 
@@ -12,8 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.integrate import quad
-from scipy.special import i0e
+import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericError
@@ -49,10 +59,15 @@ class DetectionParams:
     signal_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.noise_std <= 0:
-            raise ConfigError("noise std must be positive")
-        if self.threshold < 0 or self.signal_amplitude < 0:
-            raise ConfigError("threshold and signal amplitude must be >= 0")
+        if not (0.0 < self.noise_std < math.inf):
+            raise ConfigError(f"noise std must be positive and finite, got {self.noise_std}")
+        if not (0.0 <= self.threshold < math.inf and 0.0 <= self.signal_amplitude < math.inf):
+            raise ConfigError("threshold and signal amplitude must be finite and >= 0")
+        if pfa(self) == 0.0:
+            raise ConfigError(
+                f"threshold {self.threshold} is so far above noise std {self.noise_std} "
+                "that the false-alarm probability underflows to 0"
+            )
 
 
 class RangeMetrics(NamedTuple):
@@ -140,59 +155,119 @@ def angle_metrics(
 
 def pfa(p: DetectionParams) -> float:
     """False-alarm probability of a Rayleigh envelope: exp(-V_T^2/(2 sigma^2))."""
-    return math.exp(-(p.threshold ** 2) / (2.0 * p.noise_std ** 2))
+    ratio = p.threshold / p.noise_std
+    return math.exp(-0.5 * ratio * ratio)
 
 
 def threshold_for_pfa(target_pfa: float, noise_std: float) -> float:
     """Threshold achieving a wanted false-alarm probability (inverse of pfa)."""
     if not (0.0 < target_pfa <= 1.0):
         raise ConfigError(f"false-alarm probability must be in (0, 1], got {target_pfa}")
-    if noise_std <= 0:
-        raise ConfigError("noise std must be positive")
+    if not (0.0 < noise_std < math.inf):
+        raise ConfigError(f"noise std must be positive and finite, got {noise_std}")
     return noise_std * math.sqrt(-2.0 * math.log(target_pfa))
+
+
+# Beyond mu +/- (10 sqrt(mu) + 40) a Poisson(mu) tail holds less than 2e-22
+# of the mass (Chernoff bounds), so a sum truncated there loses nothing that
+# a double can show.
+def _reach(mu):
+    return mu + 10.0 * np.sqrt(mu) + 40.0
+
+
+_WIDTH_STEP = 64  # series lengths round up to a multiple of this, so points share chunks
+_CHUNK_ELEMENTS = 1 << 16  # points x series terms evaluated at once
+
+
+def _poisson_weights(mu, j):
+    """Poisson(mu) pmf on the terms ``j`` = 0, 1, ..., one row per mean, up to
+    a per-row factor: 1 at the mode, by the recurrences P(j+1) = P(j) mu/(j+1)
+    upward and P(j-1) = P(j) j/mu downward. Each ratio array is clipped at 1,
+    which is exactly where it steps across the mode."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_j = np.where(j > 0, 1.0 / j, np.inf)
+        inv_mu = np.where(mu > 0, 1.0 / mu, np.inf)
+        up = np.fmin(mu[:, None] * inv_j, 1.0)
+        down = np.fmin((j + 1.0) * inv_mu[:, None], 1.0)
+    np.cumprod(up, axis=1, out=up)
+    up *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    return up
+
+
+def _marcum_q1(x, lam):
+    """Q1(sqrt(2 lam), sqrt(2 x)) for every (x, lam) pair, shape (len(x), len(lam)).
+
+    For each x, the CDF F_x and its complement 1 - F_x come from one set of
+    Poisson(x) weights. A point with lam <= x sums Pd directly; one with
+    lam > x sums 1 - Pd, so both small Pd and Pd near 1 keep their accuracy.
+    Past lam_cut(x), where lam - 10 sqrt(lam) - 40 = reach(x), 1 - Pd is below
+    4e-22 and Pd is 1.0. So no point sums more than reach(lam_cut(x)) terms,
+    however high its SNR. A point's series length depends on its own
+    (x, lam) alone, so its value does not depend on the rest of the grid.
+    """
+    out = np.ones((x.size, lam.size))
+    for row, xi in zip(out, x):
+        root = 5.0 + math.sqrt(65.0 + _reach(xi))
+        lam_cut = root * root
+        terms = np.arange(_WIDTH_STEP * math.ceil(_reach(lam_cut) / _WIDTH_STEP), dtype=float)
+        wx = _poisson_weights(np.array([xi]), terms)[0]
+        cdf = np.cumsum(wx)
+        lower = cdf / cdf[-1]
+        upper = np.append(np.cumsum(wx[::-1])[-2::-1], 0.0) / cdf[-1]
+        for complement, tail, take in (
+            (False, lower, lam <= xi),
+            (True, upper, (lam > xi) & (lam <= lam_cut)),
+        ):
+            idx = np.flatnonzero(take)
+            widths = _WIDTH_STEP * np.ceil(_reach(np.maximum(lam[idx], xi)) / _WIDTH_STEP)
+            for width in np.unique(widths).astype(int):
+                group = idx[widths == width]
+                rows = max(1, _CHUNK_ELEMENTS // width)
+                for start in range(0, group.size, rows):
+                    part = group[start:start + rows]
+                    w = _poisson_weights(lam[part], terms[:width])
+                    s = np.sum(w * tail[:width], axis=1) / np.sum(w, axis=1)
+                    row[part] = 1.0 - s if complement else s
+    return out
+
+
+def _pd_grid(thresholds, amplitudes, noise_std: float):
+    """Pd for every (threshold, amplitude) pair, shape (thresholds, amplitudes)."""
+    x = 0.5 * (np.asarray(thresholds, dtype=float) / noise_std) ** 2
+    lam = 0.5 * (np.asarray(amplitudes, dtype=float) / noise_std) ** 2
+    return _marcum_q1(x, lam)
 
 
 def pd(p: DetectionParams) -> float:
     """Detection probability of a Rician envelope above the threshold.
 
-    Integrates (x/sigma^2) exp(-(A^2+x^2)/(2 sigma^2)) I0(A x / sigma^2)
-    from V_T upward. The integrand is evaluated in exponentially scaled
-    form, exp(-(x-A)^2/(2 sigma^2)) i0e(A x/sigma^2) x/sigma^2, which is
-    numerically stable for large A/sigma. With A = 0 this reduces exactly
-    to the Rayleigh tail, so pd == pfa.
+    Pd = Q1(A/sigma, V_T/sigma), summed as the Poisson series of the module
+    docstring; a one-point call into the kernel that ``detection_table``
+    uses for its whole grid, so both give the same bits. With A = 0 the
+    series is the Rayleigh tail exp(-V_T^2/(2 sigma^2)), so pd == pfa.
     """
-    a, vt, s = p.signal_amplitude, p.threshold, p.noise_std
-    s2 = s * s
-
-    def integrand(x):
-        return (x / s2) * math.exp(-((x - a) ** 2) / (2.0 * s2)) * i0e(a * x / s2)
-
-    upper = max(vt, a) + 40.0 * s
-    if upper <= vt:
-        return 0.0
-    value, err = quad(integrand, vt, upper, epsabs=1e-13, epsrel=1e-11, limit=200)
-    if not math.isfinite(value) or err > 1e-6:
-        raise NumericError(
-            f"detection integral failed to converge: value={value!r}, "
-            f"abserr={err!r}, A={a}, V_T={vt}, sigma={s}"
-        )
-    return min(max(value, 0.0), 1.0)
+    return float(_pd_grid([p.threshold], [p.signal_amplitude], p.noise_std)[0, 0])
 
 
 def snr_to_amplitude(snr_db: float, noise_std: float = 1.0) -> float:
     """Signal envelope for a given SNR in dB under SNR = A^2/(2 sigma^2)."""
-    return noise_std * math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
+    try:
+        amplitude = noise_std * math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
+    except OverflowError:
+        amplitude = math.inf
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"SNR {snr_db} dB has no finite signal amplitude")
+    return amplitude
 
 
 def detection_table(pfa_values, snr_db_values, noise_std: float = 1.0):
-    """Rows (snr_db, pfa, pd) for curve plotting, one row per grid point."""
-    rows = []
-    for target in pfa_values:
-        vt = threshold_for_pfa(target, noise_std)
-        for snr_db in snr_db_values:
-            a = snr_to_amplitude(snr_db, noise_std)
-            point = DetectionParams(
-                noise_std=noise_std, threshold=vt, signal_amplitude=a
-            )
-            rows.append((float(snr_db), float(target), pd(point)))
-    return rows
+    """Rows (snr_db, pfa, pd) for curve plotting, one row per grid point,
+    pfa-major; the whole grid is one call into the Pd kernel."""
+    thresholds = [threshold_for_pfa(target, noise_std) for target in pfa_values]
+    amplitudes = [snr_to_amplitude(snr_db, noise_std) for snr_db in snr_db_values]
+    grid = _pd_grid(thresholds, amplitudes, noise_std)
+    return [
+        (float(snr_db), float(target), float(value))
+        for target, values in zip(pfa_values, grid)
+        for snr_db, value in zip(snr_db_values, values)
+    ]

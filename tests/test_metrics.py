@@ -1,8 +1,13 @@
 """Sensing metrics: closed-form bounds and envelope detection statistics."""
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ncx2
 
 from isacsim.errors import ConfigError, NumericError
 from isacsim.metrics import (
@@ -129,15 +134,86 @@ def test_detection_monotone_in_snr():
 
 
 def test_detection_against_rician_tail_marcum_series():
-    # independent check: Marcum Q_1(a/s, vt/s) via its series in modified
-    # Bessel terms, evaluated with numpy at a benign operating point
+    # independent check: Marcum Q_1(a/s, vt/s) as the survival function of
+    # scipy's noncentral chi-square, at a benign operating point
     a, vt, s = 2.0, 2.5, 1.0
-    from scipy.stats import ncx2
-
     # envelope^2 / s^2 is noncentral chi-square with 2 dof, nc = a^2/s^2
     expect = ncx2.sf((vt / s) ** 2, df=2, nc=(a / s) ** 2)
     got = pd(DetectionParams(noise_std=s, threshold=vt, signal_amplitude=a))
     assert got == pytest.approx(expect, abs=1e-9)
+
+
+# The grid of the `detect` benchmark workload: 6 false-alarm rates x 4001 SNRs.
+DETECT_PFA = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8)
+DETECT_SNR_DB = tuple(-10.0 + 0.01 * i for i in range(4001))
+
+
+def marcum_q1(vt, a, s=1.0):
+    """Q_1(a/s, vt/s) from scipy: envelope^2/s^2 is noncentral chi-square."""
+    return ncx2.sf((np.asarray(vt) / s) ** 2, 2, (np.asarray(a) / s) ** 2)
+
+
+def assert_detection_gate(got, expect):
+    # 1e-14 absolute everywhere, 1e-10 relative where Pd < 1e-6
+    got, expect = np.asarray(got), np.asarray(expect)
+    err = np.abs(got - expect)
+    assert err.max() <= 1e-14, err.max()
+    small = expect < 1e-6
+    assert np.all(err[small] <= 1e-10 * expect[small]), (err[small] / expect[small]).max()
+
+
+def test_detection_grid_matches_marcum_q1():
+    rows = detection_table(DETECT_PFA, DETECT_SNR_DB)
+    got = np.array([r[2] for r in rows])
+    vt = np.repeat([threshold_for_pfa(t, 1.0) for t in DETECT_PFA], len(DETECT_SNR_DB))
+    a = np.tile([snr_to_amplitude(s) for s in DETECT_SNR_DB], len(DETECT_PFA))
+    expect = marcum_q1(vt, a)
+    assert np.count_nonzero(expect < 1e-6) > 100  # the relative gate is exercised
+    assert_detection_gate(got, expect)
+    assert np.all(got >= np.repeat(DETECT_PFA, len(DETECT_SNR_DB)))
+
+
+# scipy's ncx2 raises OverflowError or stalls for V_T^2/sigma^2 below about
+# 1e-7 at high SNR, so the sweep keeps Pfa <= 0.999 (V_T^2/sigma^2 >= 2e-3).
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.floats(-15.0, math.log10(0.999)), st.floats(-40.0, 120.0))
+def test_detection_sweep_matches_marcum_q1(log10_pfa, snr_db):
+    vt = threshold_for_pfa(10.0 ** log10_pfa, 1.0)
+    a = snr_to_amplitude(snr_db)
+    assert_detection_gate([pd(DetectionParams(1.0, vt, a))], [marcum_q1(vt, a)])
+
+
+def test_detection_is_certain_at_high_snr():
+    # Pd reaches 1 however narrow the Rician peak. scipy's ncx2 returns NaN
+    # for the 200 dB noncentrality (2e20); Pd is nondecreasing in SNR and at
+    # most 1, so the 90 dB reference, exactly 1.0, stands in for it there.
+    t0 = time.perf_counter()
+    for target in (1e-2, 1e-8, 1e-15):
+        vt = threshold_for_pfa(target, 1.0)
+        for snr_db in (40.0, 60.0, 90.0, 200.0):
+            got = pd(DetectionParams(1.0, vt, snr_to_amplitude(snr_db)))
+            expect = marcum_q1(vt, snr_to_amplitude(min(snr_db, 90.0)))
+            assert abs(got - expect) <= 1e-14 and got >= target, (target, snr_db, got)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_detection_work_does_not_grow_with_snr():
+    vt = threshold_for_pfa(1e-8, 1.0)
+    tracemalloc.start()
+    try:
+        assert pd(DetectionParams(1.0, vt, snr_to_amplitude(200.0))) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_scalar_pd_is_the_table_entry():
+    rows = detection_table(DETECT_PFA, DETECT_SNR_DB)
+    for i in range(0, len(rows), 41):
+        snr_db, target, value = rows[i]
+        p = DetectionParams(1.0, threshold_for_pfa(target, 1.0), snr_to_amplitude(snr_db))
+        assert pd(p) == value, rows[i]
 
 
 def test_snr_amplitude_convention():
@@ -161,3 +237,17 @@ def test_detection_params_validation():
         DetectionParams(noise_std=1.0, threshold=-1.0)
     with pytest.raises(ConfigError):
         DetectionParams(noise_std=1.0, threshold=1.0, signal_amplitude=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            DetectionParams(noise_std=bad, threshold=1.0)
+        with pytest.raises(ConfigError):
+            DetectionParams(noise_std=1.0, threshold=bad)
+        with pytest.raises(ConfigError):
+            DetectionParams(noise_std=1.0, threshold=1.0, signal_amplitude=bad)
+        with pytest.raises(ConfigError):
+            threshold_for_pfa(1e-3, bad)
+    # a threshold whose false-alarm probability underflows to 0
+    with pytest.raises(ConfigError, match="underflows"):
+        DetectionParams(noise_std=1.0, threshold=40.0)
+    with pytest.raises(ConfigError):
+        snr_to_amplitude(4000.0)

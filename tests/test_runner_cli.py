@@ -1,6 +1,9 @@
 """End-to-end drop runner and command-line entry points."""
 import hashlib
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -271,6 +274,42 @@ def test_cli_detect_out_file_and_errors(tmp_path, capsys):
     assert main(["detect", "--snr-min", "5", "--snr-max", "0"]) == 2
     assert main(["detect", "--snr-step", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--snr-min", "nan"), ("--snr-max", "inf"), ("--snr-step", "inf"), ("--sigma", "nan"),
+])
+def test_cli_detect_rejects_non_finite_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "det"
+    assert main(["detect", flag, value, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-12", "5e-324"])
+def test_cli_detect_refuses_oversized_grid(tmp_path, capsys, step):
+    out = tmp_path / "det"
+    t0 = time.perf_counter()
+    assert main(["detect", "--snr-step", step, "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_detect_does_not_load_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        "import isacsim, isacsim.cli\n"
+        "assert isacsim.cli.main(['detect', '--snr-max', '0', '--out', sys.argv[1]]) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "detection.txt").exists()
 
 
 def test_cli_rcs_fit(tmp_path, capsys):
