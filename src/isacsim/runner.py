@@ -4,14 +4,16 @@ A run executes, per drop: hop construction (condition draw, path loss,
 K-factor, shadow fading), per-hop cluster generation, the two-hop link
 budget, path concatenation under the configured case, drop statistics, and
 optionally CIR synthesis plus the background channel and its combination
-with the target channel. Results are merged in drop order so the output
-files are identical for any worker count.
+with the target channel. Each drop formats its own CIR rows; the parent
+writes and hashes them in drop order as they arrive, so the output files
+are identical for any worker count and no drop's gains outlive its drop.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -62,6 +64,10 @@ CDF_METRICS = {
     "power": "total_power", "ds_ns": "ds_ns", "asa_deg": "asa_deg", "asd_deg": "asd_deg",
     "zsa_deg": "zsa_deg", "zsd_deg": "zsd_deg", "power_ratio": "nn_power_ratio",
 }
+CIR_HEADER = (
+    b"# one record per (drop, rx_element, tx_element, path)\n"
+    b"# drop u s path delay_s re/im per snapshot\n"
+)
 
 
 @dataclass
@@ -73,8 +79,8 @@ class DropResult:
     pl_target_db: float = np.nan
     pl_background_db: float = np.nan
     pl_isac_db: float = np.nan
-    cir_delays: np.ndarray | None = None
-    cir_gains: np.ndarray | None = None
+    cir_block: bytes | None = None  # this drop's cir.txt rows, formatted
+    cir_rows: int = 0
 
 
 @dataclass
@@ -83,6 +89,8 @@ class RunManifest:
     out_dir: str
     created_utc: str
     elapsed_s: float
+    workers: int = 1
+    cir_rows: int = 0  # data rows in cir.txt
     file_checksums: dict = field(default_factory=dict)
     config_lines: list = field(default_factory=list)
 
@@ -194,89 +202,106 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
                     pl_target, bg_hop.path_loss_db, coupling
                 )
                 cir = combine_channels(cir, bg, coupling)
-            rec.cir_delays = cir.delays
-            rec.cir_gains = cir.gains
+            rec.cir_block = _cir_block(drop, cir.delays, cir.gains)
+            rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
         results.append(rec)
     return results
 
 
-def _write_text(path: str, lines: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+def _format_rows(prefixes: list, values: np.ndarray) -> str:
+    """One text line per row: its prefix, then each value as ``%.12e``.
+
+    ``values`` is (len(prefixes), n). A prefix ends in a space unless it is
+    empty, and holds no ``%``. One template formats every row at once.
+    """
+    fields = " ".join(["%.12e"] * values.shape[1]) + "\n"
+    template = "".join(prefix + fields for prefix in prefixes)
+    return template % tuple(values.ravel().tolist())
+
+
+def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray) -> bytes:
+    """cir.txt rows of one drop: ``drop u s path delay re im re im ...``."""
+    n_u, n_s, n_paths, n_t = gains.shape
+    vals = np.empty((n_u, n_s, n_paths, 1 + 2 * n_t))
+    vals[..., 0] = delays
+    vals[..., 1::2] = gains.real
+    vals[..., 2::2] = gains.imag
+    prefixes = [f"{drop} {u} {s} {p} "
+                for u in range(n_u) for s in range(n_s) for p in range(n_paths)]
+    return _format_rows(prefixes, vals.reshape(-1, 1 + 2 * n_t)).encode("ascii")
+
+
+def _write_text(path: str, text: str) -> str:
+    """Write ``text`` to ``path`` and return the SHA-256 of its bytes."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_statistics(out_dir: str, records: list, table: np.ndarray,
                       columns: tuple) -> str:
-    lines = ["# drop case condition_pair " + " ".join(columns)]
-    for rec, row in zip(records, table):
-        body = " ".join("%.12e" % v for v in row)
-        lines.append(f"{rec.drop} {rec.case} {rec.condition_pair} {body}")
-    path = os.path.join(out_dir, "statistics.txt")
-    _write_text(path, lines)
-    return path
+    prefixes = [f"{rec.drop} {rec.case} {rec.condition_pair} " for rec in records]
+    text = ("# drop case condition_pair " + " ".join(columns) + "\n"
+            + _format_rows(prefixes, table))
+    return _write_text(os.path.join(out_dir, "statistics.txt"), text)
 
 
 def _write_cdf(path: str, values: np.ndarray) -> str:
     cdf = empirical_cdf(values)
-    lines = ["# value probability"]
-    lines += ["%.12e %.12e" % (v, p) for v, p in zip(cdf.values, cdf.probabilities)]
-    _write_text(path, lines)
-    return path
+    rows = np.column_stack([cdf.values, cdf.probabilities])
+    return _write_text(path, "# value probability\n" + _format_rows([""] * len(rows), rows))
 
 
-def _write_cdfs(out_dir: str, records: list, table: np.ndarray, columns: tuple) -> list:
+def _write_cdfs(out_dir: str, records: list, table: np.ndarray, columns: tuple) -> dict:
     """One value-probability file per metric per case, of its finite values."""
     cases = np.array([rec.case for rec in records])
-    paths = []
+    checksums = {}
     for case in sorted(set(cases)):
         for metric, column in CDF_METRICS.items():
             if column in columns:
                 values = table[cases == case, columns.index(column)]
                 values = values[np.isfinite(values)]
                 if values.size:
-                    paths.append(_write_cdf(
-                        os.path.join(out_dir, f"cdf_{metric}_{case}.txt"), values
-                    ))
-    return paths
+                    name = f"cdf_{metric}_{case}.txt"
+                    checksums[name] = _write_cdf(os.path.join(out_dir, name), values)
+    return checksums
 
 
-def _write_cir(out_dir: str, records: list) -> str | None:
-    lines = [
-        "# one record per (drop, rx_element, tx_element, path)",
-        "# drop u s path delay_s re/im per snapshot",
-    ]
-    any_cir = False
-    for rec in records:
-        if rec.cir_gains is None:
-            continue
-        any_cir = True
-        gains = rec.cir_gains
-        n_u, n_s, n_paths, _ = gains.shape
-        for u in range(n_u):
-            for s in range(n_s):
-                for p in range(n_paths):
-                    g = gains[u, s, p]
-                    vals = " ".join(
-                        "%.12e %.12e" % (z.real, z.imag) for z in g
-                    )
-                    lines.append(
-                        f"{rec.drop} {u} {s} {p} "
-                        + "%.12e " % rec.cir_delays[p] + vals
-                    )
-    if not any_cir:
-        return None
-    path = os.path.join(out_dir, "cir.txt")
-    _write_text(path, lines)
-    return path
+def _stream_drops(per_drop, cir_path: str) -> tuple:
+    """Collect every drop's records in drop order, streaming its CIR block out.
 
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    Each block is appended to ``cir_path + ".part"`` and to a running SHA-256
+    as soon as its drop arrives, then released. After the last drop the part
+    file becomes ``cir_path``; if a drop raises it is removed. No file is
+    made when no drop has a CIR. Returns (records, cir.txt digest or None,
+    cir.txt data rows).
+    """
+    part = cir_path + ".part"
+    records, rows, fh = [], 0, None
+    digest = hashlib.sha256(CIR_HEADER)
+    try:
+        for drop_records in per_drop:
+            for rec in drop_records:
+                records.append(rec)
+                if rec.cir_block is None:
+                    continue
+                if fh is None:
+                    fh = open(part, "wb")
+                    fh.write(CIR_HEADER)
+                fh.write(rec.cir_block)
+                digest.update(rec.cir_block)
+                rows += rec.cir_rows
+                rec.cir_block = None
+        if fh is not None:
+            fh.close()
+            os.replace(part, cir_path)
+    except BaseException:
+        if fh is not None:
+            fh.close()
+            os.unlink(part)
+        raise
+    return records, (digest.hexdigest() if fh is not None else None), rows
 
 
 def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
@@ -319,14 +344,13 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         )
     os.makedirs(out_dir, exist_ok=True)
 
-    if workers == 1:
-        per_drop = [worker(d) for d in range(cfg.drops)]
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            per_drop = pool.map(worker, range(cfg.drops))
+    drops = range(cfg.drops)
+    with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+        per_drop = pool.imap(worker, drops) if pool else map(worker, drops)
+        records, cir_digest, cir_rows = _stream_drops(
+            per_drop, os.path.join(out_dir, "cir.txt")
+        )
 
-    records = [r for drop_records in per_drop for r in drop_records]  # in drop order
     table, columns = np.array([r.stats for r in records]), STAT_COLUMNS
     if study:  # each row's NN power against its drop's full convolution
         nn = table[:, columns.index("nn_power")]
@@ -335,18 +359,19 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
                  for r, v in zip(records, nn)]
         table, columns = np.column_stack([table, ratio]), columns + ("nn_power_ratio",)
 
-    written = [_write_statistics(out_dir, records, table, columns)]
-    written += _write_cdfs(out_dir, records, table, columns)
-    cir_path = _write_cir(out_dir, records)
-    if cir_path:
-        written.append(cir_path)
+    checksums = {"statistics.txt": _write_statistics(out_dir, records, table, columns)}
+    checksums.update(_write_cdfs(out_dir, records, table, columns))
+    if cir_digest is not None:
+        checksums["cir.txt"] = cir_digest
 
     manifest = RunManifest(
         version=__version__,
         out_dir=out_dir,
         created_utc=created,
         elapsed_s=time.perf_counter() - t0,
-        file_checksums={os.path.basename(p): _sha256(p) for p in written},
+        workers=workers,
+        cir_rows=cir_rows,
+        file_checksums=checksums,
         config_lines=config_echo(cfg),
     )
     _write_manifest(out_dir, manifest, records)
@@ -359,6 +384,8 @@ def _write_manifest(out_dir: str, manifest: RunManifest, records: list) -> None:
         f"version = {manifest.version}",
         f"created_utc = {manifest.created_utc}",
         "elapsed_s = %.3f" % manifest.elapsed_s,
+        f"workers = {manifest.workers}",
+        f"cir_rows = {manifest.cir_rows}",
     ]
     pl = [r.pl_target_db for r in records if np.isfinite(r.pl_target_db)]
     if pl:
@@ -371,7 +398,7 @@ def _write_manifest(out_dir: str, manifest: RunManifest, records: list) -> None:
         lines.append(f"{name} sha256={digest}")
     lines.append("[config]")
     lines.extend(manifest.config_lines)
-    _write_text(os.path.join(out_dir, "manifest.txt"), lines)
+    _write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> RunManifest:

@@ -7,7 +7,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from isacsim import runner
 from isacsim.cli import main
 from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
@@ -90,10 +94,120 @@ def test_rerun_is_byte_identical(tmp_path):
         assert m1.file_checksums[name] == m2.file_checksums[name], name
 
 
+# CaseA under auto conditions at seed 3: drop 8 draws both hops NLOS and has
+# no path, so its empty CIR sits between drops that stream rows
+AUTO_CASE_A = (
+    "frequency_hz = 6e9\nmaster_seed = 3\ndrops = 10\nconcat_case = CaseA\n"
+    "snapshots.count = 2\n"
+)
+
+
 def test_worker_count_does_not_change_outputs(tmp_path):
     m1 = run(make_cfg(drops=4), out_dir=str(tmp_path / "w1"), workers=1)
     m2 = run(make_cfg(drops=4), out_dir=str(tmp_path / "w4"), workers=4)
     assert m1.file_checksums == m2.file_checksums
+
+
+def test_empty_drops_stream_the_same_for_any_worker_count(tmp_path):
+    m1 = run(validate_config(AUTO_CASE_A), out_dir=str(tmp_path / "w1"), workers=1)
+    m3 = run(validate_config(AUTO_CASE_A), out_dir=str(tmp_path / "w3"), workers=3)
+    assert m1.file_checksums == m3.file_checksums
+    with open(tmp_path / "w3" / "cir.txt") as fh:
+        drops = {int(line.split(maxsplit=1)[0]) for line in fh if not line.startswith("#")}
+    # the premise: an empty drop between two that stream rows
+    assert any(d not in drops and {d - 1, d + 1} <= drops for d in range(1, 9))
+
+
+def manifest_header(out_dir):
+    """The manifest's ``key = value`` header fields and its [files] digests."""
+    with open(os.path.join(out_dir, "manifest.txt")) as fh:
+        head, rest = fh.read().split("[files]\n")
+    fields = dict(line.split(" = ") for line in head.splitlines() if " = " in line)
+    files = rest.split("[config]\n")[0].splitlines()
+    return fields, dict(line.split(" sha256=") for line in files)
+
+
+def test_manifest_cir_digest_rows_and_workers(tmp_path):
+    out = str(tmp_path / "run")
+    manifest = run(validate_config(AUTO_CASE_A), out_dir=out, workers=2)
+    fields, listed = manifest_header(out)
+    # the digest is taken while streaming; it must match the bytes on disk
+    assert listed["cir.txt"] == sha(os.path.join(out, "cir.txt"))
+    with open(os.path.join(out, "cir.txt")) as fh:
+        rows = sum(1 for line in fh if not line.startswith("#"))
+    assert rows > 0
+    assert int(fields["cir_rows"]) == rows == manifest.cir_rows
+    assert int(fields["workers"]) == 2 == manifest.workers
+    assert not any(name.endswith(".part") for name in os.listdir(out))
+
+
+def test_run_without_paths_writes_no_cir(tmp_path):
+    out = str(tmp_path / "nlos")
+    text = cfg_text(drops=3).replace("Case2O", "CaseA").replace("= LOS", "= NLOS")
+    manifest = run(validate_config(text), out_dir=out)
+    assert not {"cir.txt", "cir.txt.part"} & set(os.listdir(out))
+    fields, listed = manifest_header(out)
+    assert "statistics.txt" in listed
+    assert "cir.txt" not in listed
+    assert listed == manifest.file_checksums
+    assert fields["cir_rows"] == "0"
+
+
+def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
+    calls = []
+    synthesize = runner.synthesize_target_cir
+
+    def fail_on_drop_2(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # every drop has paths, so call i is drop i
+            raise RuntimeError("drop 2 fails")
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "synthesize_target_cir", fail_on_drop_2)
+    out = str(tmp_path / "fail")
+    with pytest.raises(RuntimeError, match="drop 2 fails"):
+        run(make_cfg(drops=4), out_dir=out, workers=1)
+    assert len(calls) == 3
+    names = set(os.listdir(out))
+    assert not names & {"cir.txt", "cir.txt.part", "manifest.txt"}
+
+
+def cir_block_oracle(drop, delays, gains):
+    """The per-value cir.txt writer the block formatter replaced."""
+    lines = []
+    n_u, n_s, n_paths, _ = gains.shape
+    for u in range(n_u):
+        for s in range(n_s):
+            for p in range(n_paths):
+                vals = " ".join("%.12e %.12e" % (z.real, z.imag) for z in gains[u, s, p])
+                lines.append(f"{drop} {u} {s} {p} " + "%.12e " % delays[p] + vals)
+    return "".join(line + "\n" for line in lines).encode("ascii")
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300, 1.0, -3.5e-7]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+
+
+def complex_array(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im  # keeps -0.0 parts that re + 1j * im would lose
+    return out
+
+
+@st.composite
+def cir_arrays(draw):
+    shape = draw(st.tuples(*[st.integers(1, 3)] * 4))
+    parts = [draw(arrays(np.float64, shape, elements=FLOATS)) for _ in range(2)]
+    return draw(arrays(np.float64, shape[2], elements=FLOATS)), complex_array(*parts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.integers(0, 10**6), cir_arrays())
+@example(7, (np.array([-0.0]), complex_array([[[[5e-324]]]], [[[[-1e300]]]])))
+@example(0, (np.array([1e300]), complex_array([[[[-0.0]]]], [[[[-2.2e-310]]]])))
+def test_cir_block_matches_per_value_writer(drop, cir):
+    delays, gains = cir
+    assert runner._cir_block(drop, delays, gains) == cir_block_oracle(drop, delays, gains)
 
 
 def test_default_output_directory_is_stamped(tmp_path):
