@@ -10,6 +10,7 @@ are identical for any worker count and no drop's gains outlive its drop.
 """
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import time
@@ -68,6 +69,38 @@ CIR_HEADER = (
     b"# one record per (drop, rx_element, tx_element, path)\n"
     b"# drop u s path delay_s re/im per snapshot\n"
 )
+# The files a run writes; a run into a used directory first removes these,
+# so the directory never mixes two runs.
+OUTPUT_PATTERNS = ("cir.txt", "cir.txt.part", "statistics.txt", "cdf_*.txt", "manifest.txt")
+
+# %.12e text kernel (_fields): values per kernel call, which bounds its
+# working memory, and the bytes one field takes before NULs are deleted:
+# " -d." | 4 digits | 4 digits | 4 digits | "e+" NUL NUL NUL h t u.
+SLICE_VALUES = 1 << 16
+FIELD = 24
+_EMAX = 300  # the tables cover decimal exponents -_EMAX.._EMAX
+_SCALE = np.array([float(f"1e{12 - e}")  # 10**(12 - e), correctly rounded
+                   for e in range(-_EMAX, _EMAX + 1)])
+_ASCII_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.stack(np.meshgrid(*[_ASCII_DIGITS] * 4, indexing="ij"), -1).reshape(-1).view(
+    np.uint32)  # b"0000" .. b"9999"
+_HEAD = np.frombuffer(b"".join(b" " + sign + b"%d." % d
+                               for sign in (b"\0", b"-") for d in range(10)), np.uint32)
+_NEWLINE = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint8)
+
+
+def _exponent_table() -> np.ndarray:
+    """b"e+" NUL NUL NUL and three digits per exponent, hundreds NUL below 100."""
+    e = np.arange(-_EMAX, _EMAX + 1)
+    table = np.zeros((e.size, 8), np.uint8)
+    table[:, 0] = ord("e")
+    table[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    table[:, 5:] = _DIGITS4[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    table[np.abs(e) < 100, 5] = 0
+    return table.view(np.uint64).ravel()
+
+
+_EXP = _exponent_table()
 
 
 @dataclass
@@ -79,7 +112,7 @@ class DropResult:
     pl_target_db: float = np.nan
     pl_background_db: float = np.nan
     pl_isac_db: float = np.nan
-    cir_block: bytes | None = None  # this drop's cir.txt rows, formatted
+    cir_chunks: list | None = None  # this drop's cir.txt rows, as bytes slices
     cir_rows: int = 0
 
 
@@ -202,38 +235,108 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
                     pl_target, bg_hop.path_loss_db, coupling
                 )
                 cir = combine_channels(cir, bg, coupling)
-            rec.cir_block = _cir_block(drop, cir.delays, cir.gains)
+            rec.cir_chunks = _cir_block(drop, cir.delays, cir.gains)
             rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
         results.append(rec)
     return results
 
 
-def _format_rows(prefixes: list, values: np.ndarray) -> str:
+def _text(lines) -> np.ndarray:
+    """The ASCII bytes of each string as one NUL-padded uint8 row."""
+    a = np.array(lines, dtype="S")
+    return a.view(np.uint8).reshape(len(a), a.dtype.itemsize)
+
+
+def _row_slices(n_rows: int, n_cols: int) -> list:
+    """Consecutive row ranges of at most SLICE_VALUES values each."""
+    step = max(1, SLICE_VALUES // max(n_cols, 1))
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+
+
+def _fields(values: np.ndarray, out: np.ndarray) -> None:
+    """Write " " + ``"%.12e" % v`` of each value into ``out``, NUL-padded.
+
+    ``values`` is (m, n) and ``out`` an (m, n, FIELD) uint8 view whose rows
+    start 8-byte aligned. A value v = +-y * 10**(e - 12) with 1e12 <= y <
+    1e13 is written from the 13-digit integer round(y): the exponent comes
+    from log10, corrected once where it misses a power of ten, and y from one
+    multiplication by a correctly rounded power of ten, so it is within about
+    2**-52 * y of its exact value. Where y stays just outside [1e12, 1e13)
+    after the correction, the exact value is that close to a power of ten
+    and rounds to it, as y does. Zero, inf, NaN, |v| outside [1e-290, 1e290],
+    and y within twice that bound of a .5 tie go through Python's ``%``.
+    """
+    x = np.abs(values)
+    fast = (x >= 1e-290) & (x <= 1e290)
+    x = np.where(fast, x, 1.0)
+    e = np.floor(np.log10(x)).astype(np.intp)
+    y = x * _SCALE[e + _EMAX]
+    miss = np.nonzero((y < 1e12) | (y >= 1e13))
+    e[miss] += np.where(y[miss] < 1e12, -1, 1)
+    y[miss] = x[miss] * _SCALE[e[miss] + _EMAX]
+    n = np.rint(y)
+    slow = ~fast | (np.abs(y - n) + y * 2.0 ** -51 >= 0.5)
+    carry = n == 1e13  # 9.9999999999995... rounds up to the next exponent
+    n[carry] = 1e12
+    e += carry
+    top = np.floor(n / 1e8)  # exact: every operand is an integer below 2**53
+    low = n - top * 1e8
+    lead = np.floor(top / 1e4)
+    mid = np.floor(low / 1e4)
+    words = out.view(np.uint32)
+    words[..., 0] = _HEAD[10 * np.signbit(values) + lead.astype(np.intp)]
+    words[..., 1] = _DIGITS4[(top - lead * 1e4).astype(np.intp)]
+    words[..., 2] = _DIGITS4[mid.astype(np.intp)]
+    words[..., 3] = _DIGITS4[(low - mid * 1e4).astype(np.intp)]
+    out.view(np.uint64)[..., 2] = _EXP[e + _EMAX]
+    i, j = np.nonzero(slow)
+    if len(i):
+        text = ("%-20.12e" * len(i) % tuple(values[i, j].tolist())).encode("ascii")
+        out[i, j, 1:21] = np.frombuffer(text.replace(b" ", b"\0"), np.uint8).reshape(-1, 20)
+        out[i, j, 21:] = 0
+
+
+def _format_rows(prefix: np.ndarray, values: np.ndarray) -> bytes:
     """One text line per row: its prefix, then each value as ``%.12e``.
 
-    ``values`` is (len(prefixes), n). A prefix ends in a space unless it is
-    empty, and holds no ``%``. One template formats every row at once.
+    ``prefix`` holds each row's bytes NUL-padded (see _text); a prefix ends
+    in a space unless it is empty. ``values`` is (rows, n). Rows are laid
+    out at a fixed width with NUL in every unused byte and compacted by
+    deleting the NULs, SLICE_VALUES values at a time.
     """
-    fields = " ".join(["%.12e"] * values.shape[1]) + "\n"
-    template = "".join(prefix + fields for prefix in prefixes)
-    return template % tuple(values.ravel().tolist())
+    n_rows, n = values.shape
+    used = prefix.shape[1]
+    width = -(-used // 8) * 8  # keeps every field 8-byte aligned
+    out = []
+    for rows in _row_slices(n_rows, n):
+        buf = np.empty((rows.stop - rows.start, width + FIELD * n + 8), np.uint8)
+        buf[:, :used] = prefix[rows]
+        buf[:, used:width] = 0
+        _fields(values[rows], buf[:, width:width + FIELD * n].reshape(len(buf), n, FIELD))
+        buf[:, width] = 0  # no separator before a row's first value
+        buf[:, -8:] = _NEWLINE
+        out.append(buf.tobytes().translate(None, b"\0"))
+    return b"".join(out)
 
 
-def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray) -> bytes:
-    """cir.txt rows of one drop: ``drop u s path delay re im re im ...``."""
+def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray) -> list:
+    """cir.txt rows of one drop, ``drop u s path delay re im re im ...``, as
+    bytes slices of at most SLICE_VALUES values each."""
     n_u, n_s, n_paths, n_t = gains.shape
-    vals = np.empty((n_u, n_s, n_paths, 1 + 2 * n_t))
-    vals[..., 0] = delays
-    vals[..., 1::2] = gains.real
-    vals[..., 2::2] = gains.imag
-    prefixes = [f"{drop} {u} {s} {p} "
-                for u in range(n_u) for s in range(n_s) for p in range(n_paths)]
-    return _format_rows(prefixes, vals.reshape(-1, 1 + 2 * n_t)).encode("ascii")
+    heads = _text([f"{drop} {u} {s} " for u in range(n_u) for s in range(n_s)])
+    lines = _format_rows(_text([f"{p} " for p in range(n_paths)]), delays[:, None])
+    paths = _text([line + " " for line in lines.decode("ascii").splitlines()])  # "p delay "
+    values = np.ascontiguousarray(gains).reshape(-1, n_t).view(np.float64)  # re im ...
+    chunks = []
+    for rows in _row_slices(len(values), values.shape[1]):
+        r = np.arange(rows.start, rows.stop)
+        prefix = np.hstack([heads[r // n_paths], paths[r % n_paths]])
+        chunks.append(_format_rows(prefix, values[rows]))
+    return chunks
 
 
-def _write_text(path: str, text: str) -> str:
-    """Write ``text`` to ``path`` and return the SHA-256 of its bytes."""
-    data = text.encode("utf-8")
+def _write_text(path: str, data: bytes) -> str:
+    """Write ``data`` to ``path`` and return its SHA-256."""
     with open(path, "wb") as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest()
@@ -241,16 +344,17 @@ def _write_text(path: str, text: str) -> str:
 
 def _write_statistics(out_dir: str, records: list, table: np.ndarray,
                       columns: tuple) -> str:
-    prefixes = [f"{rec.drop} {rec.case} {rec.condition_pair} " for rec in records]
-    text = ("# drop case condition_pair " + " ".join(columns) + "\n"
-            + _format_rows(prefixes, table))
-    return _write_text(os.path.join(out_dir, "statistics.txt"), text)
+    prefix = _text([f"{rec.drop} {rec.case} {rec.condition_pair} " for rec in records])
+    data = (("# drop case condition_pair " + " ".join(columns) + "\n").encode("ascii")
+            + _format_rows(prefix, table))
+    return _write_text(os.path.join(out_dir, "statistics.txt"), data)
 
 
 def _write_cdf(path: str, values: np.ndarray) -> str:
     cdf = empirical_cdf(values)
     rows = np.column_stack([cdf.values, cdf.probabilities])
-    return _write_text(path, "# value probability\n" + _format_rows([""] * len(rows), rows))
+    no_prefix = np.zeros((len(rows), 0), np.uint8)
+    return _write_text(path, b"# value probability\n" + _format_rows(no_prefix, rows))
 
 
 def _write_cdfs(out_dir: str, records: list, table: np.ndarray, columns: tuple) -> dict:
@@ -284,15 +388,16 @@ def _stream_drops(per_drop, cir_path: str) -> tuple:
         for drop_records in per_drop:
             for rec in drop_records:
                 records.append(rec)
-                if rec.cir_block is None:
+                if rec.cir_chunks is None:
                     continue
                 if fh is None:
                     fh = open(part, "wb")
                     fh.write(CIR_HEADER)
-                fh.write(rec.cir_block)
-                digest.update(rec.cir_block)
+                for chunk in rec.cir_chunks:
+                    fh.write(chunk)
+                    digest.update(chunk)
                 rows += rec.cir_rows
-                rec.cir_block = None
+                rec.cir_chunks = None
         if fh is not None:
             fh.close()
             os.replace(part, cir_path)
@@ -343,6 +448,9 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
             cfg.out_dir or "runs", f"{stamp}-seed{cfg.master_seed}"
         )
     os.makedirs(out_dir, exist_ok=True)
+    for pattern in OUTPUT_PATTERNS:
+        for stale in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.unlink(stale)
 
     drops = range(cfg.drops)
     with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
@@ -398,7 +506,7 @@ def _write_manifest(out_dir: str, manifest: RunManifest, records: list) -> None:
         lines.append(f"{name} sha256={digest}")
     lines.append("[config]")
     lines.extend(manifest.config_lines)
-    _write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(out_dir, "manifest.txt"), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> RunManifest:

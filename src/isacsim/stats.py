@@ -87,12 +87,14 @@ def _spreads(angles_deg: np.ndarray, p: np.ndarray, used: np.ndarray,
     total = p.sum(1)[:, None]
     shifted = a
     if circular:  # cut before column k: the angles left of it move up 360
-        cw, cwa = np.zeros_like(p), np.zeros_like(p)
-        np.cumsum(p[:, :-1], 1, out=cw[:, 1:])
-        np.cumsum((p * a)[:, :-1], 1, out=cwa[:, 1:])
-        sum1 = (p * a).sum(1)[:, None] + 360.0 * cw
-        sum2 = (p * a ** 2).sum(1)[:, None] + 720.0 * cwa + 360.0 ** 2 * cw
-        k = np.argmin(sum2 / total - (sum1 / total) ** 2, 1)
+        # The variance at cut k exceeds the uncut one by 720 C/T + 360^2 L R/T^2:
+        # L and R are the power left and right of the cut, C the left sum of
+        # p (a - uncut mean). No term is a difference of near-equal sums.
+        left, dev = np.zeros_like(p), np.zeros_like(p)
+        np.cumsum(p[:, :-1], 1, out=left[:, 1:])
+        np.cumsum((p * (a - (p * a).sum(1)[:, None] / total))[:, :-1], 1, out=dev[:, 1:])
+        right = np.cumsum(p[:, ::-1], 1)[:, ::-1]
+        k = np.argmin(720.0 * dev / total + 360.0 ** 2 * left * right / total ** 2, 1)
         shifted = a + 360.0 * (np.arange(a.size) < k[:, None])
     mean = (p * shifted).sum(1)[:, None] / total
     var = (p * (shifted - mean) ** 2).sum(1) / total[:, 0]

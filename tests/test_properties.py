@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacsim.concatenation import (
@@ -72,8 +72,30 @@ def test_condition_weights_carry_unit_power(kp, kq):
     assert abs(np.sum(condition_weights(kp, kq) ** 2) - 1.0) < 1e-12
 
 
+def one_ray_off_axis():
+    """A Case1 set whose only tx azimuth off 0 (1 rad) carries 1.666e-8 of
+    the power: scoring cuts as sum2/T - (sum1/T)^2 loses that power to
+    cancellation and picks a wrong cut once the set is rotated."""
+    def table(n, los, azimuth):
+        zeros = np.zeros(n)
+        return HopTable(
+            sub=SimpleNamespace(has_los=los), weight=np.ones(n), delay=zeros,
+            dep_zenith=zeros, dep_azimuth=np.array(azimuth), arr_zenith=zeros,
+            arr_azimuth=zeros, cluster=np.zeros(n, np.int32), ray=np.zeros(n, np.int32),
+        )
+
+    tx, rx = table(3, True, [1.0, 0.0, 0.0]), table(2, False, [0.0, 0.0])
+    blocks = (
+        PathBlock(PairType.LN, np.array([2]), np.arange(2)),
+        PathBlock(PairType.NN, np.array([0]), np.array([0]), np.ones(1)),
+    )
+    return TargetPathSet(ConcatCase.CASE_1, tx, rx, blocks, np.array([0.0, 1.0, 0.0, 1.666e-8]))
+
+
 @PROPERTY
 @given(path_sets(), angles)
+@example(one_ray_off_axis(), 1.0)
+@example(one_ray_off_axis(), 2.0)
 def test_azimuth_spreads_ignore_a_common_rotation(paths, theta):
     def wrap(a):
         return np.mod(a + theta + math.pi, 2 * math.pi) - math.pi

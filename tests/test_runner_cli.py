@@ -153,6 +153,19 @@ def test_run_without_paths_writes_no_cir(tmp_path):
     assert fields["cir_rows"] == "0"
 
 
+def test_rerun_into_a_used_directory_clears_the_earlier_outputs(tmp_path):
+    out = str(tmp_path / "run")
+    run(make_cfg(), out_dir=out)
+    assert "cir.txt" in os.listdir(out)
+    for name in ("cir.txt.part", "cdf_power_Case9.txt", "notes.txt"):
+        open(os.path.join(out, name), "w").close()
+    run(make_cfg("output.cir = false\n"), out_dir=out)
+    _, listed = manifest_header(out)
+    assert "cir.txt" not in listed
+    # only this run's files, and what the runner does not name itself
+    assert set(os.listdir(out)) == set(listed) | {"manifest.txt", "notes.txt"}
+
+
 def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
     calls = []
     synthesize = runner.synthesize_target_cir
@@ -207,7 +220,7 @@ def cir_arrays(draw):
 @example(0, (np.array([1e300]), complex_array([[[[-0.0]]]], [[[[-2.2e-310]]]])))
 def test_cir_block_matches_per_value_writer(drop, cir):
     delays, gains = cir
-    assert runner._cir_block(drop, delays, gains) == cir_block_oracle(drop, delays, gains)
+    assert b"".join(runner._cir_block(drop, delays, gains)) == cir_block_oracle(drop, delays, gains)
 
 
 def test_default_output_directory_is_stamped(tmp_path):
