@@ -18,7 +18,7 @@ from isacsim.coefficients import (
     synthesize_background_cir,
     synthesize_target_cir,
 )
-from isacsim.concatenation import ConcatCase, PairType, concatenate
+from isacsim.concatenation import ConcatCase, HopTable, PairType, concatenate
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import NodeState, uniform_linear_array
 from isacsim.largescale import (
@@ -48,9 +48,10 @@ def main(argv=None):
     f_hz = 6e9
     lam = SPEED_OF_LIGHT / f_hz
     scen = ScenarioParams.from_table("UMi", f_hz)
-    tx = NodeState([0.0, 0.0, 10.0])
+    # 2 transmit and 4 receive elements at half-wavelength spacing
+    tx = NodeState([0.0, 0.0, 10.0], elements=uniform_linear_array(2, lam / 2.0))
     target = NodeState([40.0, 15.0, 1.5], velocity_mps=[8.0, 0.0, 0.0])
-    rx = NodeState([80.0, -10.0, 10.0])
+    rx = NodeState([80.0, -10.0, 10.0], elements=uniform_linear_array(4, lam / 2.0))
     streams = RandomStreams(args.seed, drop=0)
 
     # large-scale: per-hop condition, loss, K-factor
@@ -84,12 +85,9 @@ def main(argv=None):
           f"ASA {st.asa:5.1f}  ASD {st.asd:5.1f}  "
           f"ZSA {st.zsa:5.1f}  ZSD {st.zsd:5.1f} deg")
 
-    # coefficients: 2x4 arrays, 11 snapshots 1 ms apart
+    # coefficients: the nodes' 2x4 arrays, 11 snapshots 1 ms apart
     grid = SnapshotGrid(start_s=0.0, step_s=1e-3, count=11)
-    tx.elements = uniform_linear_array(2, lam / 2.0)
-    rx.elements = uniform_linear_array(4, lam / 2.0)
-    cir = synthesize_target_cir(paths, tx.elements, rx.elements,
-                                RcsModel(mean_rcs_m2=1.0, b2_std_db=3.0),
+    cir = synthesize_target_cir(paths, RcsModel(mean_rcs_m2=1.0, b2_std_db=3.0),
                                 grid, lam, streams.scoped(SCOPE_COEFF))
     print(f"\ntarget impulse response: gains {cir.gains.shape} "
           f"= (rx, tx, path, time)")
@@ -99,10 +97,12 @@ def main(argv=None):
     for i in order:
         print(f"    {cir.delays[i] * 1e9:8.2f} ns   {power[i]:.3e}")
 
-    # background single-hop channel and the combined set
-    bg, _ = synthesize_background_cir(tx, rx, scen, grid, lam,
-                                      streams.scoped(HOP_BACKGROUND),
-                                      tx.elements, rx.elements)
+    # background single-hop channel, built like any hop, and the combined set
+    bg_streams = streams.scoped(HOP_BACKGROUND)
+    hop_bg = build_hop(tx, rx, scen, bg_streams)
+    bg_table = HopTable.from_sublink(generate_sublink(
+        hop_bg, scen.condition_params(hop_bg.condition), bg_streams))
+    bg = synthesize_background_cir(bg_table, grid, lam)
     both = combine_channels(cir, bg, CouplingConfig(o_isac=0.5, mode="added"))
     bg_pow = float(np.mean(np.sum(np.abs(bg.gains) ** 2, axis=2)))
     print(f"\nbackground: {bg.gains.shape[2]} paths, mean per-antenna power "

@@ -14,9 +14,10 @@ point's in/out directions, and sigma is the per-path small-scale cross
 section. Geometry is frozen within a drop: only the Doppler exponential
 depends on t.
 
+Synthesis only turns hop tables into gains: the runner builds every hop.
 The target-channel gains carry no path-loss scale (the two-hop budget with
 the mean RCS is a separate large-scale quantity); the single-hop background
-generator does fold its path loss and shadowing into the gains.
+channel does fold its hop's path loss and shadowing into the gains.
 """
 from __future__ import annotations
 
@@ -25,19 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedFeatureError
-from .geometry import (
-    AntennaElement,
-    DirectionAngles,
-    NodeState,
-    field_components,
-    spherical_unit_vector,
-)
-from .largescale import CouplingConfig, HopLink, ScenarioParams, build_hop
+from .errors import ConfigError
+from .geometry import DirectionAngles, field_components, spherical_unit_vector
+from .largescale import CouplingConfig
 from .concatenation import HopTable, PairType, TargetPathSet, condition_weights
 from .rcs import PolarizationScattering, RcsModel, scattering_matrix, small_scale_sigma
 from .seeds import RandomStreams
-from .smallscale import generate_sublink
 
 
 @dataclass
@@ -163,8 +157,6 @@ def _array_gains(tx_elements, rx_elements, dep: DirectionAngles,
 
 def synthesize_target_cir(
     paths: TargetPathSet,
-    tx_elements: list,
-    rx_elements: list,
     rcs_model: RcsModel,
     grid: SnapshotGrid,
     wavelength_m: float,
@@ -173,20 +165,17 @@ def synthesize_target_cir(
 ) -> TargetChannelCir:
     """Synthesize the two-hop target channel for every antenna pair.
 
-    streams must be scoped to the coefficient stage of the drop; it feeds
-    the per-path cross-section fluctuation and, for non-identity
-    polarization modes, the scattering-matrix phases. Identity polarization
-    consumes no randomness for the scattering matrix.
+    The arrays are those of the transmit hop's from-node and the receive
+    hop's to-node. streams must be scoped to the coefficient stage of the
+    drop; it feeds the per-path cross-section fluctuation and, for
+    non-identity polarization modes, the scattering-matrix phases. Identity
+    polarization consumes no randomness for the scattering matrix.
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    if not tx_elements or not rx_elements:
-        raise ConfigError("both arrays need at least one element")
-    tx_sub = paths.tx.sub
-    rx_sub = paths.rx.sub
-    if not np.allclose(
-        tx_sub.hop.to_node.position_m, rx_sub.hop.from_node.position_m
-    ):
+    tx_hop = paths.tx.sub.hop
+    rx_hop = paths.rx.sub.hop
+    if not np.allclose(tx_hop.to_node.position_m, rx_hop.from_node.position_m):
         raise ConfigError("hops do not share the scattering point")
 
     n_paths = len(paths)
@@ -218,9 +207,9 @@ def synthesize_target_cir(
         rx_dir,
         DirectionAngles(paths.spin_zenith, paths.spin_azimuth),
         DirectionAngles(paths.spout_zenith, paths.spout_azimuth),
-        tx_sub.hop.from_node.velocity_mps,
-        rx_sub.hop.to_node.velocity_mps,
-        tx_sub.hop.to_node.total_velocity_mps,
+        tx_hop.from_node.velocity_mps,
+        rx_hop.to_node.velocity_mps,
+        tx_hop.to_node.total_velocity_mps,
         wavelength_m,
     )
     f_d = np.broadcast_to(np.asarray(f_d, float), (n_paths,))
@@ -228,8 +217,8 @@ def synthesize_target_cir(
     amp = paths.k_weights[paths.pair_type] * paths.weight * np.sqrt(sigma)
     return TargetChannelCir(
         delays=paths.joint_delay,
-        gains=_array_gains(tx_elements, rx_elements, tx_dir, rx_dir, pmat,
-                           amp, f_d, grid, wavelength_m),
+        gains=_array_gains(tx_hop.from_node.elements, rx_hop.to_node.elements,
+                           tx_dir, rx_dir, pmat, amp, f_d, grid, wavelength_m),
         pair_type=paths.pair_type.copy(),
         grid=grid,
         case=paths.case.value,
@@ -238,41 +227,18 @@ def synthesize_target_cir(
 
 
 def synthesize_background_cir(
-    tx_node: NodeState,
-    rx_node: NodeState,
-    scenario: ScenarioParams,
-    grid: SnapshotGrid,
-    wavelength_m: float,
-    streams: RandomStreams,
-    tx_elements: list | None = None,
-    rx_elements: list | None = None,
-    sensing_mode: str = "bistatic",
-    force_condition: str | None = None,
-) -> tuple[TargetChannelCir, HopLink]:
-    """Single-hop environment channel between transmitter and receiver.
+    table: HopTable, grid: SnapshotGrid, wavelength_m: float
+) -> TargetChannelCir:
+    """Single-hop environment channel of the transmitter-to-receiver table.
 
     Standard one-hop cluster channel: the specular ray under LOS, then the
-    diffuse rays, weighted by the Rician specular and diffuse shares. Path
-    loss and shadow fading are folded into the gains as 10^(-(PL+SF)/20).
-    Returns the channel and the hop it drew. Only the bi-static
-    arrangement has a defined environment hop; mono-static background
-    generation is intentionally refused.
+    diffuse rays, weighted by the Rician specular and diffuse shares. The
+    hop's path loss and shadow fading are folded into the gains as
+    10^(-(PL+SF)/20); its nodes give the arrays and velocities.
     """
-    if sensing_mode != "bistatic":
-        raise UnsupportedFeatureError(
-            "mono-static background channels are not modeled (direct reuse of "
-            "the one-hop statistical model has no self-to-self link); run "
-            "bi-static or disable the background"
-        )
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    tx_elements = tx_elements or [AntennaElement()]
-    rx_elements = rx_elements or [AntennaElement()]
-
-    hop = build_hop(tx_node, rx_node, scenario, streams, force_condition)
-    params = scenario.condition_params(hop.condition)
-    table = HopTable.from_sublink(generate_sublink(hop, params, streams))
-
+    hop = table.sub.hop
     rows = np.arange(table.num_diffuse)
     if table.sub.has_los:
         rows = np.concatenate([[table.num_diffuse], rows])  # specular first
@@ -286,21 +252,20 @@ def synthesize_background_cir(
     arr = DirectionAngles(table.arr_zenith[rows], table.arr_azimuth[rows])
     # One-hop Doppler: arrival and departure couplings only.
     f_d = (
-        spherical_unit_vector(arr) @ rx_node.velocity_mps
-        + spherical_unit_vector(dep) @ tx_node.velocity_mps
+        spherical_unit_vector(arr) @ hop.to_node.velocity_mps
+        + spherical_unit_vector(dep) @ hop.from_node.velocity_mps
     ) / wavelength_m
     pmat = _side_matrices(table, wavelength_m)[rows]
 
-    cir = TargetChannelCir(
+    return TargetChannelCir(
         delays=table.delay[rows],
-        gains=_array_gains(tx_elements, rx_elements, dep, arr, pmat, amp, f_d,
-                           grid, wavelength_m),
+        gains=_array_gains(hop.from_node.elements, hop.to_node.elements, dep, arr,
+                           pmat, amp, f_d, grid, wavelength_m),
         pair_type=np.full(rows.shape[0], int(PairType.BACKGROUND), np.int8),
         grid=grid,
         case=None,
         condition_pair=hop.condition,
     )
-    return cir, hop
 
 
 def combine_channels(

@@ -211,7 +211,6 @@ class TargetPathSet:
     rx: HopTable
     blocks: tuple
     k_weights: np.ndarray
-    nn_normalized: bool = False
 
     tx_zenith = _gather("tx", "dep_zenith")
     tx_azimuth = _gather("tx", "dep_azimuth")
@@ -228,6 +227,10 @@ class TargetPathSet:
 
     def __len__(self):
         return sum(len(b) for b in self.blocks)
+
+    @property
+    def nn_normalized(self) -> bool:
+        return self.case.normalizes_nn
 
     @cached_property
     def _materialized(self) -> tuple:
@@ -344,10 +347,7 @@ def concatenate(
                 raise ConfigError("cannot normalize an empty diffuse component")
             w = w / math.sqrt(total)
         blocks.append(PathBlock(PairType.NN, it, ir, w))
-    return TargetPathSet(
-        case=case, tx=tx, rx=rx, blocks=tuple(blocks), k_weights=k_w,
-        nn_normalized=case.normalizes_nn,
-    )
+    return TargetPathSet(case=case, tx=tx, rx=rx, blocks=tuple(blocks), k_weights=k_w)
 
 
 def nn_total_power(paths: TargetPathSet) -> float:

@@ -1,10 +1,11 @@
 """Drop-loop orchestration: build links, concatenate, synthesize, write outputs.
 
-A run executes, per drop: hop construction (condition draw, path loss,
-K-factor, shadow fading), per-hop cluster generation, the two-hop link
-budget, path concatenation under the configured case, drop statistics, and
-optionally CIR synthesis plus the background channel and its combination
-with the target channel. Each drop formats its own CIR rows; the parent
+A run executes, per drop: every hop's construction (condition draw, path
+loss, K-factor, shadow fading) and cluster generation by one helper, for
+the two target hops and, when enabled, the background hop; the two-hop
+link budget, path concatenation under the configured case, drop
+statistics, and optionally CIR synthesis of the target and background hop
+tables and their combination. Each drop formats its own CIR rows; the parent
 writes and hashes them in drop order as they arrive, so the output files
 are identical for any worker count and no drop's gains outlive its drop.
 """
@@ -39,6 +40,7 @@ from .coefficients import (
 from .errors import ConfigError, UnsupportedFeatureError
 from .geometry import NodeState, uniform_linear_array
 from .largescale import (
+    SUPPORTED_SCENARIOS,
     CouplingConfig,
     ScenarioParams,
     build_hop,
@@ -110,7 +112,6 @@ class DropResult:
     condition_pair: str
     stats: np.ndarray  # one value per STAT_COLUMNS
     pl_target_db: float = np.nan
-    pl_background_db: float = np.nan
     pl_isac_db: float = np.nan
     cir_chunks: list | None = None  # this drop's cir.txt rows, as bytes slices
     cir_rows: int = 0
@@ -157,56 +158,36 @@ def build_rcs_model(cfg: RunConfig) -> RcsModel:
     )
 
 
-def build_polarization(cfg: RunConfig) -> PolarizationScattering | None:
-    if cfg.pol_mode == "identity":
-        return None
-    return PolarizationScattering(mode=cfg.pol_mode, alphas=cfg.pol_alphas)
-
-
-def _force(condition: str):
-    return None if condition == "auto" else condition
-
-
 def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
               scenario: ScenarioParams, tx: NodeState, rx: NodeState,
               target: NodeState, rcs_model: RcsModel | None,
-              polarization: PolarizationScattering | None, grid: SnapshotGrid,
+              polarization: PolarizationScattering, grid: SnapshotGrid,
               coupling: CouplingConfig) -> list:
     """Worker body: simulate one drop for every requested concatenation case.
 
     The keyword arguments are the per-run objects, built once by _execute.
     """
-    wavelength = cfg.wavelength_m
-
     streams = RandomStreams(cfg.master_seed, drop=drop)
-    hop1 = build_hop(
-        tx, target, scenario, streams.scoped(HOP_TX_TARGET),
-        force_condition=_force(cfg.cond_tx_target),
-    )
-    sub1 = generate_sublink(
-        hop1, scenario.condition_params(hop1.condition),
-        streams.scoped(HOP_TX_TARGET),
-        split_strongest=cfg.split_strongest, absolute_delay=cfg.absolute_delay,
-    )
-    if cfg.sensing_mode == "monostatic":
-        sub2 = mono_static_reciprocal(sub1)
-        hop2 = sub2.hop
-    else:
-        hop2 = build_hop(
-            target, rx, scenario, streams.scoped(HOP_TARGET_RX),
-            force_condition=_force(cfg.cond_target_rx),
-        )
-        sub2 = generate_sublink(
-            hop2, scenario.condition_params(hop2.condition),
-            streams.scoped(HOP_TARGET_RX),
+
+    def hop_table(from_node, to_node, scope, condition):
+        hop_streams = streams.scoped(scope)
+        hop = build_hop(from_node, to_node, scenario, hop_streams,
+                        None if condition == "auto" else condition)
+        return HopTable.from_sublink(generate_sublink(
+            hop, scenario.condition_params(hop.condition), hop_streams,
             split_strongest=cfg.split_strongest, absolute_delay=cfg.absolute_delay,
-        )
+        ))
 
+    table1 = hop_table(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)
+    if cfg.sensing_mode == "monostatic":
+        table2 = HopTable.from_sublink(mono_static_reciprocal(table1.sub))
+    else:
+        table2 = hop_table(target, rx, HOP_TARGET_RX, cfg.cond_target_rx)
     pl_target = concatenated_path_loss(
-        hop1.path_loss_db, hop2.path_loss_db, cfg.frequency_hz, cfg.rcs_mean_m2
+        table1.sub.hop.path_loss_db, table2.sub.hop.path_loss_db,
+        cfg.frequency_hz, cfg.rcs_mean_m2,
     )
 
-    table1, table2 = HopTable.from_sublink(sub1), HopTable.from_sublink(sub2)
     sets = [concatenate(table1, table2, case, streams=streams.scoped(SCOPE_CONCAT))
             for case in cases]
     stats = statistics_table(sets)
@@ -217,24 +198,19 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
         rec = DropResult(drop, case.value, pair, row, pl_target_db=pl_target)
 
         if emit_cir and case == cfg.concat_case and len(paths) > 0:
-            coeff_streams = streams.scoped(SCOPE_COEFF)
             cir = synthesize_target_cir(
-                paths, tx.elements, rx.elements, rcs_model, grid, wavelength,
-                coeff_streams, polarization=polarization,
+                paths, rcs_model, grid, cfg.wavelength_m,
+                streams.scoped(SCOPE_COEFF), polarization=polarization,
             )
             if cfg.background_enabled:
-                bg, bg_hop = synthesize_background_cir(
-                    tx, rx, scenario, grid, wavelength,
-                    streams.scoped(HOP_BACKGROUND),
-                    tx_elements=tx.elements, rx_elements=rx.elements,
-                    sensing_mode=cfg.sensing_mode,
-                    force_condition=_force(cfg.cond_background),
-                )
-                rec.pl_background_db = bg_hop.path_loss_db
+                background = hop_table(tx, rx, HOP_BACKGROUND, cfg.cond_background)
                 rec.pl_isac_db = combine_isac_path_loss(
-                    pl_target, bg_hop.path_loss_db, coupling
+                    pl_target, background.sub.hop.path_loss_db, coupling
                 )
-                cir = combine_channels(cir, bg, coupling)
+                cir = combine_channels(
+                    cir, synthesize_background_cir(background, grid, cfg.wavelength_m),
+                    coupling,
+                )
             rec.cir_chunks = _cir_block(drop, cir.delays, cir.gains)
             rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
         results.append(rec)
@@ -414,6 +390,10 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     t0 = time.perf_counter()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if cfg.scenario not in SUPPORTED_SCENARIOS:
+        raise ConfigError(
+            f"unsupported scenario {cfg.scenario!r}; supported: {SUPPORTED_SCENARIOS}"
+        )
     if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
         raise UnsupportedFeatureError("mono-static runs have no background channel")
     rcs_model = build_rcs_model(cfg) if emit_cir else None  # only CIRs look aspects up
@@ -425,17 +405,16 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
             )
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     wavelength = cfg.wavelength_m
-    rx_node_cfg = cfg.tx if cfg.sensing_mode == "monostatic" else cfg.rx
     worker = partial(
         _run_drop, cfg, cases, emit_cir,
         scenario=ScenarioParams.from_table(
             cfg.scenario, cfg.frequency_hz, path=cfg.scenario_table
         ),
         tx=build_node(cfg.tx, wavelength),
-        rx=build_node(rx_node_cfg, wavelength),
+        rx=build_node(cfg.rx, wavelength),
         target=build_node(cfg.target, wavelength),
         rcs_model=rcs_model,
-        polarization=build_polarization(cfg),
+        polarization=PolarizationScattering(cfg.pol_mode, cfg.pol_alphas),
         grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count),
         coupling=CouplingConfig(
             o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,

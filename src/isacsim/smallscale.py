@@ -11,7 +11,7 @@ shapes delays and angles here exactly as the standard prescribes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -305,31 +305,8 @@ def mono_static_reciprocal(sub: SubLinkClusters) -> SubLinkClusters:
     (channel reciprocity); only the direction bookkeeping is mirrored.
     Applying the operation twice returns an identical sub-link.
     """
-    hop = sub.hop
-    reversed_hop = HopLink(
-        from_node=hop.to_node,
-        to_node=hop.from_node,
-        condition=hop.condition,
-        d2d_m=hop.d2d_m,
-        d3d_m=hop.d3d_m,
-        path_loss_db=hop.path_loss_db,
-        k_factor=hop.k_factor,
-        shadow_fading_db=hop.shadow_fading_db,
-    )
-    return SubLinkClusters(
-        hop=reversed_hop,
-        params=sub.params,
-        cluster_delays=sub.cluster_delays,
-        cluster_powers=sub.cluster_powers,
-        ray_delays=sub.ray_delays,
-        aod=sub.aoa,
-        zod=sub.zoa,
-        aoa=sub.aod,
-        zoa=sub.zod,
-        xpr=sub.xpr,
-        phases=sub.phases,
-        has_los=sub.has_los,
-        los_delay=sub.los_delay,
-        los_departure=sub.los_arrival,
-        los_arrival=sub.los_departure,
+    hop = replace(sub.hop, from_node=sub.hop.to_node, to_node=sub.hop.from_node)
+    return replace(
+        sub, hop=hop, aod=sub.aoa, zod=sub.zoa, aoa=sub.aod, zoa=sub.zod,
+        los_departure=sub.los_arrival, los_arrival=sub.los_departure,
     )

@@ -21,7 +21,7 @@ from isacsim.concatenation import (
     nn_total_power,
 )
 from isacsim.constants import SPEED_OF_LIGHT
-from isacsim.errors import ConfigError, UnsupportedFeatureError
+from isacsim.errors import ConfigError
 from isacsim.geometry import (
     AntennaElement,
     DirectionAngles,
@@ -50,9 +50,11 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
              tx_vel=(0, 0, 0), rx_vel=(0, 0, 0), tgt_vel=(0, 0, 0),
              tx_elements=None, rx_elements=None, grid=None, xpr_override=None):
     scen = ScenarioParams.from_table("UMi", F_HZ)
-    tx = NodeState([0.0, 0.0, 10.0], velocity_mps=tx_vel)
+    tx = NodeState([0.0, 0.0, 10.0], velocity_mps=tx_vel,
+                   elements=tx_elements or [AntennaElement()])
     tgt = NodeState([25.0, 10.0, 1.5], velocity_mps=tgt_vel)
-    rx = NodeState([60.0, -5.0, 10.0], velocity_mps=rx_vel)
+    rx = NodeState([60.0, -5.0, 10.0], velocity_mps=rx_vel,
+                   elements=rx_elements or [AntennaElement()])
     streams = RandomStreams(seed)
     h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), cond1)
     h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), cond2)
@@ -63,13 +65,7 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
         sub2.xpr = np.full_like(sub2.xpr, xpr_override)
     paths = concatenate(sub1, sub2, case, streams.scoped(SCOPE_CONCAT))
     cir = synthesize_target_cir(
-        paths,
-        tx_elements or [AntennaElement()],
-        rx_elements or [AntennaElement()],
-        RcsModel(),
-        grid or SnapshotGrid(),
-        LAM,
-        streams.scoped(SCOPE_COEFF),
+        paths, RcsModel(), grid or SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
     )
     return paths, cir, (tx, tgt, rx), (h1, h2)
 
@@ -276,20 +272,18 @@ def test_hops_must_share_the_scattering_point():
     paths = concatenate(sub1, sub2, ConcatCase.CASE_2O)
     with pytest.raises(ConfigError, match="scattering point"):
         synthesize_target_cir(
-            paths, [AntennaElement()], [AntennaElement()], RcsModel(),
-            SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
+            paths, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
         )
 
 
 def test_target_synthesis_input_checks():
+    # the arrays come from the hop nodes, which refuse an empty one
+    with pytest.raises(ValueError, match="at least one antenna element"):
+        NodeState([0.0, 0.0, 10.0], elements=[])
     paths, _, _, _ = pipeline()
     streams = RandomStreams(3).scoped(SCOPE_COEFF)
     with pytest.raises(ConfigError):
-        synthesize_target_cir(paths, [], [AntennaElement()], RcsModel(),
-                              SnapshotGrid(), LAM, streams)
-    with pytest.raises(ConfigError):
-        synthesize_target_cir(paths, [AntennaElement()], [AntennaElement()],
-                              RcsModel(), SnapshotGrid(), 0.0, streams)
+        synthesize_target_cir(paths, RcsModel(), SnapshotGrid(), 0.0, streams)
 
 
 def test_identity_and_random_polarization_agree_on_power_scale():
@@ -297,8 +291,7 @@ def test_identity_and_random_polarization_agree_on_power_scale():
     streams = RandomStreams(3)
     pol = PolarizationScattering(mode="full", alphas=(1.0, 0.0, 0.0, 1.0))
     cir = synthesize_target_cir(
-        paths, [AntennaElement()], [AntennaElement()], RcsModel(),
-        SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF), pol,
+        paths, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF), pol,
     )
     # unit-diagonal scattering with random phase rotates each path; for
     # slant-0 isotropic elements only one polarization product survives per
@@ -314,32 +307,31 @@ def test_identity_and_random_polarization_agree_on_power_scale():
 
 # ------------------------------------------------------------ background
 
-def test_background_monostatic_is_refused():
+def background_table(seed, cond):
+    """The transmitter-to-receiver hop table, as the runner builds it."""
     scen = ScenarioParams.from_table("UMi", F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     rx = NodeState([60.0, -5.0, 10.0])
-    with pytest.raises(UnsupportedFeatureError):
-        synthesize_background_cir(
-            tx, rx, scen, SnapshotGrid(), LAM,
-            RandomStreams(5).scoped(HOP_BACKGROUND), sensing_mode="monostatic",
-        )
+    streams = RandomStreams(seed).scoped(HOP_BACKGROUND)
+    hop = build_hop(tx, rx, scen, streams, cond)
+    return HopTable.from_sublink(
+        generate_sublink(hop, scen.condition_params(hop.condition), streams)
+    )
 
 
 @pytest.mark.parametrize("cond,count", [("LOS", 1 + 12 * 20), ("NLOS", 19 * 20)])
 def test_background_structure_and_power_budget(cond, count):
-    scen = ScenarioParams.from_table("UMi", F_HZ)
-    tx = NodeState([0.0, 0.0, 10.0])
-    rx = NodeState([60.0, -5.0, 10.0])
-    bg, bg_hop = synthesize_background_cir(
-        tx, rx, scen, SnapshotGrid(), LAM,
-        RandomStreams(5).scoped(HOP_BACKGROUND), force_condition=cond,
-    )
+    table = background_table(5, cond)
+    bg = synthesize_background_cir(table, SnapshotGrid(), LAM)
     assert bg.num_paths == count
     assert bg.case is None
     assert bg.condition_pair == cond
     assert np.all(bg.pair_type == int(PairType.BACKGROUND))
     # replaying the scoped streams reproduces the large-scale draws
-    hop = build_hop(tx, rx, scen, RandomStreams(5).scoped(HOP_BACKGROUND), cond)
+    bg_hop = table.sub.hop
+    scen = ScenarioParams.from_table("UMi", F_HZ)
+    hop = build_hop(bg_hop.from_node, bg_hop.to_node, scen,
+                    RandomStreams(5).scoped(HOP_BACKGROUND), cond)
     draws = ("condition", "path_loss_db", "k_factor", "shadow_fading_db")
     assert [getattr(bg_hop, f) for f in draws] == [getattr(hop, f) for f in draws]
     expect = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 10.0)
@@ -348,13 +340,7 @@ def test_background_structure_and_power_budget(cond, count):
 
 
 def test_background_static_nodes_give_constant_gains():
-    scen = ScenarioParams.from_table("UMi", F_HZ)
-    tx = NodeState([0.0, 0.0, 10.0])
-    rx = NodeState([60.0, -5.0, 10.0])
-    bg, _ = synthesize_background_cir(
-        tx, rx, scen, SnapshotGrid(count=3), LAM,
-        RandomStreams(6).scoped(HOP_BACKGROUND), force_condition="NLOS",
-    )
+    bg = synthesize_background_cir(background_table(6, "NLOS"), SnapshotGrid(count=3), LAM)
     np.testing.assert_array_equal(bg.gains[..., 2], bg.gains[..., 0])
 
 

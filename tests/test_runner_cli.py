@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from isacsim import runner
 from isacsim.cli import main
 from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
+from isacsim.constants import SPEED_OF_LIGHT
+from isacsim.largescale import ScenarioParams
 from isacsim.runner import concat_study, run
 
 BASE = (
@@ -249,6 +252,33 @@ def test_background_adds_combined_loss(tmp_path):
     assert "mean_two_hop_path_loss_db" in text
 
 
+def test_absolute_delay_applies_to_every_hop(tmp_path):
+    # every hop NLOS, so no path is specular and all delays sit on top of
+    # the geometric delay of their hops
+    text = ("frequency_hz = 6e9\nmaster_seed = 7\ndrops = 2\nconcat_case = Case2O\n"
+            "absolute_delay = true\nbackground.enabled = true\n"
+            "conditions.tx_target = NLOS\nconditions.target_rx = NLOS\n"
+            "conditions.background = NLOS\n")
+    cfg = validate_config(text)
+    out = str(tmp_path / "abs")
+    run(cfg, out_dir=out)
+    tx, rx, tgt = (np.asarray(n.position_m) for n in (cfg.tx, cfg.rx, cfg.target))
+    direct = np.linalg.norm(rx - tx) / SPEED_OF_LIGHT
+    echo = (np.linalg.norm(tgt - tx) + np.linalg.norm(rx - tgt)) / SPEED_OF_LIGHT
+    nlos = ScenarioParams.from_table("UMi", 6e9).condition_params("NLOS")
+    n_background = nlos.num_clusters * nlos.rays_per_cluster
+    rows = np.loadtxt(os.path.join(out, "cir.txt"), usecols=(0, 3, 4))
+    for drop in (0, 1):
+        paths = rows[rows[:, 0] == drop]
+        n_target = int(paths[:, 1].max()) + 1 - n_background
+        target, background = paths[paths[:, 1] < n_target], paths[paths[:, 1] >= n_target]
+        assert n_target > 0 and len(background) == n_background
+        # 13 significant digits in the file
+        assert background[:, 2].min() >= direct * (1 - 1e-12)
+        assert target[:, 2].min() >= echo * (1 - 1e-12)
+    assert direct == pytest.approx(200e-9, rel=1e-3)
+
+
 # ------------------------------------------------------------ study mode
 
 def test_study_covers_every_case(tmp_path):
@@ -367,6 +397,19 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
     assert {"statistics.txt", "manifest.txt"} <= set(os.listdir(study_out))
     assert main(["run", "--config", no_b1, "--out", str(tmp_path / "run_no_b1")]) == 2
     assert not (tmp_path / "run_no_b1").exists()
+    # a table can name any scenario, but only UMi has LOS probability and path loss
+    uma = tmp_path / "uma.tbl"
+    uma.write_text(resources.files("isacsim.data").joinpath("umi_38901.tbl")
+                   .read_text(encoding="utf-8").replace("[UMi ", "[UMa "))
+    uma_cfg = write_cfg(tmp_path, f"scenario = UMa\nscenario_table = {uma}\n")
+    for command in ("run", "concat-study"):
+        assert main([command, "--config", uma_cfg, "--out", str(tmp_path / "uma")]) == 2
+        assert not (tmp_path / "uma").exists()
+    assert capsys.readouterr().err.count("unsupported scenario 'UMa'") == 2
+    # identity polarization ignores its alphas, but they must still be valid
+    negative = write_cfg(tmp_path, "polarization.alphas = 1, -0.5, 0, 1\n")
+    assert main(["run", "--config", negative, "--out", str(tmp_path / "neg")]) == 2
+    assert not (tmp_path / "neg").exists()
 
 
 def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):
