@@ -10,7 +10,6 @@ from .concatenation import (
     HopTable,
     PairType,
     PathBlock,
-    RECOMMENDED_CASES,
     TargetPathSet,
     concatenate,
     condition_weights,

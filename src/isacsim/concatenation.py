@@ -64,7 +64,6 @@ class ConcatCase(str, Enum):
         return self.base in (ConcatCase.CASE_2R, ConcatCase.CASE_3)
 
 
-RECOMMENDED_CASES = (ConcatCase.CASE_2RN, ConcatCase.CASE_3N)
 ALL_CASES = tuple(ConcatCase)
 
 

@@ -5,9 +5,10 @@ loss, K-factor, shadow fading) and cluster generation by one helper, for
 the two target hops and, when enabled, the background hop; the two-hop
 link budget, path concatenation under the configured case, drop
 statistics, and optionally CIR synthesis of the target and background hop
-tables and their combination. Each drop formats its own CIR rows; the parent
-writes and hashes them in drop order as they arrive, so the output files
-are identical for any worker count and no drop's gains outlive its drop.
+tables and their combination. Each drop writes its CIR rows out slice by
+slice as it formats them (to cir.txt.part, or from a pool worker to a spool
+the parent appends in drop order), so the output files are identical for any
+worker count, no drop's gains outlive its drop and no text crosses a pipe.
 """
 from __future__ import annotations
 
@@ -71,9 +72,10 @@ CIR_HEADER = (
     b"# one record per (drop, rx_element, tx_element, path)\n"
     b"# drop u s path delay_s re/im per snapshot\n"
 )
-# The files a run writes; a run into a used directory first removes these,
-# so the directory never mixes two runs.
-OUTPUT_PATTERNS = ("cir.txt", "cir.txt.part", "statistics.txt", "cdf_*.txt", "manifest.txt")
+# The files a run writes, pool workers' spools included; a run into a used
+# directory first removes these, so the directory never mixes two runs.
+CIR_TEMPORARY = ("cir.txt.part", "cir.txt.*.spool")
+OUTPUT_PATTERNS = ("cir.txt", *CIR_TEMPORARY, "statistics.txt", "cdf_*.txt", "manifest.txt")
 
 # %.12e text kernel (_fields): values per kernel call, which bounds its
 # working memory, and the bytes one field takes before NULs are deleted:
@@ -113,8 +115,8 @@ class DropResult:
     stats: np.ndarray  # one value per STAT_COLUMNS
     pl_target_db: float = np.nan
     pl_isac_db: float = np.nan
-    cir_chunks: list | None = None  # this drop's cir.txt rows, as bytes slices
     cir_rows: int = 0
+    cir_spool: str | None = None  # a pool worker's file of this drop's cir.txt rows
 
 
 @dataclass
@@ -162,10 +164,12 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
               scenario: ScenarioParams, tx: NodeState, rx: NodeState,
               target: NodeState, rcs_model: RcsModel | None,
               polarization: PolarizationScattering, grid: SnapshotGrid,
-              coupling: CouplingConfig) -> list:
+              coupling: CouplingConfig, cir_sink) -> list:
     """Worker body: simulate one drop for every requested concatenation case.
 
     The keyword arguments are the per-run objects, built once by _execute.
+    ``cir_sink(drop, slices)`` writes out the drop's cir.txt rows as they
+    are formatted and returns the name of the spool it wrote them to, if any.
     """
     streams = RandomStreams(cfg.master_seed, drop=drop)
 
@@ -202,7 +206,10 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
                 paths, rcs_model, grid, cfg.wavelength_m,
                 streams.scoped(SCOPE_COEFF), polarization=polarization,
             )
-            if cfg.background_enabled:
+            if cfg.background_enabled and coupling.mode == "added" and coupling.o_isac == 0.0:
+                # weighted by 0, the background hop (own stream scope) is not built
+                rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
+            elif cfg.background_enabled:
                 background = hop_table(tx, rx, HOP_BACKGROUND, cfg.cond_background)
                 rec.pl_isac_db = combine_isac_path_loss(
                     pl_target, background.sub.hop.path_loss_db, coupling
@@ -211,8 +218,8 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
                     cir, synthesize_background_cir(background, grid, cfg.wavelength_m),
                     coupling,
                 )
-            rec.cir_chunks = _cir_block(drop, cir.delays, cir.gains)
             rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
+            rec.cir_spool = cir_sink(drop, _cir_block(drop, cir.delays, cir.gains))
         results.append(rec)
     return results
 
@@ -295,20 +302,18 @@ def _format_rows(prefix: np.ndarray, values: np.ndarray) -> bytes:
     return b"".join(out)
 
 
-def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray) -> list:
-    """cir.txt rows of one drop, ``drop u s path delay re im re im ...``, as
-    bytes slices of at most SLICE_VALUES values each."""
+def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray):
+    """cir.txt rows of one drop, ``drop u s path delay re im re im ...``,
+    yielded as bytes slices of at most SLICE_VALUES values each."""
     n_u, n_s, n_paths, n_t = gains.shape
     heads = _text([f"{drop} {u} {s} " for u in range(n_u) for s in range(n_s)])
     lines = _format_rows(_text([f"{p} " for p in range(n_paths)]), delays[:, None])
     paths = _text([line + " " for line in lines.decode("ascii").splitlines()])  # "p delay "
     values = np.ascontiguousarray(gains).reshape(-1, n_t).view(np.float64)  # re im ...
-    chunks = []
     for rows in _row_slices(len(values), values.shape[1]):
         r = np.arange(rows.start, rows.stop)
         prefix = np.hstack([heads[r // n_paths], paths[r % n_paths]])
-        chunks.append(_format_rows(prefix, values[rows]))
-    return chunks
+        yield _format_rows(prefix, values[rows])
 
 
 def _write_text(path: str, data: bytes) -> str:
@@ -348,41 +353,63 @@ def _write_cdfs(out_dir: str, records: list, table: np.ndarray, columns: tuple) 
     return checksums
 
 
-def _stream_drops(per_drop, cir_path: str) -> tuple:
-    """Collect every drop's records in drop order, streaming its CIR block out.
+class CirFile:
+    """``cir.txt`` as it is written: ``cir.txt.part``, opened with the header
+    on the first rows, and the SHA-256 of every byte written to it. On a
+    clean exit the part file becomes ``cir.txt``; on an exception it and
+    every spool are removed."""
 
-    Each block is appended to ``cir_path + ".part"`` and to a running SHA-256
-    as soon as its drop arrives, then released. After the last drop the part
-    file becomes ``cir_path``; if a drop raises it is removed. No file is
-    made when no drop has a CIR. Returns (records, cir.txt digest or None,
-    cir.txt data rows).
-    """
-    part = cir_path + ".part"
-    records, rows, fh = [], 0, None
-    digest = hashlib.sha256(CIR_HEADER)
-    try:
-        for drop_records in per_drop:
-            for rec in drop_records:
-                records.append(rec)
-                if rec.cir_chunks is None:
-                    continue
-                if fh is None:
-                    fh = open(part, "wb")
-                    fh.write(CIR_HEADER)
-                for chunk in rec.cir_chunks:
-                    fh.write(chunk)
-                    digest.update(chunk)
-                rows += rec.cir_rows
-                rec.cir_chunks = None
-        if fh is not None:
-            fh.close()
-            os.replace(part, cir_path)
-    except BaseException:
-        if fh is not None:
-            fh.close()
-            os.unlink(part)
-        raise
-    return records, (digest.hexdigest() if fh is not None else None), rows
+    def __init__(self, path: str):
+        self.path, self.fh, self.digest = path, None, hashlib.sha256(CIR_HEADER)
+
+    def take(self, drop: int, chunks) -> None:
+        """Serial sink, and the parent's copy of each spool."""
+        for chunk in chunks:
+            if self.fh is None:
+                self.fh = open(self.path + ".part", "wb")
+                self.fh.write(CIR_HEADER)
+            self.fh.write(chunk)
+            self.digest.update(chunk)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failed, *_):
+        if self.fh is not None:
+            self.fh.close()
+        if failed:
+            _remove(os.path.dirname(self.path), CIR_TEMPORARY)
+        elif self.fh is not None:
+            os.replace(self.path + ".part", self.path)
+
+
+def _spool(cir_path: str, drop: int, chunks) -> str:
+    """Pool worker sink: a drop's slices go into its own spool file."""
+    name = f"{cir_path}.{drop}.spool"
+    with open(name, "wb") as fh:
+        fh.writelines(chunks)
+    return name
+
+
+def _remove(out_dir: str, patterns) -> None:
+    for pattern in patterns:
+        for name in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.unlink(name)
+
+
+def _stream_drops(per_drop, cir: CirFile) -> tuple:
+    """Collect every drop's records and cir.txt data rows in drop order,
+    appending each spool to ``cir`` as its drop arrives, then deleting it."""
+    records, rows = [], 0
+    for drop_records in per_drop:
+        for rec in drop_records:
+            records.append(rec)
+            rows += rec.cir_rows
+            if rec.cir_spool is not None:
+                with open(rec.cir_spool, "rb") as fh:
+                    cir.take(rec.drop, iter(partial(fh.read, 1 << 20), b""))  # 1 MiB
+                os.unlink(rec.cir_spool)
+    return records, rows
 
 
 def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
@@ -396,6 +423,9 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         )
     if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
         raise UnsupportedFeatureError("mono-static runs have no background channel")
+    if emit_cir and cfg.background_enabled and cfg.coupling_mode == "embedded" \
+            and cfg.coupling_o_isac == 0:
+        raise ConfigError("embedded coupling with zero factor leaves no channel")
     rcs_model = build_rcs_model(cfg) if emit_cir else None  # only CIRs look aspects up
     if rcs_model is not None and rcs_model.b1 is not None:
         lo, hi = rcs_model.b1.angles_deg[[0, -1]]
@@ -404,6 +434,10 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
                 f"rcs.b1_table spans [{lo}, {hi}] deg; aspect azimuths need [-180, 180]"
             )
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if out_dir is None:
+        stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
+        out_dir = os.path.join(cfg.out_dir or "runs", f"{stamp}-seed{cfg.master_seed}")
+    cir = CirFile(os.path.join(out_dir, "cir.txt"))
     wavelength = cfg.wavelength_m
     worker = partial(
         _run_drop, cfg, cases, emit_cir,
@@ -420,23 +454,28 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
             o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,
             removal_fraction=cfg.coupling_removal_fraction,
         ),
+        cir_sink=partial(_spool, cir.path) if workers > 1 else cir.take,
     )
-    if out_dir is None:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
-        out_dir = os.path.join(
-            cfg.out_dir or "runs", f"{stamp}-seed{cfg.master_seed}"
-        )
     os.makedirs(out_dir, exist_ok=True)
-    for pattern in OUTPUT_PATTERNS:
-        for stale in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
-            os.unlink(stale)
+    _remove(out_dir, OUTPUT_PATTERNS)
 
     drops = range(cfg.drops)
-    with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-        per_drop = pool.imap(worker, drops) if pool else map(worker, drops)
-        records, cir_digest, cir_rows = _stream_drops(
-            per_drop, os.path.join(out_dir, "cir.txt")
-        )
+    # On a failure the pool cancels the drops not yet started and waits for
+    # the running ones; it kills no worker (one killed while it sends its
+    # result can hang the parent). cir exits after the pool, when no worker
+    # still writes a spool.
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported by pooled runs only
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    with cir, pool or nullcontext():
+        try:
+            per_drop = pool.map(worker, drops) if pool else map(worker, drops)
+            records, cir_rows = _stream_drops(per_drop, cir)
+        except BaseException:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+            raise
 
     table, columns = np.array([r.stats for r in records]), STAT_COLUMNS
     if study:  # each row's NN power against its drop's full convolution
@@ -448,8 +487,8 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
 
     checksums = {"statistics.txt": _write_statistics(out_dir, records, table, columns)}
     checksums.update(_write_cdfs(out_dir, records, table, columns))
-    if cir_digest is not None:
-        checksums["cir.txt"] = cir_digest
+    if cir.fh is not None:
+        checksums["cir.txt"] = cir.digest.hexdigest()
 
     manifest = RunManifest(
         version=__version__,

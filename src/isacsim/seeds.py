@@ -53,10 +53,6 @@ class RandomStreams:
         """Same master seed and drop, different hop/scope slot."""
         return RandomStreams(self.master_seed, self.drop, hop)
 
-    def for_drop(self, drop: int) -> "RandomStreams":
-        """Same master seed, different drop; hop slot reset to 0."""
-        return RandomStreams(self.master_seed, drop, 0)
-
     def stream(self, tag: str) -> np.random.Generator:
         seq = np.random.SeedSequence(
             [self.master_seed, self.drop, self.hop, _tag_id(tag)]

@@ -2,9 +2,10 @@
 
 Three small in-process runs cover every joint-path component (LL, LN, NL,
 NN), specular rays on both hops, the background channel in embedded mode
-and the full convolution. Every output file except manifest.txt is pinned
-by its SHA-256; of the manifest only the path-loss lines are pinned, so
-run-time counters can be added to it freely.
+and the full convolution, each run serially and with a pool of 2 workers.
+Every output file except manifest.txt is pinned by its SHA-256, and no
+other file may be left; of the manifest only the path-loss lines are
+pinned, so run-time counters can be added to it freely.
 
 numpy Generator streams are not stable across numpy releases, so the
 digests are checked only on the numpy version that produced them. A change
@@ -157,11 +158,14 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_pinned_digests(tmp_path, name):
+@pytest.mark.parametrize("name, workers", [
+    *(pytest.param(name, 1, id=name) for name in sorted(CONFIGS)),
+    *(pytest.param(name, 2, id=f"{name}-2workers") for name in sorted(CONFIGS)),
+])
+def test_outputs_match_pinned_digests(tmp_path, name, workers):
     entry, text = CONFIGS[name]
     out = str(tmp_path / name)
-    entry(validate_config(text), out_dir=out)
+    entry(validate_config(text), out_dir=out, workers=workers)
     got = {
         f: _sha256(os.path.join(out, f))
         for f in sorted(os.listdir(out))

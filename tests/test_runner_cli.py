@@ -1,6 +1,7 @@
 """End-to-end drop runner and command-line entry points."""
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -160,7 +161,7 @@ def test_rerun_into_a_used_directory_clears_the_earlier_outputs(tmp_path):
     out = str(tmp_path / "run")
     run(make_cfg(), out_dir=out)
     assert "cir.txt" in os.listdir(out)
-    for name in ("cir.txt.part", "cdf_power_Case9.txt", "notes.txt"):
+    for name in ("cir.txt.part", "cir.txt.5.spool", "cdf_power_Case9.txt", "notes.txt"):
         open(os.path.join(out, name), "w").close()
     run(make_cfg("output.cir = false\n"), out_dir=out)
     _, listed = manifest_header(out)
@@ -173,19 +174,39 @@ def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
     calls = []
     synthesize = runner.synthesize_target_cir
 
-    def fail_on_drop_2(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:  # every drop has paths, so call i is drop i
+    def fail_on_drop_2(paths, rcs_model, grid, wavelength, streams, **kwargs):
+        calls.append(streams.drop)  # a pool worker appends to its own copy
+        if streams.drop == 2:
             raise RuntimeError("drop 2 fails")
-        return synthesize(*args, **kwargs)
+        return synthesize(paths, rcs_model, grid, wavelength, streams, **kwargs)
 
     monkeypatch.setattr(runner, "synthesize_target_cir", fail_on_drop_2)
-    out = str(tmp_path / "fail")
-    with pytest.raises(RuntimeError, match="drop 2 fails"):
-        run(make_cfg(drops=4), out_dir=out, workers=1)
-    assert len(calls) == 3
-    names = set(os.listdir(out))
-    assert not names & {"cir.txt", "cir.txt.part", "manifest.txt"}
+    for workers in (1, 2):
+        out = tmp_path / f"fail{workers}"
+        with pytest.raises(RuntimeError, match="drop 2 fails"):
+            run(make_cfg(drops=4), out_dir=str(out), workers=workers)
+        names = set(os.listdir(out))
+        assert not names & {"cir.txt", "cir.txt.part", "manifest.txt"}
+        assert not [name for name in names if name.endswith(".spool")]
+    assert calls == [0, 1, 2]  # the serial run stops at the failed drop
+
+
+def test_pool_results_carry_no_cir_text(tmp_path, monkeypatch):
+    sizes = []
+    stream_drops = runner._stream_drops
+
+    def measure(per_drop, cir):
+        def pickled(drops):
+            for records in drops:
+                sizes.append(len(pickle.dumps(records)))
+                yield records
+        return stream_drops(pickled(per_drop), cir)
+
+    monkeypatch.setattr(runner, "_stream_drops", measure)
+    cfg = make_cfg("nodes.tx.elements = 4\nnodes.rx.elements = 4\n")
+    run(cfg, out_dir=str(tmp_path / "pool"), workers=2)
+    assert os.path.getsize(tmp_path / "pool" / "cir.txt") > 2 * 10**5  # the premise
+    assert len(sizes) == 2 and max(sizes) < 4096
 
 
 def cir_block_oracle(drop, delays, gains):
@@ -250,6 +271,25 @@ def test_background_adds_combined_loss(tmp_path):
     text = open(os.path.join(out, "manifest.txt")).read()
     assert "mean_combined_path_loss_db" in text
     assert "mean_two_hop_path_loss_db" in text
+
+
+def test_background_weighted_by_zero_is_not_built(tmp_path, monkeypatch):
+    calls = []
+    synthesize = runner.synthesize_background_cir
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "synthesize_background_cir", spy)
+    zero = str(tmp_path / "zero")
+    run(make_cfg("background.enabled = true\ncoupling.o_isac = 0\n"), out_dir=zero)
+    plain = str(tmp_path / "plain")
+    run(make_cfg("background.enabled = false\n"), out_dir=plain)
+    assert calls == []
+    assert sha(os.path.join(zero, "cir.txt")) == sha(os.path.join(plain, "cir.txt"))
+    fields, _ = manifest_header(zero)
+    assert fields["mean_combined_path_loss_db"] == fields["mean_two_hop_path_loss_db"]
 
 
 def test_absolute_delay_applies_to_every_hop(tmp_path):
@@ -375,6 +415,14 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
     mono_bg = write_cfg(tmp_path, "sensing_mode = monostatic\nbackground.enabled = true\n")
     assert main(["run", "--config", mono_bg, "--out", str(out)]) == 4
     assert not out.exists()
+    # embedded coupling keeps only the background, so a zero factor keeps nothing
+    no_channel = str(tmp_path / "no_channel.cfg")
+    with open(no_channel, "w") as fh:
+        fh.write(cfg_text("background.enabled = yes\ncoupling.mode = embedded\n"
+                          "coupling.o_isac = 0\n"))
+    assert main(["run", "--config", no_channel, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "embedded coupling with zero factor" in capsys.readouterr().err
     # a B1 table must cover every aspect azimuth, [-180, 180] deg
     narrow = tmp_path / "b1.tbl"
     narrow.write_text("0.0 1.0\n90.0 0.2\n180.0 0.6\n270.0 0.2\n")
@@ -385,8 +433,9 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
     assert not out.exists()
     assert "rcs.b1_table spans [0.0, 270.0] deg" in capsys.readouterr().err
     # a study never synthesizes the background or looks up B1, so it still runs
-    assert main(["concat-study", "--config", mono_bg, "--drops", "1",
-                 "--out", str(out)]) == 0
+    for cfg in (mono_bg, no_channel):
+        assert main(["concat-study", "--config", cfg, "--drops", "1",
+                     "--out", str(out)]) == 0
     assert main(["concat-study", "--config", b1_cfg, "--drops", "1",
                  "--out", str(tmp_path / "study_b1")]) == 0
     # nor reads the B1 file at all, while a run with that file is refused

