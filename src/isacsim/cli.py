@@ -16,13 +16,22 @@ import math
 import os
 import sys
 
+# Set before numpy is first imported (the package init imports nothing). An
+# idle OpenBLAS worker thread spins and burns CPU, and the package gains
+# nothing from more: its largest matrix product is (elements x 3) @ (3 x
+# paths), and np.einsum runs its own C loops, not BLAS. A caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, NumericError, UnsupportedFeatureError
-from .metrics import detection_table
+from .metrics import detection_grid
 from .rcs import fit_lognormal_db
+from .text import _format_rows, _text
 
 # A detect grid with more rows is refused before anything is allocated: its
-# row tuples and text alone would take hundreds of megabytes.
+# row prefixes and text alone would take hundreds of megabytes.
 MAX_DETECT_ROWS = 1_000_000
 
 
@@ -147,18 +156,21 @@ def _cmd_detect(args) -> int:
         )
     n = int(round(steps)) + 1
     snr_values = [args.snr_min + i * args.snr_step for i in range(n)]
-    rows = detection_table(pfa_values, snr_values, noise_std=args.sigma)
-    lines = ["# snr_db pfa pd"]
-    lines += ["%.6f %.6e %.12e" % row for row in rows]
-    text = "\n".join(lines) + "\n"
+    grid = detection_grid(pfa_values, snr_values, noise_std=args.sigma)
+    # "snr pfa " of each row, pfa-major; each number is formatted once
+    snr_text = _text(["%.6f " % snr for snr in snr_values])
+    pfa_text = _text(["%.6e " % target for target in pfa_values])
+    prefix = np.hstack([np.tile(snr_text, (len(pfa_values), 1)),
+                        np.repeat(pfa_text, n, axis=0)])
+    data = b"# snr_db pfa pd\n" + _format_rows(prefix, grid.reshape(-1, 1))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "detection.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
         print(f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("ascii"))
     return 0
 
 

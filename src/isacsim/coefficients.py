@@ -63,15 +63,6 @@ class TargetChannelCir:
     case: str | None = None
     condition_pair: str | None = None
 
-    @property
-    def num_paths(self) -> int:
-        return int(self.delays.shape[0])
-
-    def component_power(self, pair_type: int, u: int = 0, s: int = 0, t: int = 0) -> float:
-        """Sum of |gain|^2 over paths of one component at one (u, s, t)."""
-        mask = self.pair_type == pair_type
-        return float(np.sum(np.abs(self.gains[u, s, mask, t]) ** 2))
-
 
 def doppler_frequency(
     tx_dir: DirectionAngles,

@@ -201,8 +201,7 @@ class TargetPathSet:
     k_weights); these are assembled on first access. The per-path columns
     are gathers from the tables, angles in radians: tx_*/rx_* the departure
     at the transmit node and the arrival at the receive node, spin_*/spout_*
-    the arrival at and the departure from the target. Cluster/ray index -1
-    marks a specular (LOS) hop side.
+    the arrival at and the departure from the target.
     """
 
     case: ConcatCase
@@ -219,17 +218,9 @@ class TargetPathSet:
     spout_azimuth = _gather("rx", "dep_azimuth")
     rx_zenith = _gather("rx", "arr_zenith")
     rx_azimuth = _gather("rx", "arr_azimuth")
-    tx_cluster = _gather("tx", "cluster")
-    tx_ray = _gather("tx", "ray")
-    rx_cluster = _gather("rx", "cluster")
-    rx_ray = _gather("rx", "ray")
 
     def __len__(self):
         return sum(len(b) for b in self.blocks)
-
-    @property
-    def nn_normalized(self) -> bool:
-        return self.case.normalizes_nn
 
     @cached_property
     def _materialized(self) -> tuple:

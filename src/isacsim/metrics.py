@@ -242,7 +242,7 @@ def pd(p: DetectionParams) -> float:
     """Detection probability of a Rician envelope above the threshold.
 
     Pd = Q1(A/sigma, V_T/sigma), summed as the Poisson series of the module
-    docstring; a one-point call into the kernel that ``detection_table``
+    docstring; a one-point call into the kernel that ``detection_grid``
     uses for its whole grid, so both give the same bits. With A = 0 the
     series is the Rayleigh tail exp(-V_T^2/(2 sigma^2)), so pd == pfa.
     """
@@ -260,14 +260,18 @@ def snr_to_amplitude(snr_db: float, noise_std: float = 1.0) -> float:
     return amplitude
 
 
-def detection_table(pfa_values, snr_db_values, noise_std: float = 1.0):
-    """Rows (snr_db, pfa, pd) for curve plotting, one row per grid point,
-    pfa-major; the whole grid is one call into the Pd kernel."""
+def detection_grid(pfa_values, snr_db_values, noise_std: float = 1.0) -> np.ndarray:
+    """Pd at every grid point, shape (len(pfa_values), len(snr_db_values));
+    the whole grid is one call into the Pd kernel."""
     thresholds = [threshold_for_pfa(target, noise_std) for target in pfa_values]
     amplitudes = [snr_to_amplitude(snr_db, noise_std) for snr_db in snr_db_values]
-    grid = _pd_grid(thresholds, amplitudes, noise_std)
-    return [
-        (float(snr_db), float(target), float(value))
-        for target, values in zip(pfa_values, grid)
-        for snr_db, value in zip(snr_db_values, values)
-    ]
+    return _pd_grid(thresholds, amplitudes, noise_std)
+
+
+def detection_table(pfa_values, snr_db_values, noise_std: float = 1.0) -> np.ndarray:
+    """Rows (snr_db, pfa, pd) for curve plotting, one row per grid point,
+    pfa-major: detection_grid as an (points, 3) array."""
+    grid = detection_grid(pfa_values, snr_db_values, noise_std)
+    return np.column_stack([np.tile(np.asarray(snr_db_values, float), grid.shape[0]),
+                            np.repeat(np.asarray(pfa_values, float), grid.shape[1]),
+                            grid.ravel()])

@@ -76,12 +76,6 @@ class SubLinkClusters:
     def rays_per_cluster(self) -> int:
         return int(self.aod.shape[1])
 
-    def min_delay(self) -> float:
-        d = float(self.ray_delays.min())
-        if self.has_los:
-            d = min(d, self.los_delay)
-        return d
-
 
 def _wrap_azimuth_deg(phi):
     """Wrap degrees into (-180, 180]."""

@@ -108,7 +108,7 @@ def test_case_a_keeps_only_specular_components():
     assert len(paths) == 19 * 20
     assert nn_total_power(paths) == 0.0
     # transmit side of every kept path is the specular ray
-    assert np.all(paths.tx_cluster == -1)
+    assert np.all(paths.tx.cluster[paths.tx_idx] == -1)
     assert np.all(paths.tx_zenith == sub1.los_departure.zenith)
 
 
@@ -152,7 +152,7 @@ def test_normalized_cases_restore_unit_nn_power():
                  ConcatCase.CASE_2RN, ConcatCase.CASE_3N):
         paths = concatenate(sub1, sub2, case, streams=concat_streams(streams))
         assert nn_total_power(paths) == pytest.approx(1.0, abs=1e-12)
-        assert paths.nn_normalized
+        assert paths.case.normalizes_nn
 
 
 def test_normalization_leaves_other_components_untouched():
@@ -184,8 +184,8 @@ def test_joint_delays_and_angles_consistent_with_links():
     sub1, sub2, _ = make_links("NLOS", "NLOS", seed=7)
     paths = concatenate(sub1, sub2, ConcatCase.CASE_2O)
     nn = paths.pair_type == PairType.NN
-    tc, tr = paths.tx_cluster[nn], paths.tx_ray[nn]
-    rc, rr = paths.rx_cluster[nn], paths.rx_ray[nn]
+    tc, tr = paths.tx.cluster[paths.tx_idx][nn], paths.tx.ray[paths.tx_idx][nn]
+    rc, rr = paths.rx.cluster[paths.rx_idx][nn], paths.rx.ray[paths.rx_idx][nn]
     np.testing.assert_allclose(
         paths.joint_delay[nn],
         sub1.ray_delays[tc, tr] + sub2.ray_delays[rc, rr], rtol=1e-15,
@@ -201,8 +201,9 @@ def test_case2o_pairs_clusters_in_delay_order():
     paths = concatenate(sub1, sub2, ConcatCase.CASE_2O)
     nn = paths.pair_type == PairType.NN
     # cluster i pairs with cluster i; rays pair by index
-    np.testing.assert_array_equal(paths.tx_cluster[nn], paths.rx_cluster[nn])
-    np.testing.assert_array_equal(paths.tx_ray[nn], paths.rx_ray[nn])
+    tx, rx = paths.tx_idx[nn], paths.rx_idx[nn]
+    np.testing.assert_array_equal(paths.tx.cluster[tx], paths.rx.cluster[rx])
+    np.testing.assert_array_equal(paths.tx.ray[tx], paths.rx.ray[rx])
 
 
 def test_case2r_uses_each_cluster_once():
@@ -211,15 +212,16 @@ def test_case2r_uses_each_cluster_once():
         sub1, sub2, ConcatCase.CASE_2R, streams=concat_streams(streams)
     )
     nn = paths.pair_type == PairType.NN
-    pairs = set(zip(paths.tx_cluster[nn].tolist(), paths.rx_cluster[nn].tolist()))
+    pairs = set(zip(paths.tx.cluster[paths.tx_idx[nn]].tolist(),
+                    paths.rx.cluster[paths.rx_idx[nn]].tolist()))
     assert len(pairs) == 12
     assert sorted(tc for tc, _ in pairs) == list(range(12))
     assert sorted(rc for _, rc in pairs) == list(range(12))
     # within each cluster pair the rays form a bijection
     for tc, rc in pairs:
-        sel = nn & (paths.tx_cluster == tc)
-        assert sorted(paths.tx_ray[sel].tolist()) == list(range(20))
-        assert sorted(paths.rx_ray[sel].tolist()) == list(range(20))
+        sel = nn & (paths.tx.cluster[paths.tx_idx] == tc)
+        assert sorted(paths.tx.ray[paths.tx_idx][sel].tolist()) == list(range(20))
+        assert sorted(paths.rx.ray[paths.rx_idx][sel].tolist()) == list(range(20))
 
 
 def test_case3_pools_rays_without_reuse():
@@ -228,8 +230,8 @@ def test_case3_pools_rays_without_reuse():
         sub1, sub2, ConcatCase.CASE_3, streams=concat_streams(streams)
     )
     nn = paths.pair_type == PairType.NN
-    tx_flat = paths.tx_cluster[nn] * 20 + paths.tx_ray[nn]
-    rx_flat = paths.rx_cluster[nn] * 20 + paths.rx_ray[nn]
+    tx_flat = paths.tx.cluster[paths.tx_idx][nn] * 20 + paths.tx.ray[paths.tx_idx][nn]
+    rx_flat = paths.rx.cluster[paths.rx_idx][nn] * 20 + paths.rx.ray[paths.rx_idx][nn]
     assert len(np.unique(tx_flat)) == nn.sum()
     assert len(np.unique(rx_flat)) == nn.sum()
 

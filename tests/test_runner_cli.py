@@ -1,9 +1,11 @@
 """End-to-end drop runner and command-line entry points."""
 import hashlib
+import math
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import resources
 
@@ -19,6 +21,7 @@ from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.largescale import ScenarioParams
+from isacsim.metrics import detection_table
 from isacsim.runner import concat_study, run
 
 BASE = (
@@ -68,7 +71,8 @@ def test_run_writes_cross_checked_outputs(tmp_path):
     # checksums recorded in the manifest match the files on disk
     for name, digest in manifest.file_checksums.items():
         assert sha(os.path.join(out, name)) == digest
-    text = open(os.path.join(out, "manifest.txt")).read()
+    with open(os.path.join(out, "manifest.txt")) as fh:
+        text = fh.read()
     assert "[files]" in text and "[config]" in text
     assert "frequency_hz = 6000000000.0" in text
     assert "mean_two_hop_path_loss_db" in text
@@ -268,7 +272,8 @@ def test_monostatic_arrival_equals_departure(tmp_path):
 def test_background_adds_combined_loss(tmp_path):
     out = str(tmp_path / "bg")
     run(make_cfg("background.enabled = true\n"), out_dir=out)
-    text = open(os.path.join(out, "manifest.txt")).read()
+    with open(os.path.join(out, "manifest.txt")) as fh:
+        text = fh.read()
     assert "mean_combined_path_loss_db" in text
     assert "mean_two_hop_path_loss_db" in text
 
@@ -515,20 +520,106 @@ def test_cli_detect_refuses_oversized_grid(tmp_path, capsys, step):
     assert not out.exists()
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# What the command line loads at start-up and for detect: the package init
+# imports no submodule, and run/concat-study import theirs when they start.
+CLI_MODULES = {"isacsim", "isacsim.cli", "isacsim.errors", "isacsim.constants",
+               "isacsim.metrics", "isacsim.rcs", "isacsim.geometry", "isacsim.text"}
+NOT_LOADED = ("isacsim.runner", "isacsim.concatenation", "isacsim.coefficients",
+              "isacsim.smallscale", "isacsim.largescale", "isacsim.stats",
+              "isacsim.config", "isacsim.seeds", "multiprocessing", "concurrent.futures",
+              "hashlib", "scipy")
+
+
+def fresh_python(script, *args, **env):
+    """Run ``script`` in a new interpreter without OPENBLAS_NUM_THREADS, plus
+    ``env``; returns the lines it prints."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def assert_cli_modules_only(loaded):
+    assert {m for m in loaded if m.split(".")[0] == "isacsim"} == CLI_MODULES
+    assert not [m for m in loaded if m in NOT_LOADED or m.startswith("scipy.")]
+
+
+PRINT_MODULES = "print(*sorted(sys.modules))\n"
+
+
+def test_cli_start_up_loads_only_what_detect_uses():
+    script = "import os, sys\nimport isacsim.cli\n" + PRINT_MODULES
+    script += "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    modules, blas = fresh_python(script)
+    assert_cli_modules_only(modules.split())
+    assert blas == "1"
+    assert fresh_python(script, OPENBLAS_NUM_THREADS="3")[1] == "3"  # the caller's wins
+
+
 def test_cli_detect_does_not_load_scipy(tmp_path):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = (
         "import sys\n"
         "import isacsim, isacsim.cli\n"
         "assert isacsim.cli.main(['detect', '--snr-max', '0', '--out', sys.argv[1]]) == 0\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    ) + PRINT_MODULES
+    assert_cli_modules_only(fresh_python(script, str(tmp_path))[-1].split())
     assert (tmp_path / "detection.txt").exists()
+
+
+def per_row_detection_text(pfa, snr_min, snr_max, snr_step, sigma=1.0):
+    """detection.txt as detect wrote it row by row before the text kernel."""
+    n = int(round((snr_max - snr_min) / snr_step)) + 1
+    rows = detection_table(pfa, [snr_min + i * snr_step for i in range(n)], noise_std=sigma)
+    lines = ["# snr_db pfa pd"] + ["%.6f %.6e %.12e" % tuple(row) for row in rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def detect_argv(pfa, snr_min, snr_max, snr_step, sigma=1.0):
+    return ["detect", "--pfa", ",".join(map(repr, pfa)), f"--snr-min={snr_min!r}",
+            f"--snr-max={snr_max!r}", f"--snr-step={snr_step!r}", f"--sigma={sigma!r}"]
+
+
+def detection_file(out_dir, *grid):
+    assert main(detect_argv(*grid) + ["--out", str(out_dir)]) == 0
+    with open(os.path.join(out_dir, "detection.txt"), "rb") as fh:
+        return fh.read()
+
+
+def test_detection_file_matches_the_per_row_writer_on_the_benchmark_grid(tmp_path):
+    grid = ((1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8), -10.0, 30.0, 0.01)
+    data = detection_file(tmp_path, *grid)
+    assert data.count(b"\n") == 1 + 6 * 4001
+    assert data == per_row_detection_text(*grid).encode("ascii")
+
+
+def test_detection_edge_rows_match_the_per_row_writer(tmp_path, capsys):
+    # SNR -0.9 + 3 * 0.3 is -1.1e-16 dB; Pfa 1 has Pd exactly 1 everywhere;
+    # at low SNR, Pd near Pfa 1e-320 is below the text kernel's fast range
+    grid = ((1.0, 1e-320, 1e-3), -0.9, 60.0, 0.3, 2.5)
+    expect = per_row_detection_text(*grid)
+    assert "\n-0.000000 1.000000e+00 1.000000000000e+00\n" in expect
+    assert min(float(line.split()[2]) for line in expect.splitlines()[1:]) < 1e-290
+    assert detection_file(tmp_path, *grid) == expect.encode("ascii")
+    capsys.readouterr()
+    assert main(detect_argv(*grid)) == 0
+    assert capsys.readouterr().out == expect
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(st.one_of(st.just(1.0), st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e)),
+                min_size=1, max_size=4),
+       st.floats(-30.0, 0.0), st.floats(0.01, 4.0), st.integers(0, 40),
+       st.floats(1e-3, 1e3))
+def test_detection_file_matches_the_per_row_writer(pfa, snr_min, snr_step, extra, sigma):
+    snr_max = snr_min + (math.ceil(-snr_min / snr_step) + extra) * snr_step  # crosses 0 dB
+    grid = (pfa, snr_min, snr_max, snr_step, sigma)
+    with tempfile.TemporaryDirectory() as out:
+        assert detection_file(out, *grid) == per_row_detection_text(*grid).encode("ascii")
 
 
 def test_cli_rcs_fit(tmp_path, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from isacsim.concatenation import HopTable
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState
 from isacsim.largescale import HopLink, ScenarioParams
@@ -56,7 +57,7 @@ def test_shapes_and_basic_invariants():
         assert np.all(sub.cluster_powers > 0)
         assert np.all(np.diff(sub.cluster_delays) >= 0)
         assert sub.cluster_delays[0] == 0.0
-        assert sub.min_delay() == 0.0
+        assert HopTable.from_sublink(sub).delay.min() == 0.0
         assert sub.has_los == (condition == "LOS")
 
 
@@ -239,7 +240,7 @@ def test_absolute_delay_adds_propagation_time():
     base = hop.d3d_m / 3.0e8
     np.testing.assert_allclose(ab.ray_delays - rel.ray_delays, base, rtol=1e-12)
     assert ab.los_delay == pytest.approx(base, rel=1e-12)
-    assert ab.min_delay() == pytest.approx(base, rel=1e-12)
+    assert HopTable.from_sublink(ab).delay.min() == pytest.approx(base, rel=1e-12)
 
 
 def test_mono_static_reciprocal_swaps_and_inverts():

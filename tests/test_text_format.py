@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isacsim import runner
+from isacsim import runner, text
 
 
 def oracle(prefixes, values):
@@ -25,7 +25,7 @@ def check(values, prefixes=None):
         values = values.reshape(-1, 1)
     if prefixes is None:
         prefixes = [f"{i} row " for i in range(len(values))]
-    got = runner._format_rows(runner._text(prefixes), values)
+    got = text._format_rows(text._text(prefixes), values)
     assert got == oracle(prefixes, values)
 
 
@@ -117,7 +117,7 @@ def test_rows_of_every_width_and_prefix():
 
 def test_empty_prefix_rows_as_in_cdf_files():
     values = np.column_stack([np.linspace(-3.0, 7.0, 50), np.arange(1, 51) / 50.0])
-    got = runner._format_rows(np.zeros((50, 0), np.uint8), values)
+    got = text._format_rows(np.zeros((50, 0), np.uint8), values)
     assert got == oracle([""] * 50, values)
     assert got.startswith(b"-3.000000000000e+00 2.000000000000e-02\n")
 
@@ -125,12 +125,12 @@ def test_empty_prefix_rows_as_in_cdf_files():
 @pytest.mark.parametrize("slice_values", [7, 64, None])
 def test_blocks_crossing_slice_boundaries(monkeypatch, slice_values):
     if slice_values is not None:
-        monkeypatch.setattr(runner, "SLICE_VALUES", slice_values)
+        monkeypatch.setattr(text, "SLICE_VALUES", slice_values)
     n = 3
-    rows = runner.SLICE_VALUES // n * 2 + 1  # two full slices and one row more
+    rows = text.SLICE_VALUES // n * 2 + 1  # two full slices and one row more
     rng = np.random.default_rng(2)
     values = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-12, 12, (rows, n))
-    assert len(runner._row_slices(rows, n)) == 3
+    assert len(text._row_slices(rows, n)) == 3
     check(values, [f"{i} " for i in range(rows)])
 
 
@@ -157,7 +157,7 @@ def test_cir_block_memory_is_bounded_by_the_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    text = sum(sizes)
-    assert text > 19 * gains.size * 2  # the premise: ~20 bytes per value
-    assert peak < 160 * runner.SLICE_VALUES < text / 3
-    assert max(sizes) < 25 * runner.SLICE_VALUES
+    total = sum(sizes)
+    assert total > 19 * gains.size * 2  # the premise: ~20 bytes per value
+    assert peak < 160 * text.SLICE_VALUES < total / 3
+    assert max(sizes) < 25 * text.SLICE_VALUES
