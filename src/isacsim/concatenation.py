@@ -28,12 +28,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
-from .seeds import RandomStreams
 from .smallscale import SubLinkClusters
+
+if TYPE_CHECKING:  # loading the config needs no random streams
+    from .seeds import RandomStreams
 
 
 class ConcatCase(str, Enum):

@@ -11,13 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import NodeState
-from .seeds import RandomStreams
+
+if TYPE_CHECKING:  # loading the config needs no random streams
+    from .seeds import RandomStreams
 
 LOS = "LOS"
 NLOS = "NLOS"

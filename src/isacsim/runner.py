@@ -164,8 +164,8 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
         cfg.frequency_hz, cfg.rcs_mean_m2,
     )
 
-    sets = [concatenate(table1, table2, case, streams=streams.scoped(SCOPE_CONCAT))
-            for case in cases]
+    concat_streams = streams.scoped(SCOPE_CONCAT)
+    sets = [concatenate(table1, table2, case, streams=concat_streams) for case in cases]
     stats = statistics_table(sets)
     stats[:, STAT_COLUMNS.index("ds_ns")] *= 1e9
     results = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,7 +20,9 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import DirectionAngles, angles_between
 from .largescale import LOS, ConditionParams, HopLink
-from .seeds import RandomStreams
+
+if TYPE_CHECKING:  # loading the config needs no random streams
+    from .seeds import RandomStreams
 
 # Ray offset angles alpha_m (TR 38.901 Table 7.5-3), unit spread, in
 # +/- interleaved order.

@@ -14,8 +14,11 @@ table rows weighted by their paths' summed effective power. Delay spreads
 pool per-block moments; an outer block's are sums of the two hops' moments,
 so the full convolution's P*M x Q*M' paths are never built. All cases of a
 drop share its two hop tables, so statistics_table computes them in one
-pass over (cases x table rows) power matrices; the zero-power rows of other
-cases can move the last printed digit of a spread.
+batched pass over (cases x table rows) power matrices; the zero-power rows
+of other cases can move the last printed digit of a spread. A spread small
+enough to be rounding noise is checked against the values it is taken over
+(path delays, or the angles of the table rows a set uses): if those are all
+equal, the spread is exactly 0.
 """
 from __future__ import annotations
 
@@ -23,14 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concatenation import ConcatCase, HopTable, PairType, PathBlock, TargetPathSet
+from .concatenation import ConcatCase, PairType, TargetPathSet
 from .errors import ConfigError
 
 STAT_FIELDS = ("total_power", "nn_power", "ds", "asa", "asd", "zsa", "zsd")
-# the (hop table, column, circular) each angle spread reads, in STAT_FIELDS order
-_SPREAD_ANGLES = (("rx", "arr_azimuth", True), ("tx", "dep_azimuth", True),
-                  ("rx", "arr_zenith", False), ("tx", "dep_zenith", False))
+# each hop table's (circular) azimuth and zenith column, with the STAT_FIELDS they give
+_SPREAD_COLUMNS = (("rx", "arr_azimuth", "arr_zenith", 3, 5),
+                   ("tx", "dep_azimuth", "dep_zenith", 4, 6))
 SPREAD_METRICS = ("ASA", "ASD", "ZSA", "ZSD")
+# A delay (angle) spread below this many seconds (degrees) may be the
+# rounding noise of values that are all equal, so the values are compared.
+_FLAT_S, _FLAT_DEG = 1e-15, 1e-9
 
 
 @dataclass
@@ -48,105 +54,150 @@ class DropStatistics:
     condition_pair: str
 
 
-def _moments(values: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    """Power-weighted mean and centered variance (two-pass, for digit stability)."""
-    total = p.sum()
-    mean = float((p * values).sum() / total)
-    return mean, float((p * (values - mean) ** 2).sum() / total)
+def _spreads(azimuth: np.ndarray, zenith: np.ndarray, p: np.ndarray) -> tuple:
+    """Power-weighted RMS spreads (degrees) of one table's azimuth and zenith
+    columns under each row of p.
 
-
-def _block_terms(b: PathBlock, tx: HopTable, rx: HopTable) -> tuple:
-    """Tx- and rx-row powers, and (stored power, delay mean, variance, min, max)."""
-    stored, ptx, prx = b.powers(tx, rx)
-    if stored <= 0:
-        raise ConfigError("a path component has zero total power")
-    if b.weight is None:  # every tx row's delay plus every rx row's
-        (mt, vt), (mr, vr) = _moments(tx.delay, ptx), _moments(rx.delay, prx)
-        dtx, drx = tx.delay[b.tx_rows], rx.delay[b.rx_rows]
-        return ptx, prx, (stored, mt + mr, vt + vr,
-                          dtx.min() + drx.min(), dtx.max() + drx.max())
-    tau = tx.delay[b.tx_rows] + rx.delay[b.rx_rows]
-    return ptx, prx, (stored, *_moments(tau, b.weight ** 2), tau.min(), tau.max())
-
-
-def _spreads(angles_deg: np.ndarray, p: np.ndarray, used: np.ndarray,
-             circular: bool) -> np.ndarray:
-    """Power-weighted RMS spread of one angle column under each row of p.
-
-    A circular spread is minimized over origin shifts. The optimal cut of
-    the circle falls in a gap between sorted angles, so a prefix-sum scan
-    over the n cut positions finds it; the spread at that cut is then
-    recomputed in centered form so the result keeps full precision. A row
-    whose used angles are all equal has spread 0.
+    The azimuth spread is circular: minimized over origin shifts. The
+    optimal cut of the circle falls in a gap between sorted angles, so a
+    prefix-sum scan over the cut positions finds it; the spread at that cut
+    is then recomputed in centered form so the result keeps full precision.
     """
-    a = angles_deg
-    if circular:
-        order = np.argsort(a)
-        a, p, used = a[order], p[:, order], used[:, order]
-    flat = np.where(used, a, np.inf).min(1) == np.where(used, a, -np.inf).max(1)
     total = p.sum(1)[:, None]
-    shifted = a
-    if circular:  # cut before column k: the angles left of it move up 360
-        # The variance at cut k exceeds the uncut one by 720 C/T + 360^2 L R/T^2:
-        # L and R are the power left and right of the cut, C the left sum of
-        # p (a - uncut mean). No term is a difference of near-equal sums.
-        left, dev = np.zeros_like(p), np.zeros_like(p)
-        np.cumsum(p[:, :-1], 1, out=left[:, 1:])
-        np.cumsum((p * (a - (p * a).sum(1)[:, None] / total))[:, :-1], 1, out=dev[:, 1:])
-        right = np.cumsum(p[:, ::-1], 1)[:, ::-1]
-        k = np.argmin(720.0 * dev / total + 360.0 ** 2 * left * right / total ** 2, 1)
-        shifted = a + 360.0 * (np.arange(a.size) < k[:, None])
-    mean = (p * shifted).sum(1)[:, None] / total
-    var = (p * (shifted - mean) ** 2).sum(1) / total[:, 0]
-    return np.where(flat, 0.0, np.sqrt(np.maximum(var, 0.0)))
+    dev = zenith - (p * zenith).sum(1)[:, None] / total
+    zenith_var = (p * dev ** 2).sum(1)
+    order = np.argsort(azimuth)
+    a, p = azimuth[order], p[:, order]
+    dev = a - (p * a).sum(1)[:, None] / total  # about the uncut mean
+    # Moving the angles left of column k up by 360 adds (720 C T + 360^2 L R)
+    # / T^2 to the variance: L and R are the power left and right of the cut,
+    # C the left sum of p * dev. No term is a difference of near-equal sums.
+    left, c = np.zeros((2, *p.shape))
+    np.cumsum(p[:, :-1], 1, out=left[:, 1:])
+    np.cumsum((p * dev)[:, :-1], 1, out=c[:, 1:])
+    c *= total / 180.0
+    c += left * np.cumsum(p[:, ::-1], 1)[:, ::-1]
+    k = c.argmin(1)
+    shift = (np.arange(a.size) < k[:, None]) - left[np.arange(len(p)), k][:, None] / total
+    dev += 360.0 * shift
+    azimuth_var = (p * dev ** 2).sum(1)
+    return (np.sqrt(np.maximum(azimuth_var / total[:, 0], 0.0)),
+            np.sqrt(np.maximum(zenith_var / total[:, 0], 0.0)))
+
+
+def _segments(value: np.ndarray, weight: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Total weight, weighted mean and centered variance (two-pass, for
+    digit stability) of each run of consecutive rows."""
+    starts = np.cumsum(lengths) - lengths
+    total = np.add.reduceat(weight, starts) if lengths.min(initial=1) > 0 else lengths * 0.0
+    if not total.min(initial=1) > 0:  # also a run of no rows
+        raise ConfigError("a path component has zero total power")
+    mean = np.add.reduceat(weight * value, starts) / total
+    dev = np.repeat(mean, lengths)
+    np.subtract(value, dev, out=dev)
+    dev *= dev
+    dev *= weight
+    return total, mean, np.add.reduceat(dev, starts) / total
+
+
+def _rows(blocks, side: str) -> tuple:
+    """The blocks' rows of one table, concatenated, and each block's count."""
+    rows = [getattr(b, side + "_rows") for b in blocks]
+    return np.concatenate([np.empty(0, np.intp), *rows]), np.array([r.size for r in rows], np.intp)
+
+
+def _by_unit(rows: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
+    """rows, overwritten with each row's index into a (units x n) matrix."""
+    rows += np.repeat(np.arange(count.size) * n, count)
+    return rows
 
 
 def statistics_table(sets) -> np.ndarray:
     """One row of STAT_FIELDS per path set; an empty set's row is 0, 0, NaN...
 
-    The sets share one tx and one rx table, as the cases of one drop do.
-    Each side gets a (sets x rows) matrix of the effective power through
-    each table row and a mask of the rows some path goes through.
+    The sets share one tx and one rx table, as the cases of one drop do, and
+    the blocks of all sets go through one pass, as units: each distinct outer
+    block (LL, LN and NL recur in every case), then each paired block. Delay
+    moments pool per run of rows: an outer block's tx rows and its rx rows,
+    whose moments add, and a paired block's paths. Per side, a bincount over
+    unit-offset row indices gives each unit's stored power through every
+    table row, and a (sets x units) matrix of effective over stored power
+    turns those into the (sets x rows) effective powers of the spreads.
     """
     tables = {"tx": sets[0].tx, "rx": sets[0].rx}
-    tx, rx = tables.values()
-    if any(p.tx is not tx or p.rx is not rx for p in sets):
+    if any(p.tx is not tables["tx"] or p.rx is not tables["rx"] for p in sets):
         raise ConfigError("the path sets of one statistics pass must share their hop tables")
     out = np.full((len(sets), len(STAT_FIELDS)), np.nan)
     out[:, :2] = 0.0
     live = [s for s, p in enumerate(sets) if len(p)]
-    power = {side: np.zeros((len(live), t.weight.size)) for side, t in tables.items()}
-    used = {side: np.zeros(pw.shape, bool) for side, pw in power.items()}
-    shared = {}  # outer blocks recur: LL, LN and NL read the same rows in every case
+    if not live:
+        return out
+    members = sorted(((i, b) for i, s in enumerate(live) for b in sets[s].blocks),
+                     key=lambda m: m[1].weight is not None)  # outer blocks first
+    owner = np.array([i for i, _ in members], np.intp)
+    blocks = [b for _, b in members]
+    kind = np.array([b.pair_type for b in blocks], np.intp)
+    p = np.array([sets[s].k_weights for s in live]).reshape(len(live), -1)[owner, kind] ** 2
+    n = {side: t.weight.size for side, t in tables.items()}
+    keys = [(b.pair_type, b.tx_rows.tobytes(), b.rx_rows.tobytes())
+            for b in blocks if b.weight is None]
+    shared = dict(zip(keys, blocks))
+    no, slot = len(shared), {key: i for i, key in enumerate(shared)}
+    units = [*shared.values(), *blocks[len(keys):]]
+    unit = np.array([slot[key] for key in keys] + list(range(no, len(units))), np.intp)
 
-    def terms(b):
-        if b.weight is not None:
-            return _block_terms(b, tx, rx)
-        key = (b.pair_type, b.tx_rows.tobytes(), b.rx_rows.tobytes())
-        if key not in shared:
-            shared[key] = _block_terms(b, tx, rx)
-        return shared[key]
+    # an outer unit's tx rows and rx rows are a run each; a row carries its
+    # own hop's power times the other hop's total
+    outer = {side: _rows(units[:no], side) for side in tables}
+    w2 = {side: t.weight[outer[side][0]] ** 2 for side, t in tables.items()}
+    total, *hop = _segments(*(np.concatenate(c) for c in zip(
+        *((t.delay[outer[s][0]], w2[s], outer[s][1]) for s, t in tables.items()))))
+    other_total = {"tx": total[no:], "rx": total[:no]}
+    row_power = {}
+    for side, (rows, count) in outer.items():
+        weight = w2[side] * np.repeat(other_total[side], count)
+        row_power[side] = [np.bincount(_by_unit(rows, count, n[side]), weight,
+                                       no * n[side]).reshape(no, n[side])]
+    jw2 = np.square(np.concatenate([np.empty(0), *(b.weight for b in units[no:])]))
+    tau = np.zeros(jw2.size)  # each paired path's joint delay
+    for side, t in tables.items():
+        rows, count = _rows(units[no:], side)
+        tau += t.delay[rows]
+        row_power[side].append(np.bincount(_by_unit(rows, count, n[side]), jw2,
+                                           count.size * n[side]).reshape(-1, n[side]))
+    paired = _segments(tau, jw2, count)  # a paired block's tx and rx row counts are equal
+    del tau, jw2, rows  # the per-path arrays go before the spreads allocate
+    # per unit the stored power, per block the delay mean and variance
+    stored = np.concatenate([total[:no] * total[no:], paired[0]])
+    mean, var = (np.concatenate([m[:no] + m[no:], mp])[unit] for m, mp in zip(hop, paired[1:]))
 
-    for i, s in enumerate(live):
-        blocks = sets[s].blocks
-        k = sets[s].k_weights[[int(b.pair_type) for b in blocks]]
-        t = [terms(b) for b in blocks]
-        stored, mean, var, lo, hi = np.array([x[2] for x in t]).T
-        p = k ** 2  # each block's effective power
-        if p.sum() <= 0:
-            raise ConfigError("spreads need positive total weight")
-        for b, pb, st, (ptx, prx, _) in zip(blocks, p, stored, t):
-            for side, pw, r in (("tx", ptx, b.tx_rows), ("rx", prx, b.rx_rows)):
-                power[side][i] += (pb / st) * pw
-                used[side][i, r] = True
-        ds = 0.0
-        if lo.min() != hi.max():
-            ds = np.sqrt(max(_moments(mean, p)[1] + (p * var).sum() / p.sum(), 0.0))
-        nn = sum(st for b, st in zip(blocks, stored) if b.pair_type == PairType.NN)
-        out[s, :3] = np.sum(p * stored), nn, ds
-    for col, (side, column, circular) in enumerate(_SPREAD_ANGLES, 3):
-        angles = np.degrees(getattr(tables[side], column))
-        out[live, col] = _spreads(angles, power[side], used[side], circular)
+    set_p = np.bincount(owner, p)
+    if not set_p.min() > 0:
+        raise ConfigError("spreads need positive total weight")
+    centre = np.bincount(owner, p * mean) / set_p
+    spread = (np.bincount(owner, p * (mean - centre[owner]) ** 2) / set_p
+              + np.bincount(owner, p * var) / set_p)
+    res = np.empty((len(live), len(STAT_FIELDS)))
+    res[:, 0] = np.bincount(owner, p * stored[unit])
+    res[:, 1] = np.bincount(owner, np.where(kind == int(PairType.NN), stored[unit], 0.0))
+    res[:, 2] = np.sqrt(np.maximum(spread, 0.0))
+    scale = np.zeros((len(live), len(units)))
+    scale[owner, unit] = p / stored[unit]
+    for side, azimuth, zenith, *cols in _SPREAD_COLUMNS:
+        # einsum adds each set's units in order; a BLAS product sums in a
+        # CPU-dependent order, and would allocate its buffers in a study
+        power = (np.einsum("su,ur->sr", scale[:, :no], row_power[side][0])
+                 + np.einsum("su,ur->sr", scale[:, no:], row_power[side][1]))
+        angles = [np.degrees(getattr(tables[side], c)) for c in (azimuth, zenith)]
+        res[:, cols] = np.transpose(_spreads(*angles, power))
+        for i, j in zip(*np.nonzero(res[:, cols] < _FLAT_DEG)):  # are all used angles equal?
+            used = angles[j][np.concatenate([getattr(b, side + "_rows")
+                                             for b in sets[live[i]].blocks])]
+            res[i, cols[j]] *= used.min() != used.max()
+    for i in np.flatnonzero(res[:, 2] < _FLAT_S):  # are all path delays equal?
+        tau = sets[live[i]].joint_delay
+        res[i, 2] *= tau.min() != tau.max()
+    out[live] = res
     return out
 
 

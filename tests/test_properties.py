@@ -72,10 +72,13 @@ def test_condition_weights_carry_unit_power(kp, kq):
     assert abs(np.sum(condition_weights(kp, kq) ** 2) - 1.0) < 1e-12
 
 
-def one_ray_off_axis():
+def one_ray_off_axis(azimuth=1.0, nn=1.666e-8):
     """A Case1 set whose only tx azimuth off 0 (1 rad) carries 1.666e-8 of
     the power: scoring cuts as sum2/T - (sum1/T)^2 loses that power to
-    cancellation and picks a wrong cut once the set is rotated."""
+    cancellation and picks a wrong cut once the set is rotated. With the
+    NN prefactor at 7.04e-9 (a power below eps / 2 of the total) and the
+    azimuth at 0.25 rad, the power right of a cut taken as T - L is 0 and
+    the unrotated set picks a wrong cut."""
     def table(n, los, azimuth):
         zeros = np.zeros(n)
         return HopTable(
@@ -84,18 +87,19 @@ def one_ray_off_axis():
             arr_azimuth=zeros, cluster=np.zeros(n, np.int32), ray=np.zeros(n, np.int32),
         )
 
-    tx, rx = table(3, True, [1.0, 0.0, 0.0]), table(2, False, [0.0, 0.0])
+    tx, rx = table(3, True, [azimuth, 0.0, 0.0]), table(2, False, [0.0, 0.0])
     blocks = (
         PathBlock(PairType.LN, np.array([2]), np.arange(2)),
         PathBlock(PairType.NN, np.array([0]), np.array([0]), np.ones(1)),
     )
-    return TargetPathSet(ConcatCase.CASE_1, tx, rx, blocks, np.array([0.0, 1.0, 0.0, 1.666e-8]))
+    return TargetPathSet(ConcatCase.CASE_1, tx, rx, blocks, np.array([0.0, 1.0, 0.0, nn]))
 
 
 @PROPERTY
 @given(path_sets(), angles)
 @example(one_ray_off_axis(), 1.0)
 @example(one_ray_off_axis(), 2.0)
+@example(one_ray_off_axis(0.25, 7.04e-9), 1.0)
 def test_azimuth_spreads_ignore_a_common_rotation(paths, theta):
     def wrap(a):
         return np.mod(a + theta + math.pi, 2 * math.pi) - math.pi

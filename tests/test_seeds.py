@@ -1,14 +1,20 @@
-"""Stream factory: reproducibility, isolation, replay."""
+"""Stream factory: reproducibility, isolation, replay, bulk keys."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from isacsim.config import validate_config
+from isacsim.runner import concat_study, run
 from isacsim.seeds import (
     HOP_BACKGROUND,
     HOP_TARGET_RX,
     HOP_TX_TARGET,
+    PIPELINE_TAGS,
     SCOPE_COEFF,
     SCOPE_CONCAT,
     RandomStreams,
+    _tag_id,
 )
 
 
@@ -72,3 +78,89 @@ def test_negative_components_rejected():
         RandomStreams(0, drop=-2)
     with pytest.raises(ValueError):
         RandomStreams(0, drop=0, hop=-1)
+
+
+# ------------------------------------------------ bulk keys and fallbacks
+
+KEYS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+# small values, the one/two-word boundary at 2**32 and the whole uint64 range
+u64 = st.one_of(st.integers(0, 300), st.integers(2**32 - 70, 2**32 + 70),
+                st.integers(0, 2**64 - 1))
+
+
+def seed_sequence_generator(seed, drop, hop, tag):
+    """The generator every stream was built as before keys were derived in bulk."""
+    entropy = [seed, drop, hop, _tag_id(tag)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+@KEYS
+@given(u64, u64, st.integers(0, 4))
+@example(0, 0, 0)
+@example(2**64 - 1, 2**64 - 1, 4)
+@example(2**32 - 1, 2**32, 2)
+def test_bulk_keys_equal_seed_sequence_keys(seed, drop, scope):
+    streams = RandomStreams(seed, drop=drop, hop=scope)
+    for tag in PIPELINE_TAGS:
+        got = streams.stream(tag)
+        want = seed_sequence_generator(seed, drop, scope, tag)
+        assert not isinstance(got.bit_generator.seed_seq, np.random.SeedSequence)
+        np.testing.assert_array_equal(got.bit_generator.state["state"]["key"],
+                                      want.bit_generator.state["state"]["key"])
+        np.testing.assert_array_equal(got.random(2), want.random(2))
+
+
+@KEYS
+@given(st.one_of(st.integers(2**64, 2**80), st.integers(0, 2**64 - 1)), u64,
+       st.integers(0, 6), st.sampled_from(PIPELINE_TAGS + ("x", "a")))
+@example(2**64, 0, 0, "delays")
+@example(5, 0, 0, "x")
+def test_fallback_streams_draw_as_before(seed, drop, hop, tag):
+    """A seed or drop of 2**64 or more, a scope past 4 or an ad hoc tag takes
+    SeedSequence itself, with the same draws."""
+    got = RandomStreams(seed, drop=drop, hop=hop).stream(tag)
+    bulk = max(seed, drop) < 2**64 and hop < 5 and tag in PIPELINE_TAGS
+    assert isinstance(got.bit_generator.seed_seq, np.random.SeedSequence) is not bulk
+    np.testing.assert_array_equal(got.random(4),
+                                  seed_sequence_generator(seed, drop, hop, tag).random(4))
+
+
+def test_every_pipeline_stream_has_a_bulk_key(tmp_path, monkeypatch):
+    """A bistatic and a mono-static concat-study, and a run with a B1 table,
+    background and CIR, ask only for (scope, tag) pairs of the bulk table,
+    and between them for every tag in it."""
+    asked = set()
+    real = RandomStreams.stream
+
+    def spy(self, tag):
+        asked.add((self.hop, tag))
+        return real(self, tag)
+
+    monkeypatch.setattr(RandomStreams, "stream", spy)
+    b1 = tmp_path / "b1.tbl"
+    b1.write_text("-180 1.0\n0 0.5\n180 1.0\n", encoding="utf-8")
+    for i, (entry, text) in enumerate((
+        (concat_study, "frequency_hz = 6e9\ndrops = 6\n"),
+        (concat_study, "frequency_hz = 6e9\ndrops = 6\nsensing_mode = monostatic\n"),
+        (run, f"frequency_hz = 6e9\ndrops = 2\nconcat_case = Case3N\nrcs.b1_table = {b1}\n"
+              "rcs.b2_std_db = 3\npolarization.mode = full\nbackground.enabled = true\n"
+              "conditions.tx_target = LOS\nconditions.background = LOS\n"),
+    )):
+        entry(validate_config(text), str(tmp_path / f"out{i}"))
+    assert asked <= {(scope, tag) for scope in range(5) for tag in PIPELINE_TAGS}
+    assert {tag for _, tag in asked} == set(PIPELINE_TAGS)
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(2.0), True, np.bool_(False), "3", None])
+def test_non_integral_components_rejected(bad):
+    for args in ((bad,), (0, bad), (0, 0, bad)):
+        with pytest.raises(TypeError):
+            RandomStreams(*args)
+
+
+def test_numpy_integer_components_accepted():
+    s = RandomStreams(np.int64(7), drop=np.uint32(3), hop=np.int8(1))
+    assert (s.master_seed, s.drop, s.hop) == (7, 3, 1)
+    assert all(type(v) is int for v in (s.master_seed, s.drop, s.hop))
+    np.testing.assert_array_equal(s.stream("delays").random(4),
+                                  RandomStreams(7, 3, 1).stream("delays").random(4))

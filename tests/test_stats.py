@@ -23,7 +23,7 @@ from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.runner import build_node
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
-from isacsim.smallscale import generate_sublink
+from isacsim.smallscale import generate_sublink, mono_static_reciprocal
 from isacsim.stats import (
     DropStatistics,
     STAT_FIELDS,
@@ -297,9 +297,10 @@ def oracle_statistics(paths):
     }
 
 
-def default_config_drops(count, condition=None, seed=3):
+def default_config_drops(count, condition=None, seed=3, monostatic=False):
     """(tx table, rx table, concatenation streams) of drops of the default
-    configuration, built the way the runner builds them."""
+    configuration, built the way the runner builds them; a mono-static
+    drop's second hop is its first, reversed."""
     cfg = validate_config("frequency_hz = 6e9\n")
     scen = ScenarioParams.from_table(cfg.scenario, cfg.frequency_hz)
     tx, tgt, rx = (build_node(n, cfg.wavelength_m) for n in (cfg.tx, cfg.target, cfg.rx))
@@ -308,6 +309,9 @@ def default_config_drops(count, condition=None, seed=3):
         streams = RandomStreams(seed, drop=d)
         tables = []
         for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
+            if monostatic and tables:
+                tables.append(HopTable.from_sublink(mono_static_reciprocal(tables[0].sub)))
+                break
             hop = build_hop(a, b, scen, streams.scoped(scope), force_condition=condition)
             sub = generate_sublink(hop, scen.condition_params(hop.condition),
                                    streams.scoped(scope))
@@ -319,8 +323,9 @@ def default_config_drops(count, condition=None, seed=3):
 @pytest.fixture(scope="module")
 def oracle_drops():
     """40 drops with auto conditions, then forced LOS/LOS and NLOS/NLOS
-    drops, then LOS/LOS drops whose table weights are scaled row by row, so
-    no hop's powers sum to one."""
+    drops (whose CaseA set is empty), then LOS/LOS drops whose table weights
+    are scaled row by row, so no hop's powers sum to one, then mono-static
+    drops with auto conditions and forced NLOS."""
     rng = np.random.default_rng(6)
 
     def rescaled(table):
@@ -329,16 +334,22 @@ def oracle_drops():
     return (default_config_drops(40) + default_config_drops(6, "LOS", seed=4)
             + default_config_drops(6, "NLOS", seed=5)
             + [(rescaled(t1), rescaled(t2), s)
-               for t1, t2, s in default_config_drops(6, "LOS", seed=7)])
+               for t1, t2, s in default_config_drops(6, "LOS", seed=7)]
+            + default_config_drops(8, seed=8, monostatic=True)
+            + default_config_drops(2, "NLOS", seed=9, monostatic=True))
 
 
 def test_marginal_statistics_match_per_path_oracle(oracle_drops):
     """Each set on its own, and every case of a drop in one statistics pass,
-    where the other cases' rows share the power matrices."""
+    where the other cases' rows share the power matrices: bistatic and
+    mono-static drops, every block shape (outer, paired, an outer block
+    shared by every case) and empty sets."""
     pairs = set()
     empty = 0
     worst = 0.0
+    mono = 0
     for t1, t2, streams in oracle_drops:
+        mono += t2.sub.hop.to_node is t1.sub.hop.from_node  # hop 2 returns to the transmitter
         sets = [concatenate(t1, t2, case, streams=streams) for case in ALL_CASES]
         table = statistics_table(sets)
         for paths, row in zip(sets, table):
@@ -358,6 +369,7 @@ def test_marginal_statistics_match_per_path_oracle(oracle_drops):
                         worst = max(worst, abs(got - want[field]) / abs(want[field]))
     assert pairs == {"LL", "LN", "NL", "NN"}
     assert empty > 0
+    assert mono == 10
     assert worst <= 1e-12
 
 
