@@ -1,8 +1,9 @@
 """Pinned output checksums: fixed-seed runs must reproduce these exact bytes.
 
-Three small in-process runs cover every joint-path component (LL, LN, NL,
-NN), specular rays on both hops, the background channel in embedded mode
-and the full convolution, each run serially and with a pool of 2 workers.
+Four small in-process runs cover every joint-path component (LL, LN, NL,
+NN), specular rays on both hops, absolute delays with split strongest
+clusters, the background channel in embedded mode and the full
+convolution, each run serially and with a pool of 2 workers.
 Every output file except manifest.txt is pinned by its SHA-256, and no
 other file may be left; of the manifest only the path-loss lines are
 pinned, so run-time counters can be added to it freely.
@@ -38,6 +39,14 @@ CONFIGS = {
         "polarization.mode = full\nrcs.b2_std_db = 3\nbackground.enabled = true\n"
         "coupling.mode = embedded\ncoupling.removal_fraction = 0.3\n"
     )),
+    # bi-static, both hops LOS, absolute delays and split strongest clusters
+    "bistatic_los_absolute_split": (run, (
+        "frequency_hz = 6e9\nmaster_seed = 3\ndrops = 3\nconcat_case = Case1N\n"
+        "conditions.tx_target = LOS\nconditions.target_rx = LOS\n"
+        "conditions.background = LOS\nabsolute_delay = true\nsplit_strongest = true\n"
+        "nodes.tx.elements = 2\nnodes.rx.elements = 2\nsnapshots.count = 2\n"
+        "background.enabled = true\n"
+    )),
     "monostatic_case3n": (run, (
         "frequency_hz = 6e9\nmaster_seed = 5\ndrops = 2\nsensing_mode = monostatic\n"
         "concat_case = Case3N\nnodes.tx.elements = 2\nsnapshots.count = 2\n"
@@ -50,6 +59,10 @@ PATH_LOSS_LINES = {
     "bistatic_los_case2rn": [
         "mean_two_hop_path_loss_db = 123.189239",
         "mean_combined_path_loss_db = 85.304201",
+    ],
+    "bistatic_los_absolute_split": [
+        "mean_two_hop_path_loss_db = 123.189239",
+        "mean_combined_path_loss_db = 123.189946",
     ],
     "monostatic_case3n": ["mean_two_hop_path_loss_db = 129.966335"],
     "study_auto": ["mean_two_hop_path_loss_db = 126.136368"],
@@ -66,6 +79,16 @@ cdf_zsa_deg_Case2RN.txt 8c66c139feece6943a25ec89ac78e6a2ad2b41251394d9e062820e98
 cdf_zsd_deg_Case2RN.txt db6583eb8d81df16f8dfd5e04e6deb290950557b10e92ed8c41c6c6f6bec35d5
 cir.txt c44f2ca93630da3bdac1855b21de1051d20433df6e179770e61b5663b6c48297
 statistics.txt cc0cbccd61aac979390ec72068fe115d587a70c8eec9b6176a0d138b7c3b249d
+""",
+    "bistatic_los_absolute_split": """
+cdf_asa_deg_Case1N.txt c3e701b475172db59d42dc9eeec46ce8e757e768cf05815a3901792e11d95727
+cdf_asd_deg_Case1N.txt 30b9ab2e13c61d151eec2fb70af92ec386ba05980e41ef727f72a9e0af1edf3e
+cdf_ds_ns_Case1N.txt e071948d5b9fc763f42b25b57181d2625889f5e899486a1ab1fdddd5d895f52d
+cdf_power_Case1N.txt 15dbefb9bf02a71e9640363d84f39443c1e7e42ca41df009be5feb5f5e46331c
+cdf_zsa_deg_Case1N.txt c0eea453069f8ef8c2ff1d35bb3fe2e3a97f2492a86f9d894026c0ff5e3696cd
+cdf_zsd_deg_Case1N.txt e59b4b19cb6b90e7b1a21eda59a9c9378642e966995f560f3be0c1296376d324
+cir.txt ec4b0ec046dbe9276299ff7105603c37c75dce15c1dbccb559ee56b3be38a861
+statistics.txt 1623f833222ae32a02b97313066471379fea57b194a060135f55969b1f2a20ab
 """,
     "monostatic_case3n": """
 cdf_asa_deg_Case3N.txt b6be4eda26745c7474bb6f12137a64711c2309b2dc46b5c6b835c63afca89fac
