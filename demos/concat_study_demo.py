@@ -42,12 +42,12 @@ def main(argv=None):
         streams = RandomStreams(args.seed, d)
         hop1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), "LOS")
         hop2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
-        sub1 = generate_sublink(hop1, scen.condition_params("LOS"),
-                                streams.scoped(HOP_TX_TARGET))
-        sub2 = generate_sublink(hop2, scen.condition_params("LOS"),
-                                streams.scoped(HOP_TARGET_RX))
+        table1 = generate_sublink(hop1, scen.condition_params("LOS"),
+                                  streams.scoped(HOP_TX_TARGET))
+        table2 = generate_sublink(hop2, scen.condition_params("LOS"),
+                                  streams.scoped(HOP_TARGET_RX))
         for case in cases:
-            paths = concatenate(sub1, sub2, case, streams.scoped(SCOPE_CONCAT))
+            paths = concatenate(table1, table2, case, streams.scoped(SCOPE_CONCAT))
             nn[case][d] = nn_total_power(paths)
             ds[case][d] = drop_statistics(paths).ds
             n_paths[case] = len(paths)

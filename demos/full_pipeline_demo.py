@@ -18,7 +18,7 @@ from isacsim.coefficients import (
     synthesize_background_cir,
     synthesize_target_cir,
 )
-from isacsim.concatenation import ConcatCase, HopTable, PairType, concatenate
+from isacsim.concatenation import ConcatCase, PairType, concatenate
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import NodeState, uniform_linear_array
 from isacsim.largescale import (
@@ -66,12 +66,12 @@ def main(argv=None):
                                      f_hz, mean_rcs_m2=1.0)
     print(f"  two-hop sensing loss (1 m^2 target): {two_hop:.2f} dB")
 
-    # small-scale: clusters and rays per hop, then the joint path set
-    sub1 = generate_sublink(hop1, scen.condition_params(hop1.condition),
-                            streams.scoped(HOP_TX_TARGET))
-    sub2 = generate_sublink(hop2, scen.condition_params(hop2.condition),
-                            streams.scoped(HOP_TARGET_RX))
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_2RN,
+    # small-scale: each hop's cluster/ray table, then the joint path set
+    table1 = generate_sublink(hop1, scen.condition_params(hop1.condition),
+                              streams.scoped(HOP_TX_TARGET))
+    table2 = generate_sublink(hop2, scen.condition_params(hop2.condition),
+                              streams.scoped(HOP_TARGET_RX))
+    paths = concatenate(table1, table2, ConcatCase.CASE_2RN,
                         streams.scoped(SCOPE_CONCAT))
     print(f"\njoint path set ({paths.case.value}, conditions "
           f"{paths.condition_pair}): {len(paths)} paths")
@@ -100,8 +100,8 @@ def main(argv=None):
     # background single-hop channel, built like any hop, and the combined set
     bg_streams = streams.scoped(HOP_BACKGROUND)
     hop_bg = build_hop(tx, rx, scen, bg_streams)
-    bg_table = HopTable.from_sublink(generate_sublink(
-        hop_bg, scen.condition_params(hop_bg.condition), bg_streams))
+    bg_table = generate_sublink(
+        hop_bg, scen.condition_params(hop_bg.condition), bg_streams)
     bg = synthesize_background_cir(bg_table, grid, lam)
     both = combine_channels(cir, bg, CouplingConfig(o_isac=0.5, mode="added"))
     bg_pow = float(np.mean(np.sum(np.abs(bg.gains) ** 2, axis=2)))

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "concatenation": (
-        "ConcatCase", "HopTable", "PairType", "PathBlock", "TargetPathSet",
+        "ConcatCase", "PairType", "PathBlock", "TargetPathSet",
         "concatenate", "condition_weights", "nn_total_power", "ray_marginal_power",
     ),
     "coefficients": (
@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "runner": ("RunManifest", "concat_study", "run"),
     "seeds": ("RandomStreams",),
-    "smallscale": ("SubLinkClusters", "generate_sublink", "mono_static_reciprocal"),
+    "smallscale": ("HopTable", "generate_sublink", "mono_static_reciprocal"),
     "stats": (
         "DropStatistics", "EmpiricalCdf", "angle_spread", "drop_statistics",
         "empirical_cdf", "ks_statistic", "statistics_table",

@@ -14,7 +14,8 @@ point's in/out directions, and sigma is the per-path small-scale cross
 section. Geometry is frozen within a drop: only the Doppler exponential
 depends on t.
 
-Synthesis only turns hop tables into gains: the runner builds every hop.
+Synthesis only turns hop tables (smallscale.HopTable: per-row weights,
+delays, angles, XPR and phases) into gains: the runner builds every hop.
 The target-channel gains carry no path-loss scale (the two-hop budget with
 the mean RCS is a separate large-scale quantity); the single-hop background
 channel does fold its hop's path loss and shadowing into the gains.
@@ -29,9 +30,10 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import DirectionAngles, field_components, spherical_unit_vector
 from .largescale import CouplingConfig
-from .concatenation import HopTable, PairType, TargetPathSet, condition_weights
+from .concatenation import PairType, TargetPathSet, condition_weights
 from .rcs import PolarizationScattering, RcsModel, scattering_matrix, small_scale_sigma
 from .seeds import RandomStreams
+from .smallscale import HopTable
 
 
 @dataclass
@@ -97,18 +99,13 @@ def doppler_frequency(
 
 def _side_matrices(table: HopTable, wavelength_m: float) -> np.ndarray:
     """(R, 2, 2) transfer of every hop-table row: XPR matrix or LOS diagonal."""
-    sub = table.sub
     n_diffuse = table.num_diffuse
     out = np.zeros((len(table.weight), 2, 2), dtype=complex)
-    inv = np.sqrt(1.0 / sub.xpr).ravel()
-    # theta-theta, theta-phi, phi-theta, phi-phi
-    ph = sub.phases.reshape(n_diffuse, 4)
-    out[:n_diffuse, 0, 0] = np.exp(1j * ph[:, 0])
-    out[:n_diffuse, 0, 1] = inv * np.exp(1j * ph[:, 1])
-    out[:n_diffuse, 1, 0] = inv * np.exp(1j * ph[:, 2])
-    out[:n_diffuse, 1, 1] = np.exp(1j * ph[:, 3])
-    if sub.has_los:
-        phase = -2.0 * np.pi * sub.hop.d3d_m / wavelength_m
+    # theta-theta, theta-phi, phi-theta, phi-phi; the cross terms scaled 1/sqrt(XPR)
+    out[:n_diffuse] = np.exp(1j * table.phases).reshape(n_diffuse, 2, 2)
+    out[:n_diffuse, [0, 1], [1, 0]] *= np.sqrt(1.0 / table.xpr)[:, None]
+    if table.has_los:
+        phase = -2.0 * np.pi * table.hop.d3d_m / wavelength_m
         e = np.exp(1j * phase)
         out[n_diffuse, 0, 0] = e
         out[n_diffuse, 1, 1] = -e
@@ -164,8 +161,8 @@ def synthesize_target_cir(
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    tx_hop = paths.tx.sub.hop
-    rx_hop = paths.rx.sub.hop
+    tx_hop = paths.tx.hop
+    rx_hop = paths.rx.hop
     if not np.allclose(tx_hop.to_node.position_m, rx_hop.from_node.position_m):
         raise ConfigError("hops do not share the scattering point")
 
@@ -229,11 +226,11 @@ def synthesize_background_cir(
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    hop = table.sub.hop
+    hop = table.hop
     rows = np.arange(table.num_diffuse)
-    if table.sub.has_los:
+    if table.has_los:
         rows = np.concatenate([[table.num_diffuse], rows])  # specular first
-    k = hop.k_factor if table.sub.has_los else 0.0
+    k = hop.k_factor if table.has_los else 0.0
     spec_share, diffuse_share = condition_weights(k, 0.0)[[1, 3]]
     share = np.where(table.cluster[rows] < 0, spec_share, diffuse_share)
     scale = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 20.0)

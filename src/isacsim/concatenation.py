@@ -21,6 +21,9 @@ A trailing 'N' (Case1N, Case2ON, Case2RN, Case3N) rescales the NN weights
 so their power sums to one, restoring the full-convolution NN power budget.
 Unequal cluster counts pair min(P, Q) clusters; unequal ray counts pair
 min(M, M') rays (the pooled case pairs min-pool-size rays).
+
+Each hop arrives as its smallscale.HopTable; a path set stores each
+component as a block of (tx row, rx row) pairs of the two tables.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError
-from .smallscale import SubLinkClusters
+from .smallscale import HopTable
 
 if TYPE_CHECKING:  # loading the config needs no random streams
     from .seeds import RandomStreams
@@ -98,52 +101,6 @@ def condition_weights(k_p: float, k_q: float) -> np.ndarray:
     sp, dp = split(k_p)
     sq, dq = split(k_q)
     return np.array([sp * sq, sp * dq, dp * sq, dp * dq])
-
-
-@dataclass
-class HopTable:
-    """One hop's rays as flat table rows.
-
-    Row cluster*M + ray is diffuse ray `ray` of cluster `cluster`, weighted
-    sqrt(P_cluster / M) by the normalized cluster powers; under LOS one more
-    row, N*M, holds the specular ray (weight 1, cluster and ray -1). Angles
-    are radians: dep_* at the hop's from-node, arr_* at its to-node.
-    """
-
-    sub: SubLinkClusters
-    weight: np.ndarray
-    delay: np.ndarray
-    dep_zenith: np.ndarray
-    dep_azimuth: np.ndarray
-    arr_zenith: np.ndarray
-    arr_azimuth: np.ndarray
-    cluster: np.ndarray
-    ray: np.ndarray
-
-    @classmethod
-    def from_sublink(cls, sub: SubLinkClusters) -> "HopTable":
-        n, m = sub.aod.shape
-        total = sub.cluster_powers.sum()
-        ray_power = sub.cluster_powers[:, None] / m / total
-        cols = [
-            np.sqrt(np.broadcast_to(ray_power, (n, m))).ravel(),
-            sub.ray_delays.ravel(),
-            sub.zod.ravel(), sub.aod.ravel(),
-            sub.zoa.ravel(), sub.aoa.ravel(),
-            np.repeat(np.arange(n, dtype=np.int32), m),
-            np.tile(np.arange(m, dtype=np.int32), n),
-        ]
-        if sub.has_los:
-            dep, arr = sub.los_departure, sub.los_arrival
-            los = (1.0, sub.los_delay, dep.zenith, dep.azimuth,
-                   arr.zenith, arr.azimuth, -1, -1)
-            cols = [np.append(c, np.asarray(v, c.dtype)) for c, v in zip(cols, los)]
-        return cls(sub, *cols)
-
-    @property
-    def num_diffuse(self) -> int:
-        """Number of diffuse rows, which is also the specular row's index."""
-        return self.sub.aod.size
 
 
 def _gather(side: str, column: str):
@@ -247,9 +204,7 @@ class TargetPathSet:
     @property
     def condition_pair(self) -> str:
         """Hop condition labels, e.g. 'LL' when both hops are LOS."""
-        t = "L" if self.tx.sub.has_los else "N"
-        r = "L" if self.rx.sub.has_los else "N"
-        return t + r
+        return "".join("L" if t.has_los else "N" for t in (self.tx, self.rx))
 
     @property
     def nn_block(self) -> PathBlock:
@@ -261,7 +216,7 @@ class TargetPathSet:
 
 def _nn_indices(case, tx, rx, streams):
     """Index pairs (into the tx/rx hop-table rows) of a paired NN component."""
-    (p, m), (q, m2) = tx.sub.aod.shape, rx.sub.aod.shape
+    (p, m), (q, m2) = tx.shape, rx.shape
     mm = min(m, m2)
     pq = min(p, q)
     base = case.base
@@ -296,38 +251,31 @@ def _nn_indices(case, tx, rx, streams):
 
 
 def concatenate(
-    tx_link: HopTable | SubLinkClusters,
-    rx_link: HopTable | SubLinkClusters,
+    tx: HopTable,
+    rx: HopTable,
     case: ConcatCase,
     streams: RandomStreams | None = None,
 ) -> TargetPathSet:
-    """Build the joint path set of the two hops for one down-selection case.
-
-    Each hop is its HopTable or its clusters. Deterministic cases work with
-    streams=None; the randomized pairings (Case2R, Case3 and their
-    normalized variants) require a stream factory scoped to the
-    concatenation stage.
+    """Build the joint path set of the two hop tables for one down-selection
+    case. Deterministic cases work with streams=None; the randomized
+    pairings (Case2R, Case3 and their normalized variants) require a stream
+    factory scoped to the concatenation stage.
     """
     case = ConcatCase(case)
     if case.uses_randomness and streams is None:
         raise ConfigError(f"{case.value} needs random streams for its pairing")
-    tx, rx = (h if isinstance(h, HopTable) else HopTable.from_sublink(h)
-              for h in (tx_link, rx_link))
 
-    k_w = condition_weights(
-        tx.sub.hop.k_factor if tx.sub.has_los else 0.0,
-        rx.sub.hop.k_factor if rx.sub.has_los else 0.0,
-    )
+    k_w = condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in (tx, rx)))
 
     # One block per component, in output order (none for CaseA with both
     # hops NLOS); a table's specular row sits right after its diffuse rows.
     nt, nr = tx.num_diffuse, rx.num_diffuse
     blocks = []
-    if tx.sub.has_los and rx.sub.has_los:
+    if tx.has_los and rx.has_los:
         blocks.append(PathBlock(PairType.LL, np.array([nt]), np.array([nr])))
-    if tx.sub.has_los:
+    if tx.has_los:
         blocks.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
-    if rx.sub.has_los:
+    if rx.has_los:
         blocks.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
     if case is ConcatCase.CASE_0:
         blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
@@ -358,4 +306,4 @@ def ray_marginal_power(paths: TargetPathSet, side: str = "tx") -> np.ndarray:
         raise ConfigError(f"side must be 'tx' or 'rx', got {side!r}")
     table = getattr(paths, side)
     acc = paths.nn_block.powers(paths.tx, paths.rx)[1 if side == "tx" else 2]
-    return acc[: table.num_diffuse].reshape(table.sub.aod.shape)
+    return acc[: table.num_diffuse].reshape(table.shape)

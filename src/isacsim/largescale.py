@@ -221,10 +221,7 @@ def hop_path_loss(
         )
     if condition not in CONDITIONS:
         raise ConfigError(f"condition must be LOS or NLOS, got {condition!r}")
-    if not (0.0 < d3d_m <= 5000.0):
-        raise ConfigError(
-            f"3-D distance {d3d_m} m outside the supported range (0, 5000] m"
-        )
+    _check_distance(d3d_m)
     if frequency_hz <= 0:
         raise ConfigError(f"carrier frequency must be positive, got {frequency_hz}")
     f_ghz = frequency_hz / 1e9
@@ -357,6 +354,24 @@ class HopLink:
     shadow_fading_db: float
 
 
+def _check_distance(d3d_m: float) -> None:
+    if not (0.0 < d3d_m <= 5000.0):
+        raise ConfigError(
+            f"3-D distance {d3d_m} m outside the supported range (0, 5000] m"
+        )
+
+
+def hop_distances(from_node: NodeState, to_node: NodeState) -> tuple[float, float]:
+    """3-D and ground distance of a hop; refuses coincident endpoints and a
+    3-D distance the path-loss model does not cover."""
+    delta = to_node.position_m - from_node.position_m
+    d3d = float(np.linalg.norm(delta))
+    if d3d == 0.0:
+        raise ConfigError("degenerate geometry: hop endpoints coincide")
+    _check_distance(d3d)
+    return d3d, float(np.hypot(delta[0], delta[1]))
+
+
 def build_hop(
     from_node: NodeState,
     to_node: NodeState,
@@ -371,11 +386,7 @@ def build_hop(
     draw but still consumes the same named streams for the other quantities,
     so forced and drawn runs stay stream-compatible.
     """
-    delta = to_node.position_m - from_node.position_m
-    d3d = float(np.linalg.norm(delta))
-    d2d = float(np.hypot(delta[0], delta[1]))
-    if d3d == 0.0:
-        raise ConfigError("degenerate geometry: hop endpoints coincide")
+    d3d, d2d = hop_distances(from_node, to_node)
     if force_condition is not None:
         if force_condition not in CONDITIONS:
             raise ConfigError(f"condition must be LOS or NLOS, got {force_condition!r}")

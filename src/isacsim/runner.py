@@ -25,12 +25,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import __version__
-from .concatenation import (
-    ALL_CASES,
-    ConcatCase,
-    HopTable,
-    concatenate,
-)
+from .concatenation import ALL_CASES, ConcatCase, concatenate
 from .config import RunConfig, config_echo
 from .coefficients import (
     SnapshotGrid,
@@ -47,6 +42,7 @@ from .largescale import (
     build_hop,
     combine_isac_path_loss,
     concatenated_path_loss,
+    hop_distances,
 )
 from .rcs import B1Table, PolarizationScattering, RcsModel, TargetClass
 from .seeds import (
@@ -57,7 +53,7 @@ from .seeds import (
     SCOPE_CONCAT,
     RandomStreams,
 )
-from .smallscale import generate_sublink, mono_static_reciprocal
+from .smallscale import check_ray_layout, generate_sublink, mono_static_reciprocal
 from .stats import empirical_cdf, statistics_table
 from .text import _format_rows, _row_slices, _text
 
@@ -149,18 +145,18 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
         hop_streams = streams.scoped(scope)
         hop = build_hop(from_node, to_node, scenario, hop_streams,
                         None if condition == "auto" else condition)
-        return HopTable.from_sublink(generate_sublink(
+        return generate_sublink(
             hop, scenario.condition_params(hop.condition), hop_streams,
             split_strongest=cfg.split_strongest, absolute_delay=cfg.absolute_delay,
-        ))
+        )
 
     table1 = hop_table(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)
     if cfg.sensing_mode == "monostatic":
-        table2 = HopTable.from_sublink(mono_static_reciprocal(table1.sub))
+        table2 = mono_static_reciprocal(table1)
     else:
         table2 = hop_table(target, rx, HOP_TARGET_RX, cfg.cond_target_rx)
     pl_target = concatenated_path_loss(
-        table1.sub.hop.path_loss_db, table2.sub.hop.path_loss_db,
+        table1.hop.path_loss_db, table2.hop.path_loss_db,
         cfg.frequency_hz, cfg.rcs_mean_m2,
     )
 
@@ -184,7 +180,7 @@ def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
             elif cfg.background_enabled:
                 background = hop_table(tx, rx, HOP_BACKGROUND, cfg.cond_background)
                 rec.pl_isac_db = combine_isac_path_loss(
-                    pl_target, background.sub.hop.path_loss_db, coupling
+                    pl_target, background.hop.path_loss_db, coupling
                 )
                 cir = combine_channels(
                     cir, synthesize_background_cir(background, grid, cfg.wavelength_m),
@@ -331,17 +327,26 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     if out_dir is None:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
         out_dir = os.path.join(cfg.out_dir or "runs", f"{stamp}-seed{cfg.master_seed}")
+    scenario = ScenarioParams.from_table(
+        cfg.scenario, cfg.frequency_hz, path=cfg.scenario_table
+    )
+    tx, rx, target = (build_node(node, cfg.wavelength_m)
+                      for node in (cfg.tx, cfg.rx, cfg.target))
+    hops = [(tx, target, cfg.cond_tx_target)]
+    if cfg.sensing_mode == "bistatic":
+        hops.append((target, rx, cfg.cond_target_rx))
+    if emit_cir and cfg.background_enabled and cfg.coupling_o_isac > 0:  # not built if 0
+        hops.append((tx, rx, cfg.cond_background))
+    # What every drop would refuse (a hop's geometry, the ray layout of a
+    # condition it can take) is refused before --out is cleared.
+    for from_node, to_node, condition in hops:
+        hop_distances(from_node, to_node)
+        for cond in scenario.conditions if condition == "auto" else (condition,):
+            check_ray_layout(scenario.condition_params(cond), cfg.split_strongest)
     cir = CirFile(os.path.join(out_dir, "cir.txt"))
-    wavelength = cfg.wavelength_m
     worker = partial(
-        _run_drop, cfg, cases, emit_cir,
-        scenario=ScenarioParams.from_table(
-            cfg.scenario, cfg.frequency_hz, path=cfg.scenario_table
-        ),
-        tx=build_node(cfg.tx, wavelength),
-        rx=build_node(cfg.rx, wavelength),
-        target=build_node(cfg.target, wavelength),
-        rcs_model=rcs_model,
+        _run_drop, cfg, cases, emit_cir, scenario=scenario,
+        tx=tx, rx=rx, target=target, rcs_model=rcs_model,
         polarization=PolarizationScattering(cfg.pol_mode, cfg.pol_alphas),
         grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count),
         coupling=CouplingConfig(

@@ -1,12 +1,14 @@
 """Per-hop cluster generation following the TR 38.901 sec 7.5 procedure.
 
-Each hop of a drop gets an independent set of delay-sorted clusters with
-per-ray departure/arrival angles, cross-polarization ratios, and initial
-phases. Condition weighting (the specular/diffuse power split) is *not*
-baked into the stored cluster powers: powers always sum to one over the
-diffuse clusters, and the Rician split is applied later through the
-condition prefactors of the concatenation stage. The LOS K-factor still
-shapes delays and angles here exactly as the standard prescribes.
+Each hop of a drop gets one HopTable: an independent set of delay-sorted
+clusters whose rays, with their departure/arrival angles, cross-polarization
+ratios and initial phases, are flat table rows, plus the specular ray's row
+under LOS; mono_static_reciprocal reverses a table. Condition weighting
+(the specular/diffuse power split) is *not* baked into the row weights:
+the squared diffuse weights always sum to one, and the Rician split is
+applied later through the condition prefactors of the concatenation stage.
+The LOS K-factor still shapes delays and angles here exactly as the
+standard prescribes.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
-from .geometry import DirectionAngles, angles_between
+from .geometry import angles_between
 from .largescale import LOS, ConditionParams, HopLink
 
 if TYPE_CHECKING:  # loading the config needs no random streams
@@ -45,39 +47,40 @@ ZENITH_SPREAD_CAP_DEG = 52.0
 
 
 @dataclass
-class SubLinkClusters:
-    """Clusters and rays of one hop.
+class HopTable:
+    """One hop's rays as flat table rows.
 
-    Angle arrays have shape (clusters, rays) and are in radians; delays are
-    relative seconds (global minimum 0 unless absolute delays were enabled).
-    cluster_powers are linear and sum to one. phases holds the four initial
-    phases (theta-theta, theta-phi, phi-theta, phi-phi) per ray. The LOS ray
-    fields are populated only when the hop condition is LOS.
+    Row cluster*M + ray is diffuse ray `ray` of cluster `cluster`, weighted
+    sqrt(P_cluster / M) by the normalized cluster powers; under LOS one more
+    row, N*M, holds the specular ray (weight 1, cluster and ray -1), so the
+    hop is LOS exactly when the table has that row. Angles are radians:
+    dep_* at the hop's from-node, arr_* at its to-node. Delays are seconds,
+    relative (minimum 0) unless absolute delays were enabled. xpr and the
+    four initial phases (theta-theta, theta-phi, phi-theta, phi-phi) are
+    per diffuse row.
     """
 
     hop: HopLink
-    params: ConditionParams
-    cluster_delays: np.ndarray
-    cluster_powers: np.ndarray
-    ray_delays: np.ndarray
-    aod: np.ndarray
-    zod: np.ndarray
-    aoa: np.ndarray
-    zoa: np.ndarray
-    xpr: np.ndarray
-    phases: np.ndarray
-    has_los: bool = False
-    los_delay: float = 0.0
-    los_departure: DirectionAngles | None = None
-    los_arrival: DirectionAngles | None = None
+    shape: tuple  # (clusters N, rays per cluster M)
+    weight: np.ndarray
+    delay: np.ndarray
+    dep_zenith: np.ndarray
+    dep_azimuth: np.ndarray
+    arr_zenith: np.ndarray
+    arr_azimuth: np.ndarray
+    cluster: np.ndarray
+    ray: np.ndarray
+    xpr: np.ndarray  # (N*M,)
+    phases: np.ndarray  # (N*M, 4)
 
     @property
-    def num_clusters(self) -> int:
-        return int(self.cluster_delays.shape[0])
+    def num_diffuse(self) -> int:
+        """Number of diffuse rows, which is also the specular row's index."""
+        return self.shape[0] * self.shape[1]
 
     @property
-    def rays_per_cluster(self) -> int:
-        return int(self.aod.shape[1])
+    def has_los(self) -> bool:
+        return self.weight.size > self.num_diffuse
 
 
 def _wrap_azimuth_deg(phi):
@@ -140,14 +143,27 @@ def _row_shuffle(rng, arr):
     return np.take_along_axis(arr, order, axis=1)
 
 
+def check_ray_layout(params: ConditionParams, split_strongest: bool) -> None:
+    """Refuse a cluster/ray layout that generate_sublink cannot build."""
+    m = params.rays_per_cluster
+    if params.num_clusters < 1:
+        raise ConfigError("cluster count must be >= 1")
+    if not (1 <= m <= RAY_OFFSETS.shape[0]):
+        raise ConfigError(
+            f"rays per cluster must be in [1, {RAY_OFFSETS.shape[0]}], got {m}"
+        )
+    if split_strongest and m != RAY_OFFSETS.shape[0]:
+        raise ConfigError("sub-cluster delay split requires the full 20-ray layout")
+
+
 def generate_sublink(
     hop: HopLink,
     params: ConditionParams,
     streams: RandomStreams,
     split_strongest: bool = False,
     absolute_delay: bool = False,
-) -> SubLinkClusters:
-    """Generate the cluster/ray structure of one hop.
+) -> HopTable:
+    """Generate the cluster/ray table of one hop.
 
     Follows the standard step order: large-scale spread draws, exponential
     delay draw with LOS delay rescaling, per-cluster power with shadowing,
@@ -155,14 +171,9 @@ def generate_sublink(
     zenith, LOS first-cluster alignment), fixed ray offset fan-out, random
     ray coupling, per-ray XPR and initial phases.
     """
+    check_ray_layout(params, split_strongest)
     n = params.num_clusters
     m = params.rays_per_cluster
-    if n < 1:
-        raise ConfigError("cluster count must be >= 1")
-    if not (1 <= m <= RAY_OFFSETS.shape[0]):
-        raise ConfigError(
-            f"rays per cluster must be in [1, {RAY_OFFSETS.shape[0]}], got {m}"
-        )
     is_los = hop.condition == LOS
     k_lin = hop.k_factor if is_los else 0.0
     k_db = _k_db(k_lin) if k_lin > 0 else 0.0
@@ -247,20 +258,12 @@ def generate_sublink(
     zod = np.radians(_fold_zenith_deg(zod_deg))
     zoa = np.radians(_fold_zenith_deg(zoa_deg))
 
-    xpr_db = (
-        params.xpr_mean_db
-        + params.xpr_std_db * streams.stream("xpr").standard_normal((n, m))
-    )
-    xpr = 10.0 ** (xpr_db / 10.0)
+    xpr_db = params.xpr_mean_db + params.xpr_std_db * streams.stream("xpr").standard_normal(n * m)
     # Initial phases uniform on (-pi, pi].
-    phases = np.pi - streams.stream("phases").random((n, m, 4)) * (2.0 * np.pi)
+    phases = np.pi - streams.stream("phases").random((n * m, 4)) * (2.0 * np.pi)
 
     ray_delays = np.broadcast_to(tau_out[:, None], (n, m)).copy()
     if split_strongest:
-        if m != RAY_OFFSETS.shape[0]:
-            raise ConfigError(
-                "sub-cluster delay split requires the full 20-ray layout"
-            )
         c_ds_s = params.c_ds_ns * 1e-9
         strongest = np.argsort(powers)[::-1][:2]
         for rays, mult in _SUBCLUSTER_GROUPS[1:]:
@@ -271,39 +274,33 @@ def generate_sublink(
     if absolute_delay:
         # Geometric propagation delay; the standardized NLOS excess-delay
         # model (TR 38.901 sec 7.6.9) is not applied on top.
-        base = hop.d3d_m / SPEED_OF_LIGHT
-        ray_delays = ray_delays + base
-        tau_out = tau_out + base
-        los_delay = base
+        los_delay = hop.d3d_m / SPEED_OF_LIGHT
+        ray_delays = ray_delays + los_delay
 
-    return SubLinkClusters(
-        hop=hop,
-        params=params,
-        cluster_delays=tau_out,
-        cluster_powers=powers,
-        ray_delays=ray_delays,
-        aod=aod,
-        zod=zod,
-        aoa=aoa,
-        zoa=zoa,
-        xpr=xpr,
-        phases=phases,
-        has_los=is_los,
-        los_delay=los_delay,
-        los_departure=los_departure,
-        los_arrival=los_arrival,
-    )
+    ray_power = np.broadcast_to(powers[:, None] / m / powers.sum(), (n, m))
+    cols = [
+        np.sqrt(ray_power).ravel(), ray_delays.ravel(),
+        zod.ravel(), aod.ravel(), zoa.ravel(), aoa.ravel(),
+        np.repeat(np.arange(n, dtype=np.int32), m),
+        np.tile(np.arange(m, dtype=np.int32), n),
+    ]
+    if is_los:
+        los = (1.0, los_delay, los_departure.zenith, los_departure.azimuth,
+               los_arrival.zenith, los_arrival.azimuth, -1, -1)
+        cols = [np.append(c, np.asarray(v, c.dtype)) for c, v in zip(cols, los)]
+    return HopTable(hop, (n, m), *cols, xpr=10.0 ** (xpr_db / 10.0), phases=phases)
 
 
-def mono_static_reciprocal(sub: SubLinkClusters) -> SubLinkClusters:
+def mono_static_reciprocal(table: HopTable) -> HopTable:
     """Reverse a hop for mono-static sensing: swap departure and arrival.
 
-    The returned sub-link reuses the same clusters, powers, XPR, and phases
-    (channel reciprocity); only the direction bookkeeping is mirrored.
-    Applying the operation twice returns an identical sub-link.
+    The returned table shares the weights, delays, XPR and phases (channel
+    reciprocity); only the angle columns and the hop's nodes are swapped.
+    Applying the operation twice returns an identical table.
     """
-    hop = replace(sub.hop, from_node=sub.hop.to_node, to_node=sub.hop.from_node)
+    hop = replace(table.hop, from_node=table.hop.to_node, to_node=table.hop.from_node)
     return replace(
-        sub, hop=hop, aod=sub.aoa, zod=sub.zoa, aoa=sub.aod, zoa=sub.zod,
-        los_departure=sub.los_arrival, los_arrival=sub.los_departure,
+        table, hop=hop,
+        dep_zenith=table.arr_zenith, dep_azimuth=table.arr_azimuth,
+        arr_zenith=table.dep_zenith, arr_azimuth=table.dep_azimuth,
     )

@@ -15,7 +15,6 @@ from isacsim.coefficients import (
 )
 from isacsim.concatenation import (
     ConcatCase,
-    HopTable,
     PairType,
     concatenate,
     nn_total_power,
@@ -40,7 +39,7 @@ from isacsim.seeds import (
     SCOPE_CONCAT,
     RandomStreams,
 )
-from isacsim.smallscale import generate_sublink
+from isacsim.smallscale import HopTable, generate_sublink
 
 F_HZ = 6e9
 LAM = SPEED_OF_LIGHT / F_HZ
@@ -58,12 +57,12 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
     streams = RandomStreams(seed)
     h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), cond1)
     h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), cond2)
-    sub1 = generate_sublink(h1, scen.condition_params(cond1), streams.scoped(HOP_TX_TARGET))
-    sub2 = generate_sublink(h2, scen.condition_params(cond2), streams.scoped(HOP_TARGET_RX))
+    t1 = generate_sublink(h1, scen.condition_params(cond1), streams.scoped(HOP_TX_TARGET))
+    t2 = generate_sublink(h2, scen.condition_params(cond2), streams.scoped(HOP_TARGET_RX))
     if xpr_override is not None:
-        sub1.xpr = np.full_like(sub1.xpr, xpr_override)
-        sub2.xpr = np.full_like(sub2.xpr, xpr_override)
-    paths = concatenate(sub1, sub2, case, streams.scoped(SCOPE_CONCAT))
+        t1.xpr = np.full_like(t1.xpr, xpr_override)
+        t2.xpr = np.full_like(t2.xpr, xpr_override)
+    paths = concatenate(t1, t2, case, streams.scoped(SCOPE_CONCAT))
     cir = synthesize_target_cir(
         paths, RcsModel(), grid or SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
     )
@@ -85,16 +84,10 @@ def test_snapshot_grid_times():
 
 def side_table(xpr=1.0, phases=(0.0, 0.0, 0.0, 0.0), los_d3d_m=None):
     """Hop table of one diffuse ray, plus the specular row when los_d3d_m is set."""
-    sub = SimpleNamespace(
-        aod=np.zeros((1, 1)),
-        xpr=np.array([[xpr]]),
-        phases=np.asarray(phases, float).reshape(1, 1, 4),
-        has_los=los_d3d_m is not None,
-        hop=SimpleNamespace(d3d_m=los_d3d_m),
-    )
-    rows = 2 if sub.has_los else 1
+    rows = 1 if los_d3d_m is None else 2
     index = np.array([0, -1][:rows], np.int32)  # cluster and ray; -1 is specular
-    return HopTable(sub, *[np.zeros(rows)] * 6, index, index)
+    return HopTable(SimpleNamespace(d3d_m=los_d3d_m), (1, 1), *[np.zeros(rows)] * 6,
+                    index, index, np.array([xpr]), np.asarray(phases, float).reshape(1, 4))
 
 
 def sandwich(rx_side, s, tx_side):
@@ -267,9 +260,9 @@ def test_hops_must_share_the_scattering_point():
     streams = RandomStreams(11)
     h1 = build_hop(tx, tgt1, scen, streams.scoped(HOP_TX_TARGET), "LOS")
     h2 = build_hop(tgt2, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
-    sub1 = generate_sublink(h1, scen.condition_params("LOS"), streams.scoped(HOP_TX_TARGET))
-    sub2 = generate_sublink(h2, scen.condition_params("LOS"), streams.scoped(HOP_TARGET_RX))
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_2O)
+    t1 = generate_sublink(h1, scen.condition_params("LOS"), streams.scoped(HOP_TX_TARGET))
+    t2 = generate_sublink(h2, scen.condition_params("LOS"), streams.scoped(HOP_TARGET_RX))
+    paths = concatenate(t1, t2, ConcatCase.CASE_2O)
     with pytest.raises(ConfigError, match="scattering point"):
         synthesize_target_cir(
             paths, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
@@ -314,9 +307,7 @@ def background_table(seed, cond):
     rx = NodeState([60.0, -5.0, 10.0])
     streams = RandomStreams(seed).scoped(HOP_BACKGROUND)
     hop = build_hop(tx, rx, scen, streams, cond)
-    return HopTable.from_sublink(
-        generate_sublink(hop, scen.condition_params(hop.condition), streams)
-    )
+    return generate_sublink(hop, scen.condition_params(hop.condition), streams)
 
 
 @pytest.mark.parametrize("cond,count", [("LOS", 1 + 12 * 20), ("NLOS", 19 * 20)])
@@ -328,7 +319,7 @@ def test_background_structure_and_power_budget(cond, count):
     assert bg.condition_pair == cond
     assert np.all(bg.pair_type == int(PairType.BACKGROUND))
     # replaying the scoped streams reproduces the large-scale draws
-    bg_hop = table.sub.hop
+    bg_hop = table.hop
     scen = ScenarioParams.from_table("UMi", F_HZ)
     hop = build_hop(bg_hop.from_node, bg_hop.to_node, scen,
                     RandomStreams(5).scoped(HOP_BACKGROUND), cond)

@@ -12,7 +12,7 @@ from isacsim.concatenation import (
     ray_marginal_power,
 )
 from isacsim.errors import ConfigError
-from isacsim.geometry import NodeState
+from isacsim.geometry import NodeState, angles_between
 from isacsim.largescale import HopLink, ScenarioParams
 from isacsim.seeds import SCOPE_CONCAT, RandomStreams
 from isacsim.smallscale import generate_sublink
@@ -38,9 +38,9 @@ def make_links(cond1="LOS", cond2="LOS", seed=1, k1=4.0, k2=2.0):
     streams = RandomStreams(seed)
     h1 = hop(tx, tgt, cond1, k1)
     h2 = hop(tgt, rx, cond2, k2)
-    sub1 = generate_sublink(h1, scen.condition_params(cond1), streams.scoped(0))
-    sub2 = generate_sublink(h2, scen.condition_params(cond2), streams.scoped(1))
-    return sub1, sub2, streams
+    t1 = generate_sublink(h1, scen.condition_params(cond1), streams.scoped(0))
+    t2 = generate_sublink(h2, scen.condition_params(cond2), streams.scoped(1))
+    return t1, t2, streams
 
 
 def concat_streams(streams):
@@ -67,9 +67,9 @@ def test_condition_weight_limits():
 
 
 def test_stored_k_weights_match_hop_factors():
-    sub1, sub2, _ = make_links("LOS", "NLOS")
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_0)
-    expect = condition_weights(sub1.hop.k_factor, 0.0)
+    t1, t2, _ = make_links("LOS", "NLOS")
+    paths = concatenate(t1, t2, ConcatCase.CASE_0)
+    expect = condition_weights(t1.hop.k_factor, 0.0)
     np.testing.assert_array_equal(paths.k_weights, expect)
     assert paths.condition_pair == "LN"
 
@@ -77,8 +77,8 @@ def test_stored_k_weights_match_hop_factors():
 # ---------------------------------------------------------- path counts
 
 def test_case0_path_counts_both_los():
-    sub1, sub2, _ = make_links("LOS", "LOS")
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_0)
+    t1, t2, _ = make_links("LOS", "LOS")
+    paths = concatenate(t1, t2, ConcatCase.CASE_0)
     pt = paths.pair_type
     assert (pt == PairType.LL).sum() == 1
     assert (pt == PairType.LN).sum() == 12 * 20
@@ -88,10 +88,10 @@ def test_case0_path_counts_both_los():
 
 
 def test_nn_counts_per_case():
-    sub1, sub2, streams = make_links("LOS", "NLOS")  # P=12, Q=19
+    t1, t2, streams = make_links("LOS", "NLOS")  # P=12, Q=19
 
     def nn_count(case):
-        paths = concatenate(sub1, sub2, case, streams=concat_streams(streams))
+        paths = concatenate(t1, t2, case, streams=concat_streams(streams))
         return int((paths.pair_type == PairType.NN).sum())
 
     assert nn_count(ConcatCase.CASE_0) == 12 * 20 * 19 * 20
@@ -102,19 +102,20 @@ def test_nn_counts_per_case():
 
 
 def test_case_a_keeps_only_specular_components():
-    sub1, sub2, _ = make_links("LOS", "NLOS")
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_A)
+    t1, t2, _ = make_links("LOS", "NLOS")
+    paths = concatenate(t1, t2, ConcatCase.CASE_A)
     assert set(np.unique(paths.pair_type)) == {int(PairType.LN)}
     assert len(paths) == 19 * 20
     assert nn_total_power(paths) == 0.0
     # transmit side of every kept path is the specular ray
     assert np.all(paths.tx.cluster[paths.tx_idx] == -1)
-    assert np.all(paths.tx_zenith == sub1.los_departure.zenith)
+    los = angles_between(t1.hop.from_node.position_m, t1.hop.to_node.position_m)
+    assert np.all(paths.tx_zenith == los.zenith)
 
 
 def test_case_a_empty_when_both_hops_diffuse():
-    sub1, sub2, _ = make_links("NLOS", "NLOS")
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_A)
+    t1, t2, _ = make_links("NLOS", "NLOS")
+    paths = concatenate(t1, t2, ConcatCase.CASE_A)
     assert len(paths) == 0
     assert paths.condition_pair == "NN"
     assert isinstance(paths, TargetPathSet)
@@ -123,42 +124,42 @@ def test_case_a_empty_when_both_hops_diffuse():
 # ------------------------------------------------------- power bookkeeping
 
 def test_case0_nn_power_is_unity():
-    sub1, sub2, _ = make_links("LOS", "NLOS")
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_0)
+    t1, t2, _ = make_links("LOS", "NLOS")
+    paths = concatenate(t1, t2, ConcatCase.CASE_0)
     assert nn_total_power(paths) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_case1_nn_power_is_case0_over_ray_count():
-    sub1, sub2, _ = make_links("LOS", "NLOS")
-    nn0 = nn_total_power(concatenate(sub1, sub2, ConcatCase.CASE_0))
-    nn1 = nn_total_power(concatenate(sub1, sub2, ConcatCase.CASE_1))
+    t1, t2, _ = make_links("LOS", "NLOS")
+    nn0 = nn_total_power(concatenate(t1, t2, ConcatCase.CASE_0))
+    nn1 = nn_total_power(concatenate(t1, t2, ConcatCase.CASE_1))
     assert nn1 == pytest.approx(nn0 / 20.0, abs=1e-12)
 
 
 def test_downselection_loses_nn_power():
-    sub1, sub2, streams = make_links("NLOS", "NLOS", seed=3)
-    nn0 = nn_total_power(concatenate(sub1, sub2, ConcatCase.CASE_0))
+    t1, t2, streams = make_links("NLOS", "NLOS", seed=3)
+    nn0 = nn_total_power(concatenate(t1, t2, ConcatCase.CASE_0))
     for case in (ConcatCase.CASE_1, ConcatCase.CASE_2O,
                  ConcatCase.CASE_2R, ConcatCase.CASE_3):
         nn = nn_total_power(
-            concatenate(sub1, sub2, case, streams=concat_streams(streams))
+            concatenate(t1, t2, case, streams=concat_streams(streams))
         )
         assert nn < nn0
 
 
 def test_normalized_cases_restore_unit_nn_power():
-    sub1, sub2, streams = make_links("LOS", "LOS", seed=4)
+    t1, t2, streams = make_links("LOS", "LOS", seed=4)
     for case in (ConcatCase.CASE_1N, ConcatCase.CASE_2ON,
                  ConcatCase.CASE_2RN, ConcatCase.CASE_3N):
-        paths = concatenate(sub1, sub2, case, streams=concat_streams(streams))
+        paths = concatenate(t1, t2, case, streams=concat_streams(streams))
         assert nn_total_power(paths) == pytest.approx(1.0, abs=1e-12)
         assert paths.case.normalizes_nn
 
 
 def test_normalization_leaves_other_components_untouched():
-    sub1, sub2, streams = make_links("LOS", "LOS", seed=5)
-    base = concatenate(sub1, sub2, ConcatCase.CASE_2R, streams=concat_streams(streams))
-    norm = concatenate(sub1, sub2, ConcatCase.CASE_2RN, streams=concat_streams(streams))
+    t1, t2, streams = make_links("LOS", "LOS", seed=5)
+    base = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams))
+    norm = concatenate(t1, t2, ConcatCase.CASE_2RN, streams=concat_streams(streams))
     for pt in (PairType.LL, PairType.LN, PairType.NL):
         np.testing.assert_array_equal(
             base.weight[base.pair_type == pt], norm.weight[norm.pair_type == pt]
@@ -168,9 +169,9 @@ def test_normalization_leaves_other_components_untouched():
 
 
 def test_case1n_marginals_match_case0():
-    sub1, sub2, _ = make_links("LOS", "NLOS", seed=6)
-    p0 = concatenate(sub1, sub2, ConcatCase.CASE_0)
-    p1n = concatenate(sub1, sub2, ConcatCase.CASE_1N)
+    t1, t2, _ = make_links("LOS", "NLOS", seed=6)
+    p0 = concatenate(t1, t2, ConcatCase.CASE_0)
+    p1n = concatenate(t1, t2, ConcatCase.CASE_1N)
     for side in ("tx", "rx"):
         np.testing.assert_allclose(
             ray_marginal_power(p0, side), ray_marginal_power(p1n, side),
@@ -181,24 +182,28 @@ def test_case1n_marginals_match_case0():
 # ----------------------------------------------------- pairing structure
 
 def test_joint_delays_and_angles_consistent_with_links():
-    sub1, sub2, _ = make_links("NLOS", "NLOS", seed=7)
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_2O)
+    t1, t2, _ = make_links("NLOS", "NLOS", seed=7)
+    paths = concatenate(t1, t2, ConcatCase.CASE_2O)
     nn = paths.pair_type == PairType.NN
     tc, tr = paths.tx.cluster[paths.tx_idx][nn], paths.tx.ray[paths.tx_idx][nn]
     rc, rr = paths.rx.cluster[paths.rx_idx][nn], paths.rx.ray[paths.rx_idx][nn]
+
+    def grid(table, column):  # a diffuse column as (cluster, ray)
+        return getattr(table, column)[:table.num_diffuse].reshape(table.shape)
+
     np.testing.assert_allclose(
         paths.joint_delay[nn],
-        sub1.ray_delays[tc, tr] + sub2.ray_delays[rc, rr], rtol=1e-15,
+        grid(t1, "delay")[tc, tr] + grid(t2, "delay")[rc, rr], rtol=1e-15,
     )
-    np.testing.assert_array_equal(paths.tx_azimuth[nn], sub1.aod[tc, tr])
-    np.testing.assert_array_equal(paths.spin_azimuth[nn], sub1.aoa[tc, tr])
-    np.testing.assert_array_equal(paths.spout_zenith[nn], sub2.zod[rc, rr])
-    np.testing.assert_array_equal(paths.rx_azimuth[nn], sub2.aoa[rc, rr])
+    np.testing.assert_array_equal(paths.tx_azimuth[nn], grid(t1, "dep_azimuth")[tc, tr])
+    np.testing.assert_array_equal(paths.spin_azimuth[nn], grid(t1, "arr_azimuth")[tc, tr])
+    np.testing.assert_array_equal(paths.spout_zenith[nn], grid(t2, "dep_zenith")[rc, rr])
+    np.testing.assert_array_equal(paths.rx_azimuth[nn], grid(t2, "arr_azimuth")[rc, rr])
 
 
 def test_case2o_pairs_clusters_in_delay_order():
-    sub1, sub2, _ = make_links("NLOS", "NLOS", seed=8)
-    paths = concatenate(sub1, sub2, ConcatCase.CASE_2O)
+    t1, t2, _ = make_links("NLOS", "NLOS", seed=8)
+    paths = concatenate(t1, t2, ConcatCase.CASE_2O)
     nn = paths.pair_type == PairType.NN
     # cluster i pairs with cluster i; rays pair by index
     tx, rx = paths.tx_idx[nn], paths.rx_idx[nn]
@@ -207,9 +212,9 @@ def test_case2o_pairs_clusters_in_delay_order():
 
 
 def test_case2r_uses_each_cluster_once():
-    sub1, sub2, streams = make_links("LOS", "LOS", seed=9)
+    t1, t2, streams = make_links("LOS", "LOS", seed=9)
     paths = concatenate(
-        sub1, sub2, ConcatCase.CASE_2R, streams=concat_streams(streams)
+        t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams)
     )
     nn = paths.pair_type == PairType.NN
     pairs = set(zip(paths.tx.cluster[paths.tx_idx[nn]].tolist(),
@@ -225,9 +230,9 @@ def test_case2r_uses_each_cluster_once():
 
 
 def test_case3_pools_rays_without_reuse():
-    sub1, sub2, streams = make_links("LOS", "NLOS", seed=10)
+    t1, t2, streams = make_links("LOS", "NLOS", seed=10)
     paths = concatenate(
-        sub1, sub2, ConcatCase.CASE_3, streams=concat_streams(streams)
+        t1, t2, ConcatCase.CASE_3, streams=concat_streams(streams)
     )
     nn = paths.pair_type == PairType.NN
     tx_flat = paths.tx.cluster[paths.tx_idx][nn] * 20 + paths.tx.ray[paths.tx_idx][nn]
@@ -237,23 +242,23 @@ def test_case3_pools_rays_without_reuse():
 
 
 def test_random_cases_need_streams():
-    sub1, sub2, _ = make_links("LOS", "LOS", seed=11)
+    t1, t2, _ = make_links("LOS", "LOS", seed=11)
     for case in (ConcatCase.CASE_2R, ConcatCase.CASE_3,
                  ConcatCase.CASE_2RN, ConcatCase.CASE_3N):
         with pytest.raises(ConfigError):
-            concatenate(sub1, sub2, case, streams=None)
+            concatenate(t1, t2, case, streams=None)
     # deterministic cases run without streams
-    concatenate(sub1, sub2, ConcatCase.CASE_2O)
-    concatenate(sub1, sub2, ConcatCase.CASE_A)
+    concatenate(t1, t2, ConcatCase.CASE_2O)
+    concatenate(t1, t2, ConcatCase.CASE_A)
 
 
 def test_random_pairing_is_reproducible_and_seed_sensitive():
-    sub1, sub2, streams = make_links("LOS", "LOS", seed=12)
-    a = concatenate(sub1, sub2, ConcatCase.CASE_2R, streams=concat_streams(streams))
-    b = concatenate(sub1, sub2, ConcatCase.CASE_2R, streams=concat_streams(streams))
+    t1, t2, streams = make_links("LOS", "LOS", seed=12)
+    a = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams))
+    b = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams))
     np.testing.assert_array_equal(a.joint_delay, b.joint_delay)
     other = RandomStreams(streams.master_seed, drop=streams.drop + 1)
-    c = concatenate(sub1, sub2, ConcatCase.CASE_2R, streams=concat_streams(other))
+    c = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(other))
     assert not np.array_equal(a.joint_delay, c.joint_delay)
 
 

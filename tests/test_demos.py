@@ -1,11 +1,13 @@
-"""The demo scripts stay runnable and print their headline results."""
+"""The demo scripts and the README's library snippet stay runnable and
+print their headline results."""
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 CASES = [
     ("concat_study_demo.py", ["--drops", "8"], "mean NN power"),
@@ -23,3 +25,14 @@ def test_demo_runs(script, args, marker):
     )
     assert proc.returncode == 0, proc.stderr
     assert marker in proc.stdout
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    n_paths, delay_spread = proc.stdout.split()
+    assert int(n_paths) > 0 and float(delay_spread) > 0

@@ -11,13 +11,14 @@ import isacsim
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# isacsim.__all__ as it was when the package init imported every submodule
+# isacsim.__all__ as it was when the package init imported every submodule,
+# less SubLinkClusters, which HopTable replaced as the one per-hop type
 ALL = [
     "AntennaElement", "B1Table", "ConcatCase", "ConfigError", "CouplingConfig",
     "DetectionParams", "DirectionAngles", "DropStatistics", "EmpiricalCdf", "HopLink",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
     "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell", "RunConfig",
-    "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid", "SubLinkClusters",
+    "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
     "TargetChannelCir", "TargetClass", "TargetPathSet", "UnsupportedFeatureError",
     "WaveformParams", "angle_metrics", "angle_spread", "angles_between", "build_hop",
     "coefficients", "combine_channels", "combine_isac_path_loss", "concat_study",

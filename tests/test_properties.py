@@ -1,8 +1,6 @@
 """Property tests of physical invariants over generated inputs."""
 import dataclasses
 import math
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 
 from isacsim.concatenation import (
     ConcatCase,
-    HopTable,
     PairType,
     PathBlock,
     TargetPathSet,
@@ -20,7 +17,7 @@ from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.metrics import DetectionParams, pd, pfa
 from isacsim.seeds import HOP_TX_TARGET, RandomStreams
-from isacsim.smallscale import generate_sublink, mono_static_reciprocal
+from isacsim.smallscale import HopTable, generate_sublink, mono_static_reciprocal
 from isacsim.stats import drop_statistics
 
 # A fixed example sequence and no example database keep the suite
@@ -47,11 +44,12 @@ def path_sets(draw):
 
         zenith = st.floats(min_value=0.0, max_value=math.pi)
         return HopTable(
-            sub=SimpleNamespace(has_los=los), weight=col(weights),
+            hop=None, shape=(1, n - los), weight=col(weights),
             delay=col(st.floats(min_value=0.0, max_value=1e-6)),
             dep_zenith=col(zenith), dep_azimuth=col(angles),
             arr_zenith=col(zenith), arr_azimuth=col(angles),
             cluster=np.zeros(n, np.int32), ray=np.zeros(n, np.int32),
+            xpr=None, phases=None,
         )
 
     tx, rx = table(n_tx, True), table(n_rx, False)
@@ -82,9 +80,10 @@ def one_ray_off_axis(azimuth=1.0, nn=1.666e-8):
     def table(n, los, azimuth):
         zeros = np.zeros(n)
         return HopTable(
-            sub=SimpleNamespace(has_los=los), weight=np.ones(n), delay=zeros,
+            hop=None, shape=(1, n - los), weight=np.ones(n), delay=zeros,
             dep_zenith=zeros, dep_azimuth=np.array(azimuth), arr_zenith=zeros,
             arr_azimuth=zeros, cluster=np.zeros(n, np.int32), ray=np.zeros(n, np.int32),
+            xpr=None, phases=None,
         )
 
     tx, rx = table(3, True, [azimuth, 0.0, 0.0]), table(2, False, [0.0, 0.0])
@@ -134,9 +133,9 @@ def test_mono_static_reciprocal_is_an_involution(seed, condition):
     streams = RandomStreams(seed).scoped(HOP_TX_TARGET)
     hop = build_hop(NodeState([0.0, 0.0, 10.0]), NodeState([25.0, 10.0, 1.5]),
                     scen, streams, condition)
-    sub = generate_sublink(hop, scen.condition_params(condition), streams)
-    twice = mono_static_reciprocal(mono_static_reciprocal(sub))
-    for obj, ref in ((twice, sub), (twice.hop, sub.hop)):
+    table = generate_sublink(hop, scen.condition_params(condition), streams)
+    twice = mono_static_reciprocal(mono_static_reciprocal(table))
+    for obj, ref in ((twice, table), (twice.hop, table.hop)):
         for f in dataclasses.fields(ref):
             if f.name != "hop":
                 assert getattr(obj, f.name) is getattr(ref, f.name), f.name

@@ -466,6 +466,42 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "neg").exists()
 
 
+def table_with_rays(tmp_path, rays):
+    path = tmp_path / f"rays{rays}.tbl"
+    path.write_text(resources.files("isacsim.data").joinpath("umi_38901.tbl")
+                    .read_text(encoding="utf-8")
+                    .replace("rays_per_cluster        = 20", f"rays_per_cluster = {rays}"))
+    return path
+
+
+# what every drop would refuse, so the run refuses it before clearing --out
+EVERY_DROP_REFUSES = {
+    "21_rays": (lambda tmp: f"scenario_table = {table_with_rays(tmp, 21)}\n",
+                "rays per cluster must be in [1, 20], got 21"),
+    "split_19_rays": (lambda tmp: f"split_strongest = yes\n"
+                      f"scenario_table = {table_with_rays(tmp, 19)}\n",
+                      "sub-cluster delay split requires the full 20-ray layout"),
+    "target_on_tx": (lambda tmp: "nodes.target.position_m = 0, 0, 10\n",
+                     "degenerate geometry: hop endpoints coincide"),
+    "target_6_km": (lambda tmp: "nodes.target.position_m = 6000, 0, 10\n",
+                    "3-D distance 6000.0 m outside the supported range (0, 5000] m"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_DROP_REFUSES))
+def test_refused_config_keeps_the_earlier_outputs(tmp_path, capsys, name):
+    out = tmp_path / "study"
+    assert main(["concat-study", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+    before = {f: sha(out / f) for f in os.listdir(out)}
+    extra, error = EVERY_DROP_REFUSES[name]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg_text(extra(tmp_path)))
+    capsys.readouterr()
+    assert main(["concat-study", "--config", str(bad), "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert {f: sha(out / f) for f in os.listdir(out)} == before
+
+
 def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):
     out = tmp_path / "never"
     missing = str(tmp_path / "nope.tbl")

@@ -1,20 +1,16 @@
-"""Cluster generation: delays, powers, angles, XPR, phases, reciprocity."""
+"""Cluster generation into hop tables: delays, powers, angles, XPR, phases,
+the specular row and reciprocity."""
 import dataclasses
 
 import numpy as np
 import pytest
 
-from isacsim.concatenation import HopTable
+from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.errors import ConfigError
-from isacsim.geometry import NodeState
+from isacsim.geometry import NodeState, angles_between
 from isacsim.largescale import HopLink, ScenarioParams
 from isacsim.seeds import RandomStreams
-from isacsim.smallscale import (
-    RAY_OFFSETS,
-    SubLinkClusters,
-    generate_sublink,
-    mono_static_reciprocal,
-)
+from isacsim.smallscale import RAY_OFFSETS, generate_sublink, mono_static_reciprocal
 
 F_HZ = 6e9
 
@@ -35,6 +31,19 @@ def params_for(condition):
     return ScenarioParams.from_table("UMi", F_HZ).condition_params(condition)
 
 
+def grid(table, column):
+    """A diffuse column of the table as a (cluster, ray) array."""
+    return getattr(table, column)[:table.num_diffuse].reshape(table.shape)
+
+
+def cluster_delays(table):
+    return grid(table, "delay")[:, 0]  # ray 0 is never split off its cluster
+
+
+def cluster_powers(table):
+    return np.sum(grid(table, "weight") ** 2, axis=1)
+
+
 def test_ray_offsets_layout():
     assert RAY_OFFSETS.shape == (20,)
     assert RAY_OFFSETS.sum() == pytest.approx(0.0, abs=1e-15)
@@ -46,19 +55,40 @@ def test_ray_offsets_layout():
 def test_shapes_and_basic_invariants():
     for condition, n in (("LOS", 12), ("NLOS", 19)):
         hop = make_hop(condition, k_factor=3.0 if condition == "LOS" else 0.0)
-        sub = generate_sublink(hop, params_for(condition), RandomStreams(1))
-        assert sub.num_clusters == n
-        assert sub.rays_per_cluster == 20
-        assert sub.cluster_delays.shape == (n,)
-        for arr in (sub.aod, sub.zod, sub.aoa, sub.zoa, sub.xpr):
-            assert arr.shape == (n, 20)
-        assert sub.phases.shape == (n, 20, 4)
-        assert sub.cluster_powers.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(sub.cluster_powers > 0)
-        assert np.all(np.diff(sub.cluster_delays) >= 0)
-        assert sub.cluster_delays[0] == 0.0
-        assert HopTable.from_sublink(sub).delay.min() == 0.0
-        assert sub.has_los == (condition == "LOS")
+        t = generate_sublink(hop, params_for(condition), RandomStreams(1))
+        los = condition == "LOS"
+        assert t.shape == (n, 20) and t.num_diffuse == n * 20
+        assert t.has_los == los
+        for col in (t.weight, t.delay, t.dep_zenith, t.dep_azimuth,
+                    t.arr_zenith, t.arr_azimuth, t.cluster, t.ray):
+            assert col.shape == (n * 20 + los,)
+        assert t.xpr.shape == (n * 20,)
+        assert t.phases.shape == (n * 20, 4)
+        np.testing.assert_array_equal(grid(t, "cluster"), np.repeat(np.arange(n)[:, None], 20, 1))
+        np.testing.assert_array_equal(grid(t, "ray"), np.tile(np.arange(20), (n, 1)))
+        assert np.sum(t.weight[:n * 20] ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(cluster_powers(t) > 0)
+        # the rays of a cluster share its delay; clusters ascend from 0
+        np.testing.assert_array_equal(grid(t, "delay").T, np.tile(cluster_delays(t), (20, 1)))
+        assert np.all(np.diff(cluster_delays(t)) >= 0)
+        assert cluster_delays(t)[0] == 0.0
+        assert t.delay.min() == 0.0
+
+
+@pytest.mark.parametrize("absolute_delay", [False, True])
+def test_los_row_is_the_specular_ray(absolute_delay):
+    hop = make_hop("LOS", k_factor=3.0, to_xyz=(40.0, 10.0, 1.5))
+    t = generate_sublink(hop, params_for("LOS"), RandomStreams(2),
+                         absolute_delay=absolute_delay)
+    los = t.num_diffuse
+    assert los == 12 * 20 and t.weight.size == los + 1
+    assert t.weight[los] == 1.0
+    assert t.cluster[los] == -1 and t.ray[los] == -1
+    assert t.delay[los] == (hop.d3d_m / SPEED_OF_LIGHT if absolute_delay else 0.0)
+    dep = angles_between(hop.from_node.position_m, hop.to_node.position_m)
+    arr = angles_between(hop.to_node.position_m, hop.from_node.position_m)
+    assert (t.dep_zenith[los], t.dep_azimuth[los]) == (dep.zenith, dep.azimuth)
+    assert (t.arr_zenith[los], t.arr_azimuth[los]) == (arr.zenith, arr.azimuth)
 
 
 def test_generation_is_deterministic():
@@ -66,19 +96,19 @@ def test_generation_is_deterministic():
     p = params_for("LOS")
     a = generate_sublink(hop, p, RandomStreams(9, drop=4))
     b = generate_sublink(hop, p, RandomStreams(9, drop=4))
-    np.testing.assert_array_equal(a.cluster_delays, b.cluster_delays)
-    np.testing.assert_array_equal(a.aoa, b.aoa)
+    np.testing.assert_array_equal(a.delay, b.delay)
+    np.testing.assert_array_equal(a.arr_azimuth, b.arr_azimuth)
     np.testing.assert_array_equal(a.phases, b.phases)
     c = generate_sublink(hop, p, RandomStreams(9, drop=5))
-    assert not np.array_equal(a.cluster_delays, c.cluster_delays)
+    assert not np.array_equal(a.delay, c.delay)
 
 
 def test_power_delay_law_without_cluster_shadowing():
     # with zero per-cluster shadowing, ln(P) must be exactly affine in delay
     p = dataclasses.replace(params_for("NLOS"), cluster_shadowing_std_db=0.0)
-    sub = generate_sublink(make_hop("NLOS"), p, RandomStreams(2))
-    x = sub.cluster_delays
-    y = np.log(sub.cluster_powers)
+    t = generate_sublink(make_hop("NLOS"), p, RandomStreams(2))
+    x = cluster_delays(t)
+    y = np.log(cluster_powers(t))
     slope, intercept = np.polyfit(x, y, 1)
     np.testing.assert_allclose(y, slope * x + intercept, atol=1e-9)
     assert slope < 0
@@ -89,21 +119,21 @@ def test_los_delay_rescale_applies_to_delays_only():
     p_los = params_for("LOS")
     hop_los = make_hop("LOS", k_factor=k)
     hop_nlos = make_hop("NLOS")
-    sub_los = generate_sublink(hop_los, p_los, RandomStreams(5))
-    sub_raw = generate_sublink(hop_nlos, p_los, RandomStreams(5))
+    t_los = generate_sublink(hop_los, p_los, RandomStreams(5))
+    t_raw = generate_sublink(hop_nlos, p_los, RandomStreams(5))
     k_db = 9.0
     c_tau = 0.7705 - 0.0433 * k_db + 0.0002 * k_db ** 2 + 0.000017 * k_db ** 3
     np.testing.assert_allclose(
-        sub_los.cluster_delays, sub_raw.cluster_delays / c_tau, rtol=1e-12
+        cluster_delays(t_los), cluster_delays(t_raw) / c_tau, rtol=1e-12
     )
     # powers come from the unscaled delays, so they match exactly
-    np.testing.assert_array_equal(sub_los.cluster_powers, sub_raw.cluster_powers)
+    np.testing.assert_array_equal(cluster_powers(t_los), cluster_powers(t_raw))
 
 
 def test_ray_offset_fan_out_pattern():
     p = params_for("NLOS")
-    sub = generate_sublink(make_hop("NLOS"), p, RandomStreams(3))
-    deg = np.degrees(sub.aod)
+    t = generate_sublink(make_hop("NLOS"), p, RandomStreams(3))
+    deg = np.degrees(grid(t, "dep_azimuth"))
     expected = np.sort(p.c_asd_deg * RAY_OFFSETS)
     for row in deg:
         if np.max(np.abs(row)) > 170.0:
@@ -114,14 +144,14 @@ def test_ray_offset_fan_out_pattern():
 
 def test_ray_coupling_shuffles_arrival_but_not_departure():
     p = params_for("NLOS")
-    sub = generate_sublink(make_hop("NLOS"), p, RandomStreams(3))
-    aod_deg = np.degrees(sub.aod)
+    t = generate_sublink(make_hop("NLOS"), p, RandomStreams(3))
+    aod_deg = np.degrees(grid(t, "dep_azimuth"))
     # departure azimuths keep the interleaved offset order
     steps = np.diff(p.c_asd_deg * RAY_OFFSETS)
     row = aod_deg[np.argmax(np.all(np.abs(aod_deg) < 170.0, axis=1))]
     np.testing.assert_allclose(np.diff(row), steps, atol=1e-9)
     # arrivals are a permutation of the same offset fan, usually reordered
-    aoa_deg = np.degrees(sub.aoa)
+    aoa_deg = np.degrees(grid(t, "arr_azimuth"))
     reordered = 0
     for row in aoa_deg:
         if np.max(np.abs(row)) > 170.0:
@@ -142,17 +172,18 @@ def circular_mean_deg(angles_rad):
 
 def test_los_first_cluster_aligned_with_geometry():
     hop = make_hop("LOS", k_factor=4.0, to_xyz=(40.0, 10.0, 1.5))
-    sub = generate_sublink(hop, params_for("LOS"), RandomStreams(6))
+    t = generate_sublink(hop, params_for("LOS"), RandomStreams(6))
+    los = t.num_diffuse
     # the first cluster's mean angles coincide with the direct ray; the
     # symmetric ray fan needs a circular mean near the +-180 deg seam
-    assert circular_mean_deg(sub.aoa[0]) == pytest.approx(
-        np.degrees(sub.los_arrival.azimuth), abs=1e-9
+    assert circular_mean_deg(grid(t, "arr_azimuth")[0]) == pytest.approx(
+        np.degrees(t.arr_azimuth[los]), abs=1e-9
     )
-    assert np.degrees(sub.aod[0].mean()) == pytest.approx(
-        np.degrees(sub.los_departure.azimuth), abs=1e-9
+    assert np.degrees(grid(t, "dep_azimuth")[0].mean()) == pytest.approx(
+        np.degrees(t.dep_azimuth[los]), abs=1e-9
     )
-    assert np.degrees(sub.zoa[0].mean()) == pytest.approx(
-        np.degrees(sub.los_arrival.zenith), abs=1e-9
+    assert np.degrees(grid(t, "arr_zenith")[0].mean()) == pytest.approx(
+        np.degrees(t.arr_zenith[los]), abs=1e-9
     )
 
 
@@ -162,18 +193,18 @@ def test_nlos_departure_zenith_offset_applied():
     a = generate_sublink(make_hop("NLOS"), p, RandomStreams(7))
     b = generate_sublink(make_hop("NLOS"), shift, RandomStreams(7))
     np.testing.assert_allclose(
-        np.degrees(b.zod) - np.degrees(a.zod), 10.0, atol=1e-9
+        np.degrees(b.dep_zenith) - np.degrees(a.dep_zenith), 10.0, atol=1e-9
     )
 
 
 def test_angle_ranges():
     for seed in range(5):
-        sub = generate_sublink(
+        t = generate_sublink(
             make_hop("NLOS"), params_for("NLOS"), RandomStreams(seed)
         )
-        for arr in (sub.aoa, sub.aod):
+        for arr in (t.arr_azimuth, t.dep_azimuth):
             assert np.all(arr > -np.pi) and np.all(arr <= np.pi)
-        for arr in (sub.zoa, sub.zod):
+        for arr in (t.arr_zenith, t.dep_zenith):
             assert np.all(arr >= 0.0) and np.all(arr <= np.pi)
 
 
@@ -181,16 +212,16 @@ def test_xpr_lognormal_statistics():
     p = params_for("NLOS")
     vals = []
     for seed in range(10):
-        sub = generate_sublink(make_hop("NLOS"), p, RandomStreams(seed))
-        vals.append(10.0 * np.log10(sub.xpr.ravel()))
+        t = generate_sublink(make_hop("NLOS"), p, RandomStreams(seed))
+        vals.append(10.0 * np.log10(t.xpr))
     xpr_db = np.concatenate(vals)
     assert xpr_db.mean() == pytest.approx(p.xpr_mean_db, abs=0.2)
     assert xpr_db.std() == pytest.approx(p.xpr_std_db, rel=0.05)
 
 
 def test_phases_uniform_on_pi_interval():
-    sub = generate_sublink(make_hop("NLOS"), params_for("NLOS"), RandomStreams(8))
-    ph = sub.phases.ravel()
+    t = generate_sublink(make_hop("NLOS"), params_for("NLOS"), RandomStreams(8))
+    ph = t.phases.ravel()
     assert np.all(ph > -np.pi) and np.all(ph <= np.pi)
     assert abs(ph.mean()) < 0.2
     assert ph.std() == pytest.approx(np.pi / np.sqrt(3), rel=0.05)
@@ -198,24 +229,25 @@ def test_phases_uniform_on_pi_interval():
 
 def test_subcluster_delay_split():
     p = params_for("NLOS")
-    sub = generate_sublink(
+    t = generate_sublink(
         make_hop("NLOS"), p, RandomStreams(4), split_strongest=True
     )
-    strongest = np.argsort(sub.cluster_powers)[::-1][:2]
+    strongest = np.argsort(cluster_powers(t))[::-1][:2]
     c_ds_s = p.c_ds_ns * 1e-9
-    for ci in range(sub.num_clusters):
-        row = sub.ray_delays[ci]
+    delays = grid(t, "delay")
+    for ci in range(t.shape[0]):
+        row = delays[ci]
         if ci in strongest:
             uniq = np.unique(row)
             np.testing.assert_allclose(
-                uniq - sub.cluster_delays[ci], [0.0, 1.28 * c_ds_s, 2.56 * c_ds_s],
+                uniq - cluster_delays(t)[ci], [0.0, 1.28 * c_ds_s, 2.56 * c_ds_s],
                 atol=1e-18,
             )
             assert (row == uniq[0]).sum() == 10
             assert (row == uniq[1]).sum() == 6
             assert (row == uniq[2]).sum() == 4
         else:
-            assert np.all(row == sub.cluster_delays[ci])
+            assert np.all(row == cluster_delays(t)[ci])
 
 
 def test_subcluster_split_requires_full_ray_layout():
@@ -238,21 +270,22 @@ def test_absolute_delay_adds_propagation_time():
     rel = generate_sublink(hop, p, RandomStreams(5))
     ab = generate_sublink(hop, p, RandomStreams(5), absolute_delay=True)
     base = hop.d3d_m / 3.0e8
-    np.testing.assert_allclose(ab.ray_delays - rel.ray_delays, base, rtol=1e-12)
-    assert ab.los_delay == pytest.approx(base, rel=1e-12)
-    assert HopTable.from_sublink(ab).delay.min() == pytest.approx(base, rel=1e-12)
+    np.testing.assert_allclose(ab.delay - rel.delay, base, rtol=1e-12)  # specular row too
+    assert ab.delay.min() == pytest.approx(base, rel=1e-12)
 
 
 def test_mono_static_reciprocal_swaps_and_inverts():
     hop = make_hop("LOS", k_factor=3.0)
-    sub = generate_sublink(hop, params_for("LOS"), RandomStreams(6))
-    rev = mono_static_reciprocal(sub)
-    np.testing.assert_array_equal(rev.aod, sub.aoa)
-    np.testing.assert_array_equal(rev.zoa, sub.zod)
-    np.testing.assert_array_equal(rev.cluster_powers, sub.cluster_powers)
-    assert rev.hop.from_node is hop.to_node
-    assert rev.los_departure is sub.los_arrival
+    t = generate_sublink(hop, params_for("LOS"), RandomStreams(6))
+    rev = mono_static_reciprocal(t)
+    for dep, arr in (("dep_zenith", "arr_zenith"), ("dep_azimuth", "arr_azimuth")):
+        np.testing.assert_array_equal(getattr(rev, dep), getattr(t, arr), strict=True)
+        np.testing.assert_array_equal(getattr(rev, arr), getattr(t, dep), strict=True)
+    for shared in ("weight", "delay", "xpr", "phases", "cluster", "ray"):
+        assert getattr(rev, shared) is getattr(t, shared), shared
+    assert rev.shape == t.shape and rev.has_los
+    assert rev.hop.from_node is hop.to_node and rev.hop.to_node is hop.from_node
     back = mono_static_reciprocal(rev)
-    np.testing.assert_array_equal(back.aod, sub.aod)
-    np.testing.assert_array_equal(back.zoa, sub.zoa)
-    assert back.hop.from_node is hop.from_node
+    for f in dataclasses.fields(t):
+        assert getattr(back, f.name) is getattr(t, f.name) or f.name == "hop", f.name
+    assert back.hop == hop

@@ -1,6 +1,5 @@
 """Drop statistics: weighted spreads, effective weights, CDF comparison."""
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from scipy.stats import ks_2samp
 from isacsim.concatenation import (
     ALL_CASES,
     ConcatCase,
-    HopTable,
     PairType,
     PathBlock,
     TargetPathSet,
@@ -23,7 +21,7 @@ from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.runner import build_node
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
-from isacsim.smallscale import generate_sublink, mono_static_reciprocal
+from isacsim.smallscale import HopTable, generate_sublink, mono_static_reciprocal
 from isacsim.stats import (
     DropStatistics,
     STAT_FIELDS,
@@ -52,15 +50,15 @@ def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
         return np.asarray(x, float) if x is not None else default
 
     tx = HopTable(
-        sub=SimpleNamespace(has_los=los_tx), weight=z, delay=np.asarray(delays, float),
+        hop=None, shape=(1, n - los_tx), weight=z, delay=np.asarray(delays, float),
         dep_zenith=arr(tx_zen, z + np.pi / 2), dep_azimuth=arr(tx_azi, z),
-        arr_zenith=z, arr_azimuth=z, cluster=idx, ray=idx,
+        arr_zenith=z, arr_azimuth=z, cluster=idx, ray=idx, xpr=None, phases=None,
     )
     rx = HopTable(
-        sub=SimpleNamespace(has_los=los_rx), weight=z, delay=z,
+        hop=None, shape=(1, n - los_rx), weight=z, delay=z,
         dep_zenith=z, dep_azimuth=z,
         arr_zenith=arr(rx_zen, z + np.pi / 2), arr_azimuth=arr(rx_azi, z),
-        cluster=idx, ray=idx,
+        cluster=idx, ray=idx, xpr=None, phases=None,
     )
     blocks = tuple(
         PathBlock(PairType(pt), rows[pair_types == pt], rows[pair_types == pt],
@@ -310,12 +308,11 @@ def default_config_drops(count, condition=None, seed=3, monostatic=False):
         tables = []
         for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
             if monostatic and tables:
-                tables.append(HopTable.from_sublink(mono_static_reciprocal(tables[0].sub)))
+                tables.append(mono_static_reciprocal(tables[0]))
                 break
             hop = build_hop(a, b, scen, streams.scoped(scope), force_condition=condition)
-            sub = generate_sublink(hop, scen.condition_params(hop.condition),
-                                   streams.scoped(scope))
-            tables.append(HopTable.from_sublink(sub))
+            tables.append(generate_sublink(hop, scen.condition_params(hop.condition),
+                                           streams.scoped(scope)))
         drops.append((*tables, streams.scoped(SCOPE_CONCAT)))
     return drops
 
@@ -349,7 +346,7 @@ def test_marginal_statistics_match_per_path_oracle(oracle_drops):
     worst = 0.0
     mono = 0
     for t1, t2, streams in oracle_drops:
-        mono += t2.sub.hop.to_node is t1.sub.hop.from_node  # hop 2 returns to the transmitter
+        mono += t2.hop.to_node is t1.hop.from_node  # hop 2 returns to the transmitter
         sets = [concatenate(t1, t2, case, streams=streams) for case in ALL_CASES]
         table = statistics_table(sets)
         for paths, row in zip(sets, table):
@@ -390,7 +387,7 @@ def test_case0_assembles_todays_row_pairs(oracle_drops):
     for t1, t2, _ in oracle_drops[40:]:
         p0 = concatenate(t1, t2, ConcatCase.CASE_0)
         nt, nr = t1.num_diffuse, t2.num_diffuse
-        los_t, los_r = t1.sub.has_los, t2.sub.has_los
+        los_t, los_r = t1.has_los, t2.has_los
         tx_parts, rx_parts = [], []
         if los_t and los_r:
             tx_parts.append([nt])
@@ -408,12 +405,3 @@ def test_case0_assembles_todays_row_pairs(oracle_drops):
         assert len(p0) == (los_t and los_r) + los_t * nr + los_r * nt + nt * nr
         np.testing.assert_array_equal(p0.weight, t1.weight[p0.tx_idx] * t2.weight[p0.rx_idx])
 
-
-def test_concatenate_takes_tables_or_clusters(oracle_drops):
-    t1, t2, streams = oracle_drops[0]
-    for case in (ConcatCase.CASE_0, ConcatCase.CASE_2RN):
-        a = concatenate(t1, t2, case, streams=streams)
-        b = concatenate(t1.sub, t2.sub, case, streams=streams)
-        np.testing.assert_array_equal(a.tx_idx, b.tx_idx)
-        np.testing.assert_array_equal(a.rx_idx, b.rx_idx)
-        np.testing.assert_array_equal(a.weight, b.weight)
