@@ -255,33 +255,47 @@ def concatenate(
     rx: HopTable,
     case: ConcatCase,
     streams: RandomStreams | None = None,
+    base: TargetPathSet | None = None,
 ) -> TargetPathSet:
     """Build the joint path set of the two hop tables for one down-selection
     case. Deterministic cases work with streams=None; the randomized
     pairings (Case2R, Case3 and their normalized variants) require a stream
     factory scoped to the concatenation stage.
+
+    ``base``, a path set of the same two tables, lends the new set its LL,
+    LN and NL blocks; when it is the set of case.base (Case1 for Case1N,
+    ...), also its NN pairs, whose weights the N case then rescales. The
+    statistics pass finds such shared blocks by identity.
     """
     case = ConcatCase(case)
     if case.uses_randomness and streams is None:
         raise ConfigError(f"{case.value} needs random streams for its pairing")
-
-    k_w = condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in (tx, rx)))
+    if base is not None and (base.tx is not tx or base.rx is not rx):
+        raise ConfigError("a base path set must join the same two hop tables")
 
     # One block per component, in output order (none for CaseA with both
     # hops NLOS); a table's specular row sits right after its diffuse rows.
     nt, nr = tx.num_diffuse, rx.num_diffuse
-    blocks = []
-    if tx.has_los and rx.has_los:
-        blocks.append(PathBlock(PairType.LL, np.array([nt]), np.array([nr])))
-    if tx.has_los:
-        blocks.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
-    if rx.has_los:
-        blocks.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
+    if base is not None:
+        k_w, blocks = base.k_weights, [b for b in base.blocks if b.pair_type != PairType.NN]
+    else:
+        k_w = condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in (tx, rx)))
+        blocks = []
+        if tx.has_los and rx.has_los:
+            blocks.append(PathBlock(PairType.LL, np.array([nt]), np.array([nr])))
+        if tx.has_los:
+            blocks.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
+        if rx.has_los:
+            blocks.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
     if case is ConcatCase.CASE_0:
         blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
     elif case is not ConcatCase.CASE_A:
-        it, ir = _nn_indices(case, tx, rx, streams)
-        w = tx.weight[it] * rx.weight[ir]
+        if case.normalizes_nn and base is not None and base.case is case.base:
+            nn = base.nn_block
+            it, ir, w = nn.tx_rows, nn.rx_rows, nn.weight
+        else:
+            it, ir = _nn_indices(case, tx, rx, streams)
+            w = tx.weight[it] * rx.weight[ir]
         if case.normalizes_nn:
             total = float(np.sum(w ** 2))
             if total <= 0:

@@ -1,14 +1,16 @@
 """Drop-loop orchestration: build links, concatenate, synthesize, write outputs.
 
-A run executes, per drop: every hop's construction (condition draw, path
-loss, K-factor, shadow fading) and cluster generation by one helper, for
-the two target hops and, when enabled, the background hop; the two-hop
-link budget, path concatenation under the configured case, drop
-statistics, and optionally CIR synthesis of the target and background hop
-tables and their combination. Each drop writes its CIR rows out slice by
-slice as it formats them (to cir.txt.part, or from a pool worker to a spool
-the parent appends in drop order), so the output files are identical for any
-worker count, no drop's gains outlive its drop and no text crosses a pipe.
+A run goes through its drops in runs of consecutive drops (one drop per
+task in a pool). A run first builds every hop of its drops (condition draw,
+path loss, K-factor, shadow fading) for the two target hops and, when
+enabled, the background hop, and generates the cluster tables of the hops
+of one condition together. Then, drop by drop: the two-hop link budget,
+path concatenation under the configured cases, drop statistics, and
+optionally CIR synthesis of the target and background hop tables and their
+combination. Each drop writes its CIR rows out slice by slice as it formats
+them (to cir.txt.part, or from a pool worker to a spool the parent appends
+in drop order), so the output files are identical for any worker count, no
+drop's gains outlive its drop and no text crosses a pipe.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
-from multiprocessing import get_context
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +38,8 @@ from .coefficients import (
 from .errors import ConfigError, UnsupportedFeatureError
 from .geometry import NodeState, uniform_linear_array
 from .largescale import (
+    LOS,
+    NLOS,
     SUPPORTED_SCENARIOS,
     CouplingConfig,
     ScenarioParams,
@@ -43,6 +47,7 @@ from .largescale import (
     combine_isac_path_loss,
     concatenated_path_loss,
     hop_distances,
+    los_probability,
 )
 from .rcs import B1Table, PolarizationScattering, RcsModel, TargetClass
 from .seeds import (
@@ -53,7 +58,7 @@ from .seeds import (
     SCOPE_CONCAT,
     RandomStreams,
 )
-from .smallscale import check_ray_layout, generate_sublink, mono_static_reciprocal
+from .smallscale import check_ray_layout, generate_sublinks, mono_static_reciprocal
 from .stats import empirical_cdf, statistics_table
 from .text import _format_rows, _row_slices, _text
 
@@ -73,6 +78,7 @@ CIR_HEADER = (
 # directory first removes these, so the directory never mixes two runs.
 CIR_TEMPORARY = ("cir.txt.part", "cir.txt.*.spool")
 OUTPUT_PATTERNS = ("cir.txt", *CIR_TEMPORARY, "statistics.txt", "cdf_*.txt", "manifest.txt")
+RUN_DROPS = 8  # consecutive drops a serial run builds its hop tables for at once
 
 
 @dataclass
@@ -128,67 +134,80 @@ def build_rcs_model(cfg: RunConfig) -> RcsModel:
     )
 
 
-def _run_drop(cfg: RunConfig, cases: tuple, emit_cir: bool, drop: int, *,
-              scenario: ScenarioParams, tx: NodeState, rx: NodeState,
-              target: NodeState, rcs_model: RcsModel | None,
-              polarization: PolarizationScattering, grid: SnapshotGrid,
-              coupling: CouplingConfig, cir_sink) -> list:
-    """Worker body: simulate one drop for every requested concatenation case.
+def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
+               scenario: ScenarioParams, hops: list, rcs_model: RcsModel | None,
+               polarization: PolarizationScattering, grid: SnapshotGrid,
+               coupling: CouplingConfig, cir_sink) -> list:
+    """Worker body: simulate consecutive drops for every requested case.
 
-    The keyword arguments are the per-run objects, built once by _execute.
-    ``cir_sink(drop, slices)`` writes out the drop's cir.txt rows as they
-    are formatted and returns the name of the spool it wrote them to, if any.
+    Every hop of the drops is built first, and the hops of one condition get
+    their cluster tables from one generate_sublinks call; then each drop is
+    concatenated, reduced and written in drop order. Returns each drop's
+    records. The keyword arguments are the per-run objects, built once by
+    _execute: ``hops`` holds (from node, to node, stream scope, condition)
+    of the tx->target hop, the bi-static target->rx hop and the background
+    hop, those of them a drop builds. ``cir_sink(drop, slices)`` writes out
+    a drop's cir.txt rows as they are formatted and returns the name of the
+    spool it wrote them to, if any.
     """
-    streams = RandomStreams(cfg.master_seed, drop=drop)
+    streams = [RandomStreams(cfg.master_seed, drop=drop) for drop in drops]
+    links = []  # (hop, its streams) of every hop, drop by drop
+    for drop_streams in streams:
+        for from_node, to_node, scope, condition in hops:
+            hop_streams = drop_streams.scoped(scope)
+            hop = build_hop(from_node, to_node, scenario, hop_streams,
+                            None if condition == "auto" else condition)
+            links.append((hop, hop_streams))
+    tables = {}  # link index -> its hop table
+    for condition in sorted({hop.condition for hop, _ in links}):
+        group = [i for i, (hop, _) in enumerate(links) if hop.condition == condition]
+        group_hops, group_streams = zip(*(links[i] for i in group))
+        tables.update(zip(group, generate_sublinks(
+            group_hops, scenario.condition_params(condition), group_streams,
+            cfg.split_strongest, cfg.absolute_delay,
+        )))
 
-    def hop_table(from_node, to_node, scope, condition):
-        hop_streams = streams.scoped(scope)
-        hop = build_hop(from_node, to_node, scenario, hop_streams,
-                        None if condition == "auto" else condition)
-        return generate_sublink(
-            hop, scenario.condition_params(hop.condition), hop_streams,
-            split_strongest=cfg.split_strongest, absolute_delay=cfg.absolute_delay,
-        )
-
-    table1 = hop_table(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)
-    if cfg.sensing_mode == "monostatic":
-        table2 = mono_static_reciprocal(table1)
-    else:
-        table2 = hop_table(target, rx, HOP_TARGET_RX, cfg.cond_target_rx)
-    pl_target = concatenated_path_loss(
-        table1.hop.path_loss_db, table2.hop.path_loss_db,
-        cfg.frequency_hz, cfg.rcs_mean_m2,
-    )
-
-    concat_streams = streams.scoped(SCOPE_CONCAT)
-    sets = [concatenate(table1, table2, case, streams=concat_streams) for case in cases]
-    stats = statistics_table(sets)
-    stats[:, STAT_COLUMNS.index("ds_ns")] *= 1e9
     results = []
-    for case, paths, row in zip(cases, sets, stats):
-        pair = paths.condition_pair if len(paths) else "none"
-        rec = DropResult(drop, case.value, pair, row, pl_target_db=pl_target)
+    for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
+        table1, *rest = (tables[i] for i in range(k * len(hops), (k + 1) * len(hops)))
+        table2 = mono_static_reciprocal(table1) if cfg.sensing_mode == "monostatic" else rest.pop(0)
+        pl_target = concatenated_path_loss(
+            table1.hop.path_loss_db, table2.hop.path_loss_db,
+            cfg.frequency_hz, cfg.rcs_mean_m2,
+        )
+        # every set shares the first set's LL/LN/NL blocks, an N set its base's NN pairs
+        concat_streams = drop_streams.scoped(SCOPE_CONCAT)
+        sets = {}
+        for case in cases:
+            base = sets.get(case.base, next(iter(sets.values()), None))
+            sets[case] = concatenate(table1, table2, case, streams=concat_streams, base=base)
+        stats = statistics_table(list(sets.values()))
+        stats[:, STAT_COLUMNS.index("ds_ns")] *= 1e9
+        records = []
+        for (case, paths), row in zip(sets.items(), stats):
+            pair = paths.condition_pair if len(paths) else "none"
+            rec = DropResult(drop, case.value, pair, row, pl_target_db=pl_target)
 
-        if emit_cir and case == cfg.concat_case and len(paths) > 0:
-            cir = synthesize_target_cir(
-                paths, rcs_model, grid, cfg.wavelength_m,
-                streams.scoped(SCOPE_COEFF), polarization=polarization,
-            )
-            if cfg.background_enabled and coupling.mode == "added" and coupling.o_isac == 0.0:
-                # weighted by 0, the background hop (own stream scope) is not built
-                rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
-            elif cfg.background_enabled:
-                background = hop_table(tx, rx, HOP_BACKGROUND, cfg.cond_background)
-                rec.pl_isac_db = combine_isac_path_loss(
-                    pl_target, background.hop.path_loss_db, coupling
+            if emit_cir and case == cfg.concat_case and len(paths) > 0:
+                cir = synthesize_target_cir(
+                    paths, rcs_model, grid, cfg.wavelength_m,
+                    drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
                 )
-                cir = combine_channels(
-                    cir, synthesize_background_cir(background, grid, cfg.wavelength_m),
-                    coupling,
-                )
-            rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
-            rec.cir_spool = cir_sink(drop, _cir_block(drop, cir.delays, cir.gains))
-        results.append(rec)
+                if rest:
+                    background = rest[0]
+                    rec.pl_isac_db = combine_isac_path_loss(
+                        pl_target, background.hop.path_loss_db, coupling
+                    )
+                    cir = combine_channels(
+                        cir, synthesize_background_cir(background, grid, cfg.wavelength_m),
+                        coupling,
+                    )
+                elif cfg.background_enabled:  # weighted by 0, the background hop is not built
+                    rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
+                rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
+                rec.cir_spool = cir_sink(drop, _cir_block(drop, cir.delays, cir.gains))
+            records.append(rec)
+        results.append(records)
     return results
 
 
@@ -332,21 +351,25 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     )
     tx, rx, target = (build_node(node, cfg.wavelength_m)
                       for node in (cfg.tx, cfg.rx, cfg.target))
-    hops = [(tx, target, cfg.cond_tx_target)]
+    hops = [(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)]
     if cfg.sensing_mode == "bistatic":
-        hops.append((target, rx, cfg.cond_target_rx))
+        hops.append((target, rx, HOP_TARGET_RX, cfg.cond_target_rx))
     if emit_cir and cfg.background_enabled and cfg.coupling_o_isac > 0:  # not built if 0
-        hops.append((tx, rx, cfg.cond_background))
-    # What every drop would refuse (a hop's geometry, the ray layout of a
-    # condition it can take) is refused before --out is cleared.
-    for from_node, to_node, condition in hops:
-        hop_distances(from_node, to_node)
-        for cond in scenario.conditions if condition == "auto" else (condition,):
+        hops.append((tx, rx, HOP_BACKGROUND, cfg.cond_background))
+    # What every drop would refuse (a hop's geometry, the parameters and ray
+    # layout of a condition it can take) is refused before --out is cleared.
+    for from_node, to_node, _, condition in hops:
+        _, d2d = hop_distances(from_node, to_node)
+        if condition == "auto":
+            p_los = los_probability(scenario, d2d)
+            conditions = [c for c, can in ((LOS, p_los > 0), (NLOS, p_los < 1)) if can]
+        else:
+            conditions = [condition]
+        for cond in conditions:
             check_ray_layout(scenario.condition_params(cond), cfg.split_strongest)
     cir = CirFile(os.path.join(out_dir, "cir.txt"))
     worker = partial(
-        _run_drop, cfg, cases, emit_cir, scenario=scenario,
-        tx=tx, rx=rx, target=target, rcs_model=rcs_model,
+        _run_drops, cfg, cases, emit_cir, scenario=scenario, hops=hops, rcs_model=rcs_model,
         polarization=PolarizationScattering(cfg.pol_mode, cfg.pol_alphas),
         grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count),
         coupling=CouplingConfig(
@@ -358,19 +381,23 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     os.makedirs(out_dir, exist_ok=True)
     _remove(out_dir, OUTPUT_PATTERNS)
 
-    drops = range(cfg.drops)
+    # A pool takes one drop per task; a serial run goes through its drops in
+    # runs of RUN_DROPS, each run's hop tables built at once.
+    size = 1 if workers > 1 else RUN_DROPS
+    runs = [range(d, min(d + size, cfg.drops)) for d in range(0, cfg.drops, size)]
     # On a failure the pool cancels the drops not yet started and waits for
     # the running ones; it kills no worker (one killed while it sends its
     # result can hang the parent). cir exits after the pool, when no worker
     # still writes a spool.
     pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported by pooled runs only
+    if workers > 1:  # imported by pooled runs only
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     with cir, pool or nullcontext():
         try:
-            per_drop = pool.map(worker, drops) if pool else map(worker, drops)
-            records, cir_rows = _stream_drops(per_drop, cir)
+            per_run = pool.map(worker, runs) if pool else map(worker, runs)
+            records, cir_rows = _stream_drops(chain.from_iterable(per_run), cir)
         except BaseException:
             if pool:
                 pool.shutdown(cancel_futures=True)

@@ -3,10 +3,12 @@
 Each hop of a drop gets one HopTable: an independent set of delay-sorted
 clusters whose rays, with their departure/arrival angles, cross-polarization
 ratios and initial phases, are flat table rows, plus the specular ray's row
-under LOS; mono_static_reciprocal reverses a table. Condition weighting
-(the specular/diffuse power split) is *not* baked into the row weights:
-the squared diffuse weights always sum to one, and the Rician split is
-applied later through the condition prefactors of the concatenation stage.
+under LOS; mono_static_reciprocal reverses a table. The hops of one
+condition are generated together, each from its own streams. Condition
+weighting (the specular/diffuse power split) is *not* baked into the row
+weights: the squared diffuse weights always sum to one, and the Rician
+split is applied later through the condition prefactors of the
+concatenation stage.
 The LOS K-factor still shapes delays and angles here exactly as the
 standard prescribes.
 """
@@ -24,6 +26,8 @@ from .geometry import angles_between
 from .largescale import LOS, ConditionParams, HopLink
 
 if TYPE_CHECKING:  # loading the config needs no random streams
+    from collections.abc import Sequence
+
     from .seeds import RandomStreams
 
 # Ray offset angles alpha_m (TR 38.901 Table 7.5-3), unit spread, in
@@ -57,7 +61,8 @@ class HopTable:
     dep_* at the hop's from-node, arr_* at its to-node. Delays are seconds,
     relative (minimum 0) unless absolute delays were enabled. xpr and the
     four initial phases (theta-theta, theta-phi, phi-theta, phi-phi) are
-    per diffuse row.
+    per diffuse row. Tables generated together are views of shared arrays
+    (cluster and ray are one array for all), so none is modified in place.
     """
 
     hop: HopLink
@@ -110,41 +115,25 @@ def _los_delay_scale(k_db: float) -> float:
     return 0.7705 - 0.0433 * k_db + 0.0002 * k_db ** 2 + 0.000017 * k_db ** 3
 
 
-def _cluster_azimuths(
-    spread_deg, p_ratio_log, scale, mean_deg, is_los, rng
-):
-    """Inverse-Gaussian azimuth draw per cluster (TR 38.901 eq 7.5-9..7.5-12)."""
-    n = p_ratio_log.shape[0]
-    phi_prime = 2.0 * (spread_deg / 1.4) * np.sqrt(p_ratio_log) / scale
-    x = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    y = rng.standard_normal(n) * (spread_deg / 7.0)
+def _cluster_angles(prime, spread_deg, mean_deg, is_los, x, y):
+    """Cluster angle means of stacked hops from their per-cluster offsets
+    ``prime``, sign draws x (0 or 1) and normal draws y: under LOS the first
+    cluster is moved onto the LOS direction, under NLOS every cluster is
+    placed around it."""
+    x = x * 2.0 - 1.0
+    y = y * (spread_deg / 7.0)
     if is_los:
-        return x * phi_prime + y - (x[0] * phi_prime[0] + y[0] - mean_deg)
-    return x * phi_prime + y + mean_deg
+        return x * prime + y - (x[:, :1] * prime[:, :1] + y[:, :1] - mean_deg)
+    return x * prime + y + mean_deg
 
 
-def _cluster_zeniths(
-    spread_deg, p_ratio_log, scale, mean_deg, offset_deg, is_los, rng
-):
-    """Inverse-Laplacian zenith draw per cluster (TR 38.901 eq 7.5-14..7.5-19)."""
-    n = p_ratio_log.shape[0]
-    theta_prime = spread_deg * p_ratio_log / scale
-    x = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    y = rng.standard_normal(n) * (spread_deg / 7.0)
-    if is_los:
-        return x * theta_prime + y - (x[0] * theta_prime[0] + y[0] - mean_deg)
-    return x * theta_prime + y + mean_deg + offset_deg
-
-
-def _row_shuffle(rng, arr):
-    """Independently permute each row (random ray coupling within a cluster)."""
-    keys = rng.random(arr.shape)
-    order = np.argsort(keys, axis=1)
-    return np.take_along_axis(arr, order, axis=1)
+def _row_shuffle(keys, arr):
+    """Permute each cluster's rays by its keys (random ray coupling)."""
+    return np.take_along_axis(arr, np.argsort(keys, axis=-1), axis=-1)
 
 
 def check_ray_layout(params: ConditionParams, split_strongest: bool) -> None:
-    """Refuse a cluster/ray layout that generate_sublink cannot build."""
+    """Refuse a cluster/ray layout that generate_sublinks cannot build."""
     m = params.rays_per_cluster
     if params.num_clusters < 1:
         raise ConfigError("cluster count must be >= 1")
@@ -156,6 +145,163 @@ def check_ray_layout(params: ConditionParams, split_strongest: bool) -> None:
         raise ConfigError("sub-cluster delay split requires the full 20-ray layout")
 
 
+def generate_sublinks(
+    hops: Sequence[HopLink],
+    params: ConditionParams,
+    streams: Sequence[RandomStreams],
+    split_strongest: bool = False,
+    absolute_delay: bool = False,
+) -> list[HopTable]:
+    """Generate the cluster/ray tables of hops that share one condition.
+
+    Follows the standard step order: large-scale spread draws, exponential
+    delay draw with LOS delay rescaling, per-cluster power with shadowing,
+    cluster angle means (inverse Gaussian in azimuth, inverse Laplacian in
+    zenith, LOS first-cluster alignment), fixed ray offset fan-out, random
+    ray coupling, per-ray XPR and initial phases.
+
+    Hop i draws from streams[i] only, in the same order whatever the batch.
+    Its scalars (the large-scale spreads, the K-dependent scales, the LOS
+    angles) are Python floats; its cluster and ray arrays are row i of
+    arrays stacked on a leading hop axis, and every sum, min, max, sort and
+    argsort runs along the contiguous per-hop axis, so a hop's table has
+    the same bits in any batch. The tables' columns are views of the
+    stacked arrays.
+    """
+    check_ray_layout(params, split_strongest)
+    if len({hop.condition for hop in hops}) > 1:
+        raise ConfigError("the hops of one batch must share their condition")
+    h, n, m = len(hops), params.num_clusters, params.rays_per_cluster
+    nm = n * m
+    is_los = bool(hops) and hops[0].condition == LOS
+
+    u, shadow = np.empty((2, h, n))
+    signs = np.empty((4, h, n), np.int64)  # AOA, AOD, ZOA, ZOD
+    normals = np.empty((4, h, n))
+    keys = np.empty((3, h, n, m))  # AOA, ZOA, ZOD ray coupling
+    xpr_draw = np.empty((h, nm))
+    phases = np.empty((h, nm, 4))
+    lsp_laws = [(getattr(params, f"lg_{x}_mean"), getattr(params, f"lg_{x}_std"))
+                for x in ("ds", "asd", "asa", "zsa", "zsd")]
+    scalars = []
+    for i, (hop, hop_streams) in enumerate(zip(hops, streams)):
+        rng_lsp = hop_streams.stream("lsp")
+        ds, asd, asa, zsa, zsd = (10.0 ** (mean + std * rng_lsp.standard_normal())
+                                  for mean, std in lsp_laws)
+        k_lin = hop.k_factor if is_los else 0.0
+        k_db = _k_db(k_lin) if k_lin > 0 else 0.0
+        departure = angles_between(hop.from_node.position_m, hop.to_node.position_m)
+        arrival = angles_between(hop.to_node.position_m, hop.from_node.position_m)
+        scalars.append((
+            ds, min(asd, AZIMUTH_SPREAD_CAP_DEG), min(asa, AZIMUTH_SPREAD_CAP_DEG),
+            min(zsa, ZENITH_SPREAD_CAP_DEG), min(zsd, ZENITH_SPREAD_CAP_DEG), k_lin,
+            # LOS delay rescaling (1.0: none)
+            _los_delay_scale(k_db) if is_los and k_lin > 0 else 1.0,
+            params.azimuth_scale * (_los_azimuth_scale(k_db) if is_los else 1.0),
+            params.zenith_scale * (_los_zenith_scale(k_db) if is_los else 1.0),
+            # geometric propagation delay; the standardized NLOS excess-delay
+            # model (TR 38.901 sec 7.6.9) is not applied on top
+            hop.d3d_m / SPEED_OF_LIGHT if absolute_delay else 0.0,
+            departure.zenith, departure.azimuth, arrival.zenith, arrival.azimuth,
+        ))
+        hop_streams.stream("delays").random(out=u[i])
+        hop_streams.stream("powers").standard_normal(out=shadow[i])
+        for rng, pair in ((hop_streams.stream("angles_azimuth"), (0, 1)),
+                          (hop_streams.stream("angles_zenith"), (2, 3))):
+            for k in pair:
+                signs[k, i] = rng.integers(0, 2, size=n)
+                rng.standard_normal(out=normals[k, i])
+        rng_cpl = hop_streams.stream("coupling")
+        for k in range(3):
+            rng_cpl.random(out=keys[k, i])
+        hop_streams.stream("xpr").standard_normal(out=xpr_draw[i])
+        hop_streams.stream("phases").random(out=phases[i])
+    (ds, asd, asa, zsa, zsd, k_lin, delay_scale, c_phi, c_theta, los_delay,
+     dep_zenith, dep_azimuth, arr_zenith, arr_azimuth) = np.array(scalars).reshape(h, 14).T[:, :, None]
+
+    # Cluster delays: exponential draw, shifted to zero minimum, ascending.
+    r_tau = params.delay_scaling
+    u = np.clip(u, 1e-300, None)
+    tau = -r_tau * ds * np.log(u)
+    tau = np.sort(tau - tau.min(1, keepdims=True), axis=1)
+
+    # Cluster powers from the unscaled delays, with per-cluster shadowing.
+    shadow *= params.cluster_shadowing_std_db
+    powers = np.exp(-tau * (r_tau - 1.0) / (r_tau * ds)) * 10.0 ** (-shadow / 10.0)
+    powers = powers / powers.sum(1, keepdims=True)
+
+    # Delay rescaling for LOS hops; applied to the reported delays only,
+    # after the power draw (the standard excludes it from power generation).
+    tau_out = tau / delay_scale
+
+    # Power ratios for angle generation include the specular component.
+    if is_los:
+        p_angle = powers / (1.0 + k_lin)
+        p_angle[:, :1] += k_lin / (1.0 + k_lin)
+    else:
+        p_angle = powers
+    p_ratio_log = -np.log(p_angle / p_angle.max(1, keepdims=True))
+
+    # Cluster angle means: inverse Gaussian in azimuth (TR 38.901 eq
+    # 7.5-9..7.5-12), inverse Laplacian in zenith (eq 7.5-14..7.5-19).
+    sqrt_ratio = np.sqrt(p_ratio_log)
+    phi_aoa = _cluster_angles(2.0 * (asa / 1.4) * sqrt_ratio / c_phi, asa,
+                              np.degrees(arr_azimuth), is_los, signs[0], normals[0])
+    phi_aod = _cluster_angles(2.0 * (asd / 1.4) * sqrt_ratio / c_phi, asd,
+                              np.degrees(dep_azimuth), is_los, signs[1], normals[1])
+    theta_zoa = _cluster_angles(zsa * p_ratio_log / c_theta, zsa,
+                                np.degrees(arr_zenith), is_los, signs[2], normals[2])
+    theta_zod = _cluster_angles(zsd * p_ratio_log / c_theta, zsd,
+                                np.degrees(dep_zenith), is_los, signs[3], normals[3])
+    if not is_los:
+        theta_zod += params.zod_offset_deg
+
+    # Ray fan-out around each cluster mean with fixed offsets.
+    offs = RAY_OFFSETS[:m]
+    aoa_deg = phi_aoa[:, :, None] + params.c_asa_deg * offs
+    aod_deg = phi_aod[:, :, None] + params.c_asd_deg * offs
+    zoa_deg = theta_zoa[:, :, None] + params.c_zsa_deg * offs
+    # Ray zenith spread at departure scales with the table's mean ZSD.
+    c_zsd = (3.0 / 8.0) * 10.0 ** params.lg_zsd_mean
+    zod_deg = theta_zod[:, :, None] + c_zsd * offs
+
+    # Random coupling of ray angles within each cluster.
+    aoa_deg = _row_shuffle(keys[0], aoa_deg)
+    zoa_deg = _row_shuffle(keys[1], zoa_deg)
+    zod_deg = _row_shuffle(keys[2], zod_deg)
+
+    xpr = 10.0 ** ((params.xpr_mean_db + params.xpr_std_db * xpr_draw) / 10.0)
+    # Initial phases uniform on (-pi, pi].
+    phases = np.pi - phases * (2.0 * np.pi)
+
+    ray_delays = np.repeat(tau_out[:, :, None], m, axis=2)
+    if split_strongest:
+        c_ds_s = params.c_ds_ns * 1e-9
+        strongest = np.argsort(powers, axis=1)[:, ::-1][:, :2, None]
+        hop_axis = np.arange(h)[:, None, None]
+        for rays, mult in _SUBCLUSTER_GROUPS[1:]:
+            ray_delays[hop_axis, strongest, rays] = tau_out[hop_axis, strongest] + mult * c_ds_s
+    if absolute_delay:
+        ray_delays = ray_delays + los_delay[:, :, None]
+
+    # the rows of every hop: weight, delay, dep/arr zenith and azimuth
+    cols = np.empty((6, h, nm + is_los))
+    cols[0, :, :nm] = np.repeat(np.sqrt(powers / m / powers.sum(1, keepdims=True)), m, axis=1)
+    cols[1, :, :nm] = ray_delays.reshape(h, nm)
+    cols[2, :, :nm] = np.radians(_fold_zenith_deg(zod_deg)).reshape(h, nm)
+    cols[3, :, :nm] = np.radians(_wrap_azimuth_deg(aod_deg)).reshape(h, nm)
+    cols[4, :, :nm] = np.radians(_fold_zenith_deg(zoa_deg)).reshape(h, nm)
+    cols[5, :, :nm] = np.radians(_wrap_azimuth_deg(aoa_deg)).reshape(h, nm)
+    cluster = np.repeat(np.arange(n, dtype=np.int32), m)
+    ray = np.tile(np.arange(m, dtype=np.int32), n)
+    if is_los:
+        cols[:, :, nm] = np.stack([np.ones((h, 1)), los_delay, dep_zenith, dep_azimuth,
+                                   arr_zenith, arr_azimuth])[:, :, 0]
+        cluster, ray = np.append(cluster, np.int32(-1)), np.append(ray, np.int32(-1))
+    return [HopTable(hop, (n, m), *cols[:, i], cluster, ray, xpr=xpr[i], phases=phases[i])
+            for i, hop in enumerate(hops)]
+
+
 def generate_sublink(
     hop: HopLink,
     params: ConditionParams,
@@ -163,132 +309,8 @@ def generate_sublink(
     split_strongest: bool = False,
     absolute_delay: bool = False,
 ) -> HopTable:
-    """Generate the cluster/ray table of one hop.
-
-    Follows the standard step order: large-scale spread draws, exponential
-    delay draw with LOS delay rescaling, per-cluster power with shadowing,
-    cluster angle means (inverse Gaussian in azimuth, inverse Laplacian in
-    zenith, LOS first-cluster alignment), fixed ray offset fan-out, random
-    ray coupling, per-ray XPR and initial phases.
-    """
-    check_ray_layout(params, split_strongest)
-    n = params.num_clusters
-    m = params.rays_per_cluster
-    is_los = hop.condition == LOS
-    k_lin = hop.k_factor if is_los else 0.0
-    k_db = _k_db(k_lin) if k_lin > 0 else 0.0
-
-    rng_lsp = streams.stream("lsp")
-    ds = 10.0 ** (params.lg_ds_mean + params.lg_ds_std * rng_lsp.standard_normal())
-    asd = 10.0 ** (params.lg_asd_mean + params.lg_asd_std * rng_lsp.standard_normal())
-    asa = 10.0 ** (params.lg_asa_mean + params.lg_asa_std * rng_lsp.standard_normal())
-    zsa = 10.0 ** (params.lg_zsa_mean + params.lg_zsa_std * rng_lsp.standard_normal())
-    zsd = 10.0 ** (params.lg_zsd_mean + params.lg_zsd_std * rng_lsp.standard_normal())
-    asd = min(asd, AZIMUTH_SPREAD_CAP_DEG)
-    asa = min(asa, AZIMUTH_SPREAD_CAP_DEG)
-    zsa = min(zsa, ZENITH_SPREAD_CAP_DEG)
-    zsd = min(zsd, ZENITH_SPREAD_CAP_DEG)
-
-    # Cluster delays: exponential draw, shifted to zero minimum, ascending.
-    r_tau = params.delay_scaling
-    u = streams.stream("delays").random(n)
-    u = np.clip(u, 1e-300, None)
-    tau = -r_tau * ds * np.log(u)
-    tau = np.sort(tau - tau.min())
-
-    # Cluster powers from the unscaled delays, with per-cluster shadowing.
-    zeta = params.cluster_shadowing_std_db
-    shadow = streams.stream("powers").standard_normal(n) * zeta
-    powers = np.exp(-tau * (r_tau - 1.0) / (r_tau * ds)) * 10.0 ** (-shadow / 10.0)
-    powers = powers / powers.sum()
-
-    # Delay rescaling for LOS hops; applied to the reported delays only,
-    # after the power draw (the standard excludes it from power generation).
-    if is_los and k_lin > 0:
-        tau_out = tau / _los_delay_scale(k_db)
-    else:
-        tau_out = tau
-
-    # Power ratios for angle generation include the specular component.
-    if is_los:
-        p_angle = powers / (1.0 + k_lin)
-        p_angle = p_angle.copy()
-        p_angle[0] += k_lin / (1.0 + k_lin)
-    else:
-        p_angle = powers
-    p_ratio_log = -np.log(p_angle / p_angle.max())
-
-    los_departure = angles_between(hop.from_node.position_m, hop.to_node.position_m)
-    los_arrival = angles_between(hop.to_node.position_m, hop.from_node.position_m)
-    dep_z_deg, dep_a_deg = np.degrees(los_departure.zenith), np.degrees(los_departure.azimuth)
-    arr_z_deg, arr_a_deg = np.degrees(los_arrival.zenith), np.degrees(los_arrival.azimuth)
-
-    c_phi = params.azimuth_scale * (_los_azimuth_scale(k_db) if is_los else 1.0)
-    c_theta = params.zenith_scale * (_los_zenith_scale(k_db) if is_los else 1.0)
-
-    rng_az = streams.stream("angles_azimuth")
-    phi_aoa = _cluster_azimuths(asa, p_ratio_log, c_phi, arr_a_deg, is_los, rng_az)
-    phi_aod = _cluster_azimuths(asd, p_ratio_log, c_phi, dep_a_deg, is_los, rng_az)
-    rng_ze = streams.stream("angles_zenith")
-    theta_zoa = _cluster_zeniths(
-        zsa, p_ratio_log, c_theta, arr_z_deg, 0.0, is_los, rng_ze
-    )
-    theta_zod = _cluster_zeniths(
-        zsd, p_ratio_log, c_theta, dep_z_deg,
-        0.0 if is_los else params.zod_offset_deg, is_los, rng_ze,
-    )
-
-    # Ray fan-out around each cluster mean with fixed offsets.
-    offs = RAY_OFFSETS[:m]
-    aoa_deg = phi_aoa[:, None] + params.c_asa_deg * offs[None, :]
-    aod_deg = phi_aod[:, None] + params.c_asd_deg * offs[None, :]
-    zoa_deg = theta_zoa[:, None] + params.c_zsa_deg * offs[None, :]
-    # Ray zenith spread at departure scales with the table's mean ZSD.
-    c_zsd = (3.0 / 8.0) * 10.0 ** params.lg_zsd_mean
-    zod_deg = theta_zod[:, None] + c_zsd * offs[None, :]
-
-    # Random coupling of ray angles within each cluster.
-    rng_cpl = streams.stream("coupling")
-    aoa_deg = _row_shuffle(rng_cpl, aoa_deg)
-    zoa_deg = _row_shuffle(rng_cpl, zoa_deg)
-    zod_deg = _row_shuffle(rng_cpl, zod_deg)
-
-    aod = np.radians(_wrap_azimuth_deg(aod_deg))
-    aoa = np.radians(_wrap_azimuth_deg(aoa_deg))
-    zod = np.radians(_fold_zenith_deg(zod_deg))
-    zoa = np.radians(_fold_zenith_deg(zoa_deg))
-
-    xpr_db = params.xpr_mean_db + params.xpr_std_db * streams.stream("xpr").standard_normal(n * m)
-    # Initial phases uniform on (-pi, pi].
-    phases = np.pi - streams.stream("phases").random((n * m, 4)) * (2.0 * np.pi)
-
-    ray_delays = np.broadcast_to(tau_out[:, None], (n, m)).copy()
-    if split_strongest:
-        c_ds_s = params.c_ds_ns * 1e-9
-        strongest = np.argsort(powers)[::-1][:2]
-        for rays, mult in _SUBCLUSTER_GROUPS[1:]:
-            for ci in strongest:
-                ray_delays[ci, rays] = tau_out[ci] + mult * c_ds_s
-
-    los_delay = 0.0
-    if absolute_delay:
-        # Geometric propagation delay; the standardized NLOS excess-delay
-        # model (TR 38.901 sec 7.6.9) is not applied on top.
-        los_delay = hop.d3d_m / SPEED_OF_LIGHT
-        ray_delays = ray_delays + los_delay
-
-    ray_power = np.broadcast_to(powers[:, None] / m / powers.sum(), (n, m))
-    cols = [
-        np.sqrt(ray_power).ravel(), ray_delays.ravel(),
-        zod.ravel(), aod.ravel(), zoa.ravel(), aoa.ravel(),
-        np.repeat(np.arange(n, dtype=np.int32), m),
-        np.tile(np.arange(m, dtype=np.int32), n),
-    ]
-    if is_los:
-        los = (1.0, los_delay, los_departure.zenith, los_departure.azimuth,
-               los_arrival.zenith, los_arrival.azimuth, -1, -1)
-        cols = [np.append(c, np.asarray(v, c.dtype)) for c, v in zip(cols, los)]
-    return HopTable(hop, (n, m), *cols, xpr=10.0 ** (xpr_db / 10.0), phases=phases)
+    """Generate the cluster/ray table of one hop (generate_sublinks of one)."""
+    return generate_sublinks([hop], params, [streams], split_strongest, absolute_delay)[0]
 
 
 def mono_static_reciprocal(table: HopTable) -> HopTable:

@@ -22,6 +22,7 @@ equal, the spread is exactly 0.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,24 +113,44 @@ def _by_unit(rows: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
+def _read_off(paths: TargetPathSet, base: TargetPathSet) -> bool:
+    """Whether a set is ``base`` but for its NN weights: the same outer
+    blocks and the same NN pairs (as concatenate's base argument gives)."""
+    *outer, nn = paths.blocks
+    *base_outer, base_nn = base.blocks
+    return (len(outer) == len(base_outer) and all(map(operator.is_, outer, base_outer))
+            and nn.tx_rows is base_nn.tx_rows and nn.rx_rows is base_nn.rx_rows)
+
+
 def statistics_table(sets) -> np.ndarray:
     """One row of STAT_FIELDS per path set; an empty set's row is 0, 0, NaN...
 
     The sets share one tx and one rx table, as the cases of one drop do, and
     the blocks of all sets go through one pass, as units: each distinct outer
-    block (LL, LN and NL recur in every case), then each paired block. Delay
-    moments pool per run of rows: an outer block's tx rows and its rx rows,
-    whose moments add, and a paired block's paths. Per side, a bincount over
-    unit-offset row indices gives each unit's stored power through every
-    table row, and a (sets x units) matrix of effective over stored power
-    turns those into the (sets x rows) effective powers of the spreads.
+    block (LL, LN and NL recur in every case; one object when concatenate
+    shares them), then each paired block. Delay moments pool per run of
+    rows: an outer block's tx rows and its rx rows, whose moments add, and a
+    paired block's paths. Per side, a bincount over unit-offset row indices
+    gives each unit's stored power through every table row, and a (sets x
+    units) matrix of effective over stored power turns those into the (sets
+    x rows) effective powers of the spreads. An N set read off its base set
+    is not reduced again: the NN rescale leaves effective powers unchanged,
+    so its spread columns are the base row's, and only its total and NN
+    power are summed, from its own weights.
     """
     tables = {"tx": sets[0].tx, "rx": sets[0].rx}
     if any(p.tx is not tables["tx"] or p.rx is not tables["rx"] for p in sets):
         raise ConfigError("the path sets of one statistics pass must share their hop tables")
     out = np.full((len(sets), len(STAT_FIELDS)), np.nan)
     out[:, :2] = 0.0
-    live = [s for s, p in enumerate(sets) if len(p)]
+    nonempty = [s for s, p in enumerate(sets) if len(p)]
+    index = {sets[s].case: s for s in nonempty}
+    copies = {}  # an N set read off its base set: that set
+    for s in nonempty:
+        b = index.get(sets[s].case.base, s)
+        if b != s and _read_off(sets[s], sets[b]):
+            copies[s] = b
+    live = [s for s in nonempty if s not in copies]
     if not live:
         return out
     members = sorted(((i, b) for i, s in enumerate(live) for b in sets[s].blocks),
@@ -139,12 +160,11 @@ def statistics_table(sets) -> np.ndarray:
     kind = np.array([b.pair_type for b in blocks], np.intp)
     p = np.array([sets[s].k_weights for s in live]).reshape(len(live), -1)[owner, kind] ** 2
     n = {side: t.weight.size for side, t in tables.items()}
-    keys = [(b.pair_type, b.tx_rows.tobytes(), b.rx_rows.tobytes())
-            for b in blocks if b.weight is None]
-    shared = dict(zip(keys, blocks))
+    n_outer = sum(b.weight is None for b in blocks)
+    shared = {id(b): b for b in blocks[:n_outer]}
     no, slot = len(shared), {key: i for i, key in enumerate(shared)}
-    units = [*shared.values(), *blocks[len(keys):]]
-    unit = np.array([slot[key] for key in keys] + list(range(no, len(units))), np.intp)
+    units = [*shared.values(), *blocks[n_outer:]]
+    unit = np.array([slot[id(b)] for b in blocks[:n_outer]] + list(range(no, len(units))), np.intp)
 
     # an outer unit's tx rows and rx rows are a run each; a row carries its
     # own hop's power times the other hop's total
@@ -198,6 +218,15 @@ def statistics_table(sets) -> np.ndarray:
         tau = sets[live[i]].joint_delay
         res[i, 2] *= tau.min() != tau.max()
     out[live] = res
+    for s, base in copies.items():
+        # summed as the pass sums them: a paired block's squared weights by
+        # reduceat, then a set's terms in block order
+        blocks = sets[s].blocks
+        nn = np.add.reduceat(np.square(blocks[-1].weight), [0])
+        stored_s = np.append(stored[[slot[id(b)] for b in blocks[:-1]]], nn)
+        terms = sets[s].k_weights[[b.pair_type for b in blocks]] ** 2 * stored_s
+        out[s] = out[base]
+        out[s, :2] = np.cumsum(terms)[-1], nn[0]
     return out
 
 

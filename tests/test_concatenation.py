@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from isacsim.concatenation import (
+    ALL_CASES,
     ConcatCase,
     PairType,
     TargetPathSet,
@@ -166,6 +167,33 @@ def test_normalization_leaves_other_components_untouched():
         )
     # and identical pairing, so identical delays everywhere
     np.testing.assert_array_equal(base.joint_delay, norm.joint_delay)
+
+
+@pytest.mark.parametrize("conds", [("LOS", "LOS"), ("LOS", "NLOS"), ("NLOS", "NLOS")])
+def test_base_set_lends_its_blocks(conds):
+    """A set built on a base set shares its LL/LN/NL blocks; an N case built
+    on its base case also its NN pairs. Either way, every path and weight
+    is what the set gets on its own."""
+    t1, t2, streams = make_links(*conds, seed=8)
+    first = concatenate(t1, t2, ConcatCase.CASE_A, streams=concat_streams(streams))
+    sets = {first.case: first}
+    for case in ALL_CASES[1:]:  # a base case comes before its N case
+        shared = concatenate(t1, t2, case, streams=concat_streams(streams),
+                             base=sets.get(case.base, first))
+        sets[case] = shared
+        alone = concatenate(t1, t2, case, streams=concat_streams(streams))
+        for a, b in zip(shared.blocks, first.blocks):
+            assert a is b
+        if case.normalizes_nn:
+            assert shared.nn_block.tx_rows is sets[case.base].nn_block.tx_rows
+            assert shared.nn_block.rx_rows is sets[case.base].nn_block.rx_rows
+        for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
+            np.testing.assert_array_equal(getattr(shared, column), getattr(alone, column),
+                                          strict=True)
+        np.testing.assert_array_equal(shared.k_weights, alone.k_weights, strict=True)
+    other, _, _ = make_links(*conds, seed=9)
+    with pytest.raises(ConfigError, match="same two hop tables"):
+        concatenate(other, t2, ConcatCase.CASE_1, base=first)
 
 
 def test_case1n_marginals_match_case0():

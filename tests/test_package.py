@@ -61,6 +61,16 @@ def test_every_name_resolves_after_a_bare_import():
     )
 
 
+def test_runner_import_loads_no_process_pool():
+    # a serial run never starts a pool; only a pooled run imports one
+    fresh_python(
+        "import sys\n"
+        "import isacsim.runner\n"
+        "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 def test_exports_are_the_submodules_objects():
     modules = {name: getattr(isacsim, name) for name in ALL
                if isinstance(getattr(isacsim, name), types.ModuleType)}

@@ -474,6 +474,22 @@ def table_with_rays(tmp_path, rays):
     return path
 
 
+def los_only_table(tmp_path):
+    """The bundled table without its [UMi NLOS] section."""
+    text = resources.files("isacsim.data").joinpath("umi_38901.tbl").read_text(encoding="utf-8")
+    path = tmp_path / "los_only.tbl"
+    path.write_text(text[:text.index("[UMi NLOS]")])
+    return path
+
+
+def cfg_with(extra, drops=2):
+    """cfg_text, with the keys that ``extra`` sets taken out of BASE."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines() if "=" in line}
+    base = "".join(line + "\n" for line in BASE.splitlines()
+                   if line.split("=")[0].strip() not in keys)
+    return base + f"drops = {drops}\n" + extra
+
+
 # what every drop would refuse, so the run refuses it before clearing --out
 EVERY_DROP_REFUSES = {
     "21_rays": (lambda tmp: f"scenario_table = {table_with_rays(tmp, 21)}\n",
@@ -485,6 +501,10 @@ EVERY_DROP_REFUSES = {
                      "degenerate geometry: hop endpoints coincide"),
     "target_6_km": (lambda tmp: "nodes.target.position_m = 6000, 0, 10\n",
                     "3-D distance 6000.0 m outside the supported range (0, 5000] m"),
+    # auto hops at 25 m and 43 m ground distance can draw NLOS
+    "no_nlos_section": (lambda tmp: "conditions.tx_target = auto\nconditions.target_rx = auto\n"
+                        f"scenario_table = {los_only_table(tmp)}\n",
+                        "no parameters for condition 'NLOS'"),
 }
 
 
@@ -495,11 +515,36 @@ def test_refused_config_keeps_the_earlier_outputs(tmp_path, capsys, name):
     before = {f: sha(out / f) for f in os.listdir(out)}
     extra, error = EVERY_DROP_REFUSES[name]
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg_text(extra(tmp_path)))
+    bad.write_text(cfg_with(extra(tmp_path)))
     capsys.readouterr()
     assert main(["concat-study", "--config", str(bad), "--out", str(out)]) == 2
     assert error in capsys.readouterr().err
     assert {f: sha(out / f) for f in os.listdir(out)} == before
+
+
+def test_los_only_table_runs_where_every_hop_is_los(tmp_path):
+    # every hop within 18 m ground distance, where UMi's LOS probability is 1
+    extra = ("conditions.tx_target = auto\nconditions.target_rx = auto\n"
+             "conditions.background = auto\nbackground.enabled = yes\n"
+             "nodes.target.position_m = 7, 5, 1.5\nnodes.rx.position_m = 15, 0, 10\n"
+             f"scenario_table = {los_only_table(tmp_path)}\n")
+    run(validate_config(cfg_with(extra, drops=3)), out_dir=str(tmp_path / "run"))
+    concat_study(validate_config(cfg_with(extra, drops=3)), out_dir=str(tmp_path / "study"))
+    for out in ("run", "study"):
+        _, rows = read_stats(tmp_path / out)
+        assert rows and {pair for _, _, pair, _ in rows} == {"LL"}
+
+
+def test_run_boundaries_do_not_change_bytes(tmp_path):
+    # 13 drops: a serial run's last run of drops is short
+    study = validate_config("frequency_hz = 6e9\nmaster_seed = 5\ndrops = 13\n")
+    cir = validate_config(AUTO_CASE_A.replace("drops = 10", "drops = 13")
+                          + "background.enabled = yes\n")
+    for entry, cfg in ((concat_study, study), (run, cir)):
+        m1 = entry(cfg, out_dir=str(tmp_path / "w1"), workers=1)
+        m3 = entry(cfg, out_dir=str(tmp_path / "w3"), workers=3)
+        assert m1.file_checksums == m3.file_checksums
+    assert "cir.txt" in m1.file_checksums and m1.cir_rows > 0
 
 
 def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):

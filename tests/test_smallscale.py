@@ -4,13 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState, angles_between
 from isacsim.largescale import HopLink, ScenarioParams
 from isacsim.seeds import RandomStreams
-from isacsim.smallscale import RAY_OFFSETS, generate_sublink, mono_static_reciprocal
+from isacsim.smallscale import (
+    RAY_OFFSETS,
+    generate_sublink,
+    generate_sublinks,
+    mono_static_reciprocal,
+)
 
 F_HZ = 6e9
 
@@ -289,3 +296,50 @@ def test_mono_static_reciprocal_swaps_and_inverts():
     for f in dataclasses.fields(t):
         assert getattr(back, f.name) is getattr(t, f.name) or f.name == "hop", f.name
     assert back.hop == hop
+
+
+COLUMNS = ("weight", "delay", "dep_zenith", "dep_azimuth", "arr_zenith", "arr_azimuth",
+           "cluster", "ray", "xpr", "phases")
+# a LOS hop's K: none, small, large
+K_FACTORS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(10.0, 1e4))
+POSITIONS = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+                      st.sampled_from([1.5, 10.0, 25.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(condition=st.sampled_from(["LOS", "NLOS"]),
+       hops=st.lists(st.tuples(POSITIONS, K_FACTORS, st.integers(0, 2**40), st.booleans()),
+                     min_size=1, max_size=9),
+       split_strongest=st.booleans(), absolute_delay=st.booleans())
+def test_batched_tables_are_the_one_hop_tables(condition, hops, split_strongest,
+                                                absolute_delay):
+    """generate_sublinks gives each hop of a mixed group, bit for bit, the
+    table generate_sublink gives it alone on the same streams; a hop may
+    run from the target back to the base station."""
+    links, streams = [], []
+    for i, (xyz, k, seed, reverse) in enumerate(hops):
+        hop = make_hop(condition, k if condition == "LOS" else 0.0, to_xyz=xyz)
+        if np.hypot(*xyz[:2]) < 1.0:
+            hop = make_hop(condition, hop.k_factor)  # keep endpoints apart
+        if reverse:
+            hop = dataclasses.replace(hop, from_node=hop.to_node, to_node=hop.from_node)
+        links.append(hop)
+        streams.append(RandomStreams(seed, drop=i))
+    p = params_for(condition)
+    batch = generate_sublinks(links, p, streams, split_strongest, absolute_delay)
+    assert len(batch) == len(links)
+    for hop, hop_streams, got in zip(links, streams, batch):
+        alone = generate_sublink(hop, p, hop_streams, split_strongest, absolute_delay)
+        assert got.hop is hop and got.shape == alone.shape
+        for table, want in ((got, alone), (mono_static_reciprocal(got),
+                                           mono_static_reciprocal(alone))):
+            for name in COLUMNS:
+                a, b = getattr(table, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+                assert a.tobytes() == b.tobytes(), name
+
+
+def test_batched_hops_must_share_a_condition():
+    hops = [make_hop("LOS", 2.0), make_hop("NLOS")]
+    with pytest.raises(ConfigError, match="share their condition"):
+        generate_sublinks(hops, params_for("LOS"), [RandomStreams(1)] * 2)

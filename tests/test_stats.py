@@ -370,6 +370,46 @@ def test_marginal_statistics_match_per_path_oracle(oracle_drops):
     assert worst <= 1e-12
 
 
+def drop_sets(t1, t2, streams):
+    """Every case of a drop as the runner builds them: each set shares the
+    first set's LL/LN/NL blocks, and an N set its base set's NN pairs."""
+    sets = {}
+    for case in ALL_CASES:
+        base = sets.get(case.base, next(iter(sets.values()), None))
+        sets[case] = concatenate(t1, t2, case, streams=streams, base=base)
+    return sets
+
+
+def test_n_rows_are_read_off_their_base_rows(oracle_drops):
+    """With shared blocks, an N row's spread columns are its base row's,
+    its power columns those of the set reduced alone, and every row is
+    within 1e-12 of the per-path oracle."""
+    worst = 0.0
+    for t1, t2, streams in oracle_drops:
+        sets = drop_sets(t1, t2, streams)
+        rows = dict(zip(sets, statistics_table(list(sets.values()))))
+        for case, paths in sets.items():
+            if len(paths) == 0:
+                continue
+            want = oracle_statistics(paths)
+            for field, got in zip(STAT_FIELDS, rows[case]):
+                if want[field] == 0.0:
+                    assert got == 0.0, (case, field)
+                else:
+                    worst = max(worst, abs(got - want[field]) / abs(want[field]))
+            if not case.normalizes_nn:
+                continue
+            nn = paths.nn_block
+            assert nn.tx_rows is sets[case.base].nn_block.tx_rows  # the premise
+            assert rows[case][2:].tobytes() == rows[case.base][2:].tobytes()
+            alone = statistics_table([paths])[0]
+            assert rows[case][:2].tobytes() == alone[:2].tobytes()
+            np.testing.assert_allclose(rows[case][2:], alone[2:], rtol=1e-12, atol=0)
+            assert rows[case][1] == pytest.approx(np.sum(nn.weight ** 2), rel=1e-15)
+            assert "%.12e" % rows[case][1] == "1.000000000000e+00"
+    assert worst <= 1e-12
+
+
 def test_case0_nn_block_matches_materialized_paths(oracle_drops):
     for t1, t2, _ in oracle_drops[40:]:
         p0 = concatenate(t1, t2, ConcatCase.CASE_0)
