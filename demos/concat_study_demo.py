@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from isacsim.concatenation import ALL_CASES, ConcatCase, concatenate, nn_total_power
+from isacsim.concatenation import ALL_CASES, ConcatCase, concatenate
 from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
@@ -48,8 +48,8 @@ def main(argv=None):
                                   streams.scoped(HOP_TARGET_RX))
         for case in cases:
             paths = concatenate(table1, table2, case, streams.scoped(SCOPE_CONCAT))
-            nn[case][d] = nn_total_power(paths)
-            ds[case][d] = drop_statistics(paths).ds
+            st = drop_statistics(paths)
+            nn[case][d], ds[case][d] = st.nn_power, st.ds
             n_paths[case] = len(paths)
     print(f"generated {args.drops * len(cases)} path sets "
           f"in {time.perf_counter() - t0:.1f} s\n")

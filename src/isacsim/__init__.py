@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "concatenation": (
-        "ConcatCase", "PairType", "PathBlock", "TargetPathSet",
-        "concatenate", "condition_weights", "nn_total_power", "ray_marginal_power",
+        "ConcatCase", "PairType", "PathBlock", "PathGroup", "TargetPathSet",
+        "concatenate", "concatenate_group", "condition_weights",
     ),
     "coefficients": (
         "SnapshotGrid", "TargetChannelCir", "combine_channels", "doppler_frequency",
@@ -44,8 +44,8 @@ _EXPORTS = {
     "seeds": ("RandomStreams",),
     "smallscale": ("HopTable", "generate_sublink", "mono_static_reciprocal"),
     "stats": (
-        "DropStatistics", "EmpiricalCdf", "angle_spread", "drop_statistics",
-        "empirical_cdf", "ks_statistic", "statistics_table",
+        "DropStatistics", "EmpiricalCdf", "drop_statistics", "empirical_cdf",
+        "group_statistics", "ks_statistic", "statistics_table",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

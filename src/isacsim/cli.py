@@ -26,8 +26,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericError, UnsupportedFeatureError
-from .metrics import detection_grid
-from .rcs import fit_lognormal_db
 from .text import _format_rows, _text
 
 # A detect grid with more rows is refused before anything is allocated: its
@@ -156,6 +154,8 @@ def _cmd_detect(args) -> int:
         )
     n = int(round(steps)) + 1
     snr_values = [args.snr_min + i * args.snr_step for i in range(n)]
+    from .metrics import detection_grid
+
     grid = detection_grid(pfa_values, snr_values, noise_std=args.sigma)
     # "snr pfa " of each row, pfa-major; each number is formatted once
     snr_text = _text(["%.6f " % snr for snr in snr_values])
@@ -191,6 +191,8 @@ def _cmd_rcs_fit(args) -> int:
             raise ConfigError(
                 f"{args.samples}:{ln}: expected a number, got {line!r}"
             ) from None
+    from .rcs import fit_lognormal_db
+
     mean_db, std_db = fit_lognormal_db(samples)
     text = "mean_db = %.6f\nstd_db = %.6f\nsamples = %d\n" % (
         mean_db, std_db, len(samples)

@@ -23,11 +23,14 @@ Unequal cluster counts pair min(P, Q) clusters; unequal ray counts pair
 min(M, M') rays (the pooled case pairs min-pool-size rays).
 
 Each hop arrives as its smallscale.HopTable; a path set stores each
-component as a block of (tx row, rx row) pairs of the two tables.
+component as a block of (tx row, rx row) pairs of the two tables. The drops
+whose tables share a layout are concatenated as a group (concatenate_group),
+with the deterministic pairs built once for all of them.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -61,9 +64,7 @@ class ConcatCase(str, Enum):
     @property
     def base(self) -> "ConcatCase":
         """The same pairing rule without the NN power rescale."""
-        if self.normalizes_nn:
-            return ConcatCase(self.value[:-1])
-        return self
+        return _BASE_CASE[self]
 
     @property
     def uses_randomness(self) -> bool:
@@ -71,6 +72,7 @@ class ConcatCase(str, Enum):
 
 
 ALL_CASES = tuple(ConcatCase)
+_BASE_CASE = {c: ConcatCase(c.value[:-1]) if c.normalizes_nn else c for c in ALL_CASES}
 
 
 class PairType(IntEnum):
@@ -119,6 +121,8 @@ class PathBlock:
     An outer block (weight None) joins each of the distinct tx_rows with
     each rx row, tx-major, at amplitude tx.weight[i] * rx.weight[j]; a
     paired block joins tx_rows[k] with rx_rows[k] at amplitude weight[k].
+    In a PathGroup, rows are shared by its drops or have a leading drop
+    axis, and paired weights have one.
     """
 
     pair_type: PairType
@@ -127,7 +131,14 @@ class PathBlock:
     weight: np.ndarray | None = None
 
     def __len__(self):
-        return self.tx_rows.size * (self.rx_rows.size if self.weight is None else 1)
+        return self.tx_rows.shape[-1] * (self.rx_rows.shape[-1] if self.weight is None else 1)
+
+    def at(self, drop: int) -> "PathBlock":
+        """One drop's block of a PathGroup's block."""
+        if self.weight is None:
+            return self
+        rows = (r if r.ndim == 1 else r[drop] for r in (self.tx_rows, self.rx_rows))
+        return PathBlock(self.pair_type, *rows, self.weight[drop])
 
     def materialize(self, tx: HopTable, rx: HopTable) -> tuple:
         """(tx row, rx row, amplitude) of every path, in path order."""
@@ -136,19 +147,6 @@ class PathBlock:
         it = np.repeat(self.tx_rows, self.rx_rows.size)
         ir = np.tile(self.rx_rows, self.tx_rows.size)
         return it, ir, tx.weight[it] * rx.weight[ir]
-
-    def powers(self, tx: HopTable, rx: HopTable) -> tuple[float, np.ndarray, np.ndarray]:
-        """Summed squared amplitude of the block's paths in total and at each
-        row of the tx table and of the rx table; closed form if outer."""
-        if self.weight is None:
-            ptx, prx = np.zeros(tx.weight.size), np.zeros(rx.weight.size)
-            ptx[self.tx_rows] = tx.weight[self.tx_rows] ** 2
-            prx[self.rx_rows] = rx.weight[self.rx_rows] ** 2
-            return float(ptx.sum() * prx.sum()), ptx * prx.sum(), prx * ptx.sum()
-        w2 = self.weight ** 2
-        return (float(w2.sum()),
-                np.bincount(self.tx_rows, w2, minlength=tx.weight.size),
-                np.bincount(self.rx_rows, w2, minlength=rx.weight.size))
 
 
 @dataclass
@@ -206,118 +204,135 @@ class TargetPathSet:
         """Hop condition labels, e.g. 'LL' when both hops are LOS."""
         return "".join("L" if t.has_los else "N" for t in (self.tx, self.rx))
 
-    @property
-    def nn_block(self) -> PathBlock:
-        """The diffuse-diffuse block; an empty one when the case drops it."""
-        empty = np.empty(0, np.intp)
-        return next((b for b in self.blocks if b.pair_type == PairType.NN),
-                    PathBlock(PairType.NN, empty, empty, np.empty(0)))
+
+@dataclass
+class PathGroup:
+    """One case's path sets in a group of drops whose hop tables share a
+    layout (on each side, one shape and the LOS row or not): drop d's set
+    joins tables tx[d] and rx[d] through the group's blocks, at condition
+    prefactors k_weights[d]. group[d] is that set."""
+
+    case: ConcatCase
+    tx: tuple
+    rx: tuple
+    blocks: tuple
+    k_weights: np.ndarray  # (drops, 4)
+
+    def __len__(self):
+        """Paths per drop."""
+        return sum(len(b) for b in self.blocks)
+
+    def __getitem__(self, drop: int) -> TargetPathSet:
+        return TargetPathSet(self.case, self.tx[drop], self.rx[drop],
+                             tuple(b.at(drop) for b in self.blocks), self.k_weights[drop])
+
+    @classmethod
+    def of(cls, paths: TargetPathSet) -> "PathGroup":
+        """``paths`` as a group of one drop."""
+        blocks = tuple(b if b.weight is None else PathBlock(b.pair_type, b.tx_rows, b.rx_rows,
+                                                             b.weight[None])
+                       for b in paths.blocks)
+        return cls(paths.case, (paths.tx,), (paths.rx,), blocks, paths.k_weights[None])
+
+
+def stack_column(tables, column: str, rows: np.ndarray | None = None) -> np.ndarray:
+    """(drops, n) array of one column of each drop's table; if rows are
+    given, at those rows (1-D, every drop's) or at each drop's row of rows."""
+    values = np.array([getattr(t, column) for t in tables])
+    if rows is None:
+        return values
+    return values.take(rows, 1) if rows.ndim == 1 else values[np.arange(len(values))[:, None], rows]
 
 
 def _nn_indices(case, tx, rx, streams):
-    """Index pairs (into the tx/rx hop-table rows) of a paired NN component."""
+    """Index pairs (into the tx/rx hop-table rows) of a paired NN component,
+    one array per side that every drop shares or, for a random pairing,
+    each drop's pairs (drops x n), drawn from its own streams."""
     (p, m), (q, m2) = tx.shape, rx.shape
     mm = min(m, m2)
     pq = min(p, q)
     base = case.base
-    if base is ConcatCase.CASE_1:
-        pp = np.repeat(np.arange(p), q)  # all P x Q cluster pairs
-        qq = np.tile(np.arange(q), p)
+    if base in (ConcatCase.CASE_1, ConcatCase.CASE_2O):
+        if base is ConcatCase.CASE_1:  # all P x Q cluster pairs
+            tx_cl, rx_cl = np.repeat(np.arange(p), q), np.tile(np.arange(q), p)
+        else:
+            tx_cl = rx_cl = np.arange(pq)
         rays = np.arange(mm)
-        it = (pp[:, None] * m + rays[None, :]).ravel()
-        ir = (qq[:, None] * m2 + rays[None, :]).ravel()
-        return it, ir
-    if base is ConcatCase.CASE_2O:
-        cl = np.arange(pq)
-        rays = np.arange(mm)
-        it = (cl[:, None] * m + rays[None, :]).ravel()
-        ir = (cl[:, None] * m2 + rays[None, :]).ravel()
-        return it, ir
-    if base is ConcatCase.CASE_2R:
-        rng = streams.stream("concat_pairing")
-        tx_cl = rng.permutation(p)[:pq]
-        rx_cl = rng.permutation(q)[:pq]
-        ray_perm = np.argsort(rng.random((pq, mm)), axis=1)
-        it = (tx_cl[:, None] * m + np.arange(mm)[None, :]).ravel()
-        ir = (rx_cl[:, None] * m2 + ray_perm).ravel()
-        return it, ir
-    if base is ConcatCase.CASE_3:
-        rng = streams.stream("concat_pairing")
+        return (tx_cl[:, None] * m + rays).ravel(), (rx_cl[:, None] * m2 + rays).ravel()
+    if not case.uses_randomness:
+        raise ConfigError(f"no NN pairing rule for {case}")
+    rngs = [drop_streams.stream("concat_pairing") for drop_streams in streams]
+    if base is ConcatCase.CASE_3:  # all rays pooled per hop
         npaths = min(p * m, q * m2)
-        it = rng.permutation(p * m)[:npaths]
-        ir = rng.permutation(q * m2)[:npaths]
-        return it, ir
-    raise ConfigError(f"no NN pairing rule for {case}")
+        pairs = [(g.permutation(p * m)[:npaths], g.permutation(q * m2)[:npaths]) for g in rngs]
+        return tuple(np.array(side) for side in zip(*pairs))
+    draws = [(g.permutation(p)[:pq], g.permutation(q)[:pq], g.random((pq, mm))) for g in rngs]
+    tx_cl, rx_cl, keys = (np.array(x) for x in zip(*draws))
+    it = tx_cl[..., None] * m + np.arange(mm)
+    ir = rx_cl[..., None] * m2 + np.argsort(keys, axis=-1)
+    return it.reshape(len(rngs), -1), ir.reshape(len(rngs), -1)
 
 
-def concatenate(
-    tx: HopTable,
-    rx: HopTable,
-    case: ConcatCase,
-    streams: RandomStreams | None = None,
-    base: TargetPathSet | None = None,
-) -> TargetPathSet:
-    """Build the joint path set of the two hop tables for one down-selection
-    case. Deterministic cases work with streams=None; the randomized
-    pairings (Case2R, Case3 and their normalized variants) require a stream
-    factory scoped to the concatenation stage.
+def concatenate_group(tx, rx, case: ConcatCase, streams=None,
+                      base: PathGroup | None = None) -> PathGroup:
+    """Build one down-selection case's joint path sets of a group of drops:
+    drop d joins the hop tables tx[d] and rx[d], and every drop's tables
+    have one layout. Deterministic cases work with streams=None; the
+    randomized pairings (Case2R, Case3 and their normalized variants)
+    require each drop's stream factory scoped to the concatenation stage.
 
-    ``base``, a path set of the same two tables, lends the new set its LL,
-    LN and NL blocks; when it is the set of case.base (Case1 for Case1N,
+    ``base``, a group of the same tables, lends the new group its LL, LN
+    and NL blocks; when it is the group of case.base (Case1 for Case1N,
     ...), also its NN pairs, whose weights the N case then rescales. The
     statistics pass finds such shared blocks by identity.
     """
     case = ConcatCase(case)
+    tx, rx = tuple(tx), tuple(rx)
     if case.uses_randomness and streams is None:
         raise ConfigError(f"{case.value} needs random streams for its pairing")
-    if base is not None and (base.tx is not tx or base.rx is not rx):
-        raise ConfigError("a base path set must join the same two hop tables")
-
+    t0, r0 = tx[0], rx[0]
+    nt, nr = t0.num_diffuse, r0.num_diffuse
     # One block per component, in output order (none for CaseA with both
     # hops NLOS); a table's specular row sits right after its diffuse rows.
-    nt, nr = tx.num_diffuse, rx.num_diffuse
     if base is not None:
+        if len(base.tx) != len(tx) or any(map(operator.is_not, base.tx + base.rx, tx + rx)):
+            raise ConfigError("a base path set must join the same two hop tables")
         k_w, blocks = base.k_weights, [b for b in base.blocks if b.pair_type != PairType.NN]
     else:
-        k_w = condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in (tx, rx)))
+        if any(len({(t.shape, t.has_los) for t in side}) > 1 for side in (tx, rx)):
+            raise ConfigError("the drops of a group must share their hop-table layout")
+        k_w = np.array([condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in pair))
+                        for pair in zip(tx, rx)])
         blocks = []
-        if tx.has_los and rx.has_los:
+        if t0.has_los and r0.has_los:
             blocks.append(PathBlock(PairType.LL, np.array([nt]), np.array([nr])))
-        if tx.has_los:
+        if t0.has_los:
             blocks.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
-        if rx.has_los:
+        if r0.has_los:
             blocks.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
     if case is ConcatCase.CASE_0:
         blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
     elif case is not ConcatCase.CASE_A:
         if case.normalizes_nn and base is not None and base.case is case.base:
-            nn = base.nn_block
+            nn = base.blocks[-1]
             it, ir, w = nn.tx_rows, nn.rx_rows, nn.weight
         else:
-            it, ir = _nn_indices(case, tx, rx, streams)
-            w = tx.weight[it] * rx.weight[ir]
+            it, ir = _nn_indices(case, t0, r0, streams)
+            w = stack_column(tx, "weight", it)
+            w *= stack_column(rx, "weight", ir)
         if case.normalizes_nn:
-            total = float(np.sum(w ** 2))
-            if total <= 0:
+            total = (w ** 2).sum(-1, keepdims=True)
+            if (total <= 0).any():
                 raise ConfigError("cannot normalize an empty diffuse component")
-            w = w / math.sqrt(total)
+            w = w / np.sqrt(total)
         blocks.append(PathBlock(PairType.NN, it, ir, w))
-    return TargetPathSet(case=case, tx=tx, rx=rx, blocks=tuple(blocks), k_weights=k_w)
+    return PathGroup(case, tx, rx, tuple(blocks), k_w)
 
 
-def nn_total_power(paths: TargetPathSet) -> float:
-    """Sum of squared stored weights over the diffuse-diffuse component."""
-    return paths.nn_block.powers(paths.tx, paths.rx)[0]
-
-
-def ray_marginal_power(paths: TargetPathSet, side: str = "tx") -> np.ndarray:
-    """Per-(cluster, ray) power of the NN component marginalized to one hop.
-
-    Returns an (N, M) array of summed squared weights. The full convolution
-    and its power-normalized one-by-one variant produce identical marginals.
-    """
-    if side not in ("tx", "rx"):
-        raise ConfigError(f"side must be 'tx' or 'rx', got {side!r}")
-    table = getattr(paths, side)
-    acc = paths.nn_block.powers(paths.tx, paths.rx)[1 if side == "tx" else 2]
-    return acc[: table.num_diffuse].reshape(table.shape)
+def concatenate(tx: HopTable, rx: HopTable, case: ConcatCase, streams: RandomStreams | None = None,
+                base: TargetPathSet | None = None) -> TargetPathSet:
+    """The joint path set of two hop tables for one down-selection case:
+    concatenate_group on a group of one drop. ``base``, a set of the same
+    two tables, lends its blocks as a base group does."""
+    base = None if base is None else PathGroup.of(base)
+    return concatenate_group((tx,), (rx,), case, None if streams is None else (streams,), base)[0]

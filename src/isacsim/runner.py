@@ -4,13 +4,15 @@ A run goes through its drops in runs of consecutive drops (one drop per
 task in a pool). A run first builds every hop of its drops (condition draw,
 path loss, K-factor, shadow fading) for the two target hops and, when
 enabled, the background hop, and generates the cluster tables of the hops
-of one condition together. Then, drop by drop: the two-hop link budget,
-path concatenation under the configured cases, drop statistics, and
-optionally CIR synthesis of the target and background hop tables and their
-combination. Each drop writes its CIR rows out slice by slice as it formats
-them (to cir.txt.part, or from a pool worker to a spool the parent appends
-in drop order), so the output files are identical for any worker count, no
-drop's gains outlive its drop and no text crosses a pipe.
+of one condition together. The drops whose two target tables share a layout
+form a group, and each group is concatenated under the configured cases and
+reduced to drop statistics in one pass. Then, drop by drop: the two-hop
+link budget and optionally CIR synthesis of the target and background hop
+tables and their combination (the only stage that loads coefficients).
+Each drop writes its CIR rows out slice by slice as it formats them (to
+cir.txt.part, or from a pool worker to a spool the parent appends in drop
+order), so the output files are identical for any worker count, no drop's
+gains outlive its drop and no text crosses a pipe.
 """
 from __future__ import annotations
 
@@ -23,18 +25,13 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .concatenation import ALL_CASES, ConcatCase, concatenate
+from .concatenation import ALL_CASES, ConcatCase, concatenate_group
 from .config import RunConfig, config_echo
-from .coefficients import (
-    SnapshotGrid,
-    combine_channels,
-    synthesize_background_cir,
-    synthesize_target_cir,
-)
 from .errors import ConfigError, UnsupportedFeatureError
 from .geometry import NodeState, uniform_linear_array
 from .largescale import (
@@ -49,7 +46,7 @@ from .largescale import (
     hop_distances,
     los_probability,
 )
-from .rcs import B1Table, PolarizationScattering, RcsModel, TargetClass
+from .rcs import PolarizationScattering, TargetClass
 from .seeds import (
     HOP_BACKGROUND,
     HOP_TARGET_RX,
@@ -59,8 +56,12 @@ from .seeds import (
     RandomStreams,
 )
 from .smallscale import check_ray_layout, generate_sublinks, mono_static_reciprocal
-from .stats import empirical_cdf, statistics_table
+from .stats import empirical_cdf, group_statistics
 from .text import _format_rows, _row_slices, _text
+
+if TYPE_CHECKING:  # runs that emit no CIRs load neither
+    from .coefficients import SnapshotGrid
+    from .rcs import RcsModel
 
 STAT_COLUMNS = (
     "total_power", "nn_power", "ds_ns", "asa_deg", "asd_deg", "zsa_deg", "zsd_deg"
@@ -78,7 +79,7 @@ CIR_HEADER = (
 # directory first removes these, so the directory never mixes two runs.
 CIR_TEMPORARY = ("cir.txt.part", "cir.txt.*.spool")
 OUTPUT_PATTERNS = ("cir.txt", *CIR_TEMPORARY, "statistics.txt", "cdf_*.txt", "manifest.txt")
-RUN_DROPS = 8  # consecutive drops a serial run builds its hop tables for at once
+RUN_DROPS = 12  # consecutive drops a serial run builds, groups and reduces at once
 
 
 @dataclass
@@ -122,6 +123,8 @@ def build_node(node_cfg, wavelength_m: float) -> NodeState:
 
 
 def build_rcs_model(cfg: RunConfig) -> RcsModel:
+    from .rcs import B1Table, RcsModel
+
     b1 = None
     if cfg.rcs_b1_table is not None:
         b1 = B1Table.from_file(cfg.rcs_b1_table)
@@ -141,8 +144,9 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
     """Worker body: simulate consecutive drops for every requested case.
 
     Every hop of the drops is built first, and the hops of one condition get
-    their cluster tables from one generate_sublinks call; then each drop is
-    concatenated, reduced and written in drop order. Returns each drop's
+    their cluster tables from one generate_sublinks call; the drops of one
+    hop-table layout are concatenated and reduced as a group, and each drop
+    is then written in drop order. Returns each drop's
     records. The keyword arguments are the per-run objects, built once by
     _execute: ``hops`` holds (from node, to node, stream scope, condition)
     of the tx->target hop, the bi-static target->rx hop and the background
@@ -150,6 +154,8 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
     a drop's cir.txt rows as they are formatted and returns the name of the
     spool it wrote them to, if any.
     """
+    if emit_cir:  # only runs that emit CIRs load the CIR synthesis
+        from . import coefficients
     streams = [RandomStreams(cfg.master_seed, drop=drop) for drop in drops]
     links = []  # (hop, its streams) of every hop, drop by drop
     for drop_streams in streams:
@@ -167,29 +173,44 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
             cfg.split_strongest, cfg.absolute_delay,
         )))
 
-    results = []
-    for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
+    per_drop = []  # (tx->target table, target->rx table, background tables) of each drop
+    groups = {}  # hop-table layout -> the drops with it
+    for k in range(len(drops)):
         table1, *rest = (tables[i] for i in range(k * len(hops), (k + 1) * len(hops)))
         table2 = mono_static_reciprocal(table1) if cfg.sensing_mode == "monostatic" else rest.pop(0)
+        per_drop.append((table1, table2, rest))
+        layout = (table1.shape, table1.has_los, table2.shape, table2.has_los)
+        groups.setdefault(layout, []).append(k)
+    reduced = {}  # drop -> its statistics, their condition pairs, its CIR case's view
+    for members in groups.values():
+        tx, rx = (tuple(per_drop[k][side] for k in members) for side in (0, 1))
+        concat_streams = [streams[k].scoped(SCOPE_CONCAT) for k in members]
+        # every group shares the first's LL/LN/NL blocks, an N group its base's NN pairs
+        sets = {}
+        for case in cases:
+            base = sets.get(case.base, next(iter(sets.values()), None))
+            sets[case] = concatenate_group(tx, rx, case, concat_streams, base)
+        stats = group_statistics(list(sets.values()))
+        stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9
+        pair = sets[cases[0]][0].condition_pair  # of every drop of the group
+        pairs = [pair if len(group) else "none" for group in sets.values()]
+        cir_sets = sets[cfg.concat_case] if emit_cir else None  # the rest go now
+        reduced.update((k, (stats[i], pairs, None if cir_sets is None else cir_sets[i]))
+                       for i, k in enumerate(members))
+
+    results = []
+    for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
+        (table1, table2, rest), (stats, pairs, paths) = per_drop[k], reduced[k]
         pl_target = concatenated_path_loss(
             table1.hop.path_loss_db, table2.hop.path_loss_db,
             cfg.frequency_hz, cfg.rcs_mean_m2,
         )
-        # every set shares the first set's LL/LN/NL blocks, an N set its base's NN pairs
-        concat_streams = drop_streams.scoped(SCOPE_CONCAT)
-        sets = {}
-        for case in cases:
-            base = sets.get(case.base, next(iter(sets.values()), None))
-            sets[case] = concatenate(table1, table2, case, streams=concat_streams, base=base)
-        stats = statistics_table(list(sets.values()))
-        stats[:, STAT_COLUMNS.index("ds_ns")] *= 1e9
         records = []
-        for (case, paths), row in zip(sets.items(), stats):
-            pair = paths.condition_pair if len(paths) else "none"
+        for case, pair, row in zip(cases, pairs, stats):
             rec = DropResult(drop, case.value, pair, row, pl_target_db=pl_target)
 
-            if emit_cir and case == cfg.concat_case and len(paths) > 0:
-                cir = synthesize_target_cir(
+            if emit_cir and case == cfg.concat_case and pair != "none":
+                cir = coefficients.synthesize_target_cir(
                     paths, rcs_model, grid, cfg.wavelength_m,
                     drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
                 )
@@ -198,10 +219,8 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                     rec.pl_isac_db = combine_isac_path_loss(
                         pl_target, background.hop.path_loss_db, coupling
                     )
-                    cir = combine_channels(
-                        cir, synthesize_background_cir(background, grid, cfg.wavelength_m),
-                        coupling,
-                    )
+                    cir = coefficients.combine_channels(cir, coefficients.synthesize_background_cir(
+                        background, grid, cfg.wavelength_m), coupling)
                 elif cfg.background_enabled:  # weighted by 0, the background hop is not built
                     rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
                 rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
@@ -217,7 +236,7 @@ def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray):
     n_u, n_s, n_paths, n_t = gains.shape
     heads = _text([f"{drop} {u} {s} " for u in range(n_u) for s in range(n_s)])
     lines = _format_rows(_text([f"{p} " for p in range(n_paths)]), delays[:, None])
-    paths = _text([line + " " for line in lines.decode("ascii").splitlines()])  # "p delay "
+    paths = _text(lines.replace(b"\n", b" \n").splitlines())  # "p delay "
     values = np.ascontiguousarray(gains).reshape(-1, n_t).view(np.float64)  # re im ...
     for rows in _row_slices(len(values), values.shape[1]):
         r = np.arange(rows.start, rows.stop)
@@ -368,10 +387,12 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         for cond in conditions:
             check_ray_layout(scenario.condition_params(cond), cfg.split_strongest)
     cir = CirFile(os.path.join(out_dir, "cir.txt"))
+    if emit_cir:
+        from .coefficients import SnapshotGrid
     worker = partial(
         _run_drops, cfg, cases, emit_cir, scenario=scenario, hops=hops, rcs_model=rcs_model,
         polarization=PolarizationScattering(cfg.pol_mode, cfg.pol_alphas),
-        grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count),
+        grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count) if emit_cir else None,
         coupling=CouplingConfig(
             o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,
             removal_fraction=cfg.coupling_removal_fraction,

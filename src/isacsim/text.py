@@ -35,7 +35,7 @@ _EXP = _exponent_table()
 
 
 def _text(lines) -> np.ndarray:
-    """The ASCII bytes of each string as one NUL-padded uint8 row."""
+    """The ASCII bytes of each string (or bytes) as one NUL-padded uint8 row."""
     a = np.array(lines, dtype="S")
     return a.view(np.uint8).reshape(len(a), a.dtype.itemsize)
 

@@ -8,10 +8,9 @@ import pytest
 
 from isacsim.concatenation import (
     ConcatCase,
+    PairType,
     concatenate,
     condition_weights,
-    nn_total_power,
-    ray_marginal_power,
 )
 from isacsim.config import validate_config
 from isacsim.constants import SPEED_OF_LIGHT
@@ -78,12 +77,12 @@ def study():
         for case in STUDY_CASES:
             paths = concatenate(sub1, sub2, case, streams.scoped(SCOPE_CONCAT))
             sets[case] = paths
-            nn[case][d] = nn_total_power(paths)
             stats[case].append(drop_statistics(paths))
+            nn[case][d] = stats[case][-1].nn_power
         for side in ("tx", "rx"):
             err = np.max(np.abs(
-                ray_marginal_power(sets[ConcatCase.CASE_1N], side)
-                - ray_marginal_power(sets[ConcatCase.CASE_0], side)
+                nn_marginal_power(sets[ConcatCase.CASE_1N], side)
+                - nn_marginal_power(sets[ConcatCase.CASE_0], side)
             ))
             marginal_err = max(marginal_err, float(err))
     return {
@@ -92,6 +91,14 @@ def study():
         "marginal_err": marginal_err,
         "elapsed": time.perf_counter() - t0,
     }
+
+
+def nn_marginal_power(paths, side):
+    """NN power through each diffuse row of one hop's table: a bincount
+    over the rows of the set's NN paths."""
+    nn = paths.pair_type == PairType.NN
+    return np.bincount(getattr(paths, side + "_idx")[nn], paths.weight[nn] ** 2,
+                       minlength=getattr(paths, side).num_diffuse)
 
 
 def spread_samples(study, case, field):

@@ -17,7 +17,6 @@ from isacsim.concatenation import (
     ConcatCase,
     PairType,
     concatenate,
-    nn_total_power,
 )
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.errors import ConfigError
@@ -40,6 +39,7 @@ from isacsim.seeds import (
     RandomStreams,
 )
 from isacsim.smallscale import HopTable, generate_sublink
+from isacsim.stats import STAT_FIELDS, statistics_table
 
 F_HZ = 6e9
 LAM = SPEED_OF_LIGHT / F_HZ
@@ -235,7 +235,8 @@ def test_path_power_bookkeeping_with_clean_polarization():
     # weight ledger of the path set exactly.
     paths, cir, _, _ = pipeline(case=ConcatCase.CASE_0, xpr_override=np.inf)
     got_nn = float(np.sum(np.abs(cir.gains[0, 0, cir.pair_type == PairType.NN, 0]) ** 2))
-    expect_nn = paths.k_weights[int(PairType.NN)] ** 2 * nn_total_power(paths)
+    nn_power = statistics_table([paths])[0][STAT_FIELDS.index("nn_power")]
+    expect_nn = paths.k_weights[int(PairType.NN)] ** 2 * nn_power
     assert got_nn == pytest.approx(expect_nn, rel=1e-12)
 
     total = float(np.sum(np.abs(cir.gains[0, 0, :, 0]) ** 2))

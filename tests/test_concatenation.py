@@ -9,14 +9,13 @@ from isacsim.concatenation import (
     TargetPathSet,
     concatenate,
     condition_weights,
-    nn_total_power,
-    ray_marginal_power,
 )
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState, angles_between
 from isacsim.largescale import HopLink, ScenarioParams
 from isacsim.seeds import SCOPE_CONCAT, RandomStreams
 from isacsim.smallscale import generate_sublink
+from isacsim.stats import STAT_FIELDS, statistics_table
 
 F_HZ = 6e9
 
@@ -46,6 +45,19 @@ def make_links(cond1="LOS", cond2="LOS", seed=1, k1=4.0, k2=2.0):
 
 def concat_streams(streams):
     return streams.scoped(SCOPE_CONCAT)
+
+
+def nn_power(paths):
+    """Sum of squared stored NN weights: the statistics table's nn_power."""
+    return statistics_table([paths])[0][STAT_FIELDS.index("nn_power")]
+
+
+def nn_marginal_power(paths, side):
+    """NN power through each diffuse row of one hop's table: a bincount
+    over the rows of the set's NN paths."""
+    nn = paths.pair_type == PairType.NN
+    return np.bincount(getattr(paths, side + "_idx")[nn], paths.weight[nn] ** 2,
+                       minlength=getattr(paths, side).num_diffuse)
 
 
 # ------------------------------------------------------ condition weights
@@ -107,7 +119,7 @@ def test_case_a_keeps_only_specular_components():
     paths = concatenate(t1, t2, ConcatCase.CASE_A)
     assert set(np.unique(paths.pair_type)) == {int(PairType.LN)}
     assert len(paths) == 19 * 20
-    assert nn_total_power(paths) == 0.0
+    assert nn_power(paths) == 0.0
     # transmit side of every kept path is the specular ray
     assert np.all(paths.tx.cluster[paths.tx_idx] == -1)
     los = angles_between(t1.hop.from_node.position_m, t1.hop.to_node.position_m)
@@ -127,22 +139,22 @@ def test_case_a_empty_when_both_hops_diffuse():
 def test_case0_nn_power_is_unity():
     t1, t2, _ = make_links("LOS", "NLOS")
     paths = concatenate(t1, t2, ConcatCase.CASE_0)
-    assert nn_total_power(paths) == pytest.approx(1.0, abs=1e-12)
+    assert nn_power(paths) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_case1_nn_power_is_case0_over_ray_count():
     t1, t2, _ = make_links("LOS", "NLOS")
-    nn0 = nn_total_power(concatenate(t1, t2, ConcatCase.CASE_0))
-    nn1 = nn_total_power(concatenate(t1, t2, ConcatCase.CASE_1))
+    nn0 = nn_power(concatenate(t1, t2, ConcatCase.CASE_0))
+    nn1 = nn_power(concatenate(t1, t2, ConcatCase.CASE_1))
     assert nn1 == pytest.approx(nn0 / 20.0, abs=1e-12)
 
 
 def test_downselection_loses_nn_power():
     t1, t2, streams = make_links("NLOS", "NLOS", seed=3)
-    nn0 = nn_total_power(concatenate(t1, t2, ConcatCase.CASE_0))
+    nn0 = nn_power(concatenate(t1, t2, ConcatCase.CASE_0))
     for case in (ConcatCase.CASE_1, ConcatCase.CASE_2O,
                  ConcatCase.CASE_2R, ConcatCase.CASE_3):
-        nn = nn_total_power(
+        nn = nn_power(
             concatenate(t1, t2, case, streams=concat_streams(streams))
         )
         assert nn < nn0
@@ -153,7 +165,7 @@ def test_normalized_cases_restore_unit_nn_power():
     for case in (ConcatCase.CASE_1N, ConcatCase.CASE_2ON,
                  ConcatCase.CASE_2RN, ConcatCase.CASE_3N):
         paths = concatenate(t1, t2, case, streams=concat_streams(streams))
-        assert nn_total_power(paths) == pytest.approx(1.0, abs=1e-12)
+        assert nn_power(paths) == pytest.approx(1.0, abs=1e-12)
         assert paths.case.normalizes_nn
 
 
@@ -185,8 +197,8 @@ def test_base_set_lends_its_blocks(conds):
         for a, b in zip(shared.blocks, first.blocks):
             assert a is b
         if case.normalizes_nn:
-            assert shared.nn_block.tx_rows is sets[case.base].nn_block.tx_rows
-            assert shared.nn_block.rx_rows is sets[case.base].nn_block.rx_rows
+            assert shared.blocks[-1].tx_rows is sets[case.base].blocks[-1].tx_rows
+            assert shared.blocks[-1].rx_rows is sets[case.base].blocks[-1].rx_rows
         for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
             np.testing.assert_array_equal(getattr(shared, column), getattr(alone, column),
                                           strict=True)
@@ -202,7 +214,7 @@ def test_case1n_marginals_match_case0():
     p1n = concatenate(t1, t2, ConcatCase.CASE_1N)
     for side in ("tx", "rx"):
         np.testing.assert_allclose(
-            ray_marginal_power(p0, side), ray_marginal_power(p1n, side),
+            nn_marginal_power(p0, side), nn_marginal_power(p1n, side),
             atol=1e-12,
         )
 

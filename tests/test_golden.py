@@ -199,3 +199,14 @@ def test_outputs_match_pinned_digests(tmp_path, name, workers):
     with open(os.path.join(out, "manifest.txt"), encoding="utf-8") as fh:
         manifest = [line for line in fh.read().splitlines() if "path_loss" in line]
     assert manifest == PATH_LOSS_LINES[name]
+
+
+def test_study_rows_keep_their_last_digits(tmp_path):
+    """Drop 37's Case2R row of this study prints an ASD whose last digit
+    moves if one term of the circular spread (the weighted mean of the
+    sorted angles) is summed pairwise instead of angle after angle."""
+    out = str(tmp_path / "study")
+    concat_study(validate_config("frequency_hz = 6e9\nmaster_seed = 7\ndrops = 38\n"),
+                 out_dir=out)
+    assert _sha256(os.path.join(out, "statistics.txt")) == (
+        "c0ca264bce5ea1a99f237c24b066eb7ec142202c61896ce823f3b70d1e408b28")

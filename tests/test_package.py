@@ -12,25 +12,28 @@ import isacsim
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # isacsim.__all__ as it was when the package init imported every submodule,
-# less SubLinkClusters, which HopTable replaced as the one per-hop type
+# less SubLinkClusters, which HopTable replaced as the one per-hop type, and
+# less angle_spread, nn_total_power and ray_marginal_power, which nothing
+# used; plus the group kernels concatenate_group and group_statistics
 ALL = [
     "AntennaElement", "B1Table", "ConcatCase", "ConfigError", "CouplingConfig",
     "DetectionParams", "DirectionAngles", "DropStatistics", "EmpiricalCdf", "HopLink",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
-    "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell", "RunConfig",
-    "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
+    "PathGroup", "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell",
+    "RunConfig", "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
     "TargetChannelCir", "TargetClass", "TargetPathSet", "UnsupportedFeatureError",
-    "WaveformParams", "angle_metrics", "angle_spread", "angles_between", "build_hop",
+    "WaveformParams", "angle_metrics", "angles_between", "build_hop",
     "coefficients", "combine_channels", "combine_isac_path_loss", "concat_study",
-    "concatenate", "concatenated_path_loss", "concatenation", "condition_weights", "config",
-    "constants", "detection_table", "doppler_frequency", "drop_statistics", "empirical_cdf",
-    "errors", "fit_lognormal_db", "generate_sublink", "geometry", "hop_path_loss",
-    "is_point_target", "ks_statistic", "largescale", "load_config", "los_probability",
-    "mbet_bistatic", "metrics", "mono_static_reciprocal", "nn_total_power", "pd", "pfa",
-    "range_metrics", "ray_marginal_power", "rcs", "run", "runner", "sample_rcs",
-    "scattering_matrix", "seeds", "smallscale", "snr_to_amplitude", "speed_metrics",
-    "spherical_unit_vector", "statistics_table", "stats", "synthesize_background_cir",
-    "synthesize_target_cir", "threshold_for_pfa", "uniform_linear_array", "validate_config",
+    "concatenate", "concatenate_group", "concatenated_path_loss", "concatenation",
+    "condition_weights", "config", "constants", "detection_table", "doppler_frequency",
+    "drop_statistics", "empirical_cdf", "errors", "fit_lognormal_db", "generate_sublink",
+    "geometry", "group_statistics", "hop_path_loss", "is_point_target", "ks_statistic",
+    "largescale", "load_config", "los_probability", "mbet_bistatic", "metrics",
+    "mono_static_reciprocal", "pd", "pfa", "range_metrics", "rcs", "run", "runner",
+    "sample_rcs", "scattering_matrix", "seeds", "smallscale", "snr_to_amplitude",
+    "speed_metrics", "spherical_unit_vector", "statistics_table", "stats",
+    "synthesize_background_cir", "synthesize_target_cir", "threshold_for_pfa",
+    "uniform_linear_array", "validate_config",
 ]
 
 
@@ -67,6 +70,20 @@ def test_runner_import_loads_no_process_pool():
         "import sys\n"
         "import isacsim.runner\n"
         "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_concat_study_loads_no_detection_or_cir_synthesis(tmp_path):
+    # a study writes no CIRs and detects nothing
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("frequency_hz = 6e9\ndrops = 3\n")
+    argv = ["concat-study", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    fresh_python(
+        "import sys\n"
+        "from isacsim.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "loaded = {'isacsim.metrics', 'isacsim.coefficients'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
 

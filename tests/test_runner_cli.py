@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isacsim import runner
+from isacsim import coefficients, runner
 from isacsim.cli import main
 from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
@@ -176,7 +176,7 @@ def test_rerun_into_a_used_directory_clears_the_earlier_outputs(tmp_path):
 
 def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
     calls = []
-    synthesize = runner.synthesize_target_cir
+    synthesize = coefficients.synthesize_target_cir
 
     def fail_on_drop_2(paths, rcs_model, grid, wavelength, streams, **kwargs):
         calls.append(streams.drop)  # a pool worker appends to its own copy
@@ -184,7 +184,7 @@ def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
             raise RuntimeError("drop 2 fails")
         return synthesize(paths, rcs_model, grid, wavelength, streams, **kwargs)
 
-    monkeypatch.setattr(runner, "synthesize_target_cir", fail_on_drop_2)
+    monkeypatch.setattr(coefficients, "synthesize_target_cir", fail_on_drop_2)
     for workers in (1, 2):
         out = tmp_path / f"fail{workers}"
         with pytest.raises(RuntimeError, match="drop 2 fails"):
@@ -280,13 +280,13 @@ def test_background_adds_combined_loss(tmp_path):
 
 def test_background_weighted_by_zero_is_not_built(tmp_path, monkeypatch):
     calls = []
-    synthesize = runner.synthesize_background_cir
+    synthesize = coefficients.synthesize_background_cir
 
     def spy(*args, **kwargs):
         calls.append(None)
         return synthesize(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "synthesize_background_cir", spy)
+    monkeypatch.setattr(coefficients, "synthesize_background_cir", spy)
     zero = str(tmp_path / "zero")
     run(make_cfg("background.enabled = true\ncoupling.o_isac = 0\n"), out_dir=zero)
     plain = str(tmp_path / "plain")
@@ -538,9 +538,11 @@ def test_los_only_table_runs_where_every_hop_is_los(tmp_path):
 def test_run_boundaries_do_not_change_bytes(tmp_path):
     # 13 drops: a serial run's last run of drops is short
     study = validate_config("frequency_hz = 6e9\nmaster_seed = 5\ndrops = 13\n")
+    mono = validate_config("frequency_hz = 6e9\nmaster_seed = 6\ndrops = 13\n"
+                           "sensing_mode = monostatic\nsplit_strongest = yes\n")
     cir = validate_config(AUTO_CASE_A.replace("drops = 10", "drops = 13")
                           + "background.enabled = yes\n")
-    for entry, cfg in ((concat_study, study), (run, cir)):
+    for entry, cfg in ((concat_study, study), (concat_study, mono), (run, cir)):
         m1 = entry(cfg, out_dir=str(tmp_path / "w1"), workers=1)
         m3 = entry(cfg, out_dir=str(tmp_path / "w3"), workers=3)
         assert m1.file_checksums == m3.file_checksums
@@ -602,10 +604,10 @@ def test_cli_detect_refuses_oversized_grid(tmp_path, capsys, step):
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-# What the command line loads at start-up and for detect: the package init
-# imports no submodule, and run/concat-study import theirs when they start.
-CLI_MODULES = {"isacsim", "isacsim.cli", "isacsim.errors", "isacsim.constants",
-               "isacsim.metrics", "isacsim.rcs", "isacsim.geometry", "isacsim.text"}
+# What the command line loads at start-up, and for detect: the package init
+# imports no submodule, and each command imports its own when it starts.
+CLI_MODULES = {"isacsim", "isacsim.cli", "isacsim.errors", "isacsim.text"}
+DETECT_MODULES = CLI_MODULES | {"isacsim.metrics", "isacsim.constants"}
 NOT_LOADED = ("isacsim.runner", "isacsim.concatenation", "isacsim.coefficients",
               "isacsim.smallscale", "isacsim.largescale", "isacsim.stats",
               "isacsim.config", "isacsim.seeds", "multiprocessing", "concurrent.futures",
@@ -623,8 +625,8 @@ def fresh_python(script, *args, **env):
     return proc.stdout.splitlines()
 
 
-def assert_cli_modules_only(loaded):
-    assert {m for m in loaded if m.split(".")[0] == "isacsim"} == CLI_MODULES
+def assert_cli_modules_only(loaded, modules=CLI_MODULES):
+    assert {m for m in loaded if m.split(".")[0] == "isacsim"} == modules
     assert not [m for m in loaded if m in NOT_LOADED or m.startswith("scipy.")]
 
 
@@ -648,7 +650,7 @@ def test_cli_detect_does_not_load_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
     ) + PRINT_MODULES
-    assert_cli_modules_only(fresh_python(script, str(tmp_path))[-1].split())
+    assert_cli_modules_only(fresh_python(script, str(tmp_path))[-1].split(), DETECT_MODULES)
     assert (tmp_path / "detection.txt").exists()
 
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from isacsim.concatenation import (
@@ -12,8 +14,7 @@ from isacsim.concatenation import (
     PathBlock,
     TargetPathSet,
     concatenate,
-    nn_total_power,
-    ray_marginal_power,
+    concatenate_group,
 )
 from isacsim.config import validate_config
 from isacsim.errors import ConfigError
@@ -21,13 +22,18 @@ from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.runner import build_node
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
-from isacsim.smallscale import HopTable, generate_sublink, mono_static_reciprocal
+from isacsim.smallscale import (
+    HopTable,
+    generate_sublink,
+    generate_sublinks,
+    mono_static_reciprocal,
+)
 from isacsim.stats import (
     DropStatistics,
     STAT_FIELDS,
-    angle_spread,
     drop_statistics,
     empirical_cdf,
+    group_statistics,
     ks_statistic,
     statistics_table,
 )
@@ -120,18 +126,18 @@ def test_spread_invariances():
 def test_zenith_spread_plain_rms():
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0],
                    rx_zen=np.radians([60.0, 120.0]), tx_zen=np.radians([80.0, 90.0]))
-    assert angle_spread(p, "ZSA") == pytest.approx(30.0, rel=1e-12)
-    assert angle_spread(p, "ZSD") == pytest.approx(5.0, rel=1e-12)
+    assert drop_statistics(p).zsa == pytest.approx(30.0, rel=1e-12)
+    assert drop_statistics(p).zsd == pytest.approx(5.0, rel=1e-12)
 
 
 def test_azimuth_spread_is_circular():
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0],
                    rx_azi=np.radians([179.0, -179.0]))
     # the two directions are 2 degrees apart across the wrap point
-    assert angle_spread(p, "ASA") == pytest.approx(1.0, rel=1e-9)
+    assert drop_statistics(p).asa == pytest.approx(1.0, rel=1e-9)
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0],
                    tx_azi=np.radians([-1.0, 1.0]))
-    assert angle_spread(p, "ASD") == pytest.approx(1.0, rel=1e-9)
+    assert drop_statistics(p).asd == pytest.approx(1.0, rel=1e-9)
 
 
 def test_circular_spread_matches_direct_cut_search():
@@ -141,7 +147,7 @@ def test_circular_spread_matches_direct_cut_search():
         azi = rng.uniform(-np.pi, np.pi, n)
         w = rng.uniform(0.1, 2.0, n)
         p = make_paths(np.arange(n) * 1e-9, w, np.zeros(n, int), rx_azi=azi)
-        got = angle_spread(p, "ASA")
+        got = drop_statistics(p).asa
 
         order = np.argsort(np.degrees(azi))
         a = np.degrees(azi)[order]
@@ -156,11 +162,9 @@ def test_circular_spread_matches_direct_cut_search():
         assert got == pytest.approx(best, rel=1e-9)
 
 
-def test_angle_spread_input_checks():
+def test_spread_of_one_shared_azimuth_is_zero():
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0])
-    with pytest.raises(ConfigError, match="unknown spread metric"):
-        angle_spread(p, "DS")
-    assert angle_spread(p, "ASA") == 0.0  # all paths share one azimuth
+    assert drop_statistics(p).asa == 0.0  # all paths share one azimuth
 
 
 # ------------------------------------------------- weights and power sums
@@ -380,6 +384,77 @@ def drop_sets(t1, t2, streams):
     return sets
 
 
+def layout_drops(layouts, seed, split_strongest, absolute_delay, monostatic):
+    """(tx table, rx table, concatenation streams) of one drop per layout
+    ('LN': the tx->target hop LOS, the target->rx hop NLOS; a mono-static
+    drop's second hop is its first, reversed), the hops of one condition
+    generated together, as the runner does."""
+    cfg = validate_config("frequency_hz = 6e9\n")
+    scen = ScenarioParams.from_table(cfg.scenario, cfg.frequency_hz)
+    tx, tgt, rx = (build_node(n, cfg.wavelength_m) for n in (cfg.tx, cfg.target, cfg.rx))
+    links = []  # (drop, hop, its streams)
+    for d, layout in enumerate(layouts):
+        streams = RandomStreams(seed, drop=d)
+        ends = ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX))[:1 if monostatic else 2]
+        for (a, b, scope), cond in zip(ends, layout):
+            hop = build_hop(a, b, scen, streams.scoped(scope), "LOS" if cond == "L" else "NLOS")
+            links.append((d, hop, streams.scoped(scope)))
+    tables = {d: [] for d in range(len(layouts))}
+    for cond in ("LOS", "NLOS"):
+        group = [link for link in links if link[1].condition == cond]
+        if group:
+            drops, hops, streams = zip(*group)
+            made = generate_sublinks(hops, scen.condition_params(cond), streams,
+                                     split_strongest, absolute_delay)
+            for d, table in zip(drops, made):
+                tables[d].append(table)
+    return [(t[0], mono_static_reciprocal(t[0]) if monostatic else t[1],
+             RandomStreams(seed, drop=d).scoped(SCOPE_CONCAT)) for d, t in tables.items()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(layouts=st.lists(st.sampled_from(["LL", "LN", "NL", "NN"]), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 16), split_strongest=st.booleans(),
+       absolute_delay=st.booleans(), monostatic=st.booleans())
+@example(["LL"] * 8, 3, True, True, False)
+@example(["LL", "NN", "LL", "LL", "NN", "LL", "NN", "NN"], 4, True, False, True)
+@example(["NL", "LN", "NN", "LL", "LN", "LN", "NL", "LN"], 5, False, True, False)
+def test_group_rows_are_the_one_drop_rows(layouts, seed, split_strongest, absolute_delay,
+                                          monostatic):
+    """Drops that share a hop-table layout, concatenated and reduced as one
+    group, get bit for bit the rows and paths each gets on its own."""
+    drops = layout_drops(layouts, seed, split_strongest, absolute_delay, monostatic)
+    groups = {}
+    for d, (t1, t2, _) in enumerate(drops):
+        groups.setdefault((t1.has_los, t2.has_los), []).append(d)
+    for members in groups.values():
+        tx, rx, streams = (tuple(drops[d][i] for d in members) for i in range(3))
+        sets = {}
+        for case in ALL_CASES:
+            base = sets.get(case.base, next(iter(sets.values()), None))
+            sets[case] = concatenate_group(tx, rx, case, streams, base)
+        table = group_statistics(list(sets.values()))
+        assert table.shape == (len(members), len(ALL_CASES), len(STAT_FIELDS))
+        for i, d in enumerate(members):
+            alone = drop_sets(*drops[d])
+            for row, want in zip(table[i], statistics_table(list(alone.values()))):
+                assert np.array_equal(row, want, equal_nan=True), (members, d)
+            for case, paths in alone.items():
+                view = sets[case][i]
+                for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
+                    np.testing.assert_array_equal(getattr(view, column), getattr(paths, column),
+                                                  strict=True)
+
+
+def test_group_kernels_refuse_tables_they_cannot_share():
+    (l1, l2, s1), (n1, n2, s2) = layout_drops(["LL", "NN"], 2, False, False, False)
+    with pytest.raises(ConfigError, match="share their hop-table layout"):
+        concatenate_group((l1, n1), (l2, n2), ConcatCase.CASE_2R, (s1, s2))
+    with pytest.raises(ConfigError, match="share their hop tables"):
+        statistics_table([concatenate(l1, l2, ConcatCase.CASE_1),
+                          concatenate(n1, n2, ConcatCase.CASE_1)])
+
+
 def test_n_rows_are_read_off_their_base_rows(oracle_drops):
     """With shared blocks, an N row's spread columns are its base row's,
     its power columns those of the set reduced alone, and every row is
@@ -399,8 +474,8 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
                     worst = max(worst, abs(got - want[field]) / abs(want[field]))
             if not case.normalizes_nn:
                 continue
-            nn = paths.nn_block
-            assert nn.tx_rows is sets[case.base].nn_block.tx_rows  # the premise
+            nn = paths.blocks[-1]
+            assert nn.tx_rows is sets[case.base].blocks[-1].tx_rows  # the premise
             assert rows[case][2:].tobytes() == rows[case.base][2:].tobytes()
             alone = statistics_table([paths])[0]
             assert rows[case][:2].tobytes() == alone[:2].tobytes()
@@ -411,16 +486,12 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
 
 
 def test_case0_nn_block_matches_materialized_paths(oracle_drops):
+    nn_power = STAT_FIELDS.index("nn_power")
     for t1, t2, _ in oracle_drops[40:]:
         p0 = concatenate(t1, t2, ConcatCase.CASE_0)
         nn = p0.pair_type == PairType.NN
-        assert nn_total_power(p0) == pytest.approx(np.sum(p0.weight[nn] ** 2), rel=1e-12)
-        for side, table, rows in (("tx", t1, p0.tx_idx), ("rx", t2, p0.rx_idx)):
-            want = np.bincount(rows[nn], weights=p0.weight[nn] ** 2,
-                               minlength=table.num_diffuse)
-            np.testing.assert_allclose(
-                ray_marginal_power(p0, side).ravel(), want, rtol=1e-12, atol=0
-            )
+        assert statistics_table([p0])[0][nn_power] == pytest.approx(
+            np.sum(p0.weight[nn] ** 2), rel=1e-12)
 
 
 def test_case0_assembles_todays_row_pairs(oracle_drops):
