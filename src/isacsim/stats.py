@@ -29,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concatenation import (
-    ConcatCase, PairType, PathGroup, TargetPathSet, stack_column,
-)
+from .concatenation import ConcatCase, PairType, PathGroup, TargetPathSet, stack_column
 from .errors import ConfigError
 
 STAT_FIELDS = ("total_power", "nn_power", "ds", "asa", "asd", "zsa", "zsd")
