@@ -208,6 +208,30 @@ def _cmd_rcs_fit(args) -> int:
     return 0
 
 
+def _keep_heap() -> None:
+    """Keep freed memory in the heap, for the command and the pool workers
+    it forks.
+
+    glibc gives each freed block above its dynamic thresholds back to the
+    kernel and faults it in again when it is next allocated: the numpy
+    temporaries of every text slice and statistics group. Fixing both
+    thresholds (fixing either one turns the dynamic ones off) keeps them. A
+    caller's GLIBC_TUNABLES or MALLOC_* variable wins, and a libc without
+    ``mallopt`` is left alone; only ``main`` calls this, not library code.
+    """
+    if "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_") for k in os.environ):
+        return
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: the heap shrinks only above 64 MiB free
+
+
 _COMMANDS = {
     "run": _cmd_run,
     "concat-study": _cmd_study,
@@ -218,6 +242,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_heap()
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

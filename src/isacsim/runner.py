@@ -414,7 +414,9 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     if workers > 1:  # imported by pooled runs only
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+        # the fork context starts every worker at the first submit, so no
+        # more are asked for than there are tasks
+        pool = ProcessPoolExecutor(min(workers, len(runs)), mp_context=get_context("fork"))
     with cir, pool or nullcontext():
         try:
             per_run = pool.map(worker, runs) if pool else map(worker, runs)

@@ -4,20 +4,32 @@ from __future__ import annotations
 
 import numpy as np
 
-# Values per _fields call, which bounds its working memory, and the bytes
-# one field takes before NULs are deleted:
-# " -d." | 4 digits | 4 digits | 4 digits | "e+" NUL NUL NUL h t u.
-SLICE_VALUES = 1 << 16
+# Values per _fields call, which bounds its working memory: one slice's
+# float64 temporaries (128 KB each) stay in a core's L2 cache. The bytes one
+# field takes before NULs are deleted, three uint64 words:
+# " -d." 4 digits | 4 digits 4 digits | "e+" NUL NUL NUL h t u.
+SLICE_VALUES = 1 << 14
 FIELD = 24
 _EMAX = 300  # the tables cover decimal exponents -_EMAX.._EMAX
 _SCALE = np.array([float(f"1e{12 - e}")  # 10**(12 - e), correctly rounded
                    for e in range(-_EMAX, _EMAX + 1)])
 _ASCII_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_DIGITS4 = np.stack(np.meshgrid(*[_ASCII_DIGITS] * 4, indexing="ij"), -1).reshape(-1).view(
-    np.uint32)  # b"0000" .. b"9999"
-_HEAD = np.frombuffer(b"".join(b" " + sign + b"%d." % d
-                               for sign in (b"\0", b"-") for d in range(10)), np.uint32)
+_DIGITS4 = np.stack(np.meshgrid(*[_ASCII_DIGITS] * 4, indexing="ij"), -1).reshape(-1, 4)
 _NEWLINE = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint8)
+
+
+def _words(rows: np.ndarray, at: int) -> np.ndarray:
+    """Each row of bytes placed at byte ``at`` of an otherwise NUL uint64 word,
+    so that two words with disjoint bytes combine by bitwise or."""
+    table = np.zeros((len(rows), 8), np.uint8)
+    table[:, at:at + rows.shape[1]] = rows
+    return table.view(np.uint64).ravel()
+
+
+_HEAD = _words(np.frombuffer(b"".join(b" " + sign + b"%d." % d for sign in (b"\0", b"-")
+                                      for d in range(10)), np.uint8).reshape(-1, 4), 0)
+_LOW4 = _words(_DIGITS4, 0)  # b"0000" .. b"9999" in the word's first half
+_HIGH4 = _words(_DIGITS4, 4)  # and in its second half
 
 
 def _exponent_table() -> np.ndarray:
@@ -26,7 +38,7 @@ def _exponent_table() -> np.ndarray:
     table = np.zeros((e.size, 8), np.uint8)
     table[:, 0] = ord("e")
     table[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    table[:, 5:] = _DIGITS4[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    table[:, 5:] = _DIGITS4[np.abs(e), 1:]
     table[np.abs(e) < 100, 5] = 0
     return table.view(np.uint64).ravel()
 
@@ -58,33 +70,55 @@ def _fields(values: np.ndarray, out: np.ndarray) -> None:
     after the correction, the exact value is that close to a power of ten
     and rounds to it, as y does. Zero, inf, NaN, |v| outside [1e-290, 1e290],
     and y within twice that bound of a .5 tie go through Python's ``%``.
+    Each masking and fix-up step runs only where a slice's min or max shows
+    that it has a value that needs it.
     """
-    x = np.abs(values)
-    fast = (x >= 1e-290) & (x <= 1e290)
-    x = np.where(fast, x, 1.0)
-    e = np.floor(np.log10(x)).astype(np.intp)
-    y = x * _SCALE[e + _EMAX]
-    miss = np.nonzero((y < 1e12) | (y >= 1e13))
-    e[miss] += np.where(y[miss] < 1e12, -1, 1)
-    y[miss] = x[miss] * _SCALE[e[miss] + _EMAX]
+    if not values.size:
+        return
+    x = np.abs(values).ravel()
+    outside = None
+    if not (x.min() >= 1e-290 and x.max() <= 1e290):  # NaN fails both
+        outside = (x < 1e-290) | ~(x <= 1e290)
+        x[outside] = 1.0
+    e = np.log10(x)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    e += _EMAX  # an index into the tables
+    y = _SCALE[e]
+    y *= x
+    if y.min() < 1e12 or y.max() >= 1e13:
+        miss = np.flatnonzero((y < 1e12) | (y >= 1e13))
+        e[miss] += np.where(y[miss] < 1e12, -1, 1)
+        y[miss] = x[miss] * _SCALE[e[miss]]
     n = np.rint(y)
-    slow = ~fast | (np.abs(y - n) + y * 2.0 ** -51 >= 0.5)
-    carry = n == 1e13  # 9.9999999999995... rounds up to the next exponent
-    n[carry] = 1e12
-    e += carry
-    top = np.floor(n / 1e8)  # exact: every operand is an integer below 2**53
-    low = n - top * 1e8
-    lead = np.floor(top / 1e4)
-    mid = np.floor(low / 1e4)
-    words = out.view(np.uint32)
-    words[..., 0] = _HEAD[10 * np.signbit(values) + lead.astype(np.intp)]
-    words[..., 1] = _DIGITS4[(top - lead * 1e4).astype(np.intp)]
-    words[..., 2] = _DIGITS4[mid.astype(np.intp)]
-    words[..., 3] = _DIGITS4[(low - mid * 1e4).astype(np.intp)]
-    out.view(np.uint64)[..., 2] = _EXP[e + _EMAX]
-    i, j = np.nonzero(slow)
-    if len(i):
-        text = ("%-20.12e" * len(i) % tuple(values[i, j].tolist())).encode("ascii")
+    tie = y - n  # |y - n| + 2**-51 * y, in place; y is not needed after it
+    np.abs(tie, out=tie)
+    y *= 2.0 ** -51
+    tie += y
+    slow = tie >= 0.5
+    if outside is not None:
+        slow |= outside
+    slow = np.flatnonzero(slow)
+    if n.max() >= 1e13:  # 9.9999999999995... rounds up to the next exponent
+        carry = np.flatnonzero(n == 1e13)
+        n[carry] = 1e12
+        e[carry] += 1
+    low = n.astype(np.int64)  # exact: n is below 2**53
+    top = low // 10 ** 8  # the lead digit and the next four
+    low -= top * 10 ** 8
+    lead = top // 10 ** 4
+    top -= lead * 10 ** 4
+    mid = low // 10 ** 4
+    low -= mid * 10 ** 4
+    lead += 10 * np.signbit(values).ravel()
+    shape = values.shape
+    words = out.view(np.uint64)  # (m, n, 3), not contiguous across rows
+    np.bitwise_or(_HEAD[lead].reshape(shape), _HIGH4[top].reshape(shape), out=words[..., 0])
+    np.bitwise_or(_LOW4[mid].reshape(shape), _HIGH4[low].reshape(shape), out=words[..., 1])
+    words[..., 2] = _EXP[e].reshape(shape)
+    if len(slow):
+        i, j = np.divmod(slow, values.shape[1])
+        text = ("%-20.12e" * len(slow) % tuple(values[i, j].tolist())).encode("ascii")
         out[i, j, 1:21] = np.frombuffer(text.replace(b" ", b"\0"), np.uint8).reshape(-1, 20)
         out[i, j, 21:] = 0
 

@@ -3,10 +3,12 @@ import hashlib
 import math
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import tempfile
 import time
+import types
 from importlib import resources
 
 import numpy as np
@@ -147,6 +149,26 @@ def test_manifest_cir_digest_rows_and_workers(tmp_path):
     assert int(fields["cir_rows"]) == rows == manifest.cir_rows
     assert int(fields["workers"]) == 2 == manifest.workers
     assert not any(name.endswith(".part") for name in os.listdir(out))
+
+
+def test_pool_has_no_more_workers_than_drops(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    one = run(make_cfg(), out_dir=str(tmp_path / "w1"), workers=1)
+    out = str(tmp_path / "w8")
+    eight = run(make_cfg(), out_dir=out, workers=8)
+    assert sizes == [2]  # one process per drop, not the eight requested
+    assert eight.file_checksums == one.file_checksums
+    assert sha(os.path.join(out, "cir.txt")) == sha(tmp_path / "w1" / "cir.txt")
+    assert manifest_header(out)[0]["workers"] == "8"
 
 
 def test_run_without_paths_writes_no_cir(tmp_path):
@@ -615,9 +637,10 @@ NOT_LOADED = ("isacsim.runner", "isacsim.concatenation", "isacsim.coefficients",
 
 
 def fresh_python(script, *args, **env):
-    """Run ``script`` in a new interpreter without OPENBLAS_NUM_THREADS, plus
-    ``env``; returns the lines it prints."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    """Run ``script`` in a new interpreter without OPENBLAS_NUM_THREADS or an
+    allocator setting, plus ``env``; returns the lines it prints."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"
+            and k != "GLIBC_TUNABLES" and not k.startswith("MALLOC_")}
     base["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", script, *args], env={**base, **env},
                           capture_output=True, text=True, timeout=60)
@@ -640,6 +663,66 @@ def test_cli_start_up_loads_only_what_detect_uses():
     assert_cli_modules_only(modules.split())
     assert blas == "1"
     assert fresh_python(script, OPENBLAS_NUM_THREADS="3")[1] == "3"  # the caller's wins
+
+
+# Minor page faults of 50 rounds of four 1 MiB arrays, after the CLI ran one
+# command: glibc's own thresholds give each array back and fault it in again
+# (~51,000), the CLI's policy keeps it in the heap.
+HEAP_CHURN = (
+    "import resource, sys\n"
+    "import numpy as np\n"
+    "import isacsim.cli\n"
+    "assert isacsim.cli.main(['detect', '--snr-max', '-5', '--out', sys.argv[1]]) == 0\n"
+    "def churn():\n"
+    "    for _ in range(50):\n"
+    "        arrays = [np.ones(1 << 17) for _ in range(4)]\n"
+    "        del arrays\n"
+    "churn()\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "churn()\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+)
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc")
+
+
+@glibc_only
+def test_cli_keeps_freed_memory_in_the_heap(tmp_path):
+    assert int(fresh_python(HEAP_CHURN, str(tmp_path))[-1]) < 1000
+
+
+@glibc_only
+@pytest.mark.parametrize("env", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
+                                 {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}])
+def test_a_callers_allocator_setting_wins(tmp_path, env):
+    assert int(fresh_python(HEAP_CHURN, str(tmp_path), **env)[-1]) > 10000
+
+
+@pytest.mark.parametrize("env, calls", [
+    ({}, [(-3, 32 << 20), (-1, 64 << 20)]),  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    ({"MALLOC_ARENA_MAX": "2"}, []),
+    ({"GLIBC_TUNABLES": "glibc.malloc.arena_max=2"}, []),
+])
+def test_heap_policy_is_set_unless_the_caller_set_one(monkeypatch, env, calls):
+    import ctypes
+    from isacsim import cli
+
+    made = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: made.append((param, value)))
+    for name in [k for k in os.environ if k == "GLIBC_TUNABLES" or k.startswith("MALLOC_")]:
+        monkeypatch.delenv(name)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli._keep_heap()
+    assert made == calls
+
+
+def test_a_libc_without_mallopt_still_runs(tmp_path, monkeypatch):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert main(["detect", "--snr-max", "0", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "detection.txt").exists()
 
 
 def test_cli_detect_does_not_load_scipy(tmp_path):

@@ -122,15 +122,31 @@ def test_empty_prefix_rows_as_in_cdf_files():
     assert got.startswith(b"-3.000000000000e+00 2.000000000000e-02\n")
 
 
-@pytest.mark.parametrize("slice_values", [7, 64, None])
-def test_blocks_crossing_slice_boundaries(monkeypatch, slice_values):
+# Values that each take one conditional of the kernel: outside the fast range
+# (masked), a carry to the next exponent (alone, and with a .5 tie), and a
+# neighbour of a power of ten that log10 misses (then carries).
+ODD = [0.0, -0.0, math.inf, math.nan, 1e-300, 9.99999999999996e-5, 9.9999999999995e-5,
+       float(np.nextafter(0.1, 0.0)), 1e-271]
+SLICE_CASES = [pytest.param(size, odd, id="-".join([str(size)] + [repr(v) for v in odd]))
+               for size in (7, 64, None) for odd in [[]] + [[v] for v in ODD]]
+SLICE_CASES += [pytest.param(size, ODD, id=f"{size}-all")  # every conditional in one slice
+                for size in (64, None)]
+
+
+@pytest.mark.parametrize("slice_values, odd", SLICE_CASES)
+def test_blocks_crossing_slice_boundaries(monkeypatch, slice_values, odd):
+    """Ordinary slices on both sides of a slice that holds the odd values."""
     if slice_values is not None:
         monkeypatch.setattr(text, "SLICE_VALUES", slice_values)
     n = 3
-    rows = text.SLICE_VALUES // n * 2 + 1  # two full slices and one row more
+    step = text.SLICE_VALUES // n
+    rows = step * 2 + 1  # two full slices and one row more
     rng = np.random.default_rng(2)
     values = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-12, 12, (rows, n))
     assert len(text._row_slices(rows, n)) == 3
+    middle = values[step:2 * step].reshape(-1)
+    assert len(odd) < middle.size
+    middle[1:1 + len(odd)] = odd
     check(values, [f"{i} " for i in range(rows)])
 
 
