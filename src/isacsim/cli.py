@@ -244,6 +244,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _keep_heap()
     try:
+        if args.out and os.path.lexists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

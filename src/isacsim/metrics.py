@@ -15,7 +15,8 @@ Inf. Theory 35(2), 1989): with lam = A^2/(2 sigma^2) and x = V_T^2/(2 sigma^2),
 
 where P_mu is the Poisson(mu) pmf and F_x the Poisson(x) CDF. Every term
 is positive, so the sums need numpy only and keep their relative accuracy
-in both tails.
+in both tails. A grid computes each SNR point's P_lam weight row once and
+shares it across every threshold x.
 """
 from __future__ import annotations
 
@@ -202,32 +203,38 @@ def _marcum_q1(x, lam):
     lam > x sums 1 - Pd, so both small Pd and Pd near 1 keep their accuracy.
     Past lam_cut(x), where lam - 10 sqrt(lam) - 40 = reach(x), 1 - Pd is below
     4e-22 and Pd is 1.0. So no point sums more than reach(lam_cut(x)) terms,
-    however high its SNR. A point's series length depends on its own
-    (x, lam) alone, so its value does not depend on the rest of the grid.
+    however high its SNR. A point's series width, 64 ceil(reach(max(lam, x))
+    / 64), depends on its own (x, lam) alone, so its value does not depend on
+    the rest of the grid. The Poisson(lam) weight row of a width is the same
+    for every x, so it is computed once and shared by all the thresholds
+    whose points need that width.
     """
     out = np.ones((x.size, lam.size))
-    for row, xi in zip(out, x):
+    tails, widths = [], np.zeros((x.size, lam.size), dtype=int)
+    for xi, need in zip(x, widths):
         root = 5.0 + math.sqrt(65.0 + _reach(xi))
         lam_cut = root * root
         terms = np.arange(_WIDTH_STEP * math.ceil(_reach(lam_cut) / _WIDTH_STEP), dtype=float)
         wx = _poisson_weights(np.array([xi]), terms)[0]
         cdf = np.cumsum(wx)
-        lower = cdf / cdf[-1]
-        upper = np.append(np.cumsum(wx[::-1])[-2::-1], 0.0) / cdf[-1]
-        for complement, tail, take in (
-            (False, lower, lam <= xi),
-            (True, upper, (lam > xi) & (lam <= lam_cut)),
-        ):
-            idx = np.flatnonzero(take)
-            widths = _WIDTH_STEP * np.ceil(_reach(np.maximum(lam[idx], xi)) / _WIDTH_STEP)
-            for width in np.unique(widths).astype(int):
-                group = idx[widths == width]
-                rows = max(1, _CHUNK_ELEMENTS // width)
-                for start in range(0, group.size, rows):
-                    part = group[start:start + rows]
-                    w = _poisson_weights(lam[part], terms[:width])
-                    s = np.sum(w * tail[:width], axis=1) / np.sum(w, axis=1)
-                    row[part] = 1.0 - s if complement else s
+        tails.append((cdf / cdf[-1], np.append(np.cumsum(wx[::-1])[-2::-1], 0.0) / cdf[-1]))
+        take = lam <= lam_cut
+        need[take] = _WIDTH_STEP * np.ceil(_reach(np.maximum(lam[take], xi)) / _WIDTH_STEP)
+    for width in sorted(set(widths.ravel().tolist()) - {0}):
+        group = np.flatnonzero((widths == width).any(axis=0))
+        rows = max(1, _CHUNK_ELEMENTS // width)
+        for start in range(0, group.size, rows):
+            part = group[start:start + rows]
+            w = _poisson_weights(lam[part], np.arange(width, dtype=float))
+            norm = np.sum(w, axis=1)
+            for row, (lower, upper), need, above in zip(
+                out, tails, widths[:, part] == width, lam[part] > x[:, None]
+            ):
+                for complement, tail in ((False, lower), (True, upper)):
+                    sel = np.flatnonzero(need & (above == complement))
+                    if sel.size:
+                        s = np.sum(w[sel] * tail[:width], axis=1) / norm[sel]
+                        row[part[sel]] = 1.0 - s if complement else s
     return out
 
 

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ncx2
 
+from isacsim import metrics
 from isacsim.errors import ConfigError, NumericError
 from isacsim.metrics import (
     DetectionParams,
     WaveformParams,
     angle_metrics,
+    detection_grid,
     detection_table,
     pd,
     pfa,
@@ -214,6 +216,40 @@ def test_scalar_pd_is_the_table_entry():
         snr_db, target, value = rows[i]
         p = DetectionParams(1.0, threshold_for_pfa(target, 1.0), snr_to_amplitude(snr_db))
         assert pd(p) == value, rows[i]
+
+
+def lam_cut(x):
+    """The mean past which the kernel sets Pd to 1.0 for threshold x."""
+    root = 5.0 + math.sqrt(65.0 + x + 10.0 * math.sqrt(x) + 40.0)
+    return root * root
+
+
+# Each threshold gets one point in each of its three regions: lam <= x (Pd
+# summed directly), x < lam <= lam_cut(x) (1 - Pd summed) and lam > lam_cut(x)
+# (Pd = 1.0). Duplicated thresholds, Pfa = 1 (x = 0) and chunks of a few rows
+# are drawn too, so one width group spans several chunks.
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.one_of(st.just(1.0), st.floats(1e-15, 0.999)), min_size=1, max_size=5),
+       st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(1.0, 1e6)),
+                min_size=1, max_size=5),
+       st.sampled_from([1 << 16, 512, 64]), st.data())
+def test_pd_does_not_depend_on_the_rest_of_the_grid(targets, spots, chunk, data):
+    targets = targets + data.draw(st.lists(st.sampled_from(targets), max_size=2))
+    lams = []
+    for target, (below, between, beyond) in zip(targets, spots * len(targets)):
+        x = -math.log(target)
+        lams += [below * x, x + between * (lam_cut(x) - x), beyond * lam_cut(x)]
+    snrs = [10.0 * math.log10(lam) for lam in lams if lam > 0.0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_CHUNK_ELEMENTS", chunk)
+        grid = detection_grid(targets, snrs)
+        for target, row in zip(targets, grid):
+            alone = detection_grid([target], snrs)[0]
+            assert np.array_equal(row.view(np.int64), alone.view(np.int64)), target
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, len(targets) - 1),
+                                                  st.integers(0, len(snrs) - 1)), max_size=4)):
+            p = DetectionParams(1.0, threshold_for_pfa(targets[i], 1.0), snr_to_amplitude(snrs[j]))
+            assert pd(p) == grid[i, j], (targets[i], snrs[j])
 
 
 def test_snr_amplitude_convention():

@@ -83,7 +83,7 @@ def test_concat_study_loads_no_detection_or_cir_synthesis(tmp_path):
         "import sys\n"
         "from isacsim.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "loaded = {'isacsim.metrics', 'isacsim.coefficients'} & set(sys.modules)\n"
+        "loaded = {'isacsim.metrics', 'isacsim.coefficients', 'numpy.ma'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
 

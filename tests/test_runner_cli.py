@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isacsim import coefficients, runner
+from isacsim import cli, coefficients, runner
 from isacsim.cli import main
 from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
@@ -625,6 +625,23 @@ def test_cli_detect_refuses_oversized_grid(tmp_path, capsys, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "concat-study", "detect", "rcs-fit"])
+def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    samples = tmp_path / "rcs.txt"
+    samples.write_text("1.0\n2.0\n")
+    argv = {"run": ["run", "--config", write_cfg(tmp_path)],
+            "concat-study": ["concat-study", "--config", write_cfg(tmp_path)],
+            "detect": ["detect"],
+            "rcs-fit": ["rcs-fit", str(samples)]}[command]
+    out = tmp_path / "taken"
+    out.write_bytes(b"not a directory\n")
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: pytest.fail("command ran"))
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: --out {out} exists and is not a directory\n"
+    assert out.read_bytes() == b"not a directory\n"
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # What the command line loads at start-up, and for detect: the package init
 # imports no submodule, and each command imports its own when it starts.
@@ -633,7 +650,7 @@ DETECT_MODULES = CLI_MODULES | {"isacsim.metrics", "isacsim.constants"}
 NOT_LOADED = ("isacsim.runner", "isacsim.concatenation", "isacsim.coefficients",
               "isacsim.smallscale", "isacsim.largescale", "isacsim.stats",
               "isacsim.config", "isacsim.seeds", "multiprocessing", "concurrent.futures",
-              "hashlib", "scipy")
+              "hashlib", "scipy", "numpy.ma")
 
 
 def fresh_python(script, *args, **env):
