@@ -152,7 +152,7 @@ def _cmd_detect(args) -> int:
             f"the detection grid would have {(steps + 1) * len(pfa_values):.4g} rows, "
             f"more than {MAX_DETECT_ROWS}; raise --snr-step or narrow the sweep"
         )
-    n = int(round(steps)) + 1
+    n = math.floor(steps + 1e-9) + 1  # the last point does not pass --snr-max
     snr_values = [args.snr_min + i * args.snr_step for i in range(n)]
     from .metrics import detection_grid
 
@@ -244,8 +244,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _keep_heap()
     try:
-        if args.out and os.path.lexists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError(f"--out {args.out} exists and is not a directory")
+        out = args.out
+        while out and not os.path.lexists(out):  # the nearest path that exists
+            out = os.path.dirname(out)
+        if out and not os.path.isdir(out):
+            where = "" if out == args.out else f" lies under {out}, which"
+            raise ConfigError(f"--out {args.out}{where} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -24,13 +24,12 @@ min(M, M') rays (the pooled case pairs min-pool-size rays).
 
 Each hop arrives as its smallscale.HopTable; a path set stores each
 component as a block of (tx row, rx row) pairs of the two tables. The drops
-whose tables share a layout are concatenated as a group (concatenate_group),
-with the deterministic pairs built once for all of them.
+whose tables share a layout are concatenated as a group under every case
+at once (concatenate_group), each block built once for all of them.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -259,8 +258,8 @@ def _nn_indices(case, tx, rx, streams):
             tx_cl = rx_cl = np.arange(pq)
         rays = np.arange(mm)
         return (tx_cl[:, None] * m + rays).ravel(), (rx_cl[:, None] * m2 + rays).ravel()
-    if not case.uses_randomness:
-        raise ConfigError(f"no NN pairing rule for {case}")
+    if streams is None:
+        raise ConfigError(f"{case.value} needs random streams for its pairing")
     rngs = [drop_streams.stream("concat_pairing") for drop_streams in streams]
     if base is ConcatCase.CASE_3:  # all rays pooled per hop
         npaths = min(p * m, q * m2)
@@ -273,66 +272,62 @@ def _nn_indices(case, tx, rx, streams):
     return it.reshape(len(rngs), -1), ir.reshape(len(rngs), -1)
 
 
-def concatenate_group(tx, rx, case: ConcatCase, streams=None,
-                      base: PathGroup | None = None) -> PathGroup:
-    """Build one down-selection case's joint path sets of a group of drops:
-    drop d joins the hop tables tx[d] and rx[d], and every drop's tables
-    have one layout. Deterministic cases work with streams=None; the
-    randomized pairings (Case2R, Case3 and their normalized variants)
-    require each drop's stream factory scoped to the concatenation stage.
+def concatenate_group(tx, rx, cases, streams=None) -> list:
+    """Build the joint path sets of a group of drops under each of
+    ``cases``, one PathGroup per case, in order: drop d joins the hop
+    tables tx[d] and rx[d], and every drop's tables have one layout.
+    Deterministic cases work with streams=None; the randomized pairings
+    (Case2R, Case3 and their normalized variants) require each drop's
+    stream factory scoped to the concatenation stage.
 
-    ``base``, a group of the same tables, lends the new group its LL, LN
-    and NL blocks; when it is the group of case.base (Case1 for Case1N,
-    ...), also its NN pairs, whose weights the N case then rescales. The
-    statistics pass finds such shared blocks by identity.
+    The cases share one object per LL, LN and NL block and the condition
+    prefactors; an N case (Case1N, ...) rescales the NN pairs of its base
+    case (Case1, ...), drawn once for both. The statistics pass finds such
+    shared blocks by identity.
     """
-    case = ConcatCase(case)
+    cases = [ConcatCase(case) for case in cases]
     tx, rx = tuple(tx), tuple(rx)
-    if case.uses_randomness and streams is None:
-        raise ConfigError(f"{case.value} needs random streams for its pairing")
+    if any(len({(t.shape, t.has_los) for t in side}) > 1 for side in (tx, rx)):
+        raise ConfigError("the drops of a group must share their hop-table layout")
     t0, r0 = tx[0], rx[0]
     nt, nr = t0.num_diffuse, r0.num_diffuse
+    k_w = np.array([condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in pair))
+                    for pair in zip(tx, rx)])
     # One block per component, in output order (none for CaseA with both
     # hops NLOS); a table's specular row sits right after its diffuse rows.
-    if base is not None:
-        if len(base.tx) != len(tx) or any(map(operator.is_not, base.tx + base.rx, tx + rx)):
-            raise ConfigError("a base path set must join the same two hop tables")
-        k_w, blocks = base.k_weights, [b for b in base.blocks if b.pair_type != PairType.NN]
-    else:
-        if any(len({(t.shape, t.has_los) for t in side}) > 1 for side in (tx, rx)):
-            raise ConfigError("the drops of a group must share their hop-table layout")
-        k_w = np.array([condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in pair))
-                        for pair in zip(tx, rx)])
-        blocks = []
-        if t0.has_los and r0.has_los:
-            blocks.append(PathBlock(PairType.LL, np.array([nt]), np.array([nr])))
-        if t0.has_los:
-            blocks.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
-        if r0.has_los:
-            blocks.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
-    if case is ConcatCase.CASE_0:
-        blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
-    elif case is not ConcatCase.CASE_A:
-        if case.normalizes_nn and base is not None and base.case is case.base:
-            nn = base.blocks[-1]
-            it, ir, w = nn.tx_rows, nn.rx_rows, nn.weight
-        else:
-            it, ir = _nn_indices(case, t0, r0, streams)
-            w = stack_column(tx, "weight", it)
-            w *= stack_column(rx, "weight", ir)
-        if case.normalizes_nn:
-            total = (w ** 2).sum(-1, keepdims=True)
-            if (total <= 0).any():
-                raise ConfigError("cannot normalize an empty diffuse component")
-            w = w / np.sqrt(total)
-        blocks.append(PathBlock(PairType.NN, it, ir, w))
-    return PathGroup(case, tx, rx, tuple(blocks), k_w)
+    outer = []
+    if t0.has_los and r0.has_los:
+        outer.append(PathBlock(PairType.LL, np.array([nt]), np.array([nr])))
+    if t0.has_los:
+        outer.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
+    if r0.has_los:
+        outer.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
+    pairs = {}  # base case -> its NN pairs and their stored weights
+    groups = []
+    for case in cases:
+        blocks = list(outer)
+        if case is ConcatCase.CASE_0:
+            blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
+        elif case is not ConcatCase.CASE_A:
+            if case.base not in pairs:
+                it, ir = _nn_indices(case, t0, r0, streams)
+                w = stack_column(tx, "weight", it)
+                w *= stack_column(rx, "weight", ir)
+                pairs[case.base] = it, ir, w
+            it, ir, w = pairs[case.base]
+            if case.normalizes_nn:
+                total = (w ** 2).sum(-1, keepdims=True)
+                if (total <= 0).any():
+                    raise ConfigError("cannot normalize an empty diffuse component")
+                w = w / np.sqrt(total)
+            blocks.append(PathBlock(PairType.NN, it, ir, w))
+        groups.append(PathGroup(case, tx, rx, tuple(blocks), k_w))
+    return groups
 
 
-def concatenate(tx: HopTable, rx: HopTable, case: ConcatCase, streams: RandomStreams | None = None,
-                base: TargetPathSet | None = None) -> TargetPathSet:
+def concatenate(tx: HopTable, rx: HopTable, case: ConcatCase,
+                streams: RandomStreams | None = None) -> TargetPathSet:
     """The joint path set of two hop tables for one down-selection case:
-    concatenate_group on a group of one drop. ``base``, a set of the same
-    two tables, lends its blocks as a base group does."""
-    base = None if base is None else PathGroup.of(base)
-    return concatenate_group((tx,), (rx,), case, None if streams is None else (streams,), base)[0]
+    concatenate_group on a group of one drop."""
+    streams = None if streams is None else (streams,)
+    return concatenate_group((tx,), (rx,), (case,), streams)[0][0]

@@ -85,10 +85,9 @@ RUN_DROPS = 12  # consecutive drops a serial run builds, groups and reduces at o
 @dataclass
 class DropResult:
     drop: int
-    case: str
-    condition_pair: str
-    stats: np.ndarray  # one value per STAT_COLUMNS
-    pl_target_db: float = np.nan
+    condition_pairs: list  # one per case, "none" for an empty set
+    stats: np.ndarray  # (cases, STAT_COLUMNS)
+    pl_target_db: float
     pl_isac_db: float = np.nan
     cir_rows: int = 0
     cir_spool: str | None = None  # a pool worker's file of this drop's cir.txt rows
@@ -146,13 +145,13 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
     Every hop of the drops is built first, and the hops of one condition get
     their cluster tables from one generate_sublinks call; the drops of one
     hop-table layout are concatenated and reduced as a group, and each drop
-    is then written in drop order. Returns each drop's
-    records. The keyword arguments are the per-run objects, built once by
-    _execute: ``hops`` holds (from node, to node, stream scope, condition)
-    of the tx->target hop, the bi-static target->rx hop and the background
-    hop, those of them a drop builds. ``cir_sink(drop, slices)`` writes out
-    a drop's cir.txt rows as they are formatted and returns the name of the
-    spool it wrote them to, if any.
+    is then written in drop order. Returns each drop's record. The keyword
+    arguments are the per-run objects, built once by _execute: ``hops``
+    holds (from node, to node, stream scope, condition) of the tx->target
+    hop, the bi-static target->rx hop and the background hop, those of them
+    a drop builds. ``cir_sink(drop, slices)`` writes out a drop's cir.txt
+    rows as they are formatted and returns the name of the spool it wrote
+    them to, if any.
     """
     if emit_cir:  # only runs that emit CIRs load the CIR synthesis
         from . import coefficients
@@ -185,48 +184,38 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
     for members in groups.values():
         tx, rx = (tuple(per_drop[k][side] for k in members) for side in (0, 1))
         concat_streams = [streams[k].scoped(SCOPE_CONCAT) for k in members]
-        # every group shares the first's LL/LN/NL blocks, an N group its base's NN pairs
-        sets = {}
-        for case in cases:
-            base = sets.get(case.base, next(iter(sets.values()), None))
-            sets[case] = concatenate_group(tx, rx, case, concat_streams, base)
-        stats = group_statistics(list(sets.values()))
+        sets = concatenate_group(tx, rx, cases, concat_streams)
+        stats = group_statistics(sets)
         stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9
-        pair = sets[cases[0]][0].condition_pair  # of every drop of the group
-        pairs = [pair if len(group) else "none" for group in sets.values()]
-        cir_sets = sets[cfg.concat_case] if emit_cir else None  # the rest go now
+        pair = sets[0][0].condition_pair  # of every drop of the group
+        pairs = [pair if len(group) else "none" for group in sets]
+        cir_sets = sets[cases.index(cfg.concat_case)] if emit_cir else None  # the rest go now
         reduced.update((k, (stats[i], pairs, None if cir_sets is None else cir_sets[i]))
                        for i, k in enumerate(members))
 
     results = []
     for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
         (table1, table2, rest), (stats, pairs, paths) = per_drop[k], reduced[k]
-        pl_target = concatenated_path_loss(
-            table1.hop.path_loss_db, table2.hop.path_loss_db,
-            cfg.frequency_hz, cfg.rcs_mean_m2,
-        )
-        records = []
-        for case, pair, row in zip(cases, pairs, stats):
-            rec = DropResult(drop, case.value, pair, row, pl_target_db=pl_target)
-
-            if emit_cir and case == cfg.concat_case and pair != "none":
-                cir = coefficients.synthesize_target_cir(
-                    paths, rcs_model, grid, cfg.wavelength_m,
-                    drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
+        pl_target = concatenated_path_loss(table1.hop.path_loss_db, table2.hop.path_loss_db,
+                                           cfg.frequency_hz, cfg.rcs_mean_m2)
+        rec = DropResult(drop, pairs, stats, pl_target)
+        if paths is not None and len(paths):
+            cir = coefficients.synthesize_target_cir(
+                paths, rcs_model, grid, cfg.wavelength_m,
+                drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
+            )
+            if rest:
+                background = rest[0]
+                rec.pl_isac_db = combine_isac_path_loss(
+                    pl_target, background.hop.path_loss_db, coupling
                 )
-                if rest:
-                    background = rest[0]
-                    rec.pl_isac_db = combine_isac_path_loss(
-                        pl_target, background.hop.path_loss_db, coupling
-                    )
-                    cir = coefficients.combine_channels(cir, coefficients.synthesize_background_cir(
-                        background, grid, cfg.wavelength_m), coupling)
-                elif cfg.background_enabled:  # weighted by 0, the background hop is not built
-                    rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
-                rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
-                rec.cir_spool = cir_sink(drop, _cir_block(drop, cir.delays, cir.gains))
-            records.append(rec)
-        results.append(records)
+                cir = coefficients.combine_channels(cir, coefficients.synthesize_background_cir(
+                    background, grid, cfg.wavelength_m), coupling)
+            elif cfg.background_enabled:  # weighted by 0, the background hop is not built
+                rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
+            rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
+            rec.cir_spool = cir_sink(drop, _cir_block(drop, cir.delays, cir.gains))
+        results.append(rec)
     return results
 
 
@@ -251,11 +240,13 @@ def _write_text(path: str, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_statistics(out_dir: str, records: list, table: np.ndarray,
+def _write_statistics(out_dir: str, records: list, cases: tuple, table: np.ndarray,
                       columns: tuple) -> str:
-    prefix = _text([f"{rec.drop} {rec.case} {rec.condition_pair} " for rec in records])
+    """One row per (drop, case) of the (drops x cases x columns) table."""
+    prefix = _text([f"{rec.drop} {case.value} {pair} "
+                    for rec in records for case, pair in zip(cases, rec.condition_pairs)])
     data = (("# drop case condition_pair " + " ".join(columns) + "\n").encode("ascii")
-            + _format_rows(prefix, table))
+            + _format_rows(prefix, table.reshape(-1, len(columns))))
     return _write_text(os.path.join(out_dir, "statistics.txt"), data)
 
 
@@ -266,17 +257,16 @@ def _write_cdf(path: str, values: np.ndarray) -> str:
     return _write_text(path, b"# value probability\n" + _format_rows(no_prefix, rows))
 
 
-def _write_cdfs(out_dir: str, records: list, table: np.ndarray, columns: tuple) -> dict:
+def _write_cdfs(out_dir: str, cases: tuple, table: np.ndarray, columns: tuple) -> dict:
     """One value-probability file per metric per case, of its finite values."""
-    cases = np.array([rec.case for rec in records])
     checksums = {}
-    for case in sorted(set(cases)):
+    for i, case in enumerate(cases):
         for metric, column in CDF_METRICS.items():
             if column in columns:
-                values = table[cases == case, columns.index(column)]
+                values = table[:, i, columns.index(column)]
                 values = values[np.isfinite(values)]
                 if values.size:
-                    name = f"cdf_{metric}_{case}.txt"
+                    name = f"cdf_{metric}_{case.value}.txt"
                     checksums[name] = _write_cdf(os.path.join(out_dir, name), values)
     return checksums
 
@@ -325,19 +315,15 @@ def _remove(out_dir: str, patterns) -> None:
             os.unlink(name)
 
 
-def _stream_drops(per_drop, cir: CirFile) -> tuple:
-    """Collect every drop's records and cir.txt data rows in drop order,
-    appending each spool to ``cir`` as its drop arrives, then deleting it."""
-    records, rows = [], 0
-    for drop_records in per_drop:
-        for rec in drop_records:
-            records.append(rec)
-            rows += rec.cir_rows
-            if rec.cir_spool is not None:
-                with open(rec.cir_spool, "rb") as fh:
-                    cir.take(rec.drop, iter(partial(fh.read, 1 << 20), b""))  # 1 MiB
-                os.unlink(rec.cir_spool)
-    return records, rows
+def _stream_drops(records, cir: CirFile):
+    """Pass every drop's record on in drop order, first appending its spool
+    to ``cir`` and deleting it."""
+    for rec in records:
+        if rec.cir_spool is not None:
+            with open(rec.cir_spool, "rb") as fh:
+                cir.take(rec.drop, iter(partial(fh.read, 1 << 20), b""))  # 1 MiB
+            os.unlink(rec.cir_spool)
+        yield rec
 
 
 def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
@@ -420,22 +406,21 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     with cir, pool or nullcontext():
         try:
             per_run = pool.map(worker, runs) if pool else map(worker, runs)
-            records, cir_rows = _stream_drops(chain.from_iterable(per_run), cir)
+            records = list(_stream_drops(chain.from_iterable(per_run), cir))
         except BaseException:
             if pool:
                 pool.shutdown(cancel_futures=True)
             raise
 
-    table, columns = np.array([r.stats for r in records]), STAT_COLUMNS
+    table, columns = np.array([r.stats for r in records]), STAT_COLUMNS  # drops x cases x columns
     if study:  # each row's NN power against its drop's full convolution
-        nn = table[:, columns.index("nn_power")]
-        ref = {r.drop: v for r, v in zip(records, nn) if r.case == ConcatCase.CASE_0.value}
-        ratio = [v / ref[r.drop] if ref.get(r.drop, 0) > 0 else np.nan
-                 for r, v in zip(records, nn)]
-        table, columns = np.column_stack([table, ratio]), columns + ("nn_power_ratio",)
+        nn = table[..., columns.index("nn_power")]
+        ref = nn[:, [cases.index(ConcatCase.CASE_0)]]
+        ratio = np.divide(nn, ref, out=np.full_like(nn, np.nan), where=ref > 0)
+        table, columns = np.dstack([table, ratio]), columns + ("nn_power_ratio",)
 
-    checksums = {"statistics.txt": _write_statistics(out_dir, records, table, columns)}
-    checksums.update(_write_cdfs(out_dir, records, table, columns))
+    checksums = {"statistics.txt": _write_statistics(out_dir, records, cases, table, columns)}
+    checksums.update(_write_cdfs(out_dir, cases, table, columns))
     if cir.fh is not None:
         checksums["cir.txt"] = cir.digest.hexdigest()
 
@@ -445,7 +430,7 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         created_utc=created,
         elapsed_s=time.perf_counter() - t0,
         workers=workers,
-        cir_rows=cir_rows,
+        cir_rows=sum(r.cir_rows for r in records),
         file_checksums=checksums,
         config_lines=config_echo(cfg),
     )
@@ -462,12 +447,11 @@ def _write_manifest(out_dir: str, manifest: RunManifest, records: list) -> None:
         f"workers = {manifest.workers}",
         f"cir_rows = {manifest.cir_rows}",
     ]
-    pl = [r.pl_target_db for r in records if np.isfinite(r.pl_target_db)]
-    if pl:
-        lines.append("mean_two_hop_path_loss_db = %.6f" % float(np.mean(pl)))
+    # means over the drops, the combined one over those that wrote a CIR with a background
+    lines.append("mean_two_hop_path_loss_db = %.6f" % np.mean([r.pl_target_db for r in records]))
     pli = [r.pl_isac_db for r in records if np.isfinite(r.pl_isac_db)]
     if pli:
-        lines.append("mean_combined_path_loss_db = %.6f" % float(np.mean(pli)))
+        lines.append("mean_combined_path_loss_db = %.6f" % np.mean(pli))
     lines.append("[files]")
     for name, digest in sorted(manifest.file_checksums.items()):
         lines.append(f"{name} sha256={digest}")

@@ -134,7 +134,8 @@ def _row_power(index: np.ndarray, count: np.ndarray, n: int, power: np.ndarray) 
 
 def _read_off(paths, base) -> bool:
     """Whether a set is ``base`` but for its NN weights: the same outer
-    blocks and the same NN pairs (as concatenate's base argument gives)."""
+    blocks and the same NN pairs (as concatenate_group gives an N case
+    built beside its base case)."""
     *outer, nn = paths.blocks
     *base_outer, base_nn = base.blocks
     return (len(outer) == len(base_outer) and all(map(operator.is_, outer, base_outer))
@@ -146,8 +147,8 @@ def group_statistics(sets) -> np.ndarray:
     tables, as the cases of a group do; an empty set's row is 0, 0, NaN...
 
     The blocks of all sets go through one pass, as units: each distinct
-    outer block (LL, LN and NL recur in every case; one object when
-    concatenate_group shares them), then each paired block. Delay moments
+    outer block (LL, LN and NL recur in every case, one object across the
+    cases of one concatenate_group call), then each paired block. Delay moments
     pool per run of rows: an outer block's tx rows and its rx rows, whose
     moments add, and a paired block's paths. Per side, a bincount over drop-
     and unit-offset row indices gives each unit's stored power through every

@@ -1,4 +1,6 @@
 """Two-hop path concatenation: components, pairings, power bookkeeping."""
+import operator
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from isacsim.concatenation import (
     PairType,
     TargetPathSet,
     concatenate,
+    concatenate_group,
     condition_weights,
 )
 from isacsim.errors import ConfigError
@@ -183,29 +186,28 @@ def test_normalization_leaves_other_components_untouched():
 
 @pytest.mark.parametrize("conds", [("LOS", "LOS"), ("LOS", "NLOS"), ("NLOS", "NLOS")])
 def test_base_set_lends_its_blocks(conds):
-    """A set built on a base set shares its LL/LN/NL blocks; an N case built
-    on its base case also its NN pairs. Either way, every path and weight
-    is what the set gets on its own."""
+    """One concatenate_group call builds every case: the cases share one
+    object per LL/LN/NL block and one prefactor array, and an N case its
+    base case's NN pairs. Every path, weight and prefactor is bit for bit
+    what the case gets when it is built alone."""
     t1, t2, streams = make_links(*conds, seed=8)
-    first = concatenate(t1, t2, ConcatCase.CASE_A, streams=concat_streams(streams))
-    sets = {first.case: first}
-    for case in ALL_CASES[1:]:  # a base case comes before its N case
-        shared = concatenate(t1, t2, case, streams=concat_streams(streams),
-                             base=sets.get(case.base, first))
-        sets[case] = shared
-        alone = concatenate(t1, t2, case, streams=concat_streams(streams))
-        for a, b in zip(shared.blocks, first.blocks):
-            assert a is b
-        if case.normalizes_nn:
-            assert shared.blocks[-1].tx_rows is sets[case.base].blocks[-1].tx_rows
-            assert shared.blocks[-1].rx_rows is sets[case.base].blocks[-1].rx_rows
+    groups = concatenate_group((t1,), (t2,), ALL_CASES, (concat_streams(streams),))
+    assert [g.case for g in groups] == list(ALL_CASES)
+    outer = groups[0].blocks  # CaseA keeps only the LL/LN/NL blocks
+    assert len(outer) == {"LOSLOS": 3, "LOSNLOS": 1, "NLOSNLOS": 0}["".join(conds)]
+    by_case = {g.case: g for g in groups}
+    for group in groups:
+        assert group.k_weights is groups[0].k_weights
+        assert all(map(operator.is_, group.blocks[:len(outer)], outer))
+        if group.case.normalizes_nn:
+            nn, base_nn = group.blocks[-1], by_case[group.case.base].blocks[-1]
+            assert nn.tx_rows is base_nn.tx_rows and nn.rx_rows is base_nn.rx_rows
+        shared = group[0]
+        alone = concatenate(t1, t2, group.case, streams=concat_streams(streams))
         for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
             np.testing.assert_array_equal(getattr(shared, column), getattr(alone, column),
                                           strict=True)
         np.testing.assert_array_equal(shared.k_weights, alone.k_weights, strict=True)
-    other, _, _ = make_links(*conds, seed=9)
-    with pytest.raises(ConfigError, match="same two hop tables"):
-        concatenate(other, t2, ConcatCase.CASE_1, base=first)
 
 
 def test_case1n_marginals_match_case0():

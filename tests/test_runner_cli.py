@@ -633,13 +633,14 @@ def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeyp
             "concat-study": ["concat-study", "--config", write_cfg(tmp_path)],
             "detect": ["detect"],
             "rcs-fit": ["rcs-fit", str(samples)]}[command]
-    out = tmp_path / "taken"
-    out.write_bytes(b"not a directory\n")
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
     monkeypatch.setitem(cli._COMMANDS, command, lambda args: pytest.fail("command ran"))
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"configuration error: --out {out} exists and is not a directory\n"
-    assert out.read_bytes() == b"not a directory\n"
+    for out, where in ((taken, ""), (taken / "sub", f" lies under {taken}, which")):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: --out {out}{where} exists and is not a directory\n"
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -756,7 +757,7 @@ def test_cli_detect_does_not_load_scipy(tmp_path):
 
 def per_row_detection_text(pfa, snr_min, snr_max, snr_step, sigma=1.0):
     """detection.txt as detect wrote it row by row before the text kernel."""
-    n = int(round((snr_max - snr_min) / snr_step)) + 1
+    n = math.floor((snr_max - snr_min) / snr_step + 1e-9) + 1
     rows = detection_table(pfa, [snr_min + i * snr_step for i in range(n)], noise_std=sigma)
     lines = ["# snr_db pfa pd"] + ["%.6f %.6e %.12e" % tuple(row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
@@ -778,6 +779,12 @@ def test_detection_file_matches_the_per_row_writer_on_the_benchmark_grid(tmp_pat
     data = detection_file(tmp_path, *grid)
     assert data.count(b"\n") == 1 + 6 * 4001
     assert data == per_row_detection_text(*grid).encode("ascii")
+
+
+def test_detection_sweep_stops_at_snr_max(tmp_path):
+    data = detection_file(tmp_path, (1e-2,), 0.0, 1.0, 0.28)
+    assert data.splitlines()[-1].startswith(b"0.840000 ")
+    assert data == per_row_detection_text((1e-2,), 0.0, 1.0, 0.28).encode("ascii")
 
 
 def test_detection_edge_rows_match_the_per_row_writer(tmp_path, capsys):

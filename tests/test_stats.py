@@ -374,16 +374,6 @@ def test_marginal_statistics_match_per_path_oracle(oracle_drops):
     assert worst <= 1e-12
 
 
-def drop_sets(t1, t2, streams):
-    """Every case of a drop as the runner builds them: each set shares the
-    first set's LL/LN/NL blocks, and an N set its base set's NN pairs."""
-    sets = {}
-    for case in ALL_CASES:
-        base = sets.get(case.base, next(iter(sets.values()), None))
-        sets[case] = concatenate(t1, t2, case, streams=streams, base=base)
-    return sets
-
-
 def layout_drops(layouts, seed, split_strongest, absolute_delay, monostatic):
     """(tx table, rx table, concatenation streams) of one drop per layout
     ('LN': the tx->target hop LOS, the target->rx hop NLOS; a mono-static
@@ -429,18 +419,16 @@ def test_group_rows_are_the_one_drop_rows(layouts, seed, split_strongest, absolu
         groups.setdefault((t1.has_los, t2.has_los), []).append(d)
     for members in groups.values():
         tx, rx, streams = (tuple(drops[d][i] for d in members) for i in range(3))
-        sets = {}
-        for case in ALL_CASES:
-            base = sets.get(case.base, next(iter(sets.values()), None))
-            sets[case] = concatenate_group(tx, rx, case, streams, base)
-        table = group_statistics(list(sets.values()))
+        sets = concatenate_group(tx, rx, ALL_CASES, streams)
+        table = group_statistics(sets)
         assert table.shape == (len(members), len(ALL_CASES), len(STAT_FIELDS))
         for i, d in enumerate(members):
-            alone = drop_sets(*drops[d])
-            for row, want in zip(table[i], statistics_table(list(alone.values()))):
+            t1, t2, drop_streams = drops[d]
+            alone = concatenate_group((t1,), (t2,), ALL_CASES, (drop_streams,))
+            for row, want in zip(table[i], group_statistics(alone)[0]):
                 assert np.array_equal(row, want, equal_nan=True), (members, d)
-            for case, paths in alone.items():
-                view = sets[case][i]
+            for group, one in zip(sets, alone):
+                view, paths = group[i], one[0]
                 for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
                     np.testing.assert_array_equal(getattr(view, column), getattr(paths, column),
                                                   strict=True)
@@ -449,7 +437,7 @@ def test_group_rows_are_the_one_drop_rows(layouts, seed, split_strongest, absolu
 def test_group_kernels_refuse_tables_they_cannot_share():
     (l1, l2, s1), (n1, n2, s2) = layout_drops(["LL", "NN"], 2, False, False, False)
     with pytest.raises(ConfigError, match="share their hop-table layout"):
-        concatenate_group((l1, n1), (l2, n2), ConcatCase.CASE_2R, (s1, s2))
+        concatenate_group((l1, n1), (l2, n2), [ConcatCase.CASE_2R], (s1, s2))
     with pytest.raises(ConfigError, match="share their hop tables"):
         statistics_table([concatenate(l1, l2, ConcatCase.CASE_1),
                           concatenate(n1, n2, ConcatCase.CASE_1)])
@@ -461,9 +449,11 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
     within 1e-12 of the per-path oracle."""
     worst = 0.0
     for t1, t2, streams in oracle_drops:
-        sets = drop_sets(t1, t2, streams)
-        rows = dict(zip(sets, statistics_table(list(sets.values()))))
-        for case, paths in sets.items():
+        groups = concatenate_group((t1,), (t2,), ALL_CASES, (streams,))
+        sets = {g.case: g for g in groups}
+        rows = dict(zip(sets, group_statistics(groups)[0]))
+        for case, group in sets.items():
+            paths = group[0]
             if len(paths) == 0:
                 continue
             want = oracle_statistics(paths)
@@ -474,7 +464,7 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
                     worst = max(worst, abs(got - want[field]) / abs(want[field]))
             if not case.normalizes_nn:
                 continue
-            nn = paths.blocks[-1]
+            nn = group.blocks[-1]
             assert nn.tx_rows is sets[case.base].blocks[-1].tx_rows  # the premise
             assert rows[case][2:].tobytes() == rows[case.base][2:].tobytes()
             alone = statistics_table([paths])[0]
