@@ -13,12 +13,12 @@ import time
 
 import numpy as np
 
-from isacsim.concatenation import ALL_CASES, ConcatCase, concatenate
+from isacsim.concatenation import ALL_CASES, ConcatCase, concatenate_group
 from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
-from isacsim.smallscale import generate_sublink
-from isacsim.stats import drop_statistics, empirical_cdf, ks_statistic
+from isacsim.smallscale import generate_sublinks
+from isacsim.stats import STAT_FIELDS, empirical_cdf, group_statistics, ks_statistic
 
 
 def main(argv=None):
@@ -35,22 +35,20 @@ def main(argv=None):
 
     print(f"down-selection study: {args.drops} drops, both hops forced LOS")
     t0 = time.perf_counter()
-    nn = {c: np.empty(args.drops) for c in cases}
-    ds = {c: np.empty(args.drops) for c in cases}
-    n_paths = {}
-    for d in range(args.drops):
-        streams = RandomStreams(args.seed, d)
-        hop1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), "LOS")
-        hop2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
-        table1 = generate_sublink(hop1, scen.condition_params("LOS"),
-                                  streams.scoped(HOP_TX_TARGET))
-        table2 = generate_sublink(hop2, scen.condition_params("LOS"),
-                                  streams.scoped(HOP_TARGET_RX))
-        for case in cases:
-            paths = concatenate(table1, table2, case, streams.scoped(SCOPE_CONCAT))
-            st = drop_statistics(paths)
-            nn[case][d], ds[case][d] = st.nn_power, st.ds
-            n_paths[case] = len(paths)
+    # both hops LOS, so every drop's tables share one layout: each side's
+    # tables come from one call, and all drops and cases form one group
+    streams = [RandomStreams(args.seed, d) for d in range(args.drops)]
+    params = scen.condition_params("LOS")
+    tables = []
+    for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
+        hop_streams = [s.scoped(scope) for s in streams]
+        hops = [build_hop(a, b, scen, s, "LOS") for s in hop_streams]
+        tables.append(generate_sublinks(hops, params, hop_streams))
+    groups = concatenate_group(*tables, cases, [s.scoped(SCOPE_CONCAT) for s in streams])
+    stats = group_statistics(groups)
+    nn = dict(zip(cases, stats[..., STAT_FIELDS.index("nn_power")].T))
+    ds = dict(zip(cases, stats[..., STAT_FIELDS.index("ds")].T))
+    n_paths = {g.case: len(g) for g in groups}
     print(f"generated {args.drops * len(cases)} path sets "
           f"in {time.perf_counter() - t0:.1f} s\n")
 

@@ -18,7 +18,7 @@ from isacsim.coefficients import (
     synthesize_background_cir,
     synthesize_target_cir,
 )
-from isacsim.concatenation import ConcatCase, PairType, concatenate
+from isacsim.concatenation import ConcatCase, PairType, concatenate_group
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import NodeState, uniform_linear_array
 from isacsim.largescale import (
@@ -36,8 +36,8 @@ from isacsim.seeds import (
     SCOPE_CONCAT,
     RandomStreams,
 )
-from isacsim.smallscale import generate_sublink
-from isacsim.stats import drop_statistics
+from isacsim.smallscale import generate_sublinks
+from isacsim.stats import STAT_FIELDS, group_statistics
 
 
 def main(argv=None):
@@ -66,13 +66,15 @@ def main(argv=None):
                                      f_hz, mean_rcs_m2=1.0)
     print(f"  two-hop sensing loss (1 m^2 target): {two_hop:.2f} dB")
 
-    # small-scale: each hop's cluster/ray table, then the joint path set
-    table1 = generate_sublink(hop1, scen.condition_params(hop1.condition),
-                              streams.scoped(HOP_TX_TARGET))
-    table2 = generate_sublink(hop2, scen.condition_params(hop2.condition),
-                              streams.scoped(HOP_TARGET_RX))
-    paths = concatenate(table1, table2, ConcatCase.CASE_2RN,
-                        streams.scoped(SCOPE_CONCAT))
+    # small-scale: each hop's cluster/ray table, then the joint path set; the
+    # group kernels take a list per argument, here one hop, drop and case
+    table1, = generate_sublinks([hop1], scen.condition_params(hop1.condition),
+                                [streams.scoped(HOP_TX_TARGET)])
+    table2, = generate_sublinks([hop2], scen.condition_params(hop2.condition),
+                                [streams.scoped(HOP_TARGET_RX)])
+    group, = concatenate_group([table1], [table2], [ConcatCase.CASE_2RN],
+                               [streams.scoped(SCOPE_CONCAT)])
+    paths = group[0]
     print(f"\njoint path set ({paths.case.value}, conditions "
           f"{paths.condition_pair}): {len(paths)} paths")
     for pt in PairType:
@@ -80,10 +82,10 @@ def main(argv=None):
         if n:
             print(f"  {pt.name}: {n:5d} paths  amplitude prefactor "
                   f"{paths.k_weights[pt]:.4f}")
-    st = drop_statistics(paths)
-    print(f"  delay spread {st.ds * 1e9:6.1f} ns   "
-          f"ASA {st.asa:5.1f}  ASD {st.asd:5.1f}  "
-          f"ZSA {st.zsa:5.1f}  ZSD {st.zsd:5.1f} deg")
+    st = dict(zip(STAT_FIELDS, group_statistics([group])[0, 0]))
+    print(f"  delay spread {st['ds'] * 1e9:6.1f} ns   "
+          f"ASA {st['asa']:5.1f}  ASD {st['asd']:5.1f}  "
+          f"ZSA {st['zsa']:5.1f}  ZSD {st['zsd']:5.1f} deg")
 
     # coefficients: the nodes' 2x4 arrays, 11 snapshots 1 ms apart
     grid = SnapshotGrid(start_s=0.0, step_s=1e-3, count=11)
@@ -100,8 +102,8 @@ def main(argv=None):
     # background single-hop channel, built like any hop, and the combined set
     bg_streams = streams.scoped(HOP_BACKGROUND)
     hop_bg = build_hop(tx, rx, scen, bg_streams)
-    bg_table = generate_sublink(
-        hop_bg, scen.condition_params(hop_bg.condition), bg_streams)
+    bg_table, = generate_sublinks(
+        [hop_bg], scen.condition_params(hop_bg.condition), [bg_streams])
     bg = synthesize_background_cir(bg_table, grid, lam)
     both = combine_channels(cir, bg, CouplingConfig(o_isac=0.5, mode="added"))
     bg_pow = float(np.mean(np.sum(np.abs(bg.gains) ** 2, axis=2)))

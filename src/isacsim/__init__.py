@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "concatenation": (
         "ConcatCase", "PairType", "PathBlock", "PathGroup", "TargetPathSet",
-        "concatenate", "concatenate_group", "condition_weights",
+        "concatenate_group", "condition_weights",
     ),
     "coefficients": (
         "SnapshotGrid", "TargetChannelCir", "combine_channels", "doppler_frequency",
@@ -42,11 +42,8 @@ _EXPORTS = {
     ),
     "runner": ("RunManifest", "concat_study", "run"),
     "seeds": ("RandomStreams",),
-    "smallscale": ("HopTable", "generate_sublink", "mono_static_reciprocal"),
-    "stats": (
-        "DropStatistics", "EmpiricalCdf", "drop_statistics", "empirical_cdf",
-        "group_statistics", "ks_statistic", "statistics_table",
-    ),
+    "smallscale": ("HopTable", "generate_sublinks", "mono_static_reciprocal"),
+    "stats": ("EmpiricalCdf", "empirical_cdf", "group_statistics", "ks_statistic"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

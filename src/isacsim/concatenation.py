@@ -33,15 +33,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
 from .smallscale import HopTable
-
-if TYPE_CHECKING:  # loading the config needs no random streams
-    from .seeds import RandomStreams
 
 
 class ConcatCase(str, Enum):
@@ -64,10 +60,6 @@ class ConcatCase(str, Enum):
     def base(self) -> "ConcatCase":
         """The same pairing rule without the NN power rescale."""
         return _BASE_CASE[self]
-
-    @property
-    def uses_randomness(self) -> bool:
-        return self.base in (ConcatCase.CASE_2R, ConcatCase.CASE_3)
 
 
 ALL_CASES = tuple(ConcatCase)
@@ -225,14 +217,6 @@ class PathGroup:
         return TargetPathSet(self.case, self.tx[drop], self.rx[drop],
                              tuple(b.at(drop) for b in self.blocks), self.k_weights[drop])
 
-    @classmethod
-    def of(cls, paths: TargetPathSet) -> "PathGroup":
-        """``paths`` as a group of one drop."""
-        blocks = tuple(b if b.weight is None else PathBlock(b.pair_type, b.tx_rows, b.rx_rows,
-                                                             b.weight[None])
-                       for b in paths.blocks)
-        return cls(paths.case, (paths.tx,), (paths.rx,), blocks, paths.k_weights[None])
-
 
 def stack_column(tables, column: str, rows: np.ndarray | None = None) -> np.ndarray:
     """(drops, n) array of one column of each drop's table; if rows are
@@ -287,6 +271,9 @@ def concatenate_group(tx, rx, cases, streams=None) -> list:
     """
     cases = [ConcatCase(case) for case in cases]
     tx, rx = tuple(tx), tuple(rx)
+    if not tx or len(rx) != len(tx) or streams is not None and len(streams) != len(tx):
+        raise ConfigError("a group needs one or more drops, each with one tx table, one rx "
+                          "table and, if streams are given, one stream factory")
     if any(len({(t.shape, t.has_los) for t in side}) > 1 for side in (tx, rx)):
         raise ConfigError("the drops of a group must share their hop-table layout")
     t0, r0 = tx[0], rx[0]
@@ -323,11 +310,3 @@ def concatenate_group(tx, rx, cases, streams=None) -> list:
             blocks.append(PathBlock(PairType.NN, it, ir, w))
         groups.append(PathGroup(case, tx, rx, tuple(blocks), k_w))
     return groups
-
-
-def concatenate(tx: HopTable, rx: HopTable, case: ConcatCase,
-                streams: RandomStreams | None = None) -> TargetPathSet:
-    """The joint path set of two hop tables for one down-selection case:
-    concatenate_group on a group of one drop."""
-    streams = None if streams is None else (streams,)
-    return concatenate_group((tx,), (rx,), (case,), streams)[0][0]

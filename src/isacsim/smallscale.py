@@ -152,7 +152,7 @@ def generate_sublinks(
     split_strongest: bool = False,
     absolute_delay: bool = False,
 ) -> list[HopTable]:
-    """Generate the cluster/ray tables of hops that share one condition.
+    """Generate the cluster/ray tables of hops of the condition of ``params``.
 
     Follows the standard step order: large-scale spread draws, exponential
     delay draw with LOS delay rescaling, per-cluster power with shadowing,
@@ -169,11 +169,14 @@ def generate_sublinks(
     stacked arrays.
     """
     check_ray_layout(params, split_strongest)
-    if len({hop.condition for hop in hops}) > 1:
-        raise ConfigError("the hops of one batch must share their condition")
+    if {hop.condition for hop in hops} - {params.condition}:
+        raise ConfigError(f"the hops of one batch must share their condition with the "
+                          f"{params.condition} parameters")
+    if len(streams) != len(hops):
+        raise ConfigError(f"{len(hops)} hops need as many stream factories, got {len(streams)}")
     h, n, m = len(hops), params.num_clusters, params.rays_per_cluster
     nm = n * m
-    is_los = bool(hops) and hops[0].condition == LOS
+    is_los = params.condition == LOS
 
     u, shadow = np.empty((2, h, n))
     signs = np.empty((4, h, n), np.int64)  # AOA, AOD, ZOA, ZOD
@@ -300,17 +303,6 @@ def generate_sublinks(
         cluster, ray = np.append(cluster, np.int32(-1)), np.append(ray, np.int32(-1))
     return [HopTable(hop, (n, m), *cols[:, i], cluster, ray, xpr=xpr[i], phases=phases[i])
             for i, hop in enumerate(hops)]
-
-
-def generate_sublink(
-    hop: HopLink,
-    params: ConditionParams,
-    streams: RandomStreams,
-    split_strongest: bool = False,
-    absolute_delay: bool = False,
-) -> HopTable:
-    """Generate the cluster/ray table of one hop (generate_sublinks of one)."""
-    return generate_sublinks([hop], params, [streams], split_strongest, absolute_delay)[0]
 
 
 def mono_static_reciprocal(table: HopTable) -> HopTable:

@@ -14,13 +14,12 @@ table rows weighted by their paths' summed effective power. Delay spreads
 pool per-block moments; an outer block's are sums of the two hops' moments,
 so the full convolution's P*M x Q*M' paths are never built. All cases of a
 group of drops with one hop-table layout go through one batched pass over
-(drops x cases x table rows) power matrices (group_statistics; a drop's
-cases alone: statistics_table). Every reduction runs along a per-drop axis,
-so a drop's rows do not depend on its group; the zero-power rows of other
-cases can move the last printed digit of a spread. A spread small
-enough to be rounding noise is checked against the values it is taken over
-(path delays, or the angles of the table rows a set uses): if those are all
-equal, the spread is exactly 0.
+(drops x cases x table rows) power matrices (group_statistics). Every
+reduction runs along a per-drop axis, so a drop's rows do not depend on its
+group; the zero-power rows of other cases can move the last printed digit
+of a spread. A spread small enough to be rounding noise is checked against
+the values it is taken over (path delays, or the angles of the table rows a
+set uses): if those are all equal, the spread is exactly 0.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concatenation import ConcatCase, PairType, PathGroup, TargetPathSet, stack_column
+from .concatenation import PairType, stack_column
 from .errors import ConfigError
 
 STAT_FIELDS = ("total_power", "nn_power", "ds", "asa", "asd", "zsa", "zsd")
@@ -39,21 +38,6 @@ _SPREAD_COLUMNS = (("rx", "arr_azimuth", "arr_zenith", 3, 5),
 # A delay (angle) spread below this many seconds (degrees) may be the
 # rounding noise of values that are all equal, so the values are compared.
 _FLAT_S, _FLAT_DEG = 1e-15, 1e-9
-
-
-@dataclass
-class DropStatistics:
-    """One path set's summary: realized total and NN power, spreads."""
-
-    total_power: float
-    nn_power: float
-    ds: float
-    asa: float
-    asd: float
-    zsa: float
-    zsd: float
-    case: ConcatCase
-    condition_pair: str
 
 
 def _spreads(azimuth: np.ndarray, zenith: np.ndarray, p: np.ndarray) -> tuple:
@@ -256,22 +240,6 @@ def group_statistics(sets) -> np.ndarray:
         out[:, s] = out[:, base]
         out[:, s, 0], out[:, s, 1] = terms.cumsum(-1)[:, -1], nn[:, 0]
     return out
-
-
-def statistics_table(sets) -> np.ndarray:
-    """One row of STAT_FIELDS per path set of one drop; an empty set's row
-    is 0, 0, NaN...: group_statistics on a group of one drop. The sets
-    share one tx and one rx table, as the cases of one drop do."""
-    return group_statistics([PathGroup.of(p) for p in sets])[0]
-
-
-def drop_statistics(paths: TargetPathSet) -> DropStatistics:
-    """All statistics of one concatenated path set."""
-    if len(paths) == 0:
-        raise ConfigError("an empty path set has no statistics")
-    row = statistics_table([paths])[0]
-    return DropStatistics(*map(float, row), case=paths.case,
-                          condition_pair=paths.condition_pair)
 
 
 @dataclass

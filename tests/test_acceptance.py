@@ -9,7 +9,7 @@ import pytest
 from isacsim.concatenation import (
     ConcatCase,
     PairType,
-    concatenate,
+    concatenate_group,
     condition_weights,
 )
 from isacsim.config import validate_config
@@ -32,8 +32,8 @@ from isacsim.seeds import (
     SCOPE_CONCAT,
     RandomStreams,
 )
-from isacsim.smallscale import generate_sublink
-from isacsim.stats import drop_statistics, empirical_cdf, ks_statistic
+from isacsim.smallscale import generate_sublinks
+from isacsim.stats import STAT_FIELDS, empirical_cdf, group_statistics, ks_statistic
 
 N_DROPS = 500
 F_HZ = 6e9
@@ -56,37 +56,30 @@ def report(capsys, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def study():
-    """Per-drop summaries of every concatenation case on shared realizations."""
+    """Per-drop statistics of every concatenation case on shared
+    realizations. Both hops are LOS, so all drops form one group; each case
+    is reduced in a pass of its own, so no N row is read off its base row."""
     t0 = time.perf_counter()
     scen = ScenarioParams.from_table("UMi", F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     tgt = NodeState([25.0, 10.0, 1.5])
     rx = NodeState([60.0, -5.0, 10.0])
-    nn = {case: np.empty(N_DROPS) for case in STUDY_CASES}
-    stats = {case: [] for case in STUDY_CASES}
-    marginal_err = 0.0
-    for d in range(N_DROPS):
-        streams = RandomStreams(1, d)
-        h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), "LOS")
-        h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
-        sub1 = generate_sublink(h1, scen.condition_params("LOS"),
-                                streams.scoped(HOP_TX_TARGET))
-        sub2 = generate_sublink(h2, scen.condition_params("LOS"),
-                                streams.scoped(HOP_TARGET_RX))
-        sets = {}
-        for case in STUDY_CASES:
-            paths = concatenate(sub1, sub2, case, streams.scoped(SCOPE_CONCAT))
-            sets[case] = paths
-            stats[case].append(drop_statistics(paths))
-            nn[case][d] = stats[case][-1].nn_power
-        for side in ("tx", "rx"):
-            err = np.max(np.abs(
-                nn_marginal_power(sets[ConcatCase.CASE_1N], side)
-                - nn_marginal_power(sets[ConcatCase.CASE_0], side)
-            ))
-            marginal_err = max(marginal_err, float(err))
+    streams = [RandomStreams(1, d) for d in range(N_DROPS)]
+    tables = []
+    for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
+        hop_streams = [s.scoped(scope) for s in streams]
+        hops = [build_hop(a, b, scen, s, "LOS") for s in hop_streams]
+        tables.append(generate_sublinks(hops, scen.condition_params("LOS"), hop_streams))
+    groups = dict(zip(STUDY_CASES, concatenate_group(
+        *tables, STUDY_CASES, [s.scoped(SCOPE_CONCAT) for s in streams])))
+    stats = {case: dict(zip(STAT_FIELDS, group_statistics([group])[:, 0].T))
+             for case, group in groups.items()}
+    marginal_err = max(
+        float(np.max(np.abs(nn_marginal_power(groups[ConcatCase.CASE_1N][d], side)
+                            - nn_marginal_power(groups[ConcatCase.CASE_0][d], side))))
+        for d in range(N_DROPS) for side in ("tx", "rx"))
     return {
-        "nn": nn,
+        "nn": {case: st["nn_power"] for case, st in stats.items()},
         "stats": stats,
         "marginal_err": marginal_err,
         "elapsed": time.perf_counter() - t0,
@@ -102,7 +95,7 @@ def nn_marginal_power(paths, side):
 
 
 def spread_samples(study, case, field):
-    return np.array([getattr(st, field) for st in study["stats"][case]])
+    return study["stats"][case][field]
 
 
 def test_criterion_01_downselection_loses_diffuse_power(study, capsys):
@@ -170,13 +163,13 @@ def test_criterion_04_single_hop_fallback_collapses_departures(capsys):
         streams = RandomStreams(2, d)
         h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), "LOS")
         h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), "NLOS")
-        sub1 = generate_sublink(h1, scen.condition_params("LOS"),
-                                streams.scoped(HOP_TX_TARGET))
-        sub2 = generate_sublink(h2, scen.condition_params("NLOS"),
-                                streams.scoped(HOP_TARGET_RX))
-        paths = concatenate(sub1, sub2, ConcatCase.CASE_A)
-        st = drop_statistics(paths)
-        worst = max(worst, abs(st.asd), abs(st.zsd))
+        sub1, = generate_sublinks([h1], scen.condition_params("LOS"),
+                                  [streams.scoped(HOP_TX_TARGET)])
+        sub2, = generate_sublinks([h2], scen.condition_params("NLOS"),
+                                  [streams.scoped(HOP_TARGET_RX)])
+        group, = concatenate_group([sub1], [sub2], [ConcatCase.CASE_A])
+        st = dict(zip(STAT_FIELDS, group_statistics([group])[0, 0]))
+        worst = max(worst, abs(st["asd"]), abs(st["zsd"]))
     ok = worst == 0.0
     report(
         capsys, "criterion 4", ok,

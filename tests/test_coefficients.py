@@ -16,7 +16,7 @@ from isacsim.coefficients import (
 from isacsim.concatenation import (
     ConcatCase,
     PairType,
-    concatenate,
+    concatenate_group,
 )
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.errors import ConfigError
@@ -38,8 +38,8 @@ from isacsim.seeds import (
     SCOPE_CONCAT,
     RandomStreams,
 )
-from isacsim.smallscale import HopTable, generate_sublink
-from isacsim.stats import STAT_FIELDS, statistics_table
+from isacsim.smallscale import HopTable, generate_sublinks
+from isacsim.stats import STAT_FIELDS, group_statistics
 
 F_HZ = 6e9
 LAM = SPEED_OF_LIGHT / F_HZ
@@ -57,12 +57,12 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
     streams = RandomStreams(seed)
     h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), cond1)
     h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), cond2)
-    t1 = generate_sublink(h1, scen.condition_params(cond1), streams.scoped(HOP_TX_TARGET))
-    t2 = generate_sublink(h2, scen.condition_params(cond2), streams.scoped(HOP_TARGET_RX))
+    t1, = generate_sublinks([h1], scen.condition_params(cond1), [streams.scoped(HOP_TX_TARGET)])
+    t2, = generate_sublinks([h2], scen.condition_params(cond2), [streams.scoped(HOP_TARGET_RX)])
     if xpr_override is not None:
         t1.xpr = np.full_like(t1.xpr, xpr_override)
         t2.xpr = np.full_like(t2.xpr, xpr_override)
-    paths = concatenate(t1, t2, case, streams.scoped(SCOPE_CONCAT))
+    paths = concatenate_group([t1], [t2], [case], [streams.scoped(SCOPE_CONCAT)])[0][0]
     cir = synthesize_target_cir(
         paths, RcsModel(), grid or SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
     )
@@ -235,7 +235,8 @@ def test_path_power_bookkeeping_with_clean_polarization():
     # weight ledger of the path set exactly.
     paths, cir, _, _ = pipeline(case=ConcatCase.CASE_0, xpr_override=np.inf)
     got_nn = float(np.sum(np.abs(cir.gains[0, 0, cir.pair_type == PairType.NN, 0]) ** 2))
-    nn_power = statistics_table([paths])[0][STAT_FIELDS.index("nn_power")]
+    group, = concatenate_group([paths.tx], [paths.rx], [paths.case])
+    nn_power = group_statistics([group])[0, 0, STAT_FIELDS.index("nn_power")]
     expect_nn = paths.k_weights[int(PairType.NN)] ** 2 * nn_power
     assert got_nn == pytest.approx(expect_nn, rel=1e-12)
 
@@ -261,9 +262,9 @@ def test_hops_must_share_the_scattering_point():
     streams = RandomStreams(11)
     h1 = build_hop(tx, tgt1, scen, streams.scoped(HOP_TX_TARGET), "LOS")
     h2 = build_hop(tgt2, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
-    t1 = generate_sublink(h1, scen.condition_params("LOS"), streams.scoped(HOP_TX_TARGET))
-    t2 = generate_sublink(h2, scen.condition_params("LOS"), streams.scoped(HOP_TARGET_RX))
-    paths = concatenate(t1, t2, ConcatCase.CASE_2O)
+    t1, t2 = generate_sublinks([h1, h2], scen.condition_params("LOS"),
+                               [streams.scoped(HOP_TX_TARGET), streams.scoped(HOP_TARGET_RX)])
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])[0][0]
     with pytest.raises(ConfigError, match="scattering point"):
         synthesize_target_cir(
             paths, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
@@ -308,7 +309,7 @@ def background_table(seed, cond):
     rx = NodeState([60.0, -5.0, 10.0])
     streams = RandomStreams(seed).scoped(HOP_BACKGROUND)
     hop = build_hop(tx, rx, scen, streams, cond)
-    return generate_sublink(hop, scen.condition_params(hop.condition), streams)
+    return generate_sublinks([hop], scen.condition_params(hop.condition), [streams])[0]
 
 
 @pytest.mark.parametrize("cond,count", [("LOS", 1 + 12 * 20), ("NLOS", 19 * 20)])

@@ -9,7 +9,6 @@ from isacsim.concatenation import (
     ConcatCase,
     PairType,
     TargetPathSet,
-    concatenate,
     concatenate_group,
     condition_weights,
 )
@@ -17,8 +16,8 @@ from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState, angles_between
 from isacsim.largescale import HopLink, ScenarioParams
 from isacsim.seeds import SCOPE_CONCAT, RandomStreams
-from isacsim.smallscale import generate_sublink
-from isacsim.stats import STAT_FIELDS, statistics_table
+from isacsim.smallscale import generate_sublinks
+from isacsim.stats import STAT_FIELDS, group_statistics
 
 F_HZ = 6e9
 
@@ -41,18 +40,20 @@ def make_links(cond1="LOS", cond2="LOS", seed=1, k1=4.0, k2=2.0):
     streams = RandomStreams(seed)
     h1 = hop(tx, tgt, cond1, k1)
     h2 = hop(tgt, rx, cond2, k2)
-    t1 = generate_sublink(h1, scen.condition_params(cond1), streams.scoped(0))
-    t2 = generate_sublink(h2, scen.condition_params(cond2), streams.scoped(1))
+    t1, = generate_sublinks([h1], scen.condition_params(cond1), [streams.scoped(0)])
+    t2, = generate_sublinks([h2], scen.condition_params(cond2), [streams.scoped(1)])
     return t1, t2, streams
 
 
 def concat_streams(streams):
-    return streams.scoped(SCOPE_CONCAT)
+    """The concatenation-stage stream factories of a group of one drop."""
+    return [streams.scoped(SCOPE_CONCAT)]
 
 
-def nn_power(paths):
-    """Sum of squared stored NN weights: the statistics table's nn_power."""
-    return statistics_table([paths])[0][STAT_FIELDS.index("nn_power")]
+def nn_power(group):
+    """Sum of squared stored NN weights of a one-drop group: its statistics
+    row's nn_power."""
+    return group_statistics([group])[0, 0, STAT_FIELDS.index("nn_power")]
 
 
 def nn_marginal_power(paths, side):
@@ -84,7 +85,7 @@ def test_condition_weight_limits():
 
 def test_stored_k_weights_match_hop_factors():
     t1, t2, _ = make_links("LOS", "NLOS")
-    paths = concatenate(t1, t2, ConcatCase.CASE_0)
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_0])[0][0]
     expect = condition_weights(t1.hop.k_factor, 0.0)
     np.testing.assert_array_equal(paths.k_weights, expect)
     assert paths.condition_pair == "LN"
@@ -94,7 +95,7 @@ def test_stored_k_weights_match_hop_factors():
 
 def test_case0_path_counts_both_los():
     t1, t2, _ = make_links("LOS", "LOS")
-    paths = concatenate(t1, t2, ConcatCase.CASE_0)
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_0])[0][0]
     pt = paths.pair_type
     assert (pt == PairType.LL).sum() == 1
     assert (pt == PairType.LN).sum() == 12 * 20
@@ -105,24 +106,21 @@ def test_case0_path_counts_both_los():
 
 def test_nn_counts_per_case():
     t1, t2, streams = make_links("LOS", "NLOS")  # P=12, Q=19
-
-    def nn_count(case):
-        paths = concatenate(t1, t2, case, streams=concat_streams(streams))
-        return int((paths.pair_type == PairType.NN).sum())
-
-    assert nn_count(ConcatCase.CASE_0) == 12 * 20 * 19 * 20
-    assert nn_count(ConcatCase.CASE_1) == 12 * 19 * 20
-    assert nn_count(ConcatCase.CASE_2O) == 12 * 20
-    assert nn_count(ConcatCase.CASE_2R) == 12 * 20
-    assert nn_count(ConcatCase.CASE_3) == min(12 * 20, 19 * 20)
+    cases = (ConcatCase.CASE_0, ConcatCase.CASE_1, ConcatCase.CASE_2O,
+             ConcatCase.CASE_2R, ConcatCase.CASE_3)
+    groups = concatenate_group([t1], [t2], cases, concat_streams(streams))
+    counts = [int((g[0].pair_type == PairType.NN).sum()) for g in groups]
+    assert counts == [12 * 20 * 19 * 20, 12 * 19 * 20, 12 * 20, 12 * 20,
+                      min(12 * 20, 19 * 20)]
 
 
 def test_case_a_keeps_only_specular_components():
     t1, t2, _ = make_links("LOS", "NLOS")
-    paths = concatenate(t1, t2, ConcatCase.CASE_A)
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_A])
+    paths = group[0]
     assert set(np.unique(paths.pair_type)) == {int(PairType.LN)}
     assert len(paths) == 19 * 20
-    assert nn_power(paths) == 0.0
+    assert nn_power(group) == 0.0
     # transmit side of every kept path is the specular ray
     assert np.all(paths.tx.cluster[paths.tx_idx] == -1)
     los = angles_between(t1.hop.from_node.position_m, t1.hop.to_node.position_m)
@@ -131,7 +129,7 @@ def test_case_a_keeps_only_specular_components():
 
 def test_case_a_empty_when_both_hops_diffuse():
     t1, t2, _ = make_links("NLOS", "NLOS")
-    paths = concatenate(t1, t2, ConcatCase.CASE_A)
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_A])[0][0]
     assert len(paths) == 0
     assert paths.condition_pair == "NN"
     assert isinstance(paths, TargetPathSet)
@@ -141,41 +139,37 @@ def test_case_a_empty_when_both_hops_diffuse():
 
 def test_case0_nn_power_is_unity():
     t1, t2, _ = make_links("LOS", "NLOS")
-    paths = concatenate(t1, t2, ConcatCase.CASE_0)
-    assert nn_power(paths) == pytest.approx(1.0, abs=1e-12)
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_0])
+    assert nn_power(group) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_case1_nn_power_is_case0_over_ray_count():
     t1, t2, _ = make_links("LOS", "NLOS")
-    nn0 = nn_power(concatenate(t1, t2, ConcatCase.CASE_0))
-    nn1 = nn_power(concatenate(t1, t2, ConcatCase.CASE_1))
+    nn0, nn1 = map(nn_power, concatenate_group([t1], [t2], [ConcatCase.CASE_0,
+                                                           ConcatCase.CASE_1]))
     assert nn1 == pytest.approx(nn0 / 20.0, abs=1e-12)
 
 
 def test_downselection_loses_nn_power():
     t1, t2, streams = make_links("NLOS", "NLOS", seed=3)
-    nn0 = nn_power(concatenate(t1, t2, ConcatCase.CASE_0))
-    for case in (ConcatCase.CASE_1, ConcatCase.CASE_2O,
-                 ConcatCase.CASE_2R, ConcatCase.CASE_3):
-        nn = nn_power(
-            concatenate(t1, t2, case, streams=concat_streams(streams))
-        )
-        assert nn < nn0
+    cases = (ConcatCase.CASE_0, ConcatCase.CASE_1, ConcatCase.CASE_2O,
+             ConcatCase.CASE_2R, ConcatCase.CASE_3)
+    nn0, *nn = map(nn_power, concatenate_group([t1], [t2], cases, concat_streams(streams)))
+    assert all(power < nn0 for power in nn)
 
 
 def test_normalized_cases_restore_unit_nn_power():
     t1, t2, streams = make_links("LOS", "LOS", seed=4)
-    for case in (ConcatCase.CASE_1N, ConcatCase.CASE_2ON,
-                 ConcatCase.CASE_2RN, ConcatCase.CASE_3N):
-        paths = concatenate(t1, t2, case, streams=concat_streams(streams))
-        assert nn_power(paths) == pytest.approx(1.0, abs=1e-12)
-        assert paths.case.normalizes_nn
+    cases = (ConcatCase.CASE_1N, ConcatCase.CASE_2ON, ConcatCase.CASE_2RN, ConcatCase.CASE_3N)
+    for group in concatenate_group([t1], [t2], cases, concat_streams(streams)):
+        assert nn_power(group) == pytest.approx(1.0, abs=1e-12)
+        assert group[0].case.normalizes_nn
 
 
 def test_normalization_leaves_other_components_untouched():
     t1, t2, streams = make_links("LOS", "LOS", seed=5)
-    base = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams))
-    norm = concatenate(t1, t2, ConcatCase.CASE_2RN, streams=concat_streams(streams))
+    base, norm = (g[0] for g in concatenate_group(
+        [t1], [t2], [ConcatCase.CASE_2R, ConcatCase.CASE_2RN], concat_streams(streams)))
     for pt in (PairType.LL, PairType.LN, PairType.NL):
         np.testing.assert_array_equal(
             base.weight[base.pair_type == pt], norm.weight[norm.pair_type == pt]
@@ -191,7 +185,7 @@ def test_base_set_lends_its_blocks(conds):
     base case's NN pairs. Every path, weight and prefactor is bit for bit
     what the case gets when it is built alone."""
     t1, t2, streams = make_links(*conds, seed=8)
-    groups = concatenate_group((t1,), (t2,), ALL_CASES, (concat_streams(streams),))
+    groups = concatenate_group((t1,), (t2,), ALL_CASES, concat_streams(streams))
     assert [g.case for g in groups] == list(ALL_CASES)
     outer = groups[0].blocks  # CaseA keeps only the LL/LN/NL blocks
     assert len(outer) == {"LOSLOS": 3, "LOSNLOS": 1, "NLOSNLOS": 0}["".join(conds)]
@@ -203,7 +197,7 @@ def test_base_set_lends_its_blocks(conds):
             nn, base_nn = group.blocks[-1], by_case[group.case.base].blocks[-1]
             assert nn.tx_rows is base_nn.tx_rows and nn.rx_rows is base_nn.rx_rows
         shared = group[0]
-        alone = concatenate(t1, t2, group.case, streams=concat_streams(streams))
+        alone = concatenate_group([t1], [t2], [group.case], concat_streams(streams))[0][0]
         for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
             np.testing.assert_array_equal(getattr(shared, column), getattr(alone, column),
                                           strict=True)
@@ -212,8 +206,8 @@ def test_base_set_lends_its_blocks(conds):
 
 def test_case1n_marginals_match_case0():
     t1, t2, _ = make_links("LOS", "NLOS", seed=6)
-    p0 = concatenate(t1, t2, ConcatCase.CASE_0)
-    p1n = concatenate(t1, t2, ConcatCase.CASE_1N)
+    p0, p1n = (g[0] for g in concatenate_group([t1], [t2], [ConcatCase.CASE_0,
+                                                             ConcatCase.CASE_1N]))
     for side in ("tx", "rx"):
         np.testing.assert_allclose(
             nn_marginal_power(p0, side), nn_marginal_power(p1n, side),
@@ -225,7 +219,7 @@ def test_case1n_marginals_match_case0():
 
 def test_joint_delays_and_angles_consistent_with_links():
     t1, t2, _ = make_links("NLOS", "NLOS", seed=7)
-    paths = concatenate(t1, t2, ConcatCase.CASE_2O)
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])[0][0]
     nn = paths.pair_type == PairType.NN
     tc, tr = paths.tx.cluster[paths.tx_idx][nn], paths.tx.ray[paths.tx_idx][nn]
     rc, rr = paths.rx.cluster[paths.rx_idx][nn], paths.rx.ray[paths.rx_idx][nn]
@@ -245,7 +239,7 @@ def test_joint_delays_and_angles_consistent_with_links():
 
 def test_case2o_pairs_clusters_in_delay_order():
     t1, t2, _ = make_links("NLOS", "NLOS", seed=8)
-    paths = concatenate(t1, t2, ConcatCase.CASE_2O)
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])[0][0]
     nn = paths.pair_type == PairType.NN
     # cluster i pairs with cluster i; rays pair by index
     tx, rx = paths.tx_idx[nn], paths.rx_idx[nn]
@@ -255,9 +249,7 @@ def test_case2o_pairs_clusters_in_delay_order():
 
 def test_case2r_uses_each_cluster_once():
     t1, t2, streams = make_links("LOS", "LOS", seed=9)
-    paths = concatenate(
-        t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams)
-    )
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2R], concat_streams(streams))[0][0]
     nn = paths.pair_type == PairType.NN
     pairs = set(zip(paths.tx.cluster[paths.tx_idx[nn]].tolist(),
                     paths.rx.cluster[paths.rx_idx[nn]].tolist()))
@@ -273,9 +265,7 @@ def test_case2r_uses_each_cluster_once():
 
 def test_case3_pools_rays_without_reuse():
     t1, t2, streams = make_links("LOS", "NLOS", seed=10)
-    paths = concatenate(
-        t1, t2, ConcatCase.CASE_3, streams=concat_streams(streams)
-    )
+    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_3], concat_streams(streams))[0][0]
     nn = paths.pair_type == PairType.NN
     tx_flat = paths.tx.cluster[paths.tx_idx][nn] * 20 + paths.tx.ray[paths.tx_idx][nn]
     rx_flat = paths.rx.cluster[paths.rx_idx][nn] * 20 + paths.rx.ray[paths.rx_idx][nn]
@@ -288,26 +278,40 @@ def test_random_cases_need_streams():
     for case in (ConcatCase.CASE_2R, ConcatCase.CASE_3,
                  ConcatCase.CASE_2RN, ConcatCase.CASE_3N):
         with pytest.raises(ConfigError):
-            concatenate(t1, t2, case, streams=None)
+            concatenate_group([t1], [t2], [case], streams=None)
     # deterministic cases run without streams
-    concatenate(t1, t2, ConcatCase.CASE_2O)
-    concatenate(t1, t2, ConcatCase.CASE_A)
+    concatenate_group([t1], [t2], [ConcatCase.CASE_2O, ConcatCase.CASE_A])
 
 
 def test_random_pairing_is_reproducible_and_seed_sensitive():
     t1, t2, streams = make_links("LOS", "LOS", seed=12)
-    a = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams))
-    b = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(streams))
-    np.testing.assert_array_equal(a.joint_delay, b.joint_delay)
     other = RandomStreams(streams.master_seed, drop=streams.drop + 1)
-    c = concatenate(t1, t2, ConcatCase.CASE_2R, streams=concat_streams(other))
+    a, b, c = (concatenate_group([t1], [t2], [ConcatCase.CASE_2R], concat_streams(s))[0][0]
+               for s in (streams, streams, other))
+    np.testing.assert_array_equal(a.joint_delay, b.joint_delay)
     assert not np.array_equal(a.joint_delay, c.joint_delay)
+
+
+@pytest.mark.parametrize("case", [ConcatCase.CASE_0, ConcatCase.CASE_1])
+def test_group_refuses_more_tx_tables_than_rx_tables(case):
+    t1, t2, _ = make_links("LOS", "LOS", seed=13)
+    with pytest.raises(ConfigError, match="one tx table, one rx table"):
+        concatenate_group([t1] * 3, [t2] * 2, [case])
+
+
+def test_group_refuses_a_stream_factory_count_other_than_its_drops():
+    t1, t2, streams = make_links("LOS", "LOS", seed=14)
+    with pytest.raises(ConfigError, match="one stream factory"):
+        concatenate_group([t1] * 3, [t2] * 3, [ConcatCase.CASE_2R], concat_streams(streams) * 2)
+
+
+def test_group_refuses_no_drops():
+    with pytest.raises(ConfigError, match="one or more drops"):
+        concatenate_group([], [], [ConcatCase.CASE_2R], [])
 
 
 def test_case_enum_properties():
     assert ConcatCase.CASE_2RN.base is ConcatCase.CASE_2R
     assert ConcatCase.CASE_2RN.normalizes_nn
     assert not ConcatCase.CASE_A.normalizes_nn
-    assert ConcatCase.CASE_3N.uses_randomness
-    assert not ConcatCase.CASE_1N.uses_randomness
     assert ConcatCase("Case2RN") is ConcatCase.CASE_2RN

@@ -28,6 +28,8 @@ def test_demo_runs(script, args, marker):
 
 
 def test_readme_library_snippet_runs():
+    """The snippet draws its one drop's channel at master seed 1: its path
+    count and delay spread are pinned."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1]
     code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
@@ -35,4 +37,5 @@ def test_readme_library_snippet_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     n_paths, delay_spread = proc.stdout.split()
-    assert int(n_paths) > 0 and float(delay_spread) > 0
+    assert int(n_paths) == 721
+    assert float(delay_spread) == pytest.approx(1.2387079991332418e-07, rel=1e-12)

@@ -14,24 +14,26 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # isacsim.__all__ as it was when the package init imported every submodule,
 # less SubLinkClusters, which HopTable replaced as the one per-hop type, and
 # less angle_spread, nn_total_power and ray_marginal_power, which nothing
-# used; plus the group kernels concatenate_group and group_statistics
+# used, and less the one-drop wrappers concatenate, drop_statistics,
+# DropStatistics, statistics_table and generate_sublink; plus the group
+# kernels concatenate_group, generate_sublinks and group_statistics
 ALL = [
     "AntennaElement", "B1Table", "ConcatCase", "ConfigError", "CouplingConfig",
-    "DetectionParams", "DirectionAngles", "DropStatistics", "EmpiricalCdf", "HopLink",
+    "DetectionParams", "DirectionAngles", "EmpiricalCdf", "HopLink",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
     "PathGroup", "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell",
     "RunConfig", "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
     "TargetChannelCir", "TargetClass", "TargetPathSet", "UnsupportedFeatureError",
     "WaveformParams", "angle_metrics", "angles_between", "build_hop",
     "coefficients", "combine_channels", "combine_isac_path_loss", "concat_study",
-    "concatenate", "concatenate_group", "concatenated_path_loss", "concatenation",
+    "concatenate_group", "concatenated_path_loss", "concatenation",
     "condition_weights", "config", "constants", "detection_table", "doppler_frequency",
-    "drop_statistics", "empirical_cdf", "errors", "fit_lognormal_db", "generate_sublink",
+    "empirical_cdf", "errors", "fit_lognormal_db", "generate_sublinks",
     "geometry", "group_statistics", "hop_path_loss", "is_point_target", "ks_statistic",
     "largescale", "load_config", "los_probability", "mbet_bistatic", "metrics",
     "mono_static_reciprocal", "pd", "pfa", "range_metrics", "rcs", "run", "runner",
     "sample_rcs", "scattering_matrix", "seeds", "smallscale", "snr_to_amplitude",
-    "speed_metrics", "spherical_unit_vector", "statistics_table", "stats",
+    "speed_metrics", "spherical_unit_vector", "stats",
     "synthesize_background_cir", "synthesize_target_cir", "threshold_for_pfa",
     "uniform_linear_array", "validate_config",
 ]
@@ -55,6 +57,7 @@ def test_every_name_resolves_after_a_bare_import():
         "assert 'numpy' not in sys.modules, 'the package init loads numpy'\n"
         "assert isacsim.runner.run is isacsim.run\n"
         "assert isacsim.stats.empirical_cdf is isacsim.empirical_cdf\n"
+        "assert isacsim.smallscale.generate_sublinks is isacsim.generate_sublinks\n"
         "values = [getattr(isacsim, name) for name in isacsim.__all__]\n"
         "assert all(v is not None for v in values)\n"
     )

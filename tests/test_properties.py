@@ -10,15 +10,15 @@ from isacsim.concatenation import (
     ConcatCase,
     PairType,
     PathBlock,
-    TargetPathSet,
+    PathGroup,
     condition_weights,
 )
 from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.metrics import DetectionParams, pd, pfa
 from isacsim.seeds import HOP_TX_TARGET, RandomStreams
-from isacsim.smallscale import HopTable, generate_sublink, mono_static_reciprocal
-from isacsim.stats import drop_statistics
+from isacsim.smallscale import HopTable, generate_sublinks, mono_static_reciprocal
+from isacsim.stats import STAT_FIELDS, group_statistics
 
 # A fixed example sequence and no example database keep the suite
 # reproducible from run to run.
@@ -33,8 +33,8 @@ weights = st.floats(min_value=0.05, max_value=10.0)
 
 @st.composite
 def path_sets(draw):
-    """Two small hop tables (the last row specular), an outer LN block and a
-    paired NN block of drawn row pairs."""
+    """A group of one drop: two small hop tables (the last row specular), an
+    outer LN block and a paired NN block of drawn row pairs."""
     n_tx = draw(st.integers(2, 6))
     n_rx = draw(st.integers(2, 6))
 
@@ -58,10 +58,15 @@ def path_sets(draw):
     ir = np.array(draw(st.lists(st.integers(0, n_rx - 1), min_size=n_nn, max_size=n_nn)))
     blocks = (
         PathBlock(PairType.LN, np.array([n_tx - 1]), np.arange(n_rx)),
-        PathBlock(PairType.NN, it, ir, tx.weight[it] * rx.weight[ir]),
+        PathBlock(PairType.NN, it, ir, (tx.weight[it] * rx.weight[ir])[None]),
     )
     k = condition_weights(draw(k_factors), 0.0)
-    return TargetPathSet(ConcatCase.CASE_1, tx, rx, blocks, k)
+    return PathGroup(ConcatCase.CASE_1, (tx,), (rx,), blocks, k[None])
+
+
+def statistics(group):
+    """A one-drop group's statistics row, by field."""
+    return dict(zip(STAT_FIELDS, group_statistics([group])[0, 0]))
 
 
 @PROPERTY
@@ -71,7 +76,7 @@ def test_condition_weights_carry_unit_power(kp, kq):
 
 
 def one_ray_off_axis(azimuth=1.0, nn=1.666e-8):
-    """A Case1 set whose only tx azimuth off 0 (1 rad) carries 1.666e-8 of
+    """A one-drop Case1 group whose only tx azimuth off 0 (1 rad) carries 1.666e-8 of
     the power: scoring cuts as sum2/T - (sum1/T)^2 loses that power to
     cancellation and picks a wrong cut once the set is rotated. With the
     NN prefactor at 7.04e-9 (a power below eps / 2 of the total) and the
@@ -89,9 +94,9 @@ def one_ray_off_axis(azimuth=1.0, nn=1.666e-8):
     tx, rx = table(3, True, [azimuth, 0.0, 0.0]), table(2, False, [0.0, 0.0])
     blocks = (
         PathBlock(PairType.LN, np.array([2]), np.arange(2)),
-        PathBlock(PairType.NN, np.array([0]), np.array([0]), np.ones(1)),
+        PathBlock(PairType.NN, np.array([0]), np.array([0]), np.ones((1, 1))),
     )
-    return TargetPathSet(ConcatCase.CASE_1, tx, rx, blocks, np.array([0.0, 1.0, 0.0, nn]))
+    return PathGroup(ConcatCase.CASE_1, (tx,), (rx,), blocks, np.array([[0.0, 1.0, 0.0, nn]]))
 
 
 @PROPERTY
@@ -103,14 +108,15 @@ def test_azimuth_spreads_ignore_a_common_rotation(paths, theta):
     def wrap(a):
         return np.mod(a + theta + math.pi, 2 * math.pi) - math.pi
 
+    (tx,), (rx,) = paths.tx, paths.rx
     rotated = dataclasses.replace(
         paths,
-        tx=dataclasses.replace(paths.tx, dep_azimuth=wrap(paths.tx.dep_azimuth)),
-        rx=dataclasses.replace(paths.rx, arr_azimuth=wrap(paths.rx.arr_azimuth)),
+        tx=(dataclasses.replace(tx, dep_azimuth=wrap(tx.dep_azimuth)),),
+        rx=(dataclasses.replace(rx, arr_azimuth=wrap(rx.arr_azimuth)),),
     )
-    before, after = drop_statistics(paths), drop_statistics(rotated)
-    assert after.asa == pytest.approx(before.asa, rel=1e-9, abs=1e-6)
-    assert after.asd == pytest.approx(before.asd, rel=1e-9, abs=1e-6)
+    before, after = statistics(paths), statistics(rotated)
+    assert after["asa"] == pytest.approx(before["asa"], rel=1e-9, abs=1e-6)
+    assert after["asd"] == pytest.approx(before["asd"], rel=1e-9, abs=1e-6)
 
 
 @PROPERTY
@@ -119,11 +125,11 @@ def test_statistics_ignore_the_order_of_paired_rows(paths, rnd):
     ln, nn = paths.blocks
     perm = np.array(rnd.sample(range(len(nn)), len(nn)))
     shuffled = dataclasses.replace(paths, blocks=(ln, PathBlock(
-        PairType.NN, nn.tx_rows[perm], nn.rx_rows[perm], nn.weight[perm]
+        PairType.NN, nn.tx_rows[perm], nn.rx_rows[perm], nn.weight[:, perm]
     )))
-    a, b = drop_statistics(paths), drop_statistics(shuffled)
+    a, b = statistics(paths), statistics(shuffled)
     for field in ("total_power", "ds", "asa", "asd", "zsa", "zsd"):
-        assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12, abs=1e-18)
+        assert b[field] == pytest.approx(a[field], rel=1e-12, abs=1e-18)
 
 
 @PROPERTY
@@ -133,7 +139,7 @@ def test_mono_static_reciprocal_is_an_involution(seed, condition):
     streams = RandomStreams(seed).scoped(HOP_TX_TARGET)
     hop = build_hop(NodeState([0.0, 0.0, 10.0]), NodeState([25.0, 10.0, 1.5]),
                     scen, streams, condition)
-    table = generate_sublink(hop, scen.condition_params(condition), streams)
+    table, = generate_sublinks([hop], scen.condition_params(condition), [streams])
     twice = mono_static_reciprocal(mono_static_reciprocal(table))
     for obj, ref in ((twice, table), (twice.hop, table.hop)):
         for f in dataclasses.fields(ref):

@@ -14,7 +14,6 @@ from isacsim.largescale import HopLink, ScenarioParams
 from isacsim.seeds import RandomStreams
 from isacsim.smallscale import (
     RAY_OFFSETS,
-    generate_sublink,
     generate_sublinks,
     mono_static_reciprocal,
 )
@@ -62,7 +61,7 @@ def test_ray_offsets_layout():
 def test_shapes_and_basic_invariants():
     for condition, n in (("LOS", 12), ("NLOS", 19)):
         hop = make_hop(condition, k_factor=3.0 if condition == "LOS" else 0.0)
-        t = generate_sublink(hop, params_for(condition), RandomStreams(1))
+        t = generate_sublinks([hop], params_for(condition), [RandomStreams(1)])[0]
         los = condition == "LOS"
         assert t.shape == (n, 20) and t.num_diffuse == n * 20
         assert t.has_los == los
@@ -85,8 +84,8 @@ def test_shapes_and_basic_invariants():
 @pytest.mark.parametrize("absolute_delay", [False, True])
 def test_los_row_is_the_specular_ray(absolute_delay):
     hop = make_hop("LOS", k_factor=3.0, to_xyz=(40.0, 10.0, 1.5))
-    t = generate_sublink(hop, params_for("LOS"), RandomStreams(2),
-                         absolute_delay=absolute_delay)
+    t = generate_sublinks([hop], params_for("LOS"), [RandomStreams(2)],
+                          absolute_delay=absolute_delay)[0]
     los = t.num_diffuse
     assert los == 12 * 20 and t.weight.size == los + 1
     assert t.weight[los] == 1.0
@@ -101,19 +100,19 @@ def test_los_row_is_the_specular_ray(absolute_delay):
 def test_generation_is_deterministic():
     hop = make_hop("LOS", k_factor=5.0)
     p = params_for("LOS")
-    a = generate_sublink(hop, p, RandomStreams(9, drop=4))
-    b = generate_sublink(hop, p, RandomStreams(9, drop=4))
+    a = generate_sublinks([hop], p, [RandomStreams(9, drop=4)])[0]
+    b = generate_sublinks([hop], p, [RandomStreams(9, drop=4)])[0]
     np.testing.assert_array_equal(a.delay, b.delay)
     np.testing.assert_array_equal(a.arr_azimuth, b.arr_azimuth)
     np.testing.assert_array_equal(a.phases, b.phases)
-    c = generate_sublink(hop, p, RandomStreams(9, drop=5))
+    c = generate_sublinks([hop], p, [RandomStreams(9, drop=5)])[0]
     assert not np.array_equal(a.delay, c.delay)
 
 
 def test_power_delay_law_without_cluster_shadowing():
     # with zero per-cluster shadowing, ln(P) must be exactly affine in delay
     p = dataclasses.replace(params_for("NLOS"), cluster_shadowing_std_db=0.0)
-    t = generate_sublink(make_hop("NLOS"), p, RandomStreams(2))
+    t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(2)])[0]
     x = cluster_delays(t)
     y = np.log(cluster_powers(t))
     slope, intercept = np.polyfit(x, y, 1)
@@ -125,9 +124,9 @@ def test_los_delay_rescale_applies_to_delays_only():
     k = 10.0 ** (9.0 / 10.0)  # 9 dB
     p_los = params_for("LOS")
     hop_los = make_hop("LOS", k_factor=k)
-    hop_nlos = make_hop("NLOS")
-    t_los = generate_sublink(hop_los, p_los, RandomStreams(5))
-    t_raw = generate_sublink(hop_nlos, p_los, RandomStreams(5))
+    hop_k0 = make_hop("LOS", k_factor=0.0)  # K = 0: no delay rescale
+    t_los = generate_sublinks([hop_los], p_los, [RandomStreams(5)])[0]
+    t_raw = generate_sublinks([hop_k0], p_los, [RandomStreams(5)])[0]
     k_db = 9.0
     c_tau = 0.7705 - 0.0433 * k_db + 0.0002 * k_db ** 2 + 0.000017 * k_db ** 3
     np.testing.assert_allclose(
@@ -139,7 +138,7 @@ def test_los_delay_rescale_applies_to_delays_only():
 
 def test_ray_offset_fan_out_pattern():
     p = params_for("NLOS")
-    t = generate_sublink(make_hop("NLOS"), p, RandomStreams(3))
+    t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(3)])[0]
     deg = np.degrees(grid(t, "dep_azimuth"))
     expected = np.sort(p.c_asd_deg * RAY_OFFSETS)
     for row in deg:
@@ -151,7 +150,7 @@ def test_ray_offset_fan_out_pattern():
 
 def test_ray_coupling_shuffles_arrival_but_not_departure():
     p = params_for("NLOS")
-    t = generate_sublink(make_hop("NLOS"), p, RandomStreams(3))
+    t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(3)])[0]
     aod_deg = np.degrees(grid(t, "dep_azimuth"))
     # departure azimuths keep the interleaved offset order
     steps = np.diff(p.c_asd_deg * RAY_OFFSETS)
@@ -179,7 +178,7 @@ def circular_mean_deg(angles_rad):
 
 def test_los_first_cluster_aligned_with_geometry():
     hop = make_hop("LOS", k_factor=4.0, to_xyz=(40.0, 10.0, 1.5))
-    t = generate_sublink(hop, params_for("LOS"), RandomStreams(6))
+    t = generate_sublinks([hop], params_for("LOS"), [RandomStreams(6)])[0]
     los = t.num_diffuse
     # the first cluster's mean angles coincide with the direct ray; the
     # symmetric ray fan needs a circular mean near the +-180 deg seam
@@ -197,8 +196,8 @@ def test_los_first_cluster_aligned_with_geometry():
 def test_nlos_departure_zenith_offset_applied():
     p = params_for("NLOS")
     shift = dataclasses.replace(p, zod_offset_deg=p.zod_offset_deg + 10.0)
-    a = generate_sublink(make_hop("NLOS"), p, RandomStreams(7))
-    b = generate_sublink(make_hop("NLOS"), shift, RandomStreams(7))
+    a = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(7)])[0]
+    b = generate_sublinks([make_hop("NLOS")], shift, [RandomStreams(7)])[0]
     np.testing.assert_allclose(
         np.degrees(b.dep_zenith) - np.degrees(a.dep_zenith), 10.0, atol=1e-9
     )
@@ -206,9 +205,9 @@ def test_nlos_departure_zenith_offset_applied():
 
 def test_angle_ranges():
     for seed in range(5):
-        t = generate_sublink(
-            make_hop("NLOS"), params_for("NLOS"), RandomStreams(seed)
-        )
+        t = generate_sublinks(
+            [make_hop("NLOS")], params_for("NLOS"), [RandomStreams(seed)]
+        )[0]
         for arr in (t.arr_azimuth, t.dep_azimuth):
             assert np.all(arr > -np.pi) and np.all(arr <= np.pi)
         for arr in (t.arr_zenith, t.dep_zenith):
@@ -219,7 +218,7 @@ def test_xpr_lognormal_statistics():
     p = params_for("NLOS")
     vals = []
     for seed in range(10):
-        t = generate_sublink(make_hop("NLOS"), p, RandomStreams(seed))
+        t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(seed)])[0]
         vals.append(10.0 * np.log10(t.xpr))
     xpr_db = np.concatenate(vals)
     assert xpr_db.mean() == pytest.approx(p.xpr_mean_db, abs=0.2)
@@ -227,7 +226,7 @@ def test_xpr_lognormal_statistics():
 
 
 def test_phases_uniform_on_pi_interval():
-    t = generate_sublink(make_hop("NLOS"), params_for("NLOS"), RandomStreams(8))
+    t = generate_sublinks([make_hop("NLOS")], params_for("NLOS"), [RandomStreams(8)])[0]
     ph = t.phases.ravel()
     assert np.all(ph > -np.pi) and np.all(ph <= np.pi)
     assert abs(ph.mean()) < 0.2
@@ -236,9 +235,9 @@ def test_phases_uniform_on_pi_interval():
 
 def test_subcluster_delay_split():
     p = params_for("NLOS")
-    t = generate_sublink(
-        make_hop("NLOS"), p, RandomStreams(4), split_strongest=True
-    )
+    t = generate_sublinks(
+        [make_hop("NLOS")], p, [RandomStreams(4)], split_strongest=True
+    )[0]
     strongest = np.argsort(cluster_powers(t))[::-1][:2]
     c_ds_s = p.c_ds_ns * 1e-9
     delays = grid(t, "delay")
@@ -260,22 +259,22 @@ def test_subcluster_delay_split():
 def test_subcluster_split_requires_full_ray_layout():
     p = dataclasses.replace(params_for("NLOS"), rays_per_cluster=10)
     with pytest.raises(ConfigError):
-        generate_sublink(
-            make_hop("NLOS"), p, RandomStreams(4), split_strongest=True
+        generate_sublinks(
+            [make_hop("NLOS")], p, [RandomStreams(4)], split_strongest=True
         )
 
 
 def test_ray_count_bounds():
     p = dataclasses.replace(params_for("NLOS"), rays_per_cluster=21)
     with pytest.raises(ConfigError):
-        generate_sublink(make_hop("NLOS"), p, RandomStreams(4))
+        generate_sublinks([make_hop("NLOS")], p, [RandomStreams(4)])
 
 
 def test_absolute_delay_adds_propagation_time():
     hop = make_hop("LOS", k_factor=2.0)
     p = params_for("LOS")
-    rel = generate_sublink(hop, p, RandomStreams(5))
-    ab = generate_sublink(hop, p, RandomStreams(5), absolute_delay=True)
+    rel = generate_sublinks([hop], p, [RandomStreams(5)])[0]
+    ab = generate_sublinks([hop], p, [RandomStreams(5)], absolute_delay=True)[0]
     base = hop.d3d_m / 3.0e8
     np.testing.assert_allclose(ab.delay - rel.delay, base, rtol=1e-12)  # specular row too
     assert ab.delay.min() == pytest.approx(base, rel=1e-12)
@@ -283,7 +282,7 @@ def test_absolute_delay_adds_propagation_time():
 
 def test_mono_static_reciprocal_swaps_and_inverts():
     hop = make_hop("LOS", k_factor=3.0)
-    t = generate_sublink(hop, params_for("LOS"), RandomStreams(6))
+    t = generate_sublinks([hop], params_for("LOS"), [RandomStreams(6)])[0]
     rev = mono_static_reciprocal(t)
     for dep, arr in (("dep_zenith", "arr_zenith"), ("dep_azimuth", "arr_azimuth")):
         np.testing.assert_array_equal(getattr(rev, dep), getattr(t, arr), strict=True)
@@ -314,7 +313,7 @@ POSITIONS = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
 def test_batched_tables_are_the_one_hop_tables(condition, hops, split_strongest,
                                                 absolute_delay):
     """generate_sublinks gives each hop of a mixed group, bit for bit, the
-    table generate_sublink gives it alone on the same streams; a hop may
+    table a batch of that hop alone gives it on the same streams; a hop may
     run from the target back to the base station."""
     links, streams = [], []
     for i, (xyz, k, seed, reverse) in enumerate(hops):
@@ -329,7 +328,7 @@ def test_batched_tables_are_the_one_hop_tables(condition, hops, split_strongest,
     batch = generate_sublinks(links, p, streams, split_strongest, absolute_delay)
     assert len(batch) == len(links)
     for hop, hop_streams, got in zip(links, streams, batch):
-        alone = generate_sublink(hop, p, hop_streams, split_strongest, absolute_delay)
+        alone = generate_sublinks([hop], p, [hop_streams], split_strongest, absolute_delay)[0]
         assert got.hop is hop and got.shape == alone.shape
         for table, want in ((got, alone), (mono_static_reciprocal(got),
                                            mono_static_reciprocal(alone))):
@@ -343,3 +342,15 @@ def test_batched_hops_must_share_a_condition():
     hops = [make_hop("LOS", 2.0), make_hop("NLOS")]
     with pytest.raises(ConfigError, match="share their condition"):
         generate_sublinks(hops, params_for("LOS"), [RandomStreams(1)] * 2)
+
+
+def test_batch_refuses_parameters_of_another_condition():
+    hops = [make_hop("LOS", 2.0)] * 2
+    with pytest.raises(ConfigError, match="NLOS parameters"):
+        generate_sublinks(hops, params_for("NLOS"), [RandomStreams(1)] * 2)
+
+
+def test_batch_refuses_a_stream_factory_count_other_than_its_hops():
+    hops = [make_hop("NLOS")] * 3
+    with pytest.raises(ConfigError, match="3 hops need as many stream factories, got 2"):
+        generate_sublinks(hops, params_for("NLOS"), [RandomStreams(1)] * 2)

@@ -12,8 +12,7 @@ from isacsim.concatenation import (
     ConcatCase,
     PairType,
     PathBlock,
-    TargetPathSet,
-    concatenate,
+    PathGroup,
     concatenate_group,
 )
 from isacsim.config import validate_config
@@ -22,29 +21,17 @@ from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop
 from isacsim.runner import build_node
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
-from isacsim.smallscale import (
-    HopTable,
-    generate_sublink,
-    generate_sublinks,
-    mono_static_reciprocal,
-)
-from isacsim.stats import (
-    DropStatistics,
-    STAT_FIELDS,
-    drop_statistics,
-    empirical_cdf,
-    group_statistics,
-    ks_statistic,
-    statistics_table,
-)
+from isacsim.smallscale import HopTable, generate_sublinks, mono_static_reciprocal
+from isacsim.stats import STAT_FIELDS, empirical_cdf, group_statistics, ks_statistic
 
 
 def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
                rx_azi=None, rx_zen=None, tx_azi=None, tx_zen=None,
                los_tx=True, los_rx=True):
-    """Path i joins row i of two hop tables; the tx table holds the delays
-    and departure angles, the rx table zero delays and arrival angles. The
-    paths of each pair type form one paired block."""
+    """A group of one drop whose path i joins row i of two hop tables; the
+    tx table holds the delays and departure angles, the rx table zero
+    delays and arrival angles. The paths of each pair type form one paired
+    block."""
     n = len(delays)
     z = np.zeros(n)
     rows = np.arange(n)
@@ -68,13 +55,18 @@ def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
     )
     blocks = tuple(
         PathBlock(PairType(pt), rows[pair_types == pt], rows[pair_types == pt],
-                  weights[pair_types == pt])
+                  weights[None, pair_types == pt])
         for pt in dict.fromkeys(pair_types.tolist())
     )
-    return TargetPathSet(
-        case=ConcatCase.CASE_0, tx=tx, rx=rx, blocks=blocks,
-        k_weights=np.asarray(k_weights, float),
+    return PathGroup(
+        case=ConcatCase.CASE_0, tx=(tx,), rx=(rx,), blocks=blocks,
+        k_weights=np.asarray(k_weights, float)[None],
     )
+
+
+def stat(group, field):
+    """One field of a one-drop group's statistics row."""
+    return group_statistics([group])[0, 0, STAT_FIELDS.index(field)]
 
 
 def effective_weights(paths):
@@ -96,28 +88,28 @@ def effective_weights(paths):
 
 def test_delay_spread_two_path_oracles():
     p = make_paths([0.0, 100e-9], [1.0, 1.0], [0, 0])
-    assert drop_statistics(p).ds == pytest.approx(50e-9, rel=1e-12)
+    assert stat(p, "ds") == pytest.approx(50e-9, rel=1e-12)
     p = make_paths([0.0, 100e-9], [1.0, 2.0], [0, 0])
     # powers 1/5 and 4/5: mean 80 ns, rms 40 ns
-    assert drop_statistics(p).ds == pytest.approx(40e-9, rel=1e-12)
+    assert stat(p, "ds") == pytest.approx(40e-9, rel=1e-12)
 
 
 def test_delay_spread_degenerate_cases():
     p = make_paths([42e-9], [1.0], [0])
-    assert drop_statistics(p).ds == 0.0
+    assert stat(p, "ds") == 0.0
     p = make_paths([1e-9, 1e-9], [1.0, 3.0], [0, 0])
-    assert drop_statistics(p).ds == 0.0
-    with pytest.raises(ConfigError):
-        drop_statistics(make_paths([], [], [])).ds
+    assert stat(p, "ds") == 0.0
+    empty = group_statistics([make_paths([], [], [])])[0, 0]
+    np.testing.assert_array_equal(empty, [0.0, 0.0] + [np.nan] * 5)
 
 
 def test_spread_invariances():
     delays = [0.0, 30e-9, 90e-9]
     weights = [1.0, 0.5, 0.25]
-    base = drop_statistics(make_paths(delays, weights, [0, 0, 0])).ds
-    scaled_w = drop_statistics(make_paths(delays, [7 * w for w in weights], [0, 0, 0])).ds
+    base = stat(make_paths(delays, weights, [0, 0, 0]), "ds")
+    scaled_w = stat(make_paths(delays, [7 * w for w in weights], [0, 0, 0]), "ds")
     assert scaled_w == pytest.approx(base, rel=1e-12)
-    scaled_t = drop_statistics(make_paths([2 * d for d in delays], weights, [0, 0, 0])).ds
+    scaled_t = stat(make_paths([2 * d for d in delays], weights, [0, 0, 0]), "ds")
     assert scaled_t == pytest.approx(2 * base, rel=1e-12)
 
 
@@ -126,18 +118,18 @@ def test_spread_invariances():
 def test_zenith_spread_plain_rms():
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0],
                    rx_zen=np.radians([60.0, 120.0]), tx_zen=np.radians([80.0, 90.0]))
-    assert drop_statistics(p).zsa == pytest.approx(30.0, rel=1e-12)
-    assert drop_statistics(p).zsd == pytest.approx(5.0, rel=1e-12)
+    assert stat(p, "zsa") == pytest.approx(30.0, rel=1e-12)
+    assert stat(p, "zsd") == pytest.approx(5.0, rel=1e-12)
 
 
 def test_azimuth_spread_is_circular():
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0],
                    rx_azi=np.radians([179.0, -179.0]))
     # the two directions are 2 degrees apart across the wrap point
-    assert drop_statistics(p).asa == pytest.approx(1.0, rel=1e-9)
+    assert stat(p, "asa") == pytest.approx(1.0, rel=1e-9)
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0],
                    tx_azi=np.radians([-1.0, 1.0]))
-    assert drop_statistics(p).asd == pytest.approx(1.0, rel=1e-9)
+    assert stat(p, "asd") == pytest.approx(1.0, rel=1e-9)
 
 
 def test_circular_spread_matches_direct_cut_search():
@@ -147,11 +139,11 @@ def test_circular_spread_matches_direct_cut_search():
         azi = rng.uniform(-np.pi, np.pi, n)
         w = rng.uniform(0.1, 2.0, n)
         p = make_paths(np.arange(n) * 1e-9, w, np.zeros(n, int), rx_azi=azi)
-        got = drop_statistics(p).asa
+        got = stat(p, "asa")
 
         order = np.argsort(np.degrees(azi))
         a = np.degrees(azi)[order]
-        pw = (effective_weights(p) ** 2)[order]
+        pw = (effective_weights(p[0]) ** 2)[order]
         best = np.inf
         for k in range(n):
             shifted = a.copy()
@@ -164,7 +156,7 @@ def test_circular_spread_matches_direct_cut_search():
 
 def test_spread_of_one_shared_azimuth_is_zero():
     p = make_paths([0.0, 1e-9], [1.0, 1.0], [0, 0])
-    assert drop_statistics(p).asa == 0.0  # all paths share one azimuth
+    assert stat(p, "asa") == 0.0  # all paths share one azimuth
 
 
 # ------------------------------------------------- weights and power sums
@@ -172,42 +164,36 @@ def test_spread_of_one_shared_azimuth_is_zero():
 def test_effective_weights_normalize_each_component():
     p = make_paths([0.0, 1e-9, 2e-9], [3.0, 4.0, 5.0], [0, 0, 3],
                    k_weights=(0.8, 0.0, 0.0, 0.6))
-    eff = effective_weights(p)
+    eff = effective_weights(p[0])
     np.testing.assert_allclose(eff, [0.8 * 0.6, 0.8 * 0.8, 0.6], rtol=1e-12)
     assert float(np.sum(eff ** 2)) == pytest.approx(0.8 ** 2 + 0.6 ** 2, rel=1e-12)
 
 
 def test_effective_weights_reject_degenerate_blocks():
     with pytest.raises(ConfigError):
-        effective_weights(make_paths([], [], []))
+        effective_weights(make_paths([], [], [])[0])
     with pytest.raises(ConfigError, match="zero total power"):
-        effective_weights(make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0]))
-    with pytest.raises(ConfigError, match="no statistics"):
-        drop_statistics(make_paths([], [], []))
+        effective_weights(make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0])[0])
     with pytest.raises(ConfigError, match="zero total power"):
-        drop_statistics(make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0]))
+        group_statistics([make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0])])
 
 
 def test_total_power_uses_raw_weights():
     p = make_paths([0.0, 1e-9, 2e-9], [3.0, 4.0, 5.0], [0, 0, 3],
                    k_weights=(0.8, 0.0, 0.0, 0.6))
     expect = 0.8 ** 2 * (9 + 16) + 0.6 ** 2 * 25
-    assert drop_statistics(p).total_power == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ConfigError):
-        drop_statistics(make_paths([], [], [])).total_power
+    assert stat(p, "total_power") == pytest.approx(expect, rel=1e-12)
 
 
 def test_drop_statistics_bundle():
     p = make_paths([0.0, 100e-9], [1.0, 1.0], [0, 0],
                    rx_zen=np.radians([60.0, 120.0]), los_rx=False)
-    st = drop_statistics(p)
-    assert isinstance(st, DropStatistics)
-    assert st.ds == pytest.approx(50e-9, rel=1e-12)
-    assert st.zsa == pytest.approx(30.0, rel=1e-12)
-    assert st.asa == 0.0 and st.asd == 0.0 and st.zsd == 0.0
-    assert st.case == ConcatCase.CASE_0
-    assert st.condition_pair == "LN"
-    assert st.total_power == pytest.approx(2 * 0.25, rel=1e-12)
+    st = dict(zip(STAT_FIELDS, group_statistics([p])[0, 0]))
+    assert st["ds"] == pytest.approx(50e-9, rel=1e-12)
+    assert st["zsa"] == pytest.approx(30.0, rel=1e-12)
+    assert st["asa"] == 0.0 and st["asd"] == 0.0 and st["zsd"] == 0.0
+    assert p[0].condition_pair == "LN"
+    assert st["total_power"] == pytest.approx(2 * 0.25, rel=1e-12)
 
 
 # --------------------------------------- trailing power normalization
@@ -220,15 +206,17 @@ def test_power_normalization_never_moves_spreads():
     streams = RandomStreams(21)
     h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), "LOS")
     h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
-    sub1 = generate_sublink(h1, scen.condition_params("LOS"), streams.scoped(HOP_TX_TARGET))
-    sub2 = generate_sublink(h2, scen.condition_params("LOS"), streams.scoped(HOP_TARGET_RX))
-    base = concatenate(sub1, sub2, ConcatCase.CASE_2R, streams.scoped(SCOPE_CONCAT))
-    norm = concatenate(sub1, sub2, ConcatCase.CASE_2RN, streams.scoped(SCOPE_CONCAT))
-    st_b, st_n = drop_statistics(base), drop_statistics(norm)
+    sub1, sub2 = generate_sublinks(
+        [h1, h2], scen.condition_params("LOS"),
+        [streams.scoped(HOP_TX_TARGET), streams.scoped(HOP_TARGET_RX)])
+    base, norm = concatenate_group([sub1], [sub2], [ConcatCase.CASE_2R, ConcatCase.CASE_2RN],
+                                   [streams.scoped(SCOPE_CONCAT)])
+    # each reduced in its own pass, so the N set is not read off its base set
+    st_b, st_n = (dict(zip(STAT_FIELDS, group_statistics([g])[0, 0])) for g in (base, norm))
     for field in ("ds", "asa", "asd", "zsa", "zsd"):
-        assert abs(getattr(st_b, field) - getattr(st_n, field)) < 1e-12
-    assert st_n.total_power == pytest.approx(1.0, rel=1e-12)
-    assert st_b.total_power < 1.0
+        assert abs(st_b[field] - st_n[field]) < 1e-12
+    assert st_n["total_power"] == pytest.approx(1.0, rel=1e-12)
+    assert st_b["total_power"] < 1.0
 
 
 # ------------------------------------------------------- CDFs and the KS
@@ -315,8 +303,8 @@ def default_config_drops(count, condition=None, seed=3, monostatic=False):
                 tables.append(mono_static_reciprocal(tables[0]))
                 break
             hop = build_hop(a, b, scen, streams.scoped(scope), force_condition=condition)
-            tables.append(generate_sublink(hop, scen.condition_params(hop.condition),
-                                           streams.scoped(scope)))
+            tables += generate_sublinks([hop], scen.condition_params(hop.condition),
+                                        [streams.scoped(scope)])
         drops.append((*tables, streams.scoped(SCOPE_CONCAT)))
     return drops
 
@@ -351,19 +339,21 @@ def test_marginal_statistics_match_per_path_oracle(oracle_drops):
     mono = 0
     for t1, t2, streams in oracle_drops:
         mono += t2.hop.to_node is t1.hop.from_node  # hop 2 returns to the transmitter
-        sets = [concatenate(t1, t2, case, streams=streams) for case in ALL_CASES]
-        table = statistics_table(sets)
-        for paths, row in zip(sets, table):
+        # each case built in a call of its own, so no two sets share a block
+        sets = [concatenate_group([t1], [t2], [case], [streams])[0] for case in ALL_CASES]
+        table = group_statistics(sets)[0]
+        for group, row in zip(sets, table):
+            paths = group[0]
             if len(paths) == 0:  # the row the runner writes for an empty set
                 assert paths.case is ConcatCase.CASE_A
                 np.testing.assert_array_equal(row, [0.0, 0.0] + [np.nan] * 5)
                 empty += 1
                 continue
             pairs.add(paths.condition_pair)
-            st = drop_statistics(paths)
+            alone = group_statistics([group])[0, 0]
             want = oracle_statistics(paths)
-            for field, in_table in zip(STAT_FIELDS, row):
-                for got in (getattr(st, field), in_table):
+            for field, on_its_own, in_table in zip(STAT_FIELDS, alone, row):
+                for got in (on_its_own, in_table):
                     if want[field] == 0.0:
                         assert got == 0.0, (paths.case, field)
                     else:
@@ -439,8 +429,8 @@ def test_group_kernels_refuse_tables_they_cannot_share():
     with pytest.raises(ConfigError, match="share their hop-table layout"):
         concatenate_group((l1, n1), (l2, n2), [ConcatCase.CASE_2R], (s1, s2))
     with pytest.raises(ConfigError, match="share their hop tables"):
-        statistics_table([concatenate(l1, l2, ConcatCase.CASE_1),
-                          concatenate(n1, n2, ConcatCase.CASE_1)])
+        group_statistics([concatenate_group([l1], [l2], [ConcatCase.CASE_1])[0],
+                          concatenate_group([n1], [n2], [ConcatCase.CASE_1])[0]])
 
 
 def test_n_rows_are_read_off_their_base_rows(oracle_drops):
@@ -467,7 +457,7 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
             nn = group.blocks[-1]
             assert nn.tx_rows is sets[case.base].blocks[-1].tx_rows  # the premise
             assert rows[case][2:].tobytes() == rows[case.base][2:].tobytes()
-            alone = statistics_table([paths])[0]
+            alone = group_statistics([group])[0, 0]  # its base set not in the pass
             assert rows[case][:2].tobytes() == alone[:2].tobytes()
             np.testing.assert_allclose(rows[case][2:], alone[2:], rtol=1e-12, atol=0)
             assert rows[case][1] == pytest.approx(np.sum(nn.weight ** 2), rel=1e-15)
@@ -478,15 +468,16 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
 def test_case0_nn_block_matches_materialized_paths(oracle_drops):
     nn_power = STAT_FIELDS.index("nn_power")
     for t1, t2, _ in oracle_drops[40:]:
-        p0 = concatenate(t1, t2, ConcatCase.CASE_0)
+        group, = concatenate_group([t1], [t2], [ConcatCase.CASE_0])
+        p0 = group[0]
         nn = p0.pair_type == PairType.NN
-        assert statistics_table([p0])[0][nn_power] == pytest.approx(
+        assert group_statistics([group])[0, 0, nn_power] == pytest.approx(
             np.sum(p0.weight[nn] ** 2), rel=1e-12)
 
 
 def test_case0_assembles_todays_row_pairs(oracle_drops):
     for t1, t2, _ in oracle_drops[40:]:
-        p0 = concatenate(t1, t2, ConcatCase.CASE_0)
+        p0 = concatenate_group([t1], [t2], [ConcatCase.CASE_0])[0][0]
         nt, nr = t1.num_diffuse, t2.num_diffuse
         los_t, los_r = t1.has_los, t2.has_los
         tx_parts, rx_parts = [], []
