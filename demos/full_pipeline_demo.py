@@ -74,14 +74,14 @@ def main(argv=None):
                                 [streams.scoped(HOP_TARGET_RX)])
     group, = concatenate_group([table1], [table2], [ConcatCase.CASE_2RN],
                                [streams.scoped(SCOPE_CONCAT)])
-    paths = group[0]
-    print(f"\njoint path set ({paths.case.value}, conditions "
-          f"{paths.condition_pair}): {len(paths)} paths")
+    *_, pair_type = group.paths(0)
+    print(f"\njoint path set ({group.case.value}, conditions "
+          f"{group.condition_pair}): {len(group)} paths")
     for pt in PairType:
-        n = int(np.sum(paths.pair_type == pt))
+        n = int(np.sum(pair_type == pt))
         if n:
             print(f"  {pt.name}: {n:5d} paths  amplitude prefactor "
-                  f"{paths.k_weights[pt]:.4f}")
+                  f"{group.k_weights[0][pt]:.4f}")
     st = dict(zip(STAT_FIELDS, group_statistics([group])[0, 0]))
     print(f"  delay spread {st['ds'] * 1e9:6.1f} ns   "
           f"ASA {st['asa']:5.1f}  ASD {st['asd']:5.1f}  "
@@ -89,7 +89,7 @@ def main(argv=None):
 
     # coefficients: the nodes' 2x4 arrays, 11 snapshots 1 ms apart
     grid = SnapshotGrid(start_s=0.0, step_s=1e-3, count=11)
-    cir = synthesize_target_cir(paths, RcsModel(mean_rcs_m2=1.0, b2_std_db=3.0),
+    cir = synthesize_target_cir(group, 0, RcsModel(mean_rcs_m2=1.0, b2_std_db=3.0),
                                 grid, lam, streams.scoped(SCOPE_COEFF))
     print(f"\ntarget impulse response: gains {cir.gains.shape} "
           f"= (rx, tx, path, time)")

@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "concatenation": (
-        "ConcatCase", "PairType", "PathBlock", "PathGroup", "TargetPathSet",
-        "concatenate_group", "condition_weights",
+        "ConcatCase", "PairType", "PathBlock", "PathGroup", "concatenate_group",
+        "condition_weights",
     ),
     "coefficients": (
         "SnapshotGrid", "TargetChannelCir", "combine_channels", "doppler_frequency",

@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 # Set before numpy is first imported (the package init imports nothing). An
 # idle OpenBLAS worker thread spins and burns CPU, and the package gains
@@ -101,20 +102,12 @@ def _load_run_config(args):
     return cfg
 
 
-def _cmd_run(args) -> int:
-    from .runner import run
+def _cmd_simulate(entry: str, args) -> int:
+    """``run`` or ``concat-study``: the runner function ``entry`` on the config."""
+    from . import runner
 
-    manifest = run(_load_run_config(args), out_dir=args.out, workers=args.workers)
-    print(f"wrote {len(manifest.file_checksums) + 1} files to {manifest.out_dir}")
-    return 0
-
-
-def _cmd_study(args) -> int:
-    from .runner import concat_study
-
-    manifest = concat_study(
-        _load_run_config(args), out_dir=args.out, workers=args.workers
-    )
+    manifest = getattr(runner, entry)(_load_run_config(args), out_dir=args.out,
+                                      workers=args.workers)
     print(f"wrote {len(manifest.file_checksums) + 1} files to {manifest.out_dir}")
     return 0
 
@@ -233,8 +226,8 @@ def _keep_heap() -> None:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "concat-study": _cmd_study,
+    "run": partial(_cmd_simulate, "run"),
+    "concat-study": partial(_cmd_simulate, "concat_study"),
     "detect": _cmd_detect,
     "rcs-fit": _cmd_rcs_fit,
 }

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import DirectionAngles, field_components, spherical_unit_vector
 from .largescale import CouplingConfig
-from .concatenation import PairType, TargetPathSet, condition_weights
+from .concatenation import PairType, PathGroup, condition_weights
 from .rcs import PolarizationScattering, RcsModel, scattering_matrix, small_scale_sigma
 from .seeds import RandomStreams
 from .smallscale import HopTable
@@ -62,8 +62,6 @@ class TargetChannelCir:
     gains: np.ndarray
     pair_type: np.ndarray
     grid: SnapshotGrid
-    case: str | None = None
-    condition_pair: str | None = None
 
 
 def doppler_frequency(
@@ -144,14 +142,16 @@ def _array_gains(tx_elements, rx_elements, dep: DirectionAngles,
 
 
 def synthesize_target_cir(
-    paths: TargetPathSet,
+    group: PathGroup,
+    drop: int,
     rcs_model: RcsModel,
     grid: SnapshotGrid,
     wavelength_m: float,
     streams: RandomStreams,
     polarization: PolarizationScattering | None = None,
 ) -> TargetChannelCir:
-    """Synthesize the two-hop target channel for every antenna pair.
+    """Synthesize drop ``drop``'s two-hop target channel of a group of path
+    sets (concatenation.PathGroup) for every antenna pair.
 
     The arrays are those of the transmit hop's from-node and the receive
     hop's to-node. streams must be scoped to the coefficient stage of the
@@ -161,19 +161,27 @@ def synthesize_target_cir(
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    tx_hop = paths.tx.hop
-    rx_hop = paths.rx.hop
+    it, ir, weight, pair_type = group.paths(drop)
+    tx, rx = group.tx[drop], group.rx[drop]
+    tx_hop, rx_hop = tx.hop, rx.hop
     if not np.allclose(tx_hop.to_node.position_m, rx_hop.from_node.position_m):
         raise ConfigError("hops do not share the scattering point")
 
-    n_paths = len(paths)
+    n_paths = len(it)
     pol = polarization or PolarizationScattering()
+
+    # Per-path directions, in radians: departure at the transmitter, arrival
+    # at the receiver, and arrival at (in) and departure from (out) the target.
+    tx_dir = DirectionAngles(tx.dep_zenith[it], tx.dep_azimuth[it])
+    rx_dir = DirectionAngles(rx.arr_zenith[ir], rx.arr_azimuth[ir])
+    sp_in = DirectionAngles(tx.arr_zenith[it], tx.arr_azimuth[it])
+    sp_out = DirectionAngles(rx.dep_zenith[ir], rx.dep_azimuth[ir])
 
     # Per-path small-scale cross section; aspect is the incidence azimuth
     # at the scattering point.
     sigma = small_scale_sigma(
         rcs_model,
-        np.degrees(paths.spin_azimuth),
+        np.degrees(sp_in.azimuth),
         streams.stream("rcs_b2"),
         size=n_paths,
     )
@@ -184,17 +192,15 @@ def synthesize_target_cir(
     else:
         smat = scattering_matrix(pol, streams.stream("scatter_phases"), size=n_paths)
 
-    tx_side = _side_matrices(paths.tx, wavelength_m)[paths.tx_idx]
-    rx_side = _side_matrices(paths.rx, wavelength_m)[paths.rx_idx]
+    tx_side = _side_matrices(tx, wavelength_m)[it]
+    rx_side = _side_matrices(rx, wavelength_m)[ir]
     pmat = np.einsum("lij,ljk,lkm->lim", rx_side, smat, tx_side)
 
-    tx_dir = DirectionAngles(paths.tx_zenith, paths.tx_azimuth)
-    rx_dir = DirectionAngles(paths.rx_zenith, paths.rx_azimuth)
     f_d = doppler_frequency(
         tx_dir,
         rx_dir,
-        DirectionAngles(paths.spin_zenith, paths.spin_azimuth),
-        DirectionAngles(paths.spout_zenith, paths.spout_azimuth),
+        sp_in,
+        sp_out,
         tx_hop.from_node.velocity_mps,
         rx_hop.to_node.velocity_mps,
         tx_hop.to_node.total_velocity_mps,
@@ -202,15 +208,13 @@ def synthesize_target_cir(
     )
     f_d = np.broadcast_to(np.asarray(f_d, float), (n_paths,))
 
-    amp = paths.k_weights[paths.pair_type] * paths.weight * np.sqrt(sigma)
+    amp = group.k_weights[drop][pair_type] * weight * np.sqrt(sigma)
     return TargetChannelCir(
-        delays=paths.joint_delay,
+        delays=tx.delay[it] + rx.delay[ir],
         gains=_array_gains(tx_hop.from_node.elements, rx_hop.to_node.elements,
                            tx_dir, rx_dir, pmat, amp, f_d, grid, wavelength_m),
-        pair_type=paths.pair_type.copy(),
+        pair_type=pair_type,
         grid=grid,
-        case=paths.case.value,
-        condition_pair=paths.condition_pair,
     )
 
 
@@ -251,8 +255,6 @@ def synthesize_background_cir(
                            pmat, amp, f_d, grid, wavelength_m),
         pair_type=np.full(rows.shape[0], int(PairType.BACKGROUND), np.int8),
         grid=grid,
-        case=None,
-        condition_pair=hop.condition,
     )
 
 
@@ -299,6 +301,4 @@ def combine_channels(
         gains=np.concatenate([target.gains, bg_gains], axis=2),
         pair_type=np.concatenate([target.pair_type, bg_types]),
         grid=target.grid,
-        case=target.case,
-        condition_pair=target.condition_pair,
     )

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -96,15 +95,6 @@ def condition_weights(k_p: float, k_q: float) -> np.ndarray:
     return np.array([sp * sq, sp * dq, dp * sq, dp * dq])
 
 
-def _gather(side: str, column: str):
-    """Read-only per-path column: one hop table's column at that hop's rows."""
-
-    def get(paths):
-        return getattr(getattr(paths, side), column)[getattr(paths, side + "_idx")]
-
-    return property(get)
-
-
 @dataclass(frozen=True)
 class PathBlock:
     """The joint paths of one component, as rows of the two hop tables.
@@ -124,84 +114,24 @@ class PathBlock:
     def __len__(self):
         return self.tx_rows.shape[-1] * (self.rx_rows.shape[-1] if self.weight is None else 1)
 
-    def at(self, drop: int) -> "PathBlock":
-        """One drop's block of a PathGroup's block."""
-        if self.weight is None:
-            return self
-        rows = (r if r.ndim == 1 else r[drop] for r in (self.tx_rows, self.rx_rows))
-        return PathBlock(self.pair_type, *rows, self.weight[drop])
-
-    def materialize(self, tx: HopTable, rx: HopTable) -> tuple:
-        """(tx row, rx row, amplitude) of every path, in path order."""
+    def materialize(self, tx: HopTable, rx: HopTable, drop: int) -> tuple:
+        """(tx row, rx row, amplitude) of every path of drop ``drop``, whose
+        tables are tx and rx, in path order."""
         if self.weight is not None:
-            return self.tx_rows, self.rx_rows, self.weight
+            rows = (r if r.ndim == 1 else r[drop] for r in (self.tx_rows, self.rx_rows))
+            return (*rows, self.weight[drop])
         it = np.repeat(self.tx_rows, self.rx_rows.size)
         ir = np.tile(self.rx_rows, self.tx_rows.size)
         return it, ir, tx.weight[it] * rx.weight[ir]
 
 
 @dataclass
-class TargetPathSet:
-    """Joint two-hop paths, one block of hop-table row pairs per component.
-
-    Path i, in block order, joins row tx_idx[i] of the transmitter-to-target
-    table `tx` with row rx_idx[i] of the target-to-receiver table `rx`, at
-    stored amplitude weight[i] (condition prefactors NOT included; see
-    k_weights); these are assembled on first access. The per-path columns
-    are gathers from the tables, angles in radians: tx_*/rx_* the departure
-    at the transmit node and the arrival at the receive node, spin_*/spout_*
-    the arrival at and the departure from the target.
-    """
-
-    case: ConcatCase
-    tx: HopTable
-    rx: HopTable
-    blocks: tuple
-    k_weights: np.ndarray
-
-    tx_zenith = _gather("tx", "dep_zenith")
-    tx_azimuth = _gather("tx", "dep_azimuth")
-    spin_zenith = _gather("tx", "arr_zenith")
-    spin_azimuth = _gather("tx", "arr_azimuth")
-    spout_zenith = _gather("rx", "dep_zenith")
-    spout_azimuth = _gather("rx", "dep_azimuth")
-    rx_zenith = _gather("rx", "arr_zenith")
-    rx_azimuth = _gather("rx", "arr_azimuth")
-
-    def __len__(self):
-        return sum(len(b) for b in self.blocks)
-
-    @cached_property
-    def _materialized(self) -> tuple:
-        parts = [b.materialize(self.tx, self.rx) for b in self.blocks]
-        return tuple(np.concatenate([np.empty(0, dtype), *(p[col] for p in parts)])
-                     for col, dtype in enumerate((np.intp, np.intp, float)))
-
-    tx_idx = property(lambda self: self._materialized[0])
-    rx_idx = property(lambda self: self._materialized[1])
-    weight = property(lambda self: self._materialized[2])
-
-    @cached_property
-    def pair_type(self) -> np.ndarray:
-        types = np.array([b.pair_type for b in self.blocks], np.int8)
-        return np.repeat(types, [len(b) for b in self.blocks])
-
-    @property
-    def joint_delay(self) -> np.ndarray:
-        return self.tx.delay[self.tx_idx] + self.rx.delay[self.rx_idx]
-
-    @property
-    def condition_pair(self) -> str:
-        """Hop condition labels, e.g. 'LL' when both hops are LOS."""
-        return "".join("L" if t.has_los else "N" for t in (self.tx, self.rx))
-
-
-@dataclass
 class PathGroup:
-    """One case's path sets in a group of drops whose hop tables share a
-    layout (on each side, one shape and the LOS row or not): drop d's set
-    joins tables tx[d] and rx[d] through the group's blocks, at condition
-    prefactors k_weights[d]. group[d] is that set."""
+    """One case's joint two-hop paths in a group of drops whose hop tables
+    share a layout (on each side, one shape and the LOS row or not): drop
+    d's paths join rows of the transmitter-to-target table tx[d] with rows
+    of the target-to-receiver table rx[d] through the group's blocks, at
+    condition prefactors k_weights[d]; paths(d) lays them out."""
 
     case: ConcatCase
     tx: tuple
@@ -213,9 +143,21 @@ class PathGroup:
         """Paths per drop."""
         return sum(len(b) for b in self.blocks)
 
-    def __getitem__(self, drop: int) -> TargetPathSet:
-        return TargetPathSet(self.case, self.tx[drop], self.rx[drop],
-                             tuple(b.at(drop) for b in self.blocks), self.k_weights[drop])
+    @property
+    def condition_pair(self) -> str:
+        """Hop condition labels of every drop, e.g. 'LL' when both hops are LOS."""
+        return "".join("L" if t[0].has_los else "N" for t in (self.tx, self.rx))
+
+    def paths(self, drop: int) -> tuple:
+        """Drop ``drop``'s paths in block order: each one's tx row, rx row,
+        stored amplitude (condition prefactors NOT included) and pair type."""
+        if not 0 <= drop < len(self.tx):
+            raise IndexError(f"drop {drop} is outside a group of {len(self.tx)} drops")
+        parts = [b.materialize(self.tx[drop], self.rx[drop], drop) for b in self.blocks]
+        columns = (np.concatenate([np.empty(0, dtype), *(p[col] for p in parts)])
+                   for col, dtype in enumerate((np.intp, np.intp, float)))
+        types = np.array([b.pair_type for b in self.blocks], np.int8)
+        return (*columns, np.repeat(types, [len(b) for b in self.blocks]))
 
 
 def stack_column(tables, column: str, rows: np.ndarray | None = None) -> np.ndarray:

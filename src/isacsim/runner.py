@@ -180,28 +180,26 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
         per_drop.append((table1, table2, rest))
         layout = (table1.shape, table1.has_los, table2.shape, table2.has_los)
         groups.setdefault(layout, []).append(k)
-    reduced = {}  # drop -> its statistics, their condition pairs, its CIR case's view
+    reduced = {}  # drop -> its statistics, their condition pairs, its CIR case's group, its index
     for members in groups.values():
         tx, rx = (tuple(per_drop[k][side] for k in members) for side in (0, 1))
         concat_streams = [streams[k].scoped(SCOPE_CONCAT) for k in members]
         sets = concatenate_group(tx, rx, cases, concat_streams)
         stats = group_statistics(sets)
         stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9
-        pair = sets[0][0].condition_pair  # of every drop of the group
-        pairs = [pair if len(group) else "none" for group in sets]
-        cir_sets = sets[cases.index(cfg.concat_case)] if emit_cir else None  # the rest go now
-        reduced.update((k, (stats[i], pairs, None if cir_sets is None else cir_sets[i]))
-                       for i, k in enumerate(members))
+        pairs = [sets[0].condition_pair if len(group) else "none" for group in sets]
+        cir_group = sets[cases.index(cfg.concat_case)] if emit_cir else None  # the rest go now
+        reduced.update((k, (stats[i], pairs, cir_group, i)) for i, k in enumerate(members))
 
     results = []
     for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
-        (table1, table2, rest), (stats, pairs, paths) = per_drop[k], reduced[k]
+        (table1, table2, rest), (stats, pairs, group, i) = per_drop[k], reduced[k]
         pl_target = concatenated_path_loss(table1.hop.path_loss_db, table2.hop.path_loss_db,
                                            cfg.frequency_hz, cfg.rcs_mean_m2)
         rec = DropResult(drop, pairs, stats, pl_target)
-        if paths is not None and len(paths):
+        if group is not None and len(group):
             cir = coefficients.synthesize_target_cir(
-                paths, rcs_model, grid, cfg.wavelength_m,
+                group, i, rcs_model, grid, cfg.wavelength_m,
                 drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
             )
             if rest:

@@ -142,6 +142,8 @@ def group_statistics(sets) -> np.ndarray:
     effective powers unchanged, so its spread columns are the base row's,
     and only its total and NN power are summed, from its own weights.
     """
+    if not sets:
+        raise ConfigError("a statistics pass needs one or more path sets")
     tx, rx = sets[0].tx, sets[0].rx
     if any(len(p.tx) != len(tx) or any(map(operator.is_not, p.tx + p.rx, tx + rx)) for p in sets):
         raise ConfigError("the path sets of one statistics pass must share their hop tables")
@@ -223,11 +225,12 @@ def group_statistics(sets) -> np.ndarray:
         angles = [np.degrees(stack_column(tables[side], c)) for c in (azimuth, zenith)]
         res[..., cols] = np.stack(_spreads(*angles, power), -1)
         for d, i, j in zip(*np.nonzero(res[..., cols] < _FLAT_DEG)):  # are all used angles equal?
-            used = angles[j][d][np.concatenate([getattr(b, side + "_rows")
-                                                for b in sets[live[i]][d].blocks])]
+            rows = (getattr(b, side + "_rows") for b in sets[live[i]].blocks)
+            used = angles[j][d][np.concatenate([r if r.ndim == 1 else r[d] for r in rows])]
             res[d, i, cols[j]] *= used.min() != used.max()
     for d, i in zip(*np.nonzero(res[..., 2] < _FLAT_S)):  # are all path delays equal?
-        tau = sets[live[i]][d].joint_delay
+        it, ir, *_ = sets[live[i]].paths(d)
+        tau = tx[d].delay[it] + rx[d].delay[ir]
         res[d, i, 2] *= tau.min() != tau.max()
     out[:, live] = res
     for s, base in copies.items():

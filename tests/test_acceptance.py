@@ -75,8 +75,8 @@ def study():
     stats = {case: dict(zip(STAT_FIELDS, group_statistics([group])[:, 0].T))
              for case, group in groups.items()}
     marginal_err = max(
-        float(np.max(np.abs(nn_marginal_power(groups[ConcatCase.CASE_1N][d], side)
-                            - nn_marginal_power(groups[ConcatCase.CASE_0][d], side))))
+        float(np.max(np.abs(nn_marginal_power(groups[ConcatCase.CASE_1N], d, side)
+                            - nn_marginal_power(groups[ConcatCase.CASE_0], d, side))))
         for d in range(N_DROPS) for side in ("tx", "rx"))
     return {
         "nn": {case: st["nn_power"] for case, st in stats.items()},
@@ -86,12 +86,13 @@ def study():
     }
 
 
-def nn_marginal_power(paths, side):
+def nn_marginal_power(group, drop, side):
     """NN power through each diffuse row of one hop's table: a bincount
-    over the rows of the set's NN paths."""
-    nn = paths.pair_type == PairType.NN
-    return np.bincount(getattr(paths, side + "_idx")[nn], paths.weight[nn] ** 2,
-                       minlength=getattr(paths, side).num_diffuse)
+    over the rows of the drop's NN paths."""
+    it, ir, w, pt = group.paths(drop)
+    nn = pt == PairType.NN
+    rows, table = (it, group.tx[drop]) if side == "tx" else (ir, group.rx[drop])
+    return np.bincount(rows[nn], w[nn] ** 2, minlength=table.num_diffuse)
 
 
 def spread_samples(study, case, field):

@@ -62,11 +62,11 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
     if xpr_override is not None:
         t1.xpr = np.full_like(t1.xpr, xpr_override)
         t2.xpr = np.full_like(t2.xpr, xpr_override)
-    paths = concatenate_group([t1], [t2], [case], [streams.scoped(SCOPE_CONCAT)])[0][0]
+    group, = concatenate_group([t1], [t2], [case], [streams.scoped(SCOPE_CONCAT)])
     cir = synthesize_target_cir(
-        paths, RcsModel(), grid or SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
+        group, 0, RcsModel(), grid or SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
     )
-    return paths, cir, (tx, tgt, rx), (h1, h2)
+    return group, cir, (tx, tgt, rx), (h1, h2)
 
 
 # --------------------------------------------------------- snapshot grid
@@ -178,13 +178,13 @@ def test_doppler_rejects_bad_wavelength():
 
 def test_cir_shapes_and_metadata():
     grid = SnapshotGrid(count=4)
-    paths, cir, _, _ = pipeline(grid=grid)
-    assert cir.gains.shape == (1, 1, len(paths), 4)
-    np.testing.assert_array_equal(cir.delays, paths.joint_delay)
-    np.testing.assert_array_equal(cir.pair_type, paths.pair_type)
-    assert cir.case == paths.case.value
-    assert cir.condition_pair == "LL"
-    assert len(cir.delays) == len(paths)
+    group, cir, _, _ = pipeline(grid=grid)
+    it, ir, _, pair_type = group.paths(0)
+    assert cir.gains.shape == (1, 1, len(group), 4)
+    np.testing.assert_array_equal(cir.delays, group.tx[0].delay[it] + group.rx[0].delay[ir])
+    np.testing.assert_array_equal(cir.pair_type, pair_type)
+    assert group.condition_pair == "LL"
+    assert len(cir.delays) == len(group)
 
 
 def test_static_scene_is_time_invariant():
@@ -196,7 +196,7 @@ def test_static_scene_is_time_invariant():
 
 def test_moving_target_advances_phase_linearly():
     grid = SnapshotGrid(step_s=1e-3, count=5)
-    paths, cir, _, _ = pipeline(grid=grid, tgt_vel=(4.0, -2.0, 0.0))
+    _, cir, _, _ = pipeline(grid=grid, tgt_vel=(4.0, -2.0, 0.0))
     g = cir.gains[0, 0]
     ratio = g[:, 1:] / g[:, :-1]
     np.testing.assert_allclose(np.abs(ratio), 1.0, rtol=1e-12)
@@ -209,8 +209,8 @@ def test_moving_target_advances_phase_linearly():
 def test_specular_path_doppler_matches_geometry():
     grid = SnapshotGrid(step_s=1e-3, count=2)
     v_sp = np.array([4.0, -2.0, 0.0])
-    paths, cir, (tx, tgt, rx), _ = pipeline(grid=grid, tgt_vel=v_sp)
-    ll = int(np.nonzero(paths.pair_type == PairType.LL)[0][0])
+    group, cir, (tx, tgt, rx), _ = pipeline(grid=grid, tgt_vel=v_sp)
+    ll = int(np.nonzero(group.paths(0)[3] == PairType.LL)[0][0])
     u_to_tx = spherical_unit_vector(angles_between(tgt.position_m, tx.position_m))
     u_to_rx = spherical_unit_vector(angles_between(tgt.position_m, rx.position_m))
     fd = (u_to_tx + u_to_rx) @ v_sp / LAM
@@ -220,9 +220,11 @@ def test_specular_path_doppler_matches_geometry():
 
 def test_receive_array_phase_factorizes_over_elements():
     rx_el = uniform_linear_array(2, LAM / 2.0)
-    paths, cir, _, _ = pipeline(rx_elements=rx_el)
+    group, cir, _, _ = pipeline(rx_elements=rx_el)
+    _, ir, _, _ = group.paths(0)
+    rx = group.rx[0]
     units = spherical_unit_vector(
-        DirectionAngles(zenith=paths.rx_zenith, azimuth=paths.rx_azimuth)
+        DirectionAngles(zenith=rx.arr_zenith[ir], azimuth=rx.arr_azimuth[ir])
     )
     doff = rx_el[1].offset_m - rx_el[0].offset_m
     expect = cir.gains[0, 0, :, 0] * np.exp(2j * np.pi * (units @ doff) / LAM)
@@ -233,23 +235,25 @@ def test_path_power_bookkeeping_with_clean_polarization():
     # At infinite cross-polar ratio every per-path scalar has unit magnitude
     # for slant-0 isotropic elements, so summed CIR power must match the
     # weight ledger of the path set exactly.
-    paths, cir, _, _ = pipeline(case=ConcatCase.CASE_0, xpr_override=np.inf)
+    group, cir, _, _ = pipeline(case=ConcatCase.CASE_0, xpr_override=np.inf)
     got_nn = float(np.sum(np.abs(cir.gains[0, 0, cir.pair_type == PairType.NN, 0]) ** 2))
-    group, = concatenate_group([paths.tx], [paths.rx], [paths.case])
     nn_power = group_statistics([group])[0, 0, STAT_FIELDS.index("nn_power")]
-    expect_nn = paths.k_weights[int(PairType.NN)] ** 2 * nn_power
+    k_weights = group.k_weights[0]
+    expect_nn = k_weights[int(PairType.NN)] ** 2 * nn_power
     assert got_nn == pytest.approx(expect_nn, rel=1e-12)
 
     total = float(np.sum(np.abs(cir.gains[0, 0, :, 0]) ** 2))
-    expect_total = float(np.sum((paths.k_weights[paths.pair_type] * paths.weight) ** 2))
+    _, _, weight, pair_type = group.paths(0)
+    expect_total = float(np.sum((k_weights[pair_type] * weight) ** 2))
     assert total == pytest.approx(expect_total, rel=1e-12)
 
 
 def test_specular_phase_tracks_both_path_lengths():
-    paths, cir, _, (h1, h2) = pipeline()
-    ll = int(np.nonzero(paths.pair_type == PairType.LL)[0][0])
+    group, cir, _, (h1, h2) = pipeline()
+    _, _, weight, pair_type = group.paths(0)
+    ll = int(np.nonzero(pair_type == PairType.LL)[0][0])
     phase = -2.0 * np.pi * (h1.d3d_m + h2.d3d_m) / LAM
-    amp = paths.k_weights[int(PairType.LL)] * paths.weight[ll]
+    amp = group.k_weights[0][int(PairType.LL)] * weight[ll]
     assert cir.gains[0, 0, ll, 0] == pytest.approx(amp * np.exp(1j * phase), rel=1e-9)
 
 
@@ -264,10 +268,10 @@ def test_hops_must_share_the_scattering_point():
     h2 = build_hop(tgt2, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
     t1, t2 = generate_sublinks([h1, h2], scen.condition_params("LOS"),
                                [streams.scoped(HOP_TX_TARGET), streams.scoped(HOP_TARGET_RX)])
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])[0][0]
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])
     with pytest.raises(ConfigError, match="scattering point"):
         synthesize_target_cir(
-            paths, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
+            group, 0, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
         )
 
 
@@ -275,23 +279,23 @@ def test_target_synthesis_input_checks():
     # the arrays come from the hop nodes, which refuse an empty one
     with pytest.raises(ValueError, match="at least one antenna element"):
         NodeState([0.0, 0.0, 10.0], elements=[])
-    paths, _, _, _ = pipeline()
+    group, _, _, _ = pipeline()
     streams = RandomStreams(3).scoped(SCOPE_COEFF)
     with pytest.raises(ConfigError):
-        synthesize_target_cir(paths, RcsModel(), SnapshotGrid(), 0.0, streams)
+        synthesize_target_cir(group, 0, RcsModel(), SnapshotGrid(), 0.0, streams)
 
 
 def test_identity_and_random_polarization_agree_on_power_scale():
-    paths, base, _, _ = pipeline(case=ConcatCase.CASE_2O)
+    group, base, _, _ = pipeline(case=ConcatCase.CASE_2O)
     streams = RandomStreams(3)
     pol = PolarizationScattering(mode="full", alphas=(1.0, 0.0, 0.0, 1.0))
     cir = synthesize_target_cir(
-        paths, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF), pol,
+        group, 0, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF), pol,
     )
     # unit-diagonal scattering with random phase rotates each path; for
     # slant-0 isotropic elements only one polarization product survives per
     # side, so magnitudes are preserved unless both sides cross-couple (NN)
-    keep = paths.pair_type != int(PairType.NN)
+    keep = group.paths(0)[3] != int(PairType.NN)
     np.testing.assert_allclose(
         np.abs(cir.gains[0, 0, keep, 0]), np.abs(base.gains[0, 0, keep, 0]), rtol=1e-9
     )
@@ -317,8 +321,6 @@ def test_background_structure_and_power_budget(cond, count):
     table = background_table(5, cond)
     bg = synthesize_background_cir(table, SnapshotGrid(), LAM)
     assert len(bg.delays) == count
-    assert bg.case is None
-    assert bg.condition_pair == cond
     assert np.all(bg.pair_type == int(PairType.BACKGROUND))
     # replaying the scoped streams reproduces the large-scale draws
     bg_hop = table.hop

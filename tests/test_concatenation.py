@@ -8,7 +8,7 @@ from isacsim.concatenation import (
     ALL_CASES,
     ConcatCase,
     PairType,
-    TargetPathSet,
+    PathGroup,
     concatenate_group,
     condition_weights,
 )
@@ -56,12 +56,13 @@ def nn_power(group):
     return group_statistics([group])[0, 0, STAT_FIELDS.index("nn_power")]
 
 
-def nn_marginal_power(paths, side):
+def nn_marginal_power(group, side):
     """NN power through each diffuse row of one hop's table: a bincount
-    over the rows of the set's NN paths."""
-    nn = paths.pair_type == PairType.NN
-    return np.bincount(getattr(paths, side + "_idx")[nn], paths.weight[nn] ** 2,
-                       minlength=getattr(paths, side).num_diffuse)
+    over the rows of the one-drop group's NN paths."""
+    it, ir, w, pt = group.paths(0)
+    nn = pt == PairType.NN
+    rows, table = (it, group.tx[0]) if side == "tx" else (ir, group.rx[0])
+    return np.bincount(rows[nn], w[nn] ** 2, minlength=table.num_diffuse)
 
 
 # ------------------------------------------------------ condition weights
@@ -85,23 +86,23 @@ def test_condition_weight_limits():
 
 def test_stored_k_weights_match_hop_factors():
     t1, t2, _ = make_links("LOS", "NLOS")
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_0])[0][0]
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_0])
     expect = condition_weights(t1.hop.k_factor, 0.0)
-    np.testing.assert_array_equal(paths.k_weights, expect)
-    assert paths.condition_pair == "LN"
+    np.testing.assert_array_equal(group.k_weights[0], expect)
+    assert group.condition_pair == "LN"
 
 
 # ---------------------------------------------------------- path counts
 
 def test_case0_path_counts_both_los():
     t1, t2, _ = make_links("LOS", "LOS")
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_0])[0][0]
-    pt = paths.pair_type
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_0])
+    *_, pt = group.paths(0)
     assert (pt == PairType.LL).sum() == 1
     assert (pt == PairType.LN).sum() == 12 * 20
     assert (pt == PairType.NL).sum() == 12 * 20
     assert (pt == PairType.NN).sum() == 12 * 20 * 12 * 20
-    assert len(paths) == 1 + 240 + 240 + 57600
+    assert len(group) == 1 + 240 + 240 + 57600
 
 
 def test_nn_counts_per_case():
@@ -109,7 +110,7 @@ def test_nn_counts_per_case():
     cases = (ConcatCase.CASE_0, ConcatCase.CASE_1, ConcatCase.CASE_2O,
              ConcatCase.CASE_2R, ConcatCase.CASE_3)
     groups = concatenate_group([t1], [t2], cases, concat_streams(streams))
-    counts = [int((g[0].pair_type == PairType.NN).sum()) for g in groups]
+    counts = [int((g.paths(0)[3] == PairType.NN).sum()) for g in groups]
     assert counts == [12 * 20 * 19 * 20, 12 * 19 * 20, 12 * 20, 12 * 20,
                       min(12 * 20, 19 * 20)]
 
@@ -117,22 +118,24 @@ def test_nn_counts_per_case():
 def test_case_a_keeps_only_specular_components():
     t1, t2, _ = make_links("LOS", "NLOS")
     group, = concatenate_group([t1], [t2], [ConcatCase.CASE_A])
-    paths = group[0]
-    assert set(np.unique(paths.pair_type)) == {int(PairType.LN)}
-    assert len(paths) == 19 * 20
+    it, _, _, pt = group.paths(0)
+    assert set(np.unique(pt)) == {int(PairType.LN)}
+    assert len(group) == 19 * 20
     assert nn_power(group) == 0.0
     # transmit side of every kept path is the specular ray
-    assert np.all(paths.tx.cluster[paths.tx_idx] == -1)
+    assert np.all(t1.cluster[it] == -1)
     los = angles_between(t1.hop.from_node.position_m, t1.hop.to_node.position_m)
-    assert np.all(paths.tx_zenith == los.zenith)
+    assert np.all(t1.dep_zenith[it] == los.zenith)
 
 
 def test_case_a_empty_when_both_hops_diffuse():
     t1, t2, _ = make_links("NLOS", "NLOS")
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_A])[0][0]
-    assert len(paths) == 0
-    assert paths.condition_pair == "NN"
-    assert isinstance(paths, TargetPathSet)
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_A])
+    assert len(group) == 0
+    assert group.condition_pair == "NN"
+    assert isinstance(group, PathGroup)
+    for column, dtype in zip(group.paths(0), (np.intp, np.intp, float, np.int8)):
+        assert column.shape == (0,) and column.dtype == dtype
 
 
 # ------------------------------------------------------- power bookkeeping
@@ -163,19 +166,17 @@ def test_normalized_cases_restore_unit_nn_power():
     cases = (ConcatCase.CASE_1N, ConcatCase.CASE_2ON, ConcatCase.CASE_2RN, ConcatCase.CASE_3N)
     for group in concatenate_group([t1], [t2], cases, concat_streams(streams)):
         assert nn_power(group) == pytest.approx(1.0, abs=1e-12)
-        assert group[0].case.normalizes_nn
+        assert group.case.normalizes_nn
 
 
 def test_normalization_leaves_other_components_untouched():
     t1, t2, streams = make_links("LOS", "LOS", seed=5)
-    base, norm = (g[0] for g in concatenate_group(
+    (bt, br, bw, bpt), (nt, nr, nw, npt) = (g.paths(0) for g in concatenate_group(
         [t1], [t2], [ConcatCase.CASE_2R, ConcatCase.CASE_2RN], concat_streams(streams)))
     for pt in (PairType.LL, PairType.LN, PairType.NL):
-        np.testing.assert_array_equal(
-            base.weight[base.pair_type == pt], norm.weight[norm.pair_type == pt]
-        )
+        np.testing.assert_array_equal(bw[bpt == pt], nw[npt == pt])
     # and identical pairing, so identical delays everywhere
-    np.testing.assert_array_equal(base.joint_delay, norm.joint_delay)
+    np.testing.assert_array_equal(t1.delay[bt] + t2.delay[br], t1.delay[nt] + t2.delay[nr])
 
 
 @pytest.mark.parametrize("conds", [("LOS", "LOS"), ("LOS", "NLOS"), ("NLOS", "NLOS")])
@@ -196,18 +197,15 @@ def test_base_set_lends_its_blocks(conds):
         if group.case.normalizes_nn:
             nn, base_nn = group.blocks[-1], by_case[group.case.base].blocks[-1]
             assert nn.tx_rows is base_nn.tx_rows and nn.rx_rows is base_nn.rx_rows
-        shared = group[0]
-        alone = concatenate_group([t1], [t2], [group.case], concat_streams(streams))[0][0]
-        for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
-            np.testing.assert_array_equal(getattr(shared, column), getattr(alone, column),
-                                          strict=True)
-        np.testing.assert_array_equal(shared.k_weights, alone.k_weights, strict=True)
+        alone, = concatenate_group([t1], [t2], [group.case], concat_streams(streams))
+        for shared, own in zip(group.paths(0), alone.paths(0), strict=True):
+            np.testing.assert_array_equal(shared, own, strict=True)
+        np.testing.assert_array_equal(group.k_weights[0], alone.k_weights[0], strict=True)
 
 
 def test_case1n_marginals_match_case0():
     t1, t2, _ = make_links("LOS", "NLOS", seed=6)
-    p0, p1n = (g[0] for g in concatenate_group([t1], [t2], [ConcatCase.CASE_0,
-                                                             ConcatCase.CASE_1N]))
+    p0, p1n = concatenate_group([t1], [t2], [ConcatCase.CASE_0, ConcatCase.CASE_1N])
     for side in ("tx", "rx"):
         np.testing.assert_allclose(
             nn_marginal_power(p0, side), nn_marginal_power(p1n, side),
@@ -219,56 +217,59 @@ def test_case1n_marginals_match_case0():
 
 def test_joint_delays_and_angles_consistent_with_links():
     t1, t2, _ = make_links("NLOS", "NLOS", seed=7)
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])[0][0]
-    nn = paths.pair_type == PairType.NN
-    tc, tr = paths.tx.cluster[paths.tx_idx][nn], paths.tx.ray[paths.tx_idx][nn]
-    rc, rr = paths.rx.cluster[paths.rx_idx][nn], paths.rx.ray[paths.rx_idx][nn]
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])
+    it, ir, _, pt = group.paths(0)
+    nn = pt == PairType.NN
+    it, ir = it[nn], ir[nn]
+    tc, tr, rc, rr = t1.cluster[it], t1.ray[it], t2.cluster[ir], t2.ray[ir]
 
     def grid(table, column):  # a diffuse column as (cluster, ray)
         return getattr(table, column)[:table.num_diffuse].reshape(table.shape)
 
     np.testing.assert_allclose(
-        paths.joint_delay[nn],
+        t1.delay[it] + t2.delay[ir],
         grid(t1, "delay")[tc, tr] + grid(t2, "delay")[rc, rr], rtol=1e-15,
     )
-    np.testing.assert_array_equal(paths.tx_azimuth[nn], grid(t1, "dep_azimuth")[tc, tr])
-    np.testing.assert_array_equal(paths.spin_azimuth[nn], grid(t1, "arr_azimuth")[tc, tr])
-    np.testing.assert_array_equal(paths.spout_zenith[nn], grid(t2, "dep_zenith")[rc, rr])
-    np.testing.assert_array_equal(paths.rx_azimuth[nn], grid(t2, "arr_azimuth")[rc, rr])
+    np.testing.assert_array_equal(t1.dep_azimuth[it], grid(t1, "dep_azimuth")[tc, tr])
+    np.testing.assert_array_equal(t1.arr_azimuth[it], grid(t1, "arr_azimuth")[tc, tr])
+    np.testing.assert_array_equal(t2.dep_zenith[ir], grid(t2, "dep_zenith")[rc, rr])
+    np.testing.assert_array_equal(t2.arr_azimuth[ir], grid(t2, "arr_azimuth")[rc, rr])
 
 
 def test_case2o_pairs_clusters_in_delay_order():
     t1, t2, _ = make_links("NLOS", "NLOS", seed=8)
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])[0][0]
-    nn = paths.pair_type == PairType.NN
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])
+    it, ir, _, pt = group.paths(0)
+    nn = pt == PairType.NN
     # cluster i pairs with cluster i; rays pair by index
-    tx, rx = paths.tx_idx[nn], paths.rx_idx[nn]
-    np.testing.assert_array_equal(paths.tx.cluster[tx], paths.rx.cluster[rx])
-    np.testing.assert_array_equal(paths.tx.ray[tx], paths.rx.ray[rx])
+    tx, rx = it[nn], ir[nn]
+    np.testing.assert_array_equal(t1.cluster[tx], t2.cluster[rx])
+    np.testing.assert_array_equal(t1.ray[tx], t2.ray[rx])
 
 
 def test_case2r_uses_each_cluster_once():
     t1, t2, streams = make_links("LOS", "LOS", seed=9)
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_2R], concat_streams(streams))[0][0]
-    nn = paths.pair_type == PairType.NN
-    pairs = set(zip(paths.tx.cluster[paths.tx_idx[nn]].tolist(),
-                    paths.rx.cluster[paths.rx_idx[nn]].tolist()))
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_2R], concat_streams(streams))
+    it, ir, _, pt = group.paths(0)
+    nn = pt == PairType.NN
+    pairs = set(zip(t1.cluster[it[nn]].tolist(), t2.cluster[ir[nn]].tolist()))
     assert len(pairs) == 12
     assert sorted(tc for tc, _ in pairs) == list(range(12))
     assert sorted(rc for _, rc in pairs) == list(range(12))
     # within each cluster pair the rays form a bijection
     for tc, rc in pairs:
-        sel = nn & (paths.tx.cluster[paths.tx_idx] == tc)
-        assert sorted(paths.tx.ray[paths.tx_idx][sel].tolist()) == list(range(20))
-        assert sorted(paths.rx.ray[paths.rx_idx][sel].tolist()) == list(range(20))
+        sel = nn & (t1.cluster[it] == tc)
+        assert sorted(t1.ray[it][sel].tolist()) == list(range(20))
+        assert sorted(t2.ray[ir][sel].tolist()) == list(range(20))
 
 
 def test_case3_pools_rays_without_reuse():
     t1, t2, streams = make_links("LOS", "NLOS", seed=10)
-    paths = concatenate_group([t1], [t2], [ConcatCase.CASE_3], concat_streams(streams))[0][0]
-    nn = paths.pair_type == PairType.NN
-    tx_flat = paths.tx.cluster[paths.tx_idx][nn] * 20 + paths.tx.ray[paths.tx_idx][nn]
-    rx_flat = paths.rx.cluster[paths.rx_idx][nn] * 20 + paths.rx.ray[paths.rx_idx][nn]
+    group, = concatenate_group([t1], [t2], [ConcatCase.CASE_3], concat_streams(streams))
+    it, ir, _, pt = group.paths(0)
+    nn = pt == PairType.NN
+    tx_flat = t1.cluster[it][nn] * 20 + t1.ray[it][nn]
+    rx_flat = t2.cluster[ir][nn] * 20 + t2.ray[ir][nn]
     assert len(np.unique(tx_flat)) == nn.sum()
     assert len(np.unique(rx_flat)) == nn.sum()
 
@@ -286,10 +287,11 @@ def test_random_cases_need_streams():
 def test_random_pairing_is_reproducible_and_seed_sensitive():
     t1, t2, streams = make_links("LOS", "LOS", seed=12)
     other = RandomStreams(streams.master_seed, drop=streams.drop + 1)
-    a, b, c = (concatenate_group([t1], [t2], [ConcatCase.CASE_2R], concat_streams(s))[0][0]
-               for s in (streams, streams, other))
-    np.testing.assert_array_equal(a.joint_delay, b.joint_delay)
-    assert not np.array_equal(a.joint_delay, c.joint_delay)
+    a, b, c = (t1.delay[it] + t2.delay[ir] for it, ir, _, _ in (
+        concatenate_group([t1], [t2], [ConcatCase.CASE_2R], concat_streams(s))[0].paths(0)
+        for s in (streams, streams, other)))
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("case", [ConcatCase.CASE_0, ConcatCase.CASE_1])
@@ -303,6 +305,14 @@ def test_group_refuses_a_stream_factory_count_other_than_its_drops():
     t1, t2, streams = make_links("LOS", "LOS", seed=14)
     with pytest.raises(ConfigError, match="one stream factory"):
         concatenate_group([t1] * 3, [t2] * 3, [ConcatCase.CASE_2R], concat_streams(streams) * 2)
+
+
+@pytest.mark.parametrize("drop", [-1, 3])
+def test_paths_refuse_a_drop_outside_the_group(drop):
+    t1, t2, streams = make_links("LOS", "LOS", seed=15)
+    group, = concatenate_group([t1] * 3, [t2] * 3, [ConcatCase.CASE_1])
+    with pytest.raises(IndexError, match="outside"):
+        group.paths(drop)
 
 
 def test_group_refuses_no_drops():

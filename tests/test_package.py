@@ -15,15 +15,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # less SubLinkClusters, which HopTable replaced as the one per-hop type, and
 # less angle_spread, nn_total_power and ray_marginal_power, which nothing
 # used, and less the one-drop wrappers concatenate, drop_statistics,
-# DropStatistics, statistics_table and generate_sublink; plus the group
-# kernels concatenate_group, generate_sublinks and group_statistics
+# DropStatistics, statistics_table and generate_sublink, and less
+# TargetPathSet, whose one-drop views PathGroup.paths replaced; plus the
+# group kernels concatenate_group, generate_sublinks and group_statistics
 ALL = [
     "AntennaElement", "B1Table", "ConcatCase", "ConfigError", "CouplingConfig",
     "DetectionParams", "DirectionAngles", "EmpiricalCdf", "HopLink",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
     "PathGroup", "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell",
     "RunConfig", "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
-    "TargetChannelCir", "TargetClass", "TargetPathSet", "UnsupportedFeatureError",
+    "TargetChannelCir", "TargetClass", "UnsupportedFeatureError",
     "WaveformParams", "angle_metrics", "angles_between", "build_hop",
     "coefficients", "combine_channels", "combine_isac_path_loss", "concat_study",
     "concatenate_group", "concatenated_path_loss", "concatenation",

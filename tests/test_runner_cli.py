@@ -200,11 +200,11 @@ def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
     calls = []
     synthesize = coefficients.synthesize_target_cir
 
-    def fail_on_drop_2(paths, rcs_model, grid, wavelength, streams, **kwargs):
+    def fail_on_drop_2(group, drop, rcs_model, grid, wavelength, streams, **kwargs):
         calls.append(streams.drop)  # a pool worker appends to its own copy
         if streams.drop == 2:
             raise RuntimeError("drop 2 fails")
-        return synthesize(paths, rcs_model, grid, wavelength, streams, **kwargs)
+        return synthesize(group, drop, rcs_model, grid, wavelength, streams, **kwargs)
 
     monkeypatch.setattr(coefficients, "synthesize_target_cir", fail_on_drop_2)
     for workers in (1, 2):

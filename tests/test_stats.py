@@ -69,18 +69,20 @@ def stat(group, field):
     return group_statistics([group])[0, 0, STAT_FIELDS.index(field)]
 
 
-def effective_weights(paths):
-    """Per-path oracle of the effective weights: each pair-type component
-    scaled to unit power, then by its condition prefactor."""
-    if len(paths) == 0:
+def effective_weights(group):
+    """Per-path oracle of the effective weights of a one-drop group: each
+    pair-type component scaled to unit power, then by its condition
+    prefactor."""
+    if len(group) == 0:
         raise ConfigError("empty path set has no weights")
-    w = paths.weight.astype(float).copy()
-    for pt in np.unique(paths.pair_type):
-        mask = paths.pair_type == pt
+    _, _, weight, pair_type = group.paths(0)
+    w = weight.astype(float).copy()
+    for pt in np.unique(pair_type):
+        mask = pair_type == pt
         power = float(np.sum(w[mask] ** 2))
         if power <= 0:
             raise ConfigError("a path component has zero total power")
-        w[mask] *= paths.k_weights[int(pt)] / np.sqrt(power)
+        w[mask] *= group.k_weights[0][int(pt)] / np.sqrt(power)
     return w
 
 
@@ -143,7 +145,7 @@ def test_circular_spread_matches_direct_cut_search():
 
         order = np.argsort(np.degrees(azi))
         a = np.degrees(azi)[order]
-        pw = (effective_weights(p[0]) ** 2)[order]
+        pw = (effective_weights(p) ** 2)[order]
         best = np.inf
         for k in range(n):
             shifted = a.copy()
@@ -164,16 +166,16 @@ def test_spread_of_one_shared_azimuth_is_zero():
 def test_effective_weights_normalize_each_component():
     p = make_paths([0.0, 1e-9, 2e-9], [3.0, 4.0, 5.0], [0, 0, 3],
                    k_weights=(0.8, 0.0, 0.0, 0.6))
-    eff = effective_weights(p[0])
+    eff = effective_weights(p)
     np.testing.assert_allclose(eff, [0.8 * 0.6, 0.8 * 0.8, 0.6], rtol=1e-12)
     assert float(np.sum(eff ** 2)) == pytest.approx(0.8 ** 2 + 0.6 ** 2, rel=1e-12)
 
 
 def test_effective_weights_reject_degenerate_blocks():
     with pytest.raises(ConfigError):
-        effective_weights(make_paths([], [], [])[0])
+        effective_weights(make_paths([], [], []))
     with pytest.raises(ConfigError, match="zero total power"):
-        effective_weights(make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0])[0])
+        effective_weights(make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0]))
     with pytest.raises(ConfigError, match="zero total power"):
         group_statistics([make_paths([0.0, 1e-9], [0.0, 0.0], [0, 0])])
 
@@ -192,7 +194,7 @@ def test_drop_statistics_bundle():
     assert st["ds"] == pytest.approx(50e-9, rel=1e-12)
     assert st["zsa"] == pytest.approx(30.0, rel=1e-12)
     assert st["asa"] == 0.0 and st["asd"] == 0.0 and st["zsd"] == 0.0
-    assert p[0].condition_pair == "LN"
+    assert p.condition_pair == "LN"
     assert st["total_power"] == pytest.approx(2 * 0.25, rel=1e-12)
 
 
@@ -268,8 +270,11 @@ def oracle_circular(angles_deg, p):
     return oracle_rms(a, pw)
 
 
-def oracle_statistics(paths):
-    p = effective_weights(paths) ** 2
+def oracle_statistics(group):
+    """Statistics of a one-drop group from its paths, one by one."""
+    it, ir, weight, pair_type = group.paths(0)
+    tx, rx = group.tx[0], group.rx[0]
+    p = effective_weights(group) ** 2
 
     def spread(values, circular=False):
         if values.max() == values.min():
@@ -277,13 +282,13 @@ def oracle_statistics(paths):
         return oracle_circular(values, p) if circular else oracle_rms(values, p)
 
     return {
-        "total_power": float(np.sum((paths.k_weights[paths.pair_type] * paths.weight) ** 2)),
-        "nn_power": float(np.sum(paths.weight[paths.pair_type == PairType.NN] ** 2)),
-        "ds": spread(paths.joint_delay),
-        "asa": spread(np.degrees(paths.rx_azimuth), circular=True),
-        "asd": spread(np.degrees(paths.tx_azimuth), circular=True),
-        "zsa": spread(np.degrees(paths.rx_zenith)),
-        "zsd": spread(np.degrees(paths.tx_zenith)),
+        "total_power": float(np.sum((group.k_weights[0][pair_type] * weight) ** 2)),
+        "nn_power": float(np.sum(weight[pair_type == PairType.NN] ** 2)),
+        "ds": spread(tx.delay[it] + rx.delay[ir]),
+        "asa": spread(np.degrees(rx.arr_azimuth[ir]), circular=True),
+        "asd": spread(np.degrees(tx.dep_azimuth[it]), circular=True),
+        "zsa": spread(np.degrees(rx.arr_zenith[ir])),
+        "zsd": spread(np.degrees(tx.dep_zenith[it])),
     }
 
 
@@ -343,19 +348,18 @@ def test_marginal_statistics_match_per_path_oracle(oracle_drops):
         sets = [concatenate_group([t1], [t2], [case], [streams])[0] for case in ALL_CASES]
         table = group_statistics(sets)[0]
         for group, row in zip(sets, table):
-            paths = group[0]
-            if len(paths) == 0:  # the row the runner writes for an empty set
-                assert paths.case is ConcatCase.CASE_A
+            if len(group) == 0:  # the row the runner writes for an empty set
+                assert group.case is ConcatCase.CASE_A
                 np.testing.assert_array_equal(row, [0.0, 0.0] + [np.nan] * 5)
                 empty += 1
                 continue
-            pairs.add(paths.condition_pair)
+            pairs.add(group.condition_pair)
             alone = group_statistics([group])[0, 0]
-            want = oracle_statistics(paths)
+            want = oracle_statistics(group)
             for field, on_its_own, in_table in zip(STAT_FIELDS, alone, row):
                 for got in (on_its_own, in_table):
                     if want[field] == 0.0:
-                        assert got == 0.0, (paths.case, field)
+                        assert got == 0.0, (group.case, field)
                     else:
                         worst = max(worst, abs(got - want[field]) / abs(want[field]))
     assert pairs == {"LL", "LN", "NL", "NN"}
@@ -402,7 +406,8 @@ def layout_drops(layouts, seed, split_strongest, absolute_delay, monostatic):
 def test_group_rows_are_the_one_drop_rows(layouts, seed, split_strongest, absolute_delay,
                                           monostatic):
     """Drops that share a hop-table layout, concatenated and reduced as one
-    group, get bit for bit the rows and paths each gets on its own."""
+    group, get bit for bit the rows and, under every case, the paths (rows,
+    amplitudes and pair types) each gets on its own."""
     drops = layout_drops(layouts, seed, split_strongest, absolute_delay, monostatic)
     groups = {}
     for d, (t1, t2, _) in enumerate(drops):
@@ -417,11 +422,10 @@ def test_group_rows_are_the_one_drop_rows(layouts, seed, split_strongest, absolu
             alone = concatenate_group((t1,), (t2,), ALL_CASES, (drop_streams,))
             for row, want in zip(table[i], group_statistics(alone)[0]):
                 assert np.array_equal(row, want, equal_nan=True), (members, d)
-            for group, one in zip(sets, alone):
-                view, paths = group[i], one[0]
-                for column in ("tx_idx", "rx_idx", "weight", "pair_type"):
-                    np.testing.assert_array_equal(getattr(view, column), getattr(paths, column),
-                                                  strict=True)
+            assert len(alone) == len(ALL_CASES) == 10
+            for group, one in zip(sets, alone, strict=True):
+                for got, want in zip(group.paths(i), one.paths(0), strict=True):
+                    np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_group_kernels_refuse_tables_they_cannot_share():
@@ -431,6 +435,8 @@ def test_group_kernels_refuse_tables_they_cannot_share():
     with pytest.raises(ConfigError, match="share their hop tables"):
         group_statistics([concatenate_group([l1], [l2], [ConcatCase.CASE_1])[0],
                           concatenate_group([n1], [n2], [ConcatCase.CASE_1])[0]])
+    with pytest.raises(ConfigError, match="one or more path sets"):
+        group_statistics([])
 
 
 def test_n_rows_are_read_off_their_base_rows(oracle_drops):
@@ -443,10 +449,9 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
         sets = {g.case: g for g in groups}
         rows = dict(zip(sets, group_statistics(groups)[0]))
         for case, group in sets.items():
-            paths = group[0]
-            if len(paths) == 0:
+            if len(group) == 0:
                 continue
-            want = oracle_statistics(paths)
+            want = oracle_statistics(group)
             for field, got in zip(STAT_FIELDS, rows[case]):
                 if want[field] == 0.0:
                     assert got == 0.0, (case, field)
@@ -469,15 +474,16 @@ def test_case0_nn_block_matches_materialized_paths(oracle_drops):
     nn_power = STAT_FIELDS.index("nn_power")
     for t1, t2, _ in oracle_drops[40:]:
         group, = concatenate_group([t1], [t2], [ConcatCase.CASE_0])
-        p0 = group[0]
-        nn = p0.pair_type == PairType.NN
+        _, _, weight, pair_type = group.paths(0)
+        nn = pair_type == PairType.NN
         assert group_statistics([group])[0, 0, nn_power] == pytest.approx(
-            np.sum(p0.weight[nn] ** 2), rel=1e-12)
+            np.sum(weight[nn] ** 2), rel=1e-12)
 
 
 def test_case0_assembles_todays_row_pairs(oracle_drops):
     for t1, t2, _ in oracle_drops[40:]:
-        p0 = concatenate_group([t1], [t2], [ConcatCase.CASE_0])[0][0]
+        group, = concatenate_group([t1], [t2], [ConcatCase.CASE_0])
+        it, ir, weight, _ = group.paths(0)
         nt, nr = t1.num_diffuse, t2.num_diffuse
         los_t, los_r = t1.has_los, t2.has_los
         tx_parts, rx_parts = [], []
@@ -492,8 +498,8 @@ def test_case0_assembles_todays_row_pairs(oracle_drops):
             rx_parts.append(np.full(nt, nr))
         tx_parts.append(np.repeat(np.arange(nt), nr))
         rx_parts.append(np.tile(np.arange(nr), nt))
-        np.testing.assert_array_equal(p0.tx_idx, np.concatenate(tx_parts))
-        np.testing.assert_array_equal(p0.rx_idx, np.concatenate(rx_parts))
-        assert len(p0) == (los_t and los_r) + los_t * nr + los_r * nt + nt * nr
-        np.testing.assert_array_equal(p0.weight, t1.weight[p0.tx_idx] * t2.weight[p0.rx_idx])
+        np.testing.assert_array_equal(it, np.concatenate(tx_parts))
+        np.testing.assert_array_equal(ir, np.concatenate(rx_parts))
+        assert len(group) == (los_t and los_r) + los_t * nr + los_r * nt + nt * nr
+        np.testing.assert_array_equal(weight, t1.weight[it] * t2.weight[ir])
 
