@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         "rcs-fit", help="fit dB-domain mean/std to RCS samples (square meters)"
     )
     p_fit.add_argument(
-        "samples", help="text file with one RCS sample per line, in square meters"
+        "samples", help="text file of RCS samples in square meters, whitespace-separated "
+        "in any line layout ('#' comment lines allowed)"
     )
     p_fit.add_argument("--out", help="write rcs_fit.txt here instead of stdout")
 
@@ -91,10 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_run_config(args):
     from .config import load_config, set_value
 
-    try:
-        cfg = load_config(args.config)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.config}: {exc}") from None
+    cfg = load_config(args.config)
     for key, flag, value in (("master_seed", "--seed", args.seed),
                              ("drops", "--drops", args.drops)):
         if value is not None:
@@ -156,49 +154,36 @@ def _cmd_detect(args) -> int:
     prefix = np.hstack([np.tile(snr_text, (len(pfa_values), 1)),
                         np.repeat(pfa_text, n, axis=0)])
     data = b"# snr_db pfa pd\n" + _format_rows(prefix, grid.reshape(-1, 1))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "detection.txt")
+    _write_side_file(args.out, "detection.txt", data)
+    return 0
+
+
+def _cmd_rcs_fit(args) -> int:
+    from .rcs import fit_lognormal_db
+    from .reader import data_lines, read_text
+
+    samples = []
+    for ln, line in data_lines(read_text(args.samples)):
+        try:
+            samples += [float(v) for v in line.split()]
+        except ValueError:
+            raise ConfigError(f"{args.samples}:{ln}: expected numbers, got {line!r}") from None
+    mean_db, std_db = fit_lognormal_db(samples)
+    text = "mean_db = %.6f\nstd_db = %.6f\nsamples = %d\n" % (mean_db, std_db, len(samples))
+    _write_side_file(args.out, "rcs_fit.txt", text.encode("ascii"))
+    return 0
+
+
+def _write_side_file(out, name: str, data: bytes) -> None:
+    """Write ``data`` to ``<out>/<name>`` (creating ``out``) and say so, or to stdout."""
+    if out:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, name)
         with open(path, "wb") as fh:
             fh.write(data)
         print(f"wrote {path}")
     else:
         sys.stdout.write(data.decode("ascii"))
-    return 0
-
-
-def _cmd_rcs_fit(args) -> int:
-    try:
-        with open(args.samples, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.samples}: {exc}") from None
-    samples = []
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            samples.append(float(line))
-        except ValueError:
-            raise ConfigError(
-                f"{args.samples}:{ln}: expected a number, got {line!r}"
-            ) from None
-    from .rcs import fit_lognormal_db
-
-    mean_db, std_db = fit_lognormal_db(samples)
-    text = "mean_db = %.6f\nstd_db = %.6f\nsamples = %d\n" % (
-        mean_db, std_db, len(samples)
-    )
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "rcs_fit.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def _keep_heap() -> None:

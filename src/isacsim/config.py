@@ -1,7 +1,8 @@
 """Run configuration: flat dotted-key text format, validation, defaults.
 
-The format is line-oriented ``key = value`` with ``#`` comment lines and
-blank lines ignored. Keys are dotted paths (``nodes.target.velocity_mps``);
+The format is line-oriented ``key = value`` in the one input grammar of
+``reader`` (UTF-8, ``#`` comment and blank lines ignored, a repeated key
+refused). Keys are dotted paths (``nodes.target.velocity_mps``);
 values are scalars, names, or comma-separated vectors. Unknown keys are
 rejected with their line number so typos fail loudly instead of silently
 running defaults.
@@ -23,6 +24,7 @@ from .errors import ConfigError
 from .geometry import ISOTROPIC, PATTERNS
 from .largescale import CONDITIONS, COUPLING_MODES
 from .rcs import POLARIZATION_MODES, TargetClass
+from .reader import data_lines, read_text, split_entry
 
 
 @dataclass
@@ -215,19 +217,8 @@ def set_value(cfg: RunConfig, key: str, text: str, name: str | None = None) -> N
 def parse_config_text(text: str) -> dict:
     """Parse the raw key = value lines into {key: (value_text, line_number)}."""
     entries: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {ln}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {ln}: empty key")
-        if key in entries:
-            raise ConfigError(f"line {ln}: duplicate key {key!r}")
+    for ln, line in data_lines(text):
+        key, value = split_entry(line, f"line {ln}", entries)
         entries[key] = (value, ln)
     return entries
 
@@ -246,8 +237,7 @@ def validate_config(raw: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(fh.read())
+    return validate_config(read_text(path))
 
 
 def _format(v) -> str:

@@ -18,6 +18,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import NodeState
+from .reader import data_lines, read_text, split_entry
 
 if TYPE_CHECKING:  # loading the config needs no random streams
     from .seeds import RandomStreams
@@ -92,15 +93,8 @@ class ScenarioParams:
         if frequency_hz <= 0:
             raise ConfigError(f"carrier frequency must be positive, got {frequency_hz}")
         if path is None:
-            ref = resources.files("isacsim.data").joinpath(_DEFAULT_TABLE)
-            text = ref.read_text(encoding="utf-8")
-        else:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read {path}: {exc}") from None
-        sections = _parse_table(text)
+            path = resources.files("isacsim.data").joinpath(_DEFAULT_TABLE)
+        sections = _parse_table(read_text(path))
         conditions = {}
         for (scen, cond), entries in sections.items():
             if scen != name:
@@ -123,41 +117,28 @@ def _parse_table(text: str) -> dict:
     """Parse the sectioned key = value table into {(scenario, condition): {key: law}}."""
     sections: dict = {}
     current = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in data_lines(text):
+        where = f"parameter table line {ln}"
         if line.startswith("[") and line.endswith("]"):
             parts = line[1:-1].split()
             if len(parts) != 2 or parts[1] not in CONDITIONS:
-                raise ConfigError(
-                    f"parameter table line {ln}: section header must be "
-                    f"'[<scenario> <LOS|NLOS>]', got {line!r}"
-                )
+                raise ConfigError(f"{where}: section header must be "
+                                  f"'[<scenario> <LOS|NLOS>]', got {line!r}")
             current = (parts[0], parts[1])
+            if current in sections:
+                raise ConfigError(f"{where}: duplicate section {line!r}")
             sections[current] = {}
             continue
         if current is None:
-            raise ConfigError(f"parameter table line {ln}: entry before any section")
-        if "=" not in line:
-            raise ConfigError(f"parameter table line {ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        nums = value.split()
+            raise ConfigError(f"{where}: entry before any section")
+        key, value = split_entry(line, where, sections[current])
         try:
-            floats = [float(v) for v in nums]
+            floats = [float(v) for v in value.split()]
         except ValueError:
-            raise ConfigError(
-                f"parameter table line {ln}: non-numeric value for {key!r}"
-            ) from None
-        if len(floats) == 1:
-            sections[current][key] = (0.0, floats[0])
-        elif len(floats) == 2:
-            sections[current][key] = (floats[0], floats[1])
-        else:
-            raise ConfigError(
-                f"parameter table line {ln}: expected 1 or 2 numbers, got {len(floats)}"
-            )
+            raise ConfigError(f"{where}: non-numeric value for {key!r}") from None
+        if len(floats) not in (1, 2):
+            raise ConfigError(f"{where}: expected 1 or 2 numbers, got {len(floats)}")
+        sections[current][key] = (0.0, *floats)[-2:]  # (a, b); a bare b has a = 0
     return sections
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import DirectionAngles
+from .reader import data_lines, read_text
 
 
 class TargetClass(str, Enum):
@@ -57,15 +58,7 @@ class B1Table:
     def from_file(cls, path) -> "B1Table":
         """Load a two-column text table: aspect angle in degrees, linear gain."""
         angles, gains = [], []
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from None
-        for ln, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for ln, line in data_lines(read_text(path)):
             cols = line.split()
             if len(cols) != 2:
                 raise ConfigError(f"{path}:{ln}: expected 'angle_deg gain', got {line!r}")

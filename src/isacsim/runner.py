@@ -345,9 +345,10 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
             raise ConfigError(
                 f"rcs.b1_table spans [{lo}, {hi}] deg; aspect azimuths need [-180, 180]"
             )
-    created = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    now = datetime.now(timezone.utc)  # one read: the manifest and the directory agree
+    created = now.isoformat(timespec="seconds")
     if out_dir is None:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
+        stamp = now.strftime("%Y%m%d-%H%M%S")
         out_dir = os.path.join(cfg.out_dir or "runs", f"{stamp}-seed{cfg.master_seed}")
     scenario = ScenarioParams.from_table(
         cfg.scenario, cfg.frequency_hz, path=cfg.scenario_table

@@ -188,6 +188,22 @@ def test_scenario_table_parse_errors(tmp_path):
     with pytest.raises(ConfigError, match="1 or 2 numbers"):
         ScenarioParams.from_table("UMi", 6e9, path=three)
 
+    repeated_key = tmp_path / "repeated_key.tbl"
+    repeated_key.write_text(bundled_table_text().replace(
+        "[UMi LOS]\n", "[UMi LOS]\nnum_clusters = 3\n", 1))
+    with pytest.raises(ConfigError, match=r"line \d+: duplicate key 'num_clusters'"):
+        ScenarioParams.from_table("UMi", 6e9, path=repeated_key)
+
+    repeated_section = tmp_path / "repeated_section.tbl"
+    repeated_section.write_text("[UMi LOS]\nlg_ds_mean = -7\n\n[UMi LOS]\n")
+    with pytest.raises(ConfigError, match="line 4: duplicate section"):
+        ScenarioParams.from_table("UMi", 6e9, path=repeated_section)
+
+    latin1 = tmp_path / "latin1.tbl"
+    latin1.write_bytes("# café\n[UMi LOS]\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"cannot read {latin1}"):
+        ScenarioParams.from_table("UMi", 6e9, path=latin1)
+
 
 def test_scenario_table_missing_and_unknown_keys(tmp_path):
     text = bundled_table_text()

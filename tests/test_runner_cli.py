@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import types
+from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
@@ -279,6 +280,15 @@ def test_default_output_directory_is_stamped(tmp_path):
     assert str(tmp_path / "auto") in manifest.out_dir
     assert manifest.out_dir.endswith("-seed7")
     assert os.path.exists(os.path.join(manifest.out_dir, "statistics.txt"))
+
+
+def test_manifest_and_default_directory_share_one_clock_read(tmp_path, monkeypatch):
+    reads = iter([datetime(2026, 1, 2, 3, 4, 5, 999999, tzinfo=timezone.utc),
+                  datetime(2026, 1, 2, 3, 4, 6, tzinfo=timezone.utc)])  # a second later
+    monkeypatch.setattr(runner, "datetime", types.SimpleNamespace(now=lambda tz: next(reads)))
+    manifest = run(make_cfg(f"output.dir = {tmp_path}\n", drops=1))
+    assert manifest.created_utc == "2026-01-02T03:04:05+00:00"
+    assert manifest.out_dir == str(tmp_path / "20260102-030405-seed7")
 
 
 def test_monostatic_arrival_equals_departure(tmp_path):
@@ -574,11 +584,31 @@ def test_run_boundaries_do_not_change_bytes(tmp_path):
 def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):
     out = tmp_path / "never"
     missing = str(tmp_path / "nope.tbl")
-    for command, key in (("run", "rcs.b1_table"), ("concat-study", "scenario_table")):
-        cfg = write_cfg(tmp_path, f"{key} = {missing}\n")
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
-    assert capsys.readouterr().err.count(f"cannot read {missing}") == 2
+    latin1 = tmp_path / "latin1.tbl"  # not UTF-8
+    latin1.write_bytes("# café\n".encode("latin-1"))
+    for path in (missing, str(latin1)):
+        for command, key in (("run", "rcs.b1_table"), ("concat-study", "scenario_table")):
+            cfg = write_cfg(tmp_path, f"{key} = {path}\n")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
+        assert capsys.readouterr().err.count(f"cannot read {path}") == 2
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes((cfg_text() + "# café\n").encode("latin-1"))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"cannot read {cfg}" in capsys.readouterr().err
+
+
+def test_a_config_with_a_byte_order_mark_runs_as_one_without(tmp_path, capsys):
+    echoes = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(bom + cfg_text(drops=1).encode("utf-8"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        manifest = (tmp_path / name / "manifest.txt").read_text()
+        echoes.append(manifest[manifest.index("[config]"):])
+    assert echoes[0] == echoes[1]
+    assert "frequency_hz = 6000000000.0" in echoes[0]
 
 
 def test_cli_detect_stdout(capsys):
@@ -835,6 +865,19 @@ def test_cli_rcs_fit_errors(tmp_path, capsys):
     bad.write_text("1.0\nnot-a-number\n")
     assert main(["rcs-fit", str(bad)]) == 2
     assert "bad.txt:2" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# café\n1.0\n2.0\n".encode("latin-1"))
+    out = tmp_path / "fit"
+    assert main(["rcs-fit", str(latin1), "--out", str(out)]) == 2
+    assert f"cannot read {latin1}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rcs_fit_reads_samples_in_any_line_layout(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_text("1.0 2.0\n0.5\n")
+    assert main(["rcs-fit", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("samples = 3\n")
 
 
 def test_cli_version_flag(capsys):
