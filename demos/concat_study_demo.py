@@ -15,7 +15,7 @@ import numpy as np
 
 from isacsim.concatenation import ALL_CASES, ConcatCase, concatenate_group
 from isacsim.geometry import NodeState
-from isacsim.largescale import ScenarioParams, build_hop
+from isacsim.largescale import ScenarioParams, build_hop, hop_spec
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
 from isacsim.smallscale import generate_sublinks
 from isacsim.stats import STAT_FIELDS, empirical_cdf, group_statistics, ks_statistic
@@ -36,13 +36,17 @@ def main(argv=None):
     print(f"down-selection study: {args.drops} drops, both hops forced LOS")
     t0 = time.perf_counter()
     # both hops LOS, so every drop's tables share one layout: each side's
-    # tables come from one call, and all drops and cases form one group
+    # tables come from one call, and all drops and cases form one group.
+    # A hop's geometry and path loss are resolved once; a drop draws only
+    # its condition, K-factor and shadow fading.
+    specs = [(hop_spec(tx, tgt, scen, "LOS"), HOP_TX_TARGET),
+             (hop_spec(tgt, rx, scen, "LOS"), HOP_TARGET_RX)]
     streams = [RandomStreams(args.seed, d) for d in range(args.drops)]
     params = scen.condition_params("LOS")
     tables = []
-    for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
+    for spec, scope in specs:
         hop_streams = [s.scoped(scope) for s in streams]
-        hops = [build_hop(a, b, scen, s, "LOS") for s in hop_streams]
+        hops = [build_hop(spec, scen, s) for s in hop_streams]
         tables.append(generate_sublinks(hops, params, hop_streams))
     groups = concatenate_group(*tables, cases, [s.scoped(SCOPE_CONCAT) for s in streams])
     stats = group_statistics(groups)

@@ -26,6 +26,7 @@ from isacsim.largescale import (
     ScenarioParams,
     build_hop,
     concatenated_path_loss,
+    hop_spec,
 )
 from isacsim.rcs import RcsModel
 from isacsim.seeds import (
@@ -54,9 +55,10 @@ def main(argv=None):
     rx = NodeState([80.0, -10.0, 10.0], elements=uniform_linear_array(4, lam / 2.0))
     streams = RandomStreams(args.seed, drop=0)
 
-    # large-scale: per-hop condition, loss, K-factor
-    hop1 = build_hop(tx, target, scen, streams.scoped(HOP_TX_TARGET))
-    hop2 = build_hop(target, rx, scen, streams.scoped(HOP_TARGET_RX))
+    # large-scale: each hop's geometry, LOS probability and path loss per
+    # condition (fixed for a run), then this drop's condition, K-factor and SF
+    hop1 = build_hop(hop_spec(tx, target, scen), scen, streams.scoped(HOP_TX_TARGET))
+    hop2 = build_hop(hop_spec(target, rx, scen), scen, streams.scoped(HOP_TARGET_RX))
     print("hop budget:")
     for name, hop in (("tx->target", hop1), ("target->rx", hop2)):
         print(f"  {name}: {hop.condition:4s} d3 = {hop.d3d_m:6.1f} m  "
@@ -101,7 +103,7 @@ def main(argv=None):
 
     # background single-hop channel, built like any hop, and the combined set
     bg_streams = streams.scoped(HOP_BACKGROUND)
-    hop_bg = build_hop(tx, rx, scen, bg_streams)
+    hop_bg = build_hop(hop_spec(tx, rx, scen), scen, bg_streams)
     bg_table, = generate_sublinks(
         [hop_bg], scen.condition_params(hop_bg.condition), [bg_streams])
     bg = synthesize_background_cir(bg_table, grid, lam)

@@ -27,9 +27,9 @@ _EXPORTS = {
         "spherical_unit_vector", "uniform_linear_array",
     ),
     "largescale": (
-        "CouplingConfig", "HopLink", "ScenarioParams", "build_hop",
+        "CouplingConfig", "HopLink", "HopSpec", "ScenarioParams", "build_hop",
         "combine_isac_path_loss", "concatenated_path_loss", "hop_path_loss",
-        "los_probability",
+        "hop_spec", "los_probability",
     ),
     "metrics": (
         "DetectionParams", "WaveformParams", "angle_metrics", "detection_table", "pd",

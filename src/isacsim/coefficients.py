@@ -155,9 +155,8 @@ def synthesize_target_cir(
 
     The arrays are those of the transmit hop's from-node and the receive
     hop's to-node. streams must be scoped to the coefficient stage of the
-    drop; it feeds the per-path cross-section fluctuation and, for
-    non-identity polarization modes, the scattering-matrix phases. Identity
-    polarization consumes no randomness for the scattering matrix.
+    drop; it feeds the per-path cross-section fluctuation and the
+    scattering-matrix phases, which identity polarization does not draw.
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
@@ -187,10 +186,7 @@ def synthesize_target_cir(
     )
     sigma = np.broadcast_to(np.asarray(sigma, float), (n_paths,))
 
-    if pol.mode == "identity":
-        smat = scattering_matrix(pol, None, size=n_paths)
-    else:
-        smat = scattering_matrix(pol, streams.stream("scatter_phases"), size=n_paths)
+    smat = scattering_matrix(pol, streams.stream("scatter_phases"), size=n_paths)
 
     tx_side = _side_matrices(tx, wavelength_m)[it]
     rx_side = _side_matrices(rx, wavelength_m)[ir]

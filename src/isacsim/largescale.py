@@ -1,10 +1,11 @@
 """Large-scale propagation: scenario tables, path loss, K-factor, shadowing.
 
 A sensing link is modeled as two concatenated hops (transmitter to target,
-target to receiver) plus an optional direct background hop. This module
-draws everything that varies per hop but not per cluster: the propagation
-condition, distance-based path loss, the two-hop sensing budget including
-the mean radar cross section, Rician K-factor, and log-normal shadowing.
+target to receiver) plus an optional direct background hop. hop_spec
+resolves what a hop's geometry fixes for a run (distances, LOS probability,
+path loss per condition); build_hop draws what varies per drop but not per
+cluster (condition, Rician K-factor, log-normal shadowing). The two-hop
+sensing budget adds the mean radar cross section.
 """
 from __future__ import annotations
 
@@ -202,7 +203,8 @@ def hop_path_loss(
         )
     if condition not in CONDITIONS:
         raise ConfigError(f"condition must be LOS or NLOS, got {condition!r}")
-    _check_distance(d3d_m)
+    if not (0.0 < d3d_m <= 5000.0):
+        raise ConfigError(f"3-D distance {d3d_m} m outside the supported range (0, 5000] m")
     if frequency_hz <= 0:
         raise ConfigError(f"carrier frequency must be positive, got {frequency_hz}")
     f_ghz = frequency_hz / 1e9
@@ -335,66 +337,55 @@ class HopLink:
     shadow_fading_db: float
 
 
-def _check_distance(d3d_m: float) -> None:
-    if not (0.0 < d3d_m <= 5000.0):
-        raise ConfigError(
-            f"3-D distance {d3d_m} m outside the supported range (0, 5000] m"
-        )
+@dataclass(frozen=True)
+class HopSpec:
+    """The part of a hop fixed for a whole run: its endpoints, distances,
+    LOS probability and the path loss of each condition it can take."""
+
+    from_node: NodeState
+    to_node: NodeState
+    d2d_m: float
+    d3d_m: float
+    p_los: float
+    path_loss_db: dict  # condition -> dB, one entry per reachable condition
 
 
-def hop_distances(from_node: NodeState, to_node: NodeState) -> tuple[float, float]:
-    """3-D and ground distance of a hop; refuses coincident endpoints and a
-    3-D distance the path-loss model does not cover."""
+def hop_spec(from_node: NodeState, to_node: NodeState, scenario: ScenarioParams,
+             condition: str = "auto") -> HopSpec:
+    """Resolve a hop once per run: distances, LOS probability (1 or 0 for a
+    forced condition) and path loss per reachable condition. Refuses
+    coincident endpoints, a 3-D distance the path-loss model does not cover
+    and a scenario without LOS probability or path loss."""
     delta = to_node.position_m - from_node.position_m
     d3d = float(np.linalg.norm(delta))
     if d3d == 0.0:
         raise ConfigError("degenerate geometry: hop endpoints coincide")
-    _check_distance(d3d)
-    return d3d, float(np.hypot(delta[0], delta[1]))
-
-
-def build_hop(
-    from_node: NodeState,
-    to_node: NodeState,
-    scenario: ScenarioParams,
-    streams: RandomStreams,
-    force_condition: str | None = None,
-) -> HopLink:
-    """Resolve one hop: condition (drawn or forced), path loss, K, shadowing.
-
-    The condition draw compares a uniform variate against the scenario's LOS
-    probability at the hop's ground distance; forcing a condition skips the
-    draw but still consumes the same named streams for the other quantities,
-    so forced and drawn runs stay stream-compatible.
-    """
-    d3d, d2d = hop_distances(from_node, to_node)
-    if force_condition is not None:
-        if force_condition not in CONDITIONS:
-            raise ConfigError(f"condition must be LOS or NLOS, got {force_condition!r}")
-        condition = force_condition
-    else:
+    d2d = float(np.hypot(delta[0], delta[1]))
+    if condition == "auto":
         p_los = los_probability(scenario, d2d)
-        u = float(streams.stream("condition").random())
-        condition = LOS if u < p_los else NLOS
+    elif condition in CONDITIONS:
+        p_los = 1.0 if condition == LOS else 0.0
+    else:
+        raise ConfigError(f"condition must be LOS, NLOS or auto, got {condition!r}")
+    path_loss = {
+        cond: hop_path_loss(scenario, cond, d3d, scenario.frequency_hz, d2d_m=d2d,
+                            h_bs_m=float(from_node.position_m[2]),
+                            h_ut_m=float(to_node.position_m[2]))
+        for cond, reachable in ((LOS, p_los > 0.0), (NLOS, p_los < 1.0)) if reachable
+    }
+    return HopSpec(from_node, to_node, d2d, d3d, p_los, path_loss)
+
+
+def build_hop(spec: HopSpec, scenario: ScenarioParams, streams: RandomStreams) -> HopLink:
+    """Draw one drop's hop: its condition, K-factor and shadow fading.
+
+    The condition draw compares a uniform variate against the hop's LOS
+    probability; a forced hop draws it too, so forced and drawn runs stay
+    stream-compatible. The K-factor is drawn under LOS only.
+    """
+    condition = LOS if float(streams.stream("condition").random()) < spec.p_los else NLOS
     params = scenario.condition_params(condition)
-    pl = hop_path_loss(
-        scenario,
-        condition,
-        d3d,
-        scenario.frequency_hz,
-        d2d_m=d2d,
-        h_bs_m=float(from_node.position_m[2]),
-        h_ut_m=float(to_node.position_m[2]),
-    )
     k = draw_k_factor(params, streams.stream("k_factor")) if condition == LOS else 0.0
     sf = draw_shadow_fading(params, streams.stream("shadow"))
-    return HopLink(
-        from_node=from_node,
-        to_node=to_node,
-        condition=condition,
-        d2d_m=d2d,
-        d3d_m=d3d,
-        path_loss_db=pl,
-        k_factor=k,
-        shadow_fading_db=sf,
-    )
+    return HopLink(spec.from_node, spec.to_node, condition, spec.d2d_m, spec.d3d_m,
+                   spec.path_loss_db[condition], k, sf)

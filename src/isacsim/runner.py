@@ -1,18 +1,19 @@
 """Drop-loop orchestration: build links, concatenate, synthesize, write outputs.
 
-A run goes through its drops in runs of consecutive drops (one drop per
-task in a pool). A run first builds every hop of its drops (condition draw,
-path loss, K-factor, shadow fading) for the two target hops and, when
-enabled, the background hop, and generates the cluster tables of the hops
-of one condition together. The drops whose two target tables share a layout
-form a group, and each group is concatenated under the configured cases and
-reduced to drop statistics in one pass. Then, drop by drop: the two-hop
-link budget and optionally CIR synthesis of the target and background hop
-tables and their combination (the only stage that loads coefficients).
-Each drop writes its CIR rows out slice by slice as it formats them (to
-cir.txt.part, or from a pool worker to a spool the parent appends in drop
-order), so the output files are identical for any worker count, no drop's
-gains outlive its drop and no text crosses a pipe.
+Each hop's geometry, LOS probability and path loss are resolved once per
+run (largescale.HopSpec). A run goes through its drops in runs of
+consecutive drops (one drop per task in a pool). A run first draws every
+hop of its drops (condition, K-factor, shadow fading) for the two target
+hops and, when enabled, the background hop, and generates the cluster
+tables of the hops of one condition together. The drops whose two target
+tables share a layout form a group, and each group is concatenated under
+the configured cases and reduced to drop statistics in one pass. Then,
+drop by drop: the two-hop link budget and optionally CIR synthesis of the
+target and background hop tables and their combination (the only stage
+that loads coefficients). Each drop writes its CIR rows out slice by slice
+as it formats them (to cir.txt.part, or from a pool worker to a spool the
+parent appends in drop order), so the output files are identical for any
+worker count, no drop's gains outlive its drop and no text crosses a pipe.
 """
 from __future__ import annotations
 
@@ -32,19 +33,15 @@ import numpy as np
 from . import __version__
 from .concatenation import ALL_CASES, ConcatCase, concatenate_group
 from .config import RunConfig, config_echo
-from .errors import ConfigError, UnsupportedFeatureError
+from .errors import ConfigError, NumericError, UnsupportedFeatureError
 from .geometry import NodeState, uniform_linear_array
 from .largescale import (
-    LOS,
-    NLOS,
-    SUPPORTED_SCENARIOS,
     CouplingConfig,
     ScenarioParams,
     build_hop,
     combine_isac_path_loss,
     concatenated_path_loss,
-    hop_distances,
-    los_probability,
+    hop_spec,
 )
 from .rcs import PolarizationScattering, TargetClass
 from .seeds import (
@@ -147,22 +144,20 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
     hop-table layout are concatenated and reduced as a group, and each drop
     is then written in drop order. Returns each drop's record. The keyword
     arguments are the per-run objects, built once by _execute: ``hops``
-    holds (from node, to node, stream scope, condition) of the tx->target
-    hop, the bi-static target->rx hop and the background hop, those of them
-    a drop builds. ``cir_sink(drop, slices)`` writes out a drop's cir.txt
-    rows as they are formatted and returns the name of the spool it wrote
-    them to, if any.
+    holds (largescale.HopSpec, stream scope) of the tx->target hop, the
+    bi-static target->rx hop and the background hop, those of them a drop
+    builds. ``cir_sink(drop, slices)`` writes out a drop's cir.txt rows as
+    they are formatted and returns the name of the spool it wrote them to,
+    if any. A drop whose gains are not finite raises NumericError.
     """
     if emit_cir:  # only runs that emit CIRs load the CIR synthesis
         from . import coefficients
     streams = [RandomStreams(cfg.master_seed, drop=drop) for drop in drops]
     links = []  # (hop, its streams) of every hop, drop by drop
     for drop_streams in streams:
-        for from_node, to_node, scope, condition in hops:
+        for spec, scope in hops:
             hop_streams = drop_streams.scoped(scope)
-            hop = build_hop(from_node, to_node, scenario, hop_streams,
-                            None if condition == "auto" else condition)
-            links.append((hop, hop_streams))
+            links.append((build_hop(spec, scenario, hop_streams), hop_streams))
     tables = {}  # link index -> its hop table
     for condition in sorted({hop.condition for hop, _ in links}):
         group = [i for i, (hop, _) in enumerate(links) if hop.condition == condition]
@@ -211,6 +206,8 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                     background, grid, cfg.wavelength_m), coupling)
             elif cfg.background_enabled:  # weighted by 0, the background hop is not built
                 rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
+            if not np.isfinite(cir.gains).all():
+                raise NumericError(f"drop {drop}: CIR gains overflow to non-finite values")
             rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
             rec.cir_spool = cir_sink(drop, _cir_block(drop, cir.delays, cir.gains))
         results.append(rec)
@@ -329,10 +326,6 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     t0 = time.perf_counter()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if cfg.scenario not in SUPPORTED_SCENARIOS:
-        raise ConfigError(
-            f"unsupported scenario {cfg.scenario!r}; supported: {SUPPORTED_SCENARIOS}"
-        )
     if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
         raise UnsupportedFeatureError("mono-static runs have no background channel")
     if emit_cir and cfg.background_enabled and cfg.coupling_mode == "embedded" \
@@ -355,21 +348,17 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     )
     tx, rx, target = (build_node(node, cfg.wavelength_m)
                       for node in (cfg.tx, cfg.rx, cfg.target))
-    hops = [(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)]
+    ends = [(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)]
     if cfg.sensing_mode == "bistatic":
-        hops.append((target, rx, HOP_TARGET_RX, cfg.cond_target_rx))
+        ends.append((target, rx, HOP_TARGET_RX, cfg.cond_target_rx))
     if emit_cir and cfg.background_enabled and cfg.coupling_o_isac > 0:  # not built if 0
-        hops.append((tx, rx, HOP_BACKGROUND, cfg.cond_background))
-    # What every drop would refuse (a hop's geometry, the parameters and ray
-    # layout of a condition it can take) is refused before --out is cleared.
-    for from_node, to_node, _, condition in hops:
-        _, d2d = hop_distances(from_node, to_node)
-        if condition == "auto":
-            p_los = los_probability(scenario, d2d)
-            conditions = [c for c, can in ((LOS, p_los > 0), (NLOS, p_los < 1)) if can]
-        else:
-            conditions = [condition]
-        for cond in conditions:
+        ends.append((tx, rx, HOP_BACKGROUND, cfg.cond_background))
+    # Each hop is resolved once, so what every drop would refuse (a hop's
+    # geometry, the parameters and ray layout of a condition it can take) is
+    # refused before --out is cleared.
+    hops = [(hop_spec(a, b, scenario, condition), scope) for a, b, scope, condition in ends]
+    for spec, _ in hops:
+        for cond in spec.path_loss_db:
             check_ray_layout(scenario.condition_params(cond), cfg.split_strongest)
     cir = CirFile(os.path.join(out_dir, "cir.txt"))
     if emit_cir:

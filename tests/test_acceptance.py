@@ -15,7 +15,7 @@ from isacsim.concatenation import (
 from isacsim.config import validate_config
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import DirectionAngles, NodeState
-from isacsim.largescale import ScenarioParams, build_hop, concatenated_path_loss
+from isacsim.largescale import ScenarioParams, build_hop, concatenated_path_loss, hop_spec
 from isacsim.metrics import (
     DetectionParams,
     pd,
@@ -68,7 +68,8 @@ def study():
     tables = []
     for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
         hop_streams = [s.scoped(scope) for s in streams]
-        hops = [build_hop(a, b, scen, s, "LOS") for s in hop_streams]
+        spec = hop_spec(a, b, scen, "LOS")
+        hops = [build_hop(spec, scen, s) for s in hop_streams]
         tables.append(generate_sublinks(hops, scen.condition_params("LOS"), hop_streams))
     groups = dict(zip(STUDY_CASES, concatenate_group(
         *tables, STUDY_CASES, [s.scoped(SCOPE_CONCAT) for s in streams])))
@@ -162,8 +163,8 @@ def test_criterion_04_single_hop_fallback_collapses_departures(capsys):
     worst = 0.0
     for d in range(10):
         streams = RandomStreams(2, d)
-        h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), "LOS")
-        h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), "NLOS")
+        h1 = build_hop(hop_spec(tx, tgt, scen, "LOS"), scen, streams.scoped(HOP_TX_TARGET))
+        h2 = build_hop(hop_spec(tgt, rx, scen, "NLOS"), scen, streams.scoped(HOP_TARGET_RX))
         sub1, = generate_sublinks([h1], scen.condition_params("LOS"),
                                   [streams.scoped(HOP_TX_TARGET)])
         sub2, = generate_sublinks([h2], scen.condition_params("NLOS"),

@@ -28,7 +28,7 @@ from isacsim.geometry import (
     spherical_unit_vector,
     uniform_linear_array,
 )
-from isacsim.largescale import CouplingConfig, ScenarioParams, build_hop
+from isacsim.largescale import CouplingConfig, ScenarioParams, build_hop, hop_spec
 from isacsim.rcs import PolarizationScattering, RcsModel
 from isacsim.seeds import (
     HOP_BACKGROUND,
@@ -55,8 +55,8 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
     rx = NodeState([60.0, -5.0, 10.0], velocity_mps=rx_vel,
                    elements=rx_elements or [AntennaElement()])
     streams = RandomStreams(seed)
-    h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), cond1)
-    h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), cond2)
+    h1 = build_hop(hop_spec(tx, tgt, scen, cond1), scen, streams.scoped(HOP_TX_TARGET))
+    h2 = build_hop(hop_spec(tgt, rx, scen, cond2), scen, streams.scoped(HOP_TARGET_RX))
     t1, = generate_sublinks([h1], scen.condition_params(cond1), [streams.scoped(HOP_TX_TARGET)])
     t2, = generate_sublinks([h2], scen.condition_params(cond2), [streams.scoped(HOP_TARGET_RX)])
     if xpr_override is not None:
@@ -264,8 +264,8 @@ def test_hops_must_share_the_scattering_point():
     tgt2 = NodeState([30.0, -8.0, 1.5])
     rx = NodeState([60.0, -5.0, 10.0])
     streams = RandomStreams(11)
-    h1 = build_hop(tx, tgt1, scen, streams.scoped(HOP_TX_TARGET), "LOS")
-    h2 = build_hop(tgt2, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
+    h1 = build_hop(hop_spec(tx, tgt1, scen, "LOS"), scen, streams.scoped(HOP_TX_TARGET))
+    h2 = build_hop(hop_spec(tgt2, rx, scen, "LOS"), scen, streams.scoped(HOP_TARGET_RX))
     t1, t2 = generate_sublinks([h1, h2], scen.condition_params("LOS"),
                                [streams.scoped(HOP_TX_TARGET), streams.scoped(HOP_TARGET_RX)])
     group, = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])
@@ -312,7 +312,7 @@ def background_table(seed, cond):
     tx = NodeState([0.0, 0.0, 10.0])
     rx = NodeState([60.0, -5.0, 10.0])
     streams = RandomStreams(seed).scoped(HOP_BACKGROUND)
-    hop = build_hop(tx, rx, scen, streams, cond)
+    hop = build_hop(hop_spec(tx, rx, scen, cond), scen, streams)
     return generate_sublinks([hop], scen.condition_params(hop.condition), [streams])[0]
 
 
@@ -325,8 +325,8 @@ def test_background_structure_and_power_budget(cond, count):
     # replaying the scoped streams reproduces the large-scale draws
     bg_hop = table.hop
     scen = ScenarioParams.from_table("UMi", F_HZ)
-    hop = build_hop(bg_hop.from_node, bg_hop.to_node, scen,
-                    RandomStreams(5).scoped(HOP_BACKGROUND), cond)
+    hop = build_hop(hop_spec(bg_hop.from_node, bg_hop.to_node, scen, cond), scen,
+                    RandomStreams(5).scoped(HOP_BACKGROUND))
     draws = ("condition", "path_loss_db", "k_factor", "shadow_fading_db")
     assert [getattr(bg_hop, f) for f in draws] == [getattr(hop, f) for f in draws]
     expect = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 10.0)

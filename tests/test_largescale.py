@@ -14,6 +14,7 @@ from isacsim.largescale import (
     draw_k_factor,
     draw_shadow_fading,
     hop_path_loss,
+    hop_spec,
     los_probability,
 )
 from isacsim.seeds import RandomStreams
@@ -239,7 +240,7 @@ def make_nodes():
 def test_build_hop_geometry_and_forcing():
     scen = ScenarioParams.from_table("UMi", 6e9)
     tx, tgt = make_nodes()
-    hop = build_hop(tx, tgt, scen, RandomStreams(3), force_condition="NLOS")
+    hop = build_hop(hop_spec(tx, tgt, scen, "NLOS"), scen, RandomStreams(3))
     assert hop.condition == "NLOS"
     assert hop.d2d_m == pytest.approx(50.0)
     assert hop.d3d_m == pytest.approx(np.hypot(50.0, 8.5))
@@ -252,15 +253,15 @@ def test_build_hop_geometry_and_forcing():
 def test_build_hop_los_draws_k():
     scen = ScenarioParams.from_table("UMi", 6e9)
     tx, tgt = make_nodes()
-    hop = build_hop(tx, tgt, scen, RandomStreams(3), force_condition="LOS")
+    hop = build_hop(hop_spec(tx, tgt, scen, "LOS"), scen, RandomStreams(3))
     assert hop.k_factor > 0.0
 
 
 def test_build_hop_is_deterministic():
     scen = ScenarioParams.from_table("UMi", 6e9)
     tx, tgt = make_nodes()
-    a = build_hop(tx, tgt, scen, RandomStreams(11, drop=2))
-    b = build_hop(tx, tgt, scen, RandomStreams(11, drop=2))
+    a = build_hop(hop_spec(tx, tgt, scen), scen, RandomStreams(11, drop=2))
+    b = build_hop(hop_spec(tx, tgt, scen), scen, RandomStreams(11, drop=2))
     assert a.condition == b.condition
     assert a.k_factor == b.k_factor
     assert a.shadow_fading_db == b.shadow_fading_db
@@ -270,8 +271,9 @@ def test_build_hop_condition_rate_tracks_los_probability():
     scen = ScenarioParams.from_table("UMi", 6e9)
     tx = NodeState(position_m=[0.0, 0.0, 10.0])
     tgt = NodeState(position_m=[36.0, 0.0, 10.0])
+    spec = hop_spec(tx, tgt, scen)
     n_los = sum(
-        build_hop(tx, tgt, scen, RandomStreams(500, drop=d)).condition == "LOS"
+        build_hop(spec, scen, RandomStreams(500, drop=d)).condition == "LOS"
         for d in range(400)
     )
     p = los_probability("UMi", 36.0)
@@ -282,7 +284,27 @@ def test_build_hop_rejects_coincident_nodes():
     scen = ScenarioParams.from_table("UMi", 6e9)
     node = NodeState(position_m=[1.0, 2.0, 3.0])
     with pytest.raises(ConfigError):
-        build_hop(node, NodeState(position_m=[1.0, 2.0, 3.0]), scen, RandomStreams(1))
+        hop_spec(node, NodeState(position_m=[1.0, 2.0, 3.0]), scen)
+
+
+def test_a_hop_within_18_m_draws_the_same_as_a_los_forced_one():
+    scen = ScenarioParams.from_table("UMi", 6e9)
+    tx = NodeState(position_m=[0.0, 0.0, 10.0])
+    tgt = NodeState(position_m=[10.0, 5.0, 1.5])  # d2D 11.2 m: LOS probability 1
+    auto, los, nlos = (hop_spec(tx, tgt, scen, c) for c in ("auto", "LOS", "NLOS"))
+    assert auto == los and list(auto.path_loss_db) == ["LOS"]
+    assert (nlos.p_los, list(nlos.path_loss_db)) == (0.0, ["NLOS"])
+    for d in range(6):
+        streams = RandomStreams(17, drop=d)
+        assert build_hop(auto, scen, streams) == build_hop(los, scen, streams)
+        hop = build_hop(nlos, scen, streams)
+        assert (hop.condition, hop.k_factor) == ("NLOS", 0.0)
+
+
+def test_hop_spec_refuses_an_unknown_condition():
+    scen = ScenarioParams.from_table("UMi", 6e9)
+    with pytest.raises(ConfigError, match="condition must be"):
+        hop_spec(*make_nodes(), scen, "los")
 
 
 def test_k_and_shadow_draw_statistics():

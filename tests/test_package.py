@@ -17,10 +17,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # used, and less the one-drop wrappers concatenate, drop_statistics,
 # DropStatistics, statistics_table and generate_sublink, and less
 # TargetPathSet, whose one-drop views PathGroup.paths replaced; plus the
-# group kernels concatenate_group, generate_sublinks and group_statistics
+# group kernels concatenate_group, generate_sublinks and group_statistics,
+# and HopSpec and hop_spec, the per-run part of a hop
 ALL = [
     "AntennaElement", "B1Table", "ConcatCase", "ConfigError", "CouplingConfig",
-    "DetectionParams", "DirectionAngles", "EmpiricalCdf", "HopLink",
+    "DetectionParams", "DirectionAngles", "EmpiricalCdf", "HopLink", "HopSpec",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
     "PathGroup", "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell",
     "RunConfig", "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
@@ -30,7 +31,7 @@ ALL = [
     "concatenate_group", "concatenated_path_loss", "concatenation",
     "condition_weights", "config", "constants", "detection_table", "doppler_frequency",
     "empirical_cdf", "errors", "fit_lognormal_db", "generate_sublinks",
-    "geometry", "group_statistics", "hop_path_loss", "is_point_target", "ks_statistic",
+    "geometry", "group_statistics", "hop_path_loss", "hop_spec", "is_point_target", "ks_statistic",
     "largescale", "load_config", "los_probability", "mbet_bistatic", "metrics",
     "mono_static_reciprocal", "pd", "pfa", "range_metrics", "rcs", "run", "runner",
     "sample_rcs", "scattering_matrix", "seeds", "smallscale", "snr_to_amplitude",

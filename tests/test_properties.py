@@ -14,7 +14,7 @@ from isacsim.concatenation import (
     condition_weights,
 )
 from isacsim.geometry import NodeState
-from isacsim.largescale import ScenarioParams, build_hop
+from isacsim.largescale import ScenarioParams, build_hop, hop_spec
 from isacsim.metrics import DetectionParams, pd, pfa
 from isacsim.seeds import HOP_TX_TARGET, RandomStreams
 from isacsim.smallscale import HopTable, generate_sublinks, mono_static_reciprocal
@@ -137,8 +137,8 @@ def test_statistics_ignore_the_order_of_paired_rows(paths, rnd):
 def test_mono_static_reciprocal_is_an_involution(seed, condition):
     scen = ScenarioParams.from_table("UMi", 6e9)
     streams = RandomStreams(seed).scoped(HOP_TX_TARGET)
-    hop = build_hop(NodeState([0.0, 0.0, 10.0]), NodeState([25.0, 10.0, 1.5]),
-                    scen, streams, condition)
+    spec = hop_spec(NodeState([0.0, 0.0, 10.0]), NodeState([25.0, 10.0, 1.5]), scen, condition)
+    hop = build_hop(spec, scen, streams)
     table, = generate_sublinks([hop], scen.condition_params(condition), [streams])
     twice = mono_static_reciprocal(mono_static_reciprocal(table))
     for obj, ref in ((twice, table), (twice.hop, table.hop)):

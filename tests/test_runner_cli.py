@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isacsim import cli, coefficients, runner
+from isacsim import cli, coefficients, largescale, runner
 from isacsim.cli import main
 from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
@@ -216,6 +216,40 @@ def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
         assert not names & {"cir.txt", "cir.txt.part", "manifest.txt"}
         assert not [name for name in names if name.endswith(".spool")]
     assert calls == [0, 1, 2]  # the serial run stops at the failed drop
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("extra", [
+    "rcs.b2_mean_db = 5000\n",
+    "snapshots.start_s = 1e308\nnodes.target.velocity_mps = 8, 0, 0\n",
+    "snapshots.start_s = 1e308\nsnapshots.step_s = 1e308\nsnapshots.count = 3\n",
+])
+def test_non_finite_cir_gains_exit_3_and_leave_no_cir(tmp_path, capsys, extra):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("frequency_hz = 6e9\ndrops = 2\n" + extra)
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--workers", str(workers)]) == 3
+        assert "numeric error: drop 0: CIR gains" in capsys.readouterr().err
+        names = set(os.listdir(out))
+        assert not names & {"cir.txt", "cir.txt.part", "manifest.txt"}
+        assert not [name for name in names if name.endswith(".spool")]
+
+
+def test_each_hop_is_resolved_once_per_run(tmp_path, monkeypatch):
+    calls = {"hop_path_loss": 0, "los_probability": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(largescale, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(largescale, name, counted)
+    # two auto hops, each of which can take either condition
+    concat_study(validate_config("frequency_hz = 6e9\ndrops = 24\n"),
+                 out_dir=str(tmp_path / "study"))
+    assert 1 <= calls["hop_path_loss"] <= 4
+    assert 1 <= calls["los_probability"] <= 2
 
 
 def test_pool_results_carry_no_cir_text(tmp_path, monkeypatch):

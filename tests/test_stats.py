@@ -18,7 +18,7 @@ from isacsim.concatenation import (
 from isacsim.config import validate_config
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState
-from isacsim.largescale import ScenarioParams, build_hop
+from isacsim.largescale import ScenarioParams, build_hop, hop_spec
 from isacsim.runner import build_node
 from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, SCOPE_CONCAT, RandomStreams
 from isacsim.smallscale import HopTable, generate_sublinks, mono_static_reciprocal
@@ -206,8 +206,8 @@ def test_power_normalization_never_moves_spreads():
     tgt = NodeState([25.0, 10.0, 1.5])
     rx = NodeState([60.0, -5.0, 10.0])
     streams = RandomStreams(21)
-    h1 = build_hop(tx, tgt, scen, streams.scoped(HOP_TX_TARGET), "LOS")
-    h2 = build_hop(tgt, rx, scen, streams.scoped(HOP_TARGET_RX), "LOS")
+    h1 = build_hop(hop_spec(tx, tgt, scen, "LOS"), scen, streams.scoped(HOP_TX_TARGET))
+    h2 = build_hop(hop_spec(tgt, rx, scen, "LOS"), scen, streams.scoped(HOP_TARGET_RX))
     sub1, sub2 = generate_sublinks(
         [h1, h2], scen.condition_params("LOS"),
         [streams.scoped(HOP_TX_TARGET), streams.scoped(HOP_TARGET_RX)])
@@ -307,7 +307,7 @@ def default_config_drops(count, condition=None, seed=3, monostatic=False):
             if monostatic and tables:
                 tables.append(mono_static_reciprocal(tables[0]))
                 break
-            hop = build_hop(a, b, scen, streams.scoped(scope), force_condition=condition)
+            hop = build_hop(hop_spec(a, b, scen, condition or "auto"), scen, streams.scoped(scope))
             tables += generate_sublinks([hop], scen.condition_params(hop.condition),
                                         [streams.scoped(scope)])
         drops.append((*tables, streams.scoped(SCOPE_CONCAT)))
@@ -381,7 +381,8 @@ def layout_drops(layouts, seed, split_strongest, absolute_delay, monostatic):
         streams = RandomStreams(seed, drop=d)
         ends = ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX))[:1 if monostatic else 2]
         for (a, b, scope), cond in zip(ends, layout):
-            hop = build_hop(a, b, scen, streams.scoped(scope), "LOS" if cond == "L" else "NLOS")
+            spec = hop_spec(a, b, scen, "LOS" if cond == "L" else "NLOS")
+            hop = build_hop(spec, scen, streams.scoped(scope))
             links.append((d, hop, streams.scoped(scope)))
     tables = {d: [] for d in range(len(layouts))}
     for cond in ("LOS", "NLOS"):
