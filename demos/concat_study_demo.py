@@ -37,8 +37,8 @@ def main(argv=None):
     t0 = time.perf_counter()
     # both hops LOS, so every drop's tables share one layout: each side's
     # tables come from one call, and all drops and cases form one group.
-    # A hop's geometry and path loss are resolved once; a drop draws only
-    # its condition, K-factor and shadow fading.
+    # A hop's geometry, path loss and LOS angles are resolved once; a drop
+    # draws only its condition, K-factor, shadow fading and spreads.
     specs = [(hop_spec(tx, tgt, scen, "LOS"), HOP_TX_TARGET),
              (hop_spec(tgt, rx, scen, "LOS"), HOP_TARGET_RX)]
     streams = [RandomStreams(args.seed, d) for d in range(args.drops)]

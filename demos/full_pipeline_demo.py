@@ -55,13 +55,14 @@ def main(argv=None):
     rx = NodeState([80.0, -10.0, 10.0], elements=uniform_linear_array(4, lam / 2.0))
     streams = RandomStreams(args.seed, drop=0)
 
-    # large-scale: each hop's geometry, LOS probability and path loss per
-    # condition (fixed for a run), then this drop's condition, K-factor and SF
+    # large-scale: each hop's geometry, LOS probability, path loss per
+    # condition and LOS angles (fixed for a run), then this drop's condition,
+    # K-factor, SF and delay and angle spreads
     hop1 = build_hop(hop_spec(tx, target, scen), scen, streams.scoped(HOP_TX_TARGET))
     hop2 = build_hop(hop_spec(target, rx, scen), scen, streams.scoped(HOP_TARGET_RX))
     print("hop budget:")
     for name, hop in (("tx->target", hop1), ("target->rx", hop2)):
-        print(f"  {name}: {hop.condition:4s} d3 = {hop.d3d_m:6.1f} m  "
+        print(f"  {name}: {hop.condition:4s} d3 = {hop.spec.d3d_m:6.1f} m  "
               f"PL = {hop.path_loss_db:6.2f} dB  K = {hop.k_factor:6.2f}  "
               f"SF = {hop.shadow_fading_db:+5.2f} dB")
     two_hop = concatenated_path_loss(hop1.path_loss_db, hop2.path_loss_db,

@@ -103,7 +103,7 @@ def _side_matrices(table: HopTable, wavelength_m: float) -> np.ndarray:
     out[:n_diffuse] = np.exp(1j * table.phases).reshape(n_diffuse, 2, 2)
     out[:n_diffuse, [0, 1], [1, 0]] *= np.sqrt(1.0 / table.xpr)[:, None]
     if table.has_los:
-        phase = -2.0 * np.pi * table.hop.d3d_m / wavelength_m
+        phase = -2.0 * np.pi * table.hop.spec.d3d_m / wavelength_m
         e = np.exp(1j * phase)
         out[n_diffuse, 0, 0] = e
         out[n_diffuse, 1, 1] = -e
@@ -162,8 +162,8 @@ def synthesize_target_cir(
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
     it, ir, weight, pair_type = group.paths(drop)
     tx, rx = group.tx[drop], group.rx[drop]
-    tx_hop, rx_hop = tx.hop, rx.hop
-    if not np.allclose(tx_hop.to_node.position_m, rx_hop.from_node.position_m):
+    tx_spec, rx_spec = tx.hop.spec, rx.hop.spec
+    if not np.allclose(tx_spec.to_node.position_m, rx_spec.from_node.position_m):
         raise ConfigError("hops do not share the scattering point")
 
     n_paths = len(it)
@@ -197,9 +197,9 @@ def synthesize_target_cir(
         rx_dir,
         sp_in,
         sp_out,
-        tx_hop.from_node.velocity_mps,
-        rx_hop.to_node.velocity_mps,
-        tx_hop.to_node.total_velocity_mps,
+        tx_spec.from_node.velocity_mps,
+        rx_spec.to_node.velocity_mps,
+        tx_spec.to_node.total_velocity_mps,
         wavelength_m,
     )
     f_d = np.broadcast_to(np.asarray(f_d, float), (n_paths,))
@@ -207,7 +207,7 @@ def synthesize_target_cir(
     amp = group.k_weights[drop][pair_type] * weight * np.sqrt(sigma)
     return TargetChannelCir(
         delays=tx.delay[it] + rx.delay[ir],
-        gains=_array_gains(tx_hop.from_node.elements, rx_hop.to_node.elements,
+        gains=_array_gains(tx_spec.from_node.elements, rx_spec.to_node.elements,
                            tx_dir, rx_dir, pmat, amp, f_d, grid, wavelength_m),
         pair_type=pair_type,
         grid=grid,
@@ -226,7 +226,7 @@ def synthesize_background_cir(
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    hop = table.hop
+    hop, spec = table.hop, table.hop.spec
     rows = np.arange(table.num_diffuse)
     if table.has_los:
         rows = np.concatenate([[table.num_diffuse], rows])  # specular first
@@ -240,14 +240,14 @@ def synthesize_background_cir(
     arr = DirectionAngles(table.arr_zenith[rows], table.arr_azimuth[rows])
     # One-hop Doppler: arrival and departure couplings only.
     f_d = (
-        spherical_unit_vector(arr) @ hop.to_node.velocity_mps
-        + spherical_unit_vector(dep) @ hop.from_node.velocity_mps
+        spherical_unit_vector(arr) @ spec.to_node.velocity_mps
+        + spherical_unit_vector(dep) @ spec.from_node.velocity_mps
     ) / wavelength_m
     pmat = _side_matrices(table, wavelength_m)[rows]
 
     return TargetChannelCir(
         delays=table.delay[rows],
-        gains=_array_gains(hop.from_node.elements, hop.to_node.elements, dep, arr,
+        gains=_array_gains(spec.from_node.elements, spec.to_node.elements, dep, arr,
                            pmat, amp, f_d, grid, wavelength_m),
         pair_type=np.full(rows.shape[0], int(PairType.BACKGROUND), np.int8),
         grid=grid,

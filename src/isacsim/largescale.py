@@ -1,11 +1,11 @@
-"""Large-scale propagation: scenario tables, path loss, K-factor, shadowing.
+"""Large-scale propagation: scenario tables, path loss, per-hop parameters.
 
 A sensing link is modeled as two concatenated hops (transmitter to target,
 target to receiver) plus an optional direct background hop. hop_spec
-resolves what a hop's geometry fixes for a run (distances, LOS probability,
-path loss per condition); build_hop draws what varies per drop but not per
-cluster (condition, Rician K-factor, log-normal shadowing). The two-hop
-sensing budget adds the mean radar cross section.
+resolves what a hop's geometry fixes for a run (distance, LOS probability,
+path loss per condition, LOS angles); build_hop draws the seven parameters
+that vary per drop but not per cluster (condition, Rician K-factor, shadow
+fading, delay and angle spreads). The two-hop budget adds the mean RCS.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
-from .geometry import NodeState
+from .geometry import DirectionAngles, NodeState, angles_between
 from .reader import data_lines, read_text, split_entry
 
 if TYPE_CHECKING:  # loading the config needs no random streams
@@ -32,6 +32,12 @@ SUPPORTED_SCENARIOS = ("UMi",)
 COUPLING_MODES = ("added", "embedded")
 
 _DEFAULT_TABLE = "umi_38901.tbl"
+
+AZIMUTH_SPREAD_CAP_DEG = 104.0
+ZENITH_SPREAD_CAP_DEG = 52.0
+# each spread a hop draws, in draw order, and its cap (TR 38.901 sec 7.5 step 4)
+SPREAD_CAPS = {"ds": math.inf, "asd": AZIMUTH_SPREAD_CAP_DEG, "asa": AZIMUTH_SPREAD_CAP_DEG,
+               "zsa": ZENITH_SPREAD_CAP_DEG, "zsd": ZENITH_SPREAD_CAP_DEG}
 
 
 @dataclass
@@ -309,53 +315,41 @@ def combine_isac_path_loss(
     return 10.0 * math.log10(lin)
 
 
-def draw_k_factor(params: ConditionParams, rng: np.random.Generator) -> float:
-    """Linear Rician K-factor draw; conditions without a specular component give 0."""
-    if params.k_mean_db is None:
-        return 0.0
-    std = params.k_std_db or 0.0
-    k_db = params.k_mean_db + std * float(rng.standard_normal())
-    return 10.0 ** (k_db / 10.0)
+@dataclass(frozen=True)
+class HopSpec:
+    """The part of a hop fixed for a whole run: endpoints, 3-D distance, LOS
+    probability, path loss of each reachable condition and LOS angles."""
 
-
-def draw_shadow_fading(params: ConditionParams, rng: np.random.Generator) -> float:
-    """Zero-mean log-normal shadow fading draw, in dB."""
-    return params.sf_std_db * float(rng.standard_normal())
+    from_node: NodeState
+    to_node: NodeState
+    d3d_m: float
+    p_los: float
+    path_loss_db: dict  # condition -> dB, one entry per reachable condition
+    departure: DirectionAngles  # at from_node, toward to_node
+    arrival: DirectionAngles  # at to_node, toward from_node
 
 
 @dataclass
 class HopLink:
-    """One resolved hop: endpoints, condition, and its large-scale draws."""
+    """One drop's draw of a hop: its condition and large-scale parameters."""
 
-    from_node: NodeState
-    to_node: NodeState
+    spec: HopSpec
     condition: str
-    d2d_m: float
-    d3d_m: float
-    path_loss_db: float
-    k_factor: float
+    k_factor: float  # linear; 0 under NLOS
     shadow_fading_db: float
+    spreads: dict  # ds (s), asd, asa, zsa, zsd (deg), each at most its cap
 
-
-@dataclass(frozen=True)
-class HopSpec:
-    """The part of a hop fixed for a whole run: its endpoints, distances,
-    LOS probability and the path loss of each condition it can take."""
-
-    from_node: NodeState
-    to_node: NodeState
-    d2d_m: float
-    d3d_m: float
-    p_los: float
-    path_loss_db: dict  # condition -> dB, one entry per reachable condition
+    @property
+    def path_loss_db(self) -> float:
+        return self.spec.path_loss_db[self.condition]
 
 
 def hop_spec(from_node: NodeState, to_node: NodeState, scenario: ScenarioParams,
              condition: str = "auto") -> HopSpec:
     """Resolve a hop once per run: distances, LOS probability (1 or 0 for a
-    forced condition) and path loss per reachable condition. Refuses
-    coincident endpoints, a 3-D distance the path-loss model does not cover
-    and a scenario without LOS probability or path loss."""
+    forced condition), path loss per reachable condition and LOS angles.
+    Refuses coincident endpoints, a 3-D distance the path-loss model does
+    not cover and a scenario without LOS probability or path loss."""
     delta = to_node.position_m - from_node.position_m
     d3d = float(np.linalg.norm(delta))
     if d3d == 0.0:
@@ -373,19 +367,29 @@ def hop_spec(from_node: NodeState, to_node: NodeState, scenario: ScenarioParams,
                             h_ut_m=float(to_node.position_m[2]))
         for cond, reachable in ((LOS, p_los > 0.0), (NLOS, p_los < 1.0)) if reachable
     }
-    return HopSpec(from_node, to_node, d2d, d3d, p_los, path_loss)
+    return HopSpec(from_node, to_node, d3d, p_los, path_loss,
+                   angles_between(from_node.position_m, to_node.position_m),
+                   angles_between(to_node.position_m, from_node.position_m))
 
 
 def build_hop(spec: HopSpec, scenario: ScenarioParams, streams: RandomStreams) -> HopLink:
-    """Draw one drop's hop: its condition, K-factor and shadow fading.
+    """Draw one drop's hop: its seven large-scale parameters.
 
     The condition draw compares a uniform variate against the hop's LOS
     probability; a forced hop draws it too, so forced and drawn runs stay
-    stream-compatible. The K-factor is drawn under LOS only.
+    stream-compatible. The K-factor is drawn under LOS only (0 without a
+    K law). The five spreads (TR 38.901 sec 7.5 step 4) follow the lg_*
+    laws in the order of SPREAD_CAPS, each limited to its cap.
     """
     condition = LOS if float(streams.stream("condition").random()) < spec.p_los else NLOS
     params = scenario.condition_params(condition)
-    k = draw_k_factor(params, streams.stream("k_factor")) if condition == LOS else 0.0
-    sf = draw_shadow_fading(params, streams.stream("shadow"))
-    return HopLink(spec.from_node, spec.to_node, condition, spec.d2d_m, spec.d3d_m,
-                   spec.path_loss_db[condition], k, sf)
+    k = 0.0
+    if condition == LOS and params.k_mean_db is not None:
+        z = float(streams.stream("k_factor").standard_normal())
+        k = 10.0 ** ((params.k_mean_db + (params.k_std_db or 0.0) * z) / 10.0)
+    sf = params.sf_std_db * float(streams.stream("shadow").standard_normal())
+    rng = streams.stream("lsp")
+    spreads = {x: min(10.0 ** (getattr(params, f"lg_{x}_mean")
+                               + getattr(params, f"lg_{x}_std") * rng.standard_normal()), cap)
+               for x, cap in SPREAD_CAPS.items()}
+    return HopLink(spec, condition, k, sf, spreads)

@@ -1,9 +1,9 @@
 """Drop-loop orchestration: build links, concatenate, synthesize, write outputs.
 
-Each hop's geometry, LOS probability and path loss are resolved once per
-run (largescale.HopSpec). A run goes through its drops in runs of
+Each hop's geometry, LOS probability, path loss and LOS angles are resolved
+once per run (largescale.HopSpec). A run goes through its drops in runs of
 consecutive drops (one drop per task in a pool). A run first draws every
-hop of its drops (condition, K-factor, shadow fading) for the two target
+hop of its drops (its seven large-scale parameters) for the two target
 hops and, when enabled, the background hop, and generates the cluster
 tables of the hops of one condition together. The drops whose two target
 tables share a layout form a group, and each group is concatenated under
@@ -193,19 +193,21 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                                            cfg.frequency_hz, cfg.rcs_mean_m2)
         rec = DropResult(drop, pairs, stats, pl_target)
         if group is not None and len(group):
-            cir = coefficients.synthesize_target_cir(
-                group, i, rcs_model, grid, cfg.wavelength_m,
-                drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
-            )
-            if rest:
-                background = rest[0]
-                rec.pl_isac_db = combine_isac_path_loss(
-                    pl_target, background.hop.path_loss_db, coupling
+            # gains that overflow are reported once, by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                cir = coefficients.synthesize_target_cir(
+                    group, i, rcs_model, grid, cfg.wavelength_m,
+                    drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
                 )
-                cir = coefficients.combine_channels(cir, coefficients.synthesize_background_cir(
-                    background, grid, cfg.wavelength_m), coupling)
-            elif cfg.background_enabled:  # weighted by 0, the background hop is not built
-                rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
+                if rest:
+                    background = rest[0]
+                    rec.pl_isac_db = combine_isac_path_loss(
+                        pl_target, background.hop.path_loss_db, coupling
+                    )
+                    cir = coefficients.combine_channels(cir, coefficients.synthesize_background_cir(
+                        background, grid, cfg.wavelength_m), coupling)
+                elif cfg.background_enabled:  # weighted by 0, the background hop is not built
+                    rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
             if not np.isfinite(cir.gains).all():
                 raise NumericError(f"drop {drop}: CIR gains overflow to non-finite values")
             rec.cir_rows = int(np.prod(cir.gains.shape[:3]))

@@ -22,7 +22,6 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
-from .geometry import angles_between
 from .largescale import LOS, ConditionParams, HopLink
 
 if TYPE_CHECKING:  # loading the config needs no random streams
@@ -45,9 +44,6 @@ _SUBCLUSTER_GROUPS = (
     (np.array([8, 9, 10, 11, 16, 17]), 1.28),
     (np.array([12, 13, 14, 15]), 2.56),
 )
-
-AZIMUTH_SPREAD_CAP_DEG = 104.0
-ZENITH_SPREAD_CAP_DEG = 52.0
 
 
 @dataclass
@@ -100,9 +96,6 @@ def _fold_zenith_deg(theta):
     return np.where(w > 180.0, 360.0 - w, w)
 
 
-def _k_db(k_factor: float) -> float:
-    return 10.0 * math.log10(k_factor) if k_factor > 0 else -math.inf
-
 def _los_azimuth_scale(k_db: float) -> float:
     return 1.1035 - 0.028 * k_db - 0.002 * k_db ** 2 + 0.0001 * k_db ** 3
 
@@ -154,15 +147,15 @@ def generate_sublinks(
 ) -> list[HopTable]:
     """Generate the cluster/ray tables of hops of the condition of ``params``.
 
-    Follows the standard step order: large-scale spread draws, exponential
-    delay draw with LOS delay rescaling, per-cluster power with shadowing,
-    cluster angle means (inverse Gaussian in azimuth, inverse Laplacian in
-    zenith, LOS first-cluster alignment), fixed ray offset fan-out, random
-    ray coupling, per-ray XPR and initial phases.
+    Follows the standard step order from the spreads build_hop drew:
+    exponential delay draw with LOS delay rescaling, per-cluster power with
+    shadowing, cluster angle means (inverse Gaussian in azimuth, inverse
+    Laplacian in zenith, LOS first-cluster alignment), fixed ray offset
+    fan-out, random ray coupling, per-ray XPR and initial phases.
 
     Hop i draws from streams[i] only, in the same order whatever the batch.
-    Its scalars (the large-scale spreads, the K-dependent scales, the LOS
-    angles) are Python floats; its cluster and ray arrays are row i of
+    Its scalars (the spreads, the K-dependent scales, the LOS angles) come
+    from the hop alone; its cluster and ray arrays are row i of
     arrays stacked on a leading hop axis, and every sum, min, max, sort and
     argsort runs along the contiguous per-hop axis, so a hop's table has
     the same bits in any batch. The tables' columns are views of the
@@ -184,27 +177,20 @@ def generate_sublinks(
     keys = np.empty((3, h, n, m))  # AOA, ZOA, ZOD ray coupling
     xpr_draw = np.empty((h, nm))
     phases = np.empty((h, nm, 4))
-    lsp_laws = [(getattr(params, f"lg_{x}_mean"), getattr(params, f"lg_{x}_std"))
-                for x in ("ds", "asd", "asa", "zsa", "zsd")]
     scalars = []
     for i, (hop, hop_streams) in enumerate(zip(hops, streams)):
-        rng_lsp = hop_streams.stream("lsp")
-        ds, asd, asa, zsa, zsd = (10.0 ** (mean + std * rng_lsp.standard_normal())
-                                  for mean, std in lsp_laws)
         k_lin = hop.k_factor if is_los else 0.0
-        k_db = _k_db(k_lin) if k_lin > 0 else 0.0
-        departure = angles_between(hop.from_node.position_m, hop.to_node.position_m)
-        arrival = angles_between(hop.to_node.position_m, hop.from_node.position_m)
+        k_db = 10.0 * math.log10(k_lin) if k_lin > 0 else 0.0
+        departure, arrival = hop.spec.departure, hop.spec.arrival
         scalars.append((
-            ds, min(asd, AZIMUTH_SPREAD_CAP_DEG), min(asa, AZIMUTH_SPREAD_CAP_DEG),
-            min(zsa, ZENITH_SPREAD_CAP_DEG), min(zsd, ZENITH_SPREAD_CAP_DEG), k_lin,
+            *(hop.spreads[x] for x in ("ds", "asd", "asa", "zsa", "zsd")), k_lin,
             # LOS delay rescaling (1.0: none)
             _los_delay_scale(k_db) if is_los and k_lin > 0 else 1.0,
             params.azimuth_scale * (_los_azimuth_scale(k_db) if is_los else 1.0),
             params.zenith_scale * (_los_zenith_scale(k_db) if is_los else 1.0),
             # geometric propagation delay; the standardized NLOS excess-delay
             # model (TR 38.901 sec 7.6.9) is not applied on top
-            hop.d3d_m / SPEED_OF_LIGHT if absolute_delay else 0.0,
+            hop.spec.d3d_m / SPEED_OF_LIGHT if absolute_delay else 0.0,
             departure.zenith, departure.azimuth, arrival.zenith, arrival.azimuth,
         ))
         hop_streams.stream("delays").random(out=u[i])
@@ -309,10 +295,14 @@ def mono_static_reciprocal(table: HopTable) -> HopTable:
     """Reverse a hop for mono-static sensing: swap departure and arrival.
 
     The returned table shares the weights, delays, XPR and phases (channel
-    reciprocity); only the angle columns and the hop's nodes are swapped.
-    Applying the operation twice returns an identical table.
+    reciprocity); the angle columns and the whole hop (nodes, LOS angles,
+    ASD/ASA and ZSD/ZSA) are reversed. Twice returns an identical table.
     """
-    hop = replace(table.hop, from_node=table.hop.to_node, to_node=table.hop.from_node)
+    spec, s = table.hop.spec, table.hop.spreads
+    hop = replace(table.hop, spec=replace(spec, from_node=spec.to_node, to_node=spec.from_node,
+                                          departure=spec.arrival, arrival=spec.departure),
+                  spreads={"ds": s["ds"], "asd": s["asa"], "asa": s["asd"],
+                           "zsa": s["zsd"], "zsd": s["zsa"]})
     return replace(
         table, hop=hop,
         dep_zenith=table.arr_zenith, dep_azimuth=table.arr_azimuth,

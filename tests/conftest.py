@@ -1,12 +1,15 @@
-"""A test that leaves a file open fails: every test here runs with
-ResourceWarning, and the unraisable-exception warning it becomes when an
-unclosed file is collected, turned into errors."""
+"""A test that leaves a file open, or a numpy computation that overflows or
+yields an invalid value unnoticed, fails: every test here runs with
+ResourceWarning, the unraisable-exception warning an unclosed file becomes
+when it is collected, and RuntimeWarning turned into errors. Forked pool
+workers inherit the filter."""
 from pathlib import Path
 
 import pytest
 
 LEAKS_FAIL = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning",
+    "error::RuntimeWarning",
 )
 
 

@@ -1,5 +1,4 @@
 """Impulse-response synthesis: polarization, Doppler, arrays, power bookkeeping."""
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,10 +82,15 @@ def test_snapshot_grid_times():
 # --------------------------------------------------- polarization matrix
 
 def side_table(xpr=1.0, phases=(0.0, 0.0, 0.0, 0.0), los_d3d_m=None):
-    """Hop table of one diffuse ray, plus the specular row when los_d3d_m is set."""
+    """Hop table of one diffuse ray, plus the specular row of a LOS hop
+    los_d3d_m long when that is set."""
     rows = 1 if los_d3d_m is None else 2
+    scen = ScenarioParams.from_table("UMi", F_HZ)
+    spec = hop_spec(NodeState([0.0, 0.0, 10.0]), NodeState([los_d3d_m or 1.0, 0.0, 10.0]),
+                    scen, "NLOS" if los_d3d_m is None else "LOS")
+    hop = build_hop(spec, scen, RandomStreams(0))
     index = np.array([0, -1][:rows], np.int32)  # cluster and ray; -1 is specular
-    return HopTable(SimpleNamespace(d3d_m=los_d3d_m), (1, 1), *[np.zeros(rows)] * 6,
+    return HopTable(hop, (1, 1), *[np.zeros(rows)] * 6,
                     index, index, np.array([xpr]), np.asarray(phases, float).reshape(1, 4))
 
 
@@ -252,7 +256,7 @@ def test_specular_phase_tracks_both_path_lengths():
     group, cir, _, (h1, h2) = pipeline()
     _, _, weight, pair_type = group.paths(0)
     ll = int(np.nonzero(pair_type == PairType.LL)[0][0])
-    phase = -2.0 * np.pi * (h1.d3d_m + h2.d3d_m) / LAM
+    phase = -2.0 * np.pi * (h1.spec.d3d_m + h2.spec.d3d_m) / LAM
     amp = group.k_weights[0][int(PairType.LL)] * weight[ll]
     assert cir.gains[0, 0, ll, 0] == pytest.approx(amp * np.exp(1j * phase), rel=1e-9)
 
@@ -325,9 +329,9 @@ def test_background_structure_and_power_budget(cond, count):
     # replaying the scoped streams reproduces the large-scale draws
     bg_hop = table.hop
     scen = ScenarioParams.from_table("UMi", F_HZ)
-    hop = build_hop(hop_spec(bg_hop.from_node, bg_hop.to_node, scen, cond), scen,
+    hop = build_hop(hop_spec(bg_hop.spec.from_node, bg_hop.spec.to_node, scen, cond), scen,
                     RandomStreams(5).scoped(HOP_BACKGROUND))
-    draws = ("condition", "path_loss_db", "k_factor", "shadow_fading_db")
+    draws = ("condition", "path_loss_db", "k_factor", "shadow_fading_db", "spreads")
     assert [getattr(bg_hop, f) for f in draws] == [getattr(hop, f) for f in draws]
     expect = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 10.0)
     power = float(np.sum(np.abs(bg.gains[0, 0, :, 0]) ** 2))

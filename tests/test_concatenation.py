@@ -1,4 +1,5 @@
 """Two-hop path concatenation: components, pairings, power bookkeeping."""
+import dataclasses
 import operator
 
 import numpy as np
@@ -14,7 +15,7 @@ from isacsim.concatenation import (
 )
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState, angles_between
-from isacsim.largescale import HopLink, ScenarioParams
+from isacsim.largescale import ScenarioParams, build_hop, hop_spec
 from isacsim.seeds import SCOPE_CONCAT, RandomStreams
 from isacsim.smallscale import generate_sublinks
 from isacsim.stats import STAT_FIELDS, group_statistics
@@ -28,18 +29,13 @@ def make_links(cond1="LOS", cond2="LOS", seed=1, k1=4.0, k2=2.0):
     tgt = NodeState(position_m=[25.0, 10.0, 1.5])
     rx = NodeState(position_m=[60.0, -5.0, 10.0])
 
-    def hop(a, b, cond, k):
-        d = b.position_m - a.position_m
-        return HopLink(
-            from_node=a, to_node=b, condition=cond,
-            d2d_m=float(np.hypot(d[0], d[1])), d3d_m=float(np.linalg.norm(d)),
-            path_loss_db=90.0, k_factor=k if cond == "LOS" else 0.0,
-            shadow_fading_db=0.0,
-        )
+    def hop(a, b, cond, k, hop_streams):
+        drawn = build_hop(hop_spec(a, b, scen, cond), scen, hop_streams)
+        return dataclasses.replace(drawn, k_factor=k if cond == "LOS" else 0.0)
 
     streams = RandomStreams(seed)
-    h1 = hop(tx, tgt, cond1, k1)
-    h2 = hop(tgt, rx, cond2, k2)
+    h1 = hop(tx, tgt, cond1, k1, streams.scoped(0))
+    h2 = hop(tgt, rx, cond2, k2, streams.scoped(1))
     t1, = generate_sublinks([h1], scen.condition_params(cond1), [streams.scoped(0)])
     t2, = generate_sublinks([h2], scen.condition_params(cond2), [streams.scoped(1)])
     return t1, t2, streams
@@ -124,7 +120,7 @@ def test_case_a_keeps_only_specular_components():
     assert nn_power(group) == 0.0
     # transmit side of every kept path is the specular ray
     assert np.all(t1.cluster[it] == -1)
-    los = angles_between(t1.hop.from_node.position_m, t1.hop.to_node.position_m)
+    los = angles_between(t1.hop.spec.from_node.position_m, t1.hop.spec.to_node.position_m)
     assert np.all(t1.dep_zenith[it] == los.zenith)
 
 

@@ -1,4 +1,7 @@
 """Scenario tables, path-loss formulas, link budget, large-scale draws."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from importlib import resources
@@ -6,13 +9,13 @@ from importlib import resources
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState
 from isacsim.largescale import (
+    AZIMUTH_SPREAD_CAP_DEG,
+    ZENITH_SPREAD_CAP_DEG,
     CouplingConfig,
     ScenarioParams,
     build_hop,
     combine_isac_path_loss,
     concatenated_path_loss,
-    draw_k_factor,
-    draw_shadow_fading,
     hop_path_loss,
     hop_spec,
     los_probability,
@@ -242,11 +245,12 @@ def test_build_hop_geometry_and_forcing():
     tx, tgt = make_nodes()
     hop = build_hop(hop_spec(tx, tgt, scen, "NLOS"), scen, RandomStreams(3))
     assert hop.condition == "NLOS"
-    assert hop.d2d_m == pytest.approx(50.0)
-    assert hop.d3d_m == pytest.approx(np.hypot(50.0, 8.5))
+    # the 2-D distance (50 m) sets the LOS probability of an auto hop
+    assert hop_spec(tx, tgt, scen).p_los == los_probability("UMi", 50.0)
+    assert hop.spec.d3d_m == pytest.approx(np.hypot(50.0, 8.5))
     assert hop.k_factor == 0.0
     assert hop.path_loss_db == pytest.approx(
-        hop_path_loss("UMi", "NLOS", hop.d3d_m, 6e9, d2d_m=50.0, h_ut_m=1.5)
+        hop_path_loss("UMi", "NLOS", hop.spec.d3d_m, 6e9, d2d_m=50.0, h_ut_m=1.5)
     )
 
 
@@ -310,12 +314,57 @@ def test_hop_spec_refuses_an_unknown_condition():
 def test_k_and_shadow_draw_statistics():
     scen = ScenarioParams.from_table("UMi", 6e9)
     los = scen.condition_params("LOS")
-    rng = np.random.default_rng(8)
-    k_db = 10 * np.log10([draw_k_factor(los, rng) for _ in range(4000)])
+    spec = hop_spec(*make_nodes(), scen, "LOS")
+    hops = [build_hop(spec, scen, RandomStreams(8, drop=d)) for d in range(4000)]
+    k_db = 10 * np.log10([hop.k_factor for hop in hops])
     assert np.mean(k_db) == pytest.approx(los.k_mean_db, abs=0.3)
     assert np.std(k_db) == pytest.approx(los.k_std_db, rel=0.1)
-    sf = [draw_shadow_fading(los, rng) for _ in range(4000)]
+    sf = [hop.shadow_fading_db for hop in hops]
     assert np.mean(sf) == pytest.approx(0.0, abs=0.3)
     assert np.std(sf) == pytest.approx(los.sf_std_db, rel=0.1)
-    nlos = scen.condition_params("NLOS")
-    assert draw_k_factor(nlos, rng) == 0.0
+    nlos = build_hop(hop_spec(*make_nodes(), scen, "NLOS"), scen, RandomStreams(8))
+    assert nlos.k_factor == 0.0
+    # a LOS condition without a K-factor law has no specular power either
+    no_k = dataclasses.replace(los, k_mean_db=None, k_std_db=None)
+    scen_no_k = dataclasses.replace(scen, conditions={"LOS": no_k})
+    assert build_hop(spec, scen_no_k, RandomStreams(8)).k_factor == 0.0
+
+
+def test_spreads_are_the_first_five_lsp_normals():
+    """DS, ASD, ASA, ZSA, ZSD are 10 ** (mean + std * z) of the first five
+    normals of the hop's lsp stream, in that order, each at most its cap."""
+    scen = ScenarioParams.from_table("UMi", 6e9)
+    for condition in ("LOS", "NLOS"):
+        spec = hop_spec(*make_nodes(), scen, condition)
+        params = scen.condition_params(condition)
+        for d in range(5):
+            streams = RandomStreams(23, drop=d, hop=1)
+            z = streams.stream("lsp").standard_normal(5)
+            hop = build_hop(spec, scen, streams)
+            caps = {"ds": math.inf, "asd": 104.0, "asa": 104.0, "zsa": 52.0, "zsd": 52.0}
+            assert list(hop.spreads) == list(caps)
+            for (x, cap), z_x in zip(caps.items(), z):
+                mean, std = getattr(params, f"lg_{x}_mean"), getattr(params, f"lg_{x}_std")
+                want = min(10.0 ** (mean + std * float(z_x)), cap)
+                assert hop.spreads[x] == want, (condition, d, x)
+
+
+def test_angle_spreads_are_capped():
+    """A law far above the caps yields exactly 104 deg in azimuth and
+    52 deg in zenith (TR 38.901 sec 7.5 step 4); the delay spread has no cap."""
+    assert (AZIMUTH_SPREAD_CAP_DEG, ZENITH_SPREAD_CAP_DEG) == (104.0, 52.0)
+    scen = ScenarioParams.from_table("UMi", 6e9)
+    los = scen.condition_params("LOS")
+    wide = dataclasses.replace(
+        los, lg_asd_mean=math.log10(AZIMUTH_SPREAD_CAP_DEG) + 3.0,
+        lg_asa_mean=math.log10(AZIMUTH_SPREAD_CAP_DEG) + 3.0,
+        lg_zsa_mean=math.log10(ZENITH_SPREAD_CAP_DEG) + 3.0,
+        lg_zsd_mean=math.log10(ZENITH_SPREAD_CAP_DEG) + 3.0, lg_ds_mean=3.0,
+    )
+    scen_wide = dataclasses.replace(scen, conditions={"LOS": wide})
+    spec = hop_spec(*make_nodes(), scen_wide, "LOS")
+    for d in range(20):
+        hop = build_hop(spec, scen_wide, RandomStreams(5, drop=d))
+        assert hop.spreads["asd"] == hop.spreads["asa"] == 104.0
+        assert hop.spreads["zsa"] == hop.spreads["zsd"] == 52.0
+        assert hop.spreads["ds"] > 10.0  # 10 ** (3 + 0.38 z) s: no cap

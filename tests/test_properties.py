@@ -141,10 +141,13 @@ def test_mono_static_reciprocal_is_an_involution(seed, condition):
     hop = build_hop(spec, scen, streams)
     table, = generate_sublinks([hop], scen.condition_params(condition), [streams])
     twice = mono_static_reciprocal(mono_static_reciprocal(table))
-    for obj, ref in ((twice, table), (twice.hop, table.hop)):
+    for obj, ref in ((twice, table), (twice.hop, table.hop), (twice.hop.spec, table.hop.spec)):
         for f in dataclasses.fields(ref):
-            if f.name != "hop":
+            if f.name not in ("hop", "spec", "spreads"):
                 assert getattr(obj, f.name) is getattr(ref, f.name), f.name
+    assert list(twice.hop.spreads) == list(table.hop.spreads)
+    for x, spread in table.hop.spreads.items():
+        assert twice.hop.spreads[x] is spread, x
 
 
 @PROPERTY

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.errors import ConfigError
 from isacsim.geometry import NodeState, angles_between
-from isacsim.largescale import HopLink, ScenarioParams
+from isacsim.largescale import ScenarioParams, build_hop, hop_spec
 from isacsim.seeds import RandomStreams
 from isacsim.smallscale import (
     RAY_OFFSETS,
@@ -19,22 +19,22 @@ from isacsim.smallscale import (
 )
 
 F_HZ = 6e9
+SCEN = ScenarioParams.from_table("UMi", F_HZ)
 
 
-def make_hop(condition="NLOS", k_factor=0.0, to_xyz=(40.0, 0.0, 1.5)):
+def make_hop(condition, streams, k_factor=None, to_xyz=(40.0, 0.0, 1.5), reverse=False):
+    """The hop from a base station at 10 m to ``to_xyz`` (the other way
+    round if ``reverse``), drawn on the streams its table is generated
+    from; ``k_factor`` pins its K."""
     tx = NodeState(position_m=[0.0, 0.0, 10.0])
     tgt = NodeState(position_m=list(to_xyz))
-    delta = tgt.position_m - tx.position_m
-    return HopLink(
-        from_node=tx, to_node=tgt, condition=condition,
-        d2d_m=float(np.hypot(delta[0], delta[1])),
-        d3d_m=float(np.linalg.norm(delta)),
-        path_loss_db=100.0, k_factor=k_factor, shadow_fading_db=0.0,
-    )
+    ends = (tgt, tx) if reverse else (tx, tgt)
+    hop = build_hop(hop_spec(*ends, SCEN, condition), SCEN, streams)
+    return hop if k_factor is None else dataclasses.replace(hop, k_factor=k_factor)
 
 
 def params_for(condition):
-    return ScenarioParams.from_table("UMi", F_HZ).condition_params(condition)
+    return SCEN.condition_params(condition)
 
 
 def grid(table, column):
@@ -60,8 +60,9 @@ def test_ray_offsets_layout():
 
 def test_shapes_and_basic_invariants():
     for condition, n in (("LOS", 12), ("NLOS", 19)):
-        hop = make_hop(condition, k_factor=3.0 if condition == "LOS" else 0.0)
-        t = generate_sublinks([hop], params_for(condition), [RandomStreams(1)])[0]
+        streams = RandomStreams(1)
+        hop = make_hop(condition, streams, k_factor=3.0 if condition == "LOS" else 0.0)
+        t = generate_sublinks([hop], params_for(condition), [streams])[0]
         los = condition == "LOS"
         assert t.shape == (n, 20) and t.num_diffuse == n * 20
         assert t.has_los == los
@@ -83,36 +84,39 @@ def test_shapes_and_basic_invariants():
 
 @pytest.mark.parametrize("absolute_delay", [False, True])
 def test_los_row_is_the_specular_ray(absolute_delay):
-    hop = make_hop("LOS", k_factor=3.0, to_xyz=(40.0, 10.0, 1.5))
-    t = generate_sublinks([hop], params_for("LOS"), [RandomStreams(2)],
+    streams = RandomStreams(2)
+    hop = make_hop("LOS", streams, k_factor=3.0, to_xyz=(40.0, 10.0, 1.5))
+    t = generate_sublinks([hop], params_for("LOS"), [streams],
                           absolute_delay=absolute_delay)[0]
     los = t.num_diffuse
     assert los == 12 * 20 and t.weight.size == los + 1
     assert t.weight[los] == 1.0
     assert t.cluster[los] == -1 and t.ray[los] == -1
-    assert t.delay[los] == (hop.d3d_m / SPEED_OF_LIGHT if absolute_delay else 0.0)
-    dep = angles_between(hop.from_node.position_m, hop.to_node.position_m)
-    arr = angles_between(hop.to_node.position_m, hop.from_node.position_m)
+    assert t.delay[los] == (hop.spec.d3d_m / SPEED_OF_LIGHT if absolute_delay else 0.0)
+    dep = angles_between(hop.spec.from_node.position_m, hop.spec.to_node.position_m)
+    arr = angles_between(hop.spec.to_node.position_m, hop.spec.from_node.position_m)
     assert (t.dep_zenith[los], t.dep_azimuth[los]) == (dep.zenith, dep.azimuth)
     assert (t.arr_zenith[los], t.arr_azimuth[los]) == (arr.zenith, arr.azimuth)
 
 
 def test_generation_is_deterministic():
-    hop = make_hop("LOS", k_factor=5.0)
+    hop = make_hop("LOS", RandomStreams(9, drop=4), k_factor=5.0)
     p = params_for("LOS")
     a = generate_sublinks([hop], p, [RandomStreams(9, drop=4)])[0]
     b = generate_sublinks([hop], p, [RandomStreams(9, drop=4)])[0]
     np.testing.assert_array_equal(a.delay, b.delay)
     np.testing.assert_array_equal(a.arr_azimuth, b.arr_azimuth)
     np.testing.assert_array_equal(a.phases, b.phases)
-    c = generate_sublinks([hop], p, [RandomStreams(9, drop=5)])[0]
+    c = generate_sublinks([make_hop("LOS", RandomStreams(9, drop=5), k_factor=5.0)], p,
+                          [RandomStreams(9, drop=5)])[0]
     assert not np.array_equal(a.delay, c.delay)
 
 
 def test_power_delay_law_without_cluster_shadowing():
     # with zero per-cluster shadowing, ln(P) must be exactly affine in delay
     p = dataclasses.replace(params_for("NLOS"), cluster_shadowing_std_db=0.0)
-    t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(2)])[0]
+    streams = RandomStreams(2)
+    t = generate_sublinks([make_hop("NLOS", streams)], p, [streams])[0]
     x = cluster_delays(t)
     y = np.log(cluster_powers(t))
     slope, intercept = np.polyfit(x, y, 1)
@@ -123,10 +127,11 @@ def test_power_delay_law_without_cluster_shadowing():
 def test_los_delay_rescale_applies_to_delays_only():
     k = 10.0 ** (9.0 / 10.0)  # 9 dB
     p_los = params_for("LOS")
-    hop_los = make_hop("LOS", k_factor=k)
-    hop_k0 = make_hop("LOS", k_factor=0.0)  # K = 0: no delay rescale
-    t_los = generate_sublinks([hop_los], p_los, [RandomStreams(5)])[0]
-    t_raw = generate_sublinks([hop_k0], p_los, [RandomStreams(5)])[0]
+    streams = RandomStreams(5)
+    hop_los = make_hop("LOS", streams, k_factor=k)
+    hop_k0 = make_hop("LOS", streams, k_factor=0.0)  # K = 0: no delay rescale
+    t_los = generate_sublinks([hop_los], p_los, [streams])[0]
+    t_raw = generate_sublinks([hop_k0], p_los, [streams])[0]
     k_db = 9.0
     c_tau = 0.7705 - 0.0433 * k_db + 0.0002 * k_db ** 2 + 0.000017 * k_db ** 3
     np.testing.assert_allclose(
@@ -138,7 +143,8 @@ def test_los_delay_rescale_applies_to_delays_only():
 
 def test_ray_offset_fan_out_pattern():
     p = params_for("NLOS")
-    t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(3)])[0]
+    streams = RandomStreams(3)
+    t = generate_sublinks([make_hop("NLOS", streams)], p, [streams])[0]
     deg = np.degrees(grid(t, "dep_azimuth"))
     expected = np.sort(p.c_asd_deg * RAY_OFFSETS)
     for row in deg:
@@ -150,7 +156,8 @@ def test_ray_offset_fan_out_pattern():
 
 def test_ray_coupling_shuffles_arrival_but_not_departure():
     p = params_for("NLOS")
-    t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(3)])[0]
+    streams = RandomStreams(3)
+    t = generate_sublinks([make_hop("NLOS", streams)], p, [streams])[0]
     aod_deg = np.degrees(grid(t, "dep_azimuth"))
     # departure azimuths keep the interleaved offset order
     steps = np.diff(p.c_asd_deg * RAY_OFFSETS)
@@ -177,8 +184,9 @@ def circular_mean_deg(angles_rad):
 
 
 def test_los_first_cluster_aligned_with_geometry():
-    hop = make_hop("LOS", k_factor=4.0, to_xyz=(40.0, 10.0, 1.5))
-    t = generate_sublinks([hop], params_for("LOS"), [RandomStreams(6)])[0]
+    streams = RandomStreams(6)
+    hop = make_hop("LOS", streams, k_factor=4.0, to_xyz=(40.0, 10.0, 1.5))
+    t = generate_sublinks([hop], params_for("LOS"), [streams])[0]
     los = t.num_diffuse
     # the first cluster's mean angles coincide with the direct ray; the
     # symmetric ray fan needs a circular mean near the +-180 deg seam
@@ -196,8 +204,9 @@ def test_los_first_cluster_aligned_with_geometry():
 def test_nlos_departure_zenith_offset_applied():
     p = params_for("NLOS")
     shift = dataclasses.replace(p, zod_offset_deg=p.zod_offset_deg + 10.0)
-    a = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(7)])[0]
-    b = generate_sublinks([make_hop("NLOS")], shift, [RandomStreams(7)])[0]
+    streams = RandomStreams(7)
+    a = generate_sublinks([make_hop("NLOS", streams)], p, [streams])[0]
+    b = generate_sublinks([make_hop("NLOS", streams)], shift, [streams])[0]
     np.testing.assert_allclose(
         np.degrees(b.dep_zenith) - np.degrees(a.dep_zenith), 10.0, atol=1e-9
     )
@@ -205,9 +214,8 @@ def test_nlos_departure_zenith_offset_applied():
 
 def test_angle_ranges():
     for seed in range(5):
-        t = generate_sublinks(
-            [make_hop("NLOS")], params_for("NLOS"), [RandomStreams(seed)]
-        )[0]
+        streams = RandomStreams(seed)
+        t = generate_sublinks([make_hop("NLOS", streams)], params_for("NLOS"), [streams])[0]
         for arr in (t.arr_azimuth, t.dep_azimuth):
             assert np.all(arr > -np.pi) and np.all(arr <= np.pi)
         for arr in (t.arr_zenith, t.dep_zenith):
@@ -218,7 +226,8 @@ def test_xpr_lognormal_statistics():
     p = params_for("NLOS")
     vals = []
     for seed in range(10):
-        t = generate_sublinks([make_hop("NLOS")], p, [RandomStreams(seed)])[0]
+        streams = RandomStreams(seed)
+        t = generate_sublinks([make_hop("NLOS", streams)], p, [streams])[0]
         vals.append(10.0 * np.log10(t.xpr))
     xpr_db = np.concatenate(vals)
     assert xpr_db.mean() == pytest.approx(p.xpr_mean_db, abs=0.2)
@@ -226,7 +235,8 @@ def test_xpr_lognormal_statistics():
 
 
 def test_phases_uniform_on_pi_interval():
-    t = generate_sublinks([make_hop("NLOS")], params_for("NLOS"), [RandomStreams(8)])[0]
+    streams = RandomStreams(8)
+    t = generate_sublinks([make_hop("NLOS", streams)], params_for("NLOS"), [streams])[0]
     ph = t.phases.ravel()
     assert np.all(ph > -np.pi) and np.all(ph <= np.pi)
     assert abs(ph.mean()) < 0.2
@@ -235,9 +245,8 @@ def test_phases_uniform_on_pi_interval():
 
 def test_subcluster_delay_split():
     p = params_for("NLOS")
-    t = generate_sublinks(
-        [make_hop("NLOS")], p, [RandomStreams(4)], split_strongest=True
-    )[0]
+    streams = RandomStreams(4)
+    t = generate_sublinks([make_hop("NLOS", streams)], p, [streams], split_strongest=True)[0]
     strongest = np.argsort(cluster_powers(t))[::-1][:2]
     c_ds_s = p.c_ds_ns * 1e-9
     delays = grid(t, "delay")
@@ -258,31 +267,33 @@ def test_subcluster_delay_split():
 
 def test_subcluster_split_requires_full_ray_layout():
     p = dataclasses.replace(params_for("NLOS"), rays_per_cluster=10)
+    streams = RandomStreams(4)
     with pytest.raises(ConfigError):
-        generate_sublinks(
-            [make_hop("NLOS")], p, [RandomStreams(4)], split_strongest=True
-        )
+        generate_sublinks([make_hop("NLOS", streams)], p, [streams], split_strongest=True)
 
 
 def test_ray_count_bounds():
     p = dataclasses.replace(params_for("NLOS"), rays_per_cluster=21)
+    streams = RandomStreams(4)
     with pytest.raises(ConfigError):
-        generate_sublinks([make_hop("NLOS")], p, [RandomStreams(4)])
+        generate_sublinks([make_hop("NLOS", streams)], p, [streams])
 
 
 def test_absolute_delay_adds_propagation_time():
-    hop = make_hop("LOS", k_factor=2.0)
+    streams = RandomStreams(5)
+    hop = make_hop("LOS", streams, k_factor=2.0)
     p = params_for("LOS")
-    rel = generate_sublinks([hop], p, [RandomStreams(5)])[0]
-    ab = generate_sublinks([hop], p, [RandomStreams(5)], absolute_delay=True)[0]
-    base = hop.d3d_m / 3.0e8
+    rel = generate_sublinks([hop], p, [streams])[0]
+    ab = generate_sublinks([hop], p, [streams], absolute_delay=True)[0]
+    base = hop.spec.d3d_m / 3.0e8
     np.testing.assert_allclose(ab.delay - rel.delay, base, rtol=1e-12)  # specular row too
     assert ab.delay.min() == pytest.approx(base, rel=1e-12)
 
 
 def test_mono_static_reciprocal_swaps_and_inverts():
-    hop = make_hop("LOS", k_factor=3.0)
-    t = generate_sublinks([hop], params_for("LOS"), [RandomStreams(6)])[0]
+    streams = RandomStreams(6)
+    hop = make_hop("LOS", streams, k_factor=3.0)
+    t = generate_sublinks([hop], params_for("LOS"), [streams])[0]
     rev = mono_static_reciprocal(t)
     for dep, arr in (("dep_zenith", "arr_zenith"), ("dep_azimuth", "arr_azimuth")):
         np.testing.assert_array_equal(getattr(rev, dep), getattr(t, arr), strict=True)
@@ -290,7 +301,16 @@ def test_mono_static_reciprocal_swaps_and_inverts():
     for shared in ("weight", "delay", "xpr", "phases", "cluster", "ray"):
         assert getattr(rev, shared) is getattr(t, shared), shared
     assert rev.shape == t.shape and rev.has_los
-    assert rev.hop.from_node is hop.to_node and rev.hop.to_node is hop.from_node
+    assert rev.hop.spec.from_node is hop.spec.to_node
+    assert rev.hop.spec.to_node is hop.spec.from_node
+    # the whole hop is reversed: its LOS angles and its departure and arrival spreads
+    assert rev.hop.spec.departure is hop.spec.arrival
+    assert rev.hop.spec.arrival is hop.spec.departure
+    assert rev.hop.spreads == {"ds": hop.spreads["ds"], "asd": hop.spreads["asa"],
+                               "asa": hop.spreads["asd"], "zsa": hop.spreads["zsd"],
+                               "zsd": hop.spreads["zsa"]}
+    assert (rev.hop.condition, rev.hop.k_factor, rev.hop.path_loss_db) == \
+        (hop.condition, hop.k_factor, hop.path_loss_db)
     back = mono_static_reciprocal(rev)
     for f in dataclasses.fields(t):
         assert getattr(back, f.name) is getattr(t, f.name) or f.name == "hop", f.name
@@ -317,13 +337,11 @@ def test_batched_tables_are_the_one_hop_tables(condition, hops, split_strongest,
     run from the target back to the base station."""
     links, streams = [], []
     for i, (xyz, k, seed, reverse) in enumerate(hops):
-        hop = make_hop(condition, k if condition == "LOS" else 0.0, to_xyz=xyz)
         if np.hypot(*xyz[:2]) < 1.0:
-            hop = make_hop(condition, hop.k_factor)  # keep endpoints apart
-        if reverse:
-            hop = dataclasses.replace(hop, from_node=hop.to_node, to_node=hop.from_node)
-        links.append(hop)
+            xyz = (40.0, 0.0, 1.5)  # keep endpoints apart
         streams.append(RandomStreams(seed, drop=i))
+        links.append(make_hop(condition, streams[-1], k if condition == "LOS" else 0.0,
+                              xyz, reverse))
     p = params_for(condition)
     batch = generate_sublinks(links, p, streams, split_strongest, absolute_delay)
     assert len(batch) == len(links)
@@ -339,18 +357,21 @@ def test_batched_tables_are_the_one_hop_tables(condition, hops, split_strongest,
 
 
 def test_batched_hops_must_share_a_condition():
-    hops = [make_hop("LOS", 2.0), make_hop("NLOS")]
+    streams = RandomStreams(1)
+    hops = [make_hop("LOS", streams, 2.0), make_hop("NLOS", streams)]
     with pytest.raises(ConfigError, match="share their condition"):
-        generate_sublinks(hops, params_for("LOS"), [RandomStreams(1)] * 2)
+        generate_sublinks(hops, params_for("LOS"), [streams] * 2)
 
 
 def test_batch_refuses_parameters_of_another_condition():
-    hops = [make_hop("LOS", 2.0)] * 2
+    streams = RandomStreams(1)
+    hops = [make_hop("LOS", streams, 2.0)] * 2
     with pytest.raises(ConfigError, match="NLOS parameters"):
-        generate_sublinks(hops, params_for("NLOS"), [RandomStreams(1)] * 2)
+        generate_sublinks(hops, params_for("NLOS"), [streams] * 2)
 
 
 def test_batch_refuses_a_stream_factory_count_other_than_its_hops():
-    hops = [make_hop("NLOS")] * 3
+    streams = RandomStreams(1)
+    hops = [make_hop("NLOS", streams)] * 3
     with pytest.raises(ConfigError, match="3 hops need as many stream factories, got 2"):
-        generate_sublinks(hops, params_for("NLOS"), [RandomStreams(1)] * 2)
+        generate_sublinks(hops, params_for("NLOS"), [streams] * 2)

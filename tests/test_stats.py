@@ -343,7 +343,7 @@ def test_marginal_statistics_match_per_path_oracle(oracle_drops):
     worst = 0.0
     mono = 0
     for t1, t2, streams in oracle_drops:
-        mono += t2.hop.to_node is t1.hop.from_node  # hop 2 returns to the transmitter
+        mono += t2.hop.spec.to_node is t1.hop.spec.from_node  # hop 2 returns to the transmitter
         # each case built in a call of its own, so no two sets share a block
         sets = [concatenate_group([t1], [t2], [case], [streams])[0] for case in ALL_CASES]
         table = group_statistics(sets)[0]
