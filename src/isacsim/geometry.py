@@ -64,32 +64,19 @@ def angles_between(from_pos: np.ndarray, to_pos: np.ndarray) -> DirectionAngles:
     return DirectionAngles(zenith=zenith, azimuth=azimuth)
 
 
-def rotation_matrix(bearing: float, downtilt: float, slant: float) -> np.ndarray:
-    """Intrinsic z-y-x rotation (angles in radians) mapping local to global frame."""
-    ca, sa = np.cos(bearing), np.sin(bearing)
-    cb, sb = np.cos(downtilt), np.sin(downtilt)
-    cg, sg = np.cos(slant), np.sin(slant)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
-    return rz @ ry @ rx
-
-
 @dataclass
 class AntennaElement:
     """One radiating element of an array.
 
     offset_m: element phase-center offset from the node reference point,
     in the global frame. pattern selects the magnitude pattern; slant_deg
-    splits the gain between the theta/phi polarization components.
-    ``orientation_deg`` = (bearing, downtilt, slant rotation) applied to the
-    pattern only; the polarization split stays the plain slant decomposition.
+    splits the gain between the theta/phi polarization components. Every
+    element faces broadside, +x: its pattern is looked up at the global angles.
     """
 
     offset_m: np.ndarray = field(default_factory=lambda: np.zeros(3))
     pattern: str = ISOTROPIC
     slant_deg: float = 0.0
-    orientation_deg: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         self.offset_m = vec3(self.offset_m)
@@ -146,7 +133,7 @@ class NodeState:
 
 
 def _pattern_gain_db(pattern: str, zenith, azimuth):
-    """Element power pattern in dB for local-frame angles (radians)."""
+    """Element power pattern in dB at the given angles (radians)."""
     if pattern == ISOTROPIC:
         return np.zeros(np.broadcast(zenith, azimuth).shape)
     # Single-element pattern of TR 38.901 Table 7.3-1: 65 deg HPBW in both
@@ -161,20 +148,10 @@ def _pattern_gain_db(pattern: str, zenith, azimuth):
 def field_components(element: AntennaElement, direction: DirectionAngles):
     """Complex field components (F_theta, F_phi) of an element toward ``direction``.
 
-    The direction is rotated into the element frame for pattern lookup; the
-    amplitude sqrt of the power pattern is split onto the two polarization
-    axes by the slant angle (cos onto theta, sin onto phi).
+    The amplitude sqrt of the power pattern is split onto the two
+    polarization axes by the slant angle (cos onto theta, sin onto phi).
     """
-    orient = element.orientation_deg
-    if any(a != 0.0 for a in orient):
-        rot = rotation_matrix(*np.radians(element.orientation_deg))
-        u = spherical_unit_vector(direction)
-        local = u @ rot  # row-wise R^T @ u
-        lz = np.arccos(np.clip(local[..., 2], -1.0, 1.0))
-        la = np.arctan2(local[..., 1], local[..., 0])
-    else:
-        lz, la = direction.zenith, direction.azimuth
-    gain_db = _pattern_gain_db(element.pattern, lz, la)
+    gain_db = _pattern_gain_db(element.pattern, direction.zenith, direction.azimuth)
     amp = 10.0 ** (gain_db / 20.0)
     slant = np.radians(element.slant_deg)
     f_theta = amp * np.cos(slant) + 0.0j

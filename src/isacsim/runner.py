@@ -2,18 +2,21 @@
 
 Each hop's geometry, LOS probability, path loss and LOS angles are resolved
 once per run (largescale.HopSpec). A run goes through its drops in runs of
-consecutive drops (one drop per task in a pool). A run first draws every
-hop of its drops (its seven large-scale parameters) for the two target
-hops and, when enabled, the background hop, and generates the cluster
-tables of the hops of one condition together. The drops whose two target
-tables share a layout form a group, and each group is concatenated under
-the configured cases and reduced to drop statistics in one pass. Then,
-drop by drop: the two-hop link budget and optionally CIR synthesis of the
-target and background hop tables and their combination (the only stage
-that loads coefficients). Each drop writes its CIR rows out slice by slice
-as it formats them (to cir.txt.part, or from a pool worker to a spool the
-parent appends in drop order), so the output files are identical for any
-worker count, no drop's gains outlive its drop and no text crosses a pipe.
+consecutive drops, the unit of work with any worker count. A run of drops
+first draws every hop of its drops (its seven large-scale parameters) for
+the two target hops and, when enabled, the background hop, and generates
+the cluster tables of the hops of one condition together. The drops whose
+two target tables share a layout form a group, and each group is
+concatenated under the configured cases and reduced to drop statistics in
+one pass. Then, drop by drop: the two-hop link budget and optionally CIR
+synthesis of the target and background hop tables and their combination
+(the only stage that loads coefficients). Each drop writes its CIR rows out
+slice by slice as it formats them (to cir.txt.part, or from a pool task to
+a spool the parent appends in run order), and a run of drops hands back one
+RunBlock of numbers, which the parent copies into one statistics table. So
+the output files are identical for any worker count, no drop's gains
+outlive its drop, no text crosses a pipe and no per-drop object outlives
+its run. Every output file goes through one hashing writer (_Output).
 """
 from __future__ import annotations
 
@@ -21,11 +24,10 @@ import glob
 import hashlib
 import os
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,22 +74,24 @@ CIR_HEADER = (
     b"# one record per (drop, rx_element, tx_element, path)\n"
     b"# drop u s path delay_s re/im per snapshot\n"
 )
-# The files a run writes, pool workers' spools included; a run into a used
-# directory first removes these, so the directory never mixes two runs.
-CIR_TEMPORARY = ("cir.txt.part", "cir.txt.*.spool")
-OUTPUT_PATTERNS = ("cir.txt", *CIR_TEMPORARY, "statistics.txt", "cdf_*.txt", "manifest.txt")
-RUN_DROPS = 12  # consecutive drops a serial run builds, groups and reduces at once
+CONDITION_PAIRS = ("LL", "LN", "NL", "NN", "none")  # by code; "none" for an empty set
+# The files a run writes. A run into a used directory first removes these,
+# their part files and pool tasks' spools, so the directory never mixes two runs.
+OUTPUTS = ("cir.txt", "statistics.txt", "cdf_*.txt", "manifest.txt")
+CIR_SPOOLS = "cir.txt.*.spool"
+OUTPUT_PATTERNS = (*OUTPUTS, *(name + ".part" for name in OUTPUTS), CIR_SPOOLS)
+RUN_DROPS = 12  # the most consecutive drops a task builds, groups and reduces at once
 
 
 @dataclass
-class DropResult:
-    drop: int
-    condition_pairs: list  # one per case, "none" for an empty set
-    stats: np.ndarray  # (cases, STAT_COLUMNS)
-    pl_target_db: float
-    pl_isac_db: float = np.nan
-    cir_rows: int = 0
-    cir_spool: str | None = None  # a pool worker's file of this drop's cir.txt rows
+class RunBlock:
+    """What a run of consecutive drops hands back, in drop order."""
+
+    stats: np.ndarray  # (drops, cases, STAT_COLUMNS)
+    pairs: np.ndarray  # (drops, cases) uint8 codes into CONDITION_PAIRS
+    path_loss_db: np.ndarray  # (2, drops): two-hop, and combined (NaN without one)
+    cir_rows: int = 0  # cir.txt data rows of its drops
+    spool: str | None = None  # a pool task's file of its drops' cir.txt rows
 
 
 @dataclass
@@ -136,19 +140,21 @@ def build_rcs_model(cfg: RunConfig) -> RcsModel:
 def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                scenario: ScenarioParams, hops: list, rcs_model: RcsModel | None,
                polarization: PolarizationScattering, grid: SnapshotGrid,
-               coupling: CouplingConfig, cir_sink) -> list:
+               coupling: CouplingConfig, cir_out) -> RunBlock:
     """Worker body: simulate consecutive drops for every requested case.
 
     Every hop of the drops is built first, and the hops of one condition get
     their cluster tables from one generate_sublinks call; the drops of one
     hop-table layout are concatenated and reduced as a group, and each drop
-    is then written in drop order. Returns each drop's record. The keyword
+    is then written in drop order. Returns the drops' RunBlock. The keyword
     arguments are the per-run objects, built once by _execute: ``hops``
     holds (largescale.HopSpec, stream scope) of the tx->target hop, the
     bi-static target->rx hop and the background hop, those of them a drop
-    builds. ``cir_sink(drop, slices)`` writes out a drop's cir.txt rows as
-    they are formatted and returns the name of the spool it wrote them to,
-    if any. A drop whose gains are not finite raises NumericError.
+    builds. ``cir_out`` takes the cir.txt rows as they are formatted: in a
+    serial run it is the cir.txt writer; in a pool it is the path of
+    cir.txt, and the task writes its rows to the spool
+    ``<cir_out>.<first drop>.spool``. A drop whose gains are not finite
+    raises NumericError.
     """
     if emit_cir:  # only runs that emit CIRs load the CIR synthesis
         from . import coefficients
@@ -175,24 +181,30 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
         per_drop.append((table1, table2, rest))
         layout = (table1.shape, table1.has_los, table2.shape, table2.has_los)
         groups.setdefault(layout, []).append(k)
-    reduced = {}  # drop -> its statistics, their condition pairs, its CIR case's group, its index
+    n = len(drops)
+    block = RunBlock(np.empty((n, len(cases), len(STAT_COLUMNS))),
+                     np.empty((n, len(cases)), np.uint8), np.full((2, n), np.nan))
+    cir_groups = {}  # drop -> its CIR case's group and its index there
     for members in groups.values():
         tx, rx = (tuple(per_drop[k][side] for k in members) for side in (0, 1))
         concat_streams = [streams[k].scoped(SCOPE_CONCAT) for k in members]
         sets = concatenate_group(tx, rx, cases, concat_streams)
-        stats = group_statistics(sets)
-        stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9
-        pairs = [sets[0].condition_pair if len(group) else "none" for group in sets]
+        block.stats[members] = group_statistics(sets)
+        block.pairs[members] = [CONDITION_PAIRS.index(sets[0].condition_pair if len(group)
+                                                      else "none") for group in sets]
         cir_group = sets[cases.index(cfg.concat_case)] if emit_cir else None  # the rest go now
-        reduced.update((k, (stats[i], pairs, cir_group, i)) for i, k in enumerate(members))
+        cir_groups.update((k, (cir_group, i)) for i, k in enumerate(members))
+    block.stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9
 
-    results = []
-    for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
-        (table1, table2, rest), (stats, pairs, group, i) = per_drop[k], reduced[k]
-        pl_target = concatenated_path_loss(table1.hop.path_loss_db, table2.hop.path_loss_db,
+    sink = None if isinstance(cir_out, str) else cir_out  # a pool task opens its spool
+    with ExitStack() as files:
+        for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
+            (table1, table2, rest), (group, i) = per_drop[k], cir_groups[k]
+            pl = block.path_loss_db[:, k]
+            pl[0] = concatenated_path_loss(table1.hop.path_loss_db, table2.hop.path_loss_db,
                                            cfg.frequency_hz, cfg.rcs_mean_m2)
-        rec = DropResult(drop, pairs, stats, pl_target)
-        if group is not None and len(group):
+            if group is None or not len(group):
+                continue
             # gains that overflow are reported once, by the finiteness check below
             with np.errstate(over="ignore", invalid="ignore"):
                 cir = coefficients.synthesize_target_cir(
@@ -201,19 +213,20 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                 )
                 if rest:
                     background = rest[0]
-                    rec.pl_isac_db = combine_isac_path_loss(
-                        pl_target, background.hop.path_loss_db, coupling
-                    )
+                    pl[1] = combine_isac_path_loss(pl[0], background.hop.path_loss_db, coupling)
                     cir = coefficients.combine_channels(cir, coefficients.synthesize_background_cir(
                         background, grid, cfg.wavelength_m), coupling)
                 elif cfg.background_enabled:  # weighted by 0, the background hop is not built
-                    rec.pl_isac_db = combine_isac_path_loss(pl_target, 0.0, coupling)
+                    pl[1] = combine_isac_path_loss(pl[0], 0.0, coupling)
             if not np.isfinite(cir.gains).all():
                 raise NumericError(f"drop {drop}: CIR gains overflow to non-finite values")
-            rec.cir_rows = int(np.prod(cir.gains.shape[:3]))
-            rec.cir_spool = cir_sink(drop, _cir_block(drop, cir.delays, cir.gains))
-        results.append(rec)
-    return results
+            block.cir_rows += int(np.prod(cir.gains.shape[:3]))
+            if sink is None:
+                block.spool = f"{cir_out}.{drops.start}.spool"
+                sink = files.enter_context(open(block.spool, "wb"))
+            for chunk in _cir_block(drop, cir.delays, cir.gains):
+                sink.write(chunk)
+    return block
 
 
 def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray):
@@ -230,97 +243,75 @@ def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray):
         yield _format_rows(prefix, values[rows])
 
 
-def _write_text(path: str, data: bytes) -> str:
-    """Write ``data`` to ``path`` and return its SHA-256."""
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+class _Output:
+    """One output file as it is written: ``<name>.part``, created with
+    ``head`` at the first write, and the SHA-256 of every byte written to
+    it. On a clean exit the part becomes ``<name>`` and its digest goes into
+    ``checksums``; on an exception the part is removed."""
+
+    def __init__(self, out_dir: str, name: str, checksums: dict, head: bytes = b""):
+        self.path, self.name, self.checksums = os.path.join(out_dir, name), name, checksums
+        self.head, self.fh, self.digest = head, None, hashlib.sha256(head)
+
+    def write(self, chunk: bytes) -> None:
+        if self.fh is None:
+            self.fh = open(self.path + ".part", "wb")
+            self.fh.write(self.head)
+        self.fh.write(chunk)
+        self.digest.update(chunk)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failed, *_):
+        if self.fh is None:
+            return
+        self.fh.close()
+        if failed:
+            os.unlink(self.path + ".part")
+        else:
+            os.replace(self.path + ".part", self.path)
+            self.checksums[self.name] = self.digest.hexdigest()
 
 
-def _write_statistics(out_dir: str, records: list, cases: tuple, table: np.ndarray,
-                      columns: tuple) -> str:
-    """One row per (drop, case) of the (drops x cases x columns) table."""
-    prefix = _text([f"{rec.drop} {case.value} {pair} "
-                    for rec in records for case, pair in zip(cases, rec.condition_pairs)])
-    data = (("# drop case condition_pair " + " ".join(columns) + "\n").encode("ascii")
-            + _format_rows(prefix, table.reshape(-1, len(columns))))
-    return _write_text(os.path.join(out_dir, "statistics.txt"), data)
+def _write_statistics(out_dir: str, checksums: dict, cases: tuple, table: np.ndarray,
+                      pairs: np.ndarray, columns: tuple) -> None:
+    """One row per (drop, case) of the (drops x cases x columns) table, with
+    the condition pairs of the (drops x cases) codes, a slice at a time."""
+    head = ("# drop case condition_pair " + " ".join(columns) + "\n").encode("ascii")
+    values, codes = table.reshape(-1, len(columns)), pairs.ravel()
+    case_text = _text([f"{case.value} " for case in cases])
+    pair_text = _text([f"{pair} " for pair in CONDITION_PAIRS])
+    with _Output(out_dir, "statistics.txt", checksums, head) as out:
+        for rows in _row_slices(*values.shape):
+            r = np.arange(rows.start, rows.stop)
+            drops = r // len(cases)
+            drop_text = _text([f"{d} " for d in range(drops[0], drops[-1] + 1)])
+            prefix = np.hstack([drop_text[drops - drops[0]], case_text[r % len(cases)],
+                                pair_text[codes[rows]]])
+            out.write(_format_rows(prefix, values[rows]))
 
 
-def _write_cdf(path: str, values: np.ndarray) -> str:
-    cdf = empirical_cdf(values)
-    rows = np.column_stack([cdf.values, cdf.probabilities])
-    no_prefix = np.zeros((len(rows), 0), np.uint8)
-    return _write_text(path, b"# value probability\n" + _format_rows(no_prefix, rows))
-
-
-def _write_cdfs(out_dir: str, cases: tuple, table: np.ndarray, columns: tuple) -> dict:
+def _write_cdfs(out_dir: str, checksums: dict, cases: tuple, table: np.ndarray,
+                columns: tuple) -> None:
     """One value-probability file per metric per case, of its finite values."""
-    checksums = {}
     for i, case in enumerate(cases):
         for metric, column in CDF_METRICS.items():
             if column in columns:
                 values = table[:, i, columns.index(column)]
                 values = values[np.isfinite(values)]
                 if values.size:
-                    name = f"cdf_{metric}_{case.value}.txt"
-                    checksums[name] = _write_cdf(os.path.join(out_dir, name), values)
-    return checksums
-
-
-class CirFile:
-    """``cir.txt`` as it is written: ``cir.txt.part``, opened with the header
-    on the first rows, and the SHA-256 of every byte written to it. On a
-    clean exit the part file becomes ``cir.txt``; on an exception it and
-    every spool are removed."""
-
-    def __init__(self, path: str):
-        self.path, self.fh, self.digest = path, None, hashlib.sha256(CIR_HEADER)
-
-    def take(self, drop: int, chunks) -> None:
-        """Serial sink, and the parent's copy of each spool."""
-        for chunk in chunks:
-            if self.fh is None:
-                self.fh = open(self.path + ".part", "wb")
-                self.fh.write(CIR_HEADER)
-            self.fh.write(chunk)
-            self.digest.update(chunk)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, failed, *_):
-        if self.fh is not None:
-            self.fh.close()
-        if failed:
-            _remove(os.path.dirname(self.path), CIR_TEMPORARY)
-        elif self.fh is not None:
-            os.replace(self.path + ".part", self.path)
-
-
-def _spool(cir_path: str, drop: int, chunks) -> str:
-    """Pool worker sink: a drop's slices go into its own spool file."""
-    name = f"{cir_path}.{drop}.spool"
-    with open(name, "wb") as fh:
-        fh.writelines(chunks)
-    return name
+                    cdf = empirical_cdf(values)
+                    rows = np.column_stack([cdf.values, cdf.probabilities])
+                    with _Output(out_dir, f"cdf_{metric}_{case.value}.txt", checksums,
+                                 b"# value probability\n") as out:
+                        out.write(_format_rows(np.zeros((len(rows), 0), np.uint8), rows))
 
 
 def _remove(out_dir: str, patterns) -> None:
     for pattern in patterns:
         for name in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
             os.unlink(name)
-
-
-def _stream_drops(records, cir: CirFile):
-    """Pass every drop's record on in drop order, first appending its spool
-    to ``cir`` and deleting it."""
-    for rec in records:
-        if rec.cir_spool is not None:
-            with open(rec.cir_spool, "rb") as fh:
-                cir.take(rec.drop, iter(partial(fh.read, 1 << 20), b""))  # 1 MiB
-            os.unlink(rec.cir_spool)
-        yield rec
 
 
 def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
@@ -362,7 +353,8 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     for spec, _ in hops:
         for cond in spec.path_loss_db:
             check_ray_layout(scenario.condition_params(cond), cfg.split_strongest)
-    cir = CirFile(os.path.join(out_dir, "cir.txt"))
+    checksums = {}
+    cir = _Output(out_dir, "cir.txt", checksums, CIR_HEADER)
     if emit_cir:
         from .coefficients import SnapshotGrid
     worker = partial(
@@ -373,19 +365,24 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
             o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,
             removal_fraction=cfg.coupling_removal_fraction,
         ),
-        cir_sink=partial(_spool, cir.path) if workers > 1 else cir.take,
+        cir_out=cir.path if workers > 1 else cir,
     )
     os.makedirs(out_dir, exist_ok=True)
     _remove(out_dir, OUTPUT_PATTERNS)
 
-    # A pool takes one drop per task; a serial run goes through its drops in
-    # runs of RUN_DROPS, each run's hop tables built at once.
-    size = 1 if workers > 1 else RUN_DROPS
+    # Runs of up to RUN_DROPS drops, each run's hop tables built at once, and
+    # at least four tasks per worker, so that a pool's spool appends overlap
+    # with its compute.
+    size = max(1, min(RUN_DROPS, cfg.drops // (4 * workers)))
     runs = [range(d, min(d + size, cfg.drops)) for d in range(0, cfg.drops, size)]
+    columns = STAT_COLUMNS + ("nn_power_ratio",) * study
+    table = np.empty((cfg.drops, len(cases), len(columns)))  # drops x cases x columns
+    pairs = np.empty((cfg.drops, len(cases)), np.uint8)
+    path_loss, cir_rows = np.empty((2, cfg.drops)), 0
     # On a failure the pool cancels the drops not yet started and waits for
     # the running ones; it kills no worker (one killed while it sends its
-    # result can hang the parent). cir exits after the pool, when no worker
-    # still writes a spool.
+    # result can hang the parent). The spools go after the pool, when no
+    # task still writes one.
     pool = None
     if workers > 1:  # imported by pooled runs only
         from concurrent.futures import ProcessPoolExecutor
@@ -393,26 +390,32 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         # the fork context starts every worker at the first submit, so no
         # more are asked for than there are tasks
         pool = ProcessPoolExecutor(min(workers, len(runs)), mp_context=get_context("fork"))
-    with cir, pool or nullcontext():
+    with pool or nullcontext():
         try:
-            per_run = pool.map(worker, runs) if pool else map(worker, runs)
-            records = list(_stream_drops(chain.from_iterable(per_run), cir))
+            with cir:
+                for drops, block in zip(runs, (pool.map if pool else map)(worker, runs)):
+                    at = slice(drops.start, drops.stop)
+                    table[at, :, :len(STAT_COLUMNS)], pairs[at] = block.stats, block.pairs
+                    path_loss[:, at], cir_rows = block.path_loss_db, cir_rows + block.cir_rows
+                    if block.spool is not None:
+                        with open(block.spool, "rb") as fh:
+                            for chunk in iter(partial(fh.read, 1 << 20), b""):  # 1 MiB
+                                cir.write(chunk)
+                        os.unlink(block.spool)
         except BaseException:
             if pool:
                 pool.shutdown(cancel_futures=True)
+            _remove(out_dir, [CIR_SPOOLS])
             raise
 
-    table, columns = np.array([r.stats for r in records]), STAT_COLUMNS  # drops x cases x columns
     if study:  # each row's NN power against its drop's full convolution
         nn = table[..., columns.index("nn_power")]
         ref = nn[:, [cases.index(ConcatCase.CASE_0)]]
-        ratio = np.divide(nn, ref, out=np.full_like(nn, np.nan), where=ref > 0)
-        table, columns = np.dstack([table, ratio]), columns + ("nn_power_ratio",)
+        table[..., -1] = np.nan
+        np.divide(nn, ref, out=table[..., -1], where=ref > 0)
 
-    checksums = {"statistics.txt": _write_statistics(out_dir, records, cases, table, columns)}
-    checksums.update(_write_cdfs(out_dir, cases, table, columns))
-    if cir.fh is not None:
-        checksums["cir.txt"] = cir.digest.hexdigest()
+    _write_statistics(out_dir, checksums, cases, table, pairs, columns)
+    _write_cdfs(out_dir, checksums, cases, table, columns)
 
     manifest = RunManifest(
         version=__version__,
@@ -420,15 +423,15 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
         created_utc=created,
         elapsed_s=time.perf_counter() - t0,
         workers=workers,
-        cir_rows=sum(r.cir_rows for r in records),
+        cir_rows=cir_rows,
         file_checksums=checksums,
         config_lines=config_echo(cfg),
     )
-    _write_manifest(out_dir, manifest, records)
+    _write_manifest(out_dir, manifest, path_loss)
     return manifest
 
 
-def _write_manifest(out_dir: str, manifest: RunManifest, records: list) -> None:
+def _write_manifest(out_dir: str, manifest: RunManifest, path_loss: np.ndarray) -> None:
     lines = [
         "# run manifest",
         f"version = {manifest.version}",
@@ -438,16 +441,17 @@ def _write_manifest(out_dir: str, manifest: RunManifest, records: list) -> None:
         f"cir_rows = {manifest.cir_rows}",
     ]
     # means over the drops, the combined one over those that wrote a CIR with a background
-    lines.append("mean_two_hop_path_loss_db = %.6f" % np.mean([r.pl_target_db for r in records]))
-    pli = [r.pl_isac_db for r in records if np.isfinite(r.pl_isac_db)]
-    if pli:
+    lines.append("mean_two_hop_path_loss_db = %.6f" % np.mean(path_loss[0]))
+    pli = path_loss[1][np.isfinite(path_loss[1])]
+    if pli.size:
         lines.append("mean_combined_path_loss_db = %.6f" % np.mean(pli))
     lines.append("[files]")
     for name, digest in sorted(manifest.file_checksums.items()):
         lines.append(f"{name} sha256={digest}")
     lines.append("[config]")
     lines.extend(manifest.config_lines)
-    _write_text(os.path.join(out_dir, "manifest.txt"), ("\n".join(lines) + "\n").encode("utf-8"))
+    with _Output(out_dir, "manifest.txt", {}) as out:
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> RunManifest:

@@ -1,4 +1,4 @@
-"""Direction math, rotations, and antenna element responses."""
+"""Direction math and antenna element responses."""
 import numpy as np
 import pytest
 
@@ -10,7 +10,6 @@ from isacsim.geometry import (
     NodeState,
     angles_between,
     field_components,
-    rotation_matrix,
     spherical_unit_vector,
     uniform_linear_array,
     vec3,
@@ -63,19 +62,6 @@ def test_angles_between_round_trips_through_unit_vector():
 def test_angles_between_rejects_coincident_points():
     with pytest.raises(ValueError):
         angles_between(np.ones(3), np.ones(3))
-
-
-def test_rotation_matrix_orthonormal():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        r = rotation_matrix(*rng.uniform(-np.pi, np.pi, 3))
-        np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-13)
-        assert np.linalg.det(r) == pytest.approx(1.0)
-
-
-def test_rotation_matrix_pure_bearing():
-    r = rotation_matrix(np.pi / 2, 0.0, 0.0)
-    np.testing.assert_allclose(r @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-15)
 
 
 def test_vec3_accepts_sequence_and_components():
@@ -131,15 +117,6 @@ def test_sectorized_pattern_boresight_and_rolloff():
     # floor is 30 dB below peak
     ft_back, _ = field_components(el, DirectionAngles(np.pi / 2, np.pi))
     assert 10 * np.log10(abs(ft) ** 2 / abs(ft_back) ** 2) == pytest.approx(30.0)
-
-
-def test_oriented_element_rotates_pattern():
-    el = AntennaElement(pattern=SECTORIZED_38901, orientation_deg=(90.0, 0.0, 0.0))
-    # bearing 90 deg moves boresight from +x to +y
-    ft_y, _ = field_components(el, DirectionAngles(np.pi / 2, np.pi / 2))
-    assert abs(ft_y) ** 2 == pytest.approx(10.0 ** 0.8)
-    ft_x, _ = field_components(el, DirectionAngles(np.pi / 2, 0.0))
-    assert abs(ft_x) < abs(ft_y)
 
 
 def test_unknown_pattern_rejected():

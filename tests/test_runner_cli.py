@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isacsim import cli, coefficients, runner
+from isacsim import cli, coefficients, runner, text
 from isacsim.cli import main
 from isacsim.concatenation import ALL_CASES, ConcatCase
 from isacsim.config import validate_config
@@ -184,12 +184,20 @@ def test_run_without_paths_writes_no_cir(tmp_path):
     assert fields["cir_rows"] == "0"
 
 
-def test_rerun_into_a_used_directory_clears_the_earlier_outputs(tmp_path):
+def test_rerun_into_a_used_directory_clears_the_earlier_outputs(tmp_path, monkeypatch):
     out = str(tmp_path / "run")
     run(make_cfg(), out_dir=out)
     assert "cir.txt" in os.listdir(out)
-    for name in ("cir.txt.part", "cir.txt.5.spool", "cdf_power_Case9.txt", "notes.txt"):
+    for name in ("cir.txt.part", "cir.txt.5.spool", "statistics.txt.part",
+                 "cdf_power_Case9.txt", "notes.txt"):
         open(os.path.join(out, name), "w").close()
+    write_statistics = runner._write_statistics
+
+    def after_the_cleanup(out_dir, *args):  # the run would reuse the stale part's name
+        assert "statistics.txt.part" not in os.listdir(out_dir)
+        write_statistics(out_dir, *args)
+
+    monkeypatch.setattr(runner, "_write_statistics", after_the_cleanup)
     run(make_cfg("output.cir = false\n"), out_dir=out)
     _, listed = manifest_header(out)
     assert "cir.txt" not in listed
@@ -257,18 +265,47 @@ def test_each_hop_is_resolved_once_per_run(tmp_path, monkeypatch):
     assert 1 <= calls["angles_between"] <= 4  # each hop's LOS angles, both ways
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_that_fails_while_writing_leaves_no_part_file(tmp_path, monkeypatch, workers):
+    clean = run(make_cfg(drops=4), out_dir=str(tmp_path / "clean"), workers=workers)
+    write = runner._Output.write
+    for name in ("cir.txt", "statistics.txt", "cdf_ds_ns_Case2O.txt", "manifest.txt"):
+        def fail_after_writing(self, chunk, _name=name):
+            write(self, chunk)  # the part file exists and holds its first bytes
+            if self.name == _name:
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner._Output, "write", fail_after_writing)
+        out = tmp_path / f"{name}-fails"
+        with pytest.raises(OSError, match="No space"):
+            run(make_cfg(drops=4), out_dir=str(out), workers=workers)
+        names = set(os.listdir(out))
+        assert not [n for n in names if n.endswith((".part", ".spool"))]
+        assert not names & {name, "manifest.txt"}
+        # what a failed run leaves under a final name was written whole
+        assert {n: sha(out / n) for n in names} == {n: clean.file_checksums[n] for n in names}
+
+
+def test_statistics_slices_do_not_change_bytes(tmp_path, monkeypatch):
+    cfg = validate_config("frequency_hz = 6e9\nmaster_seed = 4\ndrops = 5\n")
+    whole = concat_study(cfg, out_dir=str(tmp_path / "whole"))
+    monkeypatch.setattr(text, "SLICE_VALUES", 24)  # 3 rows of 8 values, cut within a drop
+    sliced = concat_study(cfg, out_dir=str(tmp_path / "sliced"))
+    assert sliced.file_checksums == whole.file_checksums
+
+
 def test_pool_results_carry_no_cir_text(tmp_path, monkeypatch):
+    import concurrent.futures
+
     sizes = []
-    stream_drops = runner._stream_drops
 
-    def measure(per_drop, cir):
-        def pickled(drops):
-            for records in drops:
-                sizes.append(len(pickle.dumps(records)))
-                yield records
-        return stream_drops(pickled(per_drop), cir)
+    class Measuring(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            for block in super().map(fn, *iterables, **kwargs):  # each task's RunBlock
+                sizes.append(len(pickle.dumps(block)))
+                yield block
 
-    monkeypatch.setattr(runner, "_stream_drops", measure)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Measuring)
     cfg = make_cfg("nodes.tx.elements = 4\nnodes.rx.elements = 4\n")
     run(cfg, out_dir=str(tmp_path / "pool"), workers=2)
     assert os.path.getsize(tmp_path / "pool" / "cir.txt") > 2 * 10**5  # the premise
@@ -606,18 +643,38 @@ def test_los_only_table_runs_where_every_hop_is_los(tmp_path):
         assert rows and {pair for _, _, pair, _ in rows} == {"LL"}
 
 
-def test_run_boundaries_do_not_change_bytes(tmp_path):
-    # 13 drops: a serial run's last run of drops is short
-    study = validate_config("frequency_hz = 6e9\nmaster_seed = 5\ndrops = 13\n")
+def test_run_boundaries_do_not_change_bytes(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    # 13 drops: a serial run takes runs of 3 and a short last one, and three
+    # workers take one drop per task. 17 drops: a serial run takes runs of 4,
+    # and two workers take 2-drop tasks and a short last one.
+    tasks = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, runs, **kwargs):
+            tasks.append([len(drops) for drops in runs])
+            return super().map(fn, runs, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+
+    def study(drops):
+        return validate_config(f"frequency_hz = 6e9\nmaster_seed = 5\ndrops = {drops}\n")
+
+    def cir(drops):
+        return validate_config(AUTO_CASE_A.replace("drops = 10", f"drops = {drops}")
+                               + "background.enabled = yes\n")
+
     mono = validate_config("frequency_hz = 6e9\nmaster_seed = 6\ndrops = 13\n"
                            "sensing_mode = monostatic\nsplit_strongest = yes\n")
-    cir = validate_config(AUTO_CASE_A.replace("drops = 10", "drops = 13")
-                          + "background.enabled = yes\n")
-    for entry, cfg in ((concat_study, study), (concat_study, mono), (run, cir)):
+    for entry, cfg, workers in ((concat_study, study(13), 3), (concat_study, mono, 3),
+                                (run, cir(13), 3), (concat_study, study(17), 2),
+                                (run, cir(17), 2)):
         m1 = entry(cfg, out_dir=str(tmp_path / "w1"), workers=1)
-        m3 = entry(cfg, out_dir=str(tmp_path / "w3"), workers=3)
-        assert m1.file_checksums == m3.file_checksums
+        pooled = entry(cfg, out_dir=str(tmp_path / "pooled"), workers=workers)
+        assert m1.file_checksums == pooled.file_checksums
     assert "cir.txt" in m1.file_checksums and m1.cir_rows > 0
+    assert tasks == [[1] * 13] * 3 + [[2] * 8 + [1]] * 2
 
 
 def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):
