@@ -1,8 +1,9 @@
 """Pinned output checksums: fixed-seed runs must reproduce these exact bytes.
 
-Four small in-process runs cover every joint-path component (LL, LN, NL,
+Five small in-process runs cover every joint-path component (LL, LN, NL,
 NN), specular rays on both hops, absolute delays with split strongest
-clusters, the background channel in embedded mode and the full
+clusters, the background channel in embedded mode and, from an NLOS hop
+between moving nodes, in added mode with o_isac = 0.5, and the full
 convolution, each run serially and with a pool of 2 workers.
 Every output file except manifest.txt is pinned by its SHA-256, and no
 other file may be left; of the manifest only the path-loss lines are
@@ -47,6 +48,15 @@ CONFIGS = {
         "nodes.tx.elements = 2\nnodes.rx.elements = 2\nsnapshots.count = 2\n"
         "background.enabled = true\n"
     )),
+    # bi-static, moving transmitter and receiver, NLOS background added at half weight
+    "bistatic_nlos_background_added": (run, (
+        "frequency_hz = 6e9\nmaster_seed = 19\ndrops = 3\nconcat_case = Case2RN\n"
+        "conditions.tx_target = LOS\nconditions.target_rx = NLOS\n"
+        "conditions.background = NLOS\nnodes.tx.elements = 2\nnodes.rx.elements = 2\n"
+        "nodes.tx.velocity_mps = 3, -2, 0.5\nnodes.rx.velocity_mps = -1, 4, 0\n"
+        "nodes.target.velocity_mps = 0, 5, 0\nsnapshots.count = 3\n"
+        "background.enabled = true\ncoupling.mode = added\ncoupling.o_isac = 0.5\n"
+    )),
     "monostatic_case3n": (run, (
         "frequency_hz = 6e9\nmaster_seed = 5\ndrops = 2\nsensing_mode = monostatic\n"
         "concat_case = Case3N\nnodes.tx.elements = 2\nsnapshots.count = 2\n"
@@ -63,6 +73,10 @@ PATH_LOSS_LINES = {
     "bistatic_los_absolute_split": [
         "mean_two_hop_path_loss_db = 123.189239",
         "mean_combined_path_loss_db = 123.189946",
+    ],
+    "bistatic_nlos_background_added": [
+        "mean_two_hop_path_loss_db = 135.089426",
+        "mean_combined_path_loss_db = 135.089985",
     ],
     "monostatic_case3n": ["mean_two_hop_path_loss_db = 129.966335"],
     "study_auto": ["mean_two_hop_path_loss_db = 126.136368"],
@@ -89,6 +103,16 @@ cdf_zsa_deg_Case1N.txt c0eea453069f8ef8c2ff1d35bb3fe2e3a97f2492a86f9d894026c0ff5
 cdf_zsd_deg_Case1N.txt e59b4b19cb6b90e7b1a21eda59a9c9378642e966995f560f3be0c1296376d324
 cir.txt ec4b0ec046dbe9276299ff7105603c37c75dce15c1dbccb559ee56b3be38a861
 statistics.txt 1623f833222ae32a02b97313066471379fea57b194a060135f55969b1f2a20ab
+""",
+    "bistatic_nlos_background_added": """
+cdf_asa_deg_Case2RN.txt 1caf06cf166a6c4c67b8249b31bb0d5cc9b9706e2a654b879cc42ff69cc4d659
+cdf_asd_deg_Case2RN.txt c8870954d8039db235bc981b25d0465dba9c9c9afbdddd5c78df12c431588d0c
+cdf_ds_ns_Case2RN.txt ce78d7f9f383c6db95974740d59627e0d431d386700188bee72ab8f333c15501
+cdf_power_Case2RN.txt 15dbefb9bf02a71e9640363d84f39443c1e7e42ca41df009be5feb5f5e46331c
+cdf_zsa_deg_Case2RN.txt 221ad2a79660f38dbf403841204afaece5c4a0191e9f5f872ebc94b453920701
+cdf_zsd_deg_Case2RN.txt 7ba4e0808356eaa81b9c0be5bd0262e6306e4642e3dbc37a656f9714a4e73586
+cir.txt e7dd23ec85bce9e6f9cc3acba7b0ce16513f686940841c5dc686e51646643c99
+statistics.txt 65b4c81a3b5a533cd3c47840434dcbc317a8dcc0f6610c060345842fe7f552a8
 """,
     "monostatic_case3n": """
 cdf_asa_deg_Case3N.txt b6be4eda26745c7474bb6f12137a64711c2309b2dc46b5c6b835c63afca89fac
