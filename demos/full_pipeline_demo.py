@@ -2,9 +2,9 @@
 
 Places a transmitter, a moving target and a receiver, draws the two hop
 channels, concatenates them with the random-pairing rule, synthesizes the
-time-varying impulse response for small arrays on both sides, adds the
-one-hop environment channel, and prints the numbers a link budget or a
-detector would consume.
+time-varying impulse response of the target paths and the one-hop
+environment channel for small arrays on both sides in one call, and prints
+the numbers a link budget or a detector would consume.
 
 CLI equivalent: isacsim run --config <file>
 """
@@ -12,12 +12,7 @@ import argparse
 
 import numpy as np
 
-from isacsim.coefficients import (
-    SnapshotGrid,
-    combine_channels,
-    synthesize_background_cir,
-    synthesize_target_cir,
-)
+from isacsim.coefficients import SnapshotGrid, synthesize_cir
 from isacsim.concatenation import ConcatCase, PairType, concatenate_group
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.geometry import NodeState, uniform_linear_array
@@ -90,33 +85,32 @@ def main(argv=None):
           f"ASA {st['asa']:5.1f}  ASD {st['asd']:5.1f}  "
           f"ZSA {st['zsa']:5.1f}  ZSD {st['zsd']:5.1f} deg")
 
-    # coefficients: the nodes' 2x4 arrays, 11 snapshots 1 ms apart
-    grid = SnapshotGrid(start_s=0.0, step_s=1e-3, count=11)
-    cir = synthesize_target_cir(group, 0, RcsModel(mean_rcs_m2=1.0, b2_std_db=3.0),
-                                grid, lam, streams.scoped(SCOPE_COEFF))
-    print(f"\ntarget impulse response: gains {cir.gains.shape} "
-          f"= (rx, tx, path, time)")
-    power = np.mean(np.abs(cir.gains) ** 2, axis=(0, 1, 3))
-    order = np.argsort(power)[::-1][:5]
-    print("  strongest paths (delay, mean power):")
-    for i in order:
-        print(f"    {cir.delays[i] * 1e9:8.2f} ns   {power[i]:.3e}")
-
-    # background single-hop channel, built like any hop, and the combined set
+    # background single-hop channel, built like any hop
     bg_streams = streams.scoped(HOP_BACKGROUND)
     hop_bg = build_hop(hop_spec(tx, rx, scen), scen, bg_streams)
     bg_table, = generate_sublinks(
         [hop_bg], scen.condition_params(hop_bg.condition), [bg_streams])
-    bg = synthesize_background_cir(bg_table, grid, lam)
-    both = combine_channels(cir, bg, CouplingConfig(o_isac=0.5, mode="added"))
-    bg_pow = float(np.mean(np.sum(np.abs(bg.gains) ** 2, axis=2)))
-    print(f"\nbackground: {bg.gains.shape[2]} paths, mean per-antenna power "
-          f"{10 * np.log10(bg_pow):.1f} dB (path loss folded in)")
-    print(f"combined channel: {both.gains.shape[2]} paths "
-          f"(background scaled by sqrt(0.5))")
+
+    # coefficients: the nodes' 2x4 arrays, 11 snapshots 1 ms apart; the target
+    # paths, then the background's, scaled by sqrt(0.5), in one synthesis
+    grid = SnapshotGrid(start_s=0.0, step_s=1e-3, count=11)
+    cir = synthesize_cir(group, 0, RcsModel(mean_rcs_m2=1.0, b2_std_db=3.0), grid, lam,
+                         streams.scoped(SCOPE_COEFF), background=bg_table,
+                         coupling=CouplingConfig(o_isac=0.5, mode="added"))
+    print(f"\nISAC impulse response: gains {cir.gains.shape} "
+          f"= (rx, tx, path, time)")
+    background = cir.pair_type == PairType.BACKGROUND
+    power = np.mean(np.abs(cir.gains) ** 2, axis=(0, 1, 3))
+    order = np.argsort(np.where(background, -np.inf, power))[::-1][:5]
+    print("  strongest target paths (delay, mean power):")
+    for i in order:
+        print(f"    {cir.delays[i] * 1e9:8.2f} ns   {power[i]:.3e}")
+    bg_pow = float(np.mean(np.sum(np.abs(cir.gains[:, :, background]) ** 2, axis=2)))
+    print(f"background: {np.count_nonzero(background)} paths, mean per-antenna power "
+          f"{10 * np.log10(bg_pow):.1f} dB (path loss folded in, scaled by sqrt(0.5))")
 
     # Doppler visible in the phase ramp of the strongest path
-    g = both.gains[0, 0, int(order[0])]
+    g = cir.gains[0, 0, int(order[0])]
     fd = np.angle(g[1:] * np.conj(g[:-1])).mean() / (2 * np.pi * grid.step_s)
     print(f"\nstrongest-path Doppler from snapshot phase: {fd:+.1f} Hz "
           f"(target speed 8 m/s, lambda {lam * 100:.1f} cm)")

@@ -16,8 +16,7 @@ _EXPORTS = {
         "condition_weights",
     ),
     "coefficients": (
-        "SnapshotGrid", "TargetChannelCir", "combine_channels", "doppler_frequency",
-        "synthesize_background_cir", "synthesize_target_cir",
+        "ChannelCir", "SnapshotGrid", "doppler_frequency", "synthesize_cir",
     ),
     "config": ("NodeConfig", "RunConfig", "load_config", "validate_config"),
     "constants": ("SPEED_OF_LIGHT",),

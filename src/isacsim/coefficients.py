@@ -16,8 +16,12 @@ depends on t.
 
 Synthesis only turns hop tables (smallscale.HopTable: per-row weights,
 delays, angles, XPR and phases) into gains: the runner builds every hop.
-The target-channel gains carry no path-loss scale (the two-hop budget with
-the mean RCS is a separate large-scale quantity); the single-hop background
+synthesize_cir makes a drop's ISAC channel, the target paths followed by
+the rows of the transmitter-to-receiver background hop (its scattering
+matrix the identity, its cross section 1, no scattering point moving), in
+one gains computation, then weights the background by the coupling. The
+target-channel gains carry no path-loss scale (the two-hop budget with the
+mean RCS is a separate large-scale quantity); the single-hop background
 channel does fold its hop's path loss and shadowing into the gains.
 """
 from __future__ import annotations
@@ -55,13 +59,13 @@ class SnapshotGrid:
 
 
 @dataclass
-class TargetChannelCir:
-    """Synthesized impulse response: delays (L,), gains (U, S, L, T)."""
+class ChannelCir:
+    """Synthesized impulse response: delays (L,), gains (U, S, L, T) and
+    the pair type (concatenation.PairType) of each path."""
 
     delays: np.ndarray
     gains: np.ndarray
     pair_type: np.ndarray
-    grid: SnapshotGrid
 
 
 def doppler_frequency(
@@ -141,7 +145,7 @@ def _array_gains(tx_elements, rx_elements, dep: DirectionAngles,
     return scalar[..., None] * time_block[None, None, ...]
 
 
-def synthesize_target_cir(
+def synthesize_cir(
     group: PathGroup,
     drop: int,
     rcs_model: RcsModel,
@@ -149,22 +153,31 @@ def synthesize_target_cir(
     wavelength_m: float,
     streams: RandomStreams,
     polarization: PolarizationScattering | None = None,
-) -> TargetChannelCir:
-    """Synthesize drop ``drop``'s two-hop target channel of a group of path
-    sets (concatenation.PathGroup) for every antenna pair.
+    background: HopTable | None = None,
+    coupling: CouplingConfig | None = None,
+) -> ChannelCir:
+    """Synthesize drop ``drop``'s channel for every antenna pair: the
+    two-hop target paths of a group of path sets (concatenation.PathGroup),
+    then, when a background hop table is given, its rows.
 
     The arrays are those of the transmit hop's from-node and the receive
-    hop's to-node. streams must be scoped to the coefficient stage of the
-    drop; it feeds the per-path cross-section fluctuation and the
-    scattering-matrix phases, which identity polarization does not draw.
+    hop's to-node; the background must join the same two nodes. streams
+    must be scoped to the coefficient stage of the drop; it feeds the
+    per-path cross-section fluctuation and the scattering-matrix phases,
+    which identity polarization does not draw. The coupling (by default
+    'added' at o_isac = 1) weights the background: 'added' scales its gains
+    by sqrt(o_isac) (o_isac = 0 leaves the target alone); 'embedded' removes
+    its weakest removal_fraction of paths, by mean power over antenna pairs
+    and snapshots, and keeps the rest in order and unscaled.
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
     it, ir, weight, pair_type = group.paths(drop)
     tx, rx = group.tx[drop], group.rx[drop]
-    tx_spec, rx_spec = tx.hop.spec, rx.hop.spec
-    if not np.allclose(tx_spec.to_node.position_m, rx_spec.from_node.position_m):
+    tx_node, target, rx_node = tx.hop.spec.from_node, tx.hop.spec.to_node, rx.hop.spec.to_node
+    if not np.allclose(target.position_m, rx.hop.spec.from_node.position_m):
         raise ConfigError("hops do not share the scattering point")
+    coupling = coupling or CouplingConfig()
 
     n_paths = len(it)
     pol = polarization or PolarizationScattering()
@@ -197,104 +210,59 @@ def synthesize_target_cir(
         rx_dir,
         sp_in,
         sp_out,
-        tx_spec.from_node.velocity_mps,
-        rx_spec.to_node.velocity_mps,
-        tx_spec.to_node.total_velocity_mps,
+        tx_node.velocity_mps,
+        rx_node.velocity_mps,
+        target.total_velocity_mps,
         wavelength_m,
     )
     f_d = np.broadcast_to(np.asarray(f_d, float), (n_paths,))
 
     amp = group.k_weights[drop][pair_type] * weight * np.sqrt(sigma)
-    return TargetChannelCir(
-        delays=tx.delay[it] + rx.delay[ir],
-        gains=_array_gains(tx_spec.from_node.elements, rx_spec.to_node.elements,
-                           tx_dir, rx_dir, pmat, amp, f_d, grid, wavelength_m),
-        pair_type=pair_type,
-        grid=grid,
-    )
+    parts = [(tx.delay[it] + rx.delay[ir], tx_dir.zenith, tx_dir.azimuth, rx_dir.zenith,
+              rx_dir.azimuth, pmat, amp, f_d, pair_type)]
+    if background is not None:
+        spec = background.hop.spec
+        if not (np.allclose(spec.from_node.position_m, tx_node.position_m)
+                and np.allclose(spec.to_node.position_m, rx_node.position_m)):
+            raise ConfigError("the background hop does not join the transmitter to the receiver")
+        if coupling.mode == "embedded" or coupling.o_isac > 0:
+            parts.append(_background_paths(background, tx_node, rx_node, wavelength_m))
+    delays, dep_zenith, dep_azimuth, arr_zenith, arr_azimuth, pmat, amp, f_d, pair_type = (
+        np.concatenate(column) for column in zip(*parts))
+    gains = _array_gains(tx_node.elements, rx_node.elements,
+                         DirectionAngles(dep_zenith, dep_azimuth),
+                         DirectionAngles(arr_zenith, arr_azimuth),
+                         pmat, amp, f_d, grid, wavelength_m)
+    # the background's rows follow the target's
+    n_drop = int(coupling.removal_fraction * (len(delays) - n_paths))
+    if coupling.mode == "added":
+        gains[:, :, n_paths:] *= math.sqrt(coupling.o_isac)
+    elif n_drop > 0:
+        mean_power = np.mean(np.abs(gains[:, :, n_paths:]) ** 2, axis=(0, 1, 3))
+        keep = np.concatenate([np.arange(n_paths),
+                               n_paths + np.sort(np.argsort(mean_power)[n_drop:])])
+        delays, gains, pair_type = delays[keep], gains[:, :, keep], pair_type[keep]
+    return ChannelCir(delays=delays, gains=gains, pair_type=pair_type)
 
 
-def synthesize_background_cir(
-    table: HopTable, grid: SnapshotGrid, wavelength_m: float
-) -> TargetChannelCir:
-    """Single-hop environment channel of the transmitter-to-receiver table.
-
-    Standard one-hop cluster channel: the specular ray under LOS, then the
-    diffuse rays, weighted by the Rician specular and diffuse shares. The
-    hop's path loss and shadow fading are folded into the gains as
-    10^(-(PL+SF)/20); its nodes give the arrays and velocities.
-    """
-    if wavelength_m <= 0:
-        raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    hop, spec = table.hop, table.hop.spec
-    rows = np.arange(table.num_diffuse)
+def _background_paths(table: HopTable, tx_node, rx_node, wavelength_m: float) -> tuple:
+    """Path columns of the transmitter-to-receiver hop table, as
+    synthesize_cir joins them: the specular ray under LOS, then the diffuse
+    rays, weighted by the Rician specular and diffuse shares, with the hop's
+    path loss and shadow fading folded in as 10^(-(PL+SF)/20)."""
+    hop, n_diffuse = table.hop, table.num_diffuse
+    rows = np.arange(n_diffuse)
     if table.has_los:
-        rows = np.concatenate([[table.num_diffuse], rows])  # specular first
+        rows = np.concatenate([[n_diffuse], rows])  # specular first
     k = hop.k_factor if table.has_los else 0.0
     spec_share, diffuse_share = condition_weights(k, 0.0)[[1, 3]]
-    share = np.where(table.cluster[rows] < 0, spec_share, diffuse_share)
+    share = np.where(rows == n_diffuse, spec_share, diffuse_share)
     scale = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 20.0)
-    amp = share * table.weight[rows] * scale
-
     dep = DirectionAngles(table.dep_zenith[rows], table.dep_azimuth[rows])
     arr = DirectionAngles(table.arr_zenith[rows], table.arr_azimuth[rows])
-    # One-hop Doppler: arrival and departure couplings only.
-    f_d = (
-        spherical_unit_vector(arr) @ spec.to_node.velocity_mps
-        + spherical_unit_vector(dep) @ spec.from_node.velocity_mps
-    ) / wavelength_m
-    pmat = _side_matrices(table, wavelength_m)[rows]
-
-    return TargetChannelCir(
-        delays=table.delay[rows],
-        gains=_array_gains(spec.from_node.elements, spec.to_node.elements, dep, arr,
-                           pmat, amp, f_d, grid, wavelength_m),
-        pair_type=np.full(rows.shape[0], int(PairType.BACKGROUND), np.int8),
-        grid=grid,
-    )
-
-
-def combine_channels(
-    target: TargetChannelCir,
-    background: TargetChannelCir | None,
-    coupling: CouplingConfig,
-) -> TargetChannelCir:
-    """Union of target and background paths under the coupling configuration.
-
-    'added' mode scales background amplitudes by sqrt(o_isac); 'embedded'
-    mode first removes the weakest removal_fraction of background paths
-    (by mean power across antenna pairs and snapshots) and keeps the rest
-    unscaled, standing in for an environment response that already contains
-    the target's surroundings.
-    """
-    if background is None:
-        return target
-    g_t, g_b = target.grid, background.grid
-    if (g_t.start_s, g_t.step_s, g_t.count) != (g_b.start_s, g_b.step_s, g_b.count):
-        raise ConfigError("snapshot grids of target and background differ")
-    if target.gains.shape[:2] != background.gains.shape[:2]:
-        raise ConfigError("antenna array sizes of target and background differ")
-
-    bg_gains = background.gains
-    bg_delays = background.delays
-    bg_types = background.pair_type
-    if coupling.mode == "added":
-        if coupling.o_isac == 0.0:
-            return target
-        bg_gains = bg_gains * math.sqrt(coupling.o_isac)
-    else:
-        n_bg = bg_delays.shape[0]
-        n_drop = int(coupling.removal_fraction * n_bg)
-        if n_drop > 0:
-            mean_power = np.mean(np.abs(bg_gains) ** 2, axis=(0, 1, 3))
-            keep = np.sort(np.argsort(mean_power)[n_drop:])
-            bg_gains = bg_gains[:, :, keep, :]
-            bg_delays = bg_delays[keep]
-            bg_types = bg_types[keep]
-
-    return TargetChannelCir(
-        delays=np.concatenate([target.delays, bg_delays]),
-        gains=np.concatenate([target.gains, bg_gains], axis=2),
-        pair_type=np.concatenate([target.pair_type, bg_types]),
-        grid=target.grid,
-    )
+    # one hop: no scattering point moves
+    f_d = doppler_frequency(dep, arr, arr, dep, tx_node.velocity_mps, rx_node.velocity_mps,
+                            np.zeros(3), wavelength_m)
+    return (table.delay[rows], dep.zenith, dep.azimuth, arr.zenith, arr.azimuth,
+            _side_matrices(table, wavelength_m)[rows], share * table.weight[rows] * scale,
+            f_d, np.full(len(rows), int(PairType.BACKGROUND), np.int8))

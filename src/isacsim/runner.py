@@ -8,9 +8,9 @@ the two target hops and, when enabled, the background hop, and generates
 the cluster tables of the hops of one condition together. The drops whose
 two target tables share a layout form a group, and each group is
 concatenated under the configured cases and reduced to drop statistics in
-one pass. Then, drop by drop: the two-hop link budget and optionally CIR
-synthesis of the target and background hop tables and their combination
-(the only stage that loads coefficients). Each drop writes its CIR rows out
+one pass. Then, drop by drop: the two-hop link budget and optionally one
+CIR synthesis of the target paths and the background hop table (the only
+stage that loads coefficients). Each drop writes its CIR rows out
 slice by slice as it formats them (to cir.txt.part, or from a pool task to
 a spool the parent appends in run order), and a run of drops hands back one
 RunBlock of numbers, which the parent copies into one statistics table. So
@@ -173,12 +173,12 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
             cfg.split_strongest, cfg.absolute_delay,
         )))
 
-    per_drop = []  # (tx->target table, target->rx table, background tables) of each drop
+    per_drop = []  # (tx->target table, target->rx table, background table or None) by drop
     groups = {}  # hop-table layout -> the drops with it
     for k in range(len(drops)):
         table1, *rest = (tables[i] for i in range(k * len(hops), (k + 1) * len(hops)))
         table2 = mono_static_reciprocal(table1) if cfg.sensing_mode == "monostatic" else rest.pop(0)
-        per_drop.append((table1, table2, rest))
+        per_drop.append((table1, table2, rest[0] if rest else None))
         layout = (table1.shape, table1.has_los, table2.shape, table2.has_los)
         groups.setdefault(layout, []).append(k)
     n = len(drops)
@@ -199,7 +199,7 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
     sink = None if isinstance(cir_out, str) else cir_out  # a pool task opens its spool
     with ExitStack() as files:
         for k, (drop, drop_streams) in enumerate(zip(drops, streams)):
-            (table1, table2, rest), (group, i) = per_drop[k], cir_groups[k]
+            (table1, table2, background), (group, i) = per_drop[k], cir_groups[k]
             pl = block.path_loss_db[:, k]
             pl[0] = concatenated_path_loss(table1.hop.path_loss_db, table2.hop.path_loss_db,
                                            cfg.frequency_hz, cfg.rcs_mean_m2)
@@ -207,17 +207,14 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                 continue
             # gains that overflow are reported once, by the finiteness check below
             with np.errstate(over="ignore", invalid="ignore"):
-                cir = coefficients.synthesize_target_cir(
-                    group, i, rcs_model, grid, cfg.wavelength_m,
-                    drop_streams.scoped(SCOPE_COEFF), polarization=polarization,
+                if cfg.background_enabled:  # weighted by 0, the background hop is not built
+                    pl[1] = combine_isac_path_loss(
+                        pl[0], 0.0 if background is None else background.hop.path_loss_db,
+                        coupling)
+                cir = coefficients.synthesize_cir(
+                    group, i, rcs_model, grid, cfg.wavelength_m, drop_streams.scoped(SCOPE_COEFF),
+                    polarization=polarization, background=background, coupling=coupling,
                 )
-                if rest:
-                    background = rest[0]
-                    pl[1] = combine_isac_path_loss(pl[0], background.hop.path_loss_db, coupling)
-                    cir = coefficients.combine_channels(cir, coefficients.synthesize_background_cir(
-                        background, grid, cfg.wavelength_m), coupling)
-                elif cfg.background_enabled:  # weighted by 0, the background hop is not built
-                    pl[1] = combine_isac_path_loss(pl[0], 0.0, coupling)
             if not np.isfinite(cir.gains).all():
                 raise NumericError(f"drop {drop}: CIR gains overflow to non-finite values")
             block.cir_rows += int(np.prod(cir.gains.shape[:3]))

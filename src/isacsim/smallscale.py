@@ -52,13 +52,13 @@ class HopTable:
 
     Row cluster*M + ray is diffuse ray `ray` of cluster `cluster`, weighted
     sqrt(P_cluster / M) by the normalized cluster powers; under LOS one more
-    row, N*M, holds the specular ray (weight 1, cluster and ray -1), so the
-    hop is LOS exactly when the table has that row. Angles are radians:
+    row, N*M, holds the specular ray (weight 1), so the hop is LOS exactly
+    when the table has that row. Angles are radians:
     dep_* at the hop's from-node, arr_* at its to-node. Delays are seconds,
     relative (minimum 0) unless absolute delays were enabled. xpr and the
     four initial phases (theta-theta, theta-phi, phi-theta, phi-phi) are
-    per diffuse row. Tables generated together are views of shared arrays
-    (cluster and ray are one array for all), so none is modified in place.
+    per diffuse row. Tables generated together are views of shared arrays,
+    so none is modified in place.
     """
 
     hop: HopLink
@@ -69,8 +69,6 @@ class HopTable:
     dep_azimuth: np.ndarray
     arr_zenith: np.ndarray
     arr_azimuth: np.ndarray
-    cluster: np.ndarray
-    ray: np.ndarray
     xpr: np.ndarray  # (N*M,)
     phases: np.ndarray  # (N*M, 4)
 
@@ -281,13 +279,10 @@ def generate_sublinks(
     cols[3, :, :nm] = np.radians(_wrap_azimuth_deg(aod_deg)).reshape(h, nm)
     cols[4, :, :nm] = np.radians(_fold_zenith_deg(zoa_deg)).reshape(h, nm)
     cols[5, :, :nm] = np.radians(_wrap_azimuth_deg(aoa_deg)).reshape(h, nm)
-    cluster = np.repeat(np.arange(n, dtype=np.int32), m)
-    ray = np.tile(np.arange(m, dtype=np.int32), n)
     if is_los:
         cols[:, :, nm] = np.stack([np.ones((h, 1)), los_delay, dep_zenith, dep_azimuth,
                                    arr_zenith, arr_azimuth])[:, :, 0]
-        cluster, ray = np.append(cluster, np.int32(-1)), np.append(ray, np.int32(-1))
-    return [HopTable(hop, (n, m), *cols[:, i], cluster, ray, xpr=xpr[i], phases=phases[i])
+    return [HopTable(hop, (n, m), *cols[:, i], xpr=xpr[i], phases=phases[i])
             for i, hop in enumerate(hops)]
 
 

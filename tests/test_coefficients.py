@@ -5,12 +5,9 @@ import pytest
 
 from isacsim.coefficients import (
     SnapshotGrid,
-    TargetChannelCir,
     _side_matrices,
-    combine_channels,
     doppler_frequency,
-    synthesize_background_cir,
-    synthesize_target_cir,
+    synthesize_cir,
 )
 from isacsim.concatenation import (
     ConcatCase,
@@ -62,7 +59,7 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
         t1.xpr = np.full_like(t1.xpr, xpr_override)
         t2.xpr = np.full_like(t2.xpr, xpr_override)
     group, = concatenate_group([t1], [t2], [case], [streams.scoped(SCOPE_CONCAT)])
-    cir = synthesize_target_cir(
+    cir = synthesize_cir(
         group, 0, RcsModel(), grid or SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
     )
     return group, cir, (tx, tgt, rx), (h1, h2)
@@ -89,9 +86,8 @@ def side_table(xpr=1.0, phases=(0.0, 0.0, 0.0, 0.0), los_d3d_m=None):
     spec = hop_spec(NodeState([0.0, 0.0, 10.0]), NodeState([los_d3d_m or 1.0, 0.0, 10.0]),
                     scen, "NLOS" if los_d3d_m is None else "LOS")
     hop = build_hop(spec, scen, RandomStreams(0))
-    index = np.array([0, -1][:rows], np.int32)  # cluster and ray; -1 is specular
     return HopTable(hop, (1, 1), *[np.zeros(rows)] * 6,
-                    index, index, np.array([xpr]), np.asarray(phases, float).reshape(1, 4))
+                    np.array([xpr]), np.asarray(phases, float).reshape(1, 4))
 
 
 def sandwich(rx_side, s, tx_side):
@@ -274,7 +270,7 @@ def test_hops_must_share_the_scattering_point():
                                [streams.scoped(HOP_TX_TARGET), streams.scoped(HOP_TARGET_RX)])
     group, = concatenate_group([t1], [t2], [ConcatCase.CASE_2O])
     with pytest.raises(ConfigError, match="scattering point"):
-        synthesize_target_cir(
+        synthesize_cir(
             group, 0, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF),
         )
 
@@ -286,14 +282,14 @@ def test_target_synthesis_input_checks():
     group, _, _, _ = pipeline()
     streams = RandomStreams(3).scoped(SCOPE_COEFF)
     with pytest.raises(ConfigError):
-        synthesize_target_cir(group, 0, RcsModel(), SnapshotGrid(), 0.0, streams)
+        synthesize_cir(group, 0, RcsModel(), SnapshotGrid(), 0.0, streams)
 
 
 def test_identity_and_random_polarization_agree_on_power_scale():
     group, base, _, _ = pipeline(case=ConcatCase.CASE_2O)
     streams = RandomStreams(3)
     pol = PolarizationScattering(mode="full", alphas=(1.0, 0.0, 0.0, 1.0))
-    cir = synthesize_target_cir(
+    cir = synthesize_cir(
         group, 0, RcsModel(), SnapshotGrid(), LAM, streams.scoped(SCOPE_COEFF), pol,
     )
     # unit-diagonal scattering with random phase rotates each path; for
@@ -310,22 +306,35 @@ def test_identity_and_random_polarization_agree_on_power_scale():
 
 # ------------------------------------------------------------ background
 
-def background_table(seed, cond):
+def background_table(seed, cond, rx_xyz=(60.0, -5.0, 10.0)):
     """The transmitter-to-receiver hop table, as the runner builds it."""
     scen = ScenarioParams.from_table("UMi", F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
-    rx = NodeState([60.0, -5.0, 10.0])
+    rx = NodeState(list(rx_xyz))
     streams = RandomStreams(seed).scoped(HOP_BACKGROUND)
     hop = build_hop(hop_spec(tx, rx, scen, cond), scen, streams)
     return generate_sublinks([hop], scen.condition_params(hop.condition), [streams])[0]
 
 
+def isac_cir(background, coupling=None, grid=None, seed=3):
+    """Drop 0 of pipeline()'s LOS-LOS Case2O target channel joined with a
+    background table, in one synthesis."""
+    group = pipeline(seed=seed)[0]
+    return group, synthesize_cir(
+        group, 0, RcsModel(), grid or SnapshotGrid(), LAM,
+        RandomStreams(seed).scoped(SCOPE_COEFF), background=background, coupling=coupling,
+    )
+
+
 @pytest.mark.parametrize("cond,count", [("LOS", 1 + 12 * 20), ("NLOS", 19 * 20)])
 def test_background_structure_and_power_budget(cond, count):
     table = background_table(5, cond)
-    bg = synthesize_background_cir(table, SnapshotGrid(), LAM)
-    assert len(bg.delays) == count
-    assert np.all(bg.pair_type == int(PairType.BACKGROUND))
+    group, cir = isac_cir(table)
+    background = cir.pair_type == int(PairType.BACKGROUND)
+    # the background's rows follow the target's, the specular row first
+    assert np.count_nonzero(background) == count and np.all(background[len(group):])
+    np.testing.assert_array_equal(
+        cir.delays[background], table.delay[np.roll(np.arange(count), int(cond == "LOS"))])
     # replaying the scoped streams reproduces the large-scale draws
     bg_hop = table.hop
     scen = ScenarioParams.from_table("UMi", F_HZ)
@@ -334,69 +343,59 @@ def test_background_structure_and_power_budget(cond, count):
     draws = ("condition", "path_loss_db", "k_factor", "shadow_fading_db", "spreads")
     assert [getattr(bg_hop, f) for f in draws] == [getattr(hop, f) for f in draws]
     expect = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 10.0)
-    power = float(np.sum(np.abs(bg.gains[0, 0, :, 0]) ** 2))
+    power = float(np.sum(np.abs(cir.gains[0, 0, background, 0]) ** 2))
     assert power == pytest.approx(expect, rel=1e-12)
 
 
 def test_background_static_nodes_give_constant_gains():
-    bg = synthesize_background_cir(background_table(6, "NLOS"), SnapshotGrid(count=3), LAM)
-    np.testing.assert_array_equal(bg.gains[..., 2], bg.gains[..., 0])
+    _, cir = isac_cir(background_table(6, "NLOS"), grid=SnapshotGrid(count=3))
+    background = cir.pair_type == int(PairType.BACKGROUND)
+    assert background.any()
+    np.testing.assert_array_equal(cir.gains[:, :, background, 2], cir.gains[:, :, background, 0])
 
 
-# ------------------------------------------------------- channel merging
+def test_background_between_other_nodes_is_refused():
+    with pytest.raises(ConfigError, match="does not join"):
+        isac_cir(background_table(6, "NLOS", rx_xyz=(60.0, 5.0, 10.0)))
 
-def _mini_cir(delays, value, n_paths=None, grid=None, pair=PairType.BACKGROUND):
-    delays = np.asarray(delays, float)
-    n = n_paths or delays.shape[0]
-    gains = np.asarray(value, complex).reshape(1, 1, n, 1) * np.ones((1, 1, n, 1))
-    return TargetChannelCir(
-        delays=delays,
-        gains=gains,
-        pair_type=np.full(n, int(pair), np.int8),
-        grid=grid or SnapshotGrid(),
-    )
 
+# ------------------------------------------------------- channel coupling
 
 def test_combine_zero_coupling_returns_target():
-    t = _mini_cir([1e-7], [1.0], pair=PairType.LL)
-    b = _mini_cir([2e-7], [2.0])
-    out = combine_channels(t, b, CouplingConfig(o_isac=0.0))
-    assert out is t
-    assert combine_channels(t, None, CouplingConfig(o_isac=1.0)) is t
+    _, target = isac_cir(None)
+    for background, coupling in ((background_table(6, "NLOS"), CouplingConfig(o_isac=0.0)),
+                                 (None, CouplingConfig(o_isac=1.0))):
+        _, out = isac_cir(background, coupling)
+        for field in ("delays", "gains", "pair_type"):
+            np.testing.assert_array_equal(getattr(out, field), getattr(target, field))
 
 
 def test_combine_added_scales_background_amplitude():
-    t = _mini_cir([1e-7], [1.0], pair=PairType.LL)
-    b = _mini_cir([2e-7, 3e-7], [[2.0], [4.0]], n_paths=2)
-    out = combine_channels(t, b, CouplingConfig(o_isac=2.0))
-    np.testing.assert_allclose(out.delays, [1e-7, 2e-7, 3e-7])
-    np.testing.assert_allclose(out.gains[0, 0, 0, 0], 1.0)
-    np.testing.assert_allclose(out.gains[0, 0, 1, 0], 2.0 * np.sqrt(2.0))
-    np.testing.assert_allclose(out.gains[0, 0, 2, 0], 4.0 * np.sqrt(2.0))
-    assert out.pair_type[0] == int(PairType.LL)
-    assert np.all(out.pair_type[1:] == int(PairType.BACKGROUND))
+    table = background_table(6, "LOS")
+    group, one = isac_cir(table, CouplingConfig(o_isac=1.0))
+    _, two = isac_cir(table, CouplingConfig(o_isac=2.0))
+    n = len(group)
+    np.testing.assert_array_equal(two.delays, one.delays)
+    np.testing.assert_array_equal(two.pair_type, one.pair_type)
+    np.testing.assert_array_equal(two.gains[:, :, :n], one.gains[:, :, :n])
+    np.testing.assert_allclose(two.gains[:, :, n:], np.sqrt(2.0) * one.gains[:, :, n:],
+                               rtol=1e-15)
+    assert np.all(two.pair_type[:n] != int(PairType.BACKGROUND))
+    assert np.all(two.pair_type[n:] == int(PairType.BACKGROUND))
 
 
 def test_combine_embedded_drops_weakest_paths_unscaled():
-    t = _mini_cir([1e-7], [1.0], pair=PairType.LL)
-    b = _mini_cir([2e-7, 3e-7, 4e-7, 5e-7], [[4.0], [1.0], [3.0], [2.0]], n_paths=4)
+    table = background_table(6, "LOS")
+    group, full = isac_cir(table)
     cfg = CouplingConfig(o_isac=1.0, mode="embedded", removal_fraction=0.5)
-    out = combine_channels(t, b, cfg)
-    # weakest half gone, survivors keep their order and amplitude
-    np.testing.assert_allclose(out.delays, [1e-7, 2e-7, 4e-7])
-    np.testing.assert_allclose(out.gains[0, 0, 1:, 0], [4.0, 3.0])
-
-
-def test_combine_rejects_mismatched_grids_and_arrays():
-    t = _mini_cir([1e-7], [1.0], pair=PairType.LL)
-    b = _mini_cir([2e-7], [2.0], grid=SnapshotGrid(step_s=2e-3))
-    with pytest.raises(ConfigError, match="grid"):
-        combine_channels(t, b, CouplingConfig(o_isac=1.0))
-    b2 = TargetChannelCir(
-        delays=np.array([2e-7]),
-        gains=np.ones((2, 1, 1, 1), complex),
-        pair_type=np.array([int(PairType.BACKGROUND)], np.int8),
-        grid=SnapshotGrid(),
-    )
-    with pytest.raises(ConfigError, match="array sizes"):
-        combine_channels(t, b2, CouplingConfig(o_isac=1.0))
+    _, out = isac_cir(table, cfg)
+    n, n_b = len(group), 1 + 12 * 20
+    assert len(out.delays) == n + n_b - n_b // 2
+    np.testing.assert_array_equal(out.gains[:, :, :n], full.gains[:, :, :n])
+    # survivors keep their order and amplitude; the weakest half is gone
+    kept = np.flatnonzero(np.isin(full.gains[0, 0, n:, 0], out.gains[0, 0, n:, 0]))
+    assert len(kept) == n_b - n_b // 2
+    np.testing.assert_array_equal(out.gains[:, :, n:], full.gains[:, :, n + kept])
+    np.testing.assert_array_equal(out.delays[n:], full.delays[n + kept])
+    power = np.mean(np.abs(full.gains[:, :, n:]) ** 2, axis=(0, 1, 3))
+    assert power[np.setdiff1d(np.arange(n_b), kept)].max() <= power[kept].min()

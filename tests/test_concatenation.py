@@ -119,7 +119,7 @@ def test_case_a_keeps_only_specular_components():
     assert len(group) == 19 * 20
     assert nn_power(group) == 0.0
     # transmit side of every kept path is the specular ray
-    assert np.all(t1.cluster[it] == -1)
+    assert np.all(it == t1.num_diffuse)
     los = angles_between(t1.hop.spec.from_node.position_m, t1.hop.spec.to_node.position_m)
     assert np.all(t1.dep_zenith[it] == los.zenith)
 
@@ -217,7 +217,7 @@ def test_joint_delays_and_angles_consistent_with_links():
     it, ir, _, pt = group.paths(0)
     nn = pt == PairType.NN
     it, ir = it[nn], ir[nn]
-    tc, tr, rc, rr = t1.cluster[it], t1.ray[it], t2.cluster[ir], t2.ray[ir]
+    (tc, tr), (rc, rr) = divmod(it, t1.shape[1]), divmod(ir, t2.shape[1])
 
     def grid(table, column):  # a diffuse column as (cluster, ray)
         return getattr(table, column)[:table.num_diffuse].reshape(table.shape)
@@ -239,8 +239,8 @@ def test_case2o_pairs_clusters_in_delay_order():
     nn = pt == PairType.NN
     # cluster i pairs with cluster i; rays pair by index
     tx, rx = it[nn], ir[nn]
-    np.testing.assert_array_equal(t1.cluster[tx], t2.cluster[rx])
-    np.testing.assert_array_equal(t1.ray[tx], t2.ray[rx])
+    np.testing.assert_array_equal(tx // 20, rx // 20)
+    np.testing.assert_array_equal(tx % 20, rx % 20)
 
 
 def test_case2r_uses_each_cluster_once():
@@ -248,15 +248,15 @@ def test_case2r_uses_each_cluster_once():
     group, = concatenate_group([t1], [t2], [ConcatCase.CASE_2R], concat_streams(streams))
     it, ir, _, pt = group.paths(0)
     nn = pt == PairType.NN
-    pairs = set(zip(t1.cluster[it[nn]].tolist(), t2.cluster[ir[nn]].tolist()))
+    pairs = set(zip((it[nn] // 20).tolist(), (ir[nn] // 20).tolist()))
     assert len(pairs) == 12
     assert sorted(tc for tc, _ in pairs) == list(range(12))
     assert sorted(rc for _, rc in pairs) == list(range(12))
     # within each cluster pair the rays form a bijection
     for tc, rc in pairs:
-        sel = nn & (t1.cluster[it] == tc)
-        assert sorted(t1.ray[it][sel].tolist()) == list(range(20))
-        assert sorted(t2.ray[ir][sel].tolist()) == list(range(20))
+        sel = nn & (it // 20 == tc)
+        assert sorted((it[sel] % 20).tolist()) == list(range(20))
+        assert sorted((ir[sel] % 20).tolist()) == list(range(20))
 
 
 def test_case3_pools_rays_without_reuse():
@@ -264,8 +264,7 @@ def test_case3_pools_rays_without_reuse():
     group, = concatenate_group([t1], [t2], [ConcatCase.CASE_3], concat_streams(streams))
     it, ir, _, pt = group.paths(0)
     nn = pt == PairType.NN
-    tx_flat = t1.cluster[it][nn] * 20 + t1.ray[it][nn]
-    rx_flat = t2.cluster[ir][nn] * 20 + t2.ray[ir][nn]
+    tx_flat, rx_flat = it[nn], ir[nn]  # a diffuse row is cluster * M + ray
     assert len(np.unique(tx_flat)) == nn.sum()
     assert len(np.unique(rx_flat)) == nn.sum()
 

@@ -18,16 +18,19 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # DropStatistics, statistics_table and generate_sublink, and less
 # TargetPathSet, whose one-drop views PathGroup.paths replaced; plus the
 # group kernels concatenate_group, generate_sublinks and group_statistics,
-# and HopSpec and hop_spec, the per-run part of a hop
+# and HopSpec and hop_spec, the per-run part of a hop; and with
+# synthesize_cir and ChannelCir, the one synthesis of a drop's target and
+# background paths, in place of synthesize_target_cir,
+# synthesize_background_cir, combine_channels and TargetChannelCir
 ALL = [
-    "AntennaElement", "B1Table", "ConcatCase", "ConfigError", "CouplingConfig",
+    "AntennaElement", "B1Table", "ChannelCir", "ConcatCase", "ConfigError", "CouplingConfig",
     "DetectionParams", "DirectionAngles", "EmpiricalCdf", "HopLink", "HopSpec",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
     "PathGroup", "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell",
     "RunConfig", "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
-    "TargetChannelCir", "TargetClass", "UnsupportedFeatureError",
+    "TargetClass", "UnsupportedFeatureError",
     "WaveformParams", "angle_metrics", "angles_between", "build_hop",
-    "coefficients", "combine_channels", "combine_isac_path_loss", "concat_study",
+    "coefficients", "combine_isac_path_loss", "concat_study",
     "concatenate_group", "concatenated_path_loss", "concatenation",
     "condition_weights", "config", "constants", "detection_table", "doppler_frequency",
     "empirical_cdf", "errors", "fit_lognormal_db", "generate_sublinks",
@@ -36,7 +39,7 @@ ALL = [
     "mono_static_reciprocal", "pd", "pfa", "range_metrics", "rcs", "run", "runner",
     "sample_rcs", "scattering_matrix", "seeds", "smallscale", "snr_to_amplitude",
     "speed_metrics", "spherical_unit_vector", "stats",
-    "synthesize_background_cir", "synthesize_target_cir", "threshold_for_pfa",
+    "synthesize_cir", "threshold_for_pfa",
     "uniform_linear_array", "validate_config",
 ]
 

@@ -47,9 +47,7 @@ def path_sets(draw):
             hop=None, shape=(1, n - los), weight=col(weights),
             delay=col(st.floats(min_value=0.0, max_value=1e-6)),
             dep_zenith=col(zenith), dep_azimuth=col(angles),
-            arr_zenith=col(zenith), arr_azimuth=col(angles),
-            cluster=np.zeros(n, np.int32), ray=np.zeros(n, np.int32),
-            xpr=None, phases=None,
+            arr_zenith=col(zenith), arr_azimuth=col(angles), xpr=None, phases=None,
         )
 
     tx, rx = table(n_tx, True), table(n_rx, False)
@@ -87,8 +85,7 @@ def one_ray_off_axis(azimuth=1.0, nn=1.666e-8):
         return HopTable(
             hop=None, shape=(1, n - los), weight=np.ones(n), delay=zeros,
             dep_zenith=zeros, dep_azimuth=np.array(azimuth), arr_zenith=zeros,
-            arr_azimuth=zeros, cluster=np.zeros(n, np.int32), ray=np.zeros(n, np.int32),
-            xpr=None, phases=None,
+            arr_azimuth=zeros, xpr=None, phases=None,
         )
 
     tx, rx = table(3, True, [azimuth, 0.0, 0.0]), table(2, False, [0.0, 0.0])

@@ -207,7 +207,7 @@ def test_rerun_into_a_used_directory_clears_the_earlier_outputs(tmp_path, monkey
 
 def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
     calls = []
-    synthesize = coefficients.synthesize_target_cir
+    synthesize = coefficients.synthesize_cir
 
     def fail_on_drop_2(group, drop, rcs_model, grid, wavelength, streams, **kwargs):
         calls.append(streams.drop)  # a pool worker appends to its own copy
@@ -215,7 +215,7 @@ def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
             raise RuntimeError("drop 2 fails")
         return synthesize(group, drop, rcs_model, grid, wavelength, streams, **kwargs)
 
-    monkeypatch.setattr(coefficients, "synthesize_target_cir", fail_on_drop_2)
+    monkeypatch.setattr(coefficients, "synthesize_cir", fail_on_drop_2)
     for workers in (1, 2):
         out = tmp_path / f"fail{workers}"
         with pytest.raises(RuntimeError, match="drop 2 fails"):
@@ -387,22 +387,39 @@ def test_background_adds_combined_loss(tmp_path):
 
 
 def test_background_weighted_by_zero_is_not_built(tmp_path, monkeypatch):
-    calls = []
-    synthesize = coefficients.synthesize_background_cir
+    backgrounds = []
+    synthesize = coefficients.synthesize_cir
 
     def spy(*args, **kwargs):
-        calls.append(None)
+        backgrounds.append(kwargs["background"])
         return synthesize(*args, **kwargs)
 
-    monkeypatch.setattr(coefficients, "synthesize_background_cir", spy)
+    monkeypatch.setattr(coefficients, "synthesize_cir", spy)
     zero = str(tmp_path / "zero")
     run(make_cfg("background.enabled = true\ncoupling.o_isac = 0\n"), out_dir=zero)
     plain = str(tmp_path / "plain")
     run(make_cfg("background.enabled = false\n"), out_dir=plain)
-    assert calls == []
+    assert backgrounds == [None] * 4  # two drops a run
     assert sha(os.path.join(zero, "cir.txt")) == sha(os.path.join(plain, "cir.txt"))
     fields, _ = manifest_header(zero)
     assert fields["mean_combined_path_loss_db"] == fields["mean_two_hop_path_loss_db"]
+
+
+def test_a_drop_with_a_background_makes_one_gains_call(tmp_path, monkeypatch):
+    paths = []  # the paths of each gains call
+    array_gains = coefficients._array_gains
+
+    def spy(*args):
+        paths.append(len(args[5]))  # amplitudes
+        return array_gains(*args)
+
+    monkeypatch.setattr(coefficients, "_array_gains", spy)
+    out = str(tmp_path / "bg")
+    manifest = run(make_cfg("background.enabled = true\n", drops=3), out_dir=out)
+    # one element a side: one cir.txt row per path, target and background alike
+    assert len(paths) == 3 and sum(paths) == manifest.cir_rows
+    plain = run(make_cfg(drops=3), out_dir=str(tmp_path / "plain"))
+    assert len(paths) == 6 and sum(paths[3:]) == plain.cir_rows < manifest.cir_rows
 
 
 def test_absolute_delay_applies_to_every_hop(tmp_path):

@@ -67,12 +67,20 @@ def test_shapes_and_basic_invariants():
         assert t.shape == (n, 20) and t.num_diffuse == n * 20
         assert t.has_los == los
         for col in (t.weight, t.delay, t.dep_zenith, t.dep_azimuth,
-                    t.arr_zenith, t.arr_azimuth, t.cluster, t.ray):
+                    t.arr_zenith, t.arr_azimuth):
             assert col.shape == (n * 20 + los,)
         assert t.xpr.shape == (n * 20,)
         assert t.phases.shape == (n * 20, 4)
-        np.testing.assert_array_equal(grid(t, "cluster"), np.repeat(np.arange(n)[:, None], 20, 1))
-        np.testing.assert_array_equal(grid(t, "ray"), np.tile(np.arange(20), (n, 1)))
+        # row cluster*M + ray: the rays of a cluster share its weight, and ray
+        # r leaves at the cluster's departure azimuth plus c_ASD * offset r
+        weight = grid(t, "weight")
+        np.testing.assert_array_equal(weight, np.repeat(weight[:, :1], 20, 1))
+        fan = np.degrees(grid(t, "dep_azimuth") - grid(t, "dep_azimuth")[:, :1])
+        np.testing.assert_allclose(
+            (fan + 180.0) % 360.0 - 180.0,
+            np.tile(params_for(condition).c_asd_deg * (RAY_OFFSETS - RAY_OFFSETS[0]), (n, 1)),
+            atol=1e-9,
+        )
         assert np.sum(t.weight[:n * 20] ** 2) == pytest.approx(1.0, abs=1e-12)
         assert np.all(cluster_powers(t) > 0)
         # the rays of a cluster share its delay; clusters ascend from 0
@@ -91,7 +99,7 @@ def test_los_row_is_the_specular_ray(absolute_delay):
     los = t.num_diffuse
     assert los == 12 * 20 and t.weight.size == los + 1
     assert t.weight[los] == 1.0
-    assert t.cluster[los] == -1 and t.ray[los] == -1
+    assert divmod(los, 20) == (t.shape[0], 0)  # one cluster past the last
     assert t.delay[los] == (hop.spec.d3d_m / SPEED_OF_LIGHT if absolute_delay else 0.0)
     dep = angles_between(hop.spec.from_node.position_m, hop.spec.to_node.position_m)
     arr = angles_between(hop.spec.to_node.position_m, hop.spec.from_node.position_m)
@@ -298,7 +306,7 @@ def test_mono_static_reciprocal_swaps_and_inverts():
     for dep, arr in (("dep_zenith", "arr_zenith"), ("dep_azimuth", "arr_azimuth")):
         np.testing.assert_array_equal(getattr(rev, dep), getattr(t, arr), strict=True)
         np.testing.assert_array_equal(getattr(rev, arr), getattr(t, dep), strict=True)
-    for shared in ("weight", "delay", "xpr", "phases", "cluster", "ray"):
+    for shared in ("weight", "delay", "xpr", "phases"):
         assert getattr(rev, shared) is getattr(t, shared), shared
     assert rev.shape == t.shape and rev.has_los
     assert rev.hop.spec.from_node is hop.spec.to_node
@@ -318,7 +326,7 @@ def test_mono_static_reciprocal_swaps_and_inverts():
 
 
 COLUMNS = ("weight", "delay", "dep_zenith", "dep_azimuth", "arr_zenith", "arr_azimuth",
-           "cluster", "ray", "xpr", "phases")
+           "xpr", "phases")
 # a LOS hop's K: none, small, large
 K_FACTORS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(10.0, 1e4))
 POSITIONS = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),

@@ -35,7 +35,6 @@ def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
     n = len(delays)
     z = np.zeros(n)
     rows = np.arange(n)
-    idx = np.zeros(n, np.int32)
     pair_types = np.asarray(pair_types, np.int8)
     weights = np.asarray(weights, float)
 
@@ -45,13 +44,13 @@ def make_paths(delays, weights, pair_types, k_weights=(0.5, 0.5, 0.5, 0.5),
     tx = HopTable(
         hop=None, shape=(1, n - los_tx), weight=z, delay=np.asarray(delays, float),
         dep_zenith=arr(tx_zen, z + np.pi / 2), dep_azimuth=arr(tx_azi, z),
-        arr_zenith=z, arr_azimuth=z, cluster=idx, ray=idx, xpr=None, phases=None,
+        arr_zenith=z, arr_azimuth=z, xpr=None, phases=None,
     )
     rx = HopTable(
         hop=None, shape=(1, n - los_rx), weight=z, delay=z,
         dep_zenith=z, dep_azimuth=z,
         arr_zenith=arr(rx_zen, z + np.pi / 2), arr_azimuth=arr(rx_azi, z),
-        cluster=idx, ray=idx, xpr=None, phases=None,
+        xpr=None, phases=None,
     )
     blocks = tuple(
         PathBlock(PairType(pt), rows[pair_types == pt], rows[pair_types == pt],
