@@ -1,9 +1,10 @@
 """Pinned output checksums: fixed-seed runs must reproduce these exact bytes.
 
-Five small in-process runs cover every joint-path component (LL, LN, NL,
+Six small in-process runs cover every joint-path component (LL, LN, NL,
 NN), specular rays on both hops, absolute delays with split strongest
 clusters, the background channel in embedded mode and, from an NLOS hop
-between moving nodes, in added mode with o_isac = 0.5, and the full
+between moving nodes, in added mode with o_isac = 0.5, sectorized arrays
+of unequal sizes with slanted elements and a custom spacing, and the full
 convolution, each run serially and with a pool of 2 workers.
 Every output file except manifest.txt is pinned by its SHA-256, and no
 other file may be left; of the manifest only the path-loss lines are
@@ -57,6 +58,17 @@ CONFIGS = {
         "nodes.target.velocity_mps = 0, 5, 0\nsnapshots.count = 3\n"
         "background.enabled = true\ncoupling.mode = added\ncoupling.o_isac = 0.5\n"
     )),
+    # sectorized 3- and 5-element arrays, +45 and -30 degree slants, a
+    # custom receive spacing, full polarization, moving transmitter and target
+    "bistatic_sectorized_slanted_arrays": (run, (
+        "frequency_hz = 6e9\nmaster_seed = 23\ndrops = 3\nconcat_case = Case2RN\n"
+        "conditions.tx_target = LOS\nnodes.tx.elements = 3\nnodes.rx.elements = 5\n"
+        "nodes.tx.pattern = sectorized-38901\nnodes.rx.pattern = sectorized-38901\n"
+        "nodes.tx.slant_deg = 45\nnodes.rx.slant_deg = -30\n"
+        "nodes.rx.element_spacing_m = 0.031\nnodes.tx.velocity_mps = 1, 2, 0\n"
+        "nodes.target.velocity_mps = 4, -3, 0\nsnapshots.count = 2\n"
+        "polarization.mode = full\n"
+    )),
     "monostatic_case3n": (run, (
         "frequency_hz = 6e9\nmaster_seed = 5\ndrops = 2\nsensing_mode = monostatic\n"
         "concat_case = Case3N\nnodes.tx.elements = 2\nsnapshots.count = 2\n"
@@ -78,6 +90,7 @@ PATH_LOSS_LINES = {
         "mean_two_hop_path_loss_db = 135.089426",
         "mean_combined_path_loss_db = 135.089985",
     ],
+    "bistatic_sectorized_slanted_arrays": ["mean_two_hop_path_loss_db = 131.122697"],
     "monostatic_case3n": ["mean_two_hop_path_loss_db = 129.966335"],
     "study_auto": ["mean_two_hop_path_loss_db = 126.136368"],
 }
@@ -113,6 +126,16 @@ cdf_zsa_deg_Case2RN.txt 221ad2a79660f38dbf403841204afaece5c4a0191e9f5f872ebc94b4
 cdf_zsd_deg_Case2RN.txt 7ba4e0808356eaa81b9c0be5bd0262e6306e4642e3dbc37a656f9714a4e73586
 cir.txt e7dd23ec85bce9e6f9cc3acba7b0ce16513f686940841c5dc686e51646643c99
 statistics.txt 65b4c81a3b5a533cd3c47840434dcbc317a8dcc0f6610c060345842fe7f552a8
+""",
+    "bistatic_sectorized_slanted_arrays": """
+cdf_asa_deg_Case2RN.txt bb7f6431befb5abee5d811260ab02dc1c0b6372f1be03bef2c40f99b2807cd30
+cdf_asd_deg_Case2RN.txt 47b708718553b977b057d04372a9d21dbec4f762f05572a7ec899190fc5df9ec
+cdf_ds_ns_Case2RN.txt 33c68c72ac895760f11bed08dd5f2e7763d1aad8f1d5d6a2dd7dae5a6fe31a8a
+cdf_power_Case2RN.txt 15dbefb9bf02a71e9640363d84f39443c1e7e42ca41df009be5feb5f5e46331c
+cdf_zsa_deg_Case2RN.txt 8e81682d7f7105ce714c6396dc4d5424d17f94b12d1215269cc22d5bf1a5b792
+cdf_zsd_deg_Case2RN.txt a8cfd92cf06a600719d1b1d3dfb03455a78c434c535af1a435f5a7da7f885ec7
+cir.txt a65c91cb88aaebad198db8ba0310387a9b9b5acfd80125814790317862bcc8be
+statistics.txt 4975154d330329a3ef5e9cf3f5e4adc62918d05d4d57c8ac009b3665d1f5cd3e
 """,
     "monostatic_case3n": """
 cdf_asa_deg_Case3N.txt b6be4eda26745c7474bb6f12137a64711c2309b2dc46b5c6b835c63afca89fac
