@@ -44,10 +44,11 @@ def main(argv=None):
     f_hz = 6e9
     lam = SPEED_OF_LIGHT / f_hz
     scen = ScenarioParams.from_table("UMi", f_hz)
-    # 2 transmit and 4 receive elements at half-wavelength spacing
-    tx = NodeState([0.0, 0.0, 10.0], elements=uniform_linear_array(2, lam / 2.0))
+    # 2 transmit and 4 receive elements at half-wavelength spacing, given by
+    # their offsets; every element of a node has its pattern and slant
+    tx = NodeState([0.0, 0.0, 10.0], element_offsets_m=uniform_linear_array(2, lam / 2.0))
     target = NodeState([40.0, 15.0, 1.5], velocity_mps=[8.0, 0.0, 0.0])
-    rx = NodeState([80.0, -10.0, 10.0], elements=uniform_linear_array(4, lam / 2.0))
+    rx = NodeState([80.0, -10.0, 10.0], element_offsets_m=uniform_linear_array(4, lam / 2.0))
     streams = RandomStreams(args.seed, drop=0)
 
     # large-scale: each hop's geometry, LOS probability, path loss per

@@ -22,8 +22,8 @@ _EXPORTS = {
     "constants": ("SPEED_OF_LIGHT",),
     "errors": ("ConfigError", "NumericError", "UnsupportedFeatureError"),
     "geometry": (
-        "AntennaElement", "DirectionAngles", "NodeState", "angles_between",
-        "spherical_unit_vector", "uniform_linear_array",
+        "DirectionAngles", "NodeState", "angles_between", "spherical_unit_vector",
+        "uniform_linear_array",
     ),
     "largescale": (
         "CouplingConfig", "HopLink", "HopSpec", "ScenarioParams", "build_hop",

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericError, UnsupportedFeatureError
-from .text import _format_rows, _text
+from .text import _format_rows, _Output, _text
 
 # A detect grid with more rows is refused before anything is allocated: its
 # row prefixes and text alone would take hundreds of megabytes.
@@ -175,13 +175,13 @@ def _cmd_rcs_fit(args) -> int:
 
 
 def _write_side_file(out, name: str, data: bytes) -> None:
-    """Write ``data`` to ``<out>/<name>`` (creating ``out``) and say so, or to stdout."""
+    """Write ``data`` to ``<out>/<name>`` (creating ``out``), which appears
+    only when complete, and say so; or to stdout."""
     if out:
         os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, name)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        print(f"wrote {path}")
+        with _Output(out, name) as sink:
+            sink.write(data)
+        print(f"wrote {sink.path}")
     else:
         sys.stdout.write(data.decode("ascii"))
 

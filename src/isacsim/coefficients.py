@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import DirectionAngles, field_components, spherical_unit_vector
+from .geometry import DirectionAngles, NodeState, field_components, spherical_unit_vector
 from .largescale import CouplingConfig
 from .concatenation import PairType, PathGroup, condition_weights
 from .rcs import PolarizationScattering, RcsModel, scattering_matrix, small_scale_sigma
@@ -87,9 +87,6 @@ def doppler_frequency(
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
-    v_tx = np.asarray(v_tx, float)
-    v_rx = np.asarray(v_rx, float)
-    v_sp = np.asarray(v_sp, float)
     total = (
         spherical_unit_vector(rx_dir) @ v_rx
         + spherical_unit_vector(sp_out_dir) @ v_sp
@@ -114,20 +111,14 @@ def _side_matrices(table: HopTable, wavelength_m: float) -> np.ndarray:
     return out
 
 
-def _array_response(elements, dirs: DirectionAngles, wavelength_m: float):
-    """Field components (E, L, 2) and array phases exp(j 2 pi r_hat . d_e /
-    lambda) (E, L) of each element toward per-path directions."""
-    fields = []
-    for el in elements:
-        f_t, f_p = field_components(el, dirs)
-        fields.append(np.stack([np.broadcast_to(f_t, dirs.zenith.shape),
-                                np.broadcast_to(f_p, dirs.zenith.shape)], axis=-1))
-    offs = np.stack([el.offset_m for el in elements], axis=0)  # (E, 3)
-    proj = offs @ spherical_unit_vector(dirs).T  # (E, L)
-    return np.stack(fields, axis=0), np.exp(2j * np.pi * proj / wavelength_m)
+def _array_response(node: NodeState, dirs: DirectionAngles, wavelength_m: float):
+    """Field components (L, 2) toward per-path directions, shared by the node's
+    elements, and their array phases exp(j 2 pi r_hat . d_e / lambda) (E, L)."""
+    proj = node.element_offsets_m @ spherical_unit_vector(dirs).T  # (E, L)
+    return np.stack(field_components(node, dirs), axis=-1), np.exp(2j * np.pi * proj / wavelength_m)
 
 
-def _array_gains(tx_elements, rx_elements, dep: DirectionAngles,
+def _array_gains(tx_node: NodeState, rx_node: NodeState, dep: DirectionAngles,
                  arr: DirectionAngles, pmat, amp, f_d, grid: SnapshotGrid,
                  wavelength_m: float) -> np.ndarray:
     """(U, S, L, T) gains of L paths leaving the transmit array along dep and
@@ -136,12 +127,11 @@ def _array_gains(tx_elements, rx_elements, dep: DirectionAngles,
     doppler = np.exp(2j * np.pi * np.outer(f_d, grid.times()))  # (L, T)
     time_block = amp[:, None] * doppler
 
-    f_rx, ph_rx = _array_response(rx_elements, arr, wavelength_m)  # U elements
-    f_tx, ph_tx = _array_response(tx_elements, dep, wavelength_m)  # S elements
+    f_rx, ph_rx = _array_response(rx_node, arr, wavelength_m)  # U elements
+    f_tx, ph_tx = _array_response(tx_node, dep, wavelength_m)  # S elements
 
-    # scalar(u, s, l) = f_rx(u, l) . P(l) . f_tx(s, l)
-    scalar = np.einsum("ula,lab,slb->usl", f_rx, pmat, f_tx)
-    scalar = scalar * ph_rx[:, None, :] * ph_tx[None, :, :]
+    # scalar(u, s, l) = f_rx(l) . P(l) . f_tx(l) times the two array phases
+    scalar = np.einsum("la,lab,lb->l", f_rx, pmat, f_tx) * ph_rx[:, None, :] * ph_tx[None, :, :]
     return scalar[..., None] * time_block[None, None, ...]
 
 
@@ -197,7 +187,6 @@ def synthesize_cir(
         streams.stream("rcs_b2"),
         size=n_paths,
     )
-    sigma = np.broadcast_to(np.asarray(sigma, float), (n_paths,))
 
     smat = scattering_matrix(pol, streams.stream("scatter_phases"), size=n_paths)
 
@@ -215,7 +204,6 @@ def synthesize_cir(
         target.total_velocity_mps,
         wavelength_m,
     )
-    f_d = np.broadcast_to(np.asarray(f_d, float), (n_paths,))
 
     amp = group.k_weights[drop][pair_type] * weight * np.sqrt(sigma)
     parts = [(tx.delay[it] + rx.delay[ir], tx_dir.zenith, tx_dir.azimuth, rx_dir.zenith,
@@ -229,7 +217,7 @@ def synthesize_cir(
             parts.append(_background_paths(background, tx_node, rx_node, wavelength_m))
     delays, dep_zenith, dep_azimuth, arr_zenith, arr_azimuth, pmat, amp, f_d, pair_type = (
         np.concatenate(column) for column in zip(*parts))
-    gains = _array_gains(tx_node.elements, rx_node.elements,
+    gains = _array_gains(tx_node, rx_node,
                          DirectionAngles(dep_zenith, dep_azimuth),
                          DirectionAngles(arr_zenith, arr_azimuth),
                          pmat, amp, f_d, grid, wavelength_m)

@@ -53,7 +53,7 @@ class ConcatCase(str, Enum):
 
     @property
     def normalizes_nn(self) -> bool:
-        return self.value.endswith("N") and self is not ConcatCase.CASE_A
+        return self.value.endswith("N")
 
     @property
     def base(self) -> "ConcatCase":

@@ -1,4 +1,4 @@
-"""Geometry primitives: positions, direction angles, antenna elements.
+"""Geometry primitives: positions, direction angles, antenna arrays.
 
 Conventions used throughout the package:
 
@@ -64,46 +64,13 @@ def angles_between(from_pos: np.ndarray, to_pos: np.ndarray) -> DirectionAngles:
     return DirectionAngles(zenith=zenith, azimuth=azimuth)
 
 
-@dataclass
-class AntennaElement:
-    """One radiating element of an array.
-
-    offset_m: element phase-center offset from the node reference point,
-    in the global frame. pattern selects the magnitude pattern; slant_deg
-    splits the gain between the theta/phi polarization components. Every
-    element faces broadside, +x: its pattern is looked up at the global angles.
-    """
-
-    offset_m: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    pattern: str = ISOTROPIC
-    slant_deg: float = 0.0
-
-    def __post_init__(self):
-        self.offset_m = vec3(self.offset_m)
-        if self.pattern not in PATTERNS:
-            raise ValueError(
-                f"unknown antenna pattern {self.pattern!r}; supported: {PATTERNS}"
-            )
-
-
-def uniform_linear_array(
-    count: int,
-    spacing_m: float,
-    pattern: str = ISOTROPIC,
-    slant_deg: float = 0.0,
-    axis: int = 1,
-) -> list:
-    """Centered ULA along the given axis (default y, broadside toward +x)."""
+def uniform_linear_array(count: int, spacing_m: float) -> np.ndarray:
+    """(count, 3) element offsets of a ULA centered along y, broadside toward +x."""
     if count < 1:
         raise ValueError("element count must be >= 1")
-    elements = []
-    for i in range(count):
-        offset = np.zeros(3)
-        offset[axis] = (i - (count - 1) / 2.0) * spacing_m
-        elements.append(
-            AntennaElement(offset_m=offset, pattern=pattern, slant_deg=slant_deg)
-        )
-    return elements
+    offsets = np.zeros((count, 3))
+    offsets[:, 1] = (np.arange(count) - (count - 1) / 2.0) * spacing_m
+    return offsets
 
 
 @dataclass
@@ -112,20 +79,30 @@ class NodeState:
 
     micro_velocity_mps models internal motion of a scattering object (for
     example limb or rotor movement) on top of the bulk velocity; it is zero
-    for ordinary transceivers.
+    for ordinary transceivers. The array is its (E, 3) element offsets in the
+    global frame. All elements share the pattern, looked up at the global
+    angles (each faces +x), and slant_deg, which splits the gain onto theta/phi.
     """
 
     position_m: np.ndarray
     velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
     micro_velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    elements: list = field(default_factory=lambda: [AntennaElement()])
+    element_offsets_m: np.ndarray = field(default_factory=lambda: np.zeros((1, 3)))
+    pattern: str = ISOTROPIC
+    slant_deg: float = 0.0
 
     def __post_init__(self):
         self.position_m = vec3(self.position_m)
         self.velocity_mps = vec3(self.velocity_mps)
         self.micro_velocity_mps = vec3(self.micro_velocity_mps)
-        if not self.elements:
-            raise ValueError("a node needs at least one antenna element")
+        offsets = self.element_offsets_m = np.asarray(self.element_offsets_m, dtype=float)
+        if offsets.ndim != 2 or offsets.shape[1] != 3 or not len(offsets):
+            raise ValueError("a node needs at least one antenna element, as (E, 3) "
+                             f"offsets; got shape {offsets.shape}")
+        if self.pattern not in PATTERNS:
+            raise ValueError(
+                f"unknown antenna pattern {self.pattern!r}; supported: {PATTERNS}"
+            )
 
     @property
     def total_velocity_mps(self) -> np.ndarray:
@@ -145,15 +122,16 @@ def _pattern_gain_db(pattern: str, zenith, azimuth):
     return 8.0 - np.minimum(-(a_v + a_h), 30.0)
 
 
-def field_components(element: AntennaElement, direction: DirectionAngles):
-    """Complex field components (F_theta, F_phi) of an element toward ``direction``.
+def field_components(node: NodeState, direction: DirectionAngles):
+    """Complex field components (F_theta, F_phi) of each of the node's
+    elements toward ``direction``, shaped like the direction's angles.
 
     The amplitude sqrt of the power pattern is split onto the two
     polarization axes by the slant angle (cos onto theta, sin onto phi).
     """
-    gain_db = _pattern_gain_db(element.pattern, direction.zenith, direction.azimuth)
+    gain_db = _pattern_gain_db(node.pattern, direction.zenith, direction.azimuth)
     amp = 10.0 ** (gain_db / 20.0)
-    slant = np.radians(element.slant_deg)
+    slant = np.radians(node.slant_deg)
     f_theta = amp * np.cos(slant) + 0.0j
     f_phi = amp * np.sin(slant) + 0.0j
     return f_theta, f_phi

@@ -16,12 +16,12 @@ a spool the parent appends in run order), and a run of drops hands back one
 RunBlock of numbers, which the parent copies into one statistics table. So
 the output files are identical for any worker count, no drop's gains
 outlive its drop, no text crosses a pipe and no per-drop object outlives
-its run. Every output file goes through one hashing writer (_Output).
+its run. Every output file goes through one writer (text._Output), which
+hashes all but the manifest.
 """
 from __future__ import annotations
 
 import glob
-import hashlib
 import os
 import time
 from contextlib import ExitStack, nullcontext
@@ -56,7 +56,7 @@ from .seeds import (
 )
 from .smallscale import check_ray_layout, generate_sublinks, mono_static_reciprocal
 from .stats import empirical_cdf, group_statistics
-from .text import _format_rows, _row_slices, _text
+from .text import _format_rows, _Output, _row_slices, _text
 
 if TYPE_CHECKING:  # runs that emit no CIRs load neither
     from .coefficients import SnapshotGrid
@@ -110,15 +110,13 @@ def build_node(node_cfg, wavelength_m: float) -> NodeState:
     spacing = node_cfg.element_spacing_m
     if spacing is None:
         spacing = wavelength_m / 2.0
-    elements = uniform_linear_array(
-        node_cfg.elements, spacing, pattern=node_cfg.pattern,
-        slant_deg=node_cfg.slant_deg,
-    )
     return NodeState(
         position_m=np.asarray(node_cfg.position_m, dtype=float),
         velocity_mps=np.asarray(node_cfg.velocity_mps, dtype=float),
         micro_velocity_mps=np.asarray(node_cfg.micro_velocity_mps, dtype=float),
-        elements=elements,
+        element_offsets_m=uniform_linear_array(node_cfg.elements, spacing),
+        pattern=node_cfg.pattern,
+        slant_deg=node_cfg.slant_deg,
     )
 
 
@@ -240,37 +238,6 @@ def _cir_block(drop: int, delays: np.ndarray, gains: np.ndarray):
         yield _format_rows(prefix, values[rows])
 
 
-class _Output:
-    """One output file as it is written: ``<name>.part``, created with
-    ``head`` at the first write, and the SHA-256 of every byte written to
-    it. On a clean exit the part becomes ``<name>`` and its digest goes into
-    ``checksums``; on an exception the part is removed."""
-
-    def __init__(self, out_dir: str, name: str, checksums: dict, head: bytes = b""):
-        self.path, self.name, self.checksums = os.path.join(out_dir, name), name, checksums
-        self.head, self.fh, self.digest = head, None, hashlib.sha256(head)
-
-    def write(self, chunk: bytes) -> None:
-        if self.fh is None:
-            self.fh = open(self.path + ".part", "wb")
-            self.fh.write(self.head)
-        self.fh.write(chunk)
-        self.digest.update(chunk)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, failed, *_):
-        if self.fh is None:
-            return
-        self.fh.close()
-        if failed:
-            os.unlink(self.path + ".part")
-        else:
-            os.replace(self.path + ".part", self.path)
-            self.checksums[self.name] = self.digest.hexdigest()
-
-
 def _write_statistics(out_dir: str, checksums: dict, cases: tuple, table: np.ndarray,
                       pairs: np.ndarray, columns: tuple) -> None:
     """One row per (drop, case) of the (drops x cases x columns) table, with
@@ -350,6 +317,15 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     for spec, _ in hops:
         for cond in spec.path_loss_db:
             check_ray_layout(scenario.condition_params(cond), cfg.split_strongest)
+    columns = STAT_COLUMNS + ("nn_power_ratio",) * study
+    try:  # so is a statistics table too large to allocate
+        table = np.empty((cfg.drops, len(cases), len(columns)))  # drops x cases x columns
+        pairs = np.empty((cfg.drops, len(cases)), np.uint8)
+        path_loss, cir_rows = np.empty((2, cfg.drops)), 0
+    except MemoryError:
+        gb = cfg.drops * len(cases) * len(columns) * 8e-9  # float64
+        raise ConfigError(f"the statistics table of {cfg.drops} drops ({gb:.3g} GB) "
+                          "cannot be allocated; run fewer drops") from None
     checksums = {}
     cir = _Output(out_dir, "cir.txt", checksums, CIR_HEADER)
     if emit_cir:
@@ -372,10 +348,6 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     # with its compute.
     size = max(1, min(RUN_DROPS, cfg.drops // (4 * workers)))
     runs = [range(d, min(d + size, cfg.drops)) for d in range(0, cfg.drops, size)]
-    columns = STAT_COLUMNS + ("nn_power_ratio",) * study
-    table = np.empty((cfg.drops, len(cases), len(columns)))  # drops x cases x columns
-    pairs = np.empty((cfg.drops, len(cases)), np.uint8)
-    path_loss, cir_rows = np.empty((2, cfg.drops)), 0
     # On a failure the pool cancels the drops not yet started and waits for
     # the running ones; it kills no worker (one killed while it sends its
     # result can hang the parent). The spools go after the pool, when no
@@ -447,7 +419,7 @@ def _write_manifest(out_dir: str, manifest: RunManifest, path_loss: np.ndarray) 
         lines.append(f"{name} sha256={digest}")
     lines.append("[config]")
     lines.extend(manifest.config_lines)
-    with _Output(out_dir, "manifest.txt", {}) as out:
+    with _Output(out_dir, "manifest.txt") as out:
         out.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 

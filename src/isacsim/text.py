@@ -1,6 +1,9 @@
 """The %.12e text kernel behind every output file: rows of a text prefix
-and float64 values become lines with exactly the bytes of Python's ``%``."""
+and float64 values become lines with exactly the bytes of Python's ``%``;
+and the one writer of every file in an output directory."""
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -144,3 +147,41 @@ def _format_rows(prefix: np.ndarray, values: np.ndarray) -> bytes:
         buf[:, -8:] = _NEWLINE
         out.append(buf.tobytes().translate(None, b"\0"))
     return b"".join(out)
+
+
+class _Output:
+    """One output file as it is written: ``<name>.part``, created with
+    ``head`` at the first write. On a clean exit the part becomes ``<name>``;
+    on an exception the part is removed. Given a ``checksums`` dict, it keeps
+    the SHA-256 of every byte written and, on a clean exit, puts its digest
+    there under ``name``."""
+
+    def __init__(self, out_dir: str, name: str, checksums: dict | None = None,
+                 head: bytes = b""):
+        self.path, self.name, self.checksums = os.path.join(out_dir, name), name, checksums
+        self.head, self.fh, self.digest = head, None, None
+        if checksums is not None:  # commands that hash nothing do not load hashlib
+            import hashlib
+            self.digest = hashlib.sha256(head)
+
+    def write(self, chunk: bytes) -> None:
+        if self.fh is None:
+            self.fh = open(self.path + ".part", "wb")
+            self.fh.write(self.head)
+        self.fh.write(chunk)
+        if self.digest is not None:
+            self.digest.update(chunk)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failed, *_):
+        if self.fh is None:
+            return
+        self.fh.close()
+        if failed:
+            os.unlink(self.path + ".part")
+        else:
+            os.replace(self.path + ".part", self.path)
+            if self.digest is not None:
+                self.checksums[self.name] = self.digest.hexdigest()

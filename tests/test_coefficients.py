@@ -5,6 +5,7 @@ import pytest
 
 from isacsim.coefficients import (
     SnapshotGrid,
+    _array_gains,
     _side_matrices,
     doppler_frequency,
     synthesize_cir,
@@ -17,7 +18,6 @@ from isacsim.concatenation import (
 from isacsim.constants import SPEED_OF_LIGHT
 from isacsim.errors import ConfigError
 from isacsim.geometry import (
-    AntennaElement,
     DirectionAngles,
     NodeState,
     angles_between,
@@ -43,13 +43,12 @@ LAM = SPEED_OF_LIGHT / F_HZ
 
 def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
              tx_vel=(0, 0, 0), rx_vel=(0, 0, 0), tgt_vel=(0, 0, 0),
-             tx_elements=None, rx_elements=None, grid=None, xpr_override=None):
+             tx_offsets=np.zeros((1, 3)), rx_offsets=np.zeros((1, 3)), grid=None,
+             xpr_override=None):
     scen = ScenarioParams.from_table("UMi", F_HZ)
-    tx = NodeState([0.0, 0.0, 10.0], velocity_mps=tx_vel,
-                   elements=tx_elements or [AntennaElement()])
+    tx = NodeState([0.0, 0.0, 10.0], velocity_mps=tx_vel, element_offsets_m=tx_offsets)
     tgt = NodeState([25.0, 10.0, 1.5], velocity_mps=tgt_vel)
-    rx = NodeState([60.0, -5.0, 10.0], velocity_mps=rx_vel,
-                   elements=rx_elements or [AntennaElement()])
+    rx = NodeState([60.0, -5.0, 10.0], velocity_mps=rx_vel, element_offsets_m=rx_offsets)
     streams = RandomStreams(seed)
     h1 = build_hop(hop_spec(tx, tgt, scen, cond1), scen, streams.scoped(HOP_TX_TARGET))
     h2 = build_hop(hop_spec(tgt, rx, scen, cond2), scen, streams.scoped(HOP_TARGET_RX))
@@ -218,15 +217,39 @@ def test_specular_path_doppler_matches_geometry():
     assert got == pytest.approx(np.exp(2j * np.pi * fd * 1e-3), rel=1e-9)
 
 
+@pytest.mark.parametrize("n_paths", [1, 7])
+def test_a_path_gain_does_not_depend_on_the_array_size(n_paths):
+    # the element field is computed once per path, so the pair of elements
+    # at the nodes' reference points (array phase exactly 1) has the gain
+    # of single-element nodes bit for bit, however many elements there are
+    rng = np.random.default_rng(n_paths)
+    dep = DirectionAngles(rng.uniform(0, np.pi, n_paths), rng.uniform(-np.pi, np.pi, n_paths))
+    arr = DirectionAngles(rng.uniform(0, np.pi, n_paths), rng.uniform(-np.pi, np.pi, n_paths))
+    pmat = rng.standard_normal((n_paths, 2, 2)) + 1j * rng.standard_normal((n_paths, 2, 2))
+    args = (dep, arr, pmat, rng.uniform(0.1, 1, n_paths), rng.uniform(-50, 50, n_paths),
+            SnapshotGrid(count=3), LAM)
+
+    def node(offsets):
+        return NodeState([0.0, 0.0, 0.0], element_offsets_m=offsets,
+                         pattern="sectorized-38901", slant_deg=35.0)
+
+    single = _array_gains(node(np.zeros((1, 3))), node(np.zeros((1, 3))), *args)
+    tx = node([[0.0, 0.0, 0.0], [0.0, 0.02, 0.0], [0.0, -0.03, 0.01]])
+    rx = node([[0.0, 0.0, 0.0], *uniform_linear_array(4, LAM / 2.0)])
+    gains = _array_gains(tx, rx, *args)
+    assert gains.shape == (5, 3, n_paths, 3)
+    assert np.array_equal(gains[0, 0], single[0, 0])
+
+
 def test_receive_array_phase_factorizes_over_elements():
-    rx_el = uniform_linear_array(2, LAM / 2.0)
-    group, cir, _, _ = pipeline(rx_elements=rx_el)
+    rx_offsets = uniform_linear_array(2, LAM / 2.0)
+    group, cir, _, _ = pipeline(rx_offsets=rx_offsets)
     _, ir, _, _ = group.paths(0)
     rx = group.rx[0]
     units = spherical_unit_vector(
         DirectionAngles(zenith=rx.arr_zenith[ir], azimuth=rx.arr_azimuth[ir])
     )
-    doff = rx_el[1].offset_m - rx_el[0].offset_m
+    doff = rx_offsets[1] - rx_offsets[0]
     expect = cir.gains[0, 0, :, 0] * np.exp(2j * np.pi * (units @ doff) / LAM)
     np.testing.assert_allclose(cir.gains[1, 0, :, 0], expect, rtol=1e-9, atol=1e-15)
 
@@ -278,7 +301,7 @@ def test_hops_must_share_the_scattering_point():
 def test_target_synthesis_input_checks():
     # the arrays come from the hop nodes, which refuse an empty one
     with pytest.raises(ValueError, match="at least one antenna element"):
-        NodeState([0.0, 0.0, 10.0], elements=[])
+        NodeState([0.0, 0.0, 10.0], element_offsets_m=np.zeros((0, 3)))
     group, _, _, _ = pipeline()
     streams = RandomStreams(3).scoped(SCOPE_COEFF)
     with pytest.raises(ConfigError):

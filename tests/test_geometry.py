@@ -1,11 +1,10 @@
-"""Direction math and antenna element responses."""
+"""Direction math and antenna array responses."""
 import numpy as np
 import pytest
 
 from isacsim.geometry import (
     ISOTROPIC,
     SECTORIZED_38901,
-    AntennaElement,
     DirectionAngles,
     NodeState,
     angles_between,
@@ -71,8 +70,8 @@ def test_vec3_accepts_sequence_and_components():
 
 
 def test_uniform_linear_array_centered():
-    elems = uniform_linear_array(4, 0.5)
-    offsets = np.array([e.offset_m for e in elems])
+    offsets = uniform_linear_array(4, 0.5)
+    assert offsets.shape == (4, 3)
     np.testing.assert_allclose(offsets.sum(axis=0), 0.0, atol=1e-15)
     np.testing.assert_allclose(offsets[:, 1], [-0.75, -0.25, 0.25, 0.75])
     assert np.all(offsets[:, [0, 2]] == 0.0)
@@ -89,37 +88,37 @@ def test_node_state_total_velocity():
 
 def test_node_state_requires_elements():
     with pytest.raises(ValueError):
-        NodeState(position_m=[0, 0, 0], elements=[])
+        NodeState(position_m=[0, 0, 0], element_offsets_m=np.zeros((0, 3)))
 
 
 def test_isotropic_element_unit_response():
-    el = AntennaElement()
-    ft, fp = field_components(el, DirectionAngles(np.pi / 3, 1.0))
+    node = NodeState(position_m=[0, 0, 0])
+    ft, fp = field_components(node, DirectionAngles(np.pi / 3, 1.0))
     assert ft == pytest.approx(1.0)
     assert fp == pytest.approx(0.0)
 
 
 def test_slant_splits_power_between_components():
-    el = AntennaElement(slant_deg=45.0)
-    ft, fp = field_components(el, DirectionAngles(np.pi / 2, 0.0))
+    node = NodeState(position_m=[0, 0, 0], slant_deg=45.0)
+    ft, fp = field_components(node, DirectionAngles(np.pi / 2, 0.0))
     assert abs(ft) ** 2 + abs(fp) ** 2 == pytest.approx(1.0)
     assert abs(ft) == pytest.approx(abs(fp))
 
 
 def test_sectorized_pattern_boresight_and_rolloff():
-    el = AntennaElement(pattern=SECTORIZED_38901)
-    ft, _ = field_components(el, DirectionAngles(np.pi / 2, 0.0))
+    node = NodeState(position_m=[0, 0, 0], pattern=SECTORIZED_38901)
+    ft, _ = field_components(node, DirectionAngles(np.pi / 2, 0.0))
     # 8 dBi peak at boresight
     assert abs(ft) ** 2 == pytest.approx(10.0 ** 0.8)
     # 65 deg half-power beamwidth: 3 dB down at +-32.5 deg in azimuth
-    ft_hp, _ = field_components(el, DirectionAngles(np.pi / 2, np.radians(32.5)))
+    ft_hp, _ = field_components(node, DirectionAngles(np.pi / 2, np.radians(32.5)))
     assert 10 * np.log10(abs(ft) ** 2 / abs(ft_hp) ** 2) == pytest.approx(3.0)
     # floor is 30 dB below peak
-    ft_back, _ = field_components(el, DirectionAngles(np.pi / 2, np.pi))
+    ft_back, _ = field_components(node, DirectionAngles(np.pi / 2, np.pi))
     assert 10 * np.log10(abs(ft) ** 2 / abs(ft_back) ** 2) == pytest.approx(30.0)
 
 
 def test_unknown_pattern_rejected():
     with pytest.raises(ValueError):
-        AntennaElement(pattern="cardioid")
+        NodeState(position_m=[0, 0, 0], pattern="cardioid")
     assert ISOTROPIC in ("isotropic",)

@@ -21,9 +21,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # and HopSpec and hop_spec, the per-run part of a hop; and with
 # synthesize_cir and ChannelCir, the one synthesis of a drop's target and
 # background paths, in place of synthesize_target_cir,
-# synthesize_background_cir, combine_channels and TargetChannelCir
+# synthesize_background_cir, combine_channels and TargetChannelCir; and
+# less AntennaElement, since a NodeState holds its array's element offsets,
+# pattern and slant
 ALL = [
-    "AntennaElement", "B1Table", "ChannelCir", "ConcatCase", "ConfigError", "CouplingConfig",
+    "B1Table", "ChannelCir", "ConcatCase", "ConfigError", "CouplingConfig",
     "DetectionParams", "DirectionAngles", "EmpiricalCdf", "HopLink", "HopSpec",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
     "PathGroup", "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell",

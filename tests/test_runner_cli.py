@@ -647,6 +647,30 @@ def test_refused_config_keeps_the_earlier_outputs(tmp_path, capsys, name):
     assert {f: sha(out / f) for f in os.listdir(out)} == before
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_a_statistics_table_too_large_to_allocate_keeps_the_earlier_outputs(tmp_path):
+    import resource
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))  # 1.5 GiB
+
+    out = tmp_path / "study"
+    out.mkdir()
+    (out / "statistics.txt").write_bytes(b"an earlier run\n")
+    # 10^7 drops x 10 cases x 8 columns of float64: a 6.4 GB table
+    argv = [sys.executable, "-m", "isacsim.cli", "concat-study", "--config",
+            write_cfg(tmp_path), "--drops", "10000000", "--out", str(out)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(argv, env=env, preexec_fn=cap_address_space, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    error, = proc.stderr.splitlines()
+    assert error.startswith("configuration error: the statistics table of 10000000 drops")
+    assert os.listdir(out) == ["statistics.txt"]
+    assert (out / "statistics.txt").read_bytes() == b"an earlier run\n"
+
+
 def test_los_only_table_runs_where_every_hop_is_los(tmp_path):
     # every hop within 18 m ground distance, where UMi's LOS probability is 1
     extra = ("conditions.tx_target = auto\nconditions.target_rx = auto\n"
@@ -748,6 +772,30 @@ def test_cli_detect_out_file_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_failed_side_file_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    parts = []
+
+    class NoSpace:  # takes a few bytes, then the disk is full
+        def __init__(self, path, mode):
+            parts.append(path)
+            self.fh = open(path, mode)
+
+        def write(self, data):
+            self.fh.write(data[:8])
+            raise OSError(28, "No space left on device")
+
+        def close(self):
+            self.fh.close()
+
+    monkeypatch.setattr(text, "open", NoSpace, raising=False)
+    out = tmp_path / "det"
+    with pytest.raises(OSError, match="No space"):
+        main(["detect", "--out", str(out)])
+    assert parts == [str(out / "detection.txt.part")]
+    assert os.listdir(out) == []
+    assert "wrote" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--snr-min", "nan"), ("--snr-max", "inf"), ("--snr-step", "inf"), ("--sigma", "nan"),
 ])
@@ -791,6 +839,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # imports no submodule, and each command imports its own when it starts.
 CLI_MODULES = {"isacsim", "isacsim.cli", "isacsim.errors", "isacsim.text"}
 DETECT_MODULES = CLI_MODULES | {"isacsim.metrics", "isacsim.constants"}
+# detect writes --out through the runner's writer (text._Output), which
+# loads hashlib only for a run's checksums
 NOT_LOADED = ("isacsim.runner", "isacsim.concatenation", "isacsim.coefficients",
               "isacsim.smallscale", "isacsim.largescale", "isacsim.stats",
               "isacsim.config", "isacsim.seeds", "multiprocessing", "concurrent.futures",
