@@ -8,7 +8,7 @@ or one submodule such as ``isacsim.cli``, loads only what is used.
 """
 from importlib import import_module
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _EXPORTS = {
     "concatenation": (
@@ -35,9 +35,8 @@ _EXPORTS = {
         "pfa", "range_metrics", "snr_to_amplitude", "speed_metrics", "threshold_for_pfa",
     ),
     "rcs": (
-        "B1Table", "PolarizationScattering", "RcsModel", "ResolutionCell", "TargetClass",
-        "fit_lognormal_db", "is_point_target", "mbet_bistatic", "sample_rcs",
-        "scattering_matrix",
+        "B1Table", "PolarizationScattering", "RcsModel", "ResolutionCell", "fit_lognormal_db",
+        "is_point_target", "mbet_bistatic", "sample_rcs", "scattering_matrix",
     ),
     "runner": ("RunManifest", "concat_study", "run"),
     "seeds": ("RandomStreams",),

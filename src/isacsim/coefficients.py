@@ -83,7 +83,7 @@ def doppler_frequency(
     tx_dir is the departure direction at the transmitter, rx_dir the
     arrival direction at the receiver (pointing back toward the scatterer),
     sp_in_dir/sp_out_dir the arrival/departure directions at the scattering
-    point. v_sp should already include any internal (micro) motion.
+    point, which moves at v_sp.
     """
     if wavelength_m <= 0:
         raise ConfigError(f"wavelength must be positive, got {wavelength_m}")
@@ -201,7 +201,7 @@ def synthesize_cir(
         sp_out,
         tx_node.velocity_mps,
         rx_node.velocity_mps,
-        target.total_velocity_mps,
+        target.velocity_mps,
         wavelength_m,
     )
 

@@ -23,17 +23,16 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import ISOTROPIC, PATTERNS
 from .largescale import CONDITIONS, COUPLING_MODES
-from .rcs import POLARIZATION_MODES, TargetClass
+from .rcs import POLARIZATION_MODES
 from .reader import data_lines, read_text, split_entry
 
 
 @dataclass
 class NodeConfig:
-    """Position, motion, and array layout of one terminal."""
+    """Position, motion, and (tx and rx only) array layout of one node."""
 
     position_m: tuple
     velocity_mps: tuple = (0.0, 0.0, 0.0)
-    micro_velocity_mps: tuple = (0.0, 0.0, 0.0)
     elements: int = 1
     element_spacing_m: float | None = None  # None: half wavelength
     pattern: str = ISOTROPIC
@@ -62,7 +61,6 @@ class RunConfig:
     rcs_b2_mean_db: float = 0.0
     rcs_b2_std_db: float = 0.0
     rcs_b1_table: str | None = None
-    rcs_target_class: str = "uav"
     pol_mode: str = "identity"
     pol_alphas: tuple = (1.0, 0.0, 0.0, 1.0)
     snap_start_s: float = 0.0
@@ -143,10 +141,11 @@ _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _CONDITION = _choice(("auto",) + CONDITIONS)
 
-_NODE_KEYS = {
+_NODE_KEYS = {  # the keys of every node
     "position_m": (_vec(3), None),
     "velocity_mps": (_vec(3), None),
-    "micro_velocity_mps": (_vec(3), None),
+}
+_ARRAY_KEYS = {  # the transmitter's and receiver's; the target has no array
     "elements": (_int, _AT_LEAST_ONE),
     "element_spacing_m": (_float, _POSITIVE),
     "pattern": (_choice(PATTERNS), None),
@@ -168,9 +167,8 @@ KEYS = {
     "rcs.b2_mean_db": ("rcs_b2_mean_db", _float, None),
     "rcs.b2_std_db": ("rcs_b2_std_db", _float, _NON_NEGATIVE),
     "rcs.b1_table": ("rcs_b1_table", _text, None),
-    "rcs.target_class": ("rcs_target_class", _choice(TargetClass), None),
     "polarization.mode": ("pol_mode", _choice(POLARIZATION_MODES), None),
-    "polarization.alphas": ("pol_alphas", _vec(4), None),
+    "polarization.alphas": ("pol_alphas", _vec(4), (lambda v: min(v) >= 0, "all >= 0")),
     "snapshots.start_s": ("snap_start_s", _float, None),
     "snapshots.step_s": ("snap_step_s", _float, _POSITIVE),
     "snapshots.count": ("snap_count", _int, _AT_LEAST_ONE),
@@ -187,8 +185,9 @@ KEYS = {
     "output.cir": ("emit_cir", _bool, None),
     **{
         f"nodes.{node}.{name}": (f"{node}.{name}", parse, check)
-        for node in ("tx", "rx", "target")
-        for name, (parse, check) in _NODE_KEYS.items()
+        for node, keys in (("tx", _NODE_KEYS | _ARRAY_KEYS), ("rx", _NODE_KEYS | _ARRAY_KEYS),
+                           ("target", _NODE_KEYS))
+        for name, (parse, check) in keys.items()
     },
 }
 

@@ -77,16 +77,13 @@ def uniform_linear_array(count: int, spacing_m: float) -> np.ndarray:
 class NodeState:
     """Kinematic state of a terminal: position, velocity, and its antenna array.
 
-    micro_velocity_mps models internal motion of a scattering object (for
-    example limb or rotor movement) on top of the bulk velocity; it is zero
-    for ordinary transceivers. The array is its (E, 3) element offsets in the
-    global frame. All elements share the pattern, looked up at the global
-    angles (each faces +x), and slant_deg, which splits the gain onto theta/phi.
+    The array is its (E, 3) element offsets in the global frame. All elements
+    share the pattern, looked up at the global angles (each faces +x), and
+    slant_deg, which splits the gain onto theta/phi.
     """
 
     position_m: np.ndarray
     velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    micro_velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
     element_offsets_m: np.ndarray = field(default_factory=lambda: np.zeros((1, 3)))
     pattern: str = ISOTROPIC
     slant_deg: float = 0.0
@@ -94,7 +91,6 @@ class NodeState:
     def __post_init__(self):
         self.position_m = vec3(self.position_m)
         self.velocity_mps = vec3(self.velocity_mps)
-        self.micro_velocity_mps = vec3(self.micro_velocity_mps)
         offsets = self.element_offsets_m = np.asarray(self.element_offsets_m, dtype=float)
         if offsets.ndim != 2 or offsets.shape[1] != 3 or not len(offsets):
             raise ValueError("a node needs at least one antenna element, as (E, 3) "
@@ -103,10 +99,6 @@ class NodeState:
             raise ValueError(
                 f"unknown antenna pattern {self.pattern!r}; supported: {PATTERNS}"
             )
-
-    @property
-    def total_velocity_mps(self) -> np.ndarray:
-        return self.velocity_mps + self.micro_velocity_mps
 
 
 def _pattern_gain_db(pattern: str, zenith, azimuth):

@@ -248,7 +248,6 @@ def concatenated_path_loss(
     pl2_db: float,
     frequency_hz: float,
     mean_rcs_m2: float,
-    c: float = SPEED_OF_LIGHT,
 ) -> float:
     """Two-hop sensing path loss in dB.
 
@@ -263,7 +262,7 @@ def concatenated_path_loss(
         raise ConfigError(f"mean RCS must be positive, got {mean_rcs_m2}")
     if not (math.isfinite(pl1_db) and math.isfinite(pl2_db)):
         raise ConfigError("hop path losses must be finite")
-    aperture_db = 10.0 * math.log10(c ** 2 / (4.0 * math.pi * frequency_hz ** 2))
+    aperture_db = 10.0 * math.log10(SPEED_OF_LIGHT ** 2 / (4.0 * math.pi * frequency_hz ** 2))
     return pl1_db + pl2_db + aperture_db - 10.0 * math.log10(mean_rcs_m2)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,13 +25,6 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import DirectionAngles
 from .reader import data_lines, read_text
-
-
-class TargetClass(str, Enum):
-    HUMAN = "human"
-    UAV = "uav"
-    VEHICLE = "vehicle"
-    AGV = "agv"
 
 
 class B1Table:
@@ -88,7 +80,6 @@ class RcsModel:
     b1: B1Table | None = None
     b2_mean_db: float = 0.0
     b2_std_db: float = 0.0
-    target_class: TargetClass = TargetClass.UAV
 
     def __post_init__(self):
         if self.mean_rcs_m2 <= 0 or not math.isfinite(self.mean_rcs_m2):

@@ -45,7 +45,7 @@ from .largescale import (
     concatenated_path_loss,
     hop_spec,
 )
-from .rcs import PolarizationScattering, TargetClass
+from .rcs import PolarizationScattering
 from .seeds import (
     HOP_BACKGROUND,
     HOP_TARGET_RX,
@@ -113,7 +113,6 @@ def build_node(node_cfg, wavelength_m: float) -> NodeState:
     return NodeState(
         position_m=np.asarray(node_cfg.position_m, dtype=float),
         velocity_mps=np.asarray(node_cfg.velocity_mps, dtype=float),
-        micro_velocity_mps=np.asarray(node_cfg.micro_velocity_mps, dtype=float),
         element_offsets_m=uniform_linear_array(node_cfg.elements, spacing),
         pattern=node_cfg.pattern,
         slant_deg=node_cfg.slant_deg,
@@ -131,7 +130,6 @@ def build_rcs_model(cfg: RunConfig) -> RcsModel:
         b1=b1,
         b2_mean_db=cfg.rcs_b2_mean_db,
         b2_std_db=cfg.rcs_b2_std_db,
-        target_class=TargetClass(cfg.rcs_target_class),
     )
 
 
@@ -283,6 +281,9 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     t0 = time.perf_counter()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    # no more processes than CPUs this process may run on
+    procs = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
         raise UnsupportedFeatureError("mono-static runs have no background channel")
     if emit_cir and cfg.background_enabled and cfg.coupling_mode == "embedded" \
@@ -338,27 +339,27 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
             o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,
             removal_fraction=cfg.coupling_removal_fraction,
         ),
-        cir_out=cir.path if workers > 1 else cir,
+        cir_out=cir.path if procs > 1 else cir,
     )
     os.makedirs(out_dir, exist_ok=True)
     _remove(out_dir, OUTPUT_PATTERNS)
 
     # Runs of up to RUN_DROPS drops, each run's hop tables built at once, and
-    # at least four tasks per worker, so that a pool's spool appends overlap
+    # at least four tasks per process, so that a pool's spool appends overlap
     # with its compute.
-    size = max(1, min(RUN_DROPS, cfg.drops // (4 * workers)))
+    size = max(1, min(RUN_DROPS, cfg.drops // (4 * procs)))
     runs = [range(d, min(d + size, cfg.drops)) for d in range(0, cfg.drops, size)]
     # On a failure the pool cancels the drops not yet started and waits for
     # the running ones; it kills no worker (one killed while it sends its
     # result can hang the parent). The spools go after the pool, when no
     # task still writes one.
     pool = None
-    if workers > 1:  # imported by pooled runs only
+    if procs > 1:  # imported by pooled runs only
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
         # the fork context starts every worker at the first submit, so no
         # more are asked for than there are tasks
-        pool = ProcessPoolExecutor(min(workers, len(runs)), mp_context=get_context("fork"))
+        pool = ProcessPoolExecutor(min(procs, len(runs)), mp_context=get_context("fork"))
     with pool or nullcontext():
         try:
             with cir:

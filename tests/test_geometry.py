@@ -77,15 +77,6 @@ def test_uniform_linear_array_centered():
     assert np.all(offsets[:, [0, 2]] == 0.0)
 
 
-def test_node_state_total_velocity():
-    n = NodeState(
-        position_m=[0, 0, 1],
-        velocity_mps=[1, 0, 0],
-        micro_velocity_mps=[0, 0.5, 0],
-    )
-    np.testing.assert_array_equal(n.total_velocity_mps, [1, 0.5, 0])
-
-
 def test_node_state_requires_elements():
     with pytest.raises(ValueError):
         NodeState(position_m=[0, 0, 0], element_offsets_m=np.zeros((0, 3)))

@@ -23,15 +23,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # background paths, in place of synthesize_target_cir,
 # synthesize_background_cir, combine_channels and TargetChannelCir; and
 # less AntennaElement, since a NodeState holds its array's element offsets,
-# pattern and slant
+# pattern and slant; and less TargetClass, which selected no RCS law
 ALL = [
     "B1Table", "ChannelCir", "ConcatCase", "ConfigError", "CouplingConfig",
     "DetectionParams", "DirectionAngles", "EmpiricalCdf", "HopLink", "HopSpec",
     "HopTable", "NodeConfig", "NodeState", "NumericError", "PairType", "PathBlock",
     "PathGroup", "PolarizationScattering", "RandomStreams", "RcsModel", "ResolutionCell",
     "RunConfig", "RunManifest", "SPEED_OF_LIGHT", "ScenarioParams", "SnapshotGrid",
-    "TargetClass", "UnsupportedFeatureError",
-    "WaveformParams", "angle_metrics", "angles_between", "build_hop",
+    "UnsupportedFeatureError", "WaveformParams", "angle_metrics", "angles_between", "build_hop",
     "coefficients", "combine_isac_path_loss", "concat_study",
     "concatenate_group", "concatenated_path_loss", "concatenation",
     "condition_weights", "config", "constants", "detection_table", "doppler_frequency",

@@ -9,7 +9,6 @@ from isacsim.rcs import (
     PolarizationScattering,
     RcsModel,
     ResolutionCell,
-    TargetClass,
     fit_lognormal_db,
     is_point_target,
     mbet_bistatic,
@@ -101,7 +100,6 @@ def test_model_validation():
         RcsModel(mean_rcs_m2=0.0)
     with pytest.raises(ConfigError):
         RcsModel(b2_std_db=-1.0)
-    assert RcsModel(target_class=TargetClass.HUMAN).target_class == "human"
 
 
 # ---------------------------------------------------------------- fitting

@@ -31,7 +31,7 @@ BUNDLED_TABLE = resources.files("isacsim.data").joinpath("umi_38901.tbl").read_t
 # kind -> (the clean file's data lines, the parser of a file path)
 KINDS = {
     "config": (["frequency_hz = 6e9", "drops = 3", "nodes.tx.position_m = 1, 2, 3",
-                "absolute_delay = yes", "rcs.target_class = human"], load_config),
+                "absolute_delay = yes", "concat_case = Case3N"], load_config),
     "scenario_table": ([line for _, line in data_lines(BUNDLED_TABLE)],
                        lambda path: ScenarioParams.from_table("UMi", 6e9, path=path)),
     "b1_table": (["-180 0.5", "0 2.0", "90 1.25", "180 0.5"], b1_columns),

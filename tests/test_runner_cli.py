@@ -138,6 +138,29 @@ def manifest_header(out_dir):
     return fields, dict(line.split(" sha256=") for line in files)
 
 
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """A run starts no more processes than it has CPUs; the pool tests see
+    eight, so that they start a pool on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every process pool a run starts, in order."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
 def test_manifest_cir_digest_rows_and_workers(tmp_path):
     out = str(tmp_path / "run")
     manifest = run(validate_config(AUTO_CASE_A), out_dir=out, workers=2)
@@ -152,24 +175,25 @@ def test_manifest_cir_digest_rows_and_workers(tmp_path):
     assert not any(name.endswith(".part") for name in os.listdir(out))
 
 
-def test_pool_has_no_more_workers_than_drops(tmp_path, monkeypatch):
-    import concurrent.futures
-
-    sizes = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+def test_pool_has_no_more_workers_than_drops(tmp_path, eight_cpus, pool_sizes):
     one = run(make_cfg(), out_dir=str(tmp_path / "w1"), workers=1)
     out = str(tmp_path / "w8")
     eight = run(make_cfg(), out_dir=out, workers=8)
-    assert sizes == [2]  # one process per drop, not the eight requested
+    assert pool_sizes == [2]  # one process per drop, not the eight requested
     assert eight.file_checksums == one.file_checksums
     assert sha(os.path.join(out, "cir.txt")) == sha(tmp_path / "w1" / "cir.txt")
     assert manifest_header(out)[0]["workers"] == "8"
+
+
+def test_pool_has_no_more_processes_than_cpus(tmp_path, monkeypatch, pool_sizes):
+    serial = run(make_cfg(drops=16), out_dir=str(tmp_path / "serial"), workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    many = run(make_cfg(drops=16), out_dir=str(tmp_path / "many"), workers=10**6)
+    assert pool_sizes == [2]
+    assert many.file_checksums == serial.file_checksums and many.workers == 10**6
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run(make_cfg(drops=16), out_dir=str(tmp_path / "one"), workers=8)
+    assert pool_sizes == [2]  # one CPU: no pool
 
 
 def test_run_without_paths_writes_no_cir(tmp_path):
@@ -205,7 +229,7 @@ def test_rerun_into_a_used_directory_clears_the_earlier_outputs(tmp_path, monkey
     assert set(os.listdir(out)) == set(listed) | {"manifest.txt", "notes.txt"}
 
 
-def test_failed_run_leaves_no_cir(tmp_path, monkeypatch):
+def test_failed_run_leaves_no_cir(tmp_path, monkeypatch, eight_cpus):
     calls = []
     synthesize = coefficients.synthesize_cir
 
@@ -294,7 +318,7 @@ def test_statistics_slices_do_not_change_bytes(tmp_path, monkeypatch):
     assert sliced.file_checksums == whole.file_checksums
 
 
-def test_pool_results_carry_no_cir_text(tmp_path, monkeypatch):
+def test_pool_results_carry_no_cir_text(tmp_path, monkeypatch, eight_cpus):
     import concurrent.futures
 
     sizes = []
@@ -684,7 +708,7 @@ def test_los_only_table_runs_where_every_hop_is_los(tmp_path):
         assert rows and {pair for _, _, pair, _ in rows} == {"LL"}
 
 
-def test_run_boundaries_do_not_change_bytes(tmp_path, monkeypatch):
+def test_run_boundaries_do_not_change_bytes(tmp_path, monkeypatch, eight_cpus):
     import concurrent.futures
 
     # 13 drops: a serial run takes runs of 3 and a short last one, and three
@@ -716,6 +740,111 @@ def test_run_boundaries_do_not_change_bytes(tmp_path, monkeypatch):
         assert m1.file_checksums == pooled.file_checksums
     assert "cir.txt" in m1.file_checksums and m1.cir_rows > 0
     assert tasks == [[1] * 13] * 3 + [[2] * 8 + [1]] * 2
+
+
+# The configuration every key is changed from: bi-static, moving nodes, two
+# snapshots, 2-element arrays, full polarization, a B2 fluctuation and a
+# background at half weight, so that every key has something to change.
+GUARD_BASE = {
+    "frequency_hz": "6e9", "master_seed": "5", "drops": "3", "concat_case": "Case2R",
+    "nodes.tx.elements": "2", "nodes.rx.elements": "2",
+    "nodes.tx.velocity_mps": "1, 0, 0", "nodes.rx.velocity_mps": "0, 1, 0",
+    "nodes.target.velocity_mps": "4, -3, 0", "snapshots.count": "2",
+    "polarization.mode": "full", "polarization.alphas": "1, 0.5, 0.5, 1",
+    "rcs.b2_std_db": "3", "background.enabled": "true", "coupling.o_isac": "0.5",
+}
+# key -> (the keys it needs to be read, one other value). The files are
+# written into the working directory by the test.
+GUARD_CASES = {
+    "frequency_hz": ({}, "28e9"),
+    "scenario": ({}, "UMa"),  # refused: UMi is the one runnable scenario
+    "scenario_table": ({}, "umi.tbl"),
+    "sensing_mode": ({"background.enabled": "false"}, "monostatic"),
+    "concat_case": ({}, "Case0"),
+    "drops": ({}, "4"),
+    "master_seed": ({}, "6"),
+    "absolute_delay": ({}, "true"),
+    "split_strongest": ({}, "true"),
+    "rcs.mean_m2": ({}, "2"),
+    "rcs.b2_mean_db": ({}, "1"),
+    "rcs.b2_std_db": ({}, "0"),
+    "rcs.b1_table": ({}, "b1.tbl"),
+    "polarization.mode": ({}, "identity"),
+    "polarization.alphas": ({}, "1, 0.25, 0.5, 1"),
+    "snapshots.start_s": ({}, "0.5"),
+    "snapshots.step_s": ({}, "0.01"),
+    "snapshots.count": ({}, "3"),
+    "coupling.o_isac": ({}, "0.25"),
+    "coupling.mode": ({}, "embedded"),
+    "coupling.removal_fraction": ({"coupling.mode": "embedded"}, "0.5"),
+    "background.enabled": ({}, "false"),
+    "conditions.tx_target": ({}, "NLOS"),
+    "conditions.target_rx": ({}, "NLOS"),
+    "conditions.background": ({}, "NLOS"),
+    "output.dir": ({}, "elsewhere"),
+    "output.cir": ({}, "false"),
+    "nodes.tx.position_m": ({}, "5, -5, 12"),
+    "nodes.rx.position_m": ({}, "80, 10, 8"),
+    "nodes.target.position_m": ({}, "30, 20, 2"),
+    **{f"nodes.{node}.velocity_mps": ({}, "0, 0, 0") for node in ("tx", "rx", "target")},
+    **{f"nodes.{node}.{name}": ({}, value) for node in ("tx", "rx") for name, value in (
+        ("elements", "3"), ("element_spacing_m", "0.02"), ("pattern", "sectorized-38901"),
+        ("slant_deg", "45"))},
+}
+
+
+def test_every_key_has_a_guard_case():
+    from isacsim.config import KEYS
+
+    assert set(GUARD_CASES) == set(KEYS)
+
+
+def guard_outputs(entries, out_dir):
+    """What a run writes, but its timing: the digest of every file but the
+    manifest and the manifest lines above [config]; with no ``out_dir``, the
+    directory the run chose to write into."""
+    cfg = validate_config("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    manifest = run(cfg, out_dir=out_dir)
+    with open(os.path.join(manifest.out_dir, "manifest.txt")) as fh:
+        head = fh.read().split("[config]\n")[0].splitlines()
+    head = [line for line in head if not line.startswith(("created_utc", "elapsed_s"))]
+    where = os.path.dirname(manifest.out_dir) if out_dir is None else None
+    return manifest.file_checksums, head, where
+
+
+@pytest.mark.parametrize("key", GUARD_CASES)
+def test_every_key_changes_the_run_or_is_refused(key, tmp_path, monkeypatch):
+    from isacsim.errors import ConfigError, UnsupportedFeatureError
+
+    monkeypatch.chdir(tmp_path)
+    table = resources.files("isacsim.data").joinpath("umi_38901.tbl").read_text()
+    (tmp_path / "umi.tbl").write_text(table.replace("sf_std_db               = 4.0",
+                                                    "sf_std_db               = 5.0", 1))
+    (tmp_path / "b1.tbl").write_text("-180 0.5\n0 2.0\n180 0.5\n")
+    needs, value = GUARD_CASES[key]
+    base = {**GUARD_BASE, **needs}
+    out = None if key == "output.dir" else "out"
+    before = guard_outputs(base, out)
+    try:
+        after = guard_outputs({**base, key: value}, out)
+    except (ConfigError, UnsupportedFeatureError):
+        assert key == "scenario"
+        return
+    assert after != before
+
+
+@pytest.mark.parametrize("key", [
+    "nodes.target.elements", "nodes.target.element_spacing_m", "nodes.target.pattern",
+    "nodes.target.slant_deg", "nodes.tx.micro_velocity_mps", "nodes.rx.micro_velocity_mps",
+    "nodes.target.micro_velocity_mps", "rcs.target_class",
+])
+def test_removed_keys_are_refused_before_any_output(key, tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"frequency_hz = 6e9\n{key} = 1\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"line 2: unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_table_files_exit_2_before_any_output(tmp_path, capsys):
