@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--snr-min", type=float, default=-5.0, help="sweep start, dB")
     p_det.add_argument("--snr-max", type=float, default=20.0, help="sweep end, dB")
     p_det.add_argument("--snr-step", type=float, default=1.0, help="sweep step, dB")
-    p_det.add_argument(
-        "--sigma", type=float, default=1.0, help="noise standard deviation"
-    )
     p_det.add_argument("--out", help="write detection.txt here instead of stdout")
 
     p_fit = sub.add_parser(
@@ -128,7 +125,7 @@ def _parse_pfa_list(text: str):
 
 def _cmd_detect(args) -> int:
     pfa_values = _parse_pfa_list(args.pfa)
-    for flag in ("snr_min", "snr_max", "snr_step", "sigma"):
+    for flag in ("snr_min", "snr_max", "snr_step"):
         if not math.isfinite(getattr(args, flag)):
             raise ConfigError(
                 f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}"
@@ -147,7 +144,7 @@ def _cmd_detect(args) -> int:
     snr_values = [args.snr_min + i * args.snr_step for i in range(n)]
     from .metrics import detection_grid
 
-    grid = detection_grid(pfa_values, snr_values, noise_std=args.sigma)
+    grid = detection_grid(pfa_values, snr_values)
     # "snr pfa " of each row, pfa-major; each number is formatted once
     snr_text = _text(["%.6f " % snr for snr in snr_values])
     pfa_text = _text(["%.6e " % target for target in pfa_values])

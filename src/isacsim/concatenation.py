@@ -131,13 +131,16 @@ class PathGroup:
     share a layout (on each side, one shape and the LOS row or not): drop
     d's paths join rows of the transmitter-to-target table tx[d] with rows
     of the target-to-receiver table rx[d] through the group's blocks, at
-    condition prefactors k_weights[d]; paths(d) lays them out."""
+    condition prefactors k_weights[d]; paths(d) lays them out. An N case
+    holds its base case's blocks and divides the NN amplitudes of drop d
+    by nn_scale[d], the root of their summed power."""
 
     case: ConcatCase
     tx: tuple
     rx: tuple
     blocks: tuple
     k_weights: np.ndarray  # (drops, 4)
+    nn_scale: np.ndarray | None = None  # (drops, 1), an N case's only
 
     def __len__(self):
         """Paths per drop."""
@@ -150,10 +153,13 @@ class PathGroup:
 
     def paths(self, drop: int) -> tuple:
         """Drop ``drop``'s paths in block order: each one's tx row, rx row,
-        stored amplitude (condition prefactors NOT included) and pair type."""
+        amplitude (condition prefactors NOT included) and pair type."""
         if not 0 <= drop < len(self.tx):
             raise IndexError(f"drop {drop} is outside a group of {len(self.tx)} drops")
         parts = [b.materialize(self.tx[drop], self.rx[drop], drop) for b in self.blocks]
+        if self.nn_scale is not None:
+            *rows, w = parts[-1]
+            parts[-1] = (*rows, w / self.nn_scale[drop])
         columns = (np.concatenate([np.empty(0, dtype), *(p[col] for p in parts)])
                    for col, dtype in enumerate((np.intp, np.intp, float)))
         types = np.array([b.pair_type for b in self.blocks], np.int8)
@@ -207,9 +213,9 @@ def concatenate_group(tx, rx, cases, streams=None) -> list:
     stream factory scoped to the concatenation stage.
 
     The cases share one object per LL, LN and NL block and the condition
-    prefactors; an N case (Case1N, ...) rescales the NN pairs of its base
-    case (Case1, ...), drawn once for both. The statistics pass finds such
-    shared blocks by identity.
+    prefactors; an N case (Case1N, ...) holds the blocks tuple of its base
+    case (Case1, ...), whose NN pairs are drawn once for both. The
+    statistics pass finds such shared blocks by identity.
     """
     cases = [ConcatCase(case) for case in cases]
     tx, rx = tuple(tx), tuple(rx)
@@ -231,24 +237,24 @@ def concatenate_group(tx, rx, cases, streams=None) -> list:
         outer.append(PathBlock(PairType.LN, np.array([nt]), np.arange(nr)))
     if r0.has_los:
         outer.append(PathBlock(PairType.NL, np.arange(nt), np.array([nr])))
-    pairs = {}  # base case -> its NN pairs and their stored weights
+    bases = {}  # base case -> its blocks
     groups = []
     for case in cases:
-        blocks = list(outer)
-        if case is ConcatCase.CASE_0:
-            blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
-        elif case is not ConcatCase.CASE_A:
-            if case.base not in pairs:
+        if case.base not in bases:
+            blocks = list(outer)
+            if case.base is ConcatCase.CASE_0:
+                blocks.append(PathBlock(PairType.NN, np.arange(nt), np.arange(nr)))
+            elif case.base is not ConcatCase.CASE_A:
                 it, ir = _nn_indices(case, t0, r0, streams)
                 w = stack_column(tx, "weight", it)
                 w *= stack_column(rx, "weight", ir)
-                pairs[case.base] = it, ir, w
-            it, ir, w = pairs[case.base]
-            if case.normalizes_nn:
-                total = (w ** 2).sum(-1, keepdims=True)
-                if (total <= 0).any():
-                    raise ConfigError("cannot normalize an empty diffuse component")
-                w = w / np.sqrt(total)
-            blocks.append(PathBlock(PairType.NN, it, ir, w))
-        groups.append(PathGroup(case, tx, rx, tuple(blocks), k_w))
+                blocks.append(PathBlock(PairType.NN, it, ir, w))
+            bases[case.base] = tuple(blocks)
+        blocks = bases[case.base]
+        scale = None
+        if case.normalizes_nn:
+            scale = np.sqrt((blocks[-1].weight ** 2).sum(-1, keepdims=True))
+            if (scale <= 0).any():
+                raise ConfigError("cannot normalize an empty diffuse component")
+        groups.append(PathGroup(case, tx, rx, blocks, k_w, scale))
     return groups

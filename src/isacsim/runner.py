@@ -186,8 +186,9 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
         concat_streams = [streams[k].scoped(SCOPE_CONCAT) for k in members]
         sets = concatenate_group(tx, rx, cases, concat_streams)
         block.stats[members] = group_statistics(sets)
-        block.pairs[members] = [CONDITION_PAIRS.index(sets[0].condition_pair if len(group)
-                                                      else "none") for group in sets]
+        pair = CONDITION_PAIRS.index(sets[0].condition_pair)  # one layout, one code
+        block.pairs[members] = [pair if group.blocks else CONDITION_PAIRS.index("none")
+                                for group in sets]
         cir_group = sets[cases.index(cfg.concat_case)] if emit_cir else None  # the rest go now
         cir_groups.update((k, (cir_group, i)) for i, k in enumerate(members))
     block.stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9

@@ -5,8 +5,9 @@ component (specular/diffuse combination) the stored weights are normalized
 to unit total power and then scaled by that component's condition
 prefactor. This is exactly the power split the synthesized channel
 realizes, and it makes the trailing-N power rescale of the concatenation
-cases a provable no-op for spreads while leaving the raw power bookkeeping
-visible through total_power and nn_power.
+cases a provable no-op for spreads: an N set is reduced on its base set's
+weights, and only total_power and nn_power are summed from its rescaled
+ones.
 
 No statistic reads per-path arrays. A path pairs a tx row with an rx row,
 so a departure (arrival) spread over paths equals the spread over tx (rx)
@@ -16,10 +17,11 @@ so the full convolution's P*M x Q*M' paths are never built. All cases of a
 group of drops with one hop-table layout go through one batched pass over
 (drops x cases x table rows) power matrices (group_statistics). Every
 reduction runs along a per-drop axis, so a drop's rows do not depend on its
-group; the zero-power rows of other cases can move the last printed digit
-of a spread. A spread small enough to be rounding noise is checked against
-the values it is taken over (path delays, or the angles of the table rows a
-set uses): if those are all equal, the spread is exactly 0.
+group, and a case reduced alone, as in a run, gets the row it gets beside
+the other cases of a study (the tests pin this for every case). A spread
+small enough to be rounding noise is checked against the values it is
+taken over (path delays, or the angles of the table rows a set uses): if
+those are all equal, the spread is exactly 0.
 """
 from __future__ import annotations
 
@@ -116,16 +118,6 @@ def _row_power(index: np.ndarray, count: np.ndarray, n: int, power: np.ndarray) 
     return np.bincount(index.ravel(), power.ravel(), drops * units * n).reshape(drops, units, n)
 
 
-def _read_off(paths, base) -> bool:
-    """Whether a set is ``base`` but for its NN weights: the same outer
-    blocks and the same NN pairs (as concatenate_group gives an N case
-    built beside its base case)."""
-    *outer, nn = paths.blocks
-    *base_outer, base_nn = base.blocks
-    return (len(outer) == len(base_outer) and all(map(operator.is_, outer, base_outer))
-            and nn.tx_rows is base_nn.tx_rows and nn.rx_rows is base_nn.rx_rows)
-
-
 def group_statistics(sets) -> np.ndarray:
     """A (drops x sets x STAT_FIELDS) table of PathGroups that share their
     tables, as the cases of a group do; an empty set's row is 0, 0, NaN...
@@ -137,10 +129,11 @@ def group_statistics(sets) -> np.ndarray:
     moments add, and a paired block's paths. Per side, a bincount over drop-
     and unit-offset row indices gives each unit's stored power through every
     table row, and a (drops x sets x units) matrix of effective over stored
-    power turns those into the effective powers of the spreads. An N set
-    read off its base set is not reduced again: the NN rescale leaves
-    effective powers unchanged, so its spread columns are the base row's,
-    and only its total and NN power are summed, from its own weights.
+    power turns those into the effective powers of the spreads. Sets that
+    hold one blocks tuple and one prefactor array (an N case and its base
+    case) are reduced once: the NN rescale leaves effective powers
+    unchanged, so an N set's spread columns are those of its base's blocks,
+    and only its total and NN power are summed, from its rescaled weights.
     """
     if not sets:
         raise ConfigError("a statistics pass needs one or more path sets")
@@ -150,14 +143,11 @@ def group_statistics(sets) -> np.ndarray:
     tables, drops = {"tx": tx, "rx": rx}, len(tx)
     out = np.full((drops, len(sets), len(STAT_FIELDS)), np.nan)
     out[..., :2] = 0.0
-    nonempty = [s for s, p in enumerate(sets) if len(p)]
-    index = {sets[s].case: s for s in nonempty}
-    copies = {}  # an N set read off its base set: that set
-    for s in nonempty:
-        b = index.get(sets[s].case.base, s)
-        if b != s and _read_off(sets[s], sets[b]):
-            copies[s] = b
-    live = [s for s in nonempty if s not in copies]
+    reduced = {}  # (blocks, prefactors) ids -> the first nonempty set that holds them
+    for s, paths in enumerate(sets):
+        if len(paths):
+            reduced.setdefault((id(paths.blocks), id(paths.k_weights)), s)
+    live = list(reduced.values())
     if not live:
         return out
     members = sorted(((i, b) for i, s in enumerate(live) for b in sets[s].blocks),
@@ -233,15 +223,17 @@ def group_statistics(sets) -> np.ndarray:
         tau = tx[d].delay[it] + rx[d].delay[ir]
         res[d, i, 2] *= tau.min() != tau.max()
     out[:, live] = res
-    for s, base in copies.items():
-        # summed as the pass sums them: a paired block's squared weights by
-        # reduceat, then a set's terms in block order
-        blocks = sets[s].blocks
-        nn = np.add.reduceat(np.square(blocks[-1].weight), [0], -1)
-        stored_s = np.concatenate([stored[:, [slot[id(b)] for b in blocks[:-1]]], nn], -1)
-        terms = sets[s].k_weights[:, [b.pair_type for b in blocks]] ** 2 * stored_s
-        out[:, s] = out[:, base]
-        out[:, s, 0], out[:, s, 1] = terms.cumsum(-1)[:, -1], nn[:, 0]
+    for s, paths in enumerate(sets):
+        if len(paths):
+            out[:, s] = out[:, reduced[id(paths.blocks), id(paths.k_weights)]]
+        if paths.nn_scale is not None:
+            # summed as the pass sums them: a paired block's squared weights
+            # by reduceat, then a set's terms in block order
+            *outer_blocks, nn_block = paths.blocks
+            nn = np.add.reduceat(np.square(nn_block.weight / paths.nn_scale), [0], -1)
+            stored_s = np.concatenate([stored[:, [slot[id(b)] for b in outer_blocks]], nn], -1)
+            terms = paths.k_weights[:, [b.pair_type for b in paths.blocks]] ** 2 * stored_s
+            out[:, s, 0], out[:, s, 1] = terms.cumsum(-1)[:, -1], nn[:, 0]
     return out
 
 

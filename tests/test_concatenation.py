@@ -178,8 +178,8 @@ def test_normalization_leaves_other_components_untouched():
 @pytest.mark.parametrize("conds", [("LOS", "LOS"), ("LOS", "NLOS"), ("NLOS", "NLOS")])
 def test_base_set_lends_its_blocks(conds):
     """One concatenate_group call builds every case: the cases share one
-    object per LL/LN/NL block and one prefactor array, and an N case its
-    base case's NN pairs. Every path, weight and prefactor is bit for bit
+    object per LL/LN/NL block and one prefactor array, and an N case holds
+    its base case's blocks. Every path, weight and prefactor is bit for bit
     what the case gets when it is built alone."""
     t1, t2, streams = make_links(*conds, seed=8)
     groups = concatenate_group((t1,), (t2,), ALL_CASES, concat_streams(streams))
@@ -191,12 +191,29 @@ def test_base_set_lends_its_blocks(conds):
         assert group.k_weights is groups[0].k_weights
         assert all(map(operator.is_, group.blocks[:len(outer)], outer))
         if group.case.normalizes_nn:
-            nn, base_nn = group.blocks[-1], by_case[group.case.base].blocks[-1]
-            assert nn.tx_rows is base_nn.tx_rows and nn.rx_rows is base_nn.rx_rows
+            assert group.blocks is by_case[group.case.base].blocks
+        else:
+            assert group.nn_scale is None
         alone, = concatenate_group([t1], [t2], [group.case], concat_streams(streams))
         for shared, own in zip(group.paths(0), alone.paths(0), strict=True):
             np.testing.assert_array_equal(shared, own, strict=True)
         np.testing.assert_array_equal(group.k_weights[0], alone.k_weights[0], strict=True)
+
+
+@pytest.mark.parametrize("case", [c for c in ALL_CASES if c.normalizes_nn])
+def test_an_empty_diffuse_component_is_not_normalized(case):
+    """Hop tables whose diffuse rows carry no weight: the N case has no NN
+    power to rescale and is refused; its base case is built."""
+    t1, t2, streams = make_links("LOS", "LOS", seed=9)
+    t1, t2 = (dataclasses.replace(t, weight=np.where(np.arange(t.weight.size) < t.num_diffuse,
+                                                     0.0, t.weight)) for t in (t1, t2))
+    base, = concatenate_group([t1], [t2], [case.base], concat_streams(streams))
+    _, _, weight, pair_type = base.paths(0)
+    assert not weight[pair_type == PairType.NN].any()
+    with pytest.raises(ConfigError, match="cannot normalize an empty diffuse component"):
+        concatenate_group([t1], [t2], [case], concat_streams(streams))
+    with pytest.raises(ConfigError, match="cannot normalize an empty diffuse component"):
+        concatenate_group([t1], [t2], [case.base, case], concat_streams(streams))
 
 
 def test_case1n_marginals_match_case0():

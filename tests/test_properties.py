@@ -6,17 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isacsim import stats
 from isacsim.concatenation import (
     ConcatCase,
     PairType,
     PathBlock,
     PathGroup,
+    concatenate_group,
     condition_weights,
 )
+from isacsim.config import validate_config
 from isacsim.geometry import NodeState
 from isacsim.largescale import ScenarioParams, build_hop, hop_spec
 from isacsim.metrics import DetectionParams, pd, pfa
-from isacsim.seeds import HOP_TX_TARGET, RandomStreams
+from isacsim.runner import build_node
+from isacsim.seeds import HOP_TARGET_RX, HOP_TX_TARGET, RandomStreams
 from isacsim.smallscale import HopTable, generate_sublinks, mono_static_reciprocal
 from isacsim.stats import STAT_FIELDS, group_statistics
 
@@ -152,3 +156,70 @@ def test_mono_static_reciprocal_is_an_involution(seed, condition):
 def test_detection_without_signal_is_the_false_alarm_rate(sigma, threshold_in_sigma):
     p = DetectionParams(noise_std=sigma, threshold=threshold_in_sigma * sigma)
     assert pd(p) == pytest.approx(pfa(p), rel=1e-9, abs=1e-12)
+
+
+def hop_tables(seed, condition, split_strongest, absolute_delay, monostatic):
+    """(tx->target table, target->rx table) of three drops of the default
+    configuration, built the way the runner builds them; a mono-static
+    drop's second hop is its first, reversed."""
+    cfg = validate_config("frequency_hz = 6e9\n")
+    scen = ScenarioParams.from_table(cfg.scenario, cfg.frequency_hz)
+    tx, tgt, rx = (build_node(n, cfg.wavelength_m) for n in (cfg.tx, cfg.target, cfg.rx))
+    drops = []
+    for d in range(3):
+        streams = RandomStreams(seed, drop=d)
+        tables = []
+        for a, b, scope in ((tx, tgt, HOP_TX_TARGET), (tgt, rx, HOP_TARGET_RX)):
+            if monostatic and tables:
+                tables.append(mono_static_reciprocal(tables[0]))
+                break
+            hop = build_hop(hop_spec(a, b, scen, condition), scen, streams.scoped(scope))
+            tables += generate_sublinks([hop], scen.condition_params(hop.condition),
+                                        [streams.scoped(scope)], split_strongest,
+                                        absolute_delay)
+        drops.append(tables)
+    return drops
+
+
+def realised_spreads(table, side):
+    """A hop's delay spread and its spreads of departure ("dep") or
+    arrival ("arr") angles, power-weighted over its rows: the diffuse rows
+    by their weights, the specular row at share K/(1+K)."""
+    n = table.num_diffuse
+    share = table.weight ** 2
+    share[:n] /= share[:n].sum()
+    if table.has_los:
+        k = table.hop.k_factor
+        share[:n] /= 1.0 + k
+        share[n] = k / (1.0 + k)
+
+    def rms(values):
+        return math.sqrt(np.sum(share * (values - np.sum(share * values)) ** 2))
+
+    azimuth, zenith = (np.degrees(getattr(table, f"{side}_{a}")) for a in ("azimuth", "zenith"))
+    (spread,), _ = stats._spreads(azimuth[None], zenith[None], share[None, None])
+    return rms(table.delay), spread[0], rms(zenith)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["auto", "LOS", "NLOS"]), st.booleans(),
+       st.booleans(), st.booleans())
+def test_case0_composes_the_two_hops(seed, condition, split_strongest, absolute_delay,
+                                     monostatic):
+    """The full convolution's path powers are the product of the two hops'
+    row powers and its delays add: its delay spread is the root sum of
+    squares of the hops' (sqrt(2) times the hop's, mono-static), its
+    departure spreads are the tx->target hop's and its arrival spreads the
+    target->rx hop's."""
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+    for t1, t2 in hop_tables(seed, condition, split_strongest, absolute_delay, monostatic):
+        group, = concatenate_group([t1], [t2], [ConcatCase.CASE_0])
+        row = dict(zip(STAT_FIELDS, group_statistics([group])[0, 0]))
+        ds_tx, asd, zsd = realised_spreads(t1, "dep")
+        ds_rx, asa, zsa = realised_spreads(t2, "arr")
+        assert close(row["ds"] ** 2, ds_tx ** 2 + ds_rx ** 2), (row["ds"], ds_tx, ds_rx)
+        assert not monostatic or close(row["ds"], math.sqrt(2.0) * ds_tx)
+        for field, want in (("asd", asd), ("zsd", zsd), ("asa", asa), ("zsa", zsa)):
+            assert close(row[field], want), (field, row[field], want)

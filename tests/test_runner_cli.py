@@ -505,6 +505,39 @@ def test_study_writes_ratio_cdfs(tmp_path):
         assert 0.0 < float(prob) <= 1.0
 
 
+def statistics_lines(out_dir):
+    """statistics.txt data lines, as bytes, by (drop, case)."""
+    with open(os.path.join(out_dir, "statistics.txt"), "rb") as fh:
+        lines = fh.read().splitlines()[1:]
+    return {tuple(line.split(b" ", 2)[:2]): line for line in lines}
+
+
+LOS_LOS_ABSOLUTE = ("conditions.tx_target = LOS\nconditions.target_rx = LOS\n"
+                    "absolute_delay = true\n")
+
+
+@pytest.mark.parametrize("extra, workers", [
+    ("", 1),  # an N row reduced on rescaled weights once moved drop 33's Case2RN zsd_deg
+    ("sensing_mode = monostatic\nsplit_strongest = true\n", 1),
+    (LOS_LOS_ABSOLUTE, 1),
+    (LOS_LOS_ABSOLUTE, 2),
+], ids=["default", "monostatic-split-strongest", "los-absolute-delay", "los-absolute-delay-2"])
+def test_run_rows_are_the_study_rows(tmp_path, eight_cpus, extra, workers):
+    """The run of each case writes byte for byte the rows concat-study
+    writes for that case, but the study's nn_power_ratio column."""
+    text = f"frequency_hz = 6e9\nmaster_seed = 11\ndrops = 34\noutput.cir = false\n{extra}"
+    concat_study(validate_config(text), out_dir=str(tmp_path / "study"), workers=workers)
+    study = statistics_lines(tmp_path / "study")
+    for case in ALL_CASES:
+        out = str(tmp_path / case.value)
+        run(validate_config(text + f"concat_case = {case.value}\n"), out_dir=out,
+            workers=workers)
+        rows = statistics_lines(out)
+        assert len(rows) == 34
+        for key, line in rows.items():
+            assert study[key].rsplit(b" ", 1)[0] == line, key
+
+
 # ------------------------------------------------------------------- CLI
 
 def write_cfg(tmp_path, extra="", drops=2):
@@ -926,12 +959,22 @@ def test_a_failed_side_file_write_leaves_no_file(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--snr-min", "nan"), ("--snr-max", "inf"), ("--snr-step", "inf"), ("--sigma", "nan"),
+    ("--snr-min", "nan"), ("--snr-max", "inf"), ("--snr-step", "inf"),
 ])
 def test_cli_detect_rejects_non_finite_flags(tmp_path, capsys, flag, value):
     out = tmp_path / "det"
     assert main(["detect", flag, value, "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_detect_has_no_noise_level(tmp_path, capsys):
+    """Pd depends on Pfa and SNR alone, so detect takes no --sigma."""
+    out = tmp_path / "det"
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--sigma", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--sigma" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1077,17 +1120,17 @@ def test_cli_detect_does_not_load_scipy(tmp_path):
     assert (tmp_path / "detection.txt").exists()
 
 
-def per_row_detection_text(pfa, snr_min, snr_max, snr_step, sigma=1.0):
+def per_row_detection_text(pfa, snr_min, snr_max, snr_step):
     """detection.txt as detect wrote it row by row before the text kernel."""
     n = math.floor((snr_max - snr_min) / snr_step + 1e-9) + 1
-    rows = detection_table(pfa, [snr_min + i * snr_step for i in range(n)], noise_std=sigma)
+    rows = detection_table(pfa, [snr_min + i * snr_step for i in range(n)])
     lines = ["# snr_db pfa pd"] + ["%.6f %.6e %.12e" % tuple(row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def detect_argv(pfa, snr_min, snr_max, snr_step, sigma=1.0):
+def detect_argv(pfa, snr_min, snr_max, snr_step):
     return ["detect", "--pfa", ",".join(map(repr, pfa)), f"--snr-min={snr_min!r}",
-            f"--snr-max={snr_max!r}", f"--snr-step={snr_step!r}", f"--sigma={sigma!r}"]
+            f"--snr-max={snr_max!r}", f"--snr-step={snr_step!r}"]
 
 
 def detection_file(out_dir, *grid):
@@ -1112,7 +1155,7 @@ def test_detection_sweep_stops_at_snr_max(tmp_path):
 def test_detection_edge_rows_match_the_per_row_writer(tmp_path, capsys):
     # SNR -0.9 + 3 * 0.3 is -1.1e-16 dB; Pfa 1 has Pd exactly 1 everywhere;
     # at low SNR, Pd near Pfa 1e-320 is below the text kernel's fast range
-    grid = ((1.0, 1e-320, 1e-3), -0.9, 60.0, 0.3, 2.5)
+    grid = ((1.0, 1e-320, 1e-3), -0.9, 60.0, 0.3)
     expect = per_row_detection_text(*grid)
     assert "\n-0.000000 1.000000e+00 1.000000000000e+00\n" in expect
     assert min(float(line.split()[2]) for line in expect.splitlines()[1:]) < 1e-290
@@ -1125,11 +1168,10 @@ def test_detection_edge_rows_match_the_per_row_writer(tmp_path, capsys):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.lists(st.one_of(st.just(1.0), st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e)),
                 min_size=1, max_size=4),
-       st.floats(-30.0, 0.0), st.floats(0.01, 4.0), st.integers(0, 40),
-       st.floats(1e-3, 1e3))
-def test_detection_file_matches_the_per_row_writer(pfa, snr_min, snr_step, extra, sigma):
+       st.floats(-30.0, 0.0), st.floats(0.01, 4.0), st.integers(0, 40))
+def test_detection_file_matches_the_per_row_writer(pfa, snr_min, snr_step, extra):
     snr_max = snr_min + (math.ceil(-snr_min / snr_step) + extra) * snr_step  # crosses 0 dB
-    grid = (pfa, snr_min, snr_max, snr_step, sigma)
+    grid = (pfa, snr_min, snr_max, snr_step)
     with tempfile.TemporaryDirectory() as out:
         assert detection_file(out, *grid) == per_row_detection_text(*grid).encode("ascii")
 

@@ -440,9 +440,9 @@ def test_group_kernels_refuse_tables_they_cannot_share():
 
 
 def test_n_rows_are_read_off_their_base_rows(oracle_drops):
-    """With shared blocks, an N row's spread columns are its base row's,
-    its power columns those of the set reduced alone, and every row is
-    within 1e-12 of the per-path oracle."""
+    """An N set holds its base set's blocks: its spread columns are the
+    base row's, its whole row is that of the set reduced alone, and every
+    row is within 1e-12 of the per-path oracle."""
     worst = 0.0
     for t1, t2, streams in oracle_drops:
         groups = concatenate_group((t1,), (t2,), ALL_CASES, (streams,))
@@ -459,13 +459,13 @@ def test_n_rows_are_read_off_their_base_rows(oracle_drops):
                     worst = max(worst, abs(got - want[field]) / abs(want[field]))
             if not case.normalizes_nn:
                 continue
-            nn = group.blocks[-1]
-            assert nn.tx_rows is sets[case.base].blocks[-1].tx_rows  # the premise
+            assert group.blocks is sets[case.base].blocks  # the premise
             assert rows[case][2:].tobytes() == rows[case.base][2:].tobytes()
             alone = group_statistics([group])[0, 0]  # its base set not in the pass
-            assert rows[case][:2].tobytes() == alone[:2].tobytes()
-            np.testing.assert_allclose(rows[case][2:], alone[2:], rtol=1e-12, atol=0)
-            assert rows[case][1] == pytest.approx(np.sum(nn.weight ** 2), rel=1e-15)
+            assert rows[case].tobytes() == alone.tobytes()
+            _, _, weight, pair_type = group.paths(0)
+            nn = weight[pair_type == PairType.NN]
+            assert rows[case][1] == pytest.approx(np.sum(nn ** 2), rel=1e-15)
             assert "%.12e" % rows[case][1] == "1.000000000000e+00"
     assert worst <= 1e-12
 
