@@ -27,7 +27,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     tx = NodeState([0.0, 0.0, 10.0])
     tgt = NodeState([25.0, 10.0, 1.5])
     rx = NodeState([60.0, -5.0, 10.0])

@@ -43,7 +43,7 @@ def main(argv=None):
 
     f_hz = 6e9
     lam = SPEED_OF_LIGHT / f_hz
-    scen = ScenarioParams.from_table("UMi", f_hz)
+    scen = ScenarioParams.from_table(f_hz)
     # 2 transmit and 4 receive elements at half-wavelength spacing, given by
     # their offsets; every element of a node has its pattern and slant
     tx = NodeState([0.0, 0.0, 10.0], element_offsets_m=uniform_linear_array(2, lam / 2.0))

@@ -8,7 +8,7 @@ or one submodule such as ``isacsim.cli``, loads only what is used.
 """
 from importlib import import_module
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _EXPORTS = {
     "concatenation": (

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericError, UnsupportedFeatureError
-from .text import _format_rows, _Output, _text
+from .text import _format_rows, _Output, _text, check_out_dir
 
 # A detect grid with more rows is refused before anything is allocated: its
 # row prefixes and text alone would take hundreds of megabytes.
@@ -219,12 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _keep_heap()
     try:
-        out = args.out
-        while out and not os.path.lexists(out):  # the nearest path that exists
-            out = os.path.dirname(out)
-        if out and not os.path.isdir(out):
-            where = "" if out == args.out else f" lies under {out}, which"
-            raise ConfigError(f"--out {args.out}{where} exists and is not a directory")
+        check_out_dir(args.out, "--out")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -44,7 +44,6 @@ class RunConfig:
     """Validated simulation configuration."""
 
     frequency_hz: float
-    scenario: str = "UMi"
     sensing_mode: str = "bistatic"
     concat_case: ConcatCase = ConcatCase.CASE_2RN
     drops: int = 1
@@ -155,7 +154,6 @@ _ARRAY_KEYS = {  # the transmitter's and receiver's; the target has no array
 # key -> (RunConfig attribute path, parser, range check or None)
 KEYS = {
     "frequency_hz": ("frequency_hz", _float, _POSITIVE),
-    "scenario": ("scenario", _text, None),
     "scenario_table": ("scenario_table", _text, None),
     "sensing_mode": ("sensing_mode", _choice(("bistatic", "monostatic")), None),
     "concat_case": ("concat_case", _choice(ConcatCase, ConcatCase), None),

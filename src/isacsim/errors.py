@@ -14,4 +14,4 @@ class NumericError(ArithmeticError):
 
 
 class UnsupportedFeatureError(NotImplementedError):
-    """A requested mode/scenario is recognized but intentionally unsupported (exit code 4)."""
+    """A recognized but intentionally unsupported mode: a mono-static background (exit code 4)."""

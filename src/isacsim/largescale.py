@@ -1,11 +1,13 @@
-"""Large-scale propagation: scenario tables, path loss, per-hop parameters.
+"""Large-scale propagation: the UMi table, path loss, per-hop parameters.
 
-A sensing link is modeled as two concatenated hops (transmitter to target,
-target to receiver) plus an optional direct background hop. hop_spec
-resolves what a hop's geometry fixes for a run (distance, LOS probability,
-path loss per condition, LOS angles); build_hop draws the seven parameters
-that vary per drop but not per cluster (condition, Rician K-factor, shadow
-fading, delay and angle spreads). The two-hop budget adds the mean RCS.
+The one scenario is TR 38.901 UMi street canyon: its LOS probability,
+path loss and parameter table. A sensing link is modeled as two
+concatenated hops (transmitter to target, target to receiver) plus an
+optional direct background hop. hop_spec resolves what a hop's geometry
+fixes for a run (distance, LOS probability, path loss per condition, LOS
+angles); build_hop draws the seven parameters that vary per drop but not
+per cluster (condition, Rician K-factor, shadow fading, delay and angle
+spreads). The two-hop budget adds the mean RCS.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ LOS = "LOS"
 NLOS = "NLOS"
 CONDITIONS = (LOS, NLOS)
 
-SUPPORTED_SCENARIOS = ("UMi",)
 COUPLING_MODES = ("added", "embedded")
 
 _DEFAULT_TABLE = "umi_38901.tbl"
@@ -42,7 +43,7 @@ SPREAD_CAPS = {"ds": math.inf, "asd": AZIMUTH_SPREAD_CAP_DEG, "asa": AZIMUTH_SPR
 
 @dataclass
 class ConditionParams:
-    """Per-(scenario, condition) cluster statistics, materialized at one frequency.
+    """Per-condition cluster statistics, materialized at one frequency.
 
     lg_* fields are mean/std of base-10 logs (delay spread in log10-seconds,
     angle spreads in log10-degrees). c_* fields are per-cluster ray spreads.
@@ -84,54 +85,48 @@ _TABLE_FIELDS = [f for f in fields(ConditionParams) if f.name != "condition"]
 _REQUIRED_KEYS = tuple(f.name for f in _TABLE_FIELDS if f.default is MISSING)
 _OPTIONAL_KEYS = {f.name for f in _TABLE_FIELDS if f.default is not MISSING}
 _INT_KEYS = {f.name for f in _TABLE_FIELDS if f.type == "int"}
+# the cluster kernel divides by these; zero or below leaves only NaN
+_POSITIVE_KEYS = ("delay_scaling", "azimuth_scale", "zenith_scale")
 
 
 @dataclass
 class ScenarioParams:
-    """All condition tables of one scenario at one carrier frequency."""
+    """The UMi condition tables at one carrier frequency."""
 
-    name: str
     frequency_hz: float
     conditions: dict
 
     @classmethod
-    def from_table(cls, name: str, frequency_hz: float, path=None) -> "ScenarioParams":
-        """Load the bundled (or user-supplied) parameter table for a scenario."""
+    def from_table(cls, frequency_hz: float, path=None) -> "ScenarioParams":
+        """Load the bundled (or a user-supplied) UMi parameter table."""
         if frequency_hz <= 0:
             raise ConfigError(f"carrier frequency must be positive, got {frequency_hz}")
         if path is None:
             path = resources.files("isacsim.data").joinpath(_DEFAULT_TABLE)
-        sections = _parse_table(read_text(path))
-        conditions = {}
-        for (scen, cond), entries in sections.items():
-            if scen != name:
-                continue
-            conditions[cond] = _materialize(cond, entries, frequency_hz)
-        if not conditions:
-            raise ConfigError(f"scenario {name!r} not found in parameter table")
-        return cls(name=name, frequency_hz=float(frequency_hz), conditions=conditions)
+        conditions = {cond: _materialize(cond, entries, frequency_hz)
+                      for cond, entries in _parse_table(read_text(path)).items()}
+        return cls(frequency_hz=float(frequency_hz), conditions=conditions)
 
     def condition_params(self, condition: str) -> ConditionParams:
         try:
             return self.conditions[condition]
         except KeyError:
-            raise ConfigError(
-                f"no parameters for condition {condition!r} in scenario {self.name!r}"
-            ) from None
+            raise ConfigError(f"no parameters for condition {condition!r}: the parameter "
+                              f"table has no [UMi {condition}] section") from None
 
 
 def _parse_table(text: str) -> dict:
-    """Parse the sectioned key = value table into {(scenario, condition): {key: law}}."""
+    """Parse the sectioned key = value table into {condition: {key: law}}."""
     sections: dict = {}
     current = None
     for ln, line in data_lines(text):
         where = f"parameter table line {ln}"
         if line.startswith("[") and line.endswith("]"):
             parts = line[1:-1].split()
-            if len(parts) != 2 or parts[1] not in CONDITIONS:
+            if len(parts) != 2 or parts[0] != "UMi" or parts[1] not in CONDITIONS:
                 raise ConfigError(f"{where}: section header must be "
-                                  f"'[<scenario> <LOS|NLOS>]', got {line!r}")
-            current = (parts[0], parts[1])
+                                  f"'[UMi <LOS|NLOS>]', got {line!r}")
+            current = parts[1]
             if current in sections:
                 raise ConfigError(f"{where}: duplicate section {line!r}")
             sections[current] = {}
@@ -157,38 +152,33 @@ def _materialize(condition: str, entries: dict, frequency_hz: float) -> Conditio
     for key, (a, b) in entries.items():
         v = a * lg + b
         values[key] = int(round(v)) if key in _INT_KEYS else v
+    section = f"parameter table section [UMi {condition}]"
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
-        raise ConfigError(
-            f"parameter table section for condition {condition!r} is missing {missing}"
-        )
+        raise ConfigError(f"{section} is missing {missing}")
     unknown = [
         k for k in values
         if k not in _REQUIRED_KEYS and k not in _OPTIONAL_KEYS
     ]
     if unknown:
         raise ConfigError(f"parameter table has unknown keys {unknown}")
+    for key in _POSITIVE_KEYS:
+        if not values[key] > 0:  # NaN too
+            raise ConfigError(f"{section}: {key} must be positive at {f_ghz:g} GHz, "
+                              f"got {values[key]}")
     return ConditionParams(condition=condition, **values)
 
 
-def _scenario_name(scenario) -> str:
-    return scenario.name if isinstance(scenario, ScenarioParams) else str(scenario)
-
-
-def los_probability(scenario, d2d_m: float) -> float:
-    """Line-of-sight probability at 2-D distance d2d_m (TR 38.901 Table 7.4.2-1)."""
-    name = _scenario_name(scenario)
+def los_probability(d2d_m: float) -> float:
+    """UMi line-of-sight probability at 2-D distance d2d_m (TR 38.901 Table 7.4.2-1)."""
     if d2d_m < 0 or not math.isfinite(d2d_m):
         raise ConfigError(f"2-D distance must be finite and >= 0, got {d2d_m}")
-    if name == "UMi":
-        if d2d_m <= 18.0:
-            return 1.0
-        return 18.0 / d2d_m + math.exp(-d2d_m / 36.0) * (1.0 - 18.0 / d2d_m)
-    raise ConfigError(f"unsupported scenario {name!r}; supported: {SUPPORTED_SCENARIOS}")
+    if d2d_m <= 18.0:
+        return 1.0
+    return 18.0 / d2d_m + math.exp(-d2d_m / 36.0) * (1.0 - 18.0 / d2d_m)
 
 
 def hop_path_loss(
-    scenario,
     condition: str,
     d3d_m: float,
     frequency_hz: float,
@@ -202,11 +192,6 @@ def hop_path_loss(
     separate ground distance. The NLOS value is lower-bounded by the LOS
     value at the same geometry, as the standard's max() requires.
     """
-    name = _scenario_name(scenario)
-    if name not in SUPPORTED_SCENARIOS:
-        raise ConfigError(
-            f"unsupported scenario {name!r}; supported: {SUPPORTED_SCENARIOS}"
-        )
     if condition not in CONDITIONS:
         raise ConfigError(f"condition must be LOS or NLOS, got {condition!r}")
     if not (0.0 < d3d_m <= 5000.0):
@@ -347,21 +332,21 @@ def hop_spec(from_node: NodeState, to_node: NodeState, scenario: ScenarioParams,
              condition: str = "auto") -> HopSpec:
     """Resolve a hop once per run: distances, LOS probability (1 or 0 for a
     forced condition), path loss per reachable condition and LOS angles.
-    Refuses coincident endpoints, a 3-D distance the path-loss model does
-    not cover and a scenario without LOS probability or path loss."""
+    Refuses coincident endpoints and a 3-D distance the path-loss model
+    does not cover."""
     delta = to_node.position_m - from_node.position_m
     d3d = float(np.linalg.norm(delta))
     if d3d == 0.0:
         raise ConfigError("degenerate geometry: hop endpoints coincide")
     d2d = float(np.hypot(delta[0], delta[1]))
     if condition == "auto":
-        p_los = los_probability(scenario, d2d)
+        p_los = los_probability(d2d)
     elif condition in CONDITIONS:
         p_los = 1.0 if condition == LOS else 0.0
     else:
         raise ConfigError(f"condition must be LOS, NLOS or auto, got {condition!r}")
     path_loss = {
-        cond: hop_path_loss(scenario, cond, d3d, scenario.frequency_hz, d2d_m=d2d,
+        cond: hop_path_loss(cond, d3d, scenario.frequency_hz, d2d_m=d2d,
                             h_bs_m=float(from_node.position_m[2]),
                             h_ut_m=float(to_node.position_m[2]))
         for cond, reachable in ((LOS, p_los > 0.0), (NLOS, p_los < 1.0)) if reachable

@@ -56,7 +56,7 @@ from .seeds import (
 )
 from .smallscale import check_ray_layout, generate_sublinks, mono_static_reciprocal
 from .stats import empirical_cdf, group_statistics
-from .text import _format_rows, _Output, _row_slices, _text
+from .text import _format_rows, _Output, _row_slices, _text, check_out_dir
 
 if TYPE_CHECKING:  # runs that emit no CIRs load neither
     from .coefficients import SnapshotGrid
@@ -302,9 +302,8 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     if out_dir is None:
         stamp = now.strftime("%Y%m%d-%H%M%S")
         out_dir = os.path.join(cfg.out_dir or "runs", f"{stamp}-seed{cfg.master_seed}")
-    scenario = ScenarioParams.from_table(
-        cfg.scenario, cfg.frequency_hz, path=cfg.scenario_table
-    )
+    check_out_dir(out_dir, "output directory")
+    scenario = ScenarioParams.from_table(cfg.frequency_hz, path=cfg.scenario_table)
     tx, rx, target = (build_node(node, cfg.wavelength_m)
                       for node in (cfg.tx, cfg.rx, cfg.target))
     ends = [(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)]

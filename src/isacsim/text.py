@@ -1,11 +1,14 @@
 """The %.12e text kernel behind every output file: rows of a text prefix
 and float64 values become lines with exactly the bytes of Python's ``%``;
-and the one writer of every file in an output directory."""
+the one writer of every file in an output directory, and the check that
+refuses a directory that cannot be one."""
 from __future__ import annotations
 
 import os
 
 import numpy as np
+
+from .errors import ConfigError
 
 # Values per _fields call, which bounds its working memory: one slice's
 # float64 temporaries (128 KB each) stay in a core's L2 cache. The bytes one
@@ -147,6 +150,17 @@ def _format_rows(prefix: np.ndarray, values: np.ndarray) -> bytes:
         buf[:, -8:] = _NEWLINE
         out.append(buf.tobytes().translate(None, b"\0"))
     return b"".join(out)
+
+
+def check_out_dir(path: str | None, name: str) -> None:
+    """Refuse ``path`` as an output directory, before any work, when it or
+    the nearest path above it that exists is not a directory."""
+    head = path
+    while head and not os.path.lexists(head):  # the nearest path that exists
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        where = "" if head == path else f" lies under {head}, which"
+        raise ConfigError(f"{name} {path}{where} exists and is not a directory")
 
 
 class _Output:

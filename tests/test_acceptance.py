@@ -60,7 +60,7 @@ def study():
     realizations. Both hops are LOS, so all drops form one group; each case
     is reduced in a pass of its own, so no N row is read off its base row."""
     t0 = time.perf_counter()
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     tgt = NodeState([25.0, 10.0, 1.5])
     rx = NodeState([60.0, -5.0, 10.0])
@@ -156,7 +156,7 @@ def test_criterion_03_random_pairing_beats_ordered(study, capsys):
 
 
 def test_criterion_04_single_hop_fallback_collapses_departures(capsys):
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     tgt = NodeState([25.0, 10.0, 1.5])
     rx = NodeState([60.0, -5.0, 10.0])

@@ -45,7 +45,7 @@ def pipeline(cond1="LOS", cond2="LOS", seed=3, case=ConcatCase.CASE_2O,
              tx_vel=(0, 0, 0), rx_vel=(0, 0, 0), tgt_vel=(0, 0, 0),
              tx_offsets=np.zeros((1, 3)), rx_offsets=np.zeros((1, 3)), grid=None,
              xpr_override=None):
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     tx = NodeState([0.0, 0.0, 10.0], velocity_mps=tx_vel, element_offsets_m=tx_offsets)
     tgt = NodeState([25.0, 10.0, 1.5], velocity_mps=tgt_vel)
     rx = NodeState([60.0, -5.0, 10.0], velocity_mps=rx_vel, element_offsets_m=rx_offsets)
@@ -81,7 +81,7 @@ def side_table(xpr=1.0, phases=(0.0, 0.0, 0.0, 0.0), los_d3d_m=None):
     """Hop table of one diffuse ray, plus the specular row of a LOS hop
     los_d3d_m long when that is set."""
     rows = 1 if los_d3d_m is None else 2
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     spec = hop_spec(NodeState([0.0, 0.0, 10.0]), NodeState([los_d3d_m or 1.0, 0.0, 10.0]),
                     scen, "NLOS" if los_d3d_m is None else "LOS")
     hop = build_hop(spec, scen, RandomStreams(0))
@@ -281,7 +281,7 @@ def test_specular_phase_tracks_both_path_lengths():
 
 
 def test_hops_must_share_the_scattering_point():
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     tgt1 = NodeState([25.0, 10.0, 1.5])
     tgt2 = NodeState([30.0, -8.0, 1.5])
@@ -331,7 +331,7 @@ def test_identity_and_random_polarization_agree_on_power_scale():
 
 def background_table(seed, cond, rx_xyz=(60.0, -5.0, 10.0)):
     """The transmitter-to-receiver hop table, as the runner builds it."""
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     tx = NodeState([0.0, 0.0, 10.0])
     rx = NodeState(list(rx_xyz))
     streams = RandomStreams(seed).scoped(HOP_BACKGROUND)
@@ -360,7 +360,7 @@ def test_background_structure_and_power_budget(cond, count):
         cir.delays[background], table.delay[np.roll(np.arange(count), int(cond == "LOS"))])
     # replaying the scoped streams reproduces the large-scale draws
     bg_hop = table.hop
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     hop = build_hop(hop_spec(bg_hop.spec.from_node, bg_hop.spec.to_node, scen, cond), scen,
                     RandomStreams(5).scoped(HOP_BACKGROUND))
     draws = ("condition", "path_loss_db", "k_factor", "shadow_fading_db", "spreads")

@@ -24,7 +24,7 @@ F_HZ = 6e9
 
 
 def make_links(cond1="LOS", cond2="LOS", seed=1, k1=4.0, k2=2.0):
-    scen = ScenarioParams.from_table("UMi", F_HZ)
+    scen = ScenarioParams.from_table(F_HZ)
     tx = NodeState(position_m=[0.0, 0.0, 10.0])
     tgt = NodeState(position_m=[25.0, 10.0, 1.5])
     rx = NodeState(position_m=[60.0, -5.0, 10.0])

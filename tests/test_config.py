@@ -20,7 +20,6 @@ MINIMAL = "frequency_hz = 6e9\n"
 # Every key of the table, each set to a value other than its default.
 EVERY_KEY = """\
 frequency_hz = 28e9
-scenario = UMa
 scenario_table = tables/uma.tbl
 sensing_mode = monostatic
 concat_case = Case3N
@@ -66,7 +65,6 @@ nodes.target.velocity_mps = 1, 2, 3
 def test_minimal_config_gets_defaults():
     cfg = validate_config(MINIMAL)
     assert cfg.frequency_hz == 6e9
-    assert cfg.scenario == "UMi"
     assert cfg.sensing_mode == "bistatic"
     assert cfg.concat_case == ConcatCase.CASE_2RN
     assert cfg.drops == 1 and cfg.master_seed == 1

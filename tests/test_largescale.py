@@ -1,6 +1,7 @@
 """Scenario tables, path-loss formulas, link budget, large-scale draws."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,22 +32,22 @@ def bundled_table_text():
 
 def test_los_path_loss_reference_point():
     # hand-computed: 32.4 + 21*log10(100) + 20*log10(6)
-    assert hop_path_loss("UMi", "LOS", 100.0, 6e9) == pytest.approx(
+    assert hop_path_loss("LOS", 100.0, 6e9) == pytest.approx(
         89.96302500767288, abs=1e-9
     )
 
 
 def test_nlos_path_loss_reference_point():
     # hand-computed: 22.4 + 35.3*log10(100) + 21.3*log10(6)
-    assert hop_path_loss("UMi", "NLOS", 100.0, 6e9) == pytest.approx(
+    assert hop_path_loss("NLOS", 100.0, 6e9) == pytest.approx(
         109.5746216331716, abs=1e-9
     )
 
 
 def test_nlos_lower_bounded_by_los():
     # at 1 m the NLOS formula dips below LOS and must be clamped up
-    assert hop_path_loss("UMi", "NLOS", 1.0, 6e9) == pytest.approx(
-        hop_path_loss("UMi", "LOS", 1.0, 6e9)
+    assert hop_path_loss("NLOS", 1.0, 6e9) == pytest.approx(
+        hop_path_loss("LOS", 1.0, 6e9)
     )
 
 
@@ -56,37 +57,33 @@ def test_breakpoint_is_continuous():
     for eps in (1e-6, -1e-6):
         d2d = 360.0 + eps
         d3d = np.hypot(d2d, h)
-        below = hop_path_loss("UMi", "LOS", d3d, 6e9, d2d_m=360.0 - 1e-6)
-        above = hop_path_loss("UMi", "LOS", d3d, 6e9, d2d_m=360.0 + 1e-6)
+        below = hop_path_loss("LOS", d3d, 6e9, d2d_m=360.0 - 1e-6)
+        above = hop_path_loss("LOS", d3d, 6e9, d2d_m=360.0 + 1e-6)
         assert above == pytest.approx(below, abs=1e-6)
 
 
 def test_path_loss_monotone_in_distance():
     d = np.linspace(10, 2000, 60)
-    pl = [hop_path_loss("UMi", "LOS", float(x), 6e9, d2d_m=float(x)) for x in d]
+    pl = [hop_path_loss("LOS", float(x), 6e9, d2d_m=float(x)) for x in d]
     assert np.all(np.diff(pl) > 0)
 
 
 def test_path_loss_validity_range():
     with pytest.raises(ConfigError):
-        hop_path_loss("UMi", "LOS", 0.0, 6e9)
+        hop_path_loss("LOS", 0.0, 6e9)
     with pytest.raises(ConfigError):
-        hop_path_loss("UMi", "LOS", 5001.0, 6e9)
+        hop_path_loss("LOS", 5001.0, 6e9)
     with pytest.raises(ConfigError):
-        hop_path_loss("UMi", "sideways", 10.0, 6e9)
-    with pytest.raises(ConfigError):
-        hop_path_loss("RMa", "LOS", 10.0, 6e9)
+        hop_path_loss("sideways", 10.0, 6e9)
 
 
 def test_los_probability_values():
-    assert los_probability("UMi", 5.0) == 1.0
-    assert los_probability("UMi", 18.0) == 1.0
-    assert los_probability("UMi", 36.0) == pytest.approx(0.6839397205857212, abs=1e-12)
-    assert los_probability("UMi", 1e4) < 0.01
+    assert los_probability(5.0) == 1.0
+    assert los_probability(18.0) == 1.0
+    assert los_probability(36.0) == pytest.approx(0.6839397205857212, abs=1e-12)
+    assert los_probability(1e4) < 0.01
     with pytest.raises(ConfigError):
-        los_probability("UMi", -1.0)
-    with pytest.raises(ConfigError):
-        los_probability("InH", 10.0)
+        los_probability(-1.0)
 
 
 # ------------------------------------------------------------- link budget
@@ -147,7 +144,7 @@ def test_coupling_config_validation():
 # ---------------------------------------------------------- scenario table
 
 def test_scenario_table_materializes_frequency_laws():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     los = scen.condition_params("LOS")
     nlos = scen.condition_params("NLOS")
     # law: a*log10(1 + f_GHz) + b, here -0.08*log10(7) + 1.73
@@ -164,49 +161,54 @@ def test_scenario_table_materializes_frequency_laws():
         scen.condition_params("fog")
 
 
-def test_scenario_table_rejects_unknown_scenario():
+def test_scenario_table_rejects_unknown_scenario(tmp_path):
+    # UMi is the one scenario: a section of any other is refused where it is read
+    lab = tmp_path / "lab.tbl"
+    lab.write_text(bundled_table_text().replace("[UMi NLOS]", "[Lab LOS]"))
+    line = bundled_table_text().splitlines().index("[UMi NLOS]") + 1
+    with pytest.raises(ConfigError, match=rf"line {line}: section header must be "
+                                          r"'\[UMi <LOS\|NLOS>\]', got '\[Lab LOS\]'"):
+        ScenarioParams.from_table(6e9, path=lab)
     with pytest.raises(ConfigError):
-        ScenarioParams.from_table("Mars", 6e9)
-    with pytest.raises(ConfigError):
-        ScenarioParams.from_table("UMi", -1.0)
+        ScenarioParams.from_table(-1.0)
 
 
 def test_scenario_table_parse_errors(tmp_path):
     bad_header = tmp_path / "bad_header.tbl"
     bad_header.write_text("[UMi hazy]\nlg_ds_mean = -7\n")
     with pytest.raises(ConfigError, match="line 1"):
-        ScenarioParams.from_table("UMi", 6e9, path=bad_header)
+        ScenarioParams.from_table(6e9, path=bad_header)
 
     orphan = tmp_path / "orphan.tbl"
     orphan.write_text("lg_ds_mean = -7\n")
     with pytest.raises(ConfigError, match="before any section"):
-        ScenarioParams.from_table("UMi", 6e9, path=orphan)
+        ScenarioParams.from_table(6e9, path=orphan)
 
     non_numeric = tmp_path / "nonnum.tbl"
     non_numeric.write_text("[UMi LOS]\nlg_ds_mean = fast\n")
     with pytest.raises(ConfigError, match="non-numeric"):
-        ScenarioParams.from_table("UMi", 6e9, path=non_numeric)
+        ScenarioParams.from_table(6e9, path=non_numeric)
 
     three = tmp_path / "three.tbl"
     three.write_text("[UMi LOS]\nlg_ds_mean = 1 2 3\n")
     with pytest.raises(ConfigError, match="1 or 2 numbers"):
-        ScenarioParams.from_table("UMi", 6e9, path=three)
+        ScenarioParams.from_table(6e9, path=three)
 
     repeated_key = tmp_path / "repeated_key.tbl"
     repeated_key.write_text(bundled_table_text().replace(
         "[UMi LOS]\n", "[UMi LOS]\nnum_clusters = 3\n", 1))
     with pytest.raises(ConfigError, match=r"line \d+: duplicate key 'num_clusters'"):
-        ScenarioParams.from_table("UMi", 6e9, path=repeated_key)
+        ScenarioParams.from_table(6e9, path=repeated_key)
 
     repeated_section = tmp_path / "repeated_section.tbl"
     repeated_section.write_text("[UMi LOS]\nlg_ds_mean = -7\n\n[UMi LOS]\n")
     with pytest.raises(ConfigError, match="line 4: duplicate section"):
-        ScenarioParams.from_table("UMi", 6e9, path=repeated_section)
+        ScenarioParams.from_table(6e9, path=repeated_section)
 
     latin1 = tmp_path / "latin1.tbl"
     latin1.write_bytes("# café\n[UMi LOS]\n".encode("latin-1"))
     with pytest.raises(ConfigError, match=f"cannot read {latin1}"):
-        ScenarioParams.from_table("UMi", 6e9, path=latin1)
+        ScenarioParams.from_table(6e9, path=latin1)
 
 
 def test_scenario_table_missing_and_unknown_keys(tmp_path):
@@ -215,21 +217,40 @@ def test_scenario_table_missing_and_unknown_keys(tmp_path):
     missing = tmp_path / "missing.tbl"
     missing.write_text(text.replace("sf_std_db", "# sf_std_db", 1))
     with pytest.raises(ConfigError, match="missing"):
-        ScenarioParams.from_table("UMi", 6e9, path=missing)
+        ScenarioParams.from_table(6e9, path=missing)
 
     unknown = tmp_path / "unknown.tbl"
     unknown.write_text(text + "\nhumidity = 3\n")
     with pytest.raises(ConfigError, match="unknown"):
-        ScenarioParams.from_table("UMi", 6e9, path=unknown)
+        ScenarioParams.from_table(6e9, path=unknown)
 
 
-def test_user_table_with_new_scenario_name(tmp_path):
-    text = bundled_table_text().replace("[UMi ", "[Lab ")
-    path = tmp_path / "lab.tbl"
-    path.write_text(text)
-    scen = ScenarioParams.from_table("Lab", 6e9, path=path)
-    assert scen.name == "Lab"
-    assert scen.condition_params("LOS").num_clusters == 12
+def zeroed_table(tmp_path, key, section):
+    """The bundled table with ``key`` of one section set to 0."""
+    text = bundled_table_text()
+    at = text.index(section)
+    path = tmp_path / f"{key}0.tbl"
+    path.write_text(text[:at] + re.sub(rf"^{key} .*$", f"{key} = 0", text[at:], count=1,
+                                       flags=re.M))
+    return path
+
+
+@pytest.mark.parametrize("key", ["azimuth_scale", "zenith_scale", "delay_scaling"])
+def test_scenario_table_refuses_a_scale_the_cluster_kernel_divides_by(tmp_path, key):
+    for section in ("[UMi LOS]", "[UMi NLOS]"):
+        path = zeroed_table(tmp_path, key, section)
+        with pytest.raises(ConfigError, match=rf"section \{section[:-1]}\]: {key} must be "
+                                              r"positive at 6 GHz, got 0\.0"):
+            ScenarioParams.from_table(6e9, path=path)
+
+
+def test_scenario_table_checks_a_scale_after_its_frequency_law(tmp_path):
+    law = tmp_path / "law.tbl"  # -log10(1 + f_GHz) + 0.9: positive below 6.94 GHz
+    law.write_text(bundled_table_text().replace(
+        "delay_scaling           = 3.0", "delay_scaling = -1 0.9", 1))
+    assert ScenarioParams.from_table(6e9, path=law).condition_params("LOS").delay_scaling < 0.9
+    with pytest.raises(ConfigError, match="delay_scaling must be positive at 10 GHz"):
+        ScenarioParams.from_table(10e9, path=law)
 
 
 # ------------------------------------------------------------------- hops
@@ -241,28 +262,28 @@ def make_nodes():
 
 
 def test_build_hop_geometry_and_forcing():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     tx, tgt = make_nodes()
     hop = build_hop(hop_spec(tx, tgt, scen, "NLOS"), scen, RandomStreams(3))
     assert hop.condition == "NLOS"
     # the 2-D distance (50 m) sets the LOS probability of an auto hop
-    assert hop_spec(tx, tgt, scen).p_los == los_probability("UMi", 50.0)
+    assert hop_spec(tx, tgt, scen).p_los == los_probability(50.0)
     assert hop.spec.d3d_m == pytest.approx(np.hypot(50.0, 8.5))
     assert hop.k_factor == 0.0
     assert hop.path_loss_db == pytest.approx(
-        hop_path_loss("UMi", "NLOS", hop.spec.d3d_m, 6e9, d2d_m=50.0, h_ut_m=1.5)
+        hop_path_loss("NLOS", hop.spec.d3d_m, 6e9, d2d_m=50.0, h_ut_m=1.5)
     )
 
 
 def test_build_hop_los_draws_k():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     tx, tgt = make_nodes()
     hop = build_hop(hop_spec(tx, tgt, scen, "LOS"), scen, RandomStreams(3))
     assert hop.k_factor > 0.0
 
 
 def test_build_hop_is_deterministic():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     tx, tgt = make_nodes()
     a = build_hop(hop_spec(tx, tgt, scen), scen, RandomStreams(11, drop=2))
     b = build_hop(hop_spec(tx, tgt, scen), scen, RandomStreams(11, drop=2))
@@ -272,7 +293,7 @@ def test_build_hop_is_deterministic():
 
 
 def test_build_hop_condition_rate_tracks_los_probability():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     tx = NodeState(position_m=[0.0, 0.0, 10.0])
     tgt = NodeState(position_m=[36.0, 0.0, 10.0])
     spec = hop_spec(tx, tgt, scen)
@@ -280,19 +301,19 @@ def test_build_hop_condition_rate_tracks_los_probability():
         build_hop(spec, scen, RandomStreams(500, drop=d)).condition == "LOS"
         for d in range(400)
     )
-    p = los_probability("UMi", 36.0)
+    p = los_probability(36.0)
     assert abs(n_los / 400 - p) < 4 * np.sqrt(p * (1 - p) / 400)
 
 
 def test_build_hop_rejects_coincident_nodes():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     node = NodeState(position_m=[1.0, 2.0, 3.0])
     with pytest.raises(ConfigError):
         hop_spec(node, NodeState(position_m=[1.0, 2.0, 3.0]), scen)
 
 
 def test_a_hop_within_18_m_draws_the_same_as_a_los_forced_one():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     tx = NodeState(position_m=[0.0, 0.0, 10.0])
     tgt = NodeState(position_m=[10.0, 5.0, 1.5])  # d2D 11.2 m: LOS probability 1
     auto, los, nlos = (hop_spec(tx, tgt, scen, c) for c in ("auto", "LOS", "NLOS"))
@@ -306,13 +327,13 @@ def test_a_hop_within_18_m_draws_the_same_as_a_los_forced_one():
 
 
 def test_hop_spec_refuses_an_unknown_condition():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     with pytest.raises(ConfigError, match="condition must be"):
         hop_spec(*make_nodes(), scen, "los")
 
 
 def test_k_and_shadow_draw_statistics():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     los = scen.condition_params("LOS")
     spec = hop_spec(*make_nodes(), scen, "LOS")
     hops = [build_hop(spec, scen, RandomStreams(8, drop=d)) for d in range(4000)]
@@ -333,7 +354,7 @@ def test_k_and_shadow_draw_statistics():
 def test_spreads_are_the_first_five_lsp_normals():
     """DS, ASD, ASA, ZSA, ZSD are 10 ** (mean + std * z) of the first five
     normals of the hop's lsp stream, in that order, each at most its cap."""
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     for condition in ("LOS", "NLOS"):
         spec = hop_spec(*make_nodes(), scen, condition)
         params = scen.condition_params(condition)
@@ -353,7 +374,7 @@ def test_angle_spreads_are_capped():
     """A law far above the caps yields exactly 104 deg in azimuth and
     52 deg in zenith (TR 38.901 sec 7.5 step 4); the delay spread has no cap."""
     assert (AZIMUTH_SPREAD_CAP_DEG, ZENITH_SPREAD_CAP_DEG) == (104.0, 52.0)
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     los = scen.condition_params("LOS")
     wide = dataclasses.replace(
         los, lg_asd_mean=math.log10(AZIMUTH_SPREAD_CAP_DEG) + 3.0,

@@ -136,7 +136,7 @@ def test_statistics_ignore_the_order_of_paired_rows(paths, rnd):
 @PROPERTY
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["LOS", "NLOS"]))
 def test_mono_static_reciprocal_is_an_involution(seed, condition):
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     streams = RandomStreams(seed).scoped(HOP_TX_TARGET)
     spec = hop_spec(NodeState([0.0, 0.0, 10.0]), NodeState([25.0, 10.0, 1.5]), scen, condition)
     hop = build_hop(spec, scen, streams)
@@ -163,7 +163,7 @@ def hop_tables(seed, condition, split_strongest, absolute_delay, monostatic):
     configuration, built the way the runner builds them; a mono-static
     drop's second hop is its first, reversed."""
     cfg = validate_config("frequency_hz = 6e9\n")
-    scen = ScenarioParams.from_table(cfg.scenario, cfg.frequency_hz)
+    scen = ScenarioParams.from_table(cfg.frequency_hz)
     tx, tgt, rx = (build_node(n, cfg.wavelength_m) for n in (cfg.tx, cfg.target, cfg.rx))
     drops = []
     for d in range(3):

@@ -33,7 +33,7 @@ KINDS = {
     "config": (["frequency_hz = 6e9", "drops = 3", "nodes.tx.position_m = 1, 2, 3",
                 "absolute_delay = yes", "concat_case = Case3N"], load_config),
     "scenario_table": ([line for _, line in data_lines(BUNDLED_TABLE)],
-                       lambda path: ScenarioParams.from_table("UMi", 6e9, path=path)),
+                       lambda path: ScenarioParams.from_table(6e9, path=path)),
     "b1_table": (["-180 0.5", "0 2.0", "90 1.25", "180 0.5"], b1_columns),
     "samples": (["1.5 2.5", "0.25", "3.0 4.0 5.0"], fit_file),
 }

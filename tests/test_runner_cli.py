@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -459,7 +460,7 @@ def test_absolute_delay_applies_to_every_hop(tmp_path):
     tx, rx, tgt = (np.asarray(n.position_m) for n in (cfg.tx, cfg.rx, cfg.target))
     direct = np.linalg.norm(rx - tx) / SPEED_OF_LIGHT
     echo = (np.linalg.norm(tgt - tx) + np.linalg.norm(rx - tgt)) / SPEED_OF_LIGHT
-    nlos = ScenarioParams.from_table("UMi", 6e9).condition_params("NLOS")
+    nlos = ScenarioParams.from_table(6e9).condition_params("NLOS")
     n_background = nlos.num_clusters * nlos.rays_per_cluster
     rows = np.loadtxt(os.path.join(out, "cir.txt"), usecols=(0, 3, 4))
     for drop in (0, 1):
@@ -633,15 +634,23 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
     assert {"statistics.txt", "manifest.txt"} <= set(os.listdir(study_out))
     assert main(["run", "--config", no_b1, "--out", str(tmp_path / "run_no_b1")]) == 2
     assert not (tmp_path / "run_no_b1").exists()
-    # a table can name any scenario, but only UMi has LOS probability and path loss
-    uma = tmp_path / "uma.tbl"
-    uma.write_text(resources.files("isacsim.data").joinpath("umi_38901.tbl")
-                   .read_text(encoding="utf-8").replace("[UMi ", "[UMa "))
-    uma_cfg = write_cfg(tmp_path, f"scenario = UMa\nscenario_table = {uma}\n")
-    for command in ("run", "concat-study"):
-        assert main([command, "--config", uma_cfg, "--out", str(tmp_path / "uma")]) == 2
-        assert not (tmp_path / "uma").exists()
-    assert capsys.readouterr().err.count("unsupported scenario 'UMa'") == 2
+    # UMi is the model: a table section of another scenario is refused with
+    # its line, and so is the scenario key of a 0.2.0 configuration
+    lab = tmp_path / "lab.tbl"
+    lab.write_text("# a lab\n[Lab LOS]\n")
+    lab_cfg = write_cfg(tmp_path, f"scenario_table = {lab}\n")
+    umi_cfg = str(tmp_path / "umi.cfg")
+    with open(umi_cfg, "w") as fh:
+        fh.write(cfg_text("scenario = UMi\n"))
+    line = cfg_text().count("\n") + 1
+    capsys.readouterr()
+    for cfg, error in ((lab_cfg, "parameter table line 2: section header must be "
+                                 "'[UMi <LOS|NLOS>]', got '[Lab LOS]'"),
+                       (umi_cfg, f"line {line}: unknown key 'scenario'")):
+        for command in ("run", "concat-study"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "lab")]) == 2
+            assert not (tmp_path / "lab").exists()
+        assert capsys.readouterr().err == f"configuration error: {error}\n" * 2
     # identity polarization ignores its alphas, but they must still be valid
     negative = write_cfg(tmp_path, "polarization.alphas = 1, -0.5, 0, 1\n")
     assert main(["run", "--config", negative, "--out", str(tmp_path / "neg")]) == 2
@@ -790,7 +799,6 @@ GUARD_BASE = {
 # written into the working directory by the test.
 GUARD_CASES = {
     "frequency_hz": ({}, "28e9"),
-    "scenario": ({}, "UMa"),  # refused: UMi is the one runnable scenario
     "scenario_table": ({}, "umi.tbl"),
     "sensing_mode": ({"background.enabled": "false"}, "monostatic"),
     "concat_case": ({}, "Case0"),
@@ -847,8 +855,6 @@ def guard_outputs(entries, out_dir):
 
 @pytest.mark.parametrize("key", GUARD_CASES)
 def test_every_key_changes_the_run_or_is_refused(key, tmp_path, monkeypatch):
-    from isacsim.errors import ConfigError, UnsupportedFeatureError
-
     monkeypatch.chdir(tmp_path)
     table = resources.files("isacsim.data").joinpath("umi_38901.tbl").read_text()
     (tmp_path / "umi.tbl").write_text(table.replace("sf_std_db               = 4.0",
@@ -858,12 +864,7 @@ def test_every_key_changes_the_run_or_is_refused(key, tmp_path, monkeypatch):
     base = {**GUARD_BASE, **needs}
     out = None if key == "output.dir" else "out"
     before = guard_outputs(base, out)
-    try:
-        after = guard_outputs({**base, key: value}, out)
-    except (ConfigError, UnsupportedFeatureError):
-        assert key == "scenario"
-        return
-    assert after != before
+    assert guard_outputs({**base, key: value}, out) != before
 
 
 @pytest.mark.parametrize("key", [
@@ -1004,6 +1005,39 @@ def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeyp
         err = capsys.readouterr().err
         assert err == f"configuration error: --out {out}{where} exists and is not a directory\n"
     assert taken.read_bytes() == b"not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["run", "concat-study"])
+def test_output_dir_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               command):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    monkeypatch.setattr(runner, "_run_drops", lambda *a, **k: pytest.fail("a drop ran"))
+    for out_dir in (taken, taken / "sub"):  # each run's directory lies under it
+        cfg = write_cfg(tmp_path, f"output.dir = {out_dir}\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output directory {out_dir}{os.sep}")
+        assert err.endswith(f" lies under {taken}, which exists and is not a directory\n")
+        assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+    assert taken.read_bytes() == b"not a directory\n"
+
+
+@pytest.mark.parametrize("key", ["azimuth_scale", "zenith_scale", "delay_scaling"])
+def test_a_scale_the_cluster_kernel_divides_by_is_refused_before_any_output(tmp_path, capsys,
+                                                                              key):
+    text = resources.files("isacsim.data").joinpath("umi_38901.tbl").read_text()
+    table = tmp_path / "zero.tbl"
+    table.write_text(re.sub(rf"^{key} .*$", f"{key} = 0", text, count=1, flags=re.M))
+    cfg = write_cfg(tmp_path, f"scenario_table = {table}\n")
+    out = tmp_path / "never"
+    for command in ("run", "concat-study"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+    assert capsys.readouterr().err == (f"configuration error: parameter table section "
+                                       f"[UMi LOS]: {key} must be positive at 6 GHz, "
+                                       f"got 0.0\n") * 2
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

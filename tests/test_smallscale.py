@@ -19,7 +19,7 @@ from isacsim.smallscale import (
 )
 
 F_HZ = 6e9
-SCEN = ScenarioParams.from_table("UMi", F_HZ)
+SCEN = ScenarioParams.from_table(F_HZ)
 
 
 def make_hop(condition, streams, k_factor=None, to_xyz=(40.0, 0.0, 1.5), reverse=False):

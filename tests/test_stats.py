@@ -200,7 +200,7 @@ def test_drop_statistics_bundle():
 # --------------------------------------- trailing power normalization
 
 def test_power_normalization_never_moves_spreads():
-    scen = ScenarioParams.from_table("UMi", 6e9)
+    scen = ScenarioParams.from_table(6e9)
     tx = NodeState([0.0, 0.0, 10.0])
     tgt = NodeState([25.0, 10.0, 1.5])
     rx = NodeState([60.0, -5.0, 10.0])
@@ -296,7 +296,7 @@ def default_config_drops(count, condition=None, seed=3, monostatic=False):
     configuration, built the way the runner builds them; a mono-static
     drop's second hop is its first, reversed."""
     cfg = validate_config("frequency_hz = 6e9\n")
-    scen = ScenarioParams.from_table(cfg.scenario, cfg.frequency_hz)
+    scen = ScenarioParams.from_table(cfg.frequency_hz)
     tx, tgt, rx = (build_node(n, cfg.wavelength_m) for n in (cfg.tx, cfg.target, cfg.rx))
     drops = []
     for d in range(count):
@@ -373,7 +373,7 @@ def layout_drops(layouts, seed, split_strongest, absolute_delay, monostatic):
     drop's second hop is its first, reversed), the hops of one condition
     generated together, as the runner does."""
     cfg = validate_config("frequency_hz = 6e9\n")
-    scen = ScenarioParams.from_table(cfg.scenario, cfg.frequency_hz)
+    scen = ScenarioParams.from_table(cfg.frequency_hz)
     tx, tgt, rx = (build_node(n, cfg.wavelength_m) for n in (cfg.tx, cfg.target, cfg.rx))
     links = []  # (drop, hop, its streams)
     for d, layout in enumerate(layouts):
