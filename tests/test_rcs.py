@@ -218,6 +218,13 @@ def test_partial_mode_forces_unit_diagonal():
     np.testing.assert_allclose(np.abs(s[:, 1, 1]), 1.0)
 
 
+def test_partial_mode_is_full_mode_with_unit_co_polar_alphas():
+    partial = PolarizationScattering(mode="partial", alphas=(9.0, 0.3, 0.4, 9.0))
+    full = PolarizationScattering(mode="full", alphas=(1.0, 0.3, 0.4, 1.0))
+    np.testing.assert_array_equal(scattering_matrix(partial, np.random.default_rng(6), size=50),
+                                  scattering_matrix(full, np.random.default_rng(6), size=50))
+
+
 def test_scattering_matrix_requires_rng_when_random():
     pol = PolarizationScattering(mode="full")
     with pytest.raises(ConfigError):
