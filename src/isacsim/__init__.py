@@ -8,7 +8,7 @@ or one submodule such as ``isacsim.cli``, loads only what is used.
 """
 from importlib import import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 _EXPORTS = {
     "concatenation": (
@@ -16,14 +16,14 @@ _EXPORTS = {
         "condition_weights",
     ),
     "coefficients": (
-        "ChannelCir", "SnapshotGrid", "doppler_frequency", "synthesize_cir",
+        "ChannelCir", "doppler_frequency", "synthesize_cir",
     ),
     "config": ("NodeConfig", "RunConfig", "load_config", "validate_config"),
     "constants": ("SPEED_OF_LIGHT",),
     "errors": ("ConfigError", "NumericError", "UnsupportedFeatureError"),
     "geometry": (
-        "DirectionAngles", "NodeState", "angles_between", "spherical_unit_vector",
-        "uniform_linear_array",
+        "DirectionAngles", "NodeState", "SnapshotGrid", "angles_between",
+        "spherical_unit_vector", "uniform_linear_array",
     ),
     "largescale": (
         "CouplingConfig", "HopLink", "HopSpec", "ScenarioParams", "build_hop",

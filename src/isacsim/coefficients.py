@@ -32,30 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import DirectionAngles, NodeState, field_components, spherical_unit_vector
+from .geometry import (DirectionAngles, NodeState, SnapshotGrid, field_components,
+                       spherical_unit_vector)
 from .largescale import CouplingConfig
 from .concatenation import PairType, PathGroup, condition_weights
 from .rcs import PolarizationScattering, RcsModel, scattering_matrix, small_scale_sigma
 from .seeds import RandomStreams
 from .smallscale import HopTable
-
-
-@dataclass
-class SnapshotGrid:
-    """Uniform time sampling of a drop: start, step, number of snapshots."""
-
-    start_s: float = 0.0
-    step_s: float = 1e-3
-    count: int = 1
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError("snapshot count must be >= 1")
-        if self.step_s <= 0:
-            raise ConfigError("snapshot step must be positive")
-
-    def times(self) -> np.ndarray:
-        return self.start_s + self.step_s * np.arange(self.count)
 
 
 @dataclass
@@ -181,12 +164,8 @@ def synthesize_cir(
 
     # Per-path small-scale cross section; aspect is the incidence azimuth
     # at the scattering point.
-    sigma = small_scale_sigma(
-        rcs_model,
-        np.degrees(sp_in.azimuth),
-        streams.stream("rcs_b2"),
-        size=n_paths,
-    )
+    sigma = small_scale_sigma(rcs_model, np.degrees(sp_in.azimuth), streams.stream("rcs_b2"),
+                              size=n_paths)
 
     smat = scattering_matrix(pol, streams.stream("scatter_phases"), size=n_paths)
 
@@ -194,16 +173,8 @@ def synthesize_cir(
     rx_side = _side_matrices(rx, wavelength_m)[ir]
     pmat = np.einsum("lij,ljk,lkm->lim", rx_side, smat, tx_side)
 
-    f_d = doppler_frequency(
-        tx_dir,
-        rx_dir,
-        sp_in,
-        sp_out,
-        tx_node.velocity_mps,
-        rx_node.velocity_mps,
-        target.velocity_mps,
-        wavelength_m,
-    )
+    f_d = doppler_frequency(tx_dir, rx_dir, sp_in, sp_out, tx_node.velocity_mps,
+                            rx_node.velocity_mps, target.velocity_mps, wavelength_m)
 
     amp = group.k_weights[drop][pair_type] * weight * np.sqrt(sigma)
     parts = [(tx.delay[it] + rx.delay[ir], tx_dir.zenith, tx_dir.azimuth, rx_dir.zenith,
@@ -242,8 +213,7 @@ def _background_paths(table: HopTable, tx_node, rx_node, wavelength_m: float) ->
     rows = np.arange(n_diffuse)
     if table.has_los:
         rows = np.concatenate([[n_diffuse], rows])  # specular first
-    k = hop.k_factor if table.has_los else 0.0
-    spec_share, diffuse_share = condition_weights(k, 0.0)[[1, 3]]
+    spec_share, diffuse_share = condition_weights(hop.k_factor, 0.0)[[1, 3]]
     share = np.where(rows == n_diffuse, spec_share, diffuse_share)
     scale = 10.0 ** (-(hop.path_loss_db + hop.shadow_fading_db) / 20.0)
     dep = DirectionAngles(table.dep_zenith[rows], table.dep_azimuth[rows])

@@ -226,8 +226,7 @@ def concatenate_group(tx, rx, cases, streams=None) -> list:
         raise ConfigError("the drops of a group must share their hop-table layout")
     t0, r0 = tx[0], rx[0]
     nt, nr = t0.num_diffuse, r0.num_diffuse
-    k_w = np.array([condition_weights(*(t.hop.k_factor if t.has_los else 0.0 for t in pair))
-                    for pair in zip(tx, rx)])
+    k_w = np.array([condition_weights(t.hop.k_factor, r.hop.k_factor) for t, r in zip(tx, rx)])
     # One block per component, in output order (none for CaseA with both
     # hops NLOS); a table's specular row sits right after its diffuse rows.
     outer = []

@@ -8,10 +8,12 @@ rejected with their line number so typos fail loudly instead of silently
 running defaults.
 
 Every key is declared once, in ``KEYS``: the ``RunConfig`` attribute it
-sets (``target.velocity_mps`` for a node key), its parser and its range
-check. ``set_value`` parses, checks and stores one value; parsing a file,
-the command line's ``--seed``/``--drops`` overrides and the canonical echo
-all run off that table. Choice lists come from the modules that own them.
+sets (``target.velocity_mps`` for a node key, ``coupling.o_isac`` for a key
+of the RCS, polarization, snapshot or coupling object that a run uses as
+it is), its parser and its range check. ``set_value`` parses, checks and
+stores one value; parsing a file, the command line's ``--seed``/``--drops``
+overrides and the canonical echo all run off that table. Choice lists come
+from the modules that own them.
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 from .concatenation import ConcatCase
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
-from .geometry import ISOTROPIC, PATTERNS
-from .largescale import CONDITIONS, COUPLING_MODES
-from .rcs import POLARIZATION_MODES
+from .geometry import ISOTROPIC, PATTERNS, SnapshotGrid
+from .largescale import CONDITIONS, COUPLING_MODES, CouplingConfig
+from .rcs import POLARIZATION_MODES, PolarizationScattering, RcsModel
 from .reader import data_lines, read_text, split_entry
 
 
@@ -56,18 +58,11 @@ class RunConfig:
     target: NodeConfig = field(
         default_factory=lambda: NodeConfig(position_m=(20.0, 15.0, 1.5))
     )
-    rcs_mean_m2: float = 1.0
-    rcs_b2_mean_db: float = 0.0
-    rcs_b2_std_db: float = 0.0
-    rcs_b1_table: str | None = None
-    pol_mode: str = "identity"
-    pol_alphas: tuple = (1.0, 0.0, 0.0, 1.0)
-    snap_start_s: float = 0.0
-    snap_step_s: float = 1e-3
-    snap_count: int = 1
-    coupling_o_isac: float = 1.0
-    coupling_mode: str = "added"
-    coupling_removal_fraction: float = 0.0
+    rcs: RcsModel = field(default_factory=RcsModel)  # b1 stays None: see rcs_b1_table
+    rcs_b1_table: str | None = None  # loaded only by a run that writes CIRs
+    polarization: PolarizationScattering = field(default_factory=PolarizationScattering)
+    snapshots: SnapshotGrid = field(default_factory=SnapshotGrid)
+    coupling: CouplingConfig = field(default_factory=CouplingConfig)
     background_enabled: bool = False
     cond_tx_target: str = "auto"
     cond_target_rx: str = "auto"
@@ -161,19 +156,19 @@ KEYS = {
     "master_seed": ("master_seed", _int, _NON_NEGATIVE),
     "absolute_delay": ("absolute_delay", _bool, None),
     "split_strongest": ("split_strongest", _bool, None),
-    "rcs.mean_m2": ("rcs_mean_m2", _float, _POSITIVE),
-    "rcs.b2_mean_db": ("rcs_b2_mean_db", _float, None),
-    "rcs.b2_std_db": ("rcs_b2_std_db", _float, _NON_NEGATIVE),
+    "rcs.mean_m2": ("rcs.mean_rcs_m2", _float, _POSITIVE),
+    "rcs.b2_mean_db": ("rcs.b2_mean_db", _float, None),
+    "rcs.b2_std_db": ("rcs.b2_std_db", _float, _NON_NEGATIVE),
     "rcs.b1_table": ("rcs_b1_table", _text, None),
-    "polarization.mode": ("pol_mode", _choice(POLARIZATION_MODES), None),
-    "polarization.alphas": ("pol_alphas", _vec(4), (lambda v: min(v) >= 0, "all >= 0")),
-    "snapshots.start_s": ("snap_start_s", _float, None),
-    "snapshots.step_s": ("snap_step_s", _float, _POSITIVE),
-    "snapshots.count": ("snap_count", _int, _AT_LEAST_ONE),
-    "coupling.o_isac": ("coupling_o_isac", _float, _NON_NEGATIVE),
-    "coupling.mode": ("coupling_mode", _choice(COUPLING_MODES), None),
+    "polarization.mode": ("polarization.mode", _choice(POLARIZATION_MODES), None),
+    "polarization.alphas": ("polarization.alphas", _vec(4), (lambda v: min(v) >= 0, "all >= 0")),
+    "snapshots.start_s": ("snapshots.start_s", _float, None),
+    "snapshots.step_s": ("snapshots.step_s", _float, _POSITIVE),
+    "snapshots.count": ("snapshots.count", _int, _AT_LEAST_ONE),
+    "coupling.o_isac": ("coupling.o_isac", _float, _NON_NEGATIVE),
+    "coupling.mode": ("coupling.mode", _choice(COUPLING_MODES), None),
     "coupling.removal_fraction": (
-        "coupling_removal_fraction", _float, (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+        "coupling.removal_fraction", _float, (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
     ),
     "background.enabled": ("background_enabled", _bool, None),
     "conditions.tx_target": ("cond_tx_target", _CONDITION, None),

@@ -1,4 +1,5 @@
-"""Geometry primitives: positions, direction angles, antenna arrays.
+"""Geometry primitives: positions, direction angles, antenna arrays, and
+the snapshot times at which a drop's frozen geometry is sampled.
 
 Conventions used throughout the package:
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ConfigError
 
 ISOTROPIC = "isotropic"
 SECTORIZED_38901 = "sectorized-38901"
@@ -127,3 +130,21 @@ def field_components(node: NodeState, direction: DirectionAngles):
     f_theta = amp * np.cos(slant) + 0.0j
     f_phi = amp * np.sin(slant) + 0.0j
     return f_theta, f_phi
+
+
+@dataclass
+class SnapshotGrid:
+    """Uniform time sampling of a drop: start, step, number of snapshots."""
+
+    start_s: float = 0.0
+    step_s: float = 1e-3
+    count: int = 1
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError("snapshot count must be >= 1")
+        if self.step_s <= 0:
+            raise ConfigError("snapshot step must be positive")
+
+    def times(self) -> np.ndarray:
+        return self.start_s + self.step_s * np.arange(self.count)

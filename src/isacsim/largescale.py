@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .geometry import DirectionAngles, NodeState, angles_between
 from .reader import data_lines, read_text, split_entry
 
@@ -140,19 +140,24 @@ def _parse_table(text: str) -> dict:
             raise ConfigError(f"{where}: non-numeric value for {key!r}") from None
         if len(floats) not in (1, 2):
             raise ConfigError(f"{where}: expected 1 or 2 numbers, got {len(floats)}")
+        if not all(map(math.isfinite, floats)):
+            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
         sections[current][key] = (0.0, *floats)[-2:]  # (a, b); a bare b has a = 0
     return sections
 
 
 def _materialize(condition: str, entries: dict, frequency_hz: float) -> ConditionParams:
     """Evaluate frequency laws a*log10(1 + f_GHz) + b into plain numbers."""
-    f_ghz = frequency_hz / 1e9
+    # below 2 GHz, at 2 GHz (TR 38.901 Table 7.5-6 Part-1, note 7)
+    f_ghz = max(frequency_hz, 2e9) / 1e9
     lg = math.log10(1.0 + f_ghz)
+    section = f"parameter table section [UMi {condition}]"
     values = {}
     for key, (a, b) in entries.items():
         v = a * lg + b
+        if not math.isfinite(v):  # finite a and b, but a law past the largest float
+            raise ConfigError(f"{section}: {key} is not finite at {f_ghz:g} GHz")
         values[key] = int(round(v)) if key in _INT_KEYS else v
-    section = f"parameter table section [UMi {condition}]"
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ConfigError(f"{section} is missing {missing}")
@@ -363,17 +368,32 @@ def build_hop(spec: HopSpec, scenario: ScenarioParams, streams: RandomStreams) -
     probability; a forced hop draws it too, so forced and drawn runs stay
     stream-compatible. The K-factor is drawn under LOS only (0 without a
     K law). The five spreads (TR 38.901 sec 7.5 step 4) follow the lg_*
-    laws in the order of SPREAD_CAPS, each limited to its cap.
+    laws in the order of SPREAD_CAPS, each limited to its cap, as is a draw
+    past the largest float; such a draw of K or the uncapped DS raises
+    NumericError.
     """
     condition = LOS if float(streams.stream("condition").random()) < spec.p_los else NLOS
     params = scenario.condition_params(condition)
     k = 0.0
     if condition == LOS and params.k_mean_db is not None:
         z = float(streams.stream("k_factor").standard_normal())
-        k = 10.0 ** ((params.k_mean_db + (params.k_std_db or 0.0) * z) / 10.0)
+        k = _power_of_ten((params.k_mean_db + (params.k_std_db or 0.0) * z) / 10.0,
+                          math.inf, "[UMi LOS] K-factor")
     sf = params.sf_std_db * float(streams.stream("shadow").standard_normal())
     rng = streams.stream("lsp")
-    spreads = {x: min(10.0 ** (getattr(params, f"lg_{x}_mean")
-                               + getattr(params, f"lg_{x}_std") * rng.standard_normal()), cap)
+    spreads = {x: _power_of_ten(getattr(params, f"lg_{x}_mean")
+                                + getattr(params, f"lg_{x}_std") * rng.standard_normal(),
+                                cap, f"[UMi {condition}] lg_{x}")
                for x, cap in SPREAD_CAPS.items()}
     return HopLink(spec, condition, k, sf, spreads)
+
+
+def _power_of_ten(exponent: float, cap: float, name: str) -> float:
+    """min(10**exponent, cap), where a power past the largest float is the cap
+    or, with no finite cap, a NumericError naming the drawn parameter."""
+    try:
+        return min(10.0 ** exponent, cap)
+    except OverflowError:
+        if cap == math.inf:
+            raise NumericError(f"{name} draw 10^{exponent:.6g} overflows") from None
+        return cap

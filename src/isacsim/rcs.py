@@ -188,7 +188,7 @@ def is_point_target(extent_m3: float, cell: ResolutionCell) -> bool:
     return extent_m3 <= cell.volume_m3()
 
 
-POLARIZATION_MODES = ("identity", "full", "partial")
+POLARIZATION_MODES = ("identity", "full")
 
 
 @dataclass
@@ -199,8 +199,8 @@ class PolarizationScattering:
     phases drawn uniform on (-pi, pi]:
 
     * identity: unit matrix, no cross-coupling, no randomness consumed;
-    * full: all four amplitudes (vv, vh, hv, hh) configurable;
-    * partial: unit co-polar diagonal, configurable cross-polar amplitudes.
+    * full: all four amplitudes (vv, vh, hv, hh) configurable (a unit
+      co-polar diagonal is vv = hh = 1).
     """
 
     mode: str = "identity"
@@ -212,12 +212,9 @@ class PolarizationScattering:
                 f"polarization mode must be one of {POLARIZATION_MODES}, "
                 f"got {self.mode!r}"
             )
-        a = tuple(float(v) for v in self.alphas)
-        if len(a) != 4 or any(v < 0 for v in a):
+        self.alphas = tuple(float(v) for v in self.alphas)
+        if len(self.alphas) != 4 or any(v < 0 for v in self.alphas):
             raise ConfigError("alphas must be four non-negative amplitudes")
-        if self.mode == "partial":
-            a = (1.0, a[1], a[2], 1.0)
-        self.alphas = a
 
 
 def scattering_matrix(

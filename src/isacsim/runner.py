@@ -25,10 +25,9 @@ import glob
 import os
 import time
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,14 +37,13 @@ from .config import RunConfig, config_echo
 from .errors import ConfigError, NumericError, UnsupportedFeatureError
 from .geometry import NodeState, uniform_linear_array
 from .largescale import (
-    CouplingConfig,
     ScenarioParams,
     build_hop,
     combine_isac_path_loss,
     concatenated_path_loss,
     hop_spec,
 )
-from .rcs import PolarizationScattering
+from .rcs import B1Table, RcsModel
 from .seeds import (
     HOP_BACKGROUND,
     HOP_TARGET_RX,
@@ -57,10 +55,6 @@ from .seeds import (
 from .smallscale import check_ray_layout, generate_sublinks, mono_static_reciprocal
 from .stats import empirical_cdf, group_statistics
 from .text import _format_rows, _Output, _row_slices, _text, check_out_dir
-
-if TYPE_CHECKING:  # runs that emit no CIRs load neither
-    from .coefficients import SnapshotGrid
-    from .rcs import RcsModel
 
 STAT_COLUMNS = (
     "total_power", "nn_power", "ds_ns", "asa_deg", "asd_deg", "zsa_deg", "zsd_deg"
@@ -120,23 +114,20 @@ def build_node(node_cfg, wavelength_m: float) -> NodeState:
 
 
 def build_rcs_model(cfg: RunConfig) -> RcsModel:
-    from .rcs import B1Table, RcsModel
-
-    b1 = None
-    if cfg.rcs_b1_table is not None:
-        b1 = B1Table.from_file(cfg.rcs_b1_table)
-    return RcsModel(
-        mean_rcs_m2=cfg.rcs_mean_m2,
-        b1=b1,
-        b2_mean_db=cfg.rcs_b2_mean_db,
-        b2_std_db=cfg.rcs_b2_std_db,
-    )
+    """The configured RCS model, with the B1 table of ``rcs.b1_table`` loaded;
+    the table must cover every aspect azimuth, [-180, 180] deg."""
+    if cfg.rcs_b1_table is None:
+        return cfg.rcs
+    b1 = B1Table.from_file(cfg.rcs_b1_table)
+    lo, hi = b1.angles_deg[[0, -1]]
+    if lo > -180.0 or hi < 180.0:
+        raise ConfigError(f"rcs.b1_table spans [{lo}, {hi}] deg; aspect azimuths need [-180, 180]")
+    return replace(cfg.rcs, b1=b1)
 
 
 def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                scenario: ScenarioParams, hops: list, rcs_model: RcsModel | None,
-               polarization: PolarizationScattering, grid: SnapshotGrid,
-               coupling: CouplingConfig, cir_out) -> RunBlock:
+               cir_out) -> RunBlock:
     """Worker body: simulate consecutive drops for every requested case.
 
     Every hop of the drops is built first, and the hops of one condition get
@@ -199,7 +190,7 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
             (table1, table2, background), (group, i) = per_drop[k], cir_groups[k]
             pl = block.path_loss_db[:, k]
             pl[0] = concatenated_path_loss(table1.hop.path_loss_db, table2.hop.path_loss_db,
-                                           cfg.frequency_hz, cfg.rcs_mean_m2)
+                                           cfg.frequency_hz, cfg.rcs.mean_rcs_m2)
             if group is None or not len(group):
                 continue
             # gains that overflow are reported once, by the finiteness check below
@@ -207,10 +198,11 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
                 if cfg.background_enabled:  # weighted by 0, the background hop is not built
                     pl[1] = combine_isac_path_loss(
                         pl[0], 0.0 if background is None else background.hop.path_loss_db,
-                        coupling)
+                        cfg.coupling)
                 cir = coefficients.synthesize_cir(
-                    group, i, rcs_model, grid, cfg.wavelength_m, drop_streams.scoped(SCOPE_COEFF),
-                    polarization=polarization, background=background, coupling=coupling,
+                    group, i, rcs_model, cfg.snapshots, cfg.wavelength_m,
+                    drop_streams.scoped(SCOPE_COEFF), polarization=cfg.polarization,
+                    background=background, coupling=cfg.coupling,
                 )
             if not np.isfinite(cir.gains).all():
                 raise NumericError(f"drop {drop}: CIR gains overflow to non-finite values")
@@ -287,16 +279,10 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
                 else os.cpu_count() or 1)
     if emit_cir and cfg.background_enabled and cfg.sensing_mode != "bistatic":
         raise UnsupportedFeatureError("mono-static runs have no background channel")
-    if emit_cir and cfg.background_enabled and cfg.coupling_mode == "embedded" \
-            and cfg.coupling_o_isac == 0:
+    if emit_cir and cfg.background_enabled and cfg.coupling.mode == "embedded" \
+            and cfg.coupling.o_isac == 0:
         raise ConfigError("embedded coupling with zero factor leaves no channel")
     rcs_model = build_rcs_model(cfg) if emit_cir else None  # only CIRs look aspects up
-    if rcs_model is not None and rcs_model.b1 is not None:
-        lo, hi = rcs_model.b1.angles_deg[[0, -1]]
-        if lo > -180.0 or hi < 180.0:
-            raise ConfigError(
-                f"rcs.b1_table spans [{lo}, {hi}] deg; aspect azimuths need [-180, 180]"
-            )
     now = datetime.now(timezone.utc)  # one read: the manifest and the directory agree
     created = now.isoformat(timespec="seconds")
     if out_dir is None:
@@ -309,7 +295,7 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
     ends = [(tx, target, HOP_TX_TARGET, cfg.cond_tx_target)]
     if cfg.sensing_mode == "bistatic":
         ends.append((target, rx, HOP_TARGET_RX, cfg.cond_target_rx))
-    if emit_cir and cfg.background_enabled and cfg.coupling_o_isac > 0:  # not built if 0
+    if emit_cir and cfg.background_enabled and cfg.coupling.o_isac > 0:  # not built if 0
         ends.append((tx, rx, HOP_BACKGROUND, cfg.cond_background))
     # Each hop is resolved once, so what every drop would refuse (a hop's
     # geometry, the parameters and ray layout of a condition it can take) is
@@ -329,16 +315,8 @@ def _execute(cfg: RunConfig, cases: tuple, out_dir: str | None, workers: int,
                           "cannot be allocated; run fewer drops") from None
     checksums = {}
     cir = _Output(out_dir, "cir.txt", checksums, CIR_HEADER)
-    if emit_cir:
-        from .coefficients import SnapshotGrid
     worker = partial(
         _run_drops, cfg, cases, emit_cir, scenario=scenario, hops=hops, rcs_model=rcs_model,
-        polarization=PolarizationScattering(cfg.pol_mode, cfg.pol_alphas),
-        grid=SnapshotGrid(cfg.snap_start_s, cfg.snap_step_s, cfg.snap_count) if emit_cir else None,
-        coupling=CouplingConfig(
-            o_isac=cfg.coupling_o_isac, mode=cfg.coupling_mode,
-            removal_fraction=cfg.coupling_removal_fraction,
-        ),
         cir_out=cir.path if procs > 1 else cir,
     )
     os.makedirs(out_dir, exist_ok=True)
@@ -426,10 +404,8 @@ def _write_manifest(out_dir: str, manifest: RunManifest, path_loss: np.ndarray) 
 
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> RunManifest:
     """Simulate the configured case for all drops and write run outputs."""
-    return _execute(
-        cfg, (cfg.concat_case,), out_dir, workers,
-        emit_cir=cfg.emit_cir, study=False,
-    )
+    return _execute(cfg, (cfg.concat_case,), out_dir, workers, emit_cir=cfg.emit_cir,
+                    study=False)
 
 
 def concat_study(cfg: RunConfig, out_dir: str | None = None,

@@ -177,13 +177,13 @@ def generate_sublinks(
     phases = np.empty((h, nm, 4))
     scalars = []
     for i, (hop, hop_streams) in enumerate(zip(hops, streams)):
-        k_lin = hop.k_factor if is_los else 0.0
+        k_lin = hop.k_factor  # 0 under NLOS
         k_db = 10.0 * math.log10(k_lin) if k_lin > 0 else 0.0
         departure, arrival = hop.spec.departure, hop.spec.arrival
         scalars.append((
             *(hop.spreads[x] for x in ("ds", "asd", "asa", "zsa", "zsd")), k_lin,
             # LOS delay rescaling (1.0: none)
-            _los_delay_scale(k_db) if is_los and k_lin > 0 else 1.0,
+            _los_delay_scale(k_db) if k_lin > 0 else 1.0,
             params.azimuth_scale * (_los_azimuth_scale(k_db) if is_los else 1.0),
             params.zenith_scale * (_los_zenith_scale(k_db) if is_los else 1.0),
             # geometric propagation delay; the standardized NLOS excess-delay

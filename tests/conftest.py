@@ -1,15 +1,19 @@
-"""A test that leaves a file open, or a numpy computation that overflows or
-yields an invalid value unnoticed, fails: every test here runs with
-ResourceWarning, the unraisable-exception warning an unclosed file becomes
-when it is collected, and RuntimeWarning turned into errors. Forked pool
-workers inherit the filter."""
+"""A test that leaves a file open, a numpy computation that overflows or
+yields an invalid value unnoticed, or a call of a deprecated API fails:
+every test here runs with ResourceWarning, the unraisable-exception warning
+an unclosed file becomes when it is collected, RuntimeWarning and the
+deprecation warnings (DeprecationWarning, PendingDeprecationWarning,
+FutureWarning) turned into errors, so a numpy API change shows before a
+numpy upgrade moves the pinned outputs. Forked pool workers inherit the
+filter."""
 from pathlib import Path
 
 import pytest
 
 LEAKS_FAIL = pytest.mark.filterwarnings(
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning",
-    "error::RuntimeWarning",
+    "error::RuntimeWarning", "error::DeprecationWarning", "error::PendingDeprecationWarning",
+    "error::FutureWarning",
 )
 
 

@@ -14,6 +14,9 @@ from isacsim.config import (
     validate_config,
 )
 from isacsim.errors import ConfigError
+from isacsim.geometry import SnapshotGrid
+from isacsim.largescale import CouplingConfig
+from isacsim.rcs import PolarizationScattering, RcsModel
 
 MINIMAL = "frequency_hz = 6e9\n"
 
@@ -31,7 +34,7 @@ rcs.mean_m2 = 2.5
 rcs.b2_mean_db = -1.5
 rcs.b2_std_db = 3
 rcs.b1_table = tables/b1.tbl
-polarization.mode = partial
+polarization.mode = full
 polarization.alphas = 1, 0.25, 0.5, 1
 snapshots.start_s = 0.5
 snapshots.step_s = 0.002
@@ -74,6 +77,20 @@ def test_minimal_config_gets_defaults():
     assert cfg.wavelength_m == pytest.approx(0.05)
 
 
+def test_a_config_holds_the_objects_a_run_uses():
+    cfg = validate_config(EVERY_KEY)
+    assert cfg.rcs == RcsModel(mean_rcs_m2=2.5, b2_mean_db=-1.5, b2_std_db=3.0)
+    assert cfg.rcs_b1_table == "tables/b1.tbl"
+    assert cfg.polarization == PolarizationScattering("full", (1.0, 0.25, 0.5, 1.0))
+    assert cfg.snapshots == SnapshotGrid(start_s=0.5, step_s=0.002, count=8)
+    assert cfg.coupling == CouplingConfig(o_isac=0.5, mode="embedded", removal_fraction=0.3)
+    # each configuration gets its own objects, at their library defaults
+    a, b = validate_config(MINIMAL), validate_config(MINIMAL)
+    for name, default in (("rcs", RcsModel()), ("polarization", PolarizationScattering()),
+                          ("snapshots", SnapshotGrid()), ("coupling", CouplingConfig())):
+        assert getattr(a, name) == default and getattr(a, name) is not getattr(b, name)
+
+
 def test_parse_text_layout():
     entries = parse_config_text(
         "# comment\n\nfrequency_hz = 6e9\n  drops=4  \n"
@@ -113,7 +130,7 @@ def test_value_parsers():
     assert cfg.absolute_delay is True
     assert cfg.emit_cir is False
     assert cfg.target.velocity_mps == (1.5, -2.0, 0.0)
-    assert cfg.pol_alphas == (1.0, 0.5, 0.5, 1.0)
+    assert cfg.polarization.alphas == (1.0, 0.5, 0.5, 1.0)
 
 
 def test_value_parser_errors():
@@ -184,8 +201,8 @@ def test_conditions_and_modes():
     )
     assert cfg.cond_tx_target == "LOS"
     assert cfg.cond_target_rx == "NLOS"
-    assert cfg.coupling_mode == "embedded"
-    assert cfg.pol_mode == "full"
+    assert cfg.coupling.mode == "embedded"
+    assert cfg.polarization.mode == "full"
     with pytest.raises(ConfigError):
         validate_config("frequency_hz = 6e9\nconditions.tx_target = los\n")
 

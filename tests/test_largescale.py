@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from importlib import resources
 
-from isacsim.errors import ConfigError
+from isacsim.errors import ConfigError, NumericError
 from isacsim.geometry import NodeState
 from isacsim.largescale import (
     AZIMUTH_SPREAD_CAP_DEG,
@@ -159,6 +159,17 @@ def test_scenario_table_materializes_frequency_laws():
     assert nlos.k_mean_db is None
     with pytest.raises(ConfigError):
         scen.condition_params("fog")
+
+
+def test_umi_laws_below_2_ghz_are_those_at_2_ghz():
+    # TR 38.901 Table 7.5-6 Part-1, note 7: UMi takes fc = 2 GHz below 2 GHz
+    at_2 = ScenarioParams.from_table(2e9).conditions
+    for f in (0.5e9, 1e9, 1.999e9):
+        assert ScenarioParams.from_table(f).conditions == at_2
+    assert ScenarioParams.from_table(2.5e9).conditions != at_2
+    # 6 GHz keeps its law: -0.08*log10(7) + 1.73
+    los = ScenarioParams.from_table(6e9).condition_params("LOS")
+    assert los.lg_asa_mean == -0.08 * math.log10(7.0) + 1.73
 
 
 def test_scenario_table_rejects_unknown_scenario(tmp_path):
@@ -389,3 +400,26 @@ def test_angle_spreads_are_capped():
         assert hop.spreads["asd"] == hop.spreads["asa"] == 104.0
         assert hop.spreads["zsa"] == hop.spreads["zsd"] == 52.0
         assert hop.spreads["ds"] > 10.0  # 10 ** (3 + 0.38 z) s: no cap
+
+
+def test_a_draw_past_the_largest_float_is_its_cap_or_a_numeric_error():
+    """10 ** 400 overflows a float: an angle spread draw that large is its
+    cap; a delay spread or K-factor draw that large, with no cap, is a
+    NumericError naming what was drawn."""
+    scen = ScenarioParams.from_table(6e9)
+    los = scen.condition_params("LOS")
+    spec = hop_spec(*make_nodes(), scen, "LOS")
+
+    def draw(**laws):
+        params = dataclasses.replace(los, **laws)
+        return build_hop(spec, dataclasses.replace(scen, conditions={"LOS": params}),
+                         RandomStreams(5, drop=1))
+
+    normal = draw()
+    wide = draw(lg_asd_mean=400.0, lg_asa_mean=400.0, lg_zsa_mean=400.0, lg_zsd_mean=400.0)
+    assert (wide.spreads["asd"], wide.spreads["asa"]) == (104.0, 104.0)
+    assert (wide.spreads["zsa"], wide.spreads["zsd"]) == (52.0, 52.0)
+    assert (wide.k_factor, wide.spreads["ds"]) == (normal.k_factor, normal.spreads["ds"])
+    for laws, name in (({"lg_ds_mean": 400.0}, "lg_ds"), ({"k_mean_db": 4000.0}, "K-factor")):
+        with pytest.raises(NumericError, match=rf"^\[UMi LOS\] {name} draw 10\^[\d.]+ overflows$"):
+            draw(**laws)

@@ -209,20 +209,13 @@ def test_full_scattering_amplitudes_and_phases():
     assert abs(s[:, 0, 0].mean()) < 0.1
 
 
-def test_partial_mode_forces_unit_diagonal():
-    pol = PolarizationScattering(mode="partial", alphas=(9.0, 0.3, 0.4, 9.0))
-    assert pol.alphas == (1.0, 0.3, 0.4, 1.0)
-    rng = np.random.default_rng(6)
-    s = scattering_matrix(pol, rng, size=50)
-    np.testing.assert_allclose(np.abs(s[:, 0, 0]), 1.0)
-    np.testing.assert_allclose(np.abs(s[:, 1, 1]), 1.0)
-
-
-def test_partial_mode_is_full_mode_with_unit_co_polar_alphas():
-    partial = PolarizationScattering(mode="partial", alphas=(9.0, 0.3, 0.4, 9.0))
-    full = PolarizationScattering(mode="full", alphas=(1.0, 0.3, 0.4, 1.0))
-    np.testing.assert_array_equal(scattering_matrix(partial, np.random.default_rng(6), size=50),
-                                  scattering_matrix(full, np.random.default_rng(6), size=50))
+def test_partial_mode_is_refused():
+    # partial was full mode with vv = hh = 1; a 0.3.0 configuration that
+    # names it migrates to full with those two alphas set to 1
+    with pytest.raises(ConfigError, match=r"one of \('identity', 'full'\), got 'partial'"):
+        PolarizationScattering(mode="partial", alphas=(9.0, 0.3, 0.4, 9.0))
+    assert PolarizationScattering(mode="full", alphas=(9, 0.3, 0.4, 9)).alphas == (
+        9.0, 0.3, 0.4, 9.0)
 
 
 def test_scattering_matrix_requires_rng_when_random():

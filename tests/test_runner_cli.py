@@ -635,18 +635,23 @@ def test_bad_runs_are_refused_before_any_output(tmp_path, capsys):
     assert main(["run", "--config", no_b1, "--out", str(tmp_path / "run_no_b1")]) == 2
     assert not (tmp_path / "run_no_b1").exists()
     # UMi is the model: a table section of another scenario is refused with
-    # its line, and so is the scenario key of a 0.2.0 configuration
+    # its line, and so are the scenario key of a 0.2.0 configuration and the
+    # partial polarization mode of a 0.3.0 one
     lab = tmp_path / "lab.tbl"
     lab.write_text("# a lab\n[Lab LOS]\n")
     lab_cfg = write_cfg(tmp_path, f"scenario_table = {lab}\n")
-    umi_cfg = str(tmp_path / "umi.cfg")
-    with open(umi_cfg, "w") as fh:
-        fh.write(cfg_text("scenario = UMi\n"))
+    umi_cfg, partial_cfg = str(tmp_path / "umi.cfg"), str(tmp_path / "partial.cfg")
+    for path, extra in ((umi_cfg, "scenario = UMi\n"),
+                        (partial_cfg, "polarization.mode = partial\n")):
+        with open(path, "w") as fh:
+            fh.write(cfg_text(extra))
     line = cfg_text().count("\n") + 1
     capsys.readouterr()
     for cfg, error in ((lab_cfg, "parameter table line 2: section header must be "
                                  "'[UMi <LOS|NLOS>]', got '[Lab LOS]'"),
-                       (umi_cfg, f"line {line}: unknown key 'scenario'")):
+                       (umi_cfg, f"line {line}: unknown key 'scenario'"),
+                       (partial_cfg, f"line {line}: polarization.mode must be one of "
+                                     "('identity', 'full'), got 'partial'")):
         for command in ("run", "concat-study"):
             assert main([command, "--config", cfg, "--out", str(tmp_path / "lab")]) == 2
             assert not (tmp_path / "lab").exists()
@@ -1038,6 +1043,41 @@ def test_a_scale_the_cluster_kernel_divides_by_is_refused_before_any_output(tmp_
     assert capsys.readouterr().err == (f"configuration error: parameter table section "
                                        f"[UMi LOS]: {key} must be positive at 6 GHz, "
                                        f"got 0.0\n") * 2
+
+
+# a number or law no float holds is refused where the table is read; a
+# finite law whose draw overflows is a numeric error naming it
+TABLE_NUMBER_ERRORS = {
+    ("num_clusters", "inf"): "configuration error: parameter table line {line}: num_clusters "
+                             "must be finite, got 'inf'\n",
+    ("sf_std_db", "1e400"): "configuration error: parameter table line {line}: sf_std_db "
+                            "must be finite, got '1e400'\n",
+    ("lg_ds_std", "0.1 nan"): "configuration error: parameter table line {line}: lg_ds_std "
+                              "must be finite, got '0.1 nan'\n",
+    ("num_clusters", "1e308 1e308"): "configuration error: parameter table section [UMi LOS]: "
+                                     "num_clusters is not finite at 6 GHz\n",
+    ("k_mean_db", "4000"): "numeric error: [UMi LOS] K-factor draw 10^",
+    ("lg_ds_mean", "400"): "numeric error: [UMi LOS] lg_ds draw 10^",
+}
+
+
+@pytest.mark.parametrize("key, value", TABLE_NUMBER_ERRORS)
+def test_a_table_number_that_cannot_run_ends_in_one_error_line(tmp_path, capsys, key, value):
+    text = resources.files("isacsim.data").joinpath("umi_38901.tbl").read_text()
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(key))
+    error = TABLE_NUMBER_ERRORS[key, value].format(line=line)
+    table = tmp_path / "huge.tbl"
+    table.write_text(re.sub(rf"^{key} .*$", f"{key} = {value}", text, count=1, flags=re.M))
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_cfg(tmp_path, f"scenario_table = {table}\n"),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if error.startswith("configuration"):
+        assert (code, err, out.exists()) == (2, error, False)
+    else:  # drawn by drop 0's two LOS hops
+        assert code == 3 and err.startswith(error) and err.endswith(" overflows\n")
+        assert err.count("\n") == 1
+        assert not set(os.listdir(out)) & {"cir.txt", "statistics.txt", "manifest.txt"}
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
