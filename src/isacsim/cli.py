@@ -107,24 +107,10 @@ def _cmd_simulate(entry: str, args) -> int:
     return 0
 
 
-def _parse_pfa_list(text: str):
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            v = float(part)
-        except ValueError:
-            raise ConfigError(f"--pfa entry {part!r} is not a number") from None
-        values.append(v)
-    if not values:
-        raise ConfigError("--pfa needs at least one value")
-    return values
-
-
 def _cmd_detect(args) -> int:
-    pfa_values = _parse_pfa_list(args.pfa)
+    from .reader import numbers
+
+    pfa_values = numbers(args.pfa, "--pfa", ",")
     for flag in ("snr_min", "snr_max", "snr_step"):
         if not math.isfinite(getattr(args, flag)):
             raise ConfigError(
@@ -157,14 +143,11 @@ def _cmd_detect(args) -> int:
 
 def _cmd_rcs_fit(args) -> int:
     from .rcs import fit_lognormal_db
-    from .reader import data_lines, read_text
+    from .reader import data_lines, numbers, read_text
 
     samples = []
     for ln, line in data_lines(read_text(args.samples)):
-        try:
-            samples += [float(v) for v in line.split()]
-        except ValueError:
-            raise ConfigError(f"{args.samples}:{ln}: expected numbers, got {line!r}") from None
+        samples += numbers(line, f"{args.samples}:{ln}")
     mean_db, std_db = fit_lognormal_db(samples)
     text = "mean_db = %.6f\nstd_db = %.6f\nsamples = %d\n" % (mean_db, std_db, len(samples))
     _write_side_file(args.out, "rcs_fit.txt", text.encode("ascii"))

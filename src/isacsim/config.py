@@ -17,7 +17,6 @@ from the modules that own them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .concatenation import ConcatCase
@@ -26,7 +25,7 @@ from .errors import ConfigError
 from .geometry import ISOTROPIC, PATTERNS, SnapshotGrid
 from .largescale import CONDITIONS, COUPLING_MODES, CouplingConfig
 from .rcs import POLARIZATION_MODES, PolarizationScattering, RcsModel
-from .reader import data_lines, read_text, split_entry
+from .reader import data_lines, numbers, read_text, split_entry
 
 
 @dataclass
@@ -91,13 +90,7 @@ def _bool(text: str, name: str) -> bool:
 
 
 def _float(text: str, name: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise ConfigError(f"{name} expects a number, got {text!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(f"{name} must be finite")
-    return v
+    return _vec(1)(text, name)[0]
 
 
 def _int(text: str, name: str) -> int:
@@ -109,12 +102,10 @@ def _int(text: str, name: str) -> int:
 
 def _vec(n: int):
     def parse(text: str, name: str) -> tuple:
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != n:
-            raise ConfigError(
-                f"{name} expects {n} comma-separated numbers, got {text!r}"
-            )
-        return tuple(_float(p, name) for p in parts)
+        values = tuple(numbers(text, name, ","))
+        if len(values) != n:
+            raise ConfigError(f"{name} expects {n} comma-separated numbers, got {text!r}")
+        return values
     return parse
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericError
 from .geometry import DirectionAngles, NodeState, angles_between
-from .reader import data_lines, read_text, split_entry
+from .reader import data_lines, numbers, read_text, split_entry
 
 if TYPE_CHECKING:  # loading the config needs no random streams
     from .seeds import RandomStreams
@@ -134,14 +134,9 @@ def _parse_table(text: str) -> dict:
         if current is None:
             raise ConfigError(f"{where}: entry before any section")
         key, value = split_entry(line, where, sections[current])
-        try:
-            floats = [float(v) for v in value.split()]
-        except ValueError:
-            raise ConfigError(f"{where}: non-numeric value for {key!r}") from None
+        floats = numbers(value, f"{where}: {key}")
         if len(floats) not in (1, 2):
             raise ConfigError(f"{where}: expected 1 or 2 numbers, got {len(floats)}")
-        if not all(map(math.isfinite, floats)):
-            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
         sections[current][key] = (0.0, *floats)[-2:]  # (a, b); a bare b has a = 0
     return sections
 

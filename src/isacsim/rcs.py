@@ -24,7 +24,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .geometry import DirectionAngles
-from .reader import data_lines, read_text
+from .reader import data_lines, numbers, read_text
 
 
 class B1Table:
@@ -39,27 +39,22 @@ class B1Table:
         gains = np.asarray(gains, dtype=float)
         if angles.ndim != 1 or angles.shape != gains.shape or angles.size < 2:
             raise ConfigError("angle table needs two same-length columns, >= 2 rows")
-        if np.any(np.diff(angles) <= 0):
-            raise ConfigError("angle table angles must be strictly ascending")
-        if np.any(gains < 0):
-            raise ConfigError("angle table gains must be >= 0")
+        if not (np.isfinite(angles).all() and np.all(np.diff(angles) > 0)):
+            raise ConfigError("angle table angles must be finite and strictly ascending")
+        if not (np.isfinite(gains).all() and np.all(gains >= 0)):
+            raise ConfigError("angle table gains must be finite and >= 0")
         self.angles_deg = angles
         self.gains = gains
 
     @classmethod
     def from_file(cls, path) -> "B1Table":
         """Load a two-column text table: aspect angle in degrees, linear gain."""
-        angles, gains = [], []
+        rows = []
         for ln, line in data_lines(read_text(path)):
-            cols = line.split()
-            if len(cols) != 2:
+            rows.append(numbers(line, f"{path}:{ln}"))
+            if len(rows[-1]) != 2:
                 raise ConfigError(f"{path}:{ln}: expected 'angle_deg gain', got {line!r}")
-            try:
-                angles.append(float(cols[0]))
-                gains.append(float(cols[1]))
-            except ValueError:
-                raise ConfigError(f"{path}:{ln}: non-numeric entry") from None
-        return cls(angles, gains)
+        return cls(*np.reshape(rows, (-1, 2)).T)
 
     def lookup(self, aspect_deg):
         a = np.asarray(aspect_deg, dtype=float)

@@ -4,8 +4,12 @@ tables, B1 aspect tables and RCS sample files.
 An input file is UTF-8, with or without a leading byte-order mark. Blank
 lines and lines whose first non-blank character is ``#`` are ignored; each
 parser above this module sees only the other lines, stripped, with their
-1-based line numbers, so every error it raises can name its line.
+1-based line numbers, so every error it raises can name its line. Every
+number an input holds is read by ``numbers``: a finite float, or an error
+that names where it stands.
 """
+import math
+
 from .errors import ConfigError
 
 
@@ -38,3 +42,17 @@ def split_entry(line: str, where: str, seen) -> tuple:
     if key in seen:
         raise ConfigError(f"{where}: duplicate key {key!r}")
     return key, value.strip()
+
+
+def numbers(text: str, where: str, sep=None) -> list:
+    """The floats of ``text`` split at ``sep`` (whitespace by default); a
+    part that is not a finite number is refused, labelled ``where``."""
+    values = []
+    for part in text.split(sep):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ConfigError(f"{where} expects a number, got {text!r}") from None
+        if not math.isfinite(values[-1]):
+            raise ConfigError(f"{where} must be finite, got {text!r}")
+    return values

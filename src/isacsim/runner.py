@@ -176,13 +176,22 @@ def _run_drops(cfg: RunConfig, cases: tuple, emit_cir: bool, drops: range, *,
         tx, rx = (tuple(per_drop[k][side] for k in members) for side in (0, 1))
         concat_streams = [streams[k].scoped(SCOPE_CONCAT) for k in members]
         sets = concatenate_group(tx, rx, cases, concat_streams)
-        block.stats[members] = group_statistics(sets)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, as gains are
+            stats = group_statistics(sets)
+            stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9
+        block.stats[members] = stats
         pair = CONDITION_PAIRS.index(sets[0].condition_pair)  # one layout, one code
         block.pairs[members] = [pair if group.blocks else CONDITION_PAIRS.index("none")
                                 for group in sets]
         cir_group = sets[cases.index(cfg.concat_case)] if emit_cir else None  # the rest go now
         cir_groups.update((k, (cir_group, i)) for i, k in enumerate(members))
-    block.stats[..., STAT_COLUMNS.index("ds_ns")] *= 1e9
+    # an empty set's row is 0, 0, NaN...; any other statistic must be finite
+    bad = np.argwhere(~np.isfinite(block.stats)
+                      & (block.pairs != CONDITION_PAIRS.index("none"))[..., None])
+    if len(bad):
+        k, c, column = bad[0]
+        raise NumericError(f"drop {drops[k]}: {cases[c].value} {STAT_COLUMNS[column]} "
+                           "overflows to a non-finite value")
 
     sink = None if isinstance(cir_out, str) else cir_out  # a pool task opens its spool
     with ExitStack() as files:

@@ -36,6 +36,7 @@ _BASE_OFFSETS = (0.0447, 0.1413, 0.2492, 0.3715, 0.5129,
 RAY_OFFSETS = np.array(
     [s * v for v in _BASE_OFFSETS for s in (1.0, -1.0)]
 )
+MAX_CLUSTERS = 100  # per hop; TR 38.901's UMi tables give 12 (LOS) and 19 (NLOS)
 
 # Sub-cluster partition of the two strongest clusters (TR 38.901 sec 7.5
 # step 11): ray index groups and their extra delays in units of c_DS.
@@ -126,8 +127,9 @@ def _row_shuffle(keys, arr):
 def check_ray_layout(params: ConditionParams, split_strongest: bool) -> None:
     """Refuse a cluster/ray layout that generate_sublinks cannot build."""
     m = params.rays_per_cluster
-    if params.num_clusters < 1:
-        raise ConfigError("cluster count must be >= 1")
+    if not 1 <= params.num_clusters <= MAX_CLUSTERS:
+        raise ConfigError(f"cluster count must be in [1, {MAX_CLUSTERS}], "
+                          f"got {params.num_clusters}")
     if not (1 <= m <= RAY_OFFSETS.shape[0]):
         raise ConfigError(
             f"rays per cluster must be in [1, {RAY_OFFSETS.shape[0]}], got {m}"

@@ -197,7 +197,7 @@ def test_scenario_table_parse_errors(tmp_path):
 
     non_numeric = tmp_path / "nonnum.tbl"
     non_numeric.write_text("[UMi LOS]\nlg_ds_mean = fast\n")
-    with pytest.raises(ConfigError, match="non-numeric"):
+    with pytest.raises(ConfigError, match="line 2: lg_ds_mean expects a number, got 'fast'"):
         ScenarioParams.from_table(6e9, path=non_numeric)
 
     three = tmp_path / "three.tbl"

@@ -45,6 +45,16 @@ def test_b1_table_validation():
         B1Table([0.0, 10.0], [1.0, -0.5])
 
 
+@pytest.mark.parametrize("angles, gains, error", [
+    ([0.0, np.nan, 20.0], [1.0, 1.0, 1.0], "angles must be finite and strictly ascending"),
+    ([0.0, 10.0, np.inf], [1.0, 1.0, 1.0], "angles must be finite and strictly ascending"),
+    ([0.0, 10.0, 20.0], [1.0, np.nan, 1.0], "gains must be finite and >= 0"),
+], ids=["nan-angle", "inf-angle", "nan-gain"])
+def test_b1_table_refuses_non_finite_entries(angles, gains, error):
+    with pytest.raises(ConfigError, match=error):
+        B1Table(angles, gains)
+
+
 def test_b1_table_from_file(tmp_path):
     path = tmp_path / "b1.txt"
     path.write_text("# aspect gain\n0 1.0\n90 2.0\n")

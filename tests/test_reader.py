@@ -1,5 +1,6 @@
 """The one input grammar: every text input parses the same through noise."""
 import os
+import re
 import tempfile
 from importlib import resources
 
@@ -70,3 +71,45 @@ def test_blank_and_comment_lines_padding_crlf_and_a_bom_change_nothing(kind, dat
     lines = KINDS[kind][0]
     clean = parse(kind, "".join(line + "\n" for line in lines))
     assert parse(kind, data.draw(noisy(lines))) == clean
+
+
+
+LAW_LINE = next(ln for ln, line in data_lines(BUNDLED_TABLE) if line.startswith("lg_ds_mean"))
+
+
+def input_with(tmp, kind, value):
+    """The argv whose command reads ``value`` as a number of ``kind`` (a run
+    of a configuration, but for rcs-fit and detect), and what its error names."""
+    files = {  # kind -> (file, text, its config key or None, what the error names)
+        "config_scalar": ("run.cfg", f"frequency_hz = {value}\n", None, "line 1: frequency_hz"),
+        "config_vector": ("run.cfg", f"frequency_hz = 6e9\nnodes.tx.position_m = 0, {value}, 10\n",
+                          None, "line 2: nodes.tx.position_m"),
+        "scenario_table_law": ("umi.tbl", re.sub(r"^lg_ds_mean .*$", f"lg_ds_mean = -0.24 {value}",
+                                                 BUNDLED_TABLE, count=1, flags=re.M),
+                               "scenario_table", f"parameter table line {LAW_LINE}: lg_ds_mean"),
+        "b1_row": ("b1.tbl", f"-180 1\n0 {value}\n180 1\n", "rcs.b1_table", f"{tmp / 'b1.tbl'}:2"),
+        "sample_line": ("s.txt", f"1.0\n2.0 {value}\n", None, f"{tmp / 's.txt'}:2"),
+    }
+    if kind == "pfa":
+        return ["detect", "--pfa", f"1e-2,{value}"], "--pfa"
+    name, text, key, where = files[kind]
+    (tmp / name).write_text(text)
+    if kind == "sample_line":
+        return ["rcs-fit", str(tmp / name)], where
+    if key is not None:
+        (tmp / "run.cfg").write_text(f"frequency_hz = 6e9\n{key} = {tmp / name}\n")
+    return ["run", "--config", str(tmp / "run.cfg")], where
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "x"])
+@pytest.mark.parametrize("kind", ["config_scalar", "config_vector", "scenario_table_law",
+                                  "b1_row", "sample_line", "pfa"])
+def test_every_number_read_is_a_finite_float(tmp_path, capsys, kind, value):
+    """One number rule for every input: a number that is not a finite float
+    is refused before anything is written, with its key or file:line."""
+    argv, where = input_with(tmp_path, kind, value)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    rule = "expects a number" if value == "x" else "must be finite"
+    assert capsys.readouterr().err.startswith(f"configuration error: {where} {rule}, got ")
+    assert not out.exists()

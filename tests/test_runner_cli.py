@@ -1056,6 +1056,9 @@ TABLE_NUMBER_ERRORS = {
                               "must be finite, got '0.1 nan'\n",
     ("num_clusters", "1e308 1e308"): "configuration error: parameter table section [UMi LOS]: "
                                      "num_clusters is not finite at 6 GHz\n",
+    ("num_clusters", "101"): "configuration error: cluster count must be in [1, 100], got 101\n",
+    ("num_clusters", "1e12"): "configuration error: cluster count must be in [1, 100], "
+                              "got 1000000000000\n",
     ("k_mean_db", "4000"): "numeric error: [UMi LOS] K-factor draw 10^",
     ("lg_ds_mean", "400"): "numeric error: [UMi LOS] lg_ds draw 10^",
 }
@@ -1080,11 +1083,27 @@ def test_a_table_number_that_cannot_run_ends_in_one_error_line(tmp_path, capsys,
         assert not set(os.listdir(out)) & {"cir.txt", "statistics.txt", "manifest.txt"}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_statistic_that_overflows_ends_in_one_error_line(tmp_path, capfd, eight_cpus,
+                                                           workers):
+    """Delay spreads of 10^300 s are drawn, but their moments overflow: the
+    run ends at the first such drop, with no warning and no output file."""
+    text = resources.files("isacsim.data").joinpath("umi_38901.tbl").read_text()
+    table = tmp_path / "ds300.tbl"
+    table.write_text(re.sub(r"^lg_ds_mean .*$", "lg_ds_mean = 300", text, flags=re.M))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"scenario_table = {table}\noutput.cir = false\n")
+    assert main(["run", "--config", cfg, "--out", str(out), "--workers", str(workers)]) == 3
+    assert capfd.readouterr().err == ("numeric error: drop 0: Case2O ds_ns overflows "
+                                      "to a non-finite value\n")
+    assert os.listdir(out) == []
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # What the command line loads at start-up, and for detect: the package init
 # imports no submodule, and each command imports its own when it starts.
 CLI_MODULES = {"isacsim", "isacsim.cli", "isacsim.errors", "isacsim.text"}
-DETECT_MODULES = CLI_MODULES | {"isacsim.metrics", "isacsim.constants"}
+DETECT_MODULES = CLI_MODULES | {"isacsim.metrics", "isacsim.constants", "isacsim.reader"}
 # detect writes --out through the runner's writer (text._Output), which
 # loads hashlib only for a run's checksums
 NOT_LOADED = ("isacsim.runner", "isacsim.concatenation", "isacsim.coefficients",
